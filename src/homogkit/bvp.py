@@ -12,16 +12,15 @@ boundary values, so the discrete boundary trace is exact.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .cell import HomogenizedCoefficients
 from .coefficients import CoefficientSet
-from .grid import (BoxGrid, GridFunction, _coef_block, bilinear_energy,
-                   principal_part_apply)
-from .solvers import SolverError, solve_box_dirichlet
+from .grid import BoxGrid, GridFunction, _centered_box, assemble_box, precond_scale
+from .solvers import solve_box_dirichlet
 
 HOMOGENIZED = "homogenized"
 
@@ -68,45 +67,36 @@ class CoefficientSamples:
             m=self.m,
         )
 
-    def apply_full(self, u: np.ndarray) -> np.ndarray:
-        """Operator action on a full-grid field (*shape, m); interior rows of
-        the result are valid, boundary rows are garbage (wrap effects)."""
-        g = self.grid
-        h = g.h
-        out = principal_part_apply(self.A, u, g)
-        for i in range(g.d):
-            vi = self.V[..., i, :, :]
-            vu = np.einsum("...ab,...b->...a", vi, u)
-            out -= (np.roll(vu, -1, axis=i) - np.roll(vu, 1, axis=i)) / (2.0 * h)
-            dcu = (np.roll(u, -1, axis=i) - np.roll(u, 1, axis=i)) / (2.0 * h)
-            out += np.einsum("...ab,...b->...a", self.B[..., i, :, :], dcu)
-        out += np.einsum("...ab,...b->...a", self.c, u) + self.lam * u
-        return out
+    @cached_property
+    def matrices(self):
+        """(K_ii, K_ib) of ``grid.assemble_box``, assembled on first use."""
+        return assemble_box(self.A, self.V, self.B, self.c, self.lam, self.grid)
 
     def apply_interior(self, u_int: np.ndarray) -> np.ndarray:
+        """K_ii u for interior values (*(n-1,)*d, m), zero boundary values."""
+        return (self.matrices[0] @ u_int.ravel()).reshape(u_int.shape)
+
+    def lift(self, u: np.ndarray) -> np.ndarray:
+        """K_ib u_b: the interior rows of L applied to the boundary values of
+        the full field ``u`` (*shape, m); its interior values are not read."""
         g = self.grid
-        full = np.zeros(g.shape + (self.m,))
-        full[g.interior] = u_int
-        return self.apply_full(full)[g.interior]
+        ub = u[g.boundary_mask()]
+        return (self.matrices[1] @ ub.ravel()).reshape((g.n - 1,) * g.d + (self.m,))
+
+    def apply_full(self, u: np.ndarray) -> np.ndarray:
+        """Operator action on a full-grid field (*shape, m): the interior rows
+        hold L u, the boundary rows are zero."""
+        g = self.grid
+        out = np.zeros_like(u)
+        out[g.interior] = self.apply_interior(u[g.interior]) + self.lift(u)
+        return out
 
     def bilinear(self, u: np.ndarray, v: np.ndarray) -> float:
-        """B[u, v] for full fields vanishing on the boundary.
-
-        Matches <apply_full(u), v> exactly (same sums reassociated), which is
-        the discrete footing for the duality and coercivity tests.
-        """
+        """B[u, v] = <L u, v> for full fields vanishing on the boundary; the
+        discrete footing for the duality and coercivity tests."""
         g = self.grid
-        h = g.h
-        total = bilinear_energy(self.A, u, v, g) / g.cell_volume
-        for i in range(g.d):
-            vu = np.einsum("...ab,...b->...a", self.V[..., i, :, :], u)
-            dcv = (np.roll(v, -1, axis=i) - np.roll(v, 1, axis=i)) / (2.0 * h)
-            total += np.sum(vu * dcv)
-            dcu = (np.roll(u, -1, axis=i) - np.roll(u, 1, axis=i)) / (2.0 * h)
-            total += np.sum(np.einsum("...ab,...b->...a", self.B[..., i, :, :], dcu) * v)
-        total += np.sum(np.einsum("...ab,...b->...a", self.c, u) * v)
-        total += self.lam * np.sum(u * v)
-        return float(total) * g.cell_volume
+        lu = self.apply_interior(u[g.interior])
+        return float(np.sum(lu * v[g.interior])) * g.cell_volume
 
     @property
     def is_symmetric(self) -> bool:
@@ -116,14 +106,6 @@ class CoefficientSamples:
         if not np.allclose(self.V, np.swapaxes(self.B, -1, -2), atol=1e-13, rtol=0.0):
             return False
         return bool(np.allclose(self.c, np.swapaxes(self.c, -1, -2), atol=1e-13, rtol=0.0))
-
-    def precond_scale(self) -> float:
-        nd = self.grid.d
-        s = 0.0
-        for i in range(nd):
-            blk = _coef_block(self.A, nd, i, i)
-            s += sum(float(blk[..., a, a].mean()) for a in range(self.m)) / self.m
-        return s / nd
 
 
 @dataclass
@@ -163,21 +145,8 @@ class DirichletProblem:
                 )
 
     def samples(self) -> CoefficientSamples:
-        g = self.grid
-        m = self.cs.m
-        if self.eps == HOMOGENIZED:
-            hats = self.hats
-            shape = g.shape
-            A = np.broadcast_to(hats.A_hat, shape + hats.A_hat.shape).copy()
-            V = np.broadcast_to(hats.V_hat, shape + hats.V_hat.shape).copy()
-            B = np.broadcast_to(hats.B_hat, shape + hats.B_hat.shape).copy()
-            c = np.broadcast_to(hats.c_hat, shape + hats.c_hat.shape).copy()
-        else:
-            eps = float(self.eps)
-            x = g.points()
-            y = np.mod(x / eps, 1.0)
-            A, V, B, c = self.cs.A(y), self.cs.V(y), self.cs.B(y), self.cs.c(y)
-        return CoefficientSamples(grid=g, A=A, V=V, B=B, c=c, lam=float(self.lam), m=m)
+        return sample_coefficients(self.cs, self.grid, self.eps, self.lam,
+                                   hats=self.hats)
 
     def rhs_interior(self, samples: CoefficientSamples) -> np.ndarray:
         """F + div(f) - L(g-lifting) restricted to interior points."""
@@ -187,17 +156,38 @@ class DirichletProblem:
         if self.F is not None:
             rhs += self.F
         if self.f is not None:
-            h = g.h
-            from .grid import _centered_box
             for i in range(g.d):
-                rhs += _centered_box(self.f[..., :, i], i, h)
+                rhs += _centered_box(self.f[..., :, i], i, g.h)
         rhs = rhs[g.interior].copy()
         if self.g is not None:
-            lift = np.zeros(g.shape + (m,))
-            bmask = g.boundary_mask()
-            lift[bmask] = np.asarray(self.g, float)[bmask]
-            rhs -= samples.apply_full(lift)[g.interior]
+            rhs -= samples.lift(np.asarray(self.g, float))
         return rhs
+
+
+def sample_coefficients(cs: CoefficientSet, grid: BoxGrid, eps: float | str,
+                        lam: float, *, hats: HomogenizedCoefficients | None = None,
+                        principal_only: bool = False) -> CoefficientSamples:
+    """Coefficients frozen on the box lattice: at x/eps, or the constant
+    homogenized tensors when ``eps == HOMOGENIZED``.
+
+    ``principal_only`` keeps A and zeroes V, B and c.  No resolution guard is
+    applied here; ``DirichletProblem`` and the corrector solves check it.
+    """
+    shape = grid.shape
+    m = cs.m
+    if eps == HOMOGENIZED:
+        A, V, B, c = (np.broadcast_to(t, shape + t.shape).copy()
+                      for t in (hats.A_hat, hats.V_hat, hats.B_hat, hats.c_hat))
+    else:
+        y = np.mod(grid.points() / float(eps), 1.0)
+        A = cs.A(y)
+        if principal_only:
+            V = np.zeros(shape + (grid.d, m, m))
+            B = V.copy()
+            c = np.zeros(shape + (m, m))
+        else:
+            V, B, c = cs.V(y), cs.B(y), cs.c(y)
+    return CoefficientSamples(grid=grid, A=A, V=V, B=B, c=c, lam=float(lam), m=m)
 
 
 def assemble(problem: DirichletProblem) -> CoefficientSamples:
@@ -238,7 +228,7 @@ def _solve_with(problem, samples, tol, x0):
     u_int = solve_box_dirichlet(
         samples.apply_interior, rhs, problem.grid,
         lam=samples.lam, tol=tol,
-        precond_scale=samples.precond_scale(),
+        precond_scale=precond_scale(samples.A, problem.grid),
         symmetric=samples.is_symmetric,
         x0=x0,
     )
@@ -283,26 +273,3 @@ def coercivity_margin(samples: CoefficientSamples, u_full: np.ndarray) -> tuple[
 def coercivity_constant_bound(cs: CoefficientSet, grid: BoxGrid) -> float:
     diam2 = grid.d * grid.extent ** 2
     return 0.5 * cs.mu * min(1.0, 1.0 / (1.0 + diam2))
-
-
-def caccioppoli_constant(u: GridFunction, center: np.ndarray, r: float) -> float:
-    """C in ||grad u||_{L2(B)} <= (C/r) ||u||_{L2(2B)} for an interior ball.
-
-    Caller guarantees 2B stays inside the box and that u solves the
-    homogeneous equation there.
-    """
-    g = u.grid
-    pts = g.points()
-    dist = np.sqrt(np.sum((pts - center) ** 2, axis=-1))
-    inner_mask = dist <= r
-    outer_mask = dist <= 2 * r
-    from .grid import gradient
-    gu = gradient(u).values
-    nd = g.d
-    gmag2 = np.sum(gu ** 2, axis=tuple(range(nd, gu.ndim)))
-    umag2 = np.sum(u.values ** 2, axis=tuple(range(nd, u.values.ndim)))
-    num = math.sqrt(float(gmag2[inner_mask].sum()) * g.cell_volume)
-    den = math.sqrt(float(umag2[outer_mask].sum()) * g.cell_volume)
-    if den == 0.0:
-        return 0.0
-    return r * num / den

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coefficients import CoefficientSet
-from .grid import TorusGrid, _coef_block, principal_part_apply
-from .solvers import solve_periodic
+from .grid import TorusGrid, _coef_block, assemble_torus, precond_scale
+from .solvers import poisson_periodic, solve_periodic
 
 MEAN_TOL = 1e-10
 
@@ -105,29 +105,63 @@ def _cell_mean(v: np.ndarray, grid: TorusGrid) -> np.ndarray:
     return v.mean(axis=tuple(range(grid.d)))
 
 
-def _identity_laplacian(grid: TorusGrid):
-    eye = np.zeros(grid.shape + (grid.d, grid.d))
-    for i in range(grid.d):
-        eye[..., i, i] = 1.0
-    return lambda u: principal_part_apply(eye, u, grid)
-
-
-def _precond_scale(A: np.ndarray, grid: TorusGrid) -> float:
-    nd = grid.d
-    diag = 0.0
-    for i in range(nd):
-        blk = _coef_block(A, nd, i, i)
-        if blk.ndim > nd:  # (m, m) block: take its diagonal
-            m = blk.shape[-1]
-            diag += sum(float(blk[..., a, a].mean()) for a in range(m)) / m
-        else:
-            diag += float(blk.mean())
-    return diag / nd
-
-
 # ---------------------------------------------------------------------------
 # correctors
 # ---------------------------------------------------------------------------
+
+def _cell_operator(cs: CoefficientSet, grid: TorusGrid):
+    """A on the cell lattice and the matvec of its assembled -div(A grad .)."""
+    A = cs.A(grid.points())
+    K = assemble_torus(A, grid)
+    return A, lambda u: (K @ u.ravel()).reshape(u.shape)
+
+
+def _source_k(A: np.ndarray, k: int, grid: TorusGrid, beta: int) -> np.ndarray:
+    """-L(P_k e_beta): fluxes of the affine field with gradient e_k e_beta,
+    with the operator's own stencils, so constant A gives exactly zero."""
+    nd, h, ki = grid.d, grid.h, k - 1
+    akk = _coef_block(A, nd, ki, ki)[..., :, beta]        # (*shape, m)
+    half = 0.5 * (akk + np.roll(akk, -1, axis=ki))
+    rhs = (half - np.roll(half, 1, axis=ki)) / h
+    for i in range(nd):
+        if i == ki:
+            continue
+        aik = _coef_block(A, nd, i, ki)[..., :, beta]
+        rhs += (np.roll(aik, -1, axis=i) - np.roll(aik, 1, axis=i)) / (2.0 * h)
+    return rhs
+
+
+def _source_0(V: np.ndarray, grid: TorusGrid, beta: int) -> np.ndarray:
+    """div(V e_beta) with centered differences."""
+    rhs = np.zeros(grid.shape + (V.shape[-1],))
+    for i in range(grid.d):
+        vi = V[..., i, :, beta]
+        rhs += (np.roll(vi, -1, axis=i) - np.roll(vi, 1, axis=i)) / (2.0 * grid.h)
+    return rhs
+
+
+def _solve_cell(cs: CoefficientSet, grid: TorusGrid, tol: float, A: np.ndarray,
+                op, sources: list[np.ndarray]) -> tuple[np.ndarray, float]:
+    """Column beta of the corrector solves op(chi[..., :, beta]) = sources[beta]
+    with zero mean; returns the corrector and the worst relative residual."""
+    nd = grid.d
+    scale = precond_scale(A, grid)
+    chi = np.zeros(grid.shape + (cs.m, cs.m))
+    residuals = []
+    for beta, rhs in enumerate(sources):
+        col = solve_periodic(op, rhs, grid, tol=tol, precond_scale=scale,
+                             symmetric=cs.symmetric)
+        chi[..., :, beta] = col
+        rn = np.linalg.norm(op(col) - _mean_zero_like(rhs, nd))
+        bn = np.linalg.norm(rhs)
+        residuals.append(rn / bn if bn > 0 else 0.0)
+    return chi, max(residuals)
+
+
+def _check_tol(tol: float) -> None:
+    if tol <= 0:
+        raise CellError("tol must be positive")
+
 
 def solve_corrector_k(cs: CoefficientSet, k: int, grid: TorusGrid,
                       tol: float = 1e-10) -> tuple[np.ndarray, float]:
@@ -142,70 +176,20 @@ def solve_corrector_k(cs: CoefficientSet, k: int, grid: TorusGrid,
     """
     if not 1 <= k <= cs.d:
         raise CellError(f"k must be in 1..{cs.d}, got {k}")
-    if tol <= 0:
-        raise CellError("tol must be positive")
-    A = cs.A(grid.points())
-    m = cs.m
-    nd = grid.d
-    h = grid.h
-    ki = k - 1
-
-    def op(u):
-        return principal_part_apply(A, u, grid)
-
-    chi = np.zeros(grid.shape + (m, m))
-    residuals = []
-    for beta in range(m):
-        # rhs = -L(P_k^beta): fluxes of the affine field with gradient e_k e_beta
-        rhs = np.zeros(grid.shape + (m,))
-        akk = _coef_block(A, nd, ki, ki)[..., :, beta]        # (*shape, m)
-        half = 0.5 * (akk + np.roll(akk, -1, axis=ki))
-        rhs += (half - np.roll(half, 1, axis=ki)) / h
-        for i in range(nd):
-            if i == ki:
-                continue
-            aik = _coef_block(A, nd, i, ki)[..., :, beta]
-            rhs += (np.roll(aik, -1, axis=i) - np.roll(aik, 1, axis=i)) / (2.0 * h)
-        col = solve_periodic(op, rhs, grid, tol=tol,
-                             precond_scale=_precond_scale(A, grid),
-                             symmetric=cs.symmetric)
-        chi[..., :, beta] = col
-        rn = np.linalg.norm(op(col) - _mean_zero_like(rhs, nd))
-        bn = np.linalg.norm(rhs)
-        residuals.append(rn / bn if bn > 0 else 0.0)
-    return chi, max(residuals)
+    _check_tol(tol)
+    A, op = _cell_operator(cs, grid)
+    return _solve_cell(cs, grid, tol, A, op,
+                       [_source_k(A, k, grid, beta) for beta in range(cs.m)])
 
 
 def solve_corrector_0(cs: CoefficientSet, grid: TorusGrid,
                       tol: float = 1e-10) -> tuple[np.ndarray, float]:
     """Solve the cell problem for chi_0 with source div(V), zero cell mean."""
-    if tol <= 0:
-        raise CellError("tol must be positive")
-    y = grid.points()
-    A = cs.A(y)
-    V = cs.V(y)     # (*shape, d, m, m)
-    m = cs.m
-    nd = grid.d
-    h = grid.h
-
-    def op(u):
-        return principal_part_apply(A, u, grid)
-
-    chi0 = np.zeros(grid.shape + (m, m))
-    residuals = []
-    for beta in range(m):
-        rhs = np.zeros(grid.shape + (m,))
-        for i in range(nd):
-            vi = V[..., i, :, beta]
-            rhs += (np.roll(vi, -1, axis=i) - np.roll(vi, 1, axis=i)) / (2.0 * h)
-        col = solve_periodic(op, rhs, grid, tol=tol,
-                             precond_scale=_precond_scale(A, grid),
-                             symmetric=cs.symmetric)
-        chi0[..., :, beta] = col
-        rn = np.linalg.norm(op(col) - _mean_zero_like(rhs, nd))
-        bn = np.linalg.norm(rhs)
-        residuals.append(rn / bn if bn > 0 else 0.0)
-    return chi0, max(residuals)
+    _check_tol(tol)
+    A, op = _cell_operator(cs, grid)
+    V = cs.V(grid.points())
+    return _solve_cell(cs, grid, tol, A, op,
+                       [_source_0(V, grid, beta) for beta in range(cs.m)])
 
 
 def _mean_zero_like(v: np.ndarray, nd: int) -> np.ndarray:
@@ -213,12 +197,18 @@ def _mean_zero_like(v: np.ndarray, nd: int) -> np.ndarray:
 
 
 def solve_correctors(cs: CoefficientSet, grid: TorusGrid, tol: float = 1e-10) -> CorrectorSet:
-    """All correctors chi_0, chi_1..chi_d on one grid."""
-    chi0, r0 = solve_corrector_0(cs, grid, tol)
+    """All correctors chi_0, chi_1..chi_d on one grid, from one assembled
+    operator."""
+    _check_tol(tol)
+    A, op = _cell_operator(cs, grid)
+    V = cs.V(grid.points())
+    chi0, r0 = _solve_cell(cs, grid, tol, A, op,
+                           [_source_0(V, grid, beta) for beta in range(cs.m)])
     chis = []
     res = {"chi0": r0}
     for k in range(1, cs.d + 1):
-        ck, rk = solve_corrector_k(cs, k, grid, tol)
+        ck, rk = _solve_cell(cs, grid, tol, A, op,
+                             [_source_k(A, k, grid, beta) for beta in range(cs.m)])
         chis.append(ck)
         res[f"chi{k}"] = rk
     out = CorrectorSet(grid=grid, chi0=chi0, chi=chis, residuals=res)
@@ -266,7 +256,7 @@ def _homog_a(A: np.ndarray, grad_chi: np.ndarray, grid: TorusGrid) -> np.ndarray
 # ---------------------------------------------------------------------------
 
 def flux_correctors(cs: CoefficientSet, correctors: CorrectorSet,
-                    A_hat: np.ndarray, tol: float = 1e-10):
+                    A_hat: np.ndarray):
     """Antisymmetric potential E for the principal flux discrepancy b.
 
     b_ij = A_hat_ij - a_ij - a_ik d_k chi_j has zero cell mean (exactly, by
@@ -286,7 +276,7 @@ def flux_correctors(cs: CoefficientSet, correctors: CorrectorSet,
             f"flux discrepancy b has cell mean {mean_b:.2e}; upstream correctors inaccurate"
         )
     b = _mean_zero_like(b, grid.d)
-    pi = _poisson_components(b, grid, tol)
+    pi = _poisson_components(b, grid)
     d = grid.d
     dpi = _torus_gradient(pi, grid)   # (*s, d_i, d_j, m, m, d_l)
     E = np.empty(grid.shape + (d, d, d) + b.shape[grid.d + 2:])
@@ -298,7 +288,7 @@ def flux_correctors(cs: CoefficientSet, correctors: CorrectorSet,
 
 
 def lower_flux_correctors(cs: CoefficientSet, correctors: CorrectorSet,
-                          hats: HomogenizedCoefficients, tol: float = 1e-10):
+                          hats: HomogenizedCoefficients):
     """Potentials for the lower-order flux discrepancies.
 
     U_i = V_hat_i - V_i - a_ij d_j chi_0, with Laplace(theta_i) = U_i and
@@ -326,9 +316,9 @@ def lower_flux_correctors(cs: CoefficientSet, correctors: CorrectorSet,
     W = _mean_zero_like(W, grid.d)
     Z = _mean_zero_like(Z, grid.d)
 
-    theta = _poisson_components(U, grid, tol)
-    vartheta = _poisson_components(W, grid, tol)
-    zeta = _poisson_components(Z, grid, tol)
+    theta = _poisson_components(U, grid)
+    vartheta = _poisson_components(W, grid)
+    zeta = _poisson_components(Z, grid)
 
     d = grid.d
     dtheta = _torus_gradient(theta, grid)  # (*s, d_i, m, m, d_k)
@@ -341,24 +331,21 @@ def lower_flux_correctors(cs: CoefficientSet, correctors: CorrectorSet,
 
 def build_flux_correctors(cs: CoefficientSet, correctors: CorrectorSet,
                           hats: HomogenizedCoefficients, tol: float = 1e-10) -> FluxCorrectorSet:
-    b, E = flux_correctors(cs, correctors, hats.A_hat, tol)
-    U, theta, F, W, vartheta, Z, zeta = lower_flux_correctors(cs, correctors, hats, tol)
+    """All flux potentials.  ``tol`` is kept for callers that pass the run
+    tolerance; the Poisson solves behind the potentials are direct."""
+    b, E = flux_correctors(cs, correctors, hats.A_hat)
+    U, theta, F, W, vartheta, Z, zeta = lower_flux_correctors(cs, correctors, hats)
     return FluxCorrectorSet(grid=correctors.grid, b=b, E=E, U=U, theta=theta,
                             F=F, W=W, vartheta=vartheta, Z=Z, zeta=zeta)
 
 
-def _poisson_components(src: np.ndarray, grid: TorusGrid, tol: float) -> np.ndarray:
-    """Solve Laplace(p) = src componentwise with zero mean (torus).
-
-    The compact flux Laplacian is used, so solve -Lap p = -src.
-    """
-    lap = _identity_laplacian(grid)
-    nd = grid.d
+def _poisson_components(src: np.ndarray, grid: TorusGrid) -> np.ndarray:
+    """Solve Laplace(p) = src componentwise with zero mean (torus), exactly:
+    the compact flux Laplacian is inverted in Fourier space."""
     flat = src.reshape(grid.shape + (-1,))
     out = np.empty_like(flat)
     for comp in range(flat.shape[-1]):
-        out[..., comp] = solve_periodic(lap, -flat[..., comp], grid, tol=tol,
-                                        precond_scale=1.0, symmetric=True)
+        out[..., comp] = poisson_periodic(-flat[..., comp], grid)
     return out.reshape(src.shape)
 
 

@@ -204,9 +204,9 @@ def _run_cell(cfg: ExperimentConfig, out_dir: str):
     cs = builtin_family(cfg.family, **cfg.params)
     n = cfg.get("n", 64)
     grid = TorusGrid(cs.d, n)
-    t0 = time.time()
+    t0 = time.perf_counter()
     corr = solve_correctors(cs, grid, tol=cfg.tol)
-    wall = {"cell_solve": time.time() - t0}
+    wall = {"cell_solve": time.perf_counter() - t0}
     for k, chi in enumerate([corr.chi0] + list(corr.chi)):
         write_csv(GridFunction(grid, chi), os.path.join(out_dir, f"chi{k}.csv"))
     means = [float(np.abs(c.mean(axis=tuple(range(grid.d)))).max())
@@ -225,18 +225,18 @@ def _run_homogenize(cfg: ExperimentConfig, out_dir: str):
     cs = builtin_family(cfg.family, **cfg.params)
     n = cfg.get("n", 64)
     grid = TorusGrid(cs.d, n)
-    t0 = time.time()
+    t0 = time.perf_counter()
     corr = solve_correctors(cs, grid, tol=cfg.tol)
     hats = homogenize(cs, corr)
-    wall = {"homogenize": time.time() - t0}
+    wall = {"homogenize": time.perf_counter() - t0}
     summary = {"a_hat": hats.A_hat, "v_hat": hats.V_hat, "b_hat": hats.B_hat,
                "c_hat": hats.c_hat,
                "ellipticity_margin": hats.ellipticity_margin(cs.mu)}
     checks = {"hat_elliptic": hats.ellipticity_margin(cs.mu) > -1e-10}
     if cfg.get("flux", False):
-        t0 = time.time()
+        t0 = time.perf_counter()
         flux = build_flux_correctors(cs, corr, hats, tol=cfg.tol)
-        wall["flux"] = time.time() - t0
+        wall["flux"] = time.perf_counter() - t0
         summary["flux_b_mean"] = float(np.abs(
             flux.b.mean(axis=tuple(range(grid.d)))).max())
         checks["flux_zero_mean"] = summary["flux_b_mean"] <= 1e-6
@@ -260,9 +260,9 @@ def _run_solve(cfg: ExperimentConfig, out_dir: str):
         cs=cs, grid=grid, eps=eps,
         lam=None if lam is None else float(lam), F=F,
         lambda_override=bool(cfg.get("lambda_override", False)))
-    t0 = time.time()
+    t0 = time.perf_counter()
     u, info = solve(problem, tol=cfg.tol)
-    wall = {"solve": time.time() - t0}
+    wall = {"solve": time.perf_counter() - t0}
     write_csv(u, os.path.join(out_dir, "solution.csv"))
     _json_dump({"residual": info["residual"], "lambda": problem.lam,
                 "eps": eps, "n": n}, os.path.join(out_dir, "solve_summary.json"))
@@ -276,11 +276,11 @@ def _run_correctors(cfg: ExperimentConfig, out_dir: str):
     eps = float(cfg.get("eps", 0.25))
     n_cell = cfg.get("n_cell", 64)
     grid = BoxGrid(cs.d, n)
-    t0 = time.time()
+    t0 = time.perf_counter()
     corr = solve_correctors(cs, TorusGrid(cs.d, n_cell), tol=cfg.tol)
     phis = solve_dirichlet_correctors(cs, eps, grid, tol=cfg.tol)
     diag = psi_diagnostics(phis, corr, eps)
-    wall = {"correctors": time.time() - t0}
+    wall = {"correctors": time.perf_counter() - t0}
     write_csv(GridFunction(grid, phis.phi0), os.path.join(out_dir, "phi0.csv"))
     for k, p in enumerate(phis.phi, start=1):
         write_csv(GridFunction(grid, p), os.path.join(out_dir, f"phi{k}.csv"))
@@ -309,7 +309,7 @@ def _run_green(cfg: ExperimentConfig, out_dir: str):
     lam = default_lambda(cs) if lam is None else float(lam)
     probes = cfg.get("probes") or [[0.5] * cs.d]
     rho = cfg.get("rho")
-    t0 = time.time()
+    t0 = time.perf_counter()
     checks = {}
     fit_summaries = []
     with open(os.path.join(out_dir, "green_pairs.csv"), "w") as fh:
@@ -336,14 +336,14 @@ def _run_green(cfg: ExperimentConfig, out_dir: str):
                     "prefactor": fit.prefactor, "residual": fit.residual,
                     "n_pairs": fit.n_pairs, "spans_decade": fit.spans_decade,
                 })
-    wall = {"green": time.time() - t0}
+    wall = {"green": time.perf_counter() - t0}
     if cfg.get("battery", False):
-        t0 = time.time()
+        t0 = time.perf_counter()
         battery = boundary_data_battery(grid, cs.m, 10, seed=cfg.seed)
         probe_res = maximal_function_probe(cs, eps, lam, grid, battery,
                                            p=float(cfg.get("p", 2.0)),
                                            tol=cfg.tol)
-        wall["maximal_probe"] = time.time() - t0
+        wall["maximal_probe"] = time.perf_counter() - t0
         fit_summaries.append({"C_p": probe_res.C_p,
                               "max_principle_ratio":
                                   probe_res.max_principle_ratio})
@@ -360,9 +360,9 @@ def _run_rates(cfg: ExperimentConfig, out_dir: str):
                         lam=cfg.get("lam"),
                         data=cfg.get("data", "one"), seed=cfg.seed,
                         tol=cfg.tol, n_cell=int(cfg.get("n_cell", 64)))
-    t0 = time.time()
+    t0 = time.perf_counter()
     report = run_sweep(sweep)
-    wall = {"sweep": time.time() - t0}
+    wall = {"sweep": time.perf_counter() - t0}
     report.to_csv(os.path.join(out_dir, "rates_report.csv"))
     slopes = {k: {"slope": f.slope, "intercept": f.intercept,
                   "residual": f.residual, "n_used": f.n_used,
@@ -370,9 +370,9 @@ def _run_rates(cfg: ExperimentConfig, out_dir: str):
               for k, f in report.slopes.items()}
     probes = {}
     for kind in cfg.get("probe_kinds", []) or []:
-        t0 = time.time()
+        t0 = time.perf_counter()
         res = uniform_constant_probe(kind, sweep)
-        wall[f"probe_{kind}"] = time.time() - t0
+        wall[f"probe_{kind}"] = time.perf_counter() - t0
         probes[kind] = {"per_eps": {repr(k): v for k, v in res.per_eps.items()},
                         "dispersion": res.dispersion}
     _json_dump({"slopes": slopes, "complete": report.complete,
@@ -443,16 +443,16 @@ _RUNNERS = {
 
 def run(cfg: ExperimentConfig, out_dir: str) -> dict:
     os.makedirs(out_dir, exist_ok=True)
-    t0 = time.time()
+    t0 = time.perf_counter()
     try:
         checks, wall = _RUNNERS[cfg.subcommand](cfg, out_dir)
     except Exception as exc:  # noqa: BLE001 - manifests record failures too
-        wall = {"total": time.time() - t0}
+        wall = {"total": time.perf_counter() - t0}
         manifest = write_manifest(out_dir, cfg, wall,
                                   {"run_completed": False, "error": str(exc)})
         manifest["ok"] = False
         return manifest
-    wall["total"] = time.time() - t0
+    wall["total"] = time.perf_counter() - t0
     checks = {k: bool(v) if isinstance(v, (bool, np.bool_)) else v
               for k, v in checks.items()}
     manifest = write_manifest(out_dir, cfg, wall, checks)
@@ -470,10 +470,6 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default=None, help="output directory")
     parser.add_argument("--seed", type=int, default=None,
                         help="override the config seed")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker threads for independent solves")
-    parser.add_argument("--strict", action="store_true",
-                        help="treat any warning as a failure")
     args = parser.parse_args(argv)
 
     try:
@@ -494,9 +490,6 @@ def main(argv=None) -> int:
         return 2
     if args.seed is not None:
         cfg.seed = args.seed
-    if args.threads != 1:
-        # solves are BLAS/FFT-bound; thread fanout is delegated there
-        os.environ.setdefault("OMP_NUM_THREADS", str(args.threads))
 
     out_dir = args.out or cfg.out or os.environ.get("HOMOG_KIT_OUT", "homogkit-out")
     manifest = run(cfg, out_dir)

@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .grid import BoxGrid, GridFunction, TorusGrid
+from .grid import BoxGrid, TorusGrid
 
 _VALIDATION_LATTICE = 64  # per-axis density used for kappa and periodicity checks
 
@@ -160,17 +160,6 @@ class CoefficientSet:
             )
         if self.symmetric and not self.check_symmetry(n_probe):
             raise CoefficientError(f"family {self.name!r}: declared symmetric but is not")
-
-    # -- GridFunction wrappers ---------------------------------------------
-
-    def sample_gridfunctions(self, grid, eps: float):
-        A, V, B, c = self.sample_on(grid, eps)
-        return (
-            GridFunction(grid, A),
-            GridFunction(grid, V),
-            GridFunction(grid, B),
-            GridFunction(grid, c),
-        )
 
 
 def _probe_directions(d: int, m: int) -> list[np.ndarray]:
@@ -428,11 +417,3 @@ def _nonsymmetric_system_family(d: int = 2, delta: float = 0.3) -> CoefficientSe
         mu=1.0, kappa=0.0, symmetric=False,
         name="nonsymmetric-system", params=dict(d=d, delta=delta),
     )
-
-
-def check_ellipticity(cs: CoefficientSet, n_probe: int = 16) -> float:
-    return cs.check_ellipticity(n_probe)
-
-
-def sample_on(cs: CoefficientSet, grid, eps: float):
-    return cs.sample_on(grid, eps)

@@ -17,10 +17,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bvp import CoefficientSamples
+from .bvp import sample_coefficients
 from .cell import CorrectorSet
 from .coefficients import CoefficientSet
-from .grid import BoxGrid, GridFunction, TorusGrid, _centered_box, gradient
+from .grid import (BoxGrid, GridFunction, TorusGrid, _centered_box, gradient,
+                   precond_scale)
 from .solvers import solve_box_dirichlet
 
 
@@ -51,17 +52,6 @@ class PsiDiagnostics:
     profile_max_grad: np.ndarray   # max |grad Psi| per bin, over all k
 
 
-def _principal_samples(cs: CoefficientSet, grid: BoxGrid, eps: float) -> CoefficientSamples:
-    """Samples of the principal-part operator only (V = B = c = 0, lambda = 0)."""
-    x = grid.points()
-    y = np.mod(x / eps, 1.0)
-    A = cs.A(y)
-    m = cs.m
-    zV = np.zeros(grid.shape + (grid.d, m, m))
-    zc = np.zeros(grid.shape + (m, m))
-    return CoefficientSamples(grid=grid, A=A, V=zV, B=zV.copy(), c=zc, lam=0.0, m=m)
-
-
 def _resolution_guard(grid: BoxGrid, eps: float) -> None:
     if grid.h > eps / 16 + 1e-15:
         raise ValueError(
@@ -74,7 +64,7 @@ def solve_phi0(cs: CoefficientSet, eps: float, grid: BoxGrid,
                tol: float = 1e-10) -> tuple[np.ndarray, float]:
     """Phi_{eps,0}: principal part applied, source div(V_eps), boundary = I."""
     _resolution_guard(grid, eps)
-    samples = _principal_samples(cs, grid, eps)
+    samples = sample_coefficients(cs, grid, eps, 0.0, principal_only=True)
     m = cs.m
     x = grid.points()
     V = cs.V(np.mod(x / eps, 1.0))   # (*shape, d, m, m)
@@ -88,7 +78,7 @@ def solve_phi0(cs: CoefficientSet, eps: float, grid: BoxGrid,
         rhs_int = rhs[grid.interior]
         w = solve_box_dirichlet(samples.apply_interior, rhs_int, grid,
                                 lam=0.0, tol=tol,
-                                precond_scale=samples.precond_scale(),
+                                precond_scale=precond_scale(samples.A, grid),
                                 symmetric=samples.is_symmetric)
         rn = np.linalg.norm(samples.apply_interior(w) - rhs_int)
         bn = np.linalg.norm(rhs_int)
@@ -111,7 +101,7 @@ def solve_phik(cs: CoefficientSet, eps: float, k: int, grid: BoxGrid,
     if not 1 <= k <= cs.d:
         raise ValueError(f"k must be in 1..{cs.d}")
     _resolution_guard(grid, eps)
-    samples = _principal_samples(cs, grid, eps)
+    samples = sample_coefficients(cs, grid, eps, 0.0, principal_only=True)
     m = cs.m
     x = grid.points()
     phik = np.zeros(grid.shape + (m, m))
@@ -122,7 +112,7 @@ def solve_phik(cs: CoefficientSet, eps: float, k: int, grid: BoxGrid,
         rhs_int = -samples.apply_full(pk)[grid.interior]
         w = solve_box_dirichlet(samples.apply_interior, rhs_int, grid,
                                 lam=0.0, tol=tol,
-                                precond_scale=samples.precond_scale(),
+                                precond_scale=precond_scale(samples.A, grid),
                                 symmetric=samples.is_symmetric)
         rn = np.linalg.norm(samples.apply_interior(w) - rhs_int)
         bn = np.linalg.norm(rhs_int)

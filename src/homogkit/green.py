@@ -21,24 +21,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bvp import CoefficientSamples
+from .bvp import sample_coefficients
 from .coefficients import CoefficientSet
 from .grid import BoxGrid, GridFunction, _centered_box, boundary_lp_norm, \
-    boundary_indices, lp_norm, linf_norm, nontangential_max
+    boundary_indices, lp_norm, linf_norm, nontangential_max, precond_scale
 from .solvers import solve_box_dirichlet
 
 
 class GreenError(ValueError):
     pass
-
-
-def operator_samples(cs: CoefficientSet, eps: float, lam: float,
-                     grid: BoxGrid) -> CoefficientSamples:
-    """Coefficients frozen at x/eps on the box lattice (pointwise, no guard)."""
-    x = grid.points()
-    y = np.mod(x / eps, 1.0)
-    return CoefficientSamples(grid=grid, A=cs.A(y), V=cs.V(y), B=cs.B(y),
-                              c=cs.c(y), lam=float(lam), m=cs.m)
 
 
 def _snap_interior(grid: BoxGrid, y) -> tuple[tuple[int, ...], np.ndarray]:
@@ -99,7 +90,7 @@ def approx_green(cs: CoefficientSet, eps: float, lam: float, grid: BoxGrid,
     y_idx, y_pt = _snap_interior(grid, y)
     mask = _ball_mask(grid, y_pt, rho)
     meas = float(mask.sum()) * grid.cell_volume
-    samples = operator_samples(cs, eps, lam, grid)
+    samples = sample_coefficients(cs, grid, eps, lam)
     op = samples if star else samples.adjoint()
     m = cs.m
     columns = np.zeros((m,) + grid.shape + (m,))
@@ -110,7 +101,7 @@ def approx_green(cs: CoefficientSet, eps: float, lam: float, grid: BoxGrid,
         rhs_int = F[grid.interior]
         sol = solve_box_dirichlet(op.apply_interior, rhs_int, grid,
                                   lam=lam, tol=tol,
-                                  precond_scale=op.precond_scale(),
+                                  precond_scale=precond_scale(op.A, grid),
                                   symmetric=op.is_symmetric)
         rn = np.linalg.norm(op.apply_interior(sol) - rhs_int)
         bn = np.linalg.norm(rhs_int)
@@ -128,11 +119,11 @@ def direct_solve(cs: CoefficientSet, eps: float, lam: float, grid: BoxGrid,
     guard: it serves as the oracle for the kernel representation identity,
     which is a discrete transpose identity and holds at any resolution.
     """
-    samples = operator_samples(cs, eps, lam, grid)
+    samples = sample_coefficients(cs, grid, eps, lam)
     rhs_int = np.asarray(F, float)[grid.interior]
     sol = solve_box_dirichlet(samples.apply_interior, rhs_int, grid,
                               lam=lam, tol=tol,
-                              precond_scale=samples.precond_scale(),
+                              precond_scale=precond_scale(samples.A, grid),
                               symmetric=samples.is_symmetric)
     full = np.zeros(grid.shape + (cs.m,))
     full[grid.interior] = sol

@@ -6,8 +6,11 @@ Grid functions are plain numpy arrays with the grid axes first and an
 arbitrary tuple of trailing component axes.
 
 All difference operators are second order.  The divergence-form operator is
-assembled in flux-conservative form so that discrete summation by parts holds
-exactly; see ``principal_part_apply`` and ``bilinear_energy``.
+discretized in flux-conservative form so that discrete summation by parts
+holds exactly.  Solvers use it assembled once into a sparse matrix
+(``assemble_torus``, ``assemble_box``); ``principal_part_apply`` and
+``bilinear_energy`` evaluate the same stencil from the coefficient arrays and
+serve as the reference the assembled matrices are tested against.
 """
 
 from __future__ import annotations
@@ -246,6 +249,9 @@ def principal_part_apply(A: np.ndarray, u: np.ndarray, grid: Grid) -> np.ndarray
     On a BoxGrid the full array (boundary included) is processed and only the
     interior rows of the result are meaningful; wrap-around touches boundary
     rows only.
+
+    This is the reference evaluation of the stencil that ``assemble_torus``
+    and ``assemble_box`` store as a matrix.
     """
     d = grid.d
     h = grid.h
@@ -269,14 +275,199 @@ def principal_part_apply(A: np.ndarray, u: np.ndarray, grid: Grid) -> np.ndarray
     return out
 
 
-def divergence_form_apply(A_samples: GridFunction, u: GridFunction) -> GridFunction:
-    """-div(A grad u) on the grid shared by ``A_samples`` and ``u``."""
-    if A_samples.grid != u.grid:
-        raise GridError("coefficient samples and field live on different grids")
-    if not np.all(np.isfinite(A_samples.values)):
-        raise GridError("non-finite coefficient sample")
-    out = principal_part_apply(A_samples.values, u.values, u.grid)
-    return GridFunction(u.grid, out)
+def precond_scale(A: np.ndarray, grid: Grid) -> float:
+    """Mean of the diagonal entries a_ii^{aa}: the Laplacian scale of the
+    FFT/DST preconditioners for the operator with coefficients ``A``."""
+    nd = grid.d
+    s = 0.0
+    for i in range(nd):
+        blk = _coef_block(A, nd, i, i)
+        m = blk.shape[-1]
+        s += sum(float(blk[..., a, a].mean()) for a in range(m)) / m
+    return s / nd
+
+
+# ---------------------------------------------------------------------------
+# assembled operator
+# ---------------------------------------------------------------------------
+
+def _stencil_offsets(d: int) -> list[tuple[int, ...]]:
+    """The 3 / 9 / 19 lattice offsets of the flux-form stencil in d = 1 / 2 / 3."""
+    unit = [tuple(int(k == i) for k in range(d)) for i in range(d)]
+    out = [(0,) * d]
+    for i in range(d):
+        out += [unit[i], tuple(-k for k in unit[i])]
+    for i in range(d):
+        for j in range(i + 1, d):
+            out += [tuple(si * a + sj * b for a, b in zip(unit[i], unit[j]))
+                    for si in (1, -1) for sj in (1, -1)]
+    return out
+
+
+def _shifted(arr: np.ndarray, s: tuple[int, ...], rows: int) -> np.ndarray:
+    """``arr`` at x + s for every row point x, as a view.
+
+    Grid arrays carry one layer of points around the ``rows`` row points per
+    axis (the box boundary, or a periodic wrap), so the shift is a slice.
+    """
+    return arr[tuple(slice(1 + k, 1 + rows + k) for k in s)]
+
+
+def _flux_stencil(A, V, B, c, lam: float, h: float, rows: int):
+    """Yield (offset, block) once for each offset of ``_stencil_offsets``.
+
+    Coefficients are laid out as ``_shifted`` expects.  Each block is a fresh
+    array (*rows, m, m) whose [..., a, b] entry couples u^b(x + offset) into
+    row (x, a).  The entries are those of ``principal_part_apply`` plus,
+    unless ``V``, ``B``, ``c`` are None (all three or none), the centered
+    lower-order terms -D(V u) + B Du + (c + lam) u.
+    """
+    d, m = A.shape[-3], A.shape[-1]
+    h2 = h * h
+    lower = V is not None
+
+    def at(arr, s):
+        return _shifted(arr, s, rows)
+
+    def block(arr, *idx):
+        # a contiguous copy keeps the (m, m) axes and the last grid axis in
+        # one inner loop of every slice operation below
+        return np.ascontiguousarray(arr[(Ellipsis,) + idx + (slice(None),) * 2])
+
+    zero = (0,) * d
+    diag = None
+    for i in range(d):
+        ei = tuple(int(k == i) for k in range(d))
+        mi = tuple(-k for k in ei)
+        # a_ii at x +- e_i / 2, over h^2; built in place to keep few
+        # row-sized temporaries alive
+        aii = block(A, i, i)
+        plus = at(aii, zero) + at(aii, ei)
+        plus *= 0.5 / h2
+        minus = at(aii, mi) + at(aii, zero)
+        minus *= 0.5 / h2
+        del aii
+        if diag is None:
+            diag = plus + minus
+        else:
+            diag += plus
+            diag += minus
+        np.negative(plus, out=plus)
+        np.negative(minus, out=minus)
+        if lower:
+            vi = block(V, i)
+            bi = at(block(B, i), zero) / (2.0 * h)
+            plus -= at(vi, ei) / (2.0 * h)
+            plus += bi
+        yield ei, plus
+        del plus
+        if lower:
+            minus += at(vi, mi) / (2.0 * h)
+            minus -= bi
+        yield mi, minus
+        del minus
+    for i in range(d):
+        for j in range(i + 1, d):
+            aij, aji = block(A, i, j), block(A, j, i)
+            for si in (1, -1):
+                for sj in (1, -1):
+                    ti = tuple(si * int(k == i) for k in range(d))
+                    tj = tuple(sj * int(k == j) for k in range(d))
+                    blk = at(aij, ti) + at(aji, tj)
+                    blk *= -si * sj / (4.0 * h2)
+                    yield tuple(a + b for a, b in zip(ti, tj)), blk
+    diag += lam * np.eye(m)
+    if lower:
+        diag += at(block(c), zero)
+    yield zero, diag
+
+
+def assemble_torus(A: np.ndarray, grid: TorusGrid):
+    """CSR matrix of -div(A grad .) on the torus (``principal_part_apply``).
+
+    Unknowns are the points in C order with the m components fastest; the
+    int32 column indices wrap around, and with n >= 4 the stencil offsets
+    never land on the same column, so every row holds exactly
+    len(offsets) * m entries.
+    """
+    from scipy import sparse
+
+    d, n, m = grid.d, grid.n, A.shape[-1]
+    npts = grid.npoints
+    offsets = _stencil_offsets(d)
+    slot = {s: k for k, s in enumerate(offsets)}
+    wrap = [(1, 1)] * d
+    A = np.pad(A, wrap + [(0, 0)] * 4, mode="wrap")
+    point = np.pad(np.arange(npts, dtype=np.int32).reshape(grid.shape), wrap, mode="wrap")
+    data = np.empty((npts, m, m, len(offsets)))
+    nbr = np.empty((npts, len(offsets)), dtype=np.int32)
+    for s, blk in _flux_stencil(A, None, None, None, 0.0, grid.h, n):
+        k = slot[s]
+        data[..., k] = blk.reshape(npts, m, m)
+        nbr[:, k] = _shifted(point, s, n).ravel()
+    # row (p, a) holds the columns (nbr[p, k], b), ordered by b, then k
+    comp = np.arange(m, dtype=np.int32)[:, None]
+    indices = np.broadcast_to(m * nbr[:, None, None, :] + comp, data.shape)
+    rowlen = m * len(offsets)
+    indptr = np.arange(0, data.size + 1, rowlen, dtype=np.int32)
+    return sparse.csr_array((data.ravel(), indices.ravel(), indptr),
+                            shape=(npts * m, npts * m))
+
+
+def assemble_box(A: np.ndarray, V: np.ndarray, B: np.ndarray, c: np.ndarray,
+                 lam: float, grid: BoxGrid):
+    """The full operator on a box, split as (K_ii, K_ib).
+
+    Coefficients are sampled on all of ``grid`` with trailing axes
+    (d, d, m, m), (d, m, m), (d, m, m), (m, m).  K_ii couples interior
+    unknowns (interior points in C order, components fastest) and is stored
+    index-free as DIA: an entry whose neighbour is a boundary point is zero
+    there, so diagonals that wrap across a lattice row carry nothing.  K_ib
+    (CSR) couples interior rows to the boundary values ordered as
+    ``boundary_indices``; only rows next to a face have entries.  For a full
+    field u, the interior rows of L u are K_ii u_int + K_ib u_b.
+    """
+    from scipy import sparse
+
+    d, n, m = grid.d, grid.n, A.shape[-1]
+    npts = (n - 1) ** d
+    strides = [(n - 1) ** (d - 1 - k) for k in range(d)]
+
+    def flat(s):
+        return sum(k * st for k, st in zip(s, strides))
+
+    diagonals = sorted({flat(s) * m + b - a for s in _stencil_offsets(d)
+                        for a in range(m) for b in range(m)})
+    row_of = {k: r for r, k in enumerate(diagonals)}
+    data = np.zeros((len(diagonals), npts * m))
+    bmask = grid.boundary_mask()
+    nb = int(bmask.sum())
+    bnum = np.full(grid.shape, -1, dtype=np.int32)
+    bnum[bmask] = np.arange(nb, dtype=np.int32)
+    comp = np.arange(m)
+    ib_rows, ib_cols, ib_vals = [], [], []
+    for s, blk in _flux_stencil(A, V, B, c, lam, grid.h, n - 1):
+        blk = blk.reshape(npts, m, m)
+        nbr = _shifted(bnum, s, n - 1).ravel()
+        edge = np.flatnonzero(nbr >= 0)
+        if edge.size:
+            ib_rows.append(np.broadcast_to((edge * m)[:, None, None] + comp[:, None],
+                                           (edge.size, m, m)).ravel())
+            ib_cols.append(np.broadcast_to((nbr[edge] * m)[:, None, None] + comp,
+                                           (edge.size, m, m)).ravel())
+            ib_vals.append(blk[edge].ravel())
+            blk[edge] = 0.0
+        off = flat(s)
+        lo, hi = max(0, -off), min(npts, npts - off)
+        for a in range(m):
+            for b in range(m):
+                dst = data[row_of[off * m + b - a]].reshape(npts, m)[:, b]
+                dst[lo + off:hi + off] = blk[lo:hi, a, b]
+    K_ii = sparse.dia_array((data, diagonals), shape=(npts * m, npts * m))
+    K_ib = sparse.csr_array(
+        (np.concatenate(ib_vals), (np.concatenate(ib_rows), np.concatenate(ib_cols))),
+        shape=(npts * m, nb * m))
+    return K_ii, K_ib
 
 
 def bilinear_energy(A: np.ndarray, u: np.ndarray, v: np.ndarray, grid: Grid) -> float:

@@ -226,7 +226,7 @@ def run_sweep(config: SweepConfig) -> ConvergenceReport:
     to every coarser row.  A solver failure aborts the remaining rows and
     flags the report incomplete.
     """
-    t_start = time.time()
+    t_start = time.perf_counter()
     cs = builtin_family(config.family, **config.params)
     lam = config.lam if config.lam is not None else default_lambda(cs)
     notes = []
@@ -303,7 +303,7 @@ def run_sweep(config: SweepConfig) -> ConvergenceReport:
                 notes.append(f"slope for {key} not fitted: {exc}")
     return ConvergenceReport(config=config, rows=rows, slopes=slopes,
                              complete=complete,
-                             wall_time=time.time() - t_start, notes=notes)
+                             wall_time=time.perf_counter() - t_start, notes=notes)
 
 
 def triangle_defects(report: ConvergenceReport) -> list[float]:

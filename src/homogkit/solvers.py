@@ -53,6 +53,21 @@ def _mean_zero(v: np.ndarray, grid_axes: int) -> np.ndarray:
     return v - v.mean(axis=axes, keepdims=True)
 
 
+def poisson_periodic(rhs: np.ndarray, grid: TorusGrid) -> np.ndarray:
+    """Mean-zero x with -Laplace_h x = rhs - mean(rhs) on the torus, by FFT.
+
+    Laplace_h is the compact flux Laplacian (the operator of identity
+    coefficients); its symbol ``_laplace_symbol_torus`` is inverted exactly
+    and the constant mode is set to zero.  ``rhs`` has shape grid.shape.
+    """
+    nd = grid.d
+    sym = _laplace_symbol_torus(grid)[..., : grid.n // 2 + 1]
+    sym[(0,) * nd] = 1.0
+    xhat = np.fft.rfftn(rhs) / sym
+    xhat[(0,) * nd] = 0.0
+    return np.fft.irfftn(xhat, s=grid.shape, axes=tuple(range(nd)))
+
+
 def solve_periodic(apply_op, rhs: np.ndarray, grid: TorusGrid, *,
                    tol: float = 1e-10, maxiter: int | None = None,
                    precond_scale: float = 1.0, symmetric: bool = True,

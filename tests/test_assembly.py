@@ -1,0 +1,139 @@
+"""The assembled operator against the stencil evaluated from the coefficient
+arrays (``principal_part_apply`` and the centered lower-order terms)."""
+
+import numpy as np
+import pytest
+
+from homogkit.bvp import CoefficientSamples, sample_coefficients
+from homogkit.cell import _poisson_components
+from homogkit.coefficients import builtin_family
+from homogkit.grid import (BoxGrid, TorusGrid, assemble_torus,
+                           principal_part_apply)
+from homogkit.solvers import solve_periodic
+
+REL = 1e-13
+
+FAMILIES = [
+    ("constant", dict(a0=1.5, v0=0.3, b0=-0.2, c0=0.1)),
+    ("laminate", {}),
+    ("laminate-step", {}),
+    ("trig", dict(alpha=2.0, beta=0.5, lower=0.4)),
+    ("oscillating-potential", dict(amp=0.8)),
+]
+
+
+def family_cases():
+    for d in (1, 2, 3):
+        for name, params in FAMILIES + [("random", {})]:
+            for m in (1, 2):
+                yield name, dict(params, d=d, m=m)
+        yield "nonsymmetric-system", dict(d=d, delta=0.3)
+
+
+CASES = list(family_cases())
+IDS = [f"{name}-d{p['d']}-m{p.get('m', 2)}" for name, p in CASES]
+SIZES = {1: 32, 2: 16, 3: 8}
+
+
+def box_samples(name, params, lam=0.7) -> CoefficientSamples:
+    """A built-in family at eps = 1/4, or independent random coefficient
+    arrays (every a_ij^{ab} nonzero, which no built-in family has for i != j)."""
+    d = params["d"]
+    g = BoxGrid(d, SIZES[d])
+    if name != "random":
+        return sample_coefficients(builtin_family(name, **params), g, 1 / 4, lam)
+    m = params["m"]
+    rng = np.random.Generator(np.random.PCG64(5))
+    return CoefficientSamples(
+        grid=g, A=rng.standard_normal(g.shape + (d, d, m, m)),
+        V=rng.standard_normal(g.shape + (d, m, m)),
+        B=rng.standard_normal(g.shape + (d, m, m)),
+        c=rng.standard_normal(g.shape + (m, m)), lam=lam, m=m)
+
+
+def roll_apply_full(s: CoefficientSamples, u: np.ndarray) -> np.ndarray:
+    """The operator from the coefficient arrays by rolls: valid on interior rows."""
+    h = s.grid.h
+    out = principal_part_apply(s.A, u, s.grid)
+    for i in range(s.grid.d):
+        vu = np.einsum("...ab,...b->...a", s.V[..., i, :, :], u)
+        out -= (np.roll(vu, -1, axis=i) - np.roll(vu, 1, axis=i)) / (2.0 * h)
+        dcu = (np.roll(u, -1, axis=i) - np.roll(u, 1, axis=i)) / (2.0 * h)
+        out += np.einsum("...ab,...b->...a", s.B[..., i, :, :], dcu)
+    return out + np.einsum("...ab,...b->...a", s.c, u) + s.lam * u
+
+
+def rel_err(got, want):
+    return np.abs(got - want).max() / np.abs(want).max()
+
+
+@pytest.mark.parametrize("name,params", CASES, ids=IDS)
+def test_torus_matrix_matches_stencil(name, params):
+    d = params["d"]
+    g = TorusGrid(d, SIZES[d])
+    rng = np.random.Generator(np.random.PCG64(7))
+    if name == "random":
+        A = rng.standard_normal(g.shape + (d, d, params["m"], params["m"]))
+    else:
+        A = builtin_family(name, **params).A(g.points())
+    K = assemble_torus(A, g)
+    assert K.indices.dtype == np.int32
+    u = rng.standard_normal(g.shape + (A.shape[-1],))
+    got = (K @ u.ravel()).reshape(u.shape)
+    assert rel_err(got, principal_part_apply(A, u, g)) <= REL
+
+
+@pytest.mark.parametrize("name,params", CASES, ids=IDS)
+def test_box_blocks_match_stencil(name, params):
+    fwd = box_samples(name, params)
+    g = fwd.grid
+    rng = np.random.Generator(np.random.PCG64(8))
+    for s in (fwd, fwd.adjoint()):
+        u = rng.standard_normal(g.shape + (s.m,))
+        want = roll_apply_full(s, u)[g.interior]
+        assert rel_err(s.apply_interior(u[g.interior]) + s.lift(u), want) <= REL
+        # zero boundary values: K_ii alone; zero interior values: the lifting
+        inner = np.zeros_like(u)
+        inner[g.interior] = u[g.interior]
+        assert rel_err(s.apply_interior(u[g.interior]),
+                       roll_apply_full(s, inner)[g.interior]) <= REL
+        edge = u - inner
+        assert rel_err(s.lift(edge), roll_apply_full(s, edge)[g.interior]) <= REL
+
+
+@pytest.mark.parametrize("name", ["trig", "nonsymmetric-system", "random"])
+@pytest.mark.parametrize("d", [2, 3])
+def test_adjoint_assembly_is_transpose(name, d):
+    params = dict(d=d, delta=0.3) if name == "nonsymmetric-system" else \
+        dict(d=d, m=2, **dict(FAMILIES).get(name, {}))
+    s = box_samples(name, params)
+    K, _ = s.matrices
+    Ka, _ = s.adjoint().matrices
+    diff = abs(Ka.tocsr() - K.T.tocsr()).max()
+    assert diff <= REL * abs(K.tocsr()).max()
+
+
+def test_box_diagonals_store_no_indices():
+    cs = builtin_family("trig", d=3)
+    g = BoxGrid(3, 8)
+    K_ii, K_ib = sample_coefficients(cs, g, 1 / 2, 1.0).matrices
+    assert K_ii.format == "dia" and K_ii.data.shape[0] == 19
+    # only rows next to a face couple to the boundary
+    rows = np.unique(K_ib.nonzero()[0])
+    assert rows.size == (g.n - 1) ** 3 - (g.n - 3) ** 3
+
+
+def test_poisson_fft_matches_krylov():
+    g = TorusGrid(2, 32)
+    rng = np.random.Generator(np.random.PCG64(9))
+    src = rng.standard_normal(g.shape + (2, 3))
+    src -= src.mean(axis=(0, 1))
+    eye = np.zeros(g.shape + (2, 2))
+    eye[..., 0, 0] = eye[..., 1, 1] = 1.0
+    got = _poisson_components(src, g)
+    assert np.abs(got.mean(axis=(0, 1))).max() < 1e-14
+    flat = src.reshape(g.shape + (-1,))
+    for comp in range(flat.shape[-1]):
+        want = solve_periodic(lambda w: principal_part_apply(eye, w, g),
+                              -flat[..., comp], g, tol=1e-12)
+        assert rel_err(got.reshape(flat.shape)[..., comp], want) <= 1e-9
