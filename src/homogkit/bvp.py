@@ -100,6 +100,12 @@ class CoefficientSamples:
 
     @property
     def is_symmetric(self) -> bool:
+        """Whether L equals its adjoint (cached per samples object)."""
+        return self._symmetric
+
+    @cached_property
+    def _symmetric(self) -> bool:
+        # computed once: nothing writes to the sample arrays after construction
         At = np.swapaxes(np.swapaxes(self.A, -1, -2), -3, -4)
         if not np.allclose(self.A, At, atol=1e-13, rtol=0.0):
             return False
@@ -207,12 +213,18 @@ def _finish(problem: DirichletProblem, samples: CoefficientSamples,
 
 
 def solve(problem: DirichletProblem, tol: float = 1e-10,
-          x0: np.ndarray | None = None) -> tuple[GridFunction, dict]:
+          x0: np.ndarray | None = None,
+          samples: CoefficientSamples | None = None) -> tuple[GridFunction, dict]:
     """Solve the Dirichlet problem; boundary values are exact by construction.
 
-    Returns the solution and an info dict with the verified interior residual.
+    ``samples`` reuses an operator already sampled for the same coefficients,
+    grid, eps and lambda (``problem.samples()`` of a problem that differs at
+    most in its data f, F, g), so that problems sharing one operator sample
+    and assemble it once.  Returns the solution and an info dict with the
+    verified interior residual.
     """
-    samples = problem.samples()
+    if samples is None:
+        samples = problem.samples()
     return _solve_with(problem, samples, tol, x0)
 
 

@@ -28,7 +28,7 @@ from .bvp import DirichletProblem, default_lambda, solve
 from .cell import build_flux_correctors, homogenize, solve_correctors
 from .coefficients import FAMILY_NAMES, builtin_family
 from .dirichlet import psi_diagnostics, solve_dirichlet_correctors
-from .grid import BoxGrid, GridFunction, TorusGrid, write_csv
+from .grid import BoxGrid, GridFunction, TorusGrid, is_dyadic, write_csv
 from .green import approx_green, decay_fit, boundary_data_battery, \
     maximal_function_probe
 from .rates import SweepConfig, run_sweep, uniform_constant_probe
@@ -71,13 +71,6 @@ class ExperimentConfig:
 
     def get(self, key, default=None):
         return self.extra.get(key, default)
-
-
-def _is_dyadic(e: float) -> bool:
-    if e <= 0 or e > 1:
-        return False
-    j = math.log2(1.0 / e)
-    return abs(j - round(j)) < 1e-12
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -131,7 +124,7 @@ def parse_config(text: str) -> ExperimentConfig:
             except (TypeError, ValueError):
                 violations.append(f"eps entry {e!r} is not a number")
                 continue
-            if not _is_dyadic(ev):
+            if not is_dyadic(ev):
                 violations.append(f"eps must be dyadic (2^-j), got {e}")
 
     data = raw.get("data")

@@ -17,7 +17,7 @@ windows, and the pointwise coefficient sampling stays well defined at any h.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -348,7 +348,9 @@ def maximal_function_probe(cs: CoefficientSet, eps: float, lam: float,
                            lambda_override: bool = False) -> MaximalProbeResult:
     """Worst nontangential-maximal constant over a battery of boundary data.
 
-    Also records the worst sup-norm ratio (the maximum-principle surrogate).
+    The fields share one operator: the coefficients are sampled and the
+    operator assembled once for the whole battery.  Also records the worst
+    sup-norm ratio (the maximum-principle surrogate).
     """
     if len(battery) < 10:
         raise GreenError("battery needs at least 10 boundary data fields")
@@ -356,10 +358,11 @@ def maximal_function_probe(cs: CoefficientSet, eps: float, lam: float,
     ratios = []
     mp_worst = 0.0
     bmask = grid.boundary_mask()
+    base = DirichletProblem(cs=cs, grid=grid, eps=eps, lam=lam,
+                            lambda_override=lambda_override)
+    samples = base.samples()
     for g_vals in battery:
-        problem = DirichletProblem(cs=cs, grid=grid, eps=eps, lam=lam,
-                                   g=g_vals, lambda_override=lambda_override)
-        u, _ = solve(problem, tol=tol)
+        u, _ = solve(replace(base, g=g_vals), tol=tol, samples=samples)
         star = nontangential_max(u, N0)
         g_on_b = g_vals[bmask]
         g_norm = boundary_lp_norm(g_on_b, grid, p)

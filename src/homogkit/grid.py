@@ -126,6 +126,14 @@ class BoxGrid:
 Grid = TorusGrid | BoxGrid
 
 
+def is_dyadic(e: float) -> bool:
+    """Whether ``e`` is 2^-j for an integer j >= 0 (the eps the sweeps nest)."""
+    if e <= 0 or e > 1:
+        return False
+    j = math.log2(1.0 / e)
+    return abs(j - round(j)) < 1e-12
+
+
 # ---------------------------------------------------------------------------
 # grid functions
 # ---------------------------------------------------------------------------
@@ -623,42 +631,103 @@ def boundary_lp_norm(values_on_boundary: np.ndarray, grid: BoxGrid, p: float) ->
     return float((np.sum(mag ** p) * boundary_measure(grid)) ** (1.0 / p))
 
 
+# Cap on the (boundary point, interior point) cone tests evaluated at once by
+# ``nontangential_max``: 2^16 pairs keep each float working array at 512 KiB.
+_NTMAX_PAIRS = 1 << 16
+
+
+def _distances(cols: list[np.ndarray], q: np.ndarray) -> np.ndarray:
+    """|x - Q| for the points x with coordinate columns ``cols`` against the
+    points Q, the rows of ``q``: a (len(q), len(x)) array.
+
+    The squares are added axis by axis, the order in which
+    ``np.sqrt(np.sum((x - Q) ** 2, axis=-1))`` adds them for d <= 3, so the
+    values are bit-identical to that expression.
+    """
+    sq = None
+    for k, col in enumerate(cols):
+        dk = col[None, :] - q[:, k, None]
+        dk *= dk
+        sq = dk if sq is None else np.add(sq, dk, out=sq)
+    return np.sqrt(sq, out=sq)
+
+
+def _nearest(cols: list[np.ndarray], q: np.ndarray) -> np.ndarray:
+    """Index of the point nearest each row of ``q``; the lowest index wins a
+    tie, as with ``argmin`` over one full row."""
+    npts = len(cols[0])
+    step = _NTMAX_PAIRS // len(q)
+    rows = np.arange(len(q))
+    best = np.full(len(q), np.inf)
+    idx = np.zeros(len(q), dtype=np.intp)
+    for start in range(0, npts, step):
+        dd = _distances([c[start:start + step] for c in cols], q)
+        j = dd.argmin(axis=1)
+        dj = dd[rows, j]
+        closer = dj < best
+        best[closer] = dj[closer]
+        idx[closer] = start + j[closer]
+    return idx
+
+
 def nontangential_max(u: GridFunction, N0: float) -> np.ndarray:
     """Nontangential maximal function on the boundary of a BoxGrid.
 
-    For every boundary point Q the maximum of |u| over grid points x in the
-    cone |x - Q| <= N0 * dist(x, boundary) is returned (one value per
-    boundary point, ordered as ``boundary_indices``).  A degenerate cone is
-    widened to contain the interior point nearest Q.
+    For every boundary point Q the maximum of |u| over interior grid points x
+    in the cone |x - Q| <= N0 * dist(x, boundary) is returned (one value per
+    boundary point, ordered as ``boundary_indices``).  A degenerate cone, one
+    holding no interior point, is widened to the interior point nearest Q.
+
+    Algorithm: the interior points are sorted once by |u|, largest first, and
+    scanned in blocks against the boundary points still unresolved.  The
+    maximum over a cone is the first point of that order lying in it, so each
+    boundary point is resolved by its first hit and leaves the working set.
+    Points never hit take the nearest-point value, found by ``argmin`` over
+    the unsorted interior so that ties resolve to the first point in grid
+    order.
+
+    Exactness: cone membership is decided by the floating-point expression
+    ``sqrt(sum((x - Q)**2)) <= N0 * dist(x)`` on ``points()`` and
+    ``boundary_distance()``, the test of the all-pairs definition, and the
+    value returned is a maximum, which no visiting order changes; the output
+    is therefore bit-identical to testing every pair.
+
+    Memory: at most ``_NTMAX_PAIRS`` pairs are tested at once, whatever the
+    grid size.  Boundary points are taken in batches of
+    ``isqrt(_NTMAX_PAIRS)``, and each step scans
+    ``_NTMAX_PAIRS // (unresolved count)`` interior points.
     """
     g = u.grid
     if not isinstance(g, BoxGrid):
         raise GridError("nontangential_max requires a BoxGrid")
     if N0 <= 1.0:
         raise GridError("need aperture N0 > 1")
-    mag = _pointwise_abs(u.values, g)
-    dist = g.boundary_distance()
     interior = ~g.boundary_mask()
-    pts = g.points()
-    int_pts = pts[interior]
-    int_mag = mag[interior]
-    int_dist = dist[interior]
-    bidx = boundary_indices(g)
-    bpts = bidx * g.h
+    mag = _pointwise_abs(u.values, g)[interior]
+    pts = g.points()[interior]
+    reach = N0 * g.boundary_distance()[interior]
+    bpts = boundary_indices(g) * g.h
+    order = np.argsort(-mag, kind="stable")
+    s_mag, s_reach = mag[order], reach[order]
+    s_cols = [pts[order, k] for k in range(g.d)]
+    npts = len(order)
     out = np.empty(len(bpts))
-    chunk = 256
-    for start in range(0, len(bpts), chunk):
-        qb = bpts[start:start + chunk]
-        diff = int_pts[None, :, :] - qb[:, None, :]
-        dd = np.sqrt(np.sum(diff ** 2, axis=-1))
-        in_cone = dd <= N0 * int_dist[None, :]
-        vals = np.where(in_cone, int_mag[None, :], -np.inf)
-        best = vals.max(axis=1)
-        empty = ~in_cone.any(axis=1)
-        if np.any(empty):
-            nearest = dd[empty].argmin(axis=1)
-            best[empty] = int_mag[nearest]
-        out[start:start + chunk] = best
+    batch = math.isqrt(_NTMAX_PAIRS)
+    for b0 in range(0, len(bpts), batch):
+        todo = np.arange(b0, min(b0 + batch, len(bpts)))
+        start = 0
+        while todo.size and start < npts:
+            stop = min(npts, start + _NTMAX_PAIRS // todo.size)
+            dd = _distances([c[start:stop] for c in s_cols], bpts[todo])
+            in_cone = dd <= s_reach[start:stop]
+            first = in_cone.argmax(axis=1)
+            hit = in_cone[np.arange(todo.size), first]
+            out[todo[hit]] = s_mag[start + first[hit]]
+            todo = todo[~hit]
+            start = stop
+        if todo.size:
+            cols = [pts[:, k] for k in range(g.d)]
+            out[todo] = mag[_nearest(cols, bpts[todo])]
     return out
 
 

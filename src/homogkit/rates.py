@@ -22,19 +22,12 @@ from .bvp import DirichletProblem, default_lambda, solve, solve_homogenized
 from .cell import homogenize, solve_correctors
 from .coefficients import CoefficientSet, builtin_family
 from .dirichlet import DirichletCorrectorSet, solve_dirichlet_correctors
-from .grid import (BoxGrid, GridFunction, TorusGrid, gradient, lp_norm,
-                   linf_norm, holder_seminorm)
+from .grid import (BoxGrid, GridFunction, TorusGrid, gradient, is_dyadic,
+                   lp_norm, linf_norm, holder_seminorm)
 
 
 class SweepError(ValueError):
     pass
-
-
-def _is_dyadic(eps: float) -> bool:
-    if eps <= 0 or eps > 1:
-        return False
-    j = math.log2(1.0 / eps)
-    return abs(j - round(j)) < 1e-12
 
 
 @dataclass
@@ -55,7 +48,7 @@ class SweepConfig:
         eps = tuple(float(e) for e in self.eps_list)
         if len(eps) < 1:
             raise SweepError("empty eps list")
-        if any(not _is_dyadic(e) for e in eps):
+        if any(not is_dyadic(e) for e in eps):
             raise SweepError(f"eps must be dyadic (2^-j), got {eps}")
         if any(b >= a for a, b in zip(eps, eps[1:])) and len(eps) > 1:
             raise SweepError("eps list must be strictly decreasing")

@@ -93,6 +93,34 @@ class TestSolve:
                       tol=1e-12)
         assert np.abs(ua.values - ub.values).max() < 1e-9
 
+    def test_presampled_operator_is_bit_identical(self):
+        cs = builtin_family("trig", d=2, alpha=2.0, beta=0.5, lower=0.2)
+        g = BoxGrid(2, 32)
+        pts = g.points()
+        prob = DirichletProblem(cs=cs, grid=g, eps=1 / 2,
+                                g=np.cos(3 * pts[..., :1]))
+        u, info = solve(prob)
+        v, info_v = solve(prob, samples=prob.samples())
+        assert np.array_equal(u.values, v.values)
+        assert info == info_v
+
+    def test_symmetry_check_runs_once(self, monkeypatch):
+        cs = builtin_family("trig", d=2, alpha=2.0, beta=0.5, lower=0.2)
+        samples = DirichletProblem(cs=cs, grid=BoxGrid(2, 16), eps=1.0).samples()
+        calls = []
+        allclose = np.allclose
+        monkeypatch.setattr(np, "allclose",
+                            lambda *a, **k: calls.append(1) or allclose(*a, **k))
+        assert samples.is_symmetric is False   # B != V^T
+        checks = len(calls)
+        assert checks > 0
+        assert samples.is_symmetric is False
+        assert len(calls) == checks
+        sym = DirichletProblem(cs=builtin_family("laminate", d=2),
+                               grid=BoxGrid(2, 16), eps=1.0).samples()
+        assert sym.is_symmetric is True
+        assert sym.adjoint().is_symmetric is True
+
 
 class TestDuality:
     def test_adjoint_identity(self):

@@ -3,13 +3,16 @@ import math
 import numpy as np
 import pytest
 
+from homogkit import bvp
+from homogkit.bvp import default_lambda
 from homogkit.coefficients import builtin_family
 from homogkit.green import (GreenError, approx_green,
                             boundary_data_battery, boundary_weighted_ratio,
                             decay_fit, direct_solve, maximal_function_probe,
                             poisson_kernel_boundary_rep, reciprocity_residual,
                             representation_value)
-from homogkit.grid import BoxGrid
+from homogkit.grid import (BoxGrid, boundary_lp_norm, linf_norm,
+                           nontangential_max)
 
 
 @pytest.fixture(scope="module")
@@ -201,3 +204,35 @@ class TestMaximalBattery:
         assert out.max_principle_ratio <= 1.0 + 1e-9
         assert out.C_p < 10.0
         assert len(out.ratios) == 10
+
+    @pytest.mark.parametrize("family, params", [
+        ("trig", {"d": 2, "lower": 0.3}),
+        ("nonsymmetric-system", {"d": 2}),
+    ])
+    def test_shared_operator_matches_per_field_problems(self, family, params,
+                                                         monkeypatch):
+        cs = builtin_family(family, **params)
+        g = BoxGrid(2, 32)
+        eps, lam, p, N0 = 0.5, default_lambda(cs), 2.0, 2.0
+        battery = boundary_data_battery(g, cs.m, count=10, seed=7)
+        calls = []
+        sample = bvp.sample_coefficients
+        monkeypatch.setattr(bvp, "sample_coefficients",
+                            lambda *a, **k: calls.append(1) or sample(*a, **k))
+        out = maximal_function_probe(cs, eps, lam, g, battery, p=p, N0=N0)
+        assert len(calls) == 1
+        # the path with one DirichletProblem, one sampling and one assembly
+        # per field, rebuilt by hand
+        ratios, mp = [], 0.0
+        bmask = g.boundary_mask()
+        for g_vals in battery:
+            u, _ = bvp.solve(bvp.DirichletProblem(cs=cs, grid=g, eps=eps,
+                                                  lam=lam, g=g_vals))
+            g_on_b = g_vals[bmask]
+            ratios.append(boundary_lp_norm(nontangential_max(u, N0), g, p)
+                          / boundary_lp_norm(g_on_b, g, p))
+            mp = max(mp, linf_norm(u) / float(np.abs(g_on_b).max()))
+        assert len(calls) == 11
+        assert out.ratios == ratios
+        assert out.C_p == max(ratios)
+        assert out.max_principle_ratio == mp

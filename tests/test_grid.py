@@ -4,12 +4,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import homogkit.grid as grid_mod
+from homogkit.bvp import DirichletProblem, solve
+from homogkit.coefficients import builtin_family
+from homogkit.green import boundary_data_battery
 from homogkit.grid import (BoxGrid, GridError, GridFunction, NormSpec,
-                           TorusGrid, bilinear_energy, boundary_lp_norm,
+                           TorusGrid, _pointwise_abs, bilinear_energy,
+                           boundary_indices, boundary_lp_norm,
                            constant_function, from_callable, gradient, inner,
-                           lp_norm, linf_norm, holder_seminorm, h1_norm,
-                           nontangential_max, norm, principal_part_apply,
-                           read_csv, write_csv)
+                           is_dyadic, lp_norm, linf_norm, holder_seminorm,
+                           h1_norm, nontangential_max, norm,
+                           principal_part_apply, read_csv, write_csv)
 
 
 def identity_coefficients(grid, d):
@@ -174,6 +179,114 @@ class TestNontangentialMax:
         g = BoxGrid(2, 8)
         with pytest.raises(GridError):
             nontangential_max(constant_function(g, 1.0), N0=1.0)
+
+
+def nontangential_max_brute(u, N0):
+    """The all-pairs nontangential maximal function: every boundary point is
+    tested against every interior point.  Oracle for the pruned kernel."""
+    g = u.grid
+    mag = _pointwise_abs(u.values, g)
+    dist = g.boundary_distance()
+    interior = ~g.boundary_mask()
+    pts = g.points()
+    int_pts = pts[interior]
+    int_mag = mag[interior]
+    int_dist = dist[interior]
+    bpts = boundary_indices(g) * g.h
+    out = np.empty(len(bpts))
+    chunk = 256
+    for start in range(0, len(bpts), chunk):
+        qb = bpts[start:start + chunk]
+        diff = int_pts[None, :, :] - qb[:, None, :]
+        dd = np.sqrt(np.sum(diff ** 2, axis=-1))
+        in_cone = dd <= N0 * int_dist[None, :]
+        vals = np.where(in_cone, int_mag[None, :], -np.inf)
+        best = vals.max(axis=1)
+        empty = ~in_cone.any(axis=1)
+        if np.any(empty):
+            nearest = dd[empty].argmin(axis=1)
+            best[empty] = int_mag[nearest]
+        out[start:start + chunk] = best
+    return out
+
+
+APERTURES = (1.2, 2.0, 4.0)
+# (d, n, extent): odd n, extent != 1, and every dimension.
+EQUIV_GRIDS = ((1, 9, 1.0), (2, 15, 1.0), (2, 12, 2.5), (3, 7, 0.7))
+# The production cap, and caps small enough that these grids take several
+# boundary batches, interior blocks and nearest-point chunks.
+PAIR_CAPS = (grid_mod._NTMAX_PAIRS, 256, 64)
+
+
+def _field(kind, g, rng):
+    if kind == "random":
+        return rng.standard_normal(g.shape)
+    if kind == "random-vector":
+        return rng.standard_normal(g.shape + (2,))
+    if kind == "quantized":
+        # three levels: nearly every |u| value is tied with many others
+        return rng.integers(-1, 2, size=g.shape).astype(float)
+    return np.full(g.shape, -1.5)
+
+
+@pytest.fixture(scope="module")
+def battery_fields():
+    """Dirichlet solutions for battery boundary data, d = 2, 3 and m = 1, 2."""
+    fields = []
+    for d, n in ((2, 16), (3, 8)):
+        for m in (1, 2):
+            cs = builtin_family("trig", d=d, m=m)
+            g = BoxGrid(d, n)
+            for g_vals in boundary_data_battery(g, m, count=4, seed=d + m):
+                u, _ = solve(DirichletProblem(cs=cs, grid=g, eps=1.0, lam=1.0,
+                                              g=g_vals))
+                fields.append(u)
+    return fields
+
+
+class TestNontangentialMaxEquivalence:
+    """The pruned kernel is bit-identical to the all-pairs oracle."""
+
+    @staticmethod
+    def assert_matches_oracle(u, monkeypatch):
+        for cap in PAIR_CAPS:
+            monkeypatch.setattr(grid_mod, "_NTMAX_PAIRS", cap)
+            for N0 in APERTURES:
+                assert np.array_equal(nontangential_max(u, N0),
+                                      nontangential_max_brute(u, N0)), (cap, N0)
+
+    def test_battery_solutions(self, battery_fields, monkeypatch):
+        for u in battery_fields:
+            self.assert_matches_oracle(u, monkeypatch)
+
+    @pytest.mark.parametrize("grid", EQUIV_GRIDS)
+    @pytest.mark.parametrize("kind", ["random", "random-vector", "quantized",
+                                      "constant"])
+    def test_synthetic_fields(self, kind, grid, monkeypatch):
+        g = BoxGrid(*grid)
+        u = GridFunction(g, _field(kind, g, np.random.default_rng(grid[1])))
+        self.assert_matches_oracle(u, monkeypatch)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_corner_cones_are_empty_at_small_aperture(self, d):
+        # |x - corner| >= sqrt(d) dist(x), so N0 = 1.2 leaves the corner cones
+        # empty and the nearest-point fallback decides their values.
+        g = BoxGrid(d, 8)
+        pts = g.points()[~g.boundary_mask()]
+        dist = g.boundary_distance()[~g.boundary_mask()]
+        dd = np.sqrt(np.sum(pts ** 2, axis=-1))
+        assert not np.any(dd <= 1.2 * dist)
+        vals = np.arange(np.prod(g.shape), dtype=float).reshape(g.shape)
+        star = nontangential_max(GridFunction(g, vals), 1.2)
+        assert star[0] == vals[(1,) * d]   # boundary_indices starts at the origin
+
+
+@pytest.mark.parametrize("e, expected", [
+    (1.0, True), (0.5, True), (1 / 64, True), (2.0 ** -40, True),
+    (0.3, False), (0.75, False), (0.0, False), (-0.5, False), (2.0, False),
+])
+def test_is_dyadic(e, expected):
+    assert is_dyadic(e) is expected
 
 
 class TestCsv:
