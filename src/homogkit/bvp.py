@@ -29,6 +29,22 @@ class ProblemError(ValueError):
     pass
 
 
+# An oscillatory solve at period eps needs at least this many lattice spacings
+# per period: h <= eps / POINTS_PER_PERIOD.
+POINTS_PER_PERIOD = 16
+
+
+def resolution_guard(grid: BoxGrid, eps: float) -> None:
+    """Raise ProblemError, naming the required h, when ``grid`` cannot resolve
+    coefficients oscillating at period ``eps``."""
+    h_max = eps / POINTS_PER_PERIOD
+    if grid.h > h_max + 1e-15:
+        raise ProblemError(
+            f"resolution guard violated: oscillatory solve at eps = {eps} "
+            f"needs h <= {h_max:.4g}, grid has h = {grid.h:.4g}"
+        )
+
+
 def estimate_lambda0(cs: CoefficientSet) -> float:
     """Zero-order shift guaranteeing discrete coercivity.
 
@@ -98,6 +114,16 @@ class CoefficientSamples:
         lu = self.apply_interior(u[g.interior])
         return float(np.sum(lu * v[g.interior])) * g.cell_volume
 
+    def solve(self, rhs_int: np.ndarray, tol: float) -> tuple[np.ndarray, float]:
+        """Interior values u with K_ii u = rhs_int (zero boundary values), and
+        the relative residual the solver verified.  The lambda shift,
+        preconditioner scale and Krylov method of a box solve are chosen
+        here and nowhere else."""
+        return solve_box_dirichlet(self.apply_interior, rhs_int, self.grid,
+                                   lam=self.lam, tol=tol,
+                                   precond_scale=precond_scale(self.A, self.grid),
+                                   symmetric=self.is_symmetric)
+
     @property
     def is_symmetric(self) -> bool:
         """Whether L equals its adjoint (cached per samples object)."""
@@ -144,11 +170,8 @@ class DirichletProblem:
             eps = float(self.eps)
             if eps <= 0:
                 raise ProblemError("eps must be positive")
-            if eps < self.grid.extent and self.grid.h > eps / 16 + 1e-15:
-                raise ProblemError(
-                    f"resolution guard violated: oscillatory solve at eps = {eps} "
-                    f"needs h <= {eps / 16:.4g}, grid has h = {self.grid.h:.4g}"
-                )
+            if eps < self.grid.extent:   # exempt: at most one period spans the box
+                resolution_guard(self.grid, eps)
 
     def samples(self) -> CoefficientSamples:
         return sample_coefficients(self.cs, self.grid, self.eps, self.lam,
@@ -177,7 +200,8 @@ def sample_coefficients(cs: CoefficientSet, grid: BoxGrid, eps: float | str,
     homogenized tensors when ``eps == HOMOGENIZED``.
 
     ``principal_only`` keeps A and zeroes V, B and c.  No resolution guard is
-    applied here; ``DirichletProblem`` and the corrector solves check it.
+    applied here; ``DirichletProblem`` and the corrector solves call
+    ``resolution_guard``.
     """
     shape = grid.shape
     m = cs.m
@@ -201,19 +225,7 @@ def assemble(problem: DirichletProblem) -> CoefficientSamples:
     return problem.samples()
 
 
-def _finish(problem: DirichletProblem, samples: CoefficientSamples,
-            u_int: np.ndarray) -> GridFunction:
-    g = problem.grid
-    full = np.zeros(g.shape + (problem.cs.m,))
-    full[g.interior] = u_int
-    if problem.g is not None:
-        bmask = g.boundary_mask()
-        full[bmask] = np.asarray(problem.g, float)[bmask]
-    return GridFunction(g, full)
-
-
 def solve(problem: DirichletProblem, tol: float = 1e-10,
-          x0: np.ndarray | None = None,
           samples: CoefficientSamples | None = None) -> tuple[GridFunction, dict]:
     """Solve the Dirichlet problem; boundary values are exact by construction.
 
@@ -225,29 +237,25 @@ def solve(problem: DirichletProblem, tol: float = 1e-10,
     """
     if samples is None:
         samples = problem.samples()
-    return _solve_with(problem, samples, tol, x0)
+    return _solve_with(problem, samples, tol)
 
 
-def solve_adjoint(problem: DirichletProblem, tol: float = 1e-10,
-                  x0: np.ndarray | None = None) -> tuple[GridFunction, dict]:
+def solve_adjoint(problem: DirichletProblem,
+                  tol: float = 1e-10) -> tuple[GridFunction, dict]:
     """Solve with the transposed assembly (the discrete adjoint operator)."""
-    samples = problem.samples().adjoint()
-    return _solve_with(problem, samples, tol, x0)
+    return _solve_with(problem, problem.samples().adjoint(), tol)
 
 
-def _solve_with(problem, samples, tol, x0):
-    rhs = problem.rhs_interior(samples)
-    u_int = solve_box_dirichlet(
-        samples.apply_interior, rhs, problem.grid,
-        lam=samples.lam, tol=tol,
-        precond_scale=precond_scale(samples.A, problem.grid),
-        symmetric=samples.is_symmetric,
-        x0=x0,
-    )
-    rn = np.linalg.norm(samples.apply_interior(u_int) - rhs)
-    bn = np.linalg.norm(rhs)
-    info = {"residual": rn / bn if bn > 0 else 0.0, "rhs_norm": float(bn)}
-    return _finish(problem, samples, u_int), info
+def _solve_with(problem: DirichletProblem, samples: CoefficientSamples,
+                tol: float) -> tuple[GridFunction, dict]:
+    g = problem.grid
+    u_int, residual = samples.solve(problem.rhs_interior(samples), tol)
+    full = np.zeros(g.shape + (problem.cs.m,))
+    full[g.interior] = u_int
+    if problem.g is not None:
+        bmask = g.boundary_mask()
+        full[bmask] = np.asarray(problem.g, float)[bmask]
+    return GridFunction(g, full), {"residual": residual}
 
 
 def solve_homogenized(cs: CoefficientSet, hats: HomogenizedCoefficients,

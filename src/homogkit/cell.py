@@ -16,7 +16,7 @@ import numpy as np
 
 from .coefficients import CoefficientSet
 from .grid import TorusGrid, _coef_block, assemble_torus, precond_scale
-from .solvers import poisson_periodic, solve_periodic
+from .solvers import _mean_zero, poisson_periodic, solve_periodic
 
 MEAN_TOL = 1e-10
 
@@ -144,17 +144,14 @@ def _solve_cell(cs: CoefficientSet, grid: TorusGrid, tol: float, A: np.ndarray,
                 op, sources: list[np.ndarray]) -> tuple[np.ndarray, float]:
     """Column beta of the corrector solves op(chi[..., :, beta]) = sources[beta]
     with zero mean; returns the corrector and the worst relative residual."""
-    nd = grid.d
     scale = precond_scale(A, grid)
     chi = np.zeros(grid.shape + (cs.m, cs.m))
     residuals = []
     for beta, rhs in enumerate(sources):
-        col = solve_periodic(op, rhs, grid, tol=tol, precond_scale=scale,
-                             symmetric=cs.symmetric)
-        chi[..., :, beta] = col
-        rn = np.linalg.norm(op(col) - _mean_zero_like(rhs, nd))
-        bn = np.linalg.norm(rhs)
-        residuals.append(rn / bn if bn > 0 else 0.0)
+        chi[..., :, beta], res = solve_periodic(op, rhs, grid, tol=tol,
+                                                precond_scale=scale,
+                                                symmetric=cs.symmetric)
+        residuals.append(res)
     return chi, max(residuals)
 
 
@@ -190,10 +187,6 @@ def solve_corrector_0(cs: CoefficientSet, grid: TorusGrid,
     V = cs.V(grid.points())
     return _solve_cell(cs, grid, tol, A, op,
                        [_source_0(V, grid, beta) for beta in range(cs.m)])
-
-
-def _mean_zero_like(v: np.ndarray, nd: int) -> np.ndarray:
-    return v - v.mean(axis=tuple(range(nd)), keepdims=True)
 
 
 def solve_correctors(cs: CoefficientSet, grid: TorusGrid, tol: float = 1e-10) -> CorrectorSet:
@@ -275,7 +268,7 @@ def flux_correctors(cs: CoefficientSet, correctors: CorrectorSet,
         raise CellError(
             f"flux discrepancy b has cell mean {mean_b:.2e}; upstream correctors inaccurate"
         )
-    b = _mean_zero_like(b, grid.d)
+    b = _mean_zero(b, grid.d)
     pi = _poisson_components(b, grid)
     d = grid.d
     dpi = _torus_gradient(pi, grid)   # (*s, d_i, d_j, m, m, d_l)
@@ -312,9 +305,9 @@ def lower_flux_correctors(cs: CoefficientSet, correctors: CorrectorSet,
         mean = np.abs(_cell_mean(fld, grid)).max()
         if mean > 1e-6:
             raise CellError(f"solvability violated: cell mean of {name} is {mean:.2e}")
-    U = _mean_zero_like(U, grid.d)
-    W = _mean_zero_like(W, grid.d)
-    Z = _mean_zero_like(Z, grid.d)
+    U = _mean_zero(U, grid.d)
+    W = _mean_zero(W, grid.d)
+    Z = _mean_zero(Z, grid.d)
 
     theta = _poisson_components(U, grid)
     vartheta = _poisson_components(W, grid)

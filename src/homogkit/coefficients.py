@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .grid import BoxGrid, TorusGrid
+from .grid import TorusGrid
 
 _VALIDATION_LATTICE = 64  # per-axis density used for kappa and periodicity checks
 
@@ -50,30 +50,6 @@ class CoefficientSet:
     name: str = "custom"
     symmetric: bool = True
     params: dict = field(default_factory=dict)
-
-    # -- sampling -----------------------------------------------------------
-
-    def sample_cell(self, grid: TorusGrid):
-        """Sample all four coefficients on the unit-cell lattice."""
-        y = grid.points()
-        return self.A(y), self.V(y), self.B(y), self.c(y)
-
-    def sample_on(self, grid: TorusGrid | BoxGrid, eps: float):
-        """Sample A(x/eps), V(x/eps), B(x/eps), c(x/eps) on ``grid``.
-
-        On a BoxGrid the resolution guard h <= eps/8 applies: coarser grids
-        cannot represent the oscillation and the caller gets a hard error
-        naming the required spacing.
-        """
-        if eps <= 0:
-            raise CoefficientError("eps must be positive")
-        if isinstance(grid, BoxGrid) and grid.h > eps / 8 + 1e-15:
-            raise CoefficientError(
-                f"resolution guard violated: h = {grid.h:.3g} but oscillation at "
-                f"eps = {eps:.3g} needs h <= {eps / 8:.3g}"
-            )
-        y = np.mod(grid.points() / eps, 1.0)
-        return self.A(y), self.V(y), self.B(y), self.c(y)
 
     def adjoint(self) -> "CoefficientSet":
         """Coefficients of the formal adjoint: a*_ij^{ab} = a_ji^{ba},

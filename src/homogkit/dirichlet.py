@@ -17,12 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bvp import sample_coefficients
+from .bvp import CoefficientSamples, resolution_guard, sample_coefficients
 from .cell import CorrectorSet
 from .coefficients import CoefficientSet
-from .grid import (BoxGrid, GridFunction, TorusGrid, _centered_box, gradient,
-                   precond_scale)
-from .solvers import solve_box_dirichlet
+from .grid import BoxGrid, GridFunction, TorusGrid, _centered_box, gradient
 
 
 class CommensurabilityError(ValueError):
@@ -52,37 +50,20 @@ class PsiDiagnostics:
     profile_max_grad: np.ndarray   # max |grad Psi| per bin, over all k
 
 
-def _resolution_guard(grid: BoxGrid, eps: float) -> None:
-    if grid.h > eps / 16 + 1e-15:
-        raise ValueError(
-            f"resolution guard violated: corrector solve at eps = {eps} needs "
-            f"h <= {eps / 16:.4g}, grid has h = {grid.h:.4g}"
-        )
-
-
-def solve_phi0(cs: CoefficientSet, eps: float, grid: BoxGrid,
-               tol: float = 1e-10) -> tuple[np.ndarray, float]:
+def _phi0(cs: CoefficientSet, eps: float, samples: CoefficientSamples,
+          tol: float) -> tuple[np.ndarray, float]:
     """Phi_{eps,0}: principal part applied, source div(V_eps), boundary = I."""
-    _resolution_guard(grid, eps)
-    samples = sample_coefficients(cs, grid, eps, 0.0, principal_only=True)
+    grid = samples.grid
     m = cs.m
-    x = grid.points()
-    V = cs.V(np.mod(x / eps, 1.0))   # (*shape, d, m, m)
-    h = grid.h
+    V = cs.V(np.mod(grid.points() / eps, 1.0))   # (*shape, d, m, m)
     phi0 = np.zeros(grid.shape + (m, m))
     residuals = []
     for beta in range(m):
         rhs = np.zeros(grid.shape + (m,))
         for i in range(grid.d):
-            rhs += _centered_box(V[..., i, :, beta], i, h)
-        rhs_int = rhs[grid.interior]
-        w = solve_box_dirichlet(samples.apply_interior, rhs_int, grid,
-                                lam=0.0, tol=tol,
-                                precond_scale=precond_scale(samples.A, grid),
-                                symmetric=samples.is_symmetric)
-        rn = np.linalg.norm(samples.apply_interior(w) - rhs_int)
-        bn = np.linalg.norm(rhs_int)
-        residuals.append(rn / bn if bn > 0 else 0.0)
+            rhs += _centered_box(V[..., i, :, beta], i, grid.h)
+        w, res = samples.solve(rhs[grid.interior], tol)
+        residuals.append(res)
         full = np.zeros(grid.shape + (m,))
         full[grid.interior] = w
         full[..., beta] += 1.0   # + identity column (exact on the boundary)
@@ -90,46 +71,39 @@ def solve_phi0(cs: CoefficientSet, eps: float, grid: BoxGrid,
     return phi0, max(residuals)
 
 
-def solve_phik(cs: CoefficientSet, eps: float, k: int, grid: BoxGrid,
-               tol: float = 1e-10) -> tuple[np.ndarray, float]:
+def _phik(samples: CoefficientSamples, k: int, tol: float) -> tuple[np.ndarray, float]:
     """Phi_{eps,k}: homogeneous principal-part solve with P_k boundary data.
 
     Implemented through w = Phi - P_k, which vanishes on the boundary and
     satisfies L(w) = -L(P_k); for constant A the right side is identically
     zero and Phi = P_k exactly.
     """
-    if not 1 <= k <= cs.d:
-        raise ValueError(f"k must be in 1..{cs.d}")
-    _resolution_guard(grid, eps)
-    samples = sample_coefficients(cs, grid, eps, 0.0, principal_only=True)
-    m = cs.m
+    grid = samples.grid
+    m = samples.m
     x = grid.points()
     phik = np.zeros(grid.shape + (m, m))
     residuals = []
     for beta in range(m):
         pk = np.zeros(grid.shape + (m,))
         pk[..., beta] = x[..., k - 1]
-        rhs_int = -samples.apply_full(pk)[grid.interior]
-        w = solve_box_dirichlet(samples.apply_interior, rhs_int, grid,
-                                lam=0.0, tol=tol,
-                                precond_scale=precond_scale(samples.A, grid),
-                                symmetric=samples.is_symmetric)
-        rn = np.linalg.norm(samples.apply_interior(w) - rhs_int)
-        bn = np.linalg.norm(rhs_int)
-        residuals.append(rn / bn if bn > 0 else 0.0)
-        full = pk.copy()
-        full[grid.interior] += w
-        phik[..., :, beta] = full
+        w, res = samples.solve(-samples.apply_full(pk)[grid.interior], tol)
+        residuals.append(res)
+        pk[grid.interior] += w
+        phik[..., :, beta] = pk
     return phik, max(residuals)
 
 
 def solve_dirichlet_correctors(cs: CoefficientSet, eps: float, grid: BoxGrid,
                                tol: float = 1e-10) -> DirichletCorrectorSet:
-    phi0, r0 = solve_phi0(cs, eps, grid, tol)
+    """Phi_{eps,0} and Phi_{eps,1..d}, all from one sampled and assembled
+    principal-part operator."""
+    resolution_guard(grid, eps)
+    samples = sample_coefficients(cs, grid, eps, 0.0, principal_only=True)
+    phi0, r0 = _phi0(cs, eps, samples, tol)
     phis = []
     res = {"phi0": r0}
     for k in range(1, cs.d + 1):
-        pk, rk = solve_phik(cs, eps, k, grid, tol)
+        pk, rk = _phik(samples, k, tol)
         phis.append(pk)
         res[f"phi{k}"] = rk
     return DirichletCorrectorSet(grid=grid, eps=eps, phi0=phi0, phi=phis, residuals=res)

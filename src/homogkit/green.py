@@ -23,9 +23,7 @@ import numpy as np
 
 from .bvp import sample_coefficients
 from .coefficients import CoefficientSet
-from .grid import BoxGrid, GridFunction, _centered_box, boundary_lp_norm, \
-    boundary_indices, lp_norm, linf_norm, nontangential_max, precond_scale
-from .solvers import solve_box_dirichlet
+from .grid import BoxGrid, boundary_lp_norm, linf_norm, nontangential_max
 
 
 class GreenError(ValueError):
@@ -98,15 +96,8 @@ def approx_green(cs: CoefficientSet, eps: float, lam: float, grid: BoxGrid,
     for gamma in range(m):
         F = np.zeros(grid.shape + (m,))
         F[mask, gamma] = 1.0 / meas
-        rhs_int = F[grid.interior]
-        sol = solve_box_dirichlet(op.apply_interior, rhs_int, grid,
-                                  lam=lam, tol=tol,
-                                  precond_scale=precond_scale(op.A, grid),
-                                  symmetric=op.is_symmetric)
-        rn = np.linalg.norm(op.apply_interior(sol) - rhs_int)
-        bn = np.linalg.norm(rhs_int)
-        residuals.append(rn / bn if bn > 0 else 0.0)
-        columns[gamma][grid.interior] = sol
+        columns[gamma][grid.interior], res = op.solve(F[grid.interior], tol)
+        residuals.append(res)
     return GreenSample(grid=grid, eps=eps, lam=lam, y_index=y_idx, y=y_pt,
                        rho=rho, columns=columns, residuals=residuals, star=star)
 
@@ -115,18 +106,13 @@ def direct_solve(cs: CoefficientSet, eps: float, lam: float, grid: BoxGrid,
                  F: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     """Forward Dirichlet solve with zero boundary data and load F (*shape, m).
 
-    Unlike the boundary-value module this skips the oscillation-resolution
-    guard: it serves as the oracle for the kernel representation identity,
+    Unlike the boundary-value module this skips ``bvp.resolution_guard``:
+    it serves as the oracle for the kernel representation identity,
     which is a discrete transpose identity and holds at any resolution.
     """
     samples = sample_coefficients(cs, grid, eps, lam)
-    rhs_int = np.asarray(F, float)[grid.interior]
-    sol = solve_box_dirichlet(samples.apply_interior, rhs_int, grid,
-                              lam=lam, tol=tol,
-                              precond_scale=precond_scale(samples.A, grid),
-                              symmetric=samples.is_symmetric)
     full = np.zeros(grid.shape + (cs.m,))
-    full[grid.interior] = sol
+    full[grid.interior], _ = samples.solve(np.asarray(F, float)[grid.interior], tol)
     return full
 
 

@@ -3,8 +3,9 @@
 Both geometries admit an exact fast-Poisson inverse for the constant-
 coefficient part (FFT on the torus, DST-I on the box interior), which is used
 as the preconditioner for CG (symmetric coefficient sets) or BiCGStab
-(general ones).  All solves verify the final relative residual themselves;
-Krylov "success" flags are not trusted.
+(general ones).  One driver runs every solve: it verifies the final relative
+residual itself, since Krylov "success" flags are not trusted, and returns it
+with the solution.
 """
 
 from __future__ import annotations
@@ -24,28 +25,26 @@ class SolverError(RuntimeError):
         self.residual = residual
 
 
-def _laplace_symbol_torus(grid: TorusGrid) -> np.ndarray:
-    """Eigenvalues of the compact 3-point -Laplacian on the torus lattice."""
-    k = np.arange(grid.n)
-    lam1 = (2.0 - 2.0 * np.cos(2.0 * np.pi * k / grid.n)) / grid.h ** 2
-    sym = np.zeros(grid.shape)
-    for ax in range(grid.d):
-        shape = [1] * grid.d
-        shape[ax] = grid.n
+def _laplace_symbol(theta: np.ndarray, h: float, d: int) -> np.ndarray:
+    """Eigenvalues of the compact 3-point -Laplacian on a d-dimensional
+    lattice: the per-axis values (2 - 2 cos theta) / h^2 summed over axes."""
+    lam1 = (2.0 - 2.0 * np.cos(theta)) / h ** 2
+    sym = np.zeros((theta.size,) * d)
+    for ax in range(d):
+        shape = [1] * d
+        shape[ax] = theta.size
         sym = sym + lam1.reshape(shape)
     return sym
+
+
+def _laplace_symbol_torus(grid: TorusGrid) -> np.ndarray:
+    """Eigenvalues of the -Laplacian on the torus lattice (FFT modes)."""
+    return _laplace_symbol(2.0 * np.pi * np.arange(grid.n) / grid.n, grid.h, grid.d)
 
 
 def _laplace_symbol_box(grid: BoxGrid) -> np.ndarray:
     """Eigenvalues of the Dirichlet -Laplacian on the interior lattice (DST-I)."""
-    k = np.arange(1, grid.n)
-    lam1 = (2.0 - 2.0 * np.cos(np.pi * k / grid.n)) / grid.h ** 2
-    sym = np.zeros((grid.n - 1,) * grid.d)
-    for ax in range(grid.d):
-        shape = [1] * grid.d
-        shape[ax] = grid.n - 1
-        sym = sym + lam1.reshape(shape)
-    return sym
+    return _laplace_symbol(np.pi * np.arange(1, grid.n) / grid.n, grid.h, grid.d)
 
 
 def _mean_zero(v: np.ndarray, grid_axes: int) -> np.ndarray:
@@ -68,80 +67,87 @@ def poisson_periodic(rhs: np.ndarray, grid: TorusGrid) -> np.ndarray:
     return np.fft.irfftn(xhat, s=grid.shape, axes=tuple(range(nd)))
 
 
-def solve_periodic(apply_op, rhs: np.ndarray, grid: TorusGrid, *,
-                   tol: float = 1e-10, maxiter: int | None = None,
-                   precond_scale: float = 1.0, symmetric: bool = True,
-                   x0: np.ndarray | None = None) -> np.ndarray:
-    """Solve apply_op(x) = rhs on the torus in the mean-zero subspace.
+def _krylov(matvec, precond, rhs: np.ndarray, *, symmetric: bool, tol: float,
+            maxiter: int, what: str) -> tuple[np.ndarray, float]:
+    """Solve matvec(x) = rhs, preconditioned by ``precond``, for x shaped like
+    ``rhs``; returns x and its true relative residual ||A x - b|| / ||b||.
 
-    ``apply_op`` maps full-shape arrays (grid.shape + comp) to same-shape
-    arrays and must annihilate constants (the periodic divergence-form
-    operator does).  The rhs is projected onto mean-zero; the solution comes
-    back mean-zero per component.
+    CG (``symmetric``) or BiCGStab runs first.  When its true residual
+    exceeds 10 tol, GMRES restarts from its iterate; when that residual still
+    exceeds 10 tol, SolverError carries it.  ``cg``, ``bicgstab`` and
+    ``gmres`` are looked up in this module at call time, so whatever rebinds
+    them here (instrumentation, tests) sees every solve.
     """
-    shape = rhs.shape
-    nd = grid.d
-    rhs = _mean_zero(rhs, nd)
     size = rhs.size
-    sym = _laplace_symbol_torus(grid)
-    sym_safe = sym.copy()
-    sym_safe.flat[0] = 1.0  # zero mode handled by projection
-
-    comp_shape = shape[nd:]
-
-    def matvec(x):
-        arr = _mean_zero(x.reshape(shape), nd)
-        out = apply_op(arr)
-        return _mean_zero(out, nd).ravel()
-
-    def precond(r):
-        arr = r.reshape(shape)
-        rhat = np.fft.fftn(arr, axes=tuple(range(nd)))
-        denom = (precond_scale * sym_safe).reshape(sym.shape + (1,) * len(comp_shape))
-        zhat = rhat / denom
-        # kill the constant mode
-        zhat[(0,) * nd] = 0.0
-        z = np.real(np.fft.ifftn(zhat, axes=tuple(range(nd))))
-        return z.ravel()
-
+    # LinearOperator applies matvec and precond once to infer the dtype; that
+    # first apply assembles a lazily built operator, which thus happens before
+    # the right-hand side and the Krylov work vectors are allocated.
     A = LinearOperator((size, size), matvec=matvec)
     M = LinearOperator((size, size), matvec=precond)
     b = rhs.ravel()
     bnorm = np.linalg.norm(b)
     if bnorm == 0.0:
-        return np.zeros(shape)
-    if maxiter is None:
-        maxiter = max(200, int(20 * grid.n ** (grid.d / 2)))
-    x0v = None if x0 is None else _mean_zero(np.asarray(x0, float).reshape(shape), nd).ravel()
+        return np.zeros(rhs.shape), 0.0
     krylov = cg if symmetric else bicgstab
-    x, _ = krylov(A, b, rtol=tol, atol=0.0, maxiter=maxiter, M=M, x0=x0v)
+    x, _ = krylov(A, b, rtol=tol, atol=0.0, maxiter=maxiter, M=M)
     res = np.linalg.norm(A @ x - b) / bnorm
     if res > 10 * tol:
         x, _ = gmres(A, b, rtol=tol, atol=0.0, maxiter=maxiter, restart=100, M=M, x0=x)
         res = np.linalg.norm(A @ x - b) / bnorm
         if res > 10 * tol:
-            raise SolverError("periodic cell solve did not converge", res)
-    return _mean_zero(x.reshape(shape), nd)
+            raise SolverError(f"{what} did not converge", res)
+    return x.reshape(rhs.shape), float(res)
+
+
+def solve_periodic(apply_op, rhs: np.ndarray, grid: TorusGrid, *,
+                   tol: float = 1e-10, maxiter: int | None = None,
+                   precond_scale: float = 1.0,
+                   symmetric: bool = True) -> tuple[np.ndarray, float]:
+    """Solve apply_op(x) = rhs on the torus in the mean-zero subspace.
+
+    ``apply_op`` maps full-shape arrays (grid.shape + comp) to same-shape
+    arrays and must annihilate constants (the periodic divergence-form
+    operator does).  The rhs is projected onto mean-zero; the solution comes
+    back mean-zero per component, with the relative residual of the projected
+    system (operator output and rhs both projected onto mean-zero).
+    """
+    shape = rhs.shape
+    nd = grid.d
+    sym = _laplace_symbol_torus(grid)
+    sym[(0,) * nd] = 1.0  # zero mode handled by projection
+    denom = (precond_scale * sym).reshape(sym.shape + (1,) * (len(shape) - nd))
+    fft_axes = tuple(range(nd))
+
+    def matvec(x):
+        return _mean_zero(apply_op(_mean_zero(x.reshape(shape), nd)), nd).ravel()
+
+    def precond(r):
+        zhat = np.fft.fftn(r.reshape(shape), axes=fft_axes) / denom
+        zhat[(0,) * nd] = 0.0  # kill the constant mode
+        return np.real(np.fft.ifftn(zhat, axes=fft_axes)).ravel()
+
+    if maxiter is None:
+        maxiter = max(200, int(20 * grid.n ** (grid.d / 2)))
+    x, res = _krylov(matvec, precond, _mean_zero(rhs, nd), symmetric=symmetric,
+                     tol=tol, maxiter=maxiter, what="periodic cell solve")
+    return _mean_zero(x, nd), res
 
 
 def solve_box_dirichlet(apply_interior, rhs_interior: np.ndarray, grid: BoxGrid, *,
                         lam: float = 0.0, tol: float = 1e-10,
                         maxiter: int | None = None, precond_scale: float = 1.0,
-                        symmetric: bool = True,
-                        x0: np.ndarray | None = None) -> np.ndarray:
+                        symmetric: bool = True) -> tuple[np.ndarray, float]:
     """Solve the interior system of a Dirichlet problem on a box.
 
     ``apply_interior`` maps arrays shaped (n-1)^d + comp (interior points,
     homogeneous boundary implied) to the operator action at interior points.
     The preconditioner is the exact inverse of precond_scale * (-Laplace_h)
-    + max(lam, 0) via DST-I.
+    + max(lam, 0) via DST-I.  Returns the solution and its relative residual.
     """
     shape = rhs_interior.shape
     nd = grid.d
-    size = rhs_interior.size
-    comp_shape = shape[nd:]
     sym = _laplace_symbol_box(grid)
-    denom = (precond_scale * sym + max(lam, 0.0)).reshape(sym.shape + (1,) * len(comp_shape))
+    denom = (precond_scale * sym + max(lam, 0.0)).reshape(sym.shape + (1,) * (len(shape) - nd))
     dst_axes = tuple(range(nd))
     # DST-I is its own inverse up to the factor (2n)^d
     dst_norm = (2.0 * grid.n) ** nd
@@ -150,26 +156,10 @@ def solve_box_dirichlet(apply_interior, rhs_interior: np.ndarray, grid: BoxGrid,
         return apply_interior(x.reshape(shape)).ravel()
 
     def precond(r):
-        arr = r.reshape(shape)
-        rhat = scipy.fft.dstn(arr, type=1, axes=dst_axes)
-        z = scipy.fft.dstn(rhat / denom, type=1, axes=dst_axes) / dst_norm
-        return z.ravel()
+        rhat = scipy.fft.dstn(r.reshape(shape), type=1, axes=dst_axes)
+        return (scipy.fft.dstn(rhat / denom, type=1, axes=dst_axes) / dst_norm).ravel()
 
-    A = LinearOperator((size, size), matvec=matvec)
-    M = LinearOperator((size, size), matvec=precond)
-    b = rhs_interior.ravel()
-    bnorm = np.linalg.norm(b)
-    if bnorm == 0.0:
-        return np.zeros(shape)
     if maxiter is None:
         maxiter = max(200, 50 * grid.n)
-    x0v = None if x0 is None else np.asarray(x0, float).ravel()
-    krylov = cg if symmetric else bicgstab
-    x, _ = krylov(A, b, rtol=tol, atol=0.0, maxiter=maxiter, M=M, x0=x0v)
-    res = np.linalg.norm(A @ x - b) / bnorm
-    if res > 10 * tol:
-        x, _ = gmres(A, b, rtol=tol, atol=0.0, maxiter=maxiter, restart=100, M=M, x0=x)
-        res = np.linalg.norm(A @ x - b) / bnorm
-        if res > 10 * tol:
-            raise SolverError("box Dirichlet solve did not converge", res)
-    return x.reshape(shape)
+    return _krylov(matvec, precond, rhs_interior, symmetric=symmetric, tol=tol,
+                   maxiter=maxiter, what="box Dirichlet solve")

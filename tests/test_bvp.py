@@ -5,10 +5,11 @@ import pytest
 
 from homogkit.bvp import (DirichletProblem, ProblemError, assemble,
                           coercivity_constant_bound, coercivity_margin,
-                          default_lambda, estimate_lambda0, solve,
-                          solve_adjoint)
+                          default_lambda, estimate_lambda0, sample_coefficients,
+                          solve, solve_adjoint)
 from homogkit.coefficients import builtin_family
-from homogkit.grid import BoxGrid
+from homogkit.grid import BoxGrid, precond_scale
+from homogkit.solvers import solve_box_dirichlet
 
 
 class TestLambdaBookkeeping:
@@ -120,6 +121,31 @@ class TestSolve:
                                grid=BoxGrid(2, 16), eps=1.0).samples()
         assert sym.is_symmetric is True
         assert sym.adjoint().is_symmetric is True
+
+
+class TestSamplesSolve:
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("adjoint", [False, True])
+    @pytest.mark.parametrize("family,params", [
+        ("trig", {"alpha": 2.0, "beta": 0.5}),                 # symmetric: CG
+        ("trig", {"alpha": 2.0, "beta": 0.5, "lower": 0.3}),   # BiCGStab
+        ("nonsymmetric-system", {}),
+    ])
+    def test_matches_explicit_solver_call(self, family, params, adjoint, d):
+        cs = builtin_family(family, d=d, **params)
+        g = BoxGrid(d, 32 if d == 2 else 16)
+        samples = sample_coefficients(cs, g, 1 / 2, default_lambda(cs))
+        op = samples.adjoint() if adjoint else samples
+        rng = np.random.Generator(np.random.PCG64(5))
+        rhs = rng.standard_normal((g.n - 1,) * d + (cs.m,))
+        u, res = op.solve(rhs, 1e-10)
+        want, _ = solve_box_dirichlet(op.apply_interior, rhs, g, lam=op.lam,
+                                      tol=1e-10,
+                                      precond_scale=precond_scale(op.A, g),
+                                      symmetric=op.is_symmetric)
+        assert np.array_equal(u, want)
+        assert res == np.linalg.norm(op.apply_interior(u) - rhs) / np.linalg.norm(rhs)
+        assert res <= 1e-9
 
 
 class TestDuality:

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
-from homogkit.cell import (CellError, build_flux_correctors, divergence_centered,
+from homogkit.cell import (CellError, _cell_operator, _source_0, _source_k,
+                           build_flux_correctors, divergence_centered,
                            homogenize, solve_corrector_k, solve_correctors)
 from homogkit.coefficients import builtin_family
-from homogkit.grid import TorusGrid
+from homogkit.grid import TorusGrid, precond_scale
+from homogkit.solvers import solve_periodic
 
 
 def laminate_harmonic_mean():
@@ -49,6 +51,26 @@ class TestCorrectors:
         a = 1.0 / (2.0 + np.cos(2 * np.pi * y))
         exact = laminate_harmonic_mean() / a - 1.0
         assert np.abs(dchi - exact).max() < 5e-4  # centered-difference error
+
+    @pytest.mark.parametrize("family,params", [
+        ("trig", {"d": 2, "alpha": 2.0, "beta": 0.5, "lower": 0.3}),
+        ("nonsymmetric-system", {"d": 2}),
+    ])
+    def test_matches_direct_solver_calls(self, family, params):
+        cs = builtin_family(family, **params)
+        g, tol = TorusGrid(2, 32), 1e-10
+        cor = solve_correctors(cs, g, tol=tol)
+        A, op = _cell_operator(cs, g)
+        V = cs.V(g.points())
+        kw = {"tol": tol, "precond_scale": precond_scale(A, g),
+              "symmetric": cs.symmetric}
+        for beta in range(cs.m):
+            want, _ = solve_periodic(op, _source_0(V, g, beta), g, **kw)
+            assert np.array_equal(cor.chi0[..., :, beta], want)
+            for k in range(1, cs.d + 1):
+                want, _ = solve_periodic(op, _source_k(A, k, g, beta), g, **kw)
+                assert np.array_equal(cor.chi[k - 1][..., :, beta], want)
+        assert max(cor.residuals.values()) <= 10 * tol
 
     def test_residuals_reported(self):
         cs = builtin_family("laminate", d=2)

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+from homogkit.bvp import ProblemError, resolution_guard, sample_coefficients
 from homogkit.coefficients import (CoefficientError, FAMILY_NAMES,
                                    builtin_family)
-from homogkit.grid import BoxGrid, TorusGrid
+from homogkit.grid import BoxGrid
 
 
 class TestFamilies:
@@ -97,26 +98,18 @@ class TestAdjoint:
 
 
 class TestSampling:
-    def test_eps_one_matches_cell(self):
-        cs = builtin_family("trig", d=2, alpha=2.0, beta=0.5)
-        g = TorusGrid(2, 16)
-        direct = cs.sample_cell(g)
-        scaled = cs.sample_on(g, 1.0)
-        for u, v in zip(direct, scaled):
-            assert np.allclose(u, v)
-
     def test_constant_spatially_constant(self):
         cs = builtin_family("constant", d=2, a0=2.0)
         g = BoxGrid(2, 32)
-        A, V, B, c = cs.sample_on(g, 0.25)
+        s = sample_coefficients(cs, g, 0.25, 0.0)
         # constant in space: no variation along the two point axes
-        assert np.ptp(A, axis=(0, 1)).max() == 0.0
+        assert np.ptp(s.A, axis=(0, 1)).max() == 0.0
 
     def test_resolution_guard_names_required_h(self):
-        cs = builtin_family("trig", d=2, alpha=2.0, beta=0.5)
-        g = BoxGrid(2, 16)   # h = 1/16, eps/8 = 1/128
-        with pytest.raises(CoefficientError, match="h"):
-            cs.sample_on(g, 1 / 16)
+        g = BoxGrid(2, 16)   # h = 1/16, eps/16 = 1/256
+        with pytest.raises(ProblemError, match=r"h <= 0\.003906"):
+            resolution_guard(g, 1 / 16)
+        resolution_guard(BoxGrid(2, 256), 1 / 16)
 
     def test_kappa_covers_samples(self):
         cs = builtin_family("trig", d=2, alpha=2.0, beta=0.5, lower=0.5)

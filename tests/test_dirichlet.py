@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
 
+from homogkit import dirichlet
+from homogkit.bvp import sample_coefficients
 from homogkit.cell import solve_correctors
 from homogkit.coefficients import builtin_family
 from homogkit.dirichlet import (CommensurabilityError, phi_inverse,
                                 psi_diagnostics, sample_periodic_field,
-                                solve_dirichlet_correctors, solve_phik)
-from homogkit.grid import BoxGrid, TorusGrid
+                                solve_dirichlet_correctors)
+from homogkit.grid import BoxGrid, TorusGrid, _centered_box, precond_scale
+from homogkit.solvers import solve_box_dirichlet
 
 
 class TestConstantExactness:
@@ -22,16 +25,78 @@ class TestConstantExactness:
             assert np.abs(phik[..., 0, 0] - pts[..., k - 1]).max() < 1e-10
 
 
+def _per_k_correctors(cs, eps, grid, tol):
+    """Phi_0 and Phi_k as separate solves, each sampling the principal part
+    afresh: the corrector path before the operator was shared."""
+    m, x, h = cs.m, grid.points(), grid.h
+
+    def box_solve(samples, rhs_int):
+        w, _ = solve_box_dirichlet(samples.apply_interior, rhs_int, grid,
+                                   lam=0.0, tol=tol,
+                                   precond_scale=precond_scale(samples.A, grid),
+                                   symmetric=samples.is_symmetric)
+        rn = np.linalg.norm(samples.apply_interior(w) - rhs_int)
+        bn = np.linalg.norm(rhs_int)
+        return w, rn / bn if bn > 0 else 0.0
+
+    samples = sample_coefficients(cs, grid, eps, 0.0, principal_only=True)
+    V = cs.V(np.mod(x / eps, 1.0))
+    phi0 = np.zeros(grid.shape + (m, m))
+    res = {"phi0": []}
+    for beta in range(m):
+        rhs = np.zeros(grid.shape + (m,))
+        for i in range(grid.d):
+            rhs += _centered_box(V[..., i, :, beta], i, h)
+        w, r = box_solve(samples, rhs[grid.interior])
+        res["phi0"].append(r)
+        full = np.zeros(grid.shape + (m,))
+        full[grid.interior] = w
+        full[..., beta] += 1.0
+        phi0[..., :, beta] = full
+    phis = []
+    for k in range(1, cs.d + 1):
+        samples = sample_coefficients(cs, grid, eps, 0.0, principal_only=True)
+        phik = np.zeros(grid.shape + (m, m))
+        res[f"phi{k}"] = []
+        for beta in range(m):
+            pk = np.zeros(grid.shape + (m,))
+            pk[..., beta] = x[..., k - 1]
+            w, r = box_solve(samples, -samples.apply_full(pk)[grid.interior])
+            res[f"phi{k}"].append(r)
+            full = pk.copy()
+            full[grid.interior] += w
+            phik[..., :, beta] = full
+        phis.append(phik)
+    return phi0, phis, {key: max(v) for key, v in res.items()}
+
+
+class TestSharedOperator:
+    @pytest.mark.parametrize("family,params", [
+        ("trig", {"d": 2, "alpha": 2.0, "beta": 0.5, "lower": 0.3}),
+        ("nonsymmetric-system", {"d": 2}),
+    ])
+    def test_one_sampling_matches_per_k_path(self, family, params, monkeypatch):
+        cs = builtin_family(family, **params)
+        g, eps, tol = BoxGrid(2, 32), 1 / 2, 1e-10
+        phi0, phis, res = _per_k_correctors(cs, eps, g, tol)
+        calls = []
+        monkeypatch.setattr(dirichlet, "sample_coefficients",
+                            lambda *a, **k: calls.append(1) or sample_coefficients(*a, **k))
+        got = solve_dirichlet_correctors(cs, eps, g, tol)
+        assert len(calls) == 1
+        assert np.array_equal(got.phi0, phi0)
+        assert len(got.phi) == len(phis)
+        for a, b in zip(got.phi, phis):
+            assert np.array_equal(a, b)
+        assert got.residuals == res
+        assert max(res.values()) <= 10 * tol
+
+
 class TestGuards:
     def test_resolution_guard(self):
         cs = builtin_family("trig", d=2, alpha=2.0, beta=0.5)
         with pytest.raises(ValueError, match="resolution"):
             solve_dirichlet_correctors(cs, 1 / 8, BoxGrid(2, 64))
-
-    def test_k_range(self):
-        cs = builtin_family("trig", d=2, alpha=2.0, beta=0.5)
-        with pytest.raises(ValueError):
-            solve_phik(cs, 1 / 2, 3, BoxGrid(2, 32))
 
     def test_commensurability(self):
         cell = TorusGrid(2, 50)   # 50 * 4/64 = 3.125: off the box lattice
