@@ -220,11 +220,6 @@ def sample_coefficients(cs: CoefficientSet, grid: BoxGrid, eps: float | str,
     return CoefficientSamples(grid=grid, A=A, V=V, B=B, c=c, lam=float(lam), m=m)
 
 
-def assemble(problem: DirichletProblem) -> CoefficientSamples:
-    """Materialize the frozen-coefficient operator of a problem."""
-    return problem.samples()
-
-
 def solve(problem: DirichletProblem, tol: float = 1e-10,
           samples: CoefficientSamples | None = None) -> tuple[GridFunction, dict]:
     """Solve the Dirichlet problem; boundary values are exact by construction.

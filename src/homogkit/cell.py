@@ -2,10 +2,12 @@
 
 Everything here lives on the unit torus.  The corrector chi_k (k = 1..d)
 solves the cell problem driven by the coordinate monomial P_k, chi_0 the one
-driven by div(V); the four effective tensors are cell averages of the
-coefficient-plus-corrector-flux integrands; the flux discrepancy fields
-(b, U, W, Z) are represented through antisymmetric potentials (E, F) and
-auxiliary zero-mean Poisson solves.
+driven by div(V); ``solve_correctors`` is the one entry point for them.
+The four effective tensors are cell averages of the
+coefficient-plus-corrector-flux integrands, written once in
+``_cell_fluxes``; the flux discrepancy fields (b, U, W, Z) are the remainders
+of the same integrands, represented through antisymmetric potentials (E, F)
+and auxiliary zero-mean Poisson solves.
 """
 
 from __future__ import annotations
@@ -15,7 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coefficients import CoefficientSet
-from .grid import TorusGrid, _coef_block, assemble_torus, precond_scale
+from .grid import (TorusGrid, _centered_periodic, _coef_block, assemble_torus,
+                   precond_scale)
 from .solvers import _mean_zero, poisson_periodic, solve_periodic
 
 MEAN_TOL = 1e-10
@@ -94,11 +97,8 @@ class FluxCorrectorSet:
 # ---------------------------------------------------------------------------
 
 def _torus_gradient(v: np.ndarray, grid: TorusGrid) -> np.ndarray:
-    parts = [
-        (np.roll(v, -1, axis=ax) - np.roll(v, 1, axis=ax)) / (2.0 * grid.h)
-        for ax in range(grid.d)
-    ]
-    return np.stack(parts, axis=-1)
+    return np.stack([_centered_periodic(v, ax, grid.h) for ax in range(grid.d)],
+                    axis=-1)
 
 
 def _cell_mean(v: np.ndarray, grid: TorusGrid) -> np.ndarray:
@@ -127,7 +127,7 @@ def _source_k(A: np.ndarray, k: int, grid: TorusGrid, beta: int) -> np.ndarray:
         if i == ki:
             continue
         aik = _coef_block(A, nd, i, ki)[..., :, beta]
-        rhs += (np.roll(aik, -1, axis=i) - np.roll(aik, 1, axis=i)) / (2.0 * h)
+        rhs += _centered_periodic(aik, i, h)
     return rhs
 
 
@@ -135,8 +135,7 @@ def _source_0(V: np.ndarray, grid: TorusGrid, beta: int) -> np.ndarray:
     """div(V e_beta) with centered differences."""
     rhs = np.zeros(grid.shape + (V.shape[-1],))
     for i in range(grid.d):
-        vi = V[..., i, :, beta]
-        rhs += (np.roll(vi, -1, axis=i) - np.roll(vi, 1, axis=i)) / (2.0 * grid.h)
+        rhs += _centered_periodic(V[..., i, :, beta], i, grid.h)
     return rhs
 
 
@@ -155,44 +154,11 @@ def _solve_cell(cs: CoefficientSet, grid: TorusGrid, tol: float, A: np.ndarray,
     return chi, max(residuals)
 
 
-def _check_tol(tol: float) -> None:
-    if tol <= 0:
-        raise CellError("tol must be positive")
-
-
-def solve_corrector_k(cs: CoefficientSet, k: int, grid: TorusGrid,
-                      tol: float = 1e-10) -> tuple[np.ndarray, float]:
-    """Solve the cell problem for chi_k, 1 <= k <= d.
-
-    The driving term is the discrete divergence of the flux of the coordinate
-    monomial P_k, written with exactly the same stencils as the operator so
-    that constant coefficients give chi_k = 0 identically.
-
-    Returns (chi_k, residual) with chi_k of shape (*grid.shape, m, m) and the
-    relative residual of the discrete equation.
-    """
-    if not 1 <= k <= cs.d:
-        raise CellError(f"k must be in 1..{cs.d}, got {k}")
-    _check_tol(tol)
-    A, op = _cell_operator(cs, grid)
-    return _solve_cell(cs, grid, tol, A, op,
-                       [_source_k(A, k, grid, beta) for beta in range(cs.m)])
-
-
-def solve_corrector_0(cs: CoefficientSet, grid: TorusGrid,
-                      tol: float = 1e-10) -> tuple[np.ndarray, float]:
-    """Solve the cell problem for chi_0 with source div(V), zero cell mean."""
-    _check_tol(tol)
-    A, op = _cell_operator(cs, grid)
-    V = cs.V(grid.points())
-    return _solve_cell(cs, grid, tol, A, op,
-                       [_source_0(V, grid, beta) for beta in range(cs.m)])
-
-
 def solve_correctors(cs: CoefficientSet, grid: TorusGrid, tol: float = 1e-10) -> CorrectorSet:
     """All correctors chi_0, chi_1..chi_d on one grid, from one assembled
     operator."""
-    _check_tol(tol)
+    if tol <= 0:
+        raise CellError("tol must be positive")
     A, op = _cell_operator(cs, grid)
     V = cs.V(grid.points())
     chi0, r0 = _solve_cell(cs, grid, tol, A, op,
@@ -213,123 +179,78 @@ def solve_correctors(cs: CoefficientSet, grid: TorusGrid, tol: float = 1e-10) ->
 
 
 # ---------------------------------------------------------------------------
-# homogenized coefficients
+# cell-flux integrands: homogenized coefficients and flux correctors
 # ---------------------------------------------------------------------------
+
+def _cell_fluxes(cs: CoefficientSet, correctors: CorrectorSet):
+    """The four corrector-flux integrands on the cell lattice, each as its
+    (coefficient, correction) pair, in the order A, V, B, c:
+
+        a_ij + a_ik d_k chi_j,   V_i + a_ij d_j chi_0,
+        B_i + B_j d_i chi_j,     c + B_i d_i chi_0.
+
+    Their cell means are the homogenized tensors; their remainders against
+    those means are the flux discrepancies b, U, W, Z.
+    """
+    y = correctors.grid.points()
+    A, V, B, c = cs.A(y), cs.V(y), cs.B(y), cs.c(y)
+    g0, gk = correctors.gradients()    # (*s, m, m, d), list of same
+    grad_chi = np.stack(gk, axis=-4)   # grad_chi[..., j, a, b, k] = d_k chi_j^{ab}
+    return [
+        (A, np.einsum("...ikag,...jgbk->...ijab", A, grad_chi, optimize=True)),
+        (V, np.einsum("...ijab,...bgj->...iag", A, g0, optimize=True)),
+        (B, np.einsum("...jab,...ibgj->...iag", B, grad_chi, optimize=True)),
+        (c, np.einsum("...iab,...bgi->...ag", B, g0, optimize=True)),
+    ]
+
 
 def homogenize(cs: CoefficientSet, correctors: CorrectorSet) -> HomogenizedCoefficients:
     """Cell averages defining the constant-coefficient limit operator."""
     grid = correctors.grid
-    y = grid.points()
-    A = cs.A(y)
-    V = cs.V(y)
-    B = cs.B(y)
-    c = cs.c(y)
-    g0, gk = correctors.gradients()   # (*s, m, m, d), list of same
-
-    # A_hat_ij^{ab} = <a_ij^{ab} + a_ik^{ag} d_k chi_j^{gb}>
-    grad_chi = np.stack(gk, axis=-4)  # (*s, d_j, m, m, d_k)
-    A_hat = _homog_a(A, grad_chi, grid)
-    V_hat = _cell_mean(V, grid) + _cell_mean(
-        np.einsum("...ijab,...bgj->...iag", A, g0, optimize=True), grid)
-    B_hat = _cell_mean(B, grid) + _cell_mean(
-        np.einsum("...jab,...ibgj->...iag", B, grad_chi, optimize=True), grid)
-    c_hat = _cell_mean(c, grid) + _cell_mean(
-        np.einsum("...iab,...bgi->...ag", B, g0, optimize=True), grid)
-    return HomogenizedCoefficients(A_hat=A_hat, V_hat=V_hat, B_hat=B_hat, c_hat=c_hat)
+    (A, corr_a), *lower = _cell_fluxes(cs, correctors)
+    V_hat, B_hat, c_hat = (_cell_mean(coef, grid) + _cell_mean(corr, grid)
+                           for coef, corr in lower)
+    return HomogenizedCoefficients(A_hat=_cell_mean(A + corr_a, grid),
+                                   V_hat=V_hat, B_hat=B_hat, c_hat=c_hat)
 
 
-def _homog_a(A: np.ndarray, grad_chi: np.ndarray, grid: TorusGrid) -> np.ndarray:
-    # grad_chi[..., j, a, b, k] = d_k chi_j^{ab}
-    corr = np.einsum("...ikag,...jgbk->...ijab", A, grad_chi, optimize=True)
-    return _cell_mean(A + corr, grid)
-
-
-# ---------------------------------------------------------------------------
-# flux correctors
-# ---------------------------------------------------------------------------
-
-def flux_correctors(cs: CoefficientSet, correctors: CorrectorSet,
-                    A_hat: np.ndarray):
-    """Antisymmetric potential E for the principal flux discrepancy b.
-
-    b_ij = A_hat_ij - a_ij - a_ik d_k chi_j has zero cell mean (exactly, by
-    the quadrature defining A_hat); pi_ij solves Laplace(pi_ij) = b_ij with
-    zero mean and E_lij = d_l pi_ij - d_i pi_lj.
-    """
-    grid = correctors.grid
-    y = grid.points()
-    A = cs.A(y)
-    _, gk = correctors.gradients()
-    grad_chi = np.stack(gk, axis=-4)
-    corr = np.einsum("...ikag,...jgbk->...ijab", A, grad_chi, optimize=True)
-    b = A_hat - A - corr
-    mean_b = np.abs(_cell_mean(b, grid)).max()
-    if mean_b > 1e-6:
-        raise CellError(
-            f"flux discrepancy b has cell mean {mean_b:.2e}; upstream correctors inaccurate"
-        )
-    b = _mean_zero(b, grid.d)
-    pi = _poisson_components(b, grid)
-    d = grid.d
-    dpi = _torus_gradient(pi, grid)   # (*s, d_i, d_j, m, m, d_l)
-    E = np.empty(grid.shape + (d, d, d) + b.shape[grid.d + 2:])
-    for l in range(d):
-        for i in range(d):
-            for j in range(d):
-                E[..., l, i, j, :, :] = dpi[..., i, j, :, :, l] - dpi[..., l, j, :, :, i]
-    return b, E
-
-
-def lower_flux_correctors(cs: CoefficientSet, correctors: CorrectorSet,
-                          hats: HomogenizedCoefficients):
-    """Potentials for the lower-order flux discrepancies.
-
-    U_i = V_hat_i - V_i - a_ij d_j chi_0, with Laplace(theta_i) = U_i and
-    F_ki = d_k theta_i - d_i theta_k; W_i and Z are the B / c analogues with
-    auxiliary potentials vartheta_i and zeta.
-    """
-    grid = correctors.grid
-    y = grid.points()
-    A = cs.A(y)
-    V = cs.V(y)
-    B = cs.B(y)
-    c = cs.c(y)
-    g0, gkl = correctors.gradients()
-    grad_chi = np.stack(gkl, axis=-4)
-
-    U = hats.V_hat - V - np.einsum("...ijab,...bgj->...iag", A, g0, optimize=True)
-    W = hats.B_hat - B - np.einsum("...jab,...ibgj->...iag", B, grad_chi, optimize=True)
-    Z = hats.c_hat - c - np.einsum("...iab,...bgi->...ag", B, g0, optimize=True)
-
-    for name, fld in (("U", U), ("W", W), ("Z", Z)):
-        mean = np.abs(_cell_mean(fld, grid)).max()
-        if mean > 1e-6:
-            raise CellError(f"solvability violated: cell mean of {name} is {mean:.2e}")
-    U = _mean_zero(U, grid.d)
-    W = _mean_zero(W, grid.d)
-    Z = _mean_zero(Z, grid.d)
-
-    theta = _poisson_components(U, grid)
-    vartheta = _poisson_components(W, grid)
-    zeta = _poisson_components(Z, grid)
-
-    d = grid.d
-    dtheta = _torus_gradient(theta, grid)  # (*s, d_i, m, m, d_k)
-    F = np.empty(grid.shape + (d, d) + U.shape[grid.d + 1:])
-    for k in range(d):
-        for i in range(d):
-            F[..., k, i, :, :] = dtheta[..., i, :, :, k] - dtheta[..., k, :, :, i]
-    return U, theta, F, W, vartheta, Z, zeta
+def _curl(dp: np.ndarray, nd: int) -> np.ndarray:
+    """out[..., l, i, ...] = d_l p_i - d_i p_l from the gradient
+    dp[..., i, ..., l] of a potential p."""
+    p = np.moveaxis(dp, -1, nd)
+    return np.subtract(p, np.swapaxes(p, nd, nd + 1), out=np.empty(p.shape))
 
 
 def build_flux_correctors(cs: CoefficientSet, correctors: CorrectorSet,
-                          hats: HomogenizedCoefficients, tol: float = 1e-10) -> FluxCorrectorSet:
-    """All flux potentials.  ``tol`` is kept for callers that pass the run
-    tolerance; the Poisson solves behind the potentials are direct."""
-    b, E = flux_correctors(cs, correctors, hats.A_hat)
-    U, theta, F, W, vartheta, Z, zeta = lower_flux_correctors(cs, correctors, hats)
-    return FluxCorrectorSet(grid=correctors.grid, b=b, E=E, U=U, theta=theta,
-                            F=F, W=W, vartheta=vartheta, Z=Z, zeta=zeta)
+                          hats: HomogenizedCoefficients) -> FluxCorrectorSet:
+    """All flux potentials.
+
+    The discrepancies b_ij = A_hat_ij - a_ij - a_ik d_k chi_j and their
+    lower-order analogues U_i (V), W_i (B) and Z (c) have zero cell mean,
+    exactly by the quadrature defining the hats.  Each is represented by the
+    zero-mean solution of Laplace(p) = discrepancy: pi_ij, theta_i,
+    vartheta_i and zeta, with E_lij = d_l pi_ij - d_i pi_lj and
+    F_ki = d_k theta_i - d_i theta_k.
+    """
+    grid = correctors.grid
+    hat_list = (hats.A_hat, hats.V_hat, hats.B_hat, hats.c_hat)
+    fields = []
+    for name, hat, (coef, corr) in zip("bUWZ", hat_list, _cell_fluxes(cs, correctors)):
+        fld = hat - coef - corr
+        mean = np.abs(_cell_mean(fld, grid)).max()
+        if mean > 1e-6:
+            raise CellError(f"solvability violated: cell mean of {name} is "
+                            f"{mean:.2e}; upstream correctors inaccurate")
+        fields.append(_mean_zero(fld, grid.d))
+    # release the coefficient samples before the potentials, to keep peak RSS down
+    del coef, corr, fld
+    b, U, W, Z = fields
+    E = _curl(_torus_gradient(_poisson_components(b, grid), grid), grid.d)
+    theta = _poisson_components(U, grid)
+    F = _curl(_torus_gradient(theta, grid), grid.d)
+    return FluxCorrectorSet(grid=grid, b=b, E=E, U=U, theta=theta, F=F, W=W,
+                            vartheta=_poisson_components(W, grid), Z=Z,
+                            zeta=_poisson_components(Z, grid))
 
 
 def _poisson_components(src: np.ndarray, grid: TorusGrid) -> np.ndarray:
@@ -348,6 +269,5 @@ def divergence_centered(field: np.ndarray, grid: TorusGrid, axis_index: int) -> 
     d = grid.d
     out = np.zeros(tuple(np.delete(np.array(field.shape), axis_index)))
     for l in range(d):
-        comp = np.take(field, l, axis=axis_index)
-        out += (np.roll(comp, -1, axis=l) - np.roll(comp, 1, axis=l)) / (2.0 * grid.h)
+        out += _centered_periodic(np.take(field, l, axis=axis_index), l, grid.h)
     return out

@@ -73,6 +73,17 @@ class ExperimentConfig:
         return self.extra.get(key, default)
 
 
+def _is_int(value, low: int) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= low
+
+
+def _real(value) -> float:
+    """A YAML number as a float; NaN for anything else, booleans included."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return float(value)
+    return math.nan
+
+
 def parse_config(text: str) -> ExperimentConfig:
     """Parse and validate a YAML config, reporting every violation at once."""
     violations = []
@@ -111,9 +122,30 @@ def parse_config(text: str) -> ExperimentConfig:
     if not isinstance(seed, int):
         violations.append(f"seed must be an integer, got {seed!r}")
 
-    n = raw.get("n")
-    if n is not None and (not isinstance(n, int) or n < 4):
-        violations.append(f"n must be an integer >= 4, got {n!r}")
+    for key, low in (("n", 4), ("n_cell", 4), ("divisor", 1)):
+        value = raw.get(key)
+        if value is not None and not _is_int(value, low):
+            violations.append(f"{key} must be an integer >= {low}, got {value!r}")
+    if sub == "rates":
+        divisor, n_cell = raw.get("divisor", 16), raw.get("n_cell", 64)
+        if _is_int(divisor, 1) and _is_int(n_cell, 4) and n_cell % divisor:
+            violations.append(f"n_cell = {n_cell} must be a multiple of divisor = "
+                              f"{divisor} so cell fields land on the box lattice")
+
+    lam = raw.get("lam")
+    if lam is not None and not math.isfinite(_real(lam)):
+        violations.append(f"lam must be a finite number, got {lam!r}")
+    rho = raw.get("rho")
+    if rho is not None:
+        n_box = raw.get("n", 48)
+        two_h = 2.0 / n_box if _is_int(n_box, 4) else 0.0
+        r = _real(rho)
+        if not (math.isfinite(r) and r > 0 and r >= two_h - 1e-12):
+            violations.append(f"rho must be a number >= 2h = {two_h:.4g} and > 0, "
+                              f"got {rho!r}")
+    p = raw.get("p")
+    if p is not None and not _real(p) >= 1:
+        violations.append(f"p must be a number >= 1, got {p!r}")
 
     eps_raw = raw.get("eps")
     if eps_raw is not None:
@@ -228,7 +260,7 @@ def _run_homogenize(cfg: ExperimentConfig, out_dir: str):
     checks = {"hat_elliptic": hats.ellipticity_margin(cs.mu) > -1e-10}
     if cfg.get("flux", False):
         t0 = time.perf_counter()
-        flux = build_flux_correctors(cs, corr, hats, tol=cfg.tol)
+        flux = build_flux_correctors(cs, corr, hats)
         wall["flux"] = time.perf_counter() - t0
         summary["flux_b_mean"] = float(np.abs(
             flux.b.mean(axis=tuple(range(grid.d)))).max())
@@ -311,12 +343,9 @@ def _run_green(cfg: ExperimentConfig, out_dir: str):
             sample = approx_green(cs, eps, lam, grid, np.asarray(probe, float),
                                   rho=None if rho is None else float(rho),
                                   tol=cfg.tol)
-            pts = grid.points()
-            r = np.sqrt(np.sum((pts - sample.y) ** 2, axis=-1))
+            r, adm = sample.fit_shell()
             mag = sample.magnitude()
             d_x = grid.boundary_distance()
-            adm = (r >= 4 * grid.h) & (r <= 0.5 * sample.d_y()) \
-                & (sample.rho < r / 4)
             for rv, gv, dv in zip(r[adm].ravel(), mag[adm].ravel(),
                                   d_x[adm].ravel()):
                 fh.write(f"{ip},{float(rv)!r},{float(gv)!r},"

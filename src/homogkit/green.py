@@ -23,7 +23,8 @@ import numpy as np
 
 from .bvp import sample_coefficients
 from .coefficients import CoefficientSet
-from .grid import BoxGrid, boundary_lp_norm, linf_norm, nontangential_max
+from .grid import (BoxGrid, _face_difference, boundary_lp_norm, linf_norm,
+                   nontangential_max)
 
 
 class GreenError(ValueError):
@@ -64,6 +65,14 @@ class GreenSample:
     def d_y(self) -> float:
         per_axis = np.minimum(self.y, self.grid.extent - self.y)
         return float(per_axis.min())
+
+    def fit_shell(self) -> tuple[np.ndarray, np.ndarray]:
+        """Distances r = |x - y| and the admissible shell of the decay fits:
+        clear of the grid scale (r >= 4h), of the boundary influence of y
+        (r <= d_y / 2) and of the mollification ball (rho < r / 4)."""
+        g = self.grid
+        r = np.sqrt(np.sum((g.points() - self.y) ** 2, axis=-1))
+        return r, (r >= 4 * g.h) & (r <= 0.5 * self.d_y()) & (self.rho < r / 4)
 
     def magnitude(self) -> np.ndarray:
         """Frobenius norm over both matrix indices, per grid point."""
@@ -165,18 +174,14 @@ class DecayFit:
 def decay_fit(sample: GreenSample, max_pairs: int = 4000) -> DecayFit:
     """Log-log least-squares fit of |G| against |x - y|.
 
-    Admissible evaluation points keep clear of both the mollification ball
-    (rho < |x-y|/4) and the boundary influence of y (|x-y| <= d_y / 2), and of
-    the grid scale (|x-y| >= 4h).  Only d = 3 carries a power decay law.
+    Admissible evaluation points lie in ``GreenSample.fit_shell`` and carry a
+    nonzero value.  Only d = 3 carries a power decay law.
     """
-    g = sample.grid
-    if g.d != 3:
+    if sample.grid.d != 3:
         raise GreenError("power-law decay fits require d = 3")
-    pts = g.points()
-    r = np.sqrt(np.sum((pts - sample.y) ** 2, axis=-1))
+    r, adm = sample.fit_shell()
     mag = sample.magnitude()
-    d_y = sample.d_y()
-    adm = (r >= 4 * g.h) & (r <= 0.5 * d_y) & (sample.rho < r / 4) & (mag > 0)
+    adm &= mag > 0
     rr = r[adm]
     vv = mag[adm]
     if rr.size < 10:
@@ -212,22 +217,6 @@ def boundary_weighted_ratio(sample: GreenSample) -> float:
 # ---------------------------------------------------------------------------
 # Poisson kernel and boundary representation
 # ---------------------------------------------------------------------------
-
-def _face_normal_derivative(field: np.ndarray, grid: BoxGrid, axis: int,
-                            low: bool) -> np.ndarray:
-    """Second-order one-sided d/dx_axis of a full field, on one box face."""
-    h = grid.h
-    sl = [slice(None)] * field.ndim
-
-    def at(i):
-        s = list(sl)
-        s[axis] = i
-        return tuple(s)
-
-    if low:
-        return (-3.0 * field[at(0)] + 4.0 * field[at(1)] - field[at(2)]) / (2.0 * h)
-    return (3.0 * field[at(-1)] - 4.0 * field[at(-2)] + field[at(-3)]) / (2.0 * h)
-
 
 def poisson_kernel_boundary_rep(samples: list[GreenSample], cs: CoefficientSet,
                                 g_values: np.ndarray) -> np.ndarray:
@@ -273,7 +262,7 @@ def poisson_kernel_boundary_rep(samples: list[GreenSample], cs: CoefficientSet,
                 gb = g_arr[face]                              # (*face, m)
                 # dG[source gamma, *face, field alpha]
                 dG = np.stack([
-                    _face_normal_derivative(sample.columns[s], grid, ax, low)
+                    _face_difference(sample.columns[s], ax, h, low)
                     for s in range(m)
                 ])
                 # P^{gamma beta} = -n_j a_{ij}^{alpha beta} d_i G^{alpha gamma};

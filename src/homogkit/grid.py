@@ -194,19 +194,24 @@ def _centered_periodic(v: np.ndarray, axis: int, h: float) -> np.ndarray:
     return (np.roll(v, -1, axis=axis) - np.roll(v, 1, axis=axis)) / (2.0 * h)
 
 
+def _face_difference(v: np.ndarray, axis: int, h: float, low: bool) -> np.ndarray:
+    """Second-order one-sided d/dx_axis of ``v`` on its low or high face."""
+    def at(i):
+        return (slice(None),) * axis + (i,)
+
+    if low:
+        return (-3.0 * v[at(0)] + 4.0 * v[at(1)] - v[at(2)]) / (2.0 * h)
+    return (3.0 * v[at(-1)] - 4.0 * v[at(-2)] + v[at(-3)]) / (2.0 * h)
+
+
 def _centered_box(v: np.ndarray, axis: int, h: float) -> np.ndarray:
     """Second-order differences: centered inside, one-sided at the two faces."""
+    lead = (slice(None),) * axis
     out = np.empty_like(v)
-    sl = [slice(None)] * v.ndim
-
-    def at(i):
-        s = list(sl)
-        s[axis] = i
-        return tuple(s)
-
-    out[at(slice(1, -1))] = (v[at(slice(2, None))] - v[at(slice(0, -2))]) / (2.0 * h)
-    out[at(0)] = (-3.0 * v[at(0)] + 4.0 * v[at(1)] - v[at(2)]) / (2.0 * h)
-    out[at(-1)] = (3.0 * v[at(-1)] - 4.0 * v[at(-2)] + v[at(-3)]) / (2.0 * h)
+    out[lead + (slice(1, -1),)] = (v[lead + (slice(2, None),)]
+                                   - v[lead + (slice(0, -2),)]) / (2.0 * h)
+    out[lead + (0,)] = _face_difference(v, axis, h, low=True)
+    out[lead + (-1,)] = _face_difference(v, axis, h, low=False)
     return out
 
 

@@ -22,8 +22,8 @@ from .bvp import DirichletProblem, default_lambda, solve, solve_homogenized
 from .cell import homogenize, solve_correctors
 from .coefficients import CoefficientSet, builtin_family
 from .dirichlet import DirichletCorrectorSet, solve_dirichlet_correctors
-from .grid import (BoxGrid, GridFunction, TorusGrid, gradient, is_dyadic,
-                   lp_norm, linf_norm, holder_seminorm)
+from .grid import (BoxGrid, GridFunction, TorusGrid, gradient, h1_norm,
+                   is_dyadic, lp_norm, linf_norm, holder_seminorm)
 
 
 class SweepError(ValueError):
@@ -107,6 +107,7 @@ class ExpansionError:
     h1_norm: float
     h1_norm_corner_excluded: float
     l2_norm: float
+    deviations: list[np.ndarray]   # Phi_k - P_k, k = 1..d, each (*shape, m, m)
 
 
 def masked_h1_norm(u: GridFunction, mask: np.ndarray) -> float:
@@ -139,18 +140,18 @@ def expansion_error(u_eps: GridFunction, u: GridFunction,
     du = gradient(u).values               # (*shape, m, d)
     w = u_eps.values - np.einsum("...ab,...b->...a", phis.phi0, uv)
     pts = grid.points()
+    devs = []
     for k in range(grid.d):
         dev = phis.phi[k].copy()
         for a in range(m):
             dev[..., a, a] -= pts[..., k]
         w -= np.einsum("...ab,...b->...a", dev, du[..., k])
+        devs.append(dev)
     wf = GridFunction(grid, w)
-    gu = gradient(wf)
-    h1 = math.sqrt(lp_norm(wf, 2.0) ** 2 + lp_norm(gu, 2.0) ** 2)
     mask = grid.boundary_distance() >= corner_margin
     h1c = masked_h1_norm(wf, mask)
-    return ExpansionError(w=wf, h1_norm=h1, h1_norm_corner_excluded=h1c,
-                          l2_norm=lp_norm(wf, 2.0))
+    return ExpansionError(w=wf, h1_norm=h1_norm(wf), h1_norm_corner_excluded=h1c,
+                          l2_norm=lp_norm(wf, 2.0), deviations=devs)
 
 
 # ---------------------------------------------------------------------------
@@ -249,9 +250,6 @@ def run_sweep(config: SweepConfig) -> ConvergenceReport:
             complete = False
             break
         diff = GridFunction(grid, u_eps.values - u_hom.values)
-        gdiff = gradient(diff)
-        err_h1 = math.sqrt(lp_norm(diff, 2.0) ** 2 + lp_norm(gdiff, 2.0) ** 2)
-        pts = grid.points()
         m = cs.m
         eye_dev = phis.phi0 - np.eye(m)
         phik_dev = 0.0
@@ -259,10 +257,7 @@ def run_sweep(config: SweepConfig) -> ConvergenceReport:
         du = gradient(u_hom).values
         tri_term2 = lp_norm(GridFunction(grid, phi_u), 2.0)
         tri3_sq = np.zeros(grid.shape + (m,))
-        for k in range(grid.d):
-            dev = phis.phi[k].copy()
-            for a in range(m):
-                dev[..., a, a] -= pts[..., k]
+        for k, dev in enumerate(exp.deviations):
             phik_dev = max(phik_dev, float(np.abs(dev).max()))
             tri3_sq += np.einsum("...ab,...b->...a", dev, du[..., k])
         tri_term3 = lp_norm(GridFunction(grid, tri3_sq), 2.0)
@@ -271,7 +266,7 @@ def run_sweep(config: SweepConfig) -> ConvergenceReport:
             "n": grid.n,
             "err_l2": lp_norm(diff, 2.0),
             "err_linf": linf_norm(diff),
-            "err_h1_uncorrected": err_h1,
+            "err_h1_uncorrected": h1_norm(diff),
             "w_h1": exp.h1_norm,
             "w_h1_corner": exp.h1_norm_corner_excluded,
             "w_l2": exp.l2_norm,

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from homogkit.bvp import (DirichletProblem, ProblemError, assemble,
+from homogkit.bvp import (DirichletProblem, ProblemError,
                           coercivity_constant_bound, coercivity_margin,
                           default_lambda, estimate_lambda0, sample_coefficients,
                           solve, solve_adjoint)
@@ -154,7 +154,7 @@ class TestDuality:
         cs = builtin_family("trig", d=2, alpha=2.0, beta=0.5, lower=0.3)
         g = BoxGrid(2, 32)
         prob = DirichletProblem(cs=cs, grid=g, eps=1 / 2)
-        s = assemble(prob)
+        s = prob.samples()
         sa = s.adjoint()
         rng = np.random.Generator(np.random.PCG64(11))
         for _ in range(20):
@@ -191,7 +191,7 @@ class TestCoercivity:
         g = BoxGrid(2, 32)
         prob = DirichletProblem(cs=cs, grid=g, eps=1 / 2,
                                 lam=estimate_lambda0(cs))
-        s = assemble(prob)
+        s = prob.samples()
         c0 = coercivity_constant_bound(cs, g)
         rng = np.random.Generator(np.random.PCG64(21))
         for _ in range(25):

@@ -138,6 +138,31 @@ class TestMain:
         assert rc == 2
         assert "invalid config" in capsys.readouterr().err
 
+    # Each config ends with the offending key; the header names the subcommand.
+    @pytest.mark.parametrize("text", [
+        "subcommand: rates\ndivisor: 0\n",
+        "subcommand: rates\ndivisor: 2.5\n",
+        "subcommand: solve\nlam: abc\n",
+        "subcommand: green\nlam: .nan\n",
+        "subcommand: rates\nn_cell: 2\n",
+        "subcommand: rates\nn_cell: 24\n",
+        "subcommand: correctors\nn_cell: true\n",
+        "subcommand: green\nrho: -1\n",
+        "subcommand: green\nn: 16\nrho: 0.1\n",
+        "subcommand: green\np: 0.5\n",
+        "subcommand: green\np: two\n",
+    ], ids=lambda t: t[12:].replace(": ", "=").strip().replace("\n", "-"))
+    def test_exit_two_on_bad_numeric_key(self, tmp_path, capsys, text):
+        lines = text.splitlines()
+        sub, key = lines[0].split(": ")[1], lines[-1].split(":")[0]
+        cfg = self._write(tmp_path, "family: trig\n" + text)
+        rc = main([sub, "--config", cfg, "--out", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "invalid config" in err
+        assert f"  - {key} " in err
+        assert not (tmp_path / "out").exists()
+
     def test_exit_two_on_missing_config(self, capsys):
         rc = main(["cell", "--config", "/nonexistent.yaml"])
         assert rc == 2
