@@ -117,3 +117,257 @@ class TestSampling:
         y = np.random.default_rng(4).random((100, 2))
         for field in (cs.V(y), cs.B(y), cs.c(y)):
             assert np.abs(field).max() <= kap + 1e-9
+
+
+# ---------------------------------------------------------------------------
+# Equivalence with the family code the coefficient table replaced.  The
+# oracle below is that code, kept verbatim in its arithmetic: the families
+# built one branch each, the adjoint and the two ellipticity probes.
+# ---------------------------------------------------------------------------
+
+class _OracleSet:
+    def __init__(self, d, m, A, V, B, c, mu, kappa=0.0, name="custom",
+                 symmetric=True, params=None):
+        self.d, self.m, self.A, self.V, self.B, self.c = d, m, A, V, B, c
+        self.mu, self.kappa, self.name = mu, kappa, name
+        self.symmetric, self.params = symmetric, dict(params or {})
+
+    def adjoint(self):
+        A, V, B, c = self.A, self.V, self.B, self.c
+        return _OracleSet(
+            d=self.d, m=self.m,
+            A=lambda y: np.swapaxes(np.swapaxes(A(y), -1, -2), -3, -4),
+            V=lambda y: np.swapaxes(B(y), -1, -2),
+            B=lambda y: np.swapaxes(V(y), -1, -2),
+            c=lambda y: np.swapaxes(c(y), -1, -2),
+            mu=self.mu, kappa=self.kappa, name=self.name + "*",
+            symmetric=self.symmetric, params=dict(self.params))
+
+    def check_ellipticity(self, n_probe=16):
+        from homogkit.grid import TorusGrid
+        y = TorusGrid(self.d, n_probe).points().reshape(-1, self.d)
+        a = self.A(y)
+        margin = np.inf
+        for xi in _oracle_probe_directions(self.d, self.m):
+            quad = np.einsum("nijab,ia,jb->n", a, xi, xi)
+            margin = min(margin, float(np.min(quad - self.mu * np.sum(xi ** 2))))
+        return margin
+
+
+def _oracle_probe_directions(d, m):
+    dirs = []
+    for i in range(d):
+        for a in range(m):
+            xi = np.zeros((d, m))
+            xi[i, a] = 1.0
+            dirs.append(xi)
+    for s in (1.0, -1.0):
+        xi = np.full((d, m), s)
+        xi[0, 0] = 1.0
+        dirs.append(xi / np.linalg.norm(xi))
+    rng = np.random.Generator(np.random.PCG64(12345))
+    for _ in range(8):
+        xi = rng.standard_normal((d, m))
+        dirs.append(xi / np.linalg.norm(xi))
+    return dirs
+
+
+def _oracle_hat_margin(A_hat, mu):
+    d, m = A_hat.shape[0], A_hat.shape[-1]
+    margin = np.inf
+    for xi in _oracle_probe_directions(d, m):
+        quad = float(np.einsum("ijab,ia,jb->", A_hat, xi, xi))
+        margin = min(margin, quad - mu * float(np.sum(xi ** 2)))
+    return margin
+
+
+def _oracle_identity(y, d, m, scale):
+    base = np.zeros(y.shape[:-1] + (d, d, m, m))
+    s = np.asarray(scale)
+    for i in range(d):
+        for a in range(m):
+            base[..., i, i, a, a] = s
+    return base
+
+
+def _oracle_zv(y, d, m):
+    return np.zeros(y.shape[:-1] + (d, m, m))
+
+
+def _oracle_zs(y, m):
+    return np.zeros(y.shape[:-1] + (m, m))
+
+
+def _oracle_constant(d=2, m=1, a0=1.0, v0=0.0, b0=0.0, c0=0.0):
+    def diag(y, value):
+        out = _oracle_zv(y, d, m)
+        for i in range(d):
+            for a in range(m):
+                out[..., i, a, a] = value
+        return out
+
+    def c(y):
+        out = _oracle_zs(y, m)
+        for a in range(m):
+            out[..., a, a] = c0
+        return out
+
+    return _OracleSet(d, m, lambda y: _oracle_identity(y, d, m, a0),
+                      lambda y: diag(y, v0), lambda y: diag(y, b0), c,
+                      mu=a0, kappa=max(abs(v0), abs(b0), abs(c0)), name="constant",
+                      params=dict(d=d, m=m, a0=a0, v0=v0, b0=b0, c0=c0))
+
+
+def _oracle_laminate(d=2, m=1):
+    def A(y):
+        return _oracle_identity(y, d, m, 1.0 / (2.0 + np.cos(2.0 * np.pi * y[..., 0])))
+    return _OracleSet(d, m, A, lambda y: _oracle_zv(y, d, m),
+                      lambda y: _oracle_zv(y, d, m), lambda y: _oracle_zs(y, m),
+                      mu=1.0 / 3.0, name="laminate", params=dict(d=d, m=m))
+
+
+def _oracle_laminate_step(d=2, m=1, a1=1.0, a2=2.0, width=0.02):
+    def A(y):
+        y1 = y[..., 0]
+        frac = 0.5 * (1.0 + np.tanh(np.sin(2.0 * np.pi * (y1 - 0.5)) / (2.0 * np.pi * width)))
+        return _oracle_identity(y, d, m, a1 + (a2 - a1) * frac)
+    return _OracleSet(d, m, A, lambda y: _oracle_zv(y, d, m),
+                      lambda y: _oracle_zv(y, d, m), lambda y: _oracle_zs(y, m),
+                      mu=min(a1, a2), name="laminate-step",
+                      params=dict(d=d, m=m, a1=a1, a2=a2, width=width))
+
+
+def _oracle_trig(d=2, m=1, alpha=2.0, beta=0.5, lower=0.0):
+    def A(y):
+        return _oracle_identity(y, d, m, alpha + beta * np.sum(np.sin(2.0 * np.pi * y), axis=-1))
+
+    def V(y):
+        out = _oracle_zv(y, d, m)
+        if lower:
+            for i in range(d):
+                for a in range(m):
+                    out[..., i, a, a] = lower * np.sin(2.0 * np.pi * y[..., i])
+        return out
+
+    def B(y):
+        out = _oracle_zv(y, d, m)
+        if lower:
+            for i in range(d):
+                for a in range(m):
+                    out[..., i, a, a] = lower * np.cos(2.0 * np.pi * y[..., (i + 1) % d])
+        return out
+
+    def c(y):
+        out = _oracle_zs(y, m)
+        if lower:
+            for a in range(m):
+                out[..., a, a] = lower * np.cos(2.0 * np.pi * y[..., 0])
+        return out
+
+    return _OracleSet(d, m, A, V, B, c, mu=alpha - abs(beta) * d, kappa=abs(lower),
+                      name="trig", params=dict(d=d, m=m, alpha=alpha, beta=beta, lower=lower))
+
+
+def _oracle_oscillating_potential(d=2, m=1, amp=1.0):
+    def grad_p(y):
+        cosns = np.cos(2.0 * np.pi * y)
+        sinns = np.sin(2.0 * np.pi * y)
+        out = np.zeros(y.shape[:-1] + (d, m, m))
+        for i in range(d):
+            g = -sinns[..., i]
+            for j in range(d):
+                if j != i:
+                    g = g * cosns[..., j]
+            for a in range(m):
+                out[..., i, a, a] = amp * g
+        return out
+    return _OracleSet(d, m, lambda y: _oracle_identity(y, d, m, 1.0), grad_p, grad_p,
+                      lambda y: _oracle_zs(y, m), mu=1.0, kappa=abs(amp),
+                      name="oscillating-potential", params=dict(d=d, m=m, amp=amp))
+
+
+def _oracle_nonsymmetric_system(d=2, delta=0.3):
+    m = 2
+
+    def A(y):
+        out = np.zeros(y.shape[:-1] + (d, d, m, m))
+        s = 2.0 + np.sin(2.0 * np.pi * y[..., 0])
+        skew = delta * np.cos(2.0 * np.pi * y[..., min(1, d - 1)])
+        for i in range(d):
+            out[..., i, i, 0, 0] = s
+            out[..., i, i, 1, 1] = s
+            out[..., i, i, 0, 1] = skew
+            out[..., i, i, 1, 0] = -skew
+        return out
+    return _OracleSet(d, m, A, lambda y: _oracle_zv(y, d, m),
+                      lambda y: _oracle_zv(y, d, m), lambda y: _oracle_zs(y, m),
+                      mu=1.0, symmetric=False, name="nonsymmetric-system",
+                      params=dict(d=d, delta=delta))
+
+
+_ORACLES = {
+    "constant": _oracle_constant,
+    "laminate": _oracle_laminate,
+    "laminate-step": _oracle_laminate_step,
+    "trig": _oracle_trig,
+    "oscillating-potential": _oracle_oscillating_potential,
+    "nonsymmetric-system": _oracle_nonsymmetric_system,
+}
+
+
+def _equivalence_cases():
+    cases = []
+    for d in (1, 2, 3):
+        for m in (1, 2):
+            cases += [("constant", dict(d=d, m=m)),
+                      ("constant", dict(d=d, m=m, a0=1.5, v0=0.3, b0=-0.2, c0=0.7)),
+                      ("laminate", dict(d=d, m=m)),
+                      ("laminate-step", dict(d=d, m=m, a1=3.0, a2=0.5, width=0.05)),
+                      ("trig", dict(d=d, m=m, alpha=3.5)),
+                      ("trig", dict(d=d, m=m, alpha=3.5, beta=-0.4, lower=0.3)),
+                      ("oscillating-potential", dict(d=d, m=m, amp=0.6))]
+        cases.append(("nonsymmetric-system", dict(d=d, delta=0.4)))
+    return cases
+
+
+def _case_id(case):
+    name, params = case
+    return name + "-" + "-".join(f"{k}{v}" for k, v in params.items())
+
+
+def _same_bits(got, want):
+    return (got.shape == want.shape and np.array_equal(got, want)
+            and np.array_equal(np.signbit(got), np.signbit(want)))
+
+
+class TestTableEquivalence:
+    """The table-built families, their adjoints and both ellipticity margins
+    reproduce the per-family code bit for bit, zero signs included."""
+
+    @pytest.mark.parametrize("case", _equivalence_cases(), ids=_case_id)
+    def test_family_bit_identical(self, case):
+        from homogkit.grid import TorusGrid
+        name, params = case
+        new, old = builtin_family(name, **params), _ORACLES[name](**params)
+        d = old.d
+        lattice = TorusGrid(d, 8).points()
+        scattered = np.random.default_rng(7).uniform(-1.5, 2.5, size=(3, 5, d))
+        for got, want in ((new, old), (new.adjoint(), old.adjoint())):
+            for attr in ("d", "m", "mu", "kappa", "name", "symmetric", "params"):
+                assert getattr(got, attr) == getattr(want, attr), attr
+            for y in (lattice, scattered):
+                for field in ("A", "V", "B", "c"):
+                    assert _same_bits(getattr(got, field)(y), getattr(want, field)(y)), field
+        assert new.check_ellipticity() == old.check_ellipticity()
+        assert new.adjoint().check_ellipticity() == old.adjoint().check_ellipticity()
+
+    @pytest.mark.parametrize("d,m", [(1, 1), (2, 1), (2, 2), (3, 2)])
+    def test_homogenized_margin_identical(self, d, m):
+        from homogkit.cell import HomogenizedCoefficients
+        rng = np.random.default_rng(d * 10 + m)
+        A_hat = rng.standard_normal((d, d, m, m)) + 3.0 * _oracle_identity(
+            np.zeros((d,)), d, m, 1.0)
+        hats = HomogenizedCoefficients(A_hat=A_hat, V_hat=np.zeros((d, m, m)),
+                                       B_hat=np.zeros((d, m, m)), c_hat=np.zeros((m, m)))
+        for mu in (0.5, 1.0, 2.75):
+            assert hats.ellipticity_margin(mu) == _oracle_hat_margin(A_hat, mu)
