@@ -12,13 +12,13 @@ boundary values, so the discrete boundary trace is exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
 
 from .cell import HomogenizedCoefficients
-from .coefficients import CoefficientSet
+from .coefficients import CoefficientSet, transpose_a, transpose_m
 from .grid import BoxGrid, GridFunction, _centered_box, assemble_box, precond_scale
 from .solvers import solve_box_dirichlet
 
@@ -73,15 +73,8 @@ class CoefficientSamples:
     m: int
 
     def adjoint(self) -> "CoefficientSamples":
-        return CoefficientSamples(
-            grid=self.grid,
-            A=np.swapaxes(np.swapaxes(self.A, -1, -2), -3, -4),
-            V=np.swapaxes(self.B, -1, -2),
-            B=np.swapaxes(self.V, -1, -2),
-            c=np.swapaxes(self.c, -1, -2),
-            lam=self.lam,
-            m=self.m,
-        )
+        return replace(self, A=transpose_a(self.A), V=transpose_m(self.B),
+                       B=transpose_m(self.V), c=transpose_m(self.c))
 
     @cached_property
     def matrices(self):
@@ -132,12 +125,10 @@ class CoefficientSamples:
     @cached_property
     def _symmetric(self) -> bool:
         # computed once: nothing writes to the sample arrays after construction
-        At = np.swapaxes(np.swapaxes(self.A, -1, -2), -3, -4)
-        if not np.allclose(self.A, At, atol=1e-13, rtol=0.0):
-            return False
-        if not np.allclose(self.V, np.swapaxes(self.B, -1, -2), atol=1e-13, rtol=0.0):
-            return False
-        return bool(np.allclose(self.c, np.swapaxes(self.c, -1, -2), atol=1e-13, rtol=0.0))
+        return all(np.allclose(x, y, atol=1e-13, rtol=0.0)
+                   for x, y in ((self.A, transpose_a(self.A)),
+                                (self.V, transpose_m(self.B)),
+                                (self.c, transpose_m(self.c))))
 
 
 @dataclass

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coefficients import CoefficientSet
+from .coefficients import CoefficientSet, ellipticity_margin
 from .grid import (TorusGrid, _centered_periodic, _coef_block, assemble_torus,
                    precond_scale)
 from .solvers import _mean_zero, poisson_periodic, solve_periodic
@@ -69,13 +69,7 @@ class HomogenizedCoefficients:
         return self.A_hat.shape[-1]
 
     def ellipticity_margin(self, mu: float) -> float:
-        from .coefficients import _probe_directions
-
-        margin = np.inf
-        for xi in _probe_directions(self.d, self.m):
-            quad = float(np.einsum("ijab,ia,jb->", self.A_hat, xi, xi))
-            margin = min(margin, quad - mu * float(np.sum(xi ** 2)))
-        return margin
+        return ellipticity_margin(self.A_hat, mu)
 
 
 @dataclass

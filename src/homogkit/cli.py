@@ -24,13 +24,14 @@ import numpy as np
 import yaml
 
 from . import __version__
-from .bvp import DirichletProblem, default_lambda, solve
+from .bvp import POINTS_PER_PERIOD, DirichletProblem, default_lambda, solve
 from .cell import build_flux_correctors, homogenize, solve_correctors
-from .coefficients import FAMILY_NAMES, builtin_family
-from .dirichlet import psi_diagnostics, solve_dirichlet_correctors
+from .coefficients import FAMILY_NAMES, CoefficientError, builtin_family
+from .dirichlet import (CommensurabilityError, lattice_step, psi_diagnostics,
+                        solve_dirichlet_correctors)
 from .grid import BoxGrid, GridFunction, TorusGrid, is_dyadic, write_csv
-from .green import approx_green, decay_fit, boundary_data_battery, \
-    maximal_function_probe
+from .green import GreenError, _snap_interior, approx_green, decay_fit, \
+    boundary_data_battery, maximal_function_probe
 from .rates import SweepConfig, run_sweep, uniform_constant_probe
 
 SUBCOMMANDS = ("cell", "homogenize", "solve", "correctors", "green", "rates",
@@ -114,6 +115,12 @@ def parse_config(text: str) -> ExperimentConfig:
     if not isinstance(params, dict):
         violations.append("params must be a mapping")
         params = {}
+    cs = None   # built here only to check the parameters; each run builds its own
+    if sub != "validate" and family in FAMILY_NAMES:
+        try:
+            cs = builtin_family(family, **params)
+        except (TypeError, CoefficientError) as exc:
+            violations.append(f"params rejected by family {family!r}: {exc}")
 
     tol = raw.get("tol", 1e-10)
     if not (isinstance(tol, (int, float)) and 0 < tol < 1):
@@ -122,12 +129,14 @@ def parse_config(text: str) -> ExperimentConfig:
     if not isinstance(seed, int):
         violations.append(f"seed must be an integer, got {seed!r}")
 
-    for key, low in (("n", 4), ("n_cell", 4), ("divisor", 1)):
+    for key, low in (("n", 4), ("n_cell", 4), ("divisor", POINTS_PER_PERIOD)):
         value = raw.get(key)
         if value is not None and not _is_int(value, low):
             violations.append(f"{key} must be an integer >= {low}, got {value!r}")
+    n_box, n_cell = raw.get("n", 48 if sub == "green" else 64), raw.get("n_cell", 64)
+    box = BoxGrid(cs.d, n_box) if cs is not None and _is_int(n_box, 4) else None
     if sub == "rates":
-        divisor, n_cell = raw.get("divisor", 16), raw.get("n_cell", 64)
+        divisor = raw.get("divisor", 16)
         if _is_int(divisor, 1) and _is_int(n_cell, 4) and n_cell % divisor:
             violations.append(f"n_cell = {n_cell} must be a multiple of divisor = "
                               f"{divisor} so cell fields land on the box lattice")
@@ -137,7 +146,6 @@ def parse_config(text: str) -> ExperimentConfig:
         violations.append(f"lam must be a finite number, got {lam!r}")
     rho = raw.get("rho")
     if rho is not None:
-        n_box = raw.get("n", 48)
         two_h = 2.0 / n_box if _is_int(n_box, 4) else 0.0
         r = _real(rho)
         if not (math.isfinite(r) and r > 0 and r >= two_h - 1e-12):
@@ -148,7 +156,9 @@ def parse_config(text: str) -> ExperimentConfig:
         violations.append(f"p must be a number >= 1, got {p!r}")
 
     eps_raw = raw.get("eps")
-    if eps_raw is not None:
+    if isinstance(eps_raw, list) and sub != "rates":
+        violations.append(f"eps must be a single number for {sub!r}, got {eps_raw!r}")
+    elif eps_raw is not None:
         eps_list = eps_raw if isinstance(eps_raw, list) else [eps_raw]
         for e in eps_list:
             try:
@@ -158,6 +168,20 @@ def parse_config(text: str) -> ExperimentConfig:
                 continue
             if not is_dyadic(ev):
                 violations.append(f"eps must be dyadic (2^-j), got {e}")
+
+    if sub == "green" and box is not None:
+        probes = raw.get("probes") or []
+        for probe in probes if isinstance(probes, list) else [probes]:
+            try:
+                _snap_interior(box, probe)
+            except (GreenError, TypeError, ValueError) as exc:
+                violations.append(f"probes entry {probe!r}: {exc}")
+    eps = _real(raw.get("eps", 0.25))
+    if sub == "correctors" and box is not None and _is_int(n_cell, 4) and eps > 0:
+        try:
+            lattice_step(box, eps, n_cell)
+        except CommensurabilityError as exc:
+            violations.append(f"n_cell = {n_cell} does not fit the box lattice: {exc}")
 
     data = raw.get("data")
     if data is not None and data not in ("one", "sine", "bump"):
@@ -362,9 +386,9 @@ def _run_green(cfg: ExperimentConfig, out_dir: str):
     if cfg.get("battery", False):
         t0 = time.perf_counter()
         battery = boundary_data_battery(grid, cs.m, 10, seed=cfg.seed)
-        probe_res = maximal_function_probe(cs, eps, lam, grid, battery,
-                                           p=float(cfg.get("p", 2.0)),
-                                           tol=cfg.tol)
+        probe_res = maximal_function_probe(
+            cs, eps, lam, grid, battery, p=float(cfg.get("p", 2.0)), tol=cfg.tol,
+            lambda_override=bool(cfg.get("lambda_override", False)))
         wall["maximal_probe"] = time.perf_counter() - t0
         fit_summaries.append({"C_p": probe_res.C_p,
                               "max_principle_ratio":

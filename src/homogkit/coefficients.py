@@ -8,12 +8,14 @@ shape (..., d),
     A(y) -> (..., d, d, m, m)      V(y), B(y) -> (..., d, m, m)
     c(y) -> (..., m, m)
 
-with a_ij^{ab} = A[..., i, j, a, b] etc.
+with a_ij^{ab} = A[..., i, j, a, b] etc.  The formal adjoint has
+a*_ij^{ab} = a_ji^{ba} (``transpose_a``), with V and B exchanging roles and
+V, B, c transposed in the system indices (``transpose_m``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -27,6 +29,27 @@ class CoefficientError(ValueError):
     """Invalid parameters or a coefficient set failing its own declarations."""
 
 
+def transpose_a(a: np.ndarray) -> np.ndarray:
+    """a_ij^{ab} -> a_ji^{ba}: the principal block of the adjoint."""
+    return np.swapaxes(np.swapaxes(a, -1, -2), -3, -4)
+
+
+def transpose_m(t: np.ndarray) -> np.ndarray:
+    """Transpose in the system indices (the last two axes)."""
+    return np.swapaxes(t, -1, -2)
+
+
+def ellipticity_margin(a: np.ndarray, mu: float) -> float:
+    """min of (a xi . xi - mu |xi|^2) over the points of ``a`` (..., d, d, m, m)
+    and a deterministic set of unit directions xi.  Negative means ``mu`` is
+    not an ellipticity constant of ``a``."""
+    margin = np.inf
+    for xi in _probe_directions(a.shape[-3], a.shape[-1]):
+        quad = np.einsum("...ijab,ia,jb->...", a, xi, xi)
+        margin = min(margin, float(np.min(quad - mu * np.sum(xi ** 2))))
+    return margin
+
+
 @dataclass
 class CoefficientSet:
     """A periodic coefficient tuple with its declared structure constants.
@@ -34,16 +57,16 @@ class CoefficientSet:
     ``mu`` is the two-sided ellipticity constant of A, ``kappa`` the sup-norm
     bound on V, B, c (computed by lattice maximization, not user-declared),
     ``tau`` the Holder exponent of the family and ``lam`` the zero-order
-    shift the operator will carry by default.
+    shift the operator will carry by default.  V, B and c default to zero.
     """
 
     d: int
     m: int
     A: Callable[[np.ndarray], np.ndarray]
-    V: Callable[[np.ndarray], np.ndarray]
-    B: Callable[[np.ndarray], np.ndarray]
-    c: Callable[[np.ndarray], np.ndarray]
     mu: float
+    V: Callable[[np.ndarray], np.ndarray] | None = None
+    B: Callable[[np.ndarray], np.ndarray] | None = None
+    c: Callable[[np.ndarray], np.ndarray] | None = None
     kappa: float = 0.0
     tau: float = 0.5
     lam: float = 0.0
@@ -51,49 +74,40 @@ class CoefficientSet:
     symmetric: bool = True
     params: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        if type(self.d) is not int or self.d not in (1, 2, 3):
+            raise CoefficientError(f"d must be 1, 2 or 3, got {self.d!r}")
+        if type(self.m) is not int or self.m < 1:
+            raise CoefficientError(f"m must be a positive integer, got {self.m!r}")
+        d, m = self.d, self.m
+        self.V = self.V or (lambda y: np.zeros(y.shape[:-1] + (d, m, m)))
+        self.B = self.B or (lambda y: np.zeros(y.shape[:-1] + (d, m, m)))
+        self.c = self.c or (lambda y: np.zeros(y.shape[:-1] + (m, m)))
+
     def adjoint(self) -> "CoefficientSet":
         """Coefficients of the formal adjoint: a*_ij^{ab} = a_ji^{ba},
         with V and B exchanging roles (transposed in the system indices)."""
         A, V, B, c = self.A, self.V, self.B, self.c
-        return CoefficientSet(
-            d=self.d,
-            m=self.m,
-            A=lambda y: np.swapaxes(np.swapaxes(A(y), -1, -2), -3, -4),
-            V=lambda y: np.swapaxes(B(y), -1, -2),
-            B=lambda y: np.swapaxes(V(y), -1, -2),
-            c=lambda y: np.swapaxes(c(y), -1, -2),
-            mu=self.mu,
-            kappa=self.kappa,
-            tau=self.tau,
-            lam=self.lam,
-            name=self.name + "*",
-            symmetric=self.symmetric,
-            params=dict(self.params),
-        )
+        return replace(self, A=lambda y: transpose_a(A(y)),
+                       V=lambda y: transpose_m(B(y)), B=lambda y: transpose_m(V(y)),
+                       c=lambda y: transpose_m(c(y)), name=self.name + "*",
+                       params=dict(self.params))
 
     # -- validation ---------------------------------------------------------
 
-    def check_ellipticity(self, n_probe: int = 16) -> float:
-        """Worst-case margin of the declared ellipticity constant.
+    def _lattice(self, n_probe: int) -> np.ndarray:
+        return TorusGrid(self.d, n_probe).points().reshape(-1, self.d)
 
-        Returns min over a point lattice and a deterministic set of unit
-        directions xi of (a(y) xi . xi - mu |xi|^2).  Negative means the
-        declared mu is invalid; returning it (rather than raising) lets the
-        caller decide.
-        """
+    def check_ellipticity(self, n_probe: int = 16) -> float:
+        """``ellipticity_margin`` of A over a point lattice; negative means
+        the declared mu is invalid (returned rather than raised so the caller
+        decides)."""
         if n_probe < 8:
             raise CoefficientError("need n_probe >= 8")
-        y = TorusGrid(self.d, n_probe).points().reshape(-1, self.d)
-        a = self.A(y)  # (N, d, d, m, m)
-        xis = _probe_directions(self.d, self.m)
-        margin = np.inf
-        for xi in xis:
-            quad = np.einsum("nijab,ia,jb->n", a, xi, xi)
-            margin = min(margin, float(np.min(quad - self.mu * np.sum(xi ** 2))))
-        return margin
+        return ellipticity_margin(self.A(self._lattice(n_probe)), self.mu)
 
     def check_periodicity(self, n_probe: int = 16, tol: float = 1e-12) -> bool:
-        y = TorusGrid(self.d, n_probe).points().reshape(-1, self.d)
+        y = self._lattice(n_probe)
         for fn in (self.A, self.V, self.B, self.c):
             base = fn(y)
             for k in range(self.d):
@@ -105,19 +119,12 @@ class CoefficientSet:
 
     def computed_kappa(self, n_probe: int = _VALIDATION_LATTICE) -> float:
         """Lattice maximization of the sup-norms of V, B, c."""
-        y = TorusGrid(self.d, min(n_probe, 64) if self.d == 3 else n_probe).points()
-        y = y.reshape(-1, self.d)
-        sup = 0.0
-        for fn in (self.V, self.B, self.c):
-            vals = fn(y)
-            sup = max(sup, float(np.max(np.abs(vals))))
-        return sup
+        y = self._lattice(min(n_probe, 64) if self.d == 3 else n_probe)
+        return max(float(np.max(np.abs(fn(y)))) for fn in (self.V, self.B, self.c))
 
     def check_symmetry(self, n_probe: int = 16, tol: float = 1e-12) -> bool:
-        y = TorusGrid(self.d, n_probe).points().reshape(-1, self.d)
-        a = self.A(y)
-        at = np.swapaxes(np.swapaxes(a, -1, -2), -3, -4)
-        return bool(np.allclose(a, at, atol=tol, rtol=0.0))
+        a = self.A(self._lattice(n_probe))
+        return bool(np.allclose(a, transpose_a(a), atol=tol, rtol=0.0))
 
     def validate(self, n_probe: int = 16) -> None:
         """Raise CoefficientError if any declared structure constant fails."""
@@ -159,111 +166,39 @@ def _probe_directions(d: int, m: int) -> list[np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
-# built-in families
+# built-in families (formulas, parameters and defaults: README, "Coefficient
+# families")
 # ---------------------------------------------------------------------------
 
-def _broadcast_identity(y, d, m, scale):
-    """A(y) = scale(y) * delta_ij * delta_ab; scale scalar array over points."""
-    base = np.zeros(y.shape[:-1] + (d, d, m, m))
-    s = np.asarray(scale)
-    for i in range(d):
+def _diagonal(y: np.ndarray, m: int, values, rank: int = 1) -> np.ndarray:
+    """A zero field over the points ``y`` with ``values[i]`` on the delta_ab
+    diagonal of slot i: at [..., i, i, a, a] for rank 2 (A), [..., i, a, a]
+    for rank 1 (V, B) and [..., a, a] for rank 0 (c, one value)."""
+    out = np.zeros(y.shape[:-1] + (len(values),) * rank + (m, m))
+    for i, value in enumerate(values):
         for a in range(m):
-            base[..., i, i, a, a] = s
-    return base
-
-
-def _zeros_vector(y, d, m):
-    return np.zeros(y.shape[:-1] + (d, m, m))
-
-
-def _zeros_scalar(y, m):
-    return np.zeros(y.shape[:-1] + (m, m))
-
-
-FAMILY_NAMES = ("constant", "laminate", "laminate-step", "trig",
-                "oscillating-potential", "nonsymmetric-system")
-
-
-def builtin_family(name: str, **params) -> CoefficientSet:
-    """Construct a named coefficient family.
-
-    Families:
-      constant:  A = a0 * I, V, B, c constant (defaults zero).
-      laminate:  scalar a(y) = 1 / (2 + cos(2 pi y1)); depends on y1 only.
-      laminate-step: smoothed two-phase laminate a(y1) in {a1, a2}, smoothing
-                 width ``width`` (tanh profile).
-      trig:      a(y) = alpha + beta * sum_i sin(2 pi y_i); optional trig
-                 lower-order terms of amplitude ``lower`` (V, B, c).
-      oscillating-potential: A = I, V = B = amp * grad p for a smooth periodic
-                 p (so div V realizes the rapidly oscillating potential), c = 0.
-      nonsymmetric-system: m = 2 system, A = delta_ij * M(y) with a
-                 nonsymmetric oscillating 2x2 block M.
-    """
-    if name == "constant":
-        return _constant_family(**params)
-    if name == "laminate":
-        return _laminate_family(**params)
-    if name == "laminate-step":
-        return _laminate_step_family(**params)
-    if name == "trig":
-        return _trig_family(**params)
-    if name == "oscillating-potential":
-        return _oscillating_potential_family(**params)
-    if name == "nonsymmetric-system":
-        return _nonsymmetric_system_family(**params)
-    raise CoefficientError(f"unknown family {name!r}")
+            out[(..., *(i,) * rank, a, a)] = value
+    return out
 
 
 def _constant_family(d: int = 2, m: int = 1, a0: float = 1.0,
                      v0: float = 0.0, b0: float = 0.0, c0: float = 0.0) -> CoefficientSet:
     if a0 <= 0:
         raise CoefficientError("constant family needs a0 > 0")
-
-    def A(y):
-        return _broadcast_identity(y, d, m, a0)
-
-    def V(y):
-        out = _zeros_vector(y, d, m)
-        for i in range(d):
-            for a in range(m):
-                out[..., i, a, a] = v0
-        return out
-
-    def B(y):
-        out = _zeros_vector(y, d, m)
-        for i in range(d):
-            for a in range(m):
-                out[..., i, a, a] = b0
-        return out
-
-    def c(y):
-        out = _zeros_scalar(y, m)
-        for a in range(m):
-            out[..., a, a] = c0
-        return out
-
-    mu = a0
-    kappa = max(abs(v0), abs(b0), abs(c0))
-    return CoefficientSet(d=d, m=m, A=A, V=V, B=B, c=c, mu=mu, kappa=kappa,
-                          name="constant", params=dict(d=d, m=m, a0=a0, v0=v0, b0=b0, c0=c0))
+    return CoefficientSet(
+        d=d, m=m, A=lambda y: _diagonal(y, m, [a0] * d, 2),
+        V=lambda y: _diagonal(y, m, [v0] * d), B=lambda y: _diagonal(y, m, [b0] * d),
+        c=lambda y: _diagonal(y, m, [c0], 0), mu=a0, kappa=max(abs(v0), abs(b0), abs(c0)),
+        name="constant", params=dict(d=d, m=m, a0=a0, v0=v0, b0=b0, c0=c0))
 
 
 def _laminate_family(d: int = 2, m: int = 1) -> CoefficientSet:
     # a(y) = 1/(2 + cos 2 pi y1), range [1/3, 1]: mu = 1/3, kappa = 0.
-    def scale(y):
-        return 1.0 / (2.0 + np.cos(2.0 * np.pi * y[..., 0]))
-
     def A(y):
-        return _broadcast_identity(y, d, m, scale(y))
+        return _diagonal(y, m, [1.0 / (2.0 + np.cos(2.0 * np.pi * y[..., 0]))] * d, 2)
 
-    cs = CoefficientSet(
-        d=d, m=m, A=A,
-        V=lambda y: _zeros_vector(y, d, m),
-        B=lambda y: _zeros_vector(y, d, m),
-        c=lambda y: _zeros_scalar(y, m),
-        mu=1.0 / 3.0, kappa=0.0, name="laminate", params=dict(d=d, m=m),
-    )
-    return cs
+    return CoefficientSet(d=d, m=m, A=A, mu=1.0 / 3.0, name="laminate",
+                          params=dict(d=d, m=m))
 
 
 def _laminate_step_family(d: int = 2, m: int = 1, a1: float = 1.0, a2: float = 2.0,
@@ -273,23 +208,13 @@ def _laminate_step_family(d: int = 2, m: int = 1, a1: float = 1.0, a2: float = 2
 
     # tanh-smoothed square wave in y1: a ~ a1 on (0, 1/2), a2 on (1/2, 1),
     # with C-infinity periodic transitions of width ~ ``width`` at 1/2 and 1
-    def scale(y):
+    def A(y):
         y1 = y[..., 0]
         frac = 0.5 * (1.0 + np.tanh(np.sin(2.0 * np.pi * (y1 - 0.5)) / (2.0 * np.pi * width)))
-        return a1 + (a2 - a1) * frac
+        return _diagonal(y, m, [a1 + (a2 - a1) * frac] * d, 2)
 
-    def A(y):
-        return _broadcast_identity(y, d, m, scale(y))
-
-    lo, hi = min(a1, a2), max(a1, a2)
-    return CoefficientSet(
-        d=d, m=m, A=A,
-        V=lambda y: _zeros_vector(y, d, m),
-        B=lambda y: _zeros_vector(y, d, m),
-        c=lambda y: _zeros_scalar(y, m),
-        mu=lo, kappa=0.0, name="laminate-step",
-        params=dict(d=d, m=m, a1=a1, a2=a2, width=width),
-    )
+    return CoefficientSet(d=d, m=m, A=A, mu=min(a1, a2), name="laminate-step",
+                          params=dict(d=d, m=m, a1=a1, a2=a2, width=width))
 
 
 def _trig_family(d: int = 2, m: int = 1, alpha: float = 2.0, beta: float = 0.5,
@@ -299,39 +224,21 @@ def _trig_family(d: int = 2, m: int = 1, alpha: float = 2.0, beta: float = 0.5,
             f"trig family needs alpha > |beta|*d for ellipticity, got alpha={alpha}, beta={beta}, d={d}"
         )
 
-    def scale(y):
-        return alpha + beta * np.sum(np.sin(2.0 * np.pi * y), axis=-1)
-
     def A(y):
-        return _broadcast_identity(y, d, m, scale(y))
+        return _diagonal(y, m, [alpha + beta * np.sum(np.sin(2.0 * np.pi * y), axis=-1)] * d, 2)
 
-    mu = alpha - abs(beta) * d
-
-    def V(y):
-        out = _zeros_vector(y, d, m)
-        if lower:
-            for i in range(d):
-                for a in range(m):
-                    out[..., i, a, a] = lower * np.sin(2.0 * np.pi * y[..., i])
-        return out
-
-    def B(y):
-        out = _zeros_vector(y, d, m)
-        if lower:
-            for i in range(d):
-                for a in range(m):
-                    out[..., i, a, a] = lower * np.cos(2.0 * np.pi * y[..., (i + 1) % d])
-        return out
-
-    def c(y):
-        out = _zeros_scalar(y, m)
-        if lower:
-            for a in range(m):
-                out[..., a, a] = lower * np.cos(2.0 * np.pi * y[..., 0])
-        return out
-
+    # without lower-order terms V, B, c stay the +0.0 default (lower * sin
+    # would leave -0.0 entries)
+    terms = {}
+    if lower:
+        terms = dict(
+            V=lambda y: _diagonal(y, m, [lower * np.sin(2.0 * np.pi * y[..., i])
+                                         for i in range(d)]),
+            B=lambda y: _diagonal(y, m, [lower * np.cos(2.0 * np.pi * y[..., (i + 1) % d])
+                                         for i in range(d)]),
+            c=lambda y: _diagonal(y, m, [lower * np.cos(2.0 * np.pi * y[..., 0])], 0))
     return CoefficientSet(
-        d=d, m=m, A=A, V=V, B=B, c=c, mu=mu, kappa=abs(lower),
+        d=d, m=m, A=A, mu=alpha - abs(beta) * d, kappa=abs(lower), **terms,
         name="trig", params=dict(d=d, m=m, alpha=alpha, beta=beta, lower=lower),
     )
 
@@ -343,21 +250,17 @@ def _oscillating_potential_family(d: int = 2, m: int = 1, amp: float = 1.0) -> C
         # p(y) = prod_i cos(2 pi y_i) / (2 pi)
         cosns = np.cos(2.0 * np.pi * y)
         sinns = np.sin(2.0 * np.pi * y)
-        out = np.zeros(y.shape[:-1] + (d, m, m))
+        values = []
         for i in range(d):
             g = -sinns[..., i]
             for j in range(d):
                 if j != i:
                     g = g * cosns[..., j]
-            for a in range(m):
-                out[..., i, a, a] = amp * g
-        return out
+            values.append(amp * g)
+        return _diagonal(y, m, values)
 
     return CoefficientSet(
-        d=d, m=m,
-        A=lambda y: _broadcast_identity(y, d, m, 1.0),
-        V=grad_p, B=grad_p,
-        c=lambda y: _zeros_scalar(y, m),
+        d=d, m=m, A=lambda y: _diagonal(y, m, [1.0] * d, 2), V=grad_p, B=grad_p,
         mu=1.0, kappa=abs(amp), name="oscillating-potential",
         params=dict(d=d, m=m, amp=amp),
     )
@@ -372,24 +275,32 @@ def _nonsymmetric_system_family(d: int = 2, delta: float = 0.3) -> CoefficientSe
     """
     if not (0 <= delta < 1):
         raise CoefficientError("nonsymmetric-system needs 0 <= delta < 1")
-    m = 2
 
     def A(y):
-        out = np.zeros(y.shape[:-1] + (d, d, m, m))
-        s = 2.0 + np.sin(2.0 * np.pi * y[..., 0])
+        out = _diagonal(y, 2, [2.0 + np.sin(2.0 * np.pi * y[..., 0])] * d, 2)
         skew = delta * np.cos(2.0 * np.pi * y[..., min(1, d - 1)])
         for i in range(d):
-            out[..., i, i, 0, 0] = s
-            out[..., i, i, 1, 1] = s
             out[..., i, i, 0, 1] = skew
             out[..., i, i, 1, 0] = -skew
         return out
 
-    return CoefficientSet(
-        d=d, m=m, A=A,
-        V=lambda y: _zeros_vector(y, d, m),
-        B=lambda y: _zeros_vector(y, d, m),
-        c=lambda y: _zeros_scalar(y, m),
-        mu=1.0, kappa=0.0, symmetric=False,
-        name="nonsymmetric-system", params=dict(d=d, delta=delta),
-    )
+    return CoefficientSet(d=d, m=2, A=A, mu=1.0, symmetric=False,
+                          name="nonsymmetric-system", params=dict(d=d, delta=delta))
+
+
+FAMILIES = {
+    "constant": _constant_family,
+    "laminate": _laminate_family,
+    "laminate-step": _laminate_step_family,
+    "trig": _trig_family,
+    "oscillating-potential": _oscillating_potential_family,
+    "nonsymmetric-system": _nonsymmetric_system_family,
+}
+FAMILY_NAMES = tuple(FAMILIES)
+
+
+def builtin_family(name: str, **params) -> CoefficientSet:
+    """Construct the named family of ``FAMILIES`` with its keyword parameters."""
+    if name not in FAMILIES:
+        raise CoefficientError(f"unknown family {name!r}")
+    return FAMILIES[name](**params)

@@ -109,6 +109,19 @@ def solve_dirichlet_correctors(cs: CoefficientSet, eps: float, grid: BoxGrid,
     return DirichletCorrectorSet(grid=grid, eps=eps, phi0=phi0, phi=phis, residuals=res)
 
 
+def lattice_step(box_grid: BoxGrid, eps: float, n_cell: int) -> int:
+    """Cell-lattice spacings per box spacing at x/eps, (h / eps) * n_cell;
+    CommensurabilityError unless it is an integer."""
+    ratio = box_grid.h / eps * n_cell
+    if abs(ratio - round(ratio)) > 1e-9:
+        raise CommensurabilityError(
+            f"box spacing h = {box_grid.h} at eps = {eps} does not land on the "
+            f"cell lattice (n_cell = {n_cell}); choose dyadic eps and "
+            f"compatible grids"
+        )
+    return int(round(ratio))
+
+
 def sample_periodic_field(arr: np.ndarray, cell_grid: TorusGrid,
                           box_grid: BoxGrid, eps: float) -> np.ndarray:
     """Evaluate a unit-cell field at x/eps on the box lattice, exactly.
@@ -117,14 +130,7 @@ def sample_periodic_field(arr: np.ndarray, cell_grid: TorusGrid,
     (h_box / eps) * n_cell must be an integer.  Dyadic sweeps with n a power
     of two satisfy this by construction.
     """
-    ratio = box_grid.h / eps * cell_grid.n
-    if abs(ratio - round(ratio)) > 1e-9:
-        raise CommensurabilityError(
-            f"box spacing h = {box_grid.h} at eps = {eps} does not land on the "
-            f"cell lattice (n_cell = {cell_grid.n}); choose dyadic eps and "
-            f"compatible grids"
-        )
-    step = int(round(ratio))
+    step = lattice_step(box_grid, eps, cell_grid.n)
     idx1 = (np.arange(box_grid.n + 1) * step) % cell_grid.n
     ix = np.ix_(*([idx1] * box_grid.d))
     return arr[ix]

@@ -1,8 +1,11 @@
 import filecmp
 import json
 import os
+import tempfile
 
 import pytest
+import yaml
+from hypothesis import given, settings, strategies as st
 
 from homogkit.cli import (ConfigError, main, parse_config, run,
                           serialize_config)
@@ -151,6 +154,14 @@ class TestMain:
         "subcommand: green\nn: 16\nrho: 0.1\n",
         "subcommand: green\np: 0.5\n",
         "subcommand: green\np: two\n",
+        "subcommand: cell\nparams: {d: 2, bogus: 1}\n",
+        "subcommand: solve\nparams: {d: 2, alpha: abc}\n",
+        "subcommand: cell\nparams: {d: 4, beta: 0.1}\n",
+        "subcommand: green\nparams: {d: 2}\nprobes: [[0.5]]\n",
+        "subcommand: green\nparams: {d: 2}\nprobes: [[1.5, 0.5]]\n",
+        "subcommand: correctors\nn: 64\neps: 0.25\nn_cell: 24\n",
+        "subcommand: rates\ndivisor: 8\n",
+        "subcommand: solve\neps: [0.5, 0.25]\n",
     ], ids=lambda t: t[12:].replace(": ", "=").strip().replace("\n", "-"))
     def test_exit_two_on_bad_numeric_key(self, tmp_path, capsys, text):
         lines = text.splitlines()
@@ -162,6 +173,16 @@ class TestMain:
         assert "invalid config" in err
         assert f"  - {key} " in err
         assert not (tmp_path / "out").exists()
+
+    def test_green_battery_honours_lambda_override(self, tmp_path, capsys):
+        # lam = 0 sits below the coercivity threshold kappa + 2 kappa^2 / mu = 1
+        cfg = self._write(tmp_path, "subcommand: green\nfamily: constant\n"
+                                    "params: {d: 2, c0: 0.5}\nn: 32\nlam: 0.0\n"
+                                    "lambda_override: true\nbattery: true\n")
+        out = tmp_path / "out"
+        assert main(["green", "--config", cfg, "--out", str(out)]) == 0
+        rec = json.loads((out / "manifest.jsonl").read_text().splitlines()[-1])
+        assert rec["checks"]["max_principle"] is True
 
     def test_exit_two_on_missing_config(self, capsys):
         rc = main(["cell", "--config", "/nonexistent.yaml"])
@@ -189,3 +210,53 @@ class TestMain:
         rc = main(["cell", "--config", cfg])
         assert rc == 0
         assert (env_out / "manifest.jsonl").exists()
+
+
+# Each family's parameters (README, "Coefficient families").
+_FAMILY_PARAMS = {
+    "constant": ("d", "m", "a0", "v0", "b0", "c0"),
+    "laminate": ("d", "m"),
+    "laminate-step": ("d", "m", "a1", "a2", "width"),
+    "trig": ("d", "m", "alpha", "beta", "lower"),
+    "oscillating-potential": ("d", "m", "amp"),
+    "nonsymmetric-system": ("d", "delta"),
+}
+_WRONG_TYPES = ["abc", None, [1.0], {"x": 1}, True]
+
+
+def _pick(draw, good, bad):
+    """One of ``good``, or about one time in five one of ``bad``."""
+    return draw(st.sampled_from(bad if draw(st.integers(0, 4)) == 4 else good))
+
+
+@st.composite
+def _cell_configs(draw):
+    family = draw(st.sampled_from(sorted(_FAMILY_PARAMS)))
+    params = {}
+    for key in _FAMILY_PARAMS[family]:
+        if draw(st.booleans()):
+            good = [1, 2, 3] if key in ("d", "m") else [0.05, 0.3, 1.0, 2.5, 4.0]
+            bad = [0, 4, -1, 2.5] if key in ("d", "m") else [-1.0, 0.0]
+            params[key] = _pick(draw, good, bad + _WRONG_TYPES)
+    if draw(st.integers(0, 5)) == 5:
+        params["bogus"] = 1.0
+    return {"subcommand": "cell", "family": family, "params": params,
+            "n": _pick(draw, [4, 8, 16], [2, "x"])}
+
+
+@given(config=_cell_configs())
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+def test_config_is_rejected_or_runs_to_completion(config):
+    """Family parameters the run cannot use exit 2 at parse time; everything
+    else runs to the end (its checks may still fail)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = os.path.join(tmp, "cfg.yaml"), os.path.join(tmp, "out")
+        with open(path, "w") as fh:
+            yaml.safe_dump(config, fh)
+        rc = main(["cell", "--config", path, "--out", out])
+        if rc == 2:
+            assert not os.path.exists(out)
+            return
+        with open(os.path.join(out, "manifest.jsonl")) as fh:
+            checks = json.loads(fh.read().splitlines()[-1])["checks"]
+        assert checks.get("run_completed") is not False, (config, checks)
