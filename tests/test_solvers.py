@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from homogkit.grid import BoxGrid, TorusGrid, principal_part_apply
-from homogkit.solvers import SolverError, solve_box_dirichlet, solve_periodic
+from homogkit.solvers import (SolverError, poisson_periodic, solve_box_dirichlet,
+                              solve_periodic)
 
 
 def identity_coefficients(grid_shape, d):
@@ -168,3 +169,97 @@ class TestKrylovLookup:
             solve_box_dirichlet(lambda w: np.zeros_like(w), b, bg,
                                 symmetric=False, maxiter=5)
         assert calls[2:] == ["bicgstab", "gmres"]
+
+
+def _capture_precond(monkeypatch, solve, *args, **kwargs):
+    """The preconditioner a solver hands to the Krylov driver, captured
+    without running a solve."""
+    import homogkit.solvers as solvers
+
+    seen = {}
+
+    def fake_krylov(matvec, precond, rhs, **_):
+        seen["precond"] = precond
+        return np.zeros(rhs.shape), 0.0
+    monkeypatch.setattr(solvers, "_krylov", fake_krylov)
+    solve(*args, **kwargs)
+    return seen["precond"]
+
+
+def _symbol_oracle(theta, h, d):
+    lam1 = (2.0 - 2.0 * np.cos(theta)) / h ** 2
+    return sum(lam1.reshape([-1 if k == ax else 1 for k in range(d)])
+               for ax in range(d)) * np.ones((theta.size,) * d)
+
+
+def _torus_precond_oracle(r, grid, scale):
+    """The complex-FFT torus preconditioner the half-spectrum one replaced."""
+    nd = grid.d
+    sym = _symbol_oracle(2.0 * np.pi * np.arange(grid.n) / grid.n, grid.h, nd)
+    sym[(0,) * nd] = 1.0
+    denom = (scale * sym).reshape(sym.shape + (1,) * (r.ndim - nd))
+    zhat = np.fft.fftn(r, axes=tuple(range(nd))) / denom
+    zhat[(0,) * nd] = 0.0
+    return np.real(np.fft.ifftn(zhat, axes=tuple(range(nd))))
+
+
+def _box_precond_oracle(r, grid, scale, lam):
+    """The DST-I box preconditioner with the normalisation applied last."""
+    import scipy.fft
+
+    nd = grid.d
+    sym = _symbol_oracle(np.pi * np.arange(1, grid.n) / grid.n, grid.h, nd)
+    denom = (scale * sym + max(lam, 0.0)).reshape(sym.shape + (1,) * (r.ndim - nd))
+    axes = tuple(range(nd))
+    rhat = scipy.fft.dstn(r, type=1, axes=axes)
+    return scipy.fft.dstn(rhat / denom, type=1, axes=axes) / (2.0 * grid.n) ** nd
+
+
+def _close(new, old):
+    return np.max(np.abs(new - old)) <= 1e-13 * np.max(np.abs(old))
+
+
+class TestPreconditionerEquivalence:
+    """The preconditioners agree with the transforms they replaced to
+    1e-13 relative, for even and odd n (odd n exercises the half-spectrum
+    inverse with an explicit output shape)."""
+
+    @pytest.mark.parametrize("d,n", [(1, 16), (1, 15), (2, 12), (2, 9),
+                                     (3, 8), (3, 7)])
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_torus(self, monkeypatch, d, n, m):
+        g = TorusGrid(d, n)
+        rng = np.random.Generator(np.random.PCG64(10 * d + n + m))
+        shape = g.shape + ((m,) if m > 1 else ())
+        rhs = rng.standard_normal(shape)
+        for scale in (1.0, 2.7):
+            precond = _capture_precond(monkeypatch, solve_periodic,
+                                       lambda w: w, rhs, g, precond_scale=scale)
+            r = rng.standard_normal(shape)
+            z = precond(r.ravel()).reshape(shape)
+            assert _close(z, _torus_precond_oracle(r, g, scale))
+
+    @pytest.mark.parametrize("d,n", [(1, 16), (1, 15), (2, 12), (2, 9),
+                                     (3, 8), (3, 7)])
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_box(self, monkeypatch, d, n, m):
+        g = BoxGrid(d, n)
+        rng = np.random.Generator(np.random.PCG64(100 + 10 * d + n + m))
+        shape = (n - 1,) * d + ((m,) if m > 1 else ())
+        rhs = rng.standard_normal(shape)
+        for scale, lam in ((1.0, 0.0), (2.7, 0.0), (0.6, 3.5)):
+            precond = _capture_precond(monkeypatch, solve_box_dirichlet,
+                                       lambda w: w, rhs, g, lam=lam,
+                                       precond_scale=scale)
+            r = rng.standard_normal(shape)
+            z = precond(r.ravel()).reshape(shape)
+            assert _close(z, _box_precond_oracle(r, g, scale, lam))
+
+    @pytest.mark.parametrize("d,n", [(1, 15), (2, 12), (2, 9), (3, 7)])
+    def test_poisson_periodic(self, d, n):
+        g = TorusGrid(d, n)
+        rng = np.random.Generator(np.random.PCG64(200 + d + n))
+        rhs = rng.standard_normal(g.shape)
+        x = poisson_periodic(rhs, g)
+        assert abs(x.mean()) < 1e-14 * np.abs(x).max()
+        assert _close(x, _torus_precond_oracle(rhs, g, 1.0))
