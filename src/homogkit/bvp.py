@@ -112,10 +112,15 @@ class CoefficientSamples:
         the relative residual the solver verified.  The lambda shift,
         preconditioner scale and Krylov method of a box solve are chosen
         here and nowhere else."""
+        # Order for peak memory: the symmetry check's temporaries are freed
+        # before K_ii is assembled, and K_ii exists before the Krylov work
+        # vectors are allocated.
+        scale = precond_scale(self.A, self.grid)
+        symmetric = self.is_symmetric
+        self.matrices
         return solve_box_dirichlet(self.apply_interior, rhs_int, self.grid,
-                                   lam=self.lam, tol=tol,
-                                   precond_scale=precond_scale(self.A, self.grid),
-                                   symmetric=self.is_symmetric)
+                                   lam=self.lam, tol=tol, precond_scale=scale,
+                                   symmetric=symmetric)
 
     @property
     def is_symmetric(self) -> bool:
@@ -125,10 +130,32 @@ class CoefficientSamples:
     @cached_property
     def _symmetric(self) -> bool:
         # computed once: nothing writes to the sample arrays after construction
-        return all(np.allclose(x, y, atol=1e-13, rtol=0.0)
+        return all(_allclose_blockwise(x, y)
                    for x, y in ((self.A, transpose_a(self.A)),
                                 (self.V, transpose_m(self.B)),
                                 (self.c, transpose_m(self.c))))
+
+
+# elements per block of the symmetry check (512 KiB of float64 differences)
+_BLOCK_ELEMENTS = 1 << 16
+
+
+def _allclose_blockwise(x: np.ndarray, y: np.ndarray) -> bool:
+    """``np.allclose(x, y, atol=1e-13, rtol=0)``, in blocks of rows along the
+    first grid axis so that no temporary is as large as ``x``.
+
+    A block passes when its largest difference is <= 1e-13 (NaN fails); a
+    block that does not is decided by ``np.allclose`` itself, which also
+    counts equal infinities as close (inf - inf is NaN).
+    """
+    rows = max(1, _BLOCK_ELEMENTS // x[0].size)
+    with np.errstate(invalid="ignore"):
+        for i in range(0, x.shape[0], rows):
+            xb, yb = x[i:i + rows], y[i:i + rows]
+            if not (np.abs(xb - yb).max() <= 1e-13
+                    or np.allclose(xb, yb, atol=1e-13, rtol=0.0)):
+                return False
+    return True
 
 
 @dataclass

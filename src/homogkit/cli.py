@@ -24,7 +24,8 @@ import numpy as np
 import yaml
 
 from . import __version__
-from .bvp import POINTS_PER_PERIOD, DirichletProblem, default_lambda, solve
+from .bvp import (POINTS_PER_PERIOD, DirichletProblem, ProblemError, default_lambda,
+                  resolution_guard, solve)
 from .cell import build_flux_correctors, homogenize, solve_correctors
 from .coefficients import FAMILY_NAMES, CoefficientError, builtin_family
 from .dirichlet import (CommensurabilityError, lattice_step, psi_diagnostics,
@@ -182,6 +183,10 @@ def parse_config(text: str) -> ExperimentConfig:
             lattice_step(box, eps, n_cell)
         except CommensurabilityError as exc:
             violations.append(f"n_cell = {n_cell} does not fit the box lattice: {exc}")
+        try:
+            resolution_guard(box, eps)
+        except ProblemError as exc:
+            violations.append(f"eps = {eps:g} is not resolved by n = {n_box}: {exc}")
 
     data = raw.get("data")
     if data is not None and data not in ("one", "sine", "bump"):

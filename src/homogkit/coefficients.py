@@ -15,6 +15,7 @@ V, B, c transposed in the system indices (``transpose_m``).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
@@ -303,4 +304,8 @@ def builtin_family(name: str, **params) -> CoefficientSet:
     """Construct the named family of ``FAMILIES`` with its keyword parameters."""
     if name not in FAMILIES:
         raise CoefficientError(f"unknown family {name!r}")
+    for key, value in params.items():
+        # inf passes the families' ``<=`` guards and NaN fails every comparison
+        if isinstance(value, float) and not math.isfinite(value):
+            raise CoefficientError(f"{key} must be a finite number, got {value!r}")
     return FAMILIES[name](**params)

@@ -290,14 +290,14 @@ def principal_part_apply(A: np.ndarray, u: np.ndarray, grid: Grid) -> np.ndarray
 
 def precond_scale(A: np.ndarray, grid: Grid) -> float:
     """Mean of the diagonal entries a_ii^{aa}: the Laplacian scale of the
-    FFT/DST preconditioners for the operator with coefficients ``A``."""
-    nd = grid.d
+    FFT/DST preconditioners for the operator with coefficients ``A``
+    (shaped grid.shape + (d, d, m, m)).  It reads views of ``A``: copies of
+    its blocks would stay in the allocator's heap through the solve."""
+    m = A.shape[-1]
     s = 0.0
-    for i in range(nd):
-        blk = _coef_block(A, nd, i, i)
-        m = blk.shape[-1]
-        s += sum(float(blk[..., a, a].mean()) for a in range(m)) / m
-    return s / nd
+    for i in range(grid.d):
+        s += sum(float(A[..., i, i, a, a].mean()) for a in range(m)) / m
+    return s / grid.d
 
 
 # ---------------------------------------------------------------------------

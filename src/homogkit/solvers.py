@@ -52,6 +52,26 @@ def _mean_zero(v: np.ndarray, grid_axes: int) -> np.ndarray:
     return v - v.mean(axis=axes, keepdims=True)
 
 
+def _inverse_symbol_torus(grid: TorusGrid, scale: float) -> np.ndarray:
+    """1 / (scale * symbol) of the torus -Laplacian over the half spectrum of
+    ``scipy.fft.rfftn`` (last grid axis n//2 + 1), 0 at the constant mode."""
+    nd = grid.d
+    sym = _laplace_symbol_torus(grid)[..., : grid.n // 2 + 1]
+    sym[(0,) * nd] = 1.0
+    inv = 1.0 / (scale * sym)
+    inv[(0,) * nd] = 0.0
+    return inv
+
+
+def _apply_inverse_torus(r: np.ndarray, inv: np.ndarray, grid: TorusGrid) -> np.ndarray:
+    """rfftn over the grid axes of ``r``, times ``inv`` (broadcast over any
+    trailing component axes), and back."""
+    axes = tuple(range(grid.d))
+    zhat = scipy.fft.rfftn(r, axes=axes)
+    zhat *= inv
+    return scipy.fft.irfftn(zhat, s=grid.shape, axes=axes, overwrite_x=True)
+
+
 def poisson_periodic(rhs: np.ndarray, grid: TorusGrid) -> np.ndarray:
     """Mean-zero x with -Laplace_h x = rhs - mean(rhs) on the torus, by FFT.
 
@@ -59,12 +79,7 @@ def poisson_periodic(rhs: np.ndarray, grid: TorusGrid) -> np.ndarray:
     coefficients); its symbol ``_laplace_symbol_torus`` is inverted exactly
     and the constant mode is set to zero.  ``rhs`` has shape grid.shape.
     """
-    nd = grid.d
-    sym = _laplace_symbol_torus(grid)[..., : grid.n // 2 + 1]
-    sym[(0,) * nd] = 1.0
-    xhat = np.fft.rfftn(rhs) / sym
-    xhat[(0,) * nd] = 0.0
-    return np.fft.irfftn(xhat, s=grid.shape, axes=tuple(range(nd)))
+    return _apply_inverse_torus(rhs, _inverse_symbol_torus(grid, 1.0), grid)
 
 
 def _krylov(matvec, precond, rhs: np.ndarray, *, symmetric: bool, tol: float,
@@ -79,11 +94,10 @@ def _krylov(matvec, precond, rhs: np.ndarray, *, symmetric: bool, tol: float,
     them here (instrumentation, tests) sees every solve.
     """
     size = rhs.size
-    # LinearOperator applies matvec and precond once to infer the dtype; that
-    # first apply assembles a lazily built operator, which thus happens before
-    # the right-hand side and the Krylov work vectors are allocated.
-    A = LinearOperator((size, size), matvec=matvec)
-    M = LinearOperator((size, size), matvec=precond)
+    # with the dtype given, scipy runs no probe apply of matvec and precond on
+    # zeros; a lazily built operator must therefore be assembled by the caller
+    A = LinearOperator((size, size), matvec=matvec, dtype=float)
+    M = LinearOperator((size, size), matvec=precond, dtype=float)
     b = rhs.ravel()
     bnorm = np.linalg.norm(b)
     if bnorm == 0.0:
@@ -113,18 +127,14 @@ def solve_periodic(apply_op, rhs: np.ndarray, grid: TorusGrid, *,
     """
     shape = rhs.shape
     nd = grid.d
-    sym = _laplace_symbol_torus(grid)
-    sym[(0,) * nd] = 1.0  # zero mode handled by projection
-    denom = (precond_scale * sym).reshape(sym.shape + (1,) * (len(shape) - nd))
-    fft_axes = tuple(range(nd))
+    inv = _inverse_symbol_torus(grid, precond_scale)
+    inv = inv.reshape(inv.shape + (1,) * (len(shape) - nd))
 
     def matvec(x):
         return _mean_zero(apply_op(_mean_zero(x.reshape(shape), nd)), nd).ravel()
 
     def precond(r):
-        zhat = np.fft.fftn(r.reshape(shape), axes=fft_axes) / denom
-        zhat[(0,) * nd] = 0.0  # kill the constant mode
-        return np.real(np.fft.ifftn(zhat, axes=fft_axes)).ravel()
+        return _apply_inverse_torus(r.reshape(shape), inv, grid).ravel()
 
     if maxiter is None:
         maxiter = max(200, int(20 * grid.n ** (grid.d / 2)))
@@ -147,17 +157,18 @@ def solve_box_dirichlet(apply_interior, rhs_interior: np.ndarray, grid: BoxGrid,
     shape = rhs_interior.shape
     nd = grid.d
     sym = _laplace_symbol_box(grid)
-    denom = (precond_scale * sym + max(lam, 0.0)).reshape(sym.shape + (1,) * (len(shape) - nd))
+    # DST-I is its own inverse up to the factor (2n)^d, folded in here
+    inv = 1.0 / ((precond_scale * sym + max(lam, 0.0)) * (2.0 * grid.n) ** nd)
+    inv = inv.reshape(sym.shape + (1,) * (len(shape) - nd))
     dst_axes = tuple(range(nd))
-    # DST-I is its own inverse up to the factor (2n)^d
-    dst_norm = (2.0 * grid.n) ** nd
 
     def matvec(x):
         return apply_interior(x.reshape(shape)).ravel()
 
     def precond(r):
         rhat = scipy.fft.dstn(r.reshape(shape), type=1, axes=dst_axes)
-        return (scipy.fft.dstn(rhat / denom, type=1, axes=dst_axes) / dst_norm).ravel()
+        rhat *= inv
+        return scipy.fft.dstn(rhat, type=1, axes=dst_axes, overwrite_x=True).ravel()
 
     if maxiter is None:
         maxiter = max(200, 50 * grid.n)

@@ -147,6 +147,98 @@ class TestSamplesSolve:
         assert res == np.linalg.norm(op.apply_interior(u) - rhs) / np.linalg.norm(rhs)
         assert res <= 1e-9
 
+    def test_solve_assembles_once_after_symmetry_check(self, monkeypatch):
+        # peak memory: the symmetry check's temporaries are gone before K_ii
+        # is assembled, and K_ii exists before the first Krylov matvec
+        import homogkit.bvp as bvp
+        import homogkit.solvers as solvers
+
+        cs = builtin_family("trig", d=2, alpha=2.0, beta=0.5, lower=0.3)
+        g = BoxGrid(2, 16)
+        samples = sample_coefficients(cs, g, 1 / 2, default_lambda(cs))
+        events = []
+        assemble = bvp.assemble_box
+
+        def recording_assemble(*args):
+            events.append(("assemble", "_symmetric" in samples.__dict__))
+            return assemble(*args)
+
+        krylov = solvers._krylov
+
+        def recording_krylov(matvec, precond, rhs, **kw):
+            def first_matvec(x):
+                events.append(("matvec", None))
+                return matvec(x)
+            return krylov(first_matvec, precond, rhs, **kw)
+
+        monkeypatch.setattr(bvp, "assemble_box", recording_assemble)
+        monkeypatch.setattr(solvers, "_krylov", recording_krylov)
+        rhs = np.random.Generator(np.random.PCG64(6)).standard_normal((15, 15, 1))
+        samples.solve(rhs, 1e-10)
+        samples.solve(rhs, 1e-10)
+        assert events[0] == ("assemble", True)
+        assert events.count(("assemble", True)) == 1
+        assert len(events) > 2 and all(e == ("matvec", None) for e in events[1:])
+
+
+class TestSymmetryCheck:
+    """``_allclose_blockwise`` returns what ``np.allclose(x, y, atol=1e-13,
+    rtol=0)`` returns, whatever the block size."""
+
+    @staticmethod
+    def _cases():
+        from homogkit.coefficients import transpose_a, transpose_m
+
+        rng = np.random.Generator(np.random.PCG64(8))
+        a = rng.standard_normal((9, 9, 2, 2, 2, 2))
+        sym = a + transpose_a(a)
+        yield sym, transpose_a(sym)                    # symmetric
+        yield a, transpose_a(a)                        # nonsymmetric
+        v = rng.standard_normal((9, 9, 2, 2, 2))
+        yield v, transpose_m(v)
+        for delta in (1e-13, np.nextafter(1e-13, 1.0), 1e-13 / 2):
+            # a difference exactly at, just above and below the tolerance,
+            # in the last row so that every earlier block passes
+            x = np.zeros((9, 9, 2, 2))
+            y = x.copy()
+            y[-1, -1, 0, 1] = delta
+            yield x, y
+        for bad in (np.nan, np.inf, -np.inf):
+            x = sym.copy()
+            x[4, 3, 0, 0, 1, 1] = bad
+            yield x, transpose_a(x)                    # non-finite on the diagonal
+            y = sym.copy()
+            y[4, 3, 0, 1, 1, 0] = bad
+            yield y, transpose_a(y)                    # off the diagonal
+        inf = np.full((3, 2, 2), np.inf)
+        yield inf, inf.copy()                          # equal infinities are close
+
+    @pytest.mark.parametrize("block", [1, 7, 1 << 16])
+    def test_matches_allclose(self, monkeypatch, block):
+        import homogkit.bvp as bvp
+
+        monkeypatch.setattr(bvp, "_BLOCK_ELEMENTS", block)
+        for x, y in self._cases():
+            want = bool(np.allclose(x, y, atol=1e-13, rtol=0.0))
+            assert bvp._allclose_blockwise(x, y) is want
+
+    @pytest.mark.parametrize("family,params", [
+        ("trig", {"alpha": 2.0, "beta": 0.5}),
+        ("trig", {"alpha": 2.0, "beta": 0.5, "lower": 0.3}),
+        ("nonsymmetric-system", {}),
+        ("oscillating-potential", {"amp": 0.5}),
+    ])
+    def test_samples_match_allclose(self, family, params):
+        from homogkit.coefficients import transpose_a, transpose_m
+
+        cs = builtin_family(family, d=2, **params)
+        samples = sample_coefficients(cs, BoxGrid(2, 16), 1 / 2, 1.0)
+        want = all(np.allclose(x, y, atol=1e-13, rtol=0.0)
+                   for x, y in ((samples.A, transpose_a(samples.A)),
+                                (samples.V, transpose_m(samples.B)),
+                                (samples.c, transpose_m(samples.c))))
+        assert samples.is_symmetric is want
+
 
 class TestDuality:
     def test_adjoint_identity(self):

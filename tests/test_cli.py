@@ -162,11 +162,15 @@ class TestMain:
         "subcommand: correctors\nn: 64\neps: 0.25\nn_cell: 24\n",
         "subcommand: rates\ndivisor: 8\n",
         "subcommand: solve\neps: [0.5, 0.25]\n",
+        "subcommand: cell\nfamily: constant\nparams: {d: 2, a0: .inf}\n",
+        "subcommand: cell\nfamily: constant\nparams: {d: 2, a0: .nan}\n",
+        "subcommand: correctors\nn: 32\neps: 0.25\n",
     ], ids=lambda t: t[12:].replace(": ", "=").strip().replace("\n", "-"))
     def test_exit_two_on_bad_numeric_key(self, tmp_path, capsys, text):
         lines = text.splitlines()
         sub, key = lines[0].split(": ")[1], lines[-1].split(":")[0]
-        cfg = self._write(tmp_path, "family: trig\n" + text)
+        family = "" if "family:" in text else "family: trig\n"
+        cfg = self._write(tmp_path, family + text)
         rc = main([sub, "--config", cfg, "--out", str(tmp_path / "out")])
         assert rc == 2
         err = capsys.readouterr().err

@@ -36,6 +36,13 @@ class TestFamilies:
         with pytest.raises(CoefficientError):
             builtin_family("trig", d=2, alpha=1.0, beta=0.5)
 
+    @pytest.mark.parametrize("family,key", [("constant", "a0"), ("trig", "alpha"),
+                                            ("laminate-step", "width")])
+    @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+    def test_non_finite_parameter_named(self, family, key, value):
+        with pytest.raises(CoefficientError, match=f"^{key} must be a finite number"):
+            builtin_family(family, d=2, **{key: value})
+
     def test_unknown_family(self):
         with pytest.raises(CoefficientError):
             builtin_family("zebra")

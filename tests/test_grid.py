@@ -14,7 +14,8 @@ from homogkit.grid import (BoxGrid, GridError, GridFunction, NormSpec,
                            constant_function, from_callable, gradient, inner,
                            is_dyadic, lp_norm, linf_norm, holder_seminorm,
                            h1_norm, nontangential_max, norm,
-                           principal_part_apply, read_csv, write_csv)
+                           precond_scale, principal_part_apply, read_csv,
+                           write_csv)
 
 
 def identity_coefficients(grid, d):
@@ -287,6 +288,24 @@ class TestNontangentialMaxEquivalence:
 ])
 def test_is_dyadic(e, expected):
     assert is_dyadic(e) is expected
+
+
+@pytest.mark.parametrize("family,params", [("trig", {}), ("nonsymmetric-system", {}),
+                                           ("laminate", {"m": 2})])
+@pytest.mark.parametrize("d,n", [(1, 64), (2, 48), (3, 16)])
+def test_precond_scale_matches_block_copies(family, params, d, n):
+    # bit for bit against the mean over copied a_ii blocks, for sampled
+    # coefficients and their adjoint (a strided view)
+    from homogkit.bvp import sample_coefficients
+    from homogkit.coefficients import transpose_a
+
+    g = BoxGrid(d, n)
+    A = sample_coefficients(builtin_family(family, d=d, **params), g, 0.25, 0.0).A
+    for a in (A, transpose_a(A)):
+        m = a.shape[-1]
+        want = sum(sum(float(grid_mod._coef_block(a, d, i, i)[..., b, b].mean())
+                       for b in range(m)) / m for i in range(d)) / d
+        assert precond_scale(a, g) == want
 
 
 class TestCsv:

@@ -263,3 +263,39 @@ class TestPreconditionerEquivalence:
         x = poisson_periodic(rhs, g)
         assert abs(x.mean()) < 1e-14 * np.abs(x).max()
         assert _close(x, _torus_precond_oracle(rhs, g, 1.0))
+
+
+class TestNoDtypeProbe:
+    """The Krylov driver tells scipy the dtype, so neither the operator nor
+    the preconditioner is ever applied to zeros just to learn it."""
+
+    def test_no_apply_on_zeros(self, monkeypatch):
+        import homogkit.solvers as solvers
+
+        krylov = solvers._krylov
+        zero_applies = []
+
+        def watched(fn, name):
+            def apply(v):
+                if not np.any(v):
+                    zero_applies.append(name)
+                return fn(v)
+            return apply
+
+        def watching_krylov(matvec, precond, rhs, **kw):
+            return krylov(watched(matvec, "matvec"), watched(precond, "precond"),
+                          rhs, **kw)
+
+        monkeypatch.setattr(solvers, "_krylov", watching_krylov)
+        rng = np.random.Generator(np.random.PCG64(7))
+        tg = TorusGrid(2, 16)
+        A = identity_coefficients(tg.shape, 2)
+        rhs = rng.standard_normal(tg.shape)
+        bg = BoxGrid(2, 16)
+        b = rng.standard_normal((15, 15, 2))
+        for symmetric in (True, False):
+            solve_periodic(lambda w: principal_part_apply(A, w, tg), rhs, tg,
+                           symmetric=symmetric)
+            solve_box_dirichlet(lambda w: 4.0 * w, b, bg, lam=1.0,
+                                symmetric=symmetric)
+        assert zero_applies == []
