@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from homogkit.bvp import (DirichletProblem, ProblemError,
-                          coercivity_constant_bound, coercivity_margin,
-                          default_lambda, estimate_lambda0, sample_coefficients,
-                          solve, solve_adjoint)
+from homogkit.bvp import (HOMOGENIZED, CoefficientSamples, DirichletProblem,
+                          ProblemError, coercivity_constant_bound,
+                          coercivity_margin, default_lambda, estimate_lambda0,
+                          sample_coefficients, solve, solve_adjoint,
+                          solve_homogenized)
 from homogkit.coefficients import builtin_family
 from homogkit.grid import BoxGrid, precond_scale
 from homogkit.solvers import solve_box_dirichlet
@@ -298,3 +299,157 @@ class TestCoercivity:
         diam2 = 2.0  # unit square
         assert coercivity_constant_bound(cs, g) == pytest.approx(
             0.5 * 2.0 * min(1.0, 1.0 / (1.0 + diam2)))
+
+
+# ---------------------------------------------------------------------------
+# homogenized and principal-part operators against the sampler branches and
+# solve helpers they replace
+# ---------------------------------------------------------------------------
+
+# The code paths under test: the only calls into homogkit that change when the
+# sampler or the solve entry point change.
+
+def _homogenized_samples(cs, hats, grid, lam):
+    return sample_coefficients(cs, grid, HOMOGENIZED, lam, hats=hats)
+
+
+def _principal_samples(cs, grid, eps):
+    return sample_coefficients(cs, grid, eps, 0.0, principal_only=True)
+
+
+def _homogenized_solve(cs, hats, lam, grid, F, g, tol):
+    return solve_homogenized(cs, hats, lam, grid, F=F, g=g, tol=tol)
+
+
+def _adjoint_solve(problem, tol):
+    return solve_adjoint(problem, tol=tol)
+
+
+# Oracles: the removed branches of the sampler and the removed solve helpers,
+# copied as they were.
+
+def _oracle_homogenized_samples(hats, grid, lam, m):
+    shape = grid.shape
+    A, V, B, c = (np.broadcast_to(t, shape + t.shape).copy()
+                  for t in (hats.A_hat, hats.V_hat, hats.B_hat, hats.c_hat))
+    return CoefficientSamples(grid=grid, A=A, V=V, B=B, c=c, lam=float(lam), m=m)
+
+
+def _oracle_samples(cs, grid, eps, lam, principal_only=False):
+    shape, m = grid.shape, cs.m
+    y = np.mod(grid.points() / float(eps), 1.0)
+    A = cs.A(y)
+    if principal_only:
+        V = np.zeros(shape + (grid.d, m, m))
+        B = V.copy()
+        c = np.zeros(shape + (m, m))
+    else:
+        V, B, c = cs.V(y), cs.B(y), cs.c(y)
+    return CoefficientSamples(grid=grid, A=A, V=V, B=B, c=c, lam=float(lam), m=m)
+
+
+def _oracle_solve(samples, m, F, g_vals, tol):
+    grid = samples.grid
+    rhs = np.zeros(grid.shape + (m,))
+    rhs += F
+    rhs = rhs[grid.interior].copy()
+    rhs -= samples.lift(np.asarray(g_vals, float))
+    u_int, residual = samples.solve(rhs, tol)
+    full = np.zeros(grid.shape + (m,))
+    full[grid.interior] = u_int
+    bmask = grid.boundary_mask()
+    full[bmask] = np.asarray(g_vals, float)[bmask]
+    return full, residual
+
+
+def _same_bits(got, want):
+    return (got.shape == want.shape and got.dtype == want.dtype
+            and np.array_equal(got, want)
+            and np.array_equal(np.signbit(got), np.signbit(want)))
+
+
+def _hats(cs):
+    from homogkit.cell import homogenize, solve_correctors
+    from homogkit.grid import TorusGrid
+    return homogenize(cs, solve_correctors(cs, TorusGrid(cs.d, 8), tol=1e-10))
+
+
+def _operator_cases():
+    cases = []
+    for d in (1, 2, 3):
+        for m in (1, 2):
+            cases += [("constant", dict(d=d, m=m, a0=1.5, v0=0.3, b0=-0.2, c0=0.7)),
+                      ("laminate", dict(d=d, m=m)),
+                      ("laminate-step", dict(d=d, m=m)),
+                      ("trig", dict(d=d, m=m)),
+                      ("trig", dict(d=d, m=m, lower=0.3)),
+                      ("oscillating-potential", dict(d=d, m=m, amp=0.6))]
+        cases.append(("nonsymmetric-system", dict(d=d)))
+    return cases
+
+
+def _operator_case_id(case):
+    name, params = case
+    return name + "-" + "-".join(f"{k}{v}" for k, v in params.items())
+
+
+def _boundary_data(grid, m, seed):
+    rng = np.random.Generator(np.random.PCG64(seed))
+    return (rng.standard_normal(grid.shape + (m,)),
+            rng.standard_normal(grid.shape + (m,)))
+
+
+class TestOperatorEquivalence:
+    """Homogenized and principal-part samples, and the homogenized and
+    adjoint solves, are bit-identical to the code they replace."""
+
+    @pytest.mark.parametrize("case", _operator_cases(), ids=_operator_case_id)
+    def test_samples_bit_identical(self, case):
+        name, params = case
+        cs = builtin_family(name, **params)
+        grid = BoxGrid(cs.d, 8)
+        hats = _hats(cs)
+        lam = default_lambda(cs)
+        for got, want in (
+                (_homogenized_samples(cs, hats, grid, lam),
+                 _oracle_homogenized_samples(hats, grid, lam, cs.m)),
+                (_principal_samples(cs, grid, 1 / 4),
+                 _oracle_samples(cs, grid, 1 / 4, 0.0, principal_only=True))):
+            for field in ("A", "V", "B", "c"):
+                assert _same_bits(getattr(got, field), getattr(want, field)), field
+            assert got.lam == want.lam and got.m == want.m and got.grid == want.grid
+
+    @pytest.mark.parametrize("name,params", [
+        ("trig", dict(d=2, lower=0.3)),
+        ("nonsymmetric-system", dict(d=2)),
+        ("constant", dict(d=1, m=2, a0=1.5, v0=0.3, b0=-0.2, c0=0.7)),
+        ("oscillating-potential", dict(d=3, amp=0.6)),
+    ])
+    def test_homogenized_solve_bit_identical(self, name, params):
+        cs = builtin_family(name, **params)
+        grid = BoxGrid(cs.d, 8 if cs.d == 3 else 16)
+        hats = _hats(cs)
+        lam = default_lambda(cs)
+        F, g_vals = _boundary_data(grid, cs.m, 3)
+        u, info = _homogenized_solve(cs, hats, lam, grid, F, g_vals, 1e-10)
+        want, residual = _oracle_solve(
+            _oracle_homogenized_samples(hats, grid, lam, cs.m), cs.m, F, g_vals, 1e-10)
+        assert _same_bits(u.values, want)
+        assert info == {"residual": residual}
+
+    @pytest.mark.parametrize("name,params", [
+        ("trig", dict(d=2, lower=0.3)),
+        ("nonsymmetric-system", dict(d=2)),
+        ("oscillating-potential", dict(d=3, amp=0.6)),
+    ])
+    def test_adjoint_solve_bit_identical(self, name, params):
+        cs = builtin_family(name, **params)
+        eps, grid = (1.0, BoxGrid(3, 12)) if cs.d == 3 else (1 / 2, BoxGrid(cs.d, 32))
+        lam = default_lambda(cs)
+        F, g_vals = _boundary_data(grid, cs.m, 4)
+        problem = DirichletProblem(cs=cs, grid=grid, eps=eps, lam=lam, F=F, g=g_vals)
+        u, info = _adjoint_solve(problem, 1e-10)
+        want, residual = _oracle_solve(_oracle_samples(cs, grid, eps, lam).adjoint(),
+                                       cs.m, F, g_vals, 1e-10)
+        assert _same_bits(u.values, want)
+        assert info == {"residual": residual}
