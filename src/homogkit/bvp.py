@@ -4,7 +4,10 @@ The full operator is
 
     L u = -div(A grad u + V u) + B grad u + (c + lambda) u
 
-with coefficients frozen at x/eps (or the constant homogenized tensors).
+with coefficients frozen at x/eps.  The homogenized operator and the
+principal part are coefficient sets of their own
+(``HomogenizedCoefficients.coefficients`` and ``replace(cs, V=None, B=None,
+c=None)``), so they are sampled and solved like any other.
 Boundary data is imposed strongly at boundary points; the interior system is
 solved by preconditioned Krylov iteration with the algebraic lifting of the
 boundary values, so the discrete boundary trace is exact.
@@ -17,12 +20,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .cell import HomogenizedCoefficients
 from .coefficients import CoefficientSet, transpose_a, transpose_m
 from .grid import BoxGrid, GridFunction, _centered_box, assemble_box, precond_scale
 from .solvers import solve_box_dirichlet
-
-HOMOGENIZED = "homogenized"
 
 
 class ProblemError(ValueError):
@@ -62,7 +62,7 @@ def default_lambda(cs: CoefficientSet) -> float:
 
 @dataclass
 class CoefficientSamples:
-    """Coefficient arrays frozen on a box grid (at x/eps or constants)."""
+    """Coefficient arrays frozen on a box grid at x/eps."""
 
     grid: BoxGrid
     A: np.ndarray   # (*shape, d, d, m, m)
@@ -164,12 +164,11 @@ class DirichletProblem:
 
     cs: CoefficientSet
     grid: BoxGrid
-    eps: float | str = 1.0
+    eps: float = 1.0
     lam: float | None = None
     f: np.ndarray | None = None   # (*shape, m, d) divergence-form source
     F: np.ndarray | None = None   # (*shape, m) load
     g: np.ndarray | None = None   # (*shape, m); only boundary rows are read
-    hats: HomogenizedCoefficients | None = None
     lambda_override: bool = False
 
     def __post_init__(self):
@@ -181,19 +180,13 @@ class DirichletProblem:
                 f"lambda = {self.lam} below coercivity threshold {lam0}; "
                 "set lambda_override=True to force"
             )
-        if self.eps == HOMOGENIZED:
-            if self.hats is None:
-                raise ProblemError("homogenized problem needs precomputed hats")
-        else:
-            eps = float(self.eps)
-            if eps <= 0:
-                raise ProblemError("eps must be positive")
-            if eps < self.grid.extent:   # exempt: at most one period spans the box
-                resolution_guard(self.grid, eps)
+        if self.eps <= 0:
+            raise ProblemError("eps must be positive")
+        if self.eps < self.grid.extent:   # exempt: at most one period spans the box
+            resolution_guard(self.grid, self.eps)
 
     def samples(self) -> CoefficientSamples:
-        return sample_coefficients(self.cs, self.grid, self.eps, self.lam,
-                                   hats=self.hats)
+        return sample_coefficients(self.cs, self.grid, self.eps, self.lam)
 
     def rhs_interior(self, samples: CoefficientSamples) -> np.ndarray:
         """F + div(f) - L(g-lifting) restricted to interior points."""
@@ -211,31 +204,21 @@ class DirichletProblem:
         return rhs
 
 
-def sample_coefficients(cs: CoefficientSet, grid: BoxGrid, eps: float | str,
-                        lam: float, *, hats: HomogenizedCoefficients | None = None,
-                        principal_only: bool = False) -> CoefficientSamples:
-    """Coefficients frozen on the box lattice: at x/eps, or the constant
-    homogenized tensors when ``eps == HOMOGENIZED``.
+def pullback(grid: BoxGrid, eps: float) -> np.ndarray:
+    """The cell coordinates y = x/eps mod 1 of the box lattice points."""
+    return np.mod(grid.points() / eps, 1.0)
 
-    ``principal_only`` keeps A and zeroes V, B and c.  No resolution guard is
-    applied here; ``DirichletProblem`` and the corrector solves call
-    ``resolution_guard``.
+
+def sample_coefficients(cs: CoefficientSet, grid: BoxGrid, eps: float,
+                        lam: float) -> CoefficientSamples:
+    """Coefficients frozen on the box lattice at x/eps.
+
+    No resolution guard is applied here; ``DirichletProblem`` and the
+    corrector solves call ``resolution_guard``.
     """
-    shape = grid.shape
-    m = cs.m
-    if eps == HOMOGENIZED:
-        A, V, B, c = (np.broadcast_to(t, shape + t.shape).copy()
-                      for t in (hats.A_hat, hats.V_hat, hats.B_hat, hats.c_hat))
-    else:
-        y = np.mod(grid.points() / float(eps), 1.0)
-        A = cs.A(y)
-        if principal_only:
-            V = np.zeros(shape + (grid.d, m, m))
-            B = V.copy()
-            c = np.zeros(shape + (m, m))
-        else:
-            V, B, c = cs.V(y), cs.B(y), cs.c(y)
-    return CoefficientSamples(grid=grid, A=A, V=V, B=B, c=c, lam=float(lam), m=m)
+    y = pullback(grid, float(eps))
+    return CoefficientSamples(grid=grid, A=cs.A(y), V=cs.V(y), B=cs.B(y), c=cs.c(y),
+                              lam=float(lam), m=cs.m)
 
 
 def solve(problem: DirichletProblem, tol: float = 1e-10,
@@ -245,22 +228,12 @@ def solve(problem: DirichletProblem, tol: float = 1e-10,
     ``samples`` reuses an operator already sampled for the same coefficients,
     grid, eps and lambda (``problem.samples()`` of a problem that differs at
     most in its data f, F, g), so that problems sharing one operator sample
-    and assemble it once.  Returns the solution and an info dict with the
-    verified interior residual.
+    and assemble it once; ``problem.samples().adjoint()`` solves with the
+    discrete adjoint operator.  Returns the solution and an info dict with
+    the verified interior residual.
     """
     if samples is None:
         samples = problem.samples()
-    return _solve_with(problem, samples, tol)
-
-
-def solve_adjoint(problem: DirichletProblem,
-                  tol: float = 1e-10) -> tuple[GridFunction, dict]:
-    """Solve with the transposed assembly (the discrete adjoint operator)."""
-    return _solve_with(problem, problem.samples().adjoint(), tol)
-
-
-def _solve_with(problem: DirichletProblem, samples: CoefficientSamples,
-                tol: float) -> tuple[GridFunction, dict]:
     g = problem.grid
     u_int, residual = samples.solve(problem.rhs_interior(samples), tol)
     full = np.zeros(g.shape + (problem.cs.m,))
@@ -269,17 +242,6 @@ def _solve_with(problem: DirichletProblem, samples: CoefficientSamples,
         bmask = g.boundary_mask()
         full[bmask] = np.asarray(problem.g, float)[bmask]
     return GridFunction(g, full), {"residual": residual}
-
-
-def solve_homogenized(cs: CoefficientSet, hats: HomogenizedCoefficients,
-                      lam: float, grid: BoxGrid, *, f=None, F=None, g=None,
-                      tol: float = 1e-10,
-                      lambda_override: bool = False) -> tuple[GridFunction, dict]:
-    """Constant-coefficient solve with the homogenized tensors."""
-    problem = DirichletProblem(cs=cs, grid=grid, eps=HOMOGENIZED, lam=lam,
-                               f=f, F=F, g=g, hats=hats,
-                               lambda_override=lambda_override)
-    return solve(problem, tol=tol)
 
 
 # ---------------------------------------------------------------------------

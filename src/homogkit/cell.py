@@ -12,7 +12,7 @@ and auxiliary zero-mean Poisson solves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -70,6 +70,16 @@ class HomogenizedCoefficients:
 
     def ellipticity_margin(self, mu: float) -> float:
         return ellipticity_margin(self.A_hat, mu)
+
+    def coefficients(self, cs: CoefficientSet) -> CoefficientSet:
+        """The homogenized operator L_0 as a coefficient set: ``cs`` with the
+        constant tensors in place of A, V, B and c.  It keeps ``cs.mu`` and
+        ``cs.kappa``, so its lambda threshold is that of ``cs``."""
+        def const(t):
+            return lambda y: np.broadcast_to(t, y.shape[:-1] + t.shape).copy()
+
+        return replace(cs, A=const(self.A_hat), V=const(self.V_hat),
+                       B=const(self.B_hat), c=const(self.c_hat))
 
 
 @dataclass

@@ -33,7 +33,8 @@ from .dirichlet import (CommensurabilityError, lattice_step, psi_diagnostics,
 from .grid import BoxGrid, GridFunction, TorusGrid, is_dyadic, write_csv
 from .green import GreenError, _snap_interior, approx_green, decay_fit, \
     boundary_data_battery, maximal_function_probe
-from .rates import SweepConfig, run_sweep, uniform_constant_probe
+from .rates import (PROBE_KINDS, SweepConfig, load_field, run_sweep,
+                    uniform_constant_probe)
 
 SUBCOMMANDS = ("cell", "homogenize", "solve", "correctors", "green", "rates",
                "validate")
@@ -127,8 +128,8 @@ def parse_config(text: str) -> ExperimentConfig:
     if not (isinstance(tol, (int, float)) and 0 < tol < 1):
         violations.append(f"tol must be in (0, 1), got {tol!r}")
     seed = raw.get("seed", 0)
-    if not isinstance(seed, int):
-        violations.append(f"seed must be an integer, got {seed!r}")
+    if not _is_int(seed, 0):
+        violations.append(f"seed must be an integer >= 0, got {seed!r}")
 
     for key, low in (("n", 4), ("n_cell", 4), ("divisor", POINTS_PER_PERIOD)):
         value = raw.get(key)
@@ -191,6 +192,15 @@ def parse_config(text: str) -> ExperimentConfig:
     data = raw.get("data")
     if data is not None and data not in ("one", "sine", "bump"):
         violations.append(f"data must be one|sine|bump, got {data!r}")
+    kinds = raw.get("probe_kinds")
+    if kinds is not None and not (isinstance(kinds, list)
+                                  and all(k in PROBE_KINDS for k in kinds)):
+        violations.append(f"probe_kinds must be a list of entries from "
+                          f"{PROBE_KINDS}, got {kinds!r}")
+    for key in ("flux", "battery", "lambda_override"):
+        value = raw.get(key)
+        if value is not None and not isinstance(value, bool):
+            violations.append(f"{key} must be true or false, got {value!r}")
 
     if violations:
         raise ConfigError(violations)
@@ -198,7 +208,7 @@ def parse_config(text: str) -> ExperimentConfig:
     extra = {k: v for k, v in raw.items()
              if k not in ("subcommand", "family", "params", "seed", "tol", "out")}
     return ExperimentConfig(subcommand=sub, family=family, params=params,
-                            seed=int(seed), tol=float(tol),
+                            seed=seed, tol=float(tol),
                             out=raw.get("out"), extra=extra)
 
 
@@ -298,17 +308,12 @@ def _run_homogenize(cfg: ExperimentConfig, out_dir: str):
     return checks, wall
 
 
-def _load_data(kind, grid, m, seed):
-    from .rates import load_field
-    return load_field(kind or "one", grid, m, seed)
-
-
 def _run_solve(cfg: ExperimentConfig, out_dir: str):
     cs = builtin_family(cfg.family, **cfg.params)
     n = cfg.get("n", 64)
     eps = float(cfg.get("eps", 1.0))
     grid = BoxGrid(cs.d, n)
-    F = _load_data(cfg.get("data"), grid, cs.m, cfg.seed)
+    F = load_field(cfg.get("data") or "one", grid, cs.m, cfg.seed)
     lam = cfg.get("lam")
     problem = DirichletProblem(
         cs=cs, grid=grid, eps=eps,
@@ -540,6 +545,10 @@ def main(argv=None) -> int:
               f"{args.subcommand!r} was requested", file=sys.stderr)
         return 2
     if args.seed is not None:
+        if not _is_int(args.seed, 0):
+            print(f"invalid --seed: seed must be an integer >= 0, got {args.seed}",
+                  file=sys.stderr)
+            return 2
         cfg.seed = args.seed
 
     out_dir = args.out or cfg.out or os.environ.get("HOMOG_KIT_OUT", "homogkit-out")

@@ -55,10 +55,11 @@ def ellipticity_margin(a: np.ndarray, mu: float) -> float:
 class CoefficientSet:
     """A periodic coefficient tuple with its declared structure constants.
 
-    ``mu`` is the two-sided ellipticity constant of A, ``kappa`` the sup-norm
-    bound on V, B, c (computed by lattice maximization, not user-declared),
-    ``tau`` the Holder exponent of the family and ``lam`` the zero-order
-    shift the operator will carry by default.  V, B and c default to zero.
+    ``mu`` is the two-sided ellipticity constant of A and ``kappa`` the
+    declared sup-norm bound on V, B, c (``validate`` checks it against a
+    lattice maximization).  V, B and c default to zero.  The zero-order shift
+    lambda is not part of the set: ``bvp.default_lambda`` derives it from
+    ``mu`` and ``kappa``.
     """
 
     d: int
@@ -69,8 +70,6 @@ class CoefficientSet:
     B: Callable[[np.ndarray], np.ndarray] | None = None
     c: Callable[[np.ndarray], np.ndarray] | None = None
     kappa: float = 0.0
-    tau: float = 0.5
-    lam: float = 0.0
     name: str = "custom"
     symmetric: bool = True
     params: dict = field(default_factory=dict)

@@ -13,11 +13,11 @@ like min(1, eps / dist-to-boundary).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bvp import CoefficientSamples, resolution_guard, sample_coefficients
+from .bvp import CoefficientSamples, pullback, resolution_guard, sample_coefficients
 from .cell import CorrectorSet
 from .coefficients import CoefficientSet
 from .grid import BoxGrid, GridFunction, TorusGrid, _centered_box, gradient
@@ -55,7 +55,7 @@ def _phi0(cs: CoefficientSet, eps: float, samples: CoefficientSamples,
     """Phi_{eps,0}: principal part applied, source div(V_eps), boundary = I."""
     grid = samples.grid
     m = cs.m
-    V = cs.V(np.mod(grid.points() / eps, 1.0))   # (*shape, d, m, m)
+    V = cs.V(pullback(grid, eps))   # (*shape, d, m, m)
     phi0 = np.zeros(grid.shape + (m, m))
     residuals = []
     for beta in range(m):
@@ -96,9 +96,9 @@ def _phik(samples: CoefficientSamples, k: int, tol: float) -> tuple[np.ndarray, 
 def solve_dirichlet_correctors(cs: CoefficientSet, eps: float, grid: BoxGrid,
                                tol: float = 1e-10) -> DirichletCorrectorSet:
     """Phi_{eps,0} and Phi_{eps,1..d}, all from one sampled and assembled
-    principal-part operator."""
+    principal-part operator (``cs`` with V, B and c set to zero)."""
     resolution_guard(grid, eps)
-    samples = sample_coefficients(cs, grid, eps, 0.0, principal_only=True)
+    samples = sample_coefficients(replace(cs, V=None, B=None, c=None), grid, eps, 0.0)
     phi0, r0 = _phi0(cs, eps, samples, tol)
     phis = []
     res = {"phi0": r0}

@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bvp import sample_coefficients
+from .bvp import DirichletProblem, pullback, sample_coefficients, solve
 from .coefficients import CoefficientSet
 from .grid import (BoxGrid, _face_difference, boundary_lp_norm, linf_norm,
                    nontangential_max)
@@ -76,7 +76,6 @@ class GreenSample:
 
     def magnitude(self) -> np.ndarray:
         """Frobenius norm over both matrix indices, per grid point."""
-        nd = self.grid.d
         sq = np.sum(self.columns ** 2, axis=(0, self.columns.ndim - 1))
         return np.sqrt(sq)
 
@@ -204,8 +203,7 @@ def decay_fit(sample: GreenSample, max_pairs: int = 4000) -> DecayFit:
 def boundary_weighted_ratio(sample: GreenSample) -> float:
     """max over admissible x of |G| |x-y|^(d-1) / d_y, the near-boundary bound."""
     g = sample.grid
-    pts = g.points()
-    r = np.sqrt(np.sum((pts - sample.y) ** 2, axis=-1))
+    r, _ = sample.fit_shell()
     mag = sample.magnitude()
     d_y = max(sample.d_y(), g.h)
     adm = (r >= 4 * g.h) & (sample.rho < r / 4)
@@ -238,9 +236,7 @@ def poisson_kernel_boundary_rep(samples: list[GreenSample], cs: CoefficientSet,
     for isamp, sample in enumerate(samples):
         grid = sample.grid
         d, m, h = grid.d, sample.m, grid.h
-        x = grid.points()
-        yc = np.mod(x / sample.eps, 1.0)
-        A = cs.A(yc)
+        A = cs.A(pullback(grid, sample.eps))
         g_arr = np.asarray(g_values, float)
         total = np.zeros(m)
         on_faces = np.zeros(grid.shape, dtype=int)
@@ -329,7 +325,6 @@ def maximal_function_probe(cs: CoefficientSet, eps: float, lam: float,
     """
     if len(battery) < 10:
         raise GreenError("battery needs at least 10 boundary data fields")
-    from .bvp import DirichletProblem, solve
     ratios = []
     mp_worst = 0.0
     bmask = grid.boundary_mask()

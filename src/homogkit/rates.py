@@ -18,10 +18,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bvp import DirichletProblem, default_lambda, solve, solve_homogenized
+from .bvp import DirichletProblem, default_lambda, solve
 from .cell import homogenize, solve_correctors
 from .coefficients import CoefficientSet, builtin_family
 from .dirichlet import DirichletCorrectorSet, solve_dirichlet_correctors
+from .green import boundary_data_battery, maximal_function_probe
 from .grid import (BoxGrid, GridFunction, TorusGrid, gradient, h1_norm,
                    is_dyadic, lp_norm, linf_norm, holder_seminorm)
 
@@ -232,8 +233,8 @@ def run_sweep(config: SweepConfig) -> ConvergenceReport:
     grids = [config.grid_for(e) for e in config.eps_list]
     fine = max(grids, key=lambda g: g.n)
     F_fine = load_field(config.data, fine, cs.m, config.seed)
-    u_hom_fine, _ = solve_homogenized(cs, hats, lam, fine, F=F_fine,
-                                      tol=config.tol)
+    u_hom_fine, _ = solve(DirichletProblem(cs=hats.coefficients(cs), grid=fine,
+                                           lam=lam, F=F_fine), tol=config.tol)
 
     rows = []
     complete = True
@@ -338,7 +339,6 @@ def uniform_constant_probe(kind: str, config: SweepConfig, p: float = 2.0,
     for eps in config.eps_list:
         grid = config.grid_for(eps)
         if kind == "MaxPrinciple":
-            from .green import boundary_data_battery, maximal_function_probe
             battery = boundary_data_battery(grid, cs.m, 10, seed=config.seed)
             res = maximal_function_probe(cs, eps, lam, grid, battery, p=p,
                                          tol=config.tol)

@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from homogkit.bvp import (HOMOGENIZED, CoefficientSamples, DirichletProblem,
-                          ProblemError, coercivity_constant_bound,
-                          coercivity_margin, default_lambda, estimate_lambda0,
-                          sample_coefficients, solve, solve_adjoint,
-                          solve_homogenized)
+from dataclasses import replace
+
+from homogkit.bvp import (CoefficientSamples, DirichletProblem, ProblemError,
+                          coercivity_constant_bound, coercivity_margin,
+                          default_lambda, estimate_lambda0, sample_coefficients,
+                          solve)
 from homogkit.coefficients import builtin_family
 from homogkit.grid import BoxGrid, precond_scale
 from homogkit.solvers import solve_box_dirichlet
@@ -269,8 +270,8 @@ class TestDuality:
         F[g.interior] = rng.standard_normal(F[g.interior].shape)
         G[g.interior] = rng.standard_normal(G[g.interior].shape)
         u, _ = solve(DirichletProblem(cs=cs, grid=g, eps=1 / 2, F=F), tol=1e-12)
-        v, _ = solve_adjoint(DirichletProblem(cs=cs, grid=g, eps=1 / 2, F=G),
-                             tol=1e-12)
+        adj = DirichletProblem(cs=cs, grid=g, eps=1 / 2, F=G)
+        v, _ = solve(adj, tol=1e-12, samples=adj.samples().adjoint())
         lhs = float(np.sum(u.values * G)) * g.cell_volume
         rhs = float(np.sum(F * v.values)) * g.cell_volume
         assert lhs == pytest.approx(rhs, rel=1e-9)
@@ -310,19 +311,20 @@ class TestCoercivity:
 # sampler or the solve entry point change.
 
 def _homogenized_samples(cs, hats, grid, lam):
-    return sample_coefficients(cs, grid, HOMOGENIZED, lam, hats=hats)
+    return sample_coefficients(hats.coefficients(cs), grid, 1.0, lam)
 
 
 def _principal_samples(cs, grid, eps):
-    return sample_coefficients(cs, grid, eps, 0.0, principal_only=True)
+    return sample_coefficients(replace(cs, V=None, B=None, c=None), grid, eps, 0.0)
 
 
 def _homogenized_solve(cs, hats, lam, grid, F, g, tol):
-    return solve_homogenized(cs, hats, lam, grid, F=F, g=g, tol=tol)
+    return solve(DirichletProblem(cs=hats.coefficients(cs), grid=grid, lam=lam,
+                                  F=F, g=g), tol=tol)
 
 
 def _adjoint_solve(problem, tol):
-    return solve_adjoint(problem, tol=tol)
+    return solve(problem, tol=tol, samples=problem.samples().adjoint())
 
 
 # Oracles: the removed branches of the sampler and the removed solve helpers,
@@ -418,6 +420,13 @@ class TestOperatorEquivalence:
             for field in ("A", "V", "B", "c"):
                 assert _same_bits(getattr(got, field), getattr(want, field)), field
             assert got.lam == want.lam and got.m == want.m and got.grid == want.grid
+
+    def test_homogenized_set_keeps_lambda_threshold(self):
+        cs = builtin_family("trig", d=2, lower=0.3)
+        hom = _hats(cs).coefficients(cs)
+        assert (hom.mu, hom.kappa, hom.d, hom.m) == (cs.mu, cs.kappa, cs.d, cs.m)
+        problem = DirichletProblem(cs=hom, grid=BoxGrid(2, 8))
+        assert problem.lam == default_lambda(cs)
 
     @pytest.mark.parametrize("name,params", [
         ("trig", dict(d=2, lower=0.3)),

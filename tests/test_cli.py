@@ -165,6 +165,13 @@ class TestMain:
         "subcommand: cell\nfamily: constant\nparams: {d: 2, a0: .inf}\n",
         "subcommand: cell\nfamily: constant\nparams: {d: 2, a0: .nan}\n",
         "subcommand: correctors\nn: 32\neps: 0.25\n",
+        "subcommand: rates\nprobe_kinds: [Hessian]\n",
+        "subcommand: rates\nprobe_kinds: W1p\n",
+        "subcommand: solve\ndata: bump\nseed: -1\n",
+        "subcommand: cell\nseed: true\n",
+        "subcommand: homogenize\nflux: \"no\"\n",
+        "subcommand: green\nbattery: 1\n",
+        "subcommand: solve\nlambda_override: \"yes\"\n",
     ], ids=lambda t: t[12:].replace(": ", "=").strip().replace("\n", "-"))
     def test_exit_two_on_bad_numeric_key(self, tmp_path, capsys, text):
         lines = text.splitlines()
@@ -205,6 +212,15 @@ class TestMain:
         assert rc == 0
         rec = json.loads((out / "manifest.jsonl").read_text().splitlines()[-1])
         assert rec["seed"] == 9
+
+    def test_negative_seed_override(self, tmp_path, capsys):
+        cfg = self._write(tmp_path, "subcommand: solve\nfamily: trig\n"
+                                    "params: {d: 2}\ndata: bump\n")
+        out = tmp_path / "out"
+        rc = main(["solve", "--config", cfg, "--out", str(out), "--seed", "-1"])
+        assert rc == 2
+        assert "--seed: seed must be an integer >= 0" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_env_out_dir(self, tmp_path, monkeypatch):
         cfg = self._write(tmp_path, "subcommand: cell\nfamily: laminate\n"

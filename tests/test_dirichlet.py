@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -39,7 +41,8 @@ def _per_k_correctors(cs, eps, grid, tol):
         bn = np.linalg.norm(rhs_int)
         return w, rn / bn if bn > 0 else 0.0
 
-    samples = sample_coefficients(cs, grid, eps, 0.0, principal_only=True)
+    principal = replace(cs, V=None, B=None, c=None)
+    samples = sample_coefficients(principal, grid, eps, 0.0)
     V = cs.V(np.mod(x / eps, 1.0))
     phi0 = np.zeros(grid.shape + (m, m))
     res = {"phi0": []}
@@ -55,7 +58,7 @@ def _per_k_correctors(cs, eps, grid, tol):
         phi0[..., :, beta] = full
     phis = []
     for k in range(1, cs.d + 1):
-        samples = sample_coefficients(cs, grid, eps, 0.0, principal_only=True)
+        samples = sample_coefficients(principal, grid, eps, 0.0)
         phik = np.zeros(grid.shape + (m, m))
         res[f"phi{k}"] = []
         for beta in range(m):
