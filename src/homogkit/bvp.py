@@ -60,6 +60,18 @@ def default_lambda(cs: CoefficientSet) -> float:
     return estimate_lambda0(cs) + 1.0
 
 
+def check_lambda(cs: CoefficientSet, lam: float | None, override: bool = False) -> float:
+    """The zero-order shift of a solve: ``default_lambda(cs)`` for None, else
+    ``lam``, which must reach the coercivity threshold unless ``override``."""
+    if lam is None:
+        return default_lambda(cs)
+    lam0 = estimate_lambda0(cs)
+    if lam < lam0 - 1e-12 and not override:
+        raise ProblemError(f"lam = {lam} is below the coercivity threshold {lam0}; "
+                           "lambda_override forces it")
+    return float(lam)
+
+
 @dataclass
 class CoefficientSamples:
     """Coefficient arrays frozen on a box grid at x/eps."""
@@ -172,14 +184,7 @@ class DirichletProblem:
     lambda_override: bool = False
 
     def __post_init__(self):
-        if self.lam is None:
-            self.lam = default_lambda(self.cs)
-        lam0 = estimate_lambda0(self.cs)
-        if self.lam < lam0 - 1e-12 and not self.lambda_override:
-            raise ProblemError(
-                f"lambda = {self.lam} below coercivity threshold {lam0}; "
-                "set lambda_override=True to force"
-            )
+        self.lam = check_lambda(self.cs, self.lam, self.lambda_override)
         if self.eps <= 0:
             raise ProblemError("eps must be positive")
         if self.eps < self.grid.extent:   # exempt: at most one period spans the box

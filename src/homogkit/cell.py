@@ -37,14 +37,6 @@ class CorrectorSet:
     chi: list[np.ndarray]       # d entries, each (*shape, m, m)
     residuals: dict[str, float]
 
-    @property
-    def d(self) -> int:
-        return self.grid.d
-
-    @property
-    def m(self) -> int:
-        return self.chi0.shape[-1]
-
     def gradients(self):
         """Centered periodic gradients: grad_chi0 (*shape, m, m, d) and the
         list for chi_k."""
@@ -59,14 +51,6 @@ class HomogenizedCoefficients:
     V_hat: np.ndarray   # (d, m, m)
     B_hat: np.ndarray   # (d, m, m)
     c_hat: np.ndarray   # (m, m)
-
-    @property
-    def d(self) -> int:
-        return self.A_hat.shape[0]
-
-    @property
-    def m(self) -> int:
-        return self.A_hat.shape[-1]
 
     def ellipticity_margin(self, mu: float) -> float:
         return ellipticity_margin(self.A_hat, mu)

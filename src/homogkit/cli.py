@@ -24,8 +24,8 @@ import numpy as np
 import yaml
 
 from . import __version__
-from .bvp import (POINTS_PER_PERIOD, DirichletProblem, ProblemError, default_lambda,
-                  resolution_guard, solve)
+from .bvp import (POINTS_PER_PERIOD, DirichletProblem, ProblemError, check_lambda,
+                  default_lambda, resolution_guard, solve)
 from .cell import build_flux_correctors, homogenize, solve_correctors
 from .coefficients import FAMILY_NAMES, CoefficientError, builtin_family
 from .dirichlet import (CommensurabilityError, lattice_step, psi_diagnostics,
@@ -33,7 +33,7 @@ from .dirichlet import (CommensurabilityError, lattice_step, psi_diagnostics,
 from .grid import BoxGrid, GridFunction, TorusGrid, is_dyadic, write_csv
 from .green import GreenError, _snap_interior, approx_green, decay_fit, \
     boundary_data_battery, maximal_function_probe
-from .rates import (PROBE_KINDS, SweepConfig, load_field, run_sweep,
+from .rates import (PROBE_KINDS, SweepConfig, SweepError, load_field, run_sweep,
                     uniform_constant_probe)
 
 SUBCOMMANDS = ("cell", "homogenize", "solve", "correctors", "green", "rates",
@@ -48,32 +48,38 @@ class ConfigError(ValueError):
         self.violations = violations
 
 
-# keys accepted per subcommand, on top of the common ones
-_COMMON_KEYS = {"subcommand", "family", "params", "seed", "tol", "out"}
+# Each key a subcommand accepts, with its default, on top of the common ones.
+# A default of None leaves the choice to the run: lam is bvp.default_lambda,
+# rho the 2h floor, probes the box centre, out the --out fallback.
+_COMMON_KEYS = {"subcommand": None, "family": "constant", "params": {}, "seed": 0,
+                "tol": 1e-10, "out": None}
 _KEYS = {
-    "cell": {"n"},
-    "homogenize": {"n", "flux"},
-    "solve": {"n", "eps", "lam", "data", "lambda_override"},
-    "correctors": {"n", "eps", "n_cell"},
-    "green": {"n", "eps", "lam", "probes", "rho", "lambda_override",
-              "battery", "p"},
-    "rates": {"eps", "divisor", "data", "n_cell", "lam", "probe_kinds"},
-    "validate": {"configs"},
+    "cell": {"n": 64},
+    "homogenize": {"n": 64, "flux": False},
+    "solve": {"n": 64, "eps": 1.0, "lam": None, "data": "one",
+              "lambda_override": False},
+    "correctors": {"n": 64, "eps": 0.25, "n_cell": 64},
+    "green": {"n": 48, "eps": 1.0, "lam": None, "probes": None, "rho": None,
+              "lambda_override": False, "battery": False, "p": 2.0},
+    "rates": {"eps": [1 / 8, 1 / 16, 1 / 32], "divisor": 16, "data": "one",
+              "n_cell": 64, "lam": None, "probe_kinds": []},
+    "validate": {"configs": []},
 }
 
 
 @dataclass
 class ExperimentConfig:
     subcommand: str
-    family: str = "constant"
-    params: dict = field(default_factory=dict)
-    seed: int = 0
-    tol: float = 1e-10
-    out: str | None = None
-    extra: dict = field(default_factory=dict)
+    family: str
+    params: dict
+    seed: int
+    tol: float
+    out: str | None
+    extra: dict = field(default_factory=dict)   # subcommand keys as written
 
-    def get(self, key, default=None):
-        return self.extra.get(key, default)
+    def __getitem__(self, key):
+        """A subcommand key as written, else its default from ``_KEYS``."""
+        return self.extra.get(key, _KEYS[self.subcommand][key])
 
 
 def _is_int(value, low: int) -> bool:
@@ -85,6 +91,51 @@ def _real(value) -> float:
     if isinstance(value, (int, float)) and not isinstance(value, bool):
         return float(value)
     return math.nan
+
+
+def _int_rule(low: int):
+    return (lambda v: _is_int(v, low)), f"an integer >= {low}"
+
+
+_BOOL_RULE = (lambda v: isinstance(v, bool)), "true or false"
+
+
+# key -> (test of its resolved value, what the value must be); "sub.key"
+# overrides key for one subcommand.  rho is checked against 2h below.
+_CHECKS = {
+    "family": (lambda v: v in FAMILY_NAMES, f"one of {sorted(FAMILY_NAMES)}"),
+    "params": (lambda v: v is None or isinstance(v, dict), "a mapping"),
+    "seed": _int_rule(0),
+    "tol": (lambda v: 0 < _real(v) < 1, "a number in (0, 1)"),
+    "out": (lambda v: v is None or isinstance(v, str), "a path"),
+    "n": _int_rule(4),
+    "n_cell": _int_rule(4),
+    "divisor": _int_rule(POINTS_PER_PERIOD),
+    "eps": (lambda v: _real(v) > 0 and is_dyadic(_real(v)),
+            "a single dyadic number 2^-j"),
+    "rates.eps": (lambda v: isinstance(v, list)
+                  and all(math.isfinite(_real(e)) for e in v), "a list of numbers"),
+    "lam": (lambda v: v is None or math.isfinite(_real(v)), "a finite number"),
+    "p": (lambda v: _real(v) >= 1, "a number >= 1"),
+    "data": (lambda v: v in ("one", "sine", "bump"), "one|sine|bump"),
+    "probe_kinds": (lambda v: isinstance(v, list) and all(k in PROBE_KINDS for k in v),
+                    f"a list of entries from {PROBE_KINDS}"),
+    "probes": (lambda v: v is None or (isinstance(v, list) and len(v) > 0),
+               "a non-empty list"),
+    "configs": (lambda v: isinstance(v, list) and all(isinstance(c, str) for c in v),
+                "a list of paths"),
+    "flux": _BOOL_RULE,
+    "battery": _BOOL_RULE,
+    "lambda_override": _BOOL_RULE,
+}
+
+
+def _sweep_config(cfg: ExperimentConfig) -> SweepConfig:
+    """The sweep a ``rates`` config runs; its checks are the eps-list rules."""
+    return SweepConfig(family=cfg.family, params=cfg.params,
+                       eps_list=tuple(cfg["eps"]), divisor=cfg["divisor"],
+                       lam=cfg["lam"], data=cfg["data"], seed=cfg.seed,
+                       tol=cfg.tol, n_cell=cfg["n_cell"])
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -101,85 +152,52 @@ def parse_config(text: str) -> ExperimentConfig:
 
     sub = raw.get("subcommand")
     if sub not in SUBCOMMANDS:
-        violations.append(
-            f"subcommand must be one of {SUBCOMMANDS}, got {sub!r}")
-        raise ConfigError(violations)
+        raise ConfigError([f"subcommand must be one of {SUBCOMMANDS}, got {sub!r}"])
 
-    allowed = _COMMON_KEYS | _KEYS[sub]
-    for key in sorted(set(raw) - allowed):
+    defaults = _COMMON_KEYS | _KEYS[sub]
+    for key in sorted(set(raw) - set(defaults)):
         violations.append(f"unknown key {key!r} for subcommand {sub!r}")
+    value = {key: raw.get(key, default) for key, default in defaults.items()}
+    bad = set()
+    for key, v in value.items():
+        test, rule = _CHECKS.get(f"{sub}.{key}") or _CHECKS.get(key, (None, None))
+        if test is not None and not test(v):
+            violations.append(f"{key} must be {rule}, got {v!r}")
+            bad.add(key)
 
-    family = raw.get("family", "constant")
-    if sub != "validate" and family not in FAMILY_NAMES:
-        violations.append(
-            f"family must be one of {sorted(FAMILY_NAMES)}, got {family!r}")
-    params = raw.get("params", {}) or {}
-    if not isinstance(params, dict):
-        violations.append("params must be a mapping")
-        params = {}
+    def ok(*keys):
+        return bad.isdisjoint(keys)
+
+    cfg = ExperimentConfig(subcommand=sub, family=value["family"],
+                           params=value["params"] or {}, seed=value["seed"],
+                           tol=_real(value["tol"]), out=value["out"],
+                           extra={k: v for k, v in raw.items() if k in _KEYS[sub]})
     cs = None   # built here only to check the parameters; each run builds its own
-    if sub != "validate" and family in FAMILY_NAMES:
+    if sub != "validate" and ok("family", "params"):
         try:
-            cs = builtin_family(family, **params)
+            cs = builtin_family(cfg.family, **cfg.params)
         except (TypeError, CoefficientError) as exc:
-            violations.append(f"params rejected by family {family!r}: {exc}")
+            violations.append(f"params rejected by family {cfg.family!r}: {exc}")
+    box = None
+    if cs is not None and "n" in defaults and ok("n"):
+        box = BoxGrid(cs.d, cfg["n"])
 
-    tol = raw.get("tol", 1e-10)
-    if not (isinstance(tol, (int, float)) and 0 < tol < 1):
-        violations.append(f"tol must be in (0, 1), got {tol!r}")
-    seed = raw.get("seed", 0)
-    if not _is_int(seed, 0):
-        violations.append(f"seed must be an integer >= 0, got {seed!r}")
-
-    for key, low in (("n", 4), ("n_cell", 4), ("divisor", POINTS_PER_PERIOD)):
-        value = raw.get(key)
-        if value is not None and not _is_int(value, low):
-            violations.append(f"{key} must be an integer >= {low}, got {value!r}")
-    n_box, n_cell = raw.get("n", 48 if sub == "green" else 64), raw.get("n_cell", 64)
-    box = BoxGrid(cs.d, n_box) if cs is not None and _is_int(n_box, 4) else None
-    if sub == "rates":
-        divisor = raw.get("divisor", 16)
-        if _is_int(divisor, 1) and _is_int(n_cell, 4) and n_cell % divisor:
-            violations.append(f"n_cell = {n_cell} must be a multiple of divisor = "
-                              f"{divisor} so cell fields land on the box lattice")
-
-    lam = raw.get("lam")
-    if lam is not None and not math.isfinite(_real(lam)):
-        violations.append(f"lam must be a finite number, got {lam!r}")
-    rho = raw.get("rho")
-    if rho is not None:
-        two_h = 2.0 / n_box if _is_int(n_box, 4) else 0.0
-        r = _real(rho)
-        if not (math.isfinite(r) and r > 0 and r >= two_h - 1e-12):
-            violations.append(f"rho must be a number >= 2h = {two_h:.4g} and > 0, "
-                              f"got {rho!r}")
-    p = raw.get("p")
-    if p is not None and not _real(p) >= 1:
-        violations.append(f"p must be a number >= 1, got {p!r}")
-
-    eps_raw = raw.get("eps")
-    if isinstance(eps_raw, list) and sub != "rates":
-        violations.append(f"eps must be a single number for {sub!r}, got {eps_raw!r}")
-    elif eps_raw is not None:
-        eps_list = eps_raw if isinstance(eps_raw, list) else [eps_raw]
-        for e in eps_list:
-            try:
-                ev = float(e)
-            except (TypeError, ValueError):
-                violations.append(f"eps entry {e!r} is not a number")
-                continue
-            if not is_dyadic(ev):
-                violations.append(f"eps must be dyadic (2^-j), got {e}")
-
-    if sub == "green" and box is not None:
-        probes = raw.get("probes") or []
-        for probe in probes if isinstance(probes, list) else [probes]:
-            try:
-                _snap_interior(box, probe)
-            except (GreenError, TypeError, ValueError) as exc:
-                violations.append(f"probes entry {probe!r}: {exc}")
-    eps = _real(raw.get("eps", 0.25))
-    if sub == "correctors" and box is not None and _is_int(n_cell, 4) and eps > 0:
+    if sub == "green":
+        rho = cfg["rho"]
+        if rho is not None:
+            two_h = 2.0 / cfg["n"] if ok("n") else 0.0
+            r = _real(rho)
+            if not (math.isfinite(r) and r > 0 and r >= two_h - 1e-12):
+                violations.append(f"rho must be a number >= 2h = {two_h:.4g} and > 0, "
+                                  f"got {rho!r}")
+        if box is not None and cfg["probes"] is not None and ok("probes"):
+            for probe in cfg["probes"]:
+                try:
+                    _snap_interior(box, probe)
+                except (GreenError, TypeError, ValueError) as exc:
+                    violations.append(f"probes entry {probe!r}: {exc}")
+    if sub == "correctors" and box is not None and ok("eps", "n_cell"):
+        eps, n_cell = float(cfg["eps"]), cfg["n_cell"]
         try:
             lattice_step(box, eps, n_cell)
         except CommensurabilityError as exc:
@@ -187,29 +205,23 @@ def parse_config(text: str) -> ExperimentConfig:
         try:
             resolution_guard(box, eps)
         except ProblemError as exc:
-            violations.append(f"eps = {eps:g} is not resolved by n = {n_box}: {exc}")
-
-    data = raw.get("data")
-    if data is not None and data not in ("one", "sine", "bump"):
-        violations.append(f"data must be one|sine|bump, got {data!r}")
-    kinds = raw.get("probe_kinds")
-    if kinds is not None and not (isinstance(kinds, list)
-                                  and all(k in PROBE_KINDS for k in kinds)):
-        violations.append(f"probe_kinds must be a list of entries from "
-                          f"{PROBE_KINDS}, got {kinds!r}")
-    for key in ("flux", "battery", "lambda_override"):
-        value = raw.get(key)
-        if value is not None and not isinstance(value, bool):
-            violations.append(f"{key} must be true or false, got {value!r}")
+            violations.append(f"eps = {eps:g} is not resolved by n = {cfg['n']}: {exc}")
+    if sub == "rates" and ok("eps", "divisor", "n_cell"):
+        try:
+            _sweep_config(cfg)
+        except SweepError as exc:
+            violations.append(str(exc))
+    # the lambda threshold, where the run applies it
+    if cs is not None and ok("lam", "lambda_override", "battery") and (
+            sub in ("solve", "rates") or sub == "green" and cfg["battery"]):
+        try:
+            check_lambda(cs, cfg["lam"], sub != "rates" and cfg["lambda_override"])
+        except ProblemError as exc:
+            violations.append(str(exc))
 
     if violations:
         raise ConfigError(violations)
-
-    extra = {k: v for k, v in raw.items()
-             if k not in ("subcommand", "family", "params", "seed", "tol", "out")}
-    return ExperimentConfig(subcommand=sub, family=family, params=params,
-                            seed=seed, tol=float(tol),
-                            out=raw.get("out"), extra=extra)
+    return cfg
 
 
 def serialize_config(cfg: ExperimentConfig) -> str:
@@ -266,8 +278,7 @@ def _jsonable(x):
 
 def _run_cell(cfg: ExperimentConfig, out_dir: str):
     cs = builtin_family(cfg.family, **cfg.params)
-    n = cfg.get("n", 64)
-    grid = TorusGrid(cs.d, n)
+    grid = TorusGrid(cs.d, cfg["n"])
     t0 = time.perf_counter()
     corr = solve_correctors(cs, grid, tol=cfg.tol)
     wall = {"cell_solve": time.perf_counter() - t0}
@@ -287,8 +298,7 @@ def _run_cell(cfg: ExperimentConfig, out_dir: str):
 
 def _run_homogenize(cfg: ExperimentConfig, out_dir: str):
     cs = builtin_family(cfg.family, **cfg.params)
-    n = cfg.get("n", 64)
-    grid = TorusGrid(cs.d, n)
+    grid = TorusGrid(cs.d, cfg["n"])
     t0 = time.perf_counter()
     corr = solve_correctors(cs, grid, tol=cfg.tol)
     hats = homogenize(cs, corr)
@@ -297,7 +307,7 @@ def _run_homogenize(cfg: ExperimentConfig, out_dir: str):
                "c_hat": hats.c_hat,
                "ellipticity_margin": hats.ellipticity_margin(cs.mu)}
     checks = {"hat_elliptic": hats.ellipticity_margin(cs.mu) > -1e-10}
-    if cfg.get("flux", False):
+    if cfg["flux"]:
         t0 = time.perf_counter()
         flux = build_flux_correctors(cs, corr, hats)
         wall["flux"] = time.perf_counter() - t0
@@ -310,15 +320,11 @@ def _run_homogenize(cfg: ExperimentConfig, out_dir: str):
 
 def _run_solve(cfg: ExperimentConfig, out_dir: str):
     cs = builtin_family(cfg.family, **cfg.params)
-    n = cfg.get("n", 64)
-    eps = float(cfg.get("eps", 1.0))
+    n, eps = cfg["n"], float(cfg["eps"])
     grid = BoxGrid(cs.d, n)
-    F = load_field(cfg.get("data") or "one", grid, cs.m, cfg.seed)
-    lam = cfg.get("lam")
-    problem = DirichletProblem(
-        cs=cs, grid=grid, eps=eps,
-        lam=None if lam is None else float(lam), F=F,
-        lambda_override=bool(cfg.get("lambda_override", False)))
+    F = load_field(cfg["data"], grid, cs.m, cfg.seed)
+    problem = DirichletProblem(cs=cs, grid=grid, eps=eps, lam=cfg["lam"], F=F,
+                               lambda_override=cfg["lambda_override"])
     t0 = time.perf_counter()
     u, info = solve(problem, tol=cfg.tol)
     wall = {"solve": time.perf_counter() - t0}
@@ -331,12 +337,10 @@ def _run_solve(cfg: ExperimentConfig, out_dir: str):
 
 def _run_correctors(cfg: ExperimentConfig, out_dir: str):
     cs = builtin_family(cfg.family, **cfg.params)
-    n = cfg.get("n", 64)
-    eps = float(cfg.get("eps", 0.25))
-    n_cell = cfg.get("n_cell", 64)
-    grid = BoxGrid(cs.d, n)
+    eps = float(cfg["eps"])
+    grid = BoxGrid(cs.d, cfg["n"])
     t0 = time.perf_counter()
-    corr = solve_correctors(cs, TorusGrid(cs.d, n_cell), tol=cfg.tol)
+    corr = solve_correctors(cs, TorusGrid(cs.d, cfg["n_cell"]), tol=cfg.tol)
     phis = solve_dirichlet_correctors(cs, eps, grid, tol=cfg.tol)
     diag = psi_diagnostics(phis, corr, eps)
     wall = {"correctors": time.perf_counter() - t0}
@@ -361,13 +365,11 @@ def _run_correctors(cfg: ExperimentConfig, out_dir: str):
 
 def _run_green(cfg: ExperimentConfig, out_dir: str):
     cs = builtin_family(cfg.family, **cfg.params)
-    n = cfg.get("n", 48)
-    eps = float(cfg.get("eps", 1.0))
-    grid = BoxGrid(cs.d, n)
-    lam = cfg.get("lam")
-    lam = default_lambda(cs) if lam is None else float(lam)
-    probes = cfg.get("probes") or [[0.5] * cs.d]
-    rho = cfg.get("rho")
+    eps = float(cfg["eps"])
+    grid = BoxGrid(cs.d, cfg["n"])
+    lam = default_lambda(cs) if cfg["lam"] is None else float(cfg["lam"])
+    probes = cfg["probes"] or [[0.5] * cs.d]
+    rho = cfg["rho"]
     t0 = time.perf_counter()
     checks = {}
     fit_summaries = []
@@ -393,12 +395,12 @@ def _run_green(cfg: ExperimentConfig, out_dir: str):
                     "n_pairs": fit.n_pairs, "spans_decade": fit.spans_decade,
                 })
     wall = {"green": time.perf_counter() - t0}
-    if cfg.get("battery", False):
+    if cfg["battery"]:
         t0 = time.perf_counter()
         battery = boundary_data_battery(grid, cs.m, 10, seed=cfg.seed)
         probe_res = maximal_function_probe(
-            cs, eps, lam, grid, battery, p=float(cfg.get("p", 2.0)), tol=cfg.tol,
-            lambda_override=bool(cfg.get("lambda_override", False)))
+            cs, eps, lam, grid, battery, p=float(cfg["p"]), tol=cfg.tol,
+            lambda_override=cfg["lambda_override"])
         wall["maximal_probe"] = time.perf_counter() - t0
         fit_summaries.append({"C_p": probe_res.C_p,
                               "max_principle_ratio":
@@ -409,13 +411,7 @@ def _run_green(cfg: ExperimentConfig, out_dir: str):
 
 
 def _run_rates(cfg: ExperimentConfig, out_dir: str):
-    eps = cfg.get("eps") or [1 / 8, 1 / 16, 1 / 32]
-    sweep = SweepConfig(family=cfg.family, params=cfg.params,
-                        eps_list=tuple(float(e) for e in eps),
-                        divisor=int(cfg.get("divisor", 16)),
-                        lam=cfg.get("lam"),
-                        data=cfg.get("data", "one"), seed=cfg.seed,
-                        tol=cfg.tol, n_cell=int(cfg.get("n_cell", 64)))
+    sweep = _sweep_config(cfg)
     t0 = time.perf_counter()
     report = run_sweep(sweep)
     wall = {"sweep": time.perf_counter() - t0}
@@ -425,7 +421,7 @@ def _run_rates(cfg: ExperimentConfig, out_dir: str):
                   "dropped": f.dropped}
               for k, f in report.slopes.items()}
     probes = {}
-    for kind in cfg.get("probe_kinds", []) or []:
+    for kind in cfg["probe_kinds"]:
         t0 = time.perf_counter()
         res = uniform_constant_probe(kind, sweep)
         wall[f"probe_{kind}"] = time.perf_counter() - t0
@@ -474,7 +470,7 @@ def _run_validate(cfg: ExperimentConfig, out_dir: str):
     """Re-parse a list of config files, collecting violations per file."""
     results = {}
     ok = True
-    for path in cfg.get("configs", []) or []:
+    for path in cfg["configs"]:
         try:
             with open(path) as fh:
                 parse_config(fh.read())
@@ -545,8 +541,9 @@ def main(argv=None) -> int:
               f"{args.subcommand!r} was requested", file=sys.stderr)
         return 2
     if args.seed is not None:
-        if not _is_int(args.seed, 0):
-            print(f"invalid --seed: seed must be an integer >= 0, got {args.seed}",
+        test, rule = _CHECKS["seed"]
+        if not test(args.seed):
+            print(f"invalid --seed: seed must be {rule}, got {args.seed}",
                   file=sys.stderr)
             return 2
         cfg.seed = args.seed

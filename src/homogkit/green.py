@@ -56,7 +56,6 @@ class GreenSample:
     rho: float
     columns: np.ndarray        # (m, *shape, m): [source comp, x..., field comp]
     residuals: list[float]
-    star: bool = False         # True if these are adjoint-kernel columns
 
     @property
     def m(self) -> int:
@@ -107,7 +106,7 @@ def approx_green(cs: CoefficientSet, eps: float, lam: float, grid: BoxGrid,
         columns[gamma][grid.interior], res = op.solve(F[grid.interior], tol)
         residuals.append(res)
     return GreenSample(grid=grid, eps=eps, lam=lam, y_index=y_idx, y=y_pt,
-                       rho=rho, columns=columns, residuals=residuals, star=star)
+                       rho=rho, columns=columns, residuals=residuals)
 
 
 def direct_solve(cs: CoefficientSet, eps: float, lam: float, grid: BoxGrid,

@@ -16,13 +16,13 @@ serve as the reference the assembled matrices are tested against.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 
 class GridError(ValueError):
-    """Raised on grid / field shape mismatches or invalid norm specs."""
+    """Raised on grid / field shape mismatches."""
 
 
 # ---------------------------------------------------------------------------
@@ -167,9 +167,6 @@ class GridFunction:
     @property
     def ncomp(self) -> int:
         return int(np.prod(self.comp_shape)) if self.comp_shape else 1
-
-    def copy(self) -> "GridFunction":
-        return GridFunction(self.grid, self.values.copy())
 
 
 def constant_function(grid: Grid, value, comp_shape: tuple[int, ...] = ()) -> GridFunction:
@@ -521,25 +518,6 @@ def inner(u: GridFunction, v: GridFunction) -> float:
 # norms
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class NormSpec:
-    """One of Lp(p), W1p(p), Holder(sigma), Linf, H1."""
-
-    kind: str
-    exponent: float | None = None
-
-    def __post_init__(self):
-        kinds = {"Lp", "W1p", "Holder", "Linf", "H1"}
-        if self.kind not in kinds:
-            raise GridError(f"unknown norm kind {self.kind!r}; expected one of {sorted(kinds)}")
-        if self.kind in ("Lp", "W1p"):
-            if self.exponent is None or not (1.0 < self.exponent < math.inf):
-                raise GridError(f"{self.kind} needs an exponent in (1, inf)")
-        if self.kind == "Holder":
-            if self.exponent is None or not (0.0 < self.exponent <= 1.0):
-                raise GridError("Holder needs sigma in (0, 1]")
-
-
 def _pointwise_abs(values: np.ndarray, grid: Grid) -> np.ndarray:
     """Euclidean magnitude over component axes."""
     nd = len(grid.shape)
@@ -594,22 +572,6 @@ def holder_seminorm(u: GridFunction, sigma: float, max_pairs: int = 10_000) -> f
 def h1_norm(u: GridFunction) -> float:
     gu = gradient(u)
     return float(math.sqrt(lp_norm(u, 2.0) ** 2 + lp_norm(gu, 2.0) ** 2))
-
-
-def norm(u: GridFunction, spec: NormSpec) -> float:
-    if spec.kind == "Lp":
-        return lp_norm(u, spec.exponent)
-    if spec.kind == "Linf":
-        return linf_norm(u)
-    if spec.kind == "Holder":
-        return holder_seminorm(u, spec.exponent)
-    if spec.kind == "H1":
-        return h1_norm(u)
-    if spec.kind == "W1p":
-        gu = gradient(u)
-        p = spec.exponent
-        return float((lp_norm(u, p) ** p + lp_norm(gu, p) ** p) ** (1.0 / p))
-    raise GridError(f"unhandled norm kind {spec.kind!r}")
 
 
 # ---------------------------------------------------------------------------

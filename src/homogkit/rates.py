@@ -13,14 +13,13 @@ down, so discretization error is common mode across the sweep rows.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bvp import DirichletProblem, default_lambda, solve
+from .bvp import DirichletProblem, check_lambda, solve
 from .cell import homogenize, solve_correctors
-from .coefficients import CoefficientSet, builtin_family
+from .coefficients import builtin_family
 from .dirichlet import DirichletCorrectorSet, solve_dirichlet_correctors
 from .green import boundary_data_battery, maximal_function_probe
 from .grid import (BoxGrid, GridFunction, TorusGrid, gradient, h1_norm,
@@ -47,12 +46,12 @@ class SweepConfig:
 
     def __post_init__(self):
         eps = tuple(float(e) for e in self.eps_list)
-        if len(eps) < 1:
-            raise SweepError("empty eps list")
+        if not eps:
+            raise SweepError("eps list is empty")
         if any(not is_dyadic(e) for e in eps):
             raise SweepError(f"eps must be dyadic (2^-j), got {eps}")
-        if any(b >= a for a, b in zip(eps, eps[1:])) and len(eps) > 1:
-            raise SweepError("eps list must be strictly decreasing")
+        if any(b >= a for a, b in zip(eps, eps[1:])):
+            raise SweepError(f"eps list must be strictly decreasing, got {eps}")
         self.eps_list = eps
         if self.n_fixed is None and self.n_cell % self.divisor != 0:
             raise SweepError(
@@ -195,15 +194,10 @@ ROW_FIELDS = ("eps", "n", "err_l2", "err_linf", "err_h1_uncorrected",
 
 @dataclass
 class ConvergenceReport:
-    config: SweepConfig
     rows: list[dict]
     slopes: dict
     complete: bool
-    wall_time: float
     notes: list[str] = field(default_factory=list)
-
-    def column(self, name: str) -> list[float]:
-        return [row[name] for row in self.rows]
 
     def to_csv(self, path) -> None:
         with open(path, "w") as fh:
@@ -221,9 +215,8 @@ def run_sweep(config: SweepConfig) -> ConvergenceReport:
     to every coarser row.  A solver failure aborts the remaining rows and
     flags the report incomplete.
     """
-    t_start = time.perf_counter()
     cs = builtin_family(config.family, **config.params)
-    lam = config.lam if config.lam is not None else default_lambda(cs)
+    lam = check_lambda(cs, config.lam)
     notes = []
 
     cell_grid = TorusGrid(cs.d, config.n_cell)
@@ -290,9 +283,7 @@ def run_sweep(config: SweepConfig) -> ConvergenceReport:
                 slopes[key] = fit_rate([(r["eps"], r[key]) for r in rows])
             except SweepError as exc:
                 notes.append(f"slope for {key} not fitted: {exc}")
-    return ConvergenceReport(config=config, rows=rows, slopes=slopes,
-                             complete=complete,
-                             wall_time=time.perf_counter() - t_start, notes=notes)
+    return ConvergenceReport(rows=rows, slopes=slopes, complete=complete, notes=notes)
 
 
 def triangle_defects(report: ConvergenceReport) -> list[float]:
@@ -334,7 +325,7 @@ def uniform_constant_probe(kind: str, config: SweepConfig, p: float = 2.0,
     if kind not in PROBE_KINDS:
         raise SweepError(f"unknown probe kind {kind!r}; expected one of {PROBE_KINDS}")
     cs = builtin_family(config.family, **config.params)
-    lam = config.lam if config.lam is not None else default_lambda(cs)
+    lam = check_lambda(cs, config.lam)
     per_eps = {}
     for eps in config.eps_list:
         grid = config.grid_for(eps)

@@ -87,9 +87,10 @@ def _krylov(matvec, precond, rhs: np.ndarray, *, symmetric: bool, tol: float,
     """Solve matvec(x) = rhs, preconditioned by ``precond``, for x shaped like
     ``rhs``; returns x and its true relative residual ||A x - b|| / ||b||.
 
-    CG (``symmetric``) or BiCGStab runs first.  When its true residual
-    exceeds 10 tol, GMRES restarts from its iterate; when that residual still
-    exceeds 10 tol, SolverError carries it.  ``cg``, ``bicgstab`` and
+    CG (``symmetric``) or BiCGStab runs first.  A non-finite true residual
+    raises SolverError at once.  When the residual exceeds 10 tol, GMRES
+    restarts from the iterate; when that residual is still not within 10 tol,
+    SolverError carries it.  ``cg``, ``bicgstab`` and
     ``gmres`` are looked up in this module at call time, so whatever rebinds
     them here (instrumentation, tests) sees every solve.
     """
@@ -105,10 +106,12 @@ def _krylov(matvec, precond, rhs: np.ndarray, *, symmetric: bool, tol: float,
     krylov = cg if symmetric else bicgstab
     x, _ = krylov(A, b, rtol=tol, atol=0.0, maxiter=maxiter, M=M)
     res = np.linalg.norm(A @ x - b) / bnorm
+    if not np.isfinite(res):   # a NaN compares False against any bound
+        raise SolverError(f"{what} broke down", res)
     if res > 10 * tol:
         x, _ = gmres(A, b, rtol=tol, atol=0.0, maxiter=maxiter, restart=100, M=M, x0=x)
         res = np.linalg.norm(A @ x - b) / bnorm
-        if res > 10 * tol:
+        if not res <= 10 * tol:
             raise SolverError(f"{what} did not converge", res)
     return x.reshape(rhs.shape), float(res)
 

@@ -7,6 +7,7 @@ import pytest
 import yaml
 from hypothesis import given, settings, strategies as st
 
+from homogkit import cli
 from homogkit.cli import (ConfigError, main, parse_config, run,
                           serialize_config)
 
@@ -59,6 +60,14 @@ class TestParse:
                          "eps: [0.125, 0.1]\n")
         assert len(exc.value.violations) == 1
         assert "0.1" in exc.value.violations[0]
+
+    def test_defaults_are_read_not_written(self):
+        # unwritten keys resolve to their _KEYS default, but only the keys as
+        # written are serialized, so the config hash does not see defaults
+        cfg = parse_config("subcommand: green\nfamily: trig\neps: 0.5\n")
+        assert (cfg["n"], cfg["eps"], cfg["probes"]) == (48, 0.5, None)
+        assert cfg.extra == {"eps": 0.5}
+        assert "n:" not in serialize_config(cfg)
 
     def test_roundtrip(self):
         text = ("subcommand: rates\nfamily: trig\n"
@@ -172,6 +181,14 @@ class TestMain:
         "subcommand: homogenize\nflux: \"no\"\n",
         "subcommand: green\nbattery: 1\n",
         "subcommand: solve\nlambda_override: \"yes\"\n",
+        "subcommand: rates\neps: [0.0625, 0.125, 0.25]\n",
+        "subcommand: rates\neps: [0.25, 0.25]\n",
+        "subcommand: rates\neps: []\n",
+        "subcommand: green\nprobes: []\n",
+        "subcommand: cell\nn: null\n",
+        "subcommand: solve\ndata: null\n",
+        "subcommand: validate\nconfigs: configs/x.yaml\n",
+        "subcommand: solve\nparams: {d: 2, lower: 0.5}\nlam: -5\n",
     ], ids=lambda t: t[12:].replace(": ", "=").strip().replace("\n", "-"))
     def test_exit_two_on_bad_numeric_key(self, tmp_path, capsys, text):
         lines = text.splitlines()
@@ -269,14 +286,74 @@ def _cell_configs(draw):
 def test_config_is_rejected_or_runs_to_completion(config):
     """Family parameters the run cannot use exit 2 at parse time; everything
     else runs to the end (its checks may still fail)."""
+    _assert_rejected_or_completes(config)
+
+
+def _assert_rejected_or_completes(config):
     with tempfile.TemporaryDirectory() as tmp:
         path, out = os.path.join(tmp, "cfg.yaml"), os.path.join(tmp, "out")
         with open(path, "w") as fh:
             yaml.safe_dump(config, fh)
-        rc = main(["cell", "--config", path, "--out", out])
+        rc = main([config["subcommand"], "--config", path, "--out", out])
         if rc == 2:
             assert not os.path.exists(out)
             return
         with open(os.path.join(out, "manifest.jsonl")) as fh:
             checks = json.loads(fh.read().splitlines()[-1])["checks"]
         assert checks.get("run_completed") is not False, (config, checks)
+
+
+@st.composite
+def _solve_rates_configs(draw):
+    """solve and rates configs on small grids.  solve keeps eps = 1 (or a
+    rejected value): a finer eps at n <= 16 trips the resolution guard, the
+    one documented run-time failure of solve."""
+    sub = draw(st.sampled_from(["solve", "rates"]))
+    config = {"subcommand": sub, "family": "trig",
+              "params": {"d": 2, "lower": 0.5}}   # lambda threshold 1
+    if sub == "solve":
+        config["n"] = _pick(draw, [8, 16], [2, None])
+        config["eps"] = _pick(draw, [1.0], [0.3, None, [0.5]])
+        if draw(st.booleans()):
+            config["lambda_override"] = _pick(draw, [True, False], ["yes"])
+    else:
+        config["eps"] = draw(st.sampled_from([
+            [0.5], [0.5, 0.25], [0.25],                     # accepted
+            [], [0.25, 0.5], [0.5, 0.5], [0.5, 0.3], [0.25, 0.5, 0.25], 0.5]))
+        config["n_cell"] = _pick(draw, [16], [24])
+    if draw(st.booleans()):
+        config["lam"] = _pick(draw, [0.5, 1.0, 2.0], ["abc", float("nan")])
+    if draw(st.booleans()):
+        config["data"] = _pick(draw, ["one", "bump"], [None, "two"])
+    return config
+
+
+@given(config=_solve_rates_configs())
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+def test_solve_and_rates_configs_are_rejected_or_run_to_completion(config):
+    """Eps lists out of order, empty, repeated or not dyadic, lam below the
+    threshold without the override and null data exit 2 at parse time."""
+    _assert_rejected_or_completes(config)
+
+
+def _readme_key_table():
+    """(subcommand, key, default) rows of the README's CLI key table."""
+    path = os.path.join(os.path.dirname(__file__), "..", "README.md")
+    with open(path) as fh:
+        text = fh.read()
+    table = text.split("| subcommand | key | default | rule |")[1]
+    rows = []
+    for line in table.strip().splitlines()[1:]:
+        if not line.startswith("|"):
+            break
+        sub, key, default = (c.strip().strip("`") for c in line.split("|")[1:4])
+        rows.append((sub, key, yaml.safe_load(default)))
+    return rows
+
+
+def test_readme_key_table_matches_keys():
+    rows, listed = _readme_key_table(), {}
+    for sub, key, default in rows:
+        listed.setdefault(sub, {})[key] = default
+    assert listed == {"all": cli._COMMON_KEYS, **cli._KEYS}
+    assert len(rows) == len(cli._COMMON_KEYS) + sum(map(len, cli._KEYS.values()))

@@ -8,12 +8,12 @@ import homogkit.grid as grid_mod
 from homogkit.bvp import DirichletProblem, solve
 from homogkit.coefficients import builtin_family
 from homogkit.green import boundary_data_battery
-from homogkit.grid import (BoxGrid, GridError, GridFunction, NormSpec,
+from homogkit.grid import (BoxGrid, GridError, GridFunction,
                            TorusGrid, _pointwise_abs, bilinear_energy,
                            boundary_indices, boundary_lp_norm,
                            constant_function, from_callable, gradient, inner,
                            is_dyadic, lp_norm, linf_norm, holder_seminorm,
-                           h1_norm, nontangential_max, norm,
+                           h1_norm, nontangential_max,
                            precond_scale, principal_part_apply, read_csv,
                            write_csv)
 
@@ -143,16 +143,6 @@ class TestNorms:
         g = BoxGrid(1, 64)
         u = from_callable(g, lambda p: 2.5 * p[..., 0])
         assert holder_seminorm(u, 1.0) == pytest.approx(2.5, rel=1e-10)
-
-    def test_norm_spec_validation(self):
-        with pytest.raises(GridError):
-            NormSpec("Lp")                   # missing exponent
-        with pytest.raises(GridError):
-            NormSpec("Holder", 1.5)          # sigma out of range
-        with pytest.raises(GridError):
-            NormSpec("L2")                   # unknown kind
-        assert norm(constant_function(TorusGrid(1, 8), 1.0),
-                    NormSpec("Linf")) == 1.0
 
     def test_boundary_lp_scaling(self):
         g = BoxGrid(2, 16)

@@ -127,6 +127,23 @@ class TestBoxDirichlet:
                                 g, tol=1e-10, maxiter=5)
 
 
+
+class TestBreakdown:
+    """A NaN residual compares False against every bound, so the driver must
+    reject it explicitly instead of returning the iterate as converged."""
+
+    @pytest.mark.parametrize("symmetric", [True, False], ids=["cg", "bicgstab"])
+    @pytest.mark.parametrize("grid", [TorusGrid(2, 16), BoxGrid(2, 16)],
+                             ids=["periodic", "box"])
+    def test_nan_operator_raises(self, grid, symmetric):
+        solver = solve_periodic if isinstance(grid, TorusGrid) else solve_box_dirichlet
+        n = grid.n if isinstance(grid, TorusGrid) else grid.n - 1
+        rhs = np.random.Generator(np.random.PCG64(5)).standard_normal((n, n))
+        with pytest.raises(SolverError, match="broke down") as err:
+            solver(lambda w: np.full_like(w, np.nan), rhs, grid,
+                   symmetric=symmetric, maxiter=5)
+        assert np.isnan(err.value.residual)
+
 class TestKrylovLookup:
     """Both solvers reach cg, bicgstab and gmres through the names bound in
     homogkit.solvers at call time, which is where instrumentation that counts
