@@ -224,22 +224,111 @@ class TestSymmetryCheck:
             want = bool(np.allclose(x, y, atol=1e-13, rtol=0.0))
             assert bvp._allclose_blockwise(x, y) is want
 
+    # (n, eps) of the box samples each coefficient set is checked on
+    SIZES = ((8, 1.0), (12, 1 / 3), (16, 1 / 4))
+
+    @classmethod
+    def _check(cls, cs):
+        """The lattice rule agrees with the full-array rule on every size."""
+        want = _lattice_rule(cs)
+        for n, eps in cls.SIZES:
+            samples = sample_coefficients(cs, BoxGrid(cs.d, n), eps, 1.0)
+            assert _full_array_rule(samples) is want, (cs.name, n, eps)
+            assert samples.is_symmetric is want, (cs.name, n, eps)
+            assert samples.adjoint().is_symmetric is want, (cs.name, n, eps)
+        return want
+
     @pytest.mark.parametrize("family,params", [
         ("trig", {"alpha": 2.0, "beta": 0.5}),
         ("trig", {"alpha": 2.0, "beta": 0.5, "lower": 0.3}),
         ("nonsymmetric-system", {}),
         ("oscillating-potential", {"amp": 0.5}),
+        ("constant", {"a0": 1.5, "v0": 0.4, "b0": 0.4}),
+        ("constant", {"a0": 1.5, "v0": 0.4, "b0": -0.2, "c0": 0.7}),
+        ("laminate", {}),
+        ("laminate-step", {}),
+        ("trig", {"alpha": 3.5, "lower": 0.5}),
     ])
     def test_samples_match_allclose(self, family, params):
-        from homogkit.coefficients import transpose_a, transpose_m
+        from homogkit.cell import homogenize, solve_correctors
+        from homogkit.grid import TorusGrid
 
-        cs = builtin_family(family, d=2, **params)
-        samples = sample_coefficients(cs, BoxGrid(2, 16), 1 / 2, 1.0)
-        want = all(np.allclose(x, y, atol=1e-13, rtol=0.0)
-                   for x, y in ((samples.A, transpose_a(samples.A)),
-                                (samples.V, transpose_m(samples.B)),
-                                (samples.c, transpose_m(samples.c))))
-        assert samples.is_symmetric is want
+        for d in (1, 2, 3):
+            for m in ((2,) if family == "nonsymmetric-system" else (1, 2)):
+                extra = {} if family == "nonsymmetric-system" else {"m": m}
+                cs = builtin_family(family, d=d, **extra, **params)
+                principal = replace(cs, V=None, B=None, c=None)
+                # the cell solves' rule: CG exactly for the symmetric families
+                assert self._check(principal) is (family != "nonsymmetric-system")
+                assert self._check(principal) is cs.symmetric
+                hats = homogenize(cs, solve_correctors(cs, TorusGrid(d, 8), tol=1e-8))
+                for variant in (cs, cs.adjoint(), hats.coefficients(cs),
+                                hats.coefficients(cs).adjoint()):
+                    self._check(variant)
+
+    @pytest.mark.parametrize("broken", [None, "A", "V", "c"])
+    def test_custom_sets_match_allclose(self, broken):
+        # random full tensors, self-adjoint by construction except in ``broken``
+        for d in (1, 2, 3):
+            for m in (1, 2):
+                cs = _random_set(d, m, seed=10 * d + m, broken=broken)
+                # a 1 x 1 block is symmetric whatever its entries
+                breaks = (broken == "V" or broken == "c" and m > 1
+                          or broken == "A" and d * m > 1)
+                assert self._check(cs) is not breaks
+                assert self._check(cs.adjoint()) is not breaks
+                principal = replace(cs, V=None, B=None, c=None)
+                assert self._check(principal) is not (broken == "A" and breaks)
+
+
+def _full_array_rule(samples):
+    """L = L* over the sampled arrays, as the box solves decided it before
+    the decision moved to the coefficient set."""
+    from homogkit.coefficients import transpose_a, transpose_m
+
+    return all(np.allclose(x, y, atol=1e-13, rtol=0.0)
+               for x, y in ((samples.A, transpose_a(samples.A)),
+                            (samples.V, transpose_m(samples.B)),
+                            (samples.c, transpose_m(samples.c))))
+
+
+def _lattice_rule(cs):
+    """L = L* on the 16^d validation lattice of the coefficient set."""
+    from homogkit.coefficients import transpose_a, transpose_m
+    from homogkit.grid import TorusGrid
+
+    y = TorusGrid(cs.d, 16).points().reshape(-1, cs.d)
+    A, c = cs.A(y), cs.c(y)
+    return all(np.allclose(x, z, atol=1e-13, rtol=0.0)
+               for x, z in ((A, transpose_a(A)), (cs.V(y), transpose_m(cs.B(y))),
+                            (c, transpose_m(c))))
+
+
+def _random_set(d, m, seed, broken):
+    """A custom coefficient set of random smooth periodic full tensors; it is
+    self-adjoint unless ``broken`` names the part ("A", "V" or "c") that is not."""
+    from homogkit.coefficients import CoefficientSet, transpose_a, transpose_m
+
+    rng = np.random.default_rng(seed)
+    a0, a1 = rng.standard_normal((2, d, d, m, m))
+    v0, v1 = rng.standard_normal((2, d, m, m))
+    c0, c1 = rng.standard_normal((2, m, m))
+    if broken != "A":
+        a0, a1 = a0 + transpose_a(a0), a1 + transpose_a(a1)
+    b0, b1 = transpose_m(v0), transpose_m(v1)
+    if broken == "V":
+        b1 = b1 + 0.1
+    if broken != "c":
+        c0, c1 = c0 + c0.T, c1 + c1.T
+
+    def field(t0, t1):
+        def fn(y):
+            wave = np.cos(2.0 * np.pi * y[..., 0]) * np.sin(2.0 * np.pi * y[..., -1] + 0.3)
+            return t0 + wave.reshape(wave.shape + (1,) * t1.ndim) * t1
+        return fn
+
+    return CoefficientSet(d=d, m=m, A=field(a0, a1), V=field(v0, v1),
+                          B=field(b0, b1), c=field(c0, c1), mu=1.0)
 
 
 class TestDuality:
