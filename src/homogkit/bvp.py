@@ -83,6 +83,7 @@ class CoefficientSamples:
     c: np.ndarray   # (*shape, m, m)
     lam: float
     m: int
+    self_adjoint: bool   # the sampled set's ``CoefficientSet.self_adjoint``
 
     def adjoint(self) -> "CoefficientSamples":
         return replace(self, A=transpose_a(self.A), V=transpose_m(self.B),
@@ -124,50 +125,18 @@ class CoefficientSamples:
         the relative residual the solver verified.  The lambda shift,
         preconditioner scale and Krylov method of a box solve are chosen
         here and nowhere else."""
-        # Order for peak memory: the symmetry check's temporaries are freed
-        # before K_ii is assembled, and K_ii exists before the Krylov work
-        # vectors are allocated.
         scale = precond_scale(self.A, self.grid)
-        symmetric = self.is_symmetric
+        # K_ii exists before the Krylov work vectors are allocated (peak memory)
         self.matrices
         return solve_box_dirichlet(self.apply_interior, rhs_int, self.grid,
                                    lam=self.lam, tol=tol, precond_scale=scale,
-                                   symmetric=symmetric)
+                                   self_adjoint=self.is_symmetric)
 
     @property
     def is_symmetric(self) -> bool:
-        """Whether L equals its adjoint (cached per samples object)."""
-        return self._symmetric
-
-    @cached_property
-    def _symmetric(self) -> bool:
-        # computed once: nothing writes to the sample arrays after construction
-        return all(_allclose_blockwise(x, y)
-                   for x, y in ((self.A, transpose_a(self.A)),
-                                (self.V, transpose_m(self.B)),
-                                (self.c, transpose_m(self.c))))
-
-
-# elements per block of the symmetry check (512 KiB of float64 differences)
-_BLOCK_ELEMENTS = 1 << 16
-
-
-def _allclose_blockwise(x: np.ndarray, y: np.ndarray) -> bool:
-    """``np.allclose(x, y, atol=1e-13, rtol=0)``, in blocks of rows along the
-    first grid axis so that no temporary is as large as ``x``.
-
-    A block passes when its largest difference is <= 1e-13 (NaN fails); a
-    block that does not is decided by ``np.allclose`` itself, which also
-    counts equal infinities as close (inf - inf is NaN).
-    """
-    rows = max(1, _BLOCK_ELEMENTS // x[0].size)
-    with np.errstate(invalid="ignore"):
-        for i in range(0, x.shape[0], rows):
-            xb, yb = x[i:i + rows], y[i:i + rows]
-            if not (np.abs(xb - yb).max() <= 1e-13
-                    or np.allclose(xb, yb, atol=1e-13, rtol=0.0)):
-                return False
-    return True
+        """Whether L equals its adjoint, as the sampled coefficient set
+        decided it."""
+        return self.self_adjoint
 
 
 @dataclass
@@ -223,7 +192,7 @@ def sample_coefficients(cs: CoefficientSet, grid: BoxGrid, eps: float,
     """
     y = pullback(grid, float(eps))
     return CoefficientSamples(grid=grid, A=cs.A(y), V=cs.V(y), B=cs.B(y), c=cs.c(y),
-                              lam=float(lam), m=cs.m)
+                              lam=float(lam), m=cs.m, self_adjoint=cs.self_adjoint)
 
 
 def solve(problem: DirichletProblem, tol: float = 1e-10,

@@ -127,17 +127,18 @@ def _source_0(V: np.ndarray, grid: TorusGrid, beta: int) -> np.ndarray:
     return rhs
 
 
-def _solve_cell(cs: CoefficientSet, grid: TorusGrid, tol: float, A: np.ndarray,
-                op, sources: list[np.ndarray]) -> tuple[np.ndarray, float]:
+def _solve_cell(grid: TorusGrid, tol: float, A: np.ndarray, op, self_adjoint: bool,
+                sources: list[np.ndarray]) -> tuple[np.ndarray, float]:
     """Column beta of the corrector solves op(chi[..., :, beta]) = sources[beta]
     with zero mean; returns the corrector and the worst relative residual."""
     scale = precond_scale(A, grid)
-    chi = np.zeros(grid.shape + (cs.m, cs.m))
+    m = len(sources)
+    chi = np.zeros(grid.shape + (m, m))
     residuals = []
     for beta, rhs in enumerate(sources):
         chi[..., :, beta], res = solve_periodic(op, rhs, grid, tol=tol,
                                                 precond_scale=scale,
-                                                symmetric=cs.symmetric)
+                                                self_adjoint=self_adjoint)
         residuals.append(res)
     return chi, max(residuals)
 
@@ -148,13 +149,15 @@ def solve_correctors(cs: CoefficientSet, grid: TorusGrid, tol: float = 1e-10) ->
     if tol <= 0:
         raise CellError("tol must be positive")
     A, op = _cell_operator(cs, grid)
+    # the torus operator -div(A grad .) is the principal part of L
+    self_adjoint = replace(cs, V=None, B=None, c=None).self_adjoint
     V = cs.V(grid.points())
-    chi0, r0 = _solve_cell(cs, grid, tol, A, op,
+    chi0, r0 = _solve_cell(grid, tol, A, op, self_adjoint,
                            [_source_0(V, grid, beta) for beta in range(cs.m)])
     chis = []
     res = {"chi0": r0}
     for k in range(1, cs.d + 1):
-        ck, rk = _solve_cell(cs, grid, tol, A, op,
+        ck, rk = _solve_cell(grid, tol, A, op, self_adjoint,
                              [_source_k(A, k, grid, beta) for beta in range(cs.m)])
         chis.append(ck)
         res[f"chi{k}"] = rk

@@ -17,13 +17,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
 
 from .grid import TorusGrid
 
-_VALIDATION_LATTICE = 64  # per-axis density used for kappa and periodicity checks
+# per-axis lattice densities: the structure checks (ellipticity, periodicity,
+# self-adjointness) and the sup-norm maximization behind kappa
+_VALIDATION_LATTICE = 16
+_KAPPA_LATTICE = 64
 
 
 class CoefficientError(ValueError):
@@ -59,7 +63,8 @@ class CoefficientSet:
     declared sup-norm bound on V, B, c (``validate`` checks it against a
     lattice maximization).  V, B and c default to zero.  The zero-order shift
     lambda is not part of the set: ``bvp.default_lambda`` derives it from
-    ``mu`` and ``kappa``.
+    ``mu`` and ``kappa``.  Whether the operator is self-adjoint is computed
+    (``self_adjoint``), not declared.
     """
 
     d: int
@@ -71,7 +76,6 @@ class CoefficientSet:
     c: Callable[[np.ndarray], np.ndarray] | None = None
     kappa: float = 0.0
     name: str = "custom"
-    symmetric: bool = True
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -95,45 +99,51 @@ class CoefficientSet:
 
     # -- validation ---------------------------------------------------------
 
-    def _lattice(self, n_probe: int) -> np.ndarray:
-        return TorusGrid(self.d, n_probe).points().reshape(-1, self.d)
+    def _lattice(self, n: int = _VALIDATION_LATTICE) -> np.ndarray:
+        return TorusGrid(self.d, n).points().reshape(-1, self.d)
 
-    def check_ellipticity(self, n_probe: int = 16) -> float:
+    @cached_property
+    def self_adjoint(self) -> bool:
+        """Whether L equals its formal adjoint on the validation lattice:
+        A = transpose_a(A), V = transpose_m(B) and c = transpose_m(c), each
+        to 1e-13.  The Krylov solves run CG exactly when this holds for the
+        operator they invert."""
+        y = self._lattice()
+        A, c = self.A(y), self.c(y)
+        return all(np.allclose(x, z, atol=1e-13, rtol=0.0)
+                   for x, z in ((A, transpose_a(A)), (self.V(y), transpose_m(self.B(y))),
+                                (c, transpose_m(c))))
+
+    def check_ellipticity(self) -> float:
         """``ellipticity_margin`` of A over a point lattice; negative means
         the declared mu is invalid (returned rather than raised so the caller
         decides)."""
-        if n_probe < 8:
-            raise CoefficientError("need n_probe >= 8")
-        return ellipticity_margin(self.A(self._lattice(n_probe)), self.mu)
+        return ellipticity_margin(self.A(self._lattice()), self.mu)
 
-    def check_periodicity(self, n_probe: int = 16, tol: float = 1e-12) -> bool:
-        y = self._lattice(n_probe)
+    def check_periodicity(self) -> bool:
+        y = self._lattice()
         for fn in (self.A, self.V, self.B, self.c):
             base = fn(y)
             for k in range(self.d):
                 shift = y.copy()
                 shift[:, k] += 1.0
-                if not np.allclose(fn(shift), base, atol=tol, rtol=0.0):
+                if not np.allclose(fn(shift), base, atol=1e-12, rtol=0.0):
                     return False
         return True
 
-    def computed_kappa(self, n_probe: int = _VALIDATION_LATTICE) -> float:
+    def computed_kappa(self) -> float:
         """Lattice maximization of the sup-norms of V, B, c."""
-        y = self._lattice(min(n_probe, 64) if self.d == 3 else n_probe)
+        y = self._lattice(_KAPPA_LATTICE)
         return max(float(np.max(np.abs(fn(y)))) for fn in (self.V, self.B, self.c))
 
-    def check_symmetry(self, n_probe: int = 16, tol: float = 1e-12) -> bool:
-        a = self.A(self._lattice(n_probe))
-        return bool(np.allclose(a, transpose_a(a), atol=tol, rtol=0.0))
-
-    def validate(self, n_probe: int = 16) -> None:
+    def validate(self) -> None:
         """Raise CoefficientError if any declared structure constant fails."""
-        margin = self.check_ellipticity(n_probe)
+        margin = self.check_ellipticity()
         if margin < -1e-10:
             raise CoefficientError(
                 f"family {self.name!r}: ellipticity margin {margin:.3e} < 0 for mu = {self.mu}"
             )
-        if not self.check_periodicity(n_probe):
+        if not self.check_periodicity():
             raise CoefficientError(f"family {self.name!r}: not 1-periodic")
         got = self.computed_kappa()
         if got > self.kappa + 1e-8:
@@ -141,8 +151,6 @@ class CoefficientSet:
                 f"family {self.name!r}: sup-norm of lower-order terms {got:.3g} "
                 f"exceeds declared kappa = {self.kappa:.3g}"
             )
-        if self.symmetric and not self.check_symmetry(n_probe):
-            raise CoefficientError(f"family {self.name!r}: declared symmetric but is not")
 
 
 def _probe_directions(d: int, m: int) -> list[np.ndarray]:
@@ -284,8 +292,8 @@ def _nonsymmetric_system_family(d: int = 2, delta: float = 0.3) -> CoefficientSe
             out[..., i, i, 1, 0] = -skew
         return out
 
-    return CoefficientSet(d=d, m=2, A=A, mu=1.0, symmetric=False,
-                          name="nonsymmetric-system", params=dict(d=d, delta=delta))
+    return CoefficientSet(d=d, m=2, A=A, mu=1.0, name="nonsymmetric-system",
+                          params=dict(d=d, delta=delta))
 
 
 FAMILIES = {

@@ -2,8 +2,9 @@
 
 Both geometries admit an exact fast-Poisson inverse for the constant-
 coefficient part (FFT on the torus, DST-I on the box interior), which is used
-as the preconditioner for CG (symmetric coefficient sets) or BiCGStab
-(general ones).  One driver runs every solve: it verifies the final relative
+as the preconditioner for CG (self-adjoint operators, as
+``CoefficientSet.self_adjoint`` decides) or BiCGStab (general ones).  A wrong
+choice costs time, not accuracy: one driver runs every solve: it verifies the final relative
 residual itself, since Krylov "success" flags are not trusted, and returns it
 with the solution.
 """
@@ -82,12 +83,12 @@ def poisson_periodic(rhs: np.ndarray, grid: TorusGrid) -> np.ndarray:
     return _apply_inverse_torus(rhs, _inverse_symbol_torus(grid, 1.0), grid)
 
 
-def _krylov(matvec, precond, rhs: np.ndarray, *, symmetric: bool, tol: float,
+def _krylov(matvec, precond, rhs: np.ndarray, *, self_adjoint: bool, tol: float,
             maxiter: int, what: str) -> tuple[np.ndarray, float]:
     """Solve matvec(x) = rhs, preconditioned by ``precond``, for x shaped like
     ``rhs``; returns x and its true relative residual ||A x - b|| / ||b||.
 
-    CG (``symmetric``) or BiCGStab runs first.  A non-finite true residual
+    CG (``self_adjoint``) or BiCGStab runs first.  A non-finite true residual
     raises SolverError at once.  When the residual exceeds 10 tol, GMRES
     restarts from the iterate; when that residual is still not within 10 tol,
     SolverError carries it.  ``cg``, ``bicgstab`` and
@@ -103,7 +104,7 @@ def _krylov(matvec, precond, rhs: np.ndarray, *, symmetric: bool, tol: float,
     bnorm = np.linalg.norm(b)
     if bnorm == 0.0:
         return np.zeros(rhs.shape), 0.0
-    krylov = cg if symmetric else bicgstab
+    krylov = cg if self_adjoint else bicgstab
     x, _ = krylov(A, b, rtol=tol, atol=0.0, maxiter=maxiter, M=M)
     res = np.linalg.norm(A @ x - b) / bnorm
     if not np.isfinite(res):   # a NaN compares False against any bound
@@ -119,7 +120,7 @@ def _krylov(matvec, precond, rhs: np.ndarray, *, symmetric: bool, tol: float,
 def solve_periodic(apply_op, rhs: np.ndarray, grid: TorusGrid, *,
                    tol: float = 1e-10, maxiter: int | None = None,
                    precond_scale: float = 1.0,
-                   symmetric: bool = True) -> tuple[np.ndarray, float]:
+                   self_adjoint: bool = True) -> tuple[np.ndarray, float]:
     """Solve apply_op(x) = rhs on the torus in the mean-zero subspace.
 
     ``apply_op`` maps full-shape arrays (grid.shape + comp) to same-shape
@@ -141,7 +142,7 @@ def solve_periodic(apply_op, rhs: np.ndarray, grid: TorusGrid, *,
 
     if maxiter is None:
         maxiter = max(200, int(20 * grid.n ** (grid.d / 2)))
-    x, res = _krylov(matvec, precond, _mean_zero(rhs, nd), symmetric=symmetric,
+    x, res = _krylov(matvec, precond, _mean_zero(rhs, nd), self_adjoint=self_adjoint,
                      tol=tol, maxiter=maxiter, what="periodic cell solve")
     return _mean_zero(x, nd), res
 
@@ -149,7 +150,7 @@ def solve_periodic(apply_op, rhs: np.ndarray, grid: TorusGrid, *,
 def solve_box_dirichlet(apply_interior, rhs_interior: np.ndarray, grid: BoxGrid, *,
                         lam: float = 0.0, tol: float = 1e-10,
                         maxiter: int | None = None, precond_scale: float = 1.0,
-                        symmetric: bool = True) -> tuple[np.ndarray, float]:
+                        self_adjoint: bool = True) -> tuple[np.ndarray, float]:
     """Solve the interior system of a Dirichlet problem on a box.
 
     ``apply_interior`` maps arrays shaped (n-1)^d + comp (interior points,
@@ -175,5 +176,5 @@ def solve_box_dirichlet(apply_interior, rhs_interior: np.ndarray, grid: BoxGrid,
 
     if maxiter is None:
         maxiter = max(200, 50 * grid.n)
-    return _krylov(matvec, precond, rhs_interior, symmetric=symmetric, tol=tol,
+    return _krylov(matvec, precond, rhs_interior, self_adjoint=self_adjoint, tol=tol,
                    maxiter=maxiter, what="box Dirichlet solve")

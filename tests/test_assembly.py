@@ -48,7 +48,8 @@ def box_samples(name, params, lam=0.7) -> CoefficientSamples:
         grid=g, A=rng.standard_normal(g.shape + (d, d, m, m)),
         V=rng.standard_normal(g.shape + (d, m, m)),
         B=rng.standard_normal(g.shape + (d, m, m)),
-        c=rng.standard_normal(g.shape + (m, m)), lam=lam, m=m)
+        c=rng.standard_normal(g.shape + (m, m)), lam=lam, m=m,
+        self_adjoint=False)   # independent random arrays: B != V^T
 
 
 def roll_apply_full(s: CoefficientSamples, u: np.ndarray) -> np.ndarray:

@@ -108,16 +108,20 @@ class TestSolve:
         assert info == info_v
 
     def test_symmetry_check_runs_once(self, monkeypatch):
+        # computed once per coefficient set, however often it is sampled
         cs = builtin_family("trig", d=2, alpha=2.0, beta=0.5, lower=0.2)
-        samples = DirichletProblem(cs=cs, grid=BoxGrid(2, 16), eps=1.0).samples()
         calls = []
         allclose = np.allclose
         monkeypatch.setattr(np, "allclose",
                             lambda *a, **k: calls.append(1) or allclose(*a, **k))
+        problem = DirichletProblem(cs=cs, grid=BoxGrid(2, 16), eps=1.0)
+        samples = problem.samples()
         assert samples.is_symmetric is False   # B != V^T
         checks = len(calls)
         assert checks > 0
-        assert samples.is_symmetric is False
+        assert problem.samples().is_symmetric is False
+        assert samples.adjoint().is_symmetric is False
+        assert cs.self_adjoint is False
         assert len(calls) == checks
         sym = DirichletProblem(cs=builtin_family("laminate", d=2),
                                grid=BoxGrid(2, 16), eps=1.0).samples()
@@ -144,14 +148,13 @@ class TestSamplesSolve:
         want, _ = solve_box_dirichlet(op.apply_interior, rhs, g, lam=op.lam,
                                       tol=1e-10,
                                       precond_scale=precond_scale(op.A, g),
-                                      symmetric=op.is_symmetric)
+                                      self_adjoint=op.is_symmetric)
         assert np.array_equal(u, want)
         assert res == np.linalg.norm(op.apply_interior(u) - rhs) / np.linalg.norm(rhs)
         assert res <= 1e-9
 
     def test_solve_assembles_once_after_symmetry_check(self, monkeypatch):
-        # peak memory: the symmetry check's temporaries are gone before K_ii
-        # is assembled, and K_ii exists before the first Krylov matvec
+        # peak memory: K_ii is assembled once, before the first Krylov matvec
         import homogkit.bvp as bvp
         import homogkit.solvers as solvers
 
@@ -162,7 +165,7 @@ class TestSamplesSolve:
         assemble = bvp.assemble_box
 
         def recording_assemble(*args):
-            events.append(("assemble", "_symmetric" in samples.__dict__))
+            events.append(("assemble", None))
             return assemble(*args)
 
         krylov = solvers._krylov
@@ -178,51 +181,15 @@ class TestSamplesSolve:
         rhs = np.random.Generator(np.random.PCG64(6)).standard_normal((15, 15, 1))
         samples.solve(rhs, 1e-10)
         samples.solve(rhs, 1e-10)
-        assert events[0] == ("assemble", True)
-        assert events.count(("assemble", True)) == 1
+        assert events[0] == ("assemble", None)
+        assert events.count(("assemble", None)) == 1
         assert len(events) > 2 and all(e == ("matvec", None) for e in events[1:])
 
 
 class TestSymmetryCheck:
-    """``_allclose_blockwise`` returns what ``np.allclose(x, y, atol=1e-13,
-    rtol=0)`` returns, whatever the block size."""
-
-    @staticmethod
-    def _cases():
-        from homogkit.coefficients import transpose_a, transpose_m
-
-        rng = np.random.Generator(np.random.PCG64(8))
-        a = rng.standard_normal((9, 9, 2, 2, 2, 2))
-        sym = a + transpose_a(a)
-        yield sym, transpose_a(sym)                    # symmetric
-        yield a, transpose_a(a)                        # nonsymmetric
-        v = rng.standard_normal((9, 9, 2, 2, 2))
-        yield v, transpose_m(v)
-        for delta in (1e-13, np.nextafter(1e-13, 1.0), 1e-13 / 2):
-            # a difference exactly at, just above and below the tolerance,
-            # in the last row so that every earlier block passes
-            x = np.zeros((9, 9, 2, 2))
-            y = x.copy()
-            y[-1, -1, 0, 1] = delta
-            yield x, y
-        for bad in (np.nan, np.inf, -np.inf):
-            x = sym.copy()
-            x[4, 3, 0, 0, 1, 1] = bad
-            yield x, transpose_a(x)                    # non-finite on the diagonal
-            y = sym.copy()
-            y[4, 3, 0, 1, 1, 0] = bad
-            yield y, transpose_a(y)                    # off the diagonal
-        inf = np.full((3, 2, 2), np.inf)
-        yield inf, inf.copy()                          # equal infinities are close
-
-    @pytest.mark.parametrize("block", [1, 7, 1 << 16])
-    def test_matches_allclose(self, monkeypatch, block):
-        import homogkit.bvp as bvp
-
-        monkeypatch.setattr(bvp, "_BLOCK_ELEMENTS", block)
-        for x, y in self._cases():
-            want = bool(np.allclose(x, y, atol=1e-13, rtol=0.0))
-            assert bvp._allclose_blockwise(x, y) is want
+    """``CoefficientSet.self_adjoint``, decided on the validation lattice,
+    agrees with the rule the box solves applied to every samples object:
+    ``np.allclose(atol=1e-13, rtol=0)`` over the full sampled arrays."""
 
     # (n, eps) of the box samples each coefficient set is checked on
     SIZES = ((8, 1.0), (12, 1 / 3), (16, 1 / 4))
@@ -231,9 +198,11 @@ class TestSymmetryCheck:
     def _check(cls, cs):
         """The lattice rule agrees with the full-array rule on every size."""
         want = _lattice_rule(cs)
+        assert cs.self_adjoint is want
         for n, eps in cls.SIZES:
             samples = sample_coefficients(cs, BoxGrid(cs.d, n), eps, 1.0)
-            assert _full_array_rule(samples) is want, (cs.name, n, eps)
+            assert _full_array_rule(samples.A, samples.V, samples.B,
+                                    samples.c) is want, (cs.name, n, eps)
             assert samples.is_symmetric is want, (cs.name, n, eps)
             assert samples.adjoint().is_symmetric is want, (cs.name, n, eps)
         return want
@@ -260,7 +229,6 @@ class TestSymmetryCheck:
                 principal = replace(cs, V=None, B=None, c=None)
                 # the cell solves' rule: CG exactly for the symmetric families
                 assert self._check(principal) is (family != "nonsymmetric-system")
-                assert self._check(principal) is cs.symmetric
                 hats = homogenize(cs, solve_correctors(cs, TorusGrid(d, 8), tol=1e-8))
                 for variant in (cs, cs.adjoint(), hats.coefficients(cs),
                                 hats.coefficients(cs).adjoint()):
@@ -281,15 +249,13 @@ class TestSymmetryCheck:
                 assert self._check(principal) is not (broken == "A" and breaks)
 
 
-def _full_array_rule(samples):
-    """L = L* over the sampled arrays, as the box solves decided it before
-    the decision moved to the coefficient set."""
+def _full_array_rule(A, V, B, c):
+    """L = L* over sampled coefficient arrays, as the box solves decided it
+    before the decision moved to the coefficient set."""
     from homogkit.coefficients import transpose_a, transpose_m
 
     return all(np.allclose(x, y, atol=1e-13, rtol=0.0)
-               for x, y in ((samples.A, transpose_a(samples.A)),
-                            (samples.V, transpose_m(samples.B)),
-                            (samples.c, transpose_m(samples.c))))
+               for x, y in ((A, transpose_a(A)), (V, transpose_m(B)), (c, transpose_m(c))))
 
 
 def _lattice_rule(cs):
@@ -423,7 +389,7 @@ def _oracle_homogenized_samples(hats, grid, lam, m):
     shape = grid.shape
     A, V, B, c = (np.broadcast_to(t, shape + t.shape).copy()
                   for t in (hats.A_hat, hats.V_hat, hats.B_hat, hats.c_hat))
-    return CoefficientSamples(grid=grid, A=A, V=V, B=B, c=c, lam=float(lam), m=m)
+    return _oracle_samples_of(grid, A, V, B, c, lam, m)
 
 
 def _oracle_samples(cs, grid, eps, lam, principal_only=False):
@@ -436,7 +402,13 @@ def _oracle_samples(cs, grid, eps, lam, principal_only=False):
         c = np.zeros(shape + (m, m))
     else:
         V, B, c = cs.V(y), cs.B(y), cs.c(y)
-    return CoefficientSamples(grid=grid, A=A, V=V, B=B, c=c, lam=float(lam), m=m)
+    return _oracle_samples_of(grid, A, V, B, c, lam, m)
+
+
+def _oracle_samples_of(grid, A, V, B, c, lam, m):
+    """Samples of the given arrays, self-adjoint by the full-array rule."""
+    return CoefficientSamples(grid=grid, A=A, V=V, B=B, c=c, lam=float(lam), m=m,
+                              self_adjoint=_full_array_rule(A, V, B, c))
 
 
 def _oracle_solve(samples, m, F, g_vals, tol):

@@ -4,7 +4,9 @@ import pytest
 from homogkit.cell import (_cell_operator, _source_0, _source_k,
                            build_flux_correctors, divergence_centered,
                            homogenize, solve_correctors)
-from homogkit.coefficients import builtin_family
+from dataclasses import replace
+
+from homogkit.coefficients import CoefficientSet, builtin_family
 from homogkit.grid import TorusGrid, precond_scale
 from homogkit.solvers import solve_periodic
 
@@ -55,7 +57,7 @@ class TestCorrectors:
         A, op = _cell_operator(cs, g)
         V = cs.V(g.points())
         kw = {"tol": tol, "precond_scale": precond_scale(A, g),
-              "symmetric": cs.symmetric}
+              "self_adjoint": replace(cs, V=None, B=None, c=None).self_adjoint}
         for beta in range(cs.m):
             want, _ = solve_periodic(op, _source_0(V, g, beta), g, **kw)
             assert np.array_equal(cor.chi0[..., :, beta], want)
@@ -63,6 +65,22 @@ class TestCorrectors:
                 want, _ = solve_periodic(op, _source_k(A, k, g, beta), g, **kw)
                 assert np.array_equal(cor.chi[k - 1][..., :, beta], want)
         assert max(cor.residuals.values()) <= 10 * tol
+
+    def test_undeclared_nonsymmetric_set_runs_bicgstab(self, monkeypatch):
+        # a custom set carries no declaration: its nonsymmetric A alone must
+        # select BiCGStab, with no CG run that ends in the GMRES fallback
+        import homogkit.solvers as solvers
+
+        calls = []
+        for name in ("cg", "bicgstab", "gmres"):
+            def counting(*args, _name=name, _fn=getattr(solvers, name), **kwargs):
+                calls.append(_name)
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(solvers, name, counting)
+        A = builtin_family("nonsymmetric-system", d=2).A
+        cor = solve_correctors(CoefficientSet(d=2, m=2, A=A, mu=1.0), TorusGrid(2, 32))
+        assert calls == ["bicgstab"] * 4   # chi_1, chi_2; chi_0 has a zero source
+        assert max(cor.residuals.values()) <= 1e-9
 
     def test_residuals_reported(self):
         cs = builtin_family("laminate", d=2)

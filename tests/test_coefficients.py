@@ -49,9 +49,10 @@ class TestFamilies:
 
     def test_nonsymmetric_flagged(self):
         cs = builtin_family("nonsymmetric-system")
-        assert not cs.symmetric
         assert cs.m == 2
-        assert not cs.check_symmetry()
+        assert cs.self_adjoint is False
+        # without its skew part the system is self-adjoint
+        assert builtin_family("nonsymmetric-system", delta=0.0).self_adjoint is True
 
     def test_oscillating_potential_kappa_positive(self):
         cs = builtin_family("oscillating-potential", d=2, amp=1.0)
@@ -133,11 +134,10 @@ class TestSampling:
 # ---------------------------------------------------------------------------
 
 class _OracleSet:
-    def __init__(self, d, m, A, V, B, c, mu, kappa=0.0, name="custom",
-                 symmetric=True, params=None):
+    def __init__(self, d, m, A, V, B, c, mu, kappa=0.0, name="custom", params=None):
         self.d, self.m, self.A, self.V, self.B, self.c = d, m, A, V, B, c
         self.mu, self.kappa, self.name = mu, kappa, name
-        self.symmetric, self.params = symmetric, dict(params or {})
+        self.params = dict(params or {})
 
     def adjoint(self):
         A, V, B, c = self.A, self.V, self.B, self.c
@@ -148,7 +148,7 @@ class _OracleSet:
             B=lambda y: np.swapaxes(V(y), -1, -2),
             c=lambda y: np.swapaxes(c(y), -1, -2),
             mu=self.mu, kappa=self.kappa, name=self.name + "*",
-            symmetric=self.symmetric, params=dict(self.params))
+            params=dict(self.params))
 
     def check_ellipticity(self, n_probe=16):
         from homogkit.grid import TorusGrid
@@ -308,7 +308,7 @@ def _oracle_nonsymmetric_system(d=2, delta=0.3):
         return out
     return _OracleSet(d, m, A, lambda y: _oracle_zv(y, d, m),
                       lambda y: _oracle_zv(y, d, m), lambda y: _oracle_zs(y, m),
-                      mu=1.0, symmetric=False, name="nonsymmetric-system",
+                      mu=1.0, name="nonsymmetric-system",
                       params=dict(d=d, delta=delta))
 
 
@@ -360,7 +360,7 @@ class TestTableEquivalence:
         lattice = TorusGrid(d, 8).points()
         scattered = np.random.default_rng(7).uniform(-1.5, 2.5, size=(3, 5, d))
         for got, want in ((new, old), (new.adjoint(), old.adjoint())):
-            for attr in ("d", "m", "mu", "kappa", "name", "symmetric", "params"):
+            for attr in ("d", "m", "mu", "kappa", "name", "params"):
                 assert getattr(got, attr) == getattr(want, attr), attr
             for y in (lattice, scattered):
                 for field in ("A", "V", "B", "c"):

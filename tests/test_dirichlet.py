@@ -36,7 +36,7 @@ def _per_k_correctors(cs, eps, grid, tol):
         w, _ = solve_box_dirichlet(samples.apply_interior, rhs_int, grid,
                                    lam=0.0, tol=tol,
                                    precond_scale=precond_scale(samples.A, grid),
-                                   symmetric=samples.is_symmetric)
+                                   self_adjoint=samples.is_symmetric)
         rn = np.linalg.norm(samples.apply_interior(w) - rhs_int)
         bn = np.linalg.norm(rhs_int)
         return w, rn / bn if bn > 0 else 0.0

@@ -132,16 +132,16 @@ class TestBreakdown:
     """A NaN residual compares False against every bound, so the driver must
     reject it explicitly instead of returning the iterate as converged."""
 
-    @pytest.mark.parametrize("symmetric", [True, False], ids=["cg", "bicgstab"])
+    @pytest.mark.parametrize("self_adjoint", [True, False], ids=["cg", "bicgstab"])
     @pytest.mark.parametrize("grid", [TorusGrid(2, 16), BoxGrid(2, 16)],
                              ids=["periodic", "box"])
-    def test_nan_operator_raises(self, grid, symmetric):
+    def test_nan_operator_raises(self, grid, self_adjoint):
         solver = solve_periodic if isinstance(grid, TorusGrid) else solve_box_dirichlet
         n = grid.n if isinstance(grid, TorusGrid) else grid.n - 1
         rhs = np.random.Generator(np.random.PCG64(5)).standard_normal((n, n))
         with pytest.raises(SolverError, match="broke down") as err:
             solver(lambda w: np.full_like(w, np.nan), rhs, grid,
-                   symmetric=symmetric, maxiter=5)
+                   self_adjoint=self_adjoint, maxiter=5)
         assert np.isnan(err.value.residual)
 
 class TestKrylovLookup:
@@ -169,8 +169,8 @@ class TestKrylovLookup:
         A = identity_coefficients(tg.shape, 2)
         apply = lambda w: principal_part_apply(A, w, tg)   # noqa: E731
         rhs = rng.standard_normal(tg.shape)
-        solve_periodic(apply, rhs, tg, symmetric=True)
-        solve_periodic(apply, rhs, tg, symmetric=False)
+        solve_periodic(apply, rhs, tg, self_adjoint=True)
+        solve_periodic(apply, rhs, tg, self_adjoint=False)
         assert calls == ["cg", "bicgstab"]
         with pytest.raises(SolverError):
             solve_periodic(lambda w: np.zeros_like(w), rhs, tg, maxiter=5)
@@ -179,12 +179,12 @@ class TestKrylovLookup:
         calls.clear()
         bg = BoxGrid(2, 16)
         b = rng.standard_normal((15, 15))
-        solve_box_dirichlet(lambda w: 4.0 * w, b, bg, symmetric=True)
-        solve_box_dirichlet(lambda w: 4.0 * w, b, bg, symmetric=False)
+        solve_box_dirichlet(lambda w: 4.0 * w, b, bg, self_adjoint=True)
+        solve_box_dirichlet(lambda w: 4.0 * w, b, bg, self_adjoint=False)
         assert calls == ["cg", "bicgstab"]
         with pytest.raises(SolverError):
             solve_box_dirichlet(lambda w: np.zeros_like(w), b, bg,
-                                symmetric=False, maxiter=5)
+                                self_adjoint=False, maxiter=5)
         assert calls[2:] == ["bicgstab", "gmres"]
 
 
@@ -310,9 +310,9 @@ class TestNoDtypeProbe:
         rhs = rng.standard_normal(tg.shape)
         bg = BoxGrid(2, 16)
         b = rng.standard_normal((15, 15, 2))
-        for symmetric in (True, False):
+        for self_adjoint in (True, False):
             solve_periodic(lambda w: principal_part_apply(A, w, tg), rhs, tg,
-                           symmetric=symmetric)
+                           self_adjoint=self_adjoint)
             solve_box_dirichlet(lambda w: 4.0 * w, b, bg, lam=1.0,
-                                symmetric=symmetric)
+                                self_adjoint=self_adjoint)
         assert zero_applies == []
