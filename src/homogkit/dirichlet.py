@@ -27,6 +27,9 @@ class CommensurabilityError(ValueError):
     """eps does not place the cell lattice onto the box lattice exactly."""
 
 
+PROFILE_BINS = 8   # logarithmic boundary-distance bins of the Psi gradient profile
+
+
 @dataclass
 class DirichletCorrectorSet:
     grid: BoxGrid
@@ -148,7 +151,7 @@ def phi_inverse(phi0: np.ndarray) -> np.ndarray:
 
 
 def psi_diagnostics(phis: DirichletCorrectorSet, correctors: CorrectorSet,
-                    eps: float, nbins: int = 8) -> PsiDiagnostics:
+                    eps: float) -> PsiDiagnostics:
     """Psi fields, their sup norms, and the radial gradient profile.
 
     The gradient profile records max |grad Psi| over logarithmic bins of the
@@ -186,10 +189,10 @@ def psi_diagnostics(phis: DirichletCorrectorSet, correctors: CorrectorSet,
     interior = dist > 0
     dmin = max(grid.h, 1e-12)
     dmax = float(dist.max())
-    edges = np.geomspace(dmin, dmax * 1.0001, nbins + 1)
-    prof = np.zeros(nbins)
+    edges = np.geomspace(dmin, dmax * 1.0001, PROFILE_BINS + 1)
+    prof = np.zeros(PROFILE_BINS)
     gstack = np.maximum.reduce(grad_mags)
-    for b in range(nbins):
+    for b in range(PROFILE_BINS):
         mask = interior & (dist >= edges[b]) & (dist < edges[b + 1])
         prof[b] = float(gstack[mask].max()) if mask.any() else math.nan
     return PsiDiagnostics(eps=eps, psi=psis, sup_norms=sup_norms,

@@ -31,6 +31,11 @@ class GreenError(ValueError):
     pass
 
 
+CONE_APERTURE = 2.0      # N0 of the nontangential maximal function
+MIN_FIT_PAIRS = 10       # fewest shell points a decay fit accepts
+FIT_MAX_PAIRS = 4000     # a decay fit thins its shell to about this many points
+
+
 def _snap_interior(grid: BoxGrid, y) -> tuple[tuple[int, ...], np.ndarray]:
     yi = np.rint(np.asarray(y, float) / grid.h).astype(int)
     if yi.shape != (grid.d,):
@@ -123,12 +128,11 @@ def direct_solve(cs: CoefficientSet, eps: float, lam: float, grid: BoxGrid,
     return full
 
 
-def ball_average(sample: GreenSample, center, rho: float | None = None) -> np.ndarray:
-    """(m, m) matrix of column fields averaged over the ball at ``center``."""
-    if rho is None:
-        rho = sample.rho
+def ball_average(sample: GreenSample, center) -> np.ndarray:
+    """(m, m) matrix of column fields averaged over the sample's
+    mollification ball moved to ``center``."""
     _, c_pt = _snap_interior(sample.grid, center)
-    mask = _ball_mask(sample.grid, c_pt, rho)
+    mask = _ball_mask(sample.grid, c_pt, sample.rho)
     return sample.columns[:, mask, :].mean(axis=1)
 
 
@@ -169,7 +173,7 @@ class DecayFit:
     spans_decade: bool
 
 
-def decay_fit(sample: GreenSample, max_pairs: int = 4000) -> DecayFit:
+def decay_fit(sample: GreenSample) -> DecayFit:
     """Log-log least-squares fit of |G| against |x - y|.
 
     Admissible evaluation points lie in ``GreenSample.fit_shell`` and carry a
@@ -182,10 +186,10 @@ def decay_fit(sample: GreenSample, max_pairs: int = 4000) -> DecayFit:
     adm &= mag > 0
     rr = r[adm]
     vv = mag[adm]
-    if rr.size < 10:
-        raise GreenError(f"only {rr.size} admissible pairs; need at least 10")
-    if rr.size > max_pairs:
-        stride = rr.size // max_pairs + 1
+    if rr.size < MIN_FIT_PAIRS:
+        raise GreenError(f"only {rr.size} admissible pairs; need at least {MIN_FIT_PAIRS}")
+    if rr.size > FIT_MAX_PAIRS:
+        stride = rr.size // FIT_MAX_PAIRS + 1
         order = np.argsort(rr)
         sel = order[::stride]
         rr, vv = rr[sel], vv[sel]
@@ -313,8 +317,7 @@ def boundary_data_battery(grid: BoxGrid, m: int, count: int = 10,
 
 def maximal_function_probe(cs: CoefficientSet, eps: float, lam: float,
                            grid: BoxGrid, battery: list[np.ndarray],
-                           p: float = 2.0, N0: float = 2.0,
-                           tol: float = 1e-10,
+                           p: float = 2.0, tol: float = 1e-10,
                            lambda_override: bool = False) -> MaximalProbeResult:
     """Worst nontangential-maximal constant over a battery of boundary data.
 
@@ -332,7 +335,7 @@ def maximal_function_probe(cs: CoefficientSet, eps: float, lam: float,
     samples = base.samples()
     for g_vals in battery:
         u, _ = solve(replace(base, g=g_vals), tol=tol, samples=samples)
-        star = nontangential_max(u, N0)
+        star = nontangential_max(u, CONE_APERTURE)
         g_on_b = g_vals[bmask]
         g_norm = boundary_lp_norm(g_on_b, grid, p)
         star_norm = boundary_lp_norm(star, grid, p)

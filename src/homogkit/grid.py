@@ -544,17 +544,20 @@ def linf_norm(u: GridFunction) -> float:
     return float(_pointwise_abs(u.values, u.grid).max())
 
 
-def holder_seminorm(u: GridFunction, sigma: float, max_pairs: int = 10_000) -> float:
+_HOLDER_PAIRS = 10_000
+
+
+def holder_seminorm(u: GridFunction, sigma: float) -> float:
     """Holder(sigma) seminorm estimated on a deterministic stratified pair sample.
 
     Exact all-pairs is O(N^2); a strided base/offset product capped at
-    ``max_pairs`` pairs is plenty for the ratio tests this feeds.
+    ``_HOLDER_PAIRS`` pairs is plenty for the ratio tests this feeds.
     """
     g = u.grid
     pts = g.points().reshape(-1, g.d)
     mag = u.values.reshape((np.prod(g.shape),) + u.comp_shape)
     npts = pts.shape[0]
-    k = max(2, int(math.isqrt(max_pairs)))
+    k = max(2, int(math.isqrt(_HOLDER_PAIRS)))
     stride = max(1, npts // k)
     idx = np.arange(0, npts, stride)
     sub_pts = pts[idx]

@@ -30,6 +30,13 @@ class SweepError(ValueError):
     pass
 
 
+# the corner-excluded norms and the Lipschitz probe keep d_x >= CORNER_MARGIN
+CORNER_MARGIN = 1 / 8
+# exponent p of the W1p and MaxPrinciple probes, sigma of the Holder probe
+PROBE_P = 2.0
+HOLDER_SIGMA = 0.5
+
+
 @dataclass
 class SweepConfig:
     family: str
@@ -42,7 +49,6 @@ class SweepConfig:
     seed: int = 0
     tol: float = 1e-10
     n_cell: int = 64
-    corner_margin: float = 1 / 8
 
     def __post_init__(self):
         eps = tuple(float(e) for e in self.eps_list)
@@ -124,12 +130,11 @@ def masked_h1_norm(u: GridFunction, mask: np.ndarray) -> float:
 
 
 def expansion_error(u_eps: GridFunction, u: GridFunction,
-                    phis: DirichletCorrectorSet,
-                    corner_margin: float = 1 / 8) -> ExpansionError:
+                    phis: DirichletCorrectorSet) -> ExpansionError:
     """w_eps and its H1 norms (global and with a corner-excluded mask).
 
     On convex-corner domains the corrected rate can degrade near corners, so
-    the masked norm (d_x >= corner_margin) is recorded alongside the global
+    the masked norm (d_x >= CORNER_MARGIN) is recorded alongside the global
     one.
     """
     grid = u_eps.grid
@@ -148,7 +153,7 @@ def expansion_error(u_eps: GridFunction, u: GridFunction,
         w -= np.einsum("...ab,...b->...a", dev, du[..., k])
         devs.append(dev)
     wf = GridFunction(grid, w)
-    mask = grid.boundary_distance() >= corner_margin
+    mask = grid.boundary_distance() >= CORNER_MARGIN
     h1c = masked_h1_norm(wf, mask)
     return ExpansionError(w=wf, h1_norm=h1_norm(wf), h1_norm_corner_excluded=h1c,
                           l2_norm=lp_norm(wf, 2.0), deviations=devs)
@@ -238,7 +243,7 @@ def run_sweep(config: SweepConfig) -> ConvergenceReport:
             u_eps, info = solve(problem, tol=config.tol)
             u_hom = GridFunction(grid, restrict(u_hom_fine.values, fine, grid))
             phis = solve_dirichlet_correctors(cs, eps, grid, tol=config.tol)
-            exp = expansion_error(u_eps, u_hom, phis, config.corner_margin)
+            exp = expansion_error(u_eps, u_hom, phis)
         except Exception as exc:  # noqa: BLE001 - solver failures flag the report
             notes.append(f"row eps={eps} aborted: {exc}")
             complete = False
@@ -313,12 +318,11 @@ class ProbeResult:
     dispersion: float      # max / min over the sweep
 
 
-def uniform_constant_probe(kind: str, config: SweepConfig, p: float = 2.0,
-                           sigma: float = 0.5) -> ProbeResult:
+def uniform_constant_probe(kind: str, config: SweepConfig) -> ProbeResult:
     """Ratio of the two sides of a uniform regularity estimate, per eps.
 
-    W1p: ||grad u_eps||_p / ||F||_p; Holder: the C^{0,sigma} seminorm over
-    ||F||_p; Lipschitz: sup |grad u_eps| away from corners over ||F||_inf;
+    With p = PROBE_P and sigma = HOLDER_SIGMA, W1p: ||grad u_eps||_p /
+    ||F||_p; Holder: the C^{0,sigma} seminorm over ||F||_p; Lipschitz: sup |grad u_eps| away from corners over ||F||_inf;
     MaxPrinciple: the nontangential maximal constant from the kernel module.
     The data battery is identical across eps by construction.
     """
@@ -331,7 +335,7 @@ def uniform_constant_probe(kind: str, config: SweepConfig, p: float = 2.0,
         grid = config.grid_for(eps)
         if kind == "MaxPrinciple":
             battery = boundary_data_battery(grid, cs.m, 10, seed=config.seed)
-            res = maximal_function_probe(cs, eps, lam, grid, battery, p=p,
+            res = maximal_function_probe(cs, eps, lam, grid, battery, p=PROBE_P,
                                          tol=config.tol)
             per_eps[eps] = res.C_p
             continue
@@ -341,11 +345,11 @@ def uniform_constant_probe(kind: str, config: SweepConfig, p: float = 2.0,
         Ff = GridFunction(grid, F)
         gu = gradient(u)
         if kind == "W1p":
-            per_eps[eps] = lp_norm(gu, p) / lp_norm(Ff, p)
+            per_eps[eps] = lp_norm(gu, PROBE_P) / lp_norm(Ff, PROBE_P)
         elif kind == "Holder":
-            per_eps[eps] = holder_seminorm(u, sigma) / lp_norm(Ff, p)
+            per_eps[eps] = holder_seminorm(u, HOLDER_SIGMA) / lp_norm(Ff, PROBE_P)
         else:  # Lipschitz, away from corners
-            mask = grid.boundary_distance() >= config.corner_margin
+            mask = grid.boundary_distance() >= CORNER_MARGIN
             nd = grid.d
             gmag = np.sqrt(np.sum(gu.values ** 2,
                                   axis=tuple(range(nd, gu.values.ndim))))

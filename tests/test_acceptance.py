@@ -305,7 +305,7 @@ def test_criterion_12_maximal_function_uniformity():
                       params={"d": 2, "alpha": 2.0, "beta": 0.5},
                       eps_list=(1 / 4, 1 / 8, 1 / 16), n_fixed=256,
                       tol=SOLVER_TOL)
-    res = uniform_constant_probe("MaxPrinciple", cfg, p=2.0)
+    res = uniform_constant_probe("MaxPrinciple", cfg)
     if res.dispersion > 2.0:
         issues.append(f"C_2 dispersion {res.dispersion:.2f} > 2")
 

@@ -219,7 +219,7 @@ class TestMaximalBattery:
         sample = bvp.sample_coefficients
         monkeypatch.setattr(bvp, "sample_coefficients",
                             lambda *a, **k: calls.append(1) or sample(*a, **k))
-        out = maximal_function_probe(cs, eps, lam, g, battery, p=p, N0=N0)
+        out = maximal_function_probe(cs, eps, lam, g, battery, p=p)
         assert len(calls) == 1
         # the path with one DirichletProblem, one sampling and one assembly
         # per field, rebuilt by hand
