@@ -31,8 +31,9 @@ from .coefficients import FAMILY_NAMES, CoefficientError, builtin_family
 from .dirichlet import (CommensurabilityError, lattice_step, psi_diagnostics,
                         solve_dirichlet_correctors)
 from .grid import BoxGrid, GridFunction, TorusGrid, is_dyadic, write_csv
-from .green import GreenError, _snap_interior, approx_green, decay_fit, \
-    boundary_data_battery, maximal_function_probe
+from .green import (MIN_FIT_PAIRS, GreenError, _snap_interior, approx_green,
+                    boundary_data_battery, decay_fit, decay_shell,
+                    maximal_function_probe)
 from .rates import (PROBE_KINDS, SweepConfig, SweepError, load_field, run_sweep,
                     uniform_constant_probe)
 
@@ -190,12 +191,24 @@ def parse_config(text: str) -> ExperimentConfig:
             if not (math.isfinite(r) and r > 0 and r >= two_h - 1e-12):
                 violations.append(f"rho must be a number >= 2h = {two_h:.4g} and > 0, "
                                   f"got {rho!r}")
-        if box is not None and cfg["probes"] is not None and ok("probes"):
-            for probe in cfg["probes"]:
+                bad.add("rho")
+        if box is not None and ok("probes"):
+            # the run's defaults: the box centre, and rho at the 2h floor
+            rho = 2.0 * box.h if rho is None else _real(rho)
+            for probe in cfg["probes"] or [[0.5] * box.d]:
                 try:
-                    _snap_interior(box, probe)
+                    _, y = _snap_interior(box, probe)
                 except (GreenError, TypeError, ValueError) as exc:
                     violations.append(f"probes entry {probe!r}: {exc}")
+                    continue
+                if box.d != 3 or not ok("rho"):   # the run fits decay for d = 3
+                    continue
+                shell = int(decay_shell(box, y, rho)[1].sum())
+                if shell < MIN_FIT_PAIRS:
+                    violations.append(
+                        f"n = {box.n} leaves {shell} decay-fit shell points around "
+                        f"probe {probe!r} at rho = {rho:.4g}; a d = 3 decay fit "
+                        f"needs at least {MIN_FIT_PAIRS}")
     if sub == "correctors" and box is not None and ok("eps", "n_cell"):
         eps, n_cell = float(cfg["eps"]), cfg["n_cell"]
         try:

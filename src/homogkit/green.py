@@ -51,6 +51,19 @@ def _ball_mask(grid: BoxGrid, center: np.ndarray, rho: float) -> np.ndarray:
     return dist <= rho + 1e-12
 
 
+def _boundary_distance(grid: BoxGrid, y: np.ndarray) -> float:
+    return float(np.minimum(y, grid.extent - y).min())
+
+
+def decay_shell(grid: BoxGrid, y: np.ndarray, rho: float) -> tuple[np.ndarray, np.ndarray]:
+    """Distances r = |x - y| and the admissible shell of the decay fits
+    around the source point y with mollification radius rho: clear of the
+    grid scale (r >= 4h), of the boundary influence of y (r <= d_y / 2) and
+    of the mollification ball (rho < r / 4)."""
+    r = np.sqrt(np.sum((grid.points() - y) ** 2, axis=-1))
+    return r, (r >= 4 * grid.h) & (r <= 0.5 * _boundary_distance(grid, y)) & (rho < r / 4)
+
+
 @dataclass
 class GreenSample:
     grid: BoxGrid
@@ -67,16 +80,11 @@ class GreenSample:
         return self.columns.shape[0]
 
     def d_y(self) -> float:
-        per_axis = np.minimum(self.y, self.grid.extent - self.y)
-        return float(per_axis.min())
+        return _boundary_distance(self.grid, self.y)
 
     def fit_shell(self) -> tuple[np.ndarray, np.ndarray]:
-        """Distances r = |x - y| and the admissible shell of the decay fits:
-        clear of the grid scale (r >= 4h), of the boundary influence of y
-        (r <= d_y / 2) and of the mollification ball (rho < r / 4)."""
-        g = self.grid
-        r = np.sqrt(np.sum((g.points() - self.y) ** 2, axis=-1))
-        return r, (r >= 4 * g.h) & (r <= 0.5 * self.d_y()) & (self.rho < r / 4)
+        """``decay_shell`` of this sample's grid, source point and rho."""
+        return decay_shell(self.grid, self.y, self.rho)
 
     def magnitude(self) -> np.ndarray:
         """Frobenius norm over both matrix indices, per grid point."""

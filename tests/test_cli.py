@@ -185,6 +185,8 @@ class TestMain:
         "subcommand: rates\neps: [0.25, 0.25]\n",
         "subcommand: rates\neps: []\n",
         "subcommand: green\nprobes: []\n",
+        "subcommand: green\nparams: {d: 3}\nn: 16\n",
+        "subcommand: green\nparams: {d: 3}\nprobes: [[0.25, 0.5, 0.5]]\nn: 32\n",
         "subcommand: cell\nn: null\n",
         "subcommand: solve\ndata: null\n",
         "subcommand: validate\nconfigs: configs/x.yaml\n",
