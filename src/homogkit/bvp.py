@@ -122,9 +122,9 @@ class CoefficientSamples:
 
     def solve(self, rhs_int: np.ndarray, tol: float) -> tuple[np.ndarray, float]:
         """Interior values u with K_ii u = rhs_int (zero boundary values), and
-        the relative residual the solver verified.  The lambda shift,
-        preconditioner scale and Krylov method of a box solve are chosen
-        here and nowhere else."""
+        the relative residual the solver verified.  The lambda shift and
+        preconditioner scale of a box solve are chosen here and nowhere
+        else; the Krylov method follows ``self_adjoint``."""
         scale = precond_scale(self.A, self.grid)
         # K_ii exists before the Krylov work vectors are allocated (peak memory)
         self.matrices
@@ -134,8 +134,7 @@ class CoefficientSamples:
 
     @property
     def is_symmetric(self) -> bool:
-        """Whether L equals its adjoint, as the sampled coefficient set
-        decided it."""
+        """Whether L equals its adjoint, as the sampled set decided it."""
         return self.self_adjoint
 
 

@@ -132,8 +132,7 @@ def _solve_cell(grid: TorusGrid, tol: float, A: np.ndarray, op, self_adjoint: bo
     """Column beta of the corrector solves op(chi[..., :, beta]) = sources[beta]
     with zero mean; returns the corrector and the worst relative residual."""
     scale = precond_scale(A, grid)
-    m = len(sources)
-    chi = np.zeros(grid.shape + (m, m))
+    chi = np.zeros(grid.shape + (len(sources),) * 2)   # m sources, (m, m) components
     residuals = []
     for beta, rhs in enumerate(sources):
         chi[..., :, beta], res = solve_periodic(op, rhs, grid, tol=tol,

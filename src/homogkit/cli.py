@@ -33,7 +33,7 @@ from .dirichlet import (CommensurabilityError, lattice_step, psi_diagnostics,
 from .grid import BoxGrid, GridFunction, TorusGrid, is_dyadic, write_csv
 from .green import (MIN_FIT_PAIRS, GreenError, _snap_interior, approx_green,
                     boundary_data_battery, decay_fit, decay_shell,
-                    maximal_function_probe)
+                    maximal_function_probe, point_boundary_distance)
 from .rates import (PROBE_KINDS, SweepConfig, SweepError, load_field, run_sweep,
                     uniform_constant_probe)
 
@@ -193,22 +193,17 @@ def parse_config(text: str) -> ExperimentConfig:
                                   f"got {rho!r}")
                 bad.add("rho")
         if box is not None and ok("probes"):
-            # the run's defaults: the box centre, and rho at the 2h floor
-            rho = 2.0 * box.h if rho is None else _real(rho)
-            for probe in cfg["probes"] or [[0.5] * box.d]:
+            rho = 2.0 * box.h if rho is None else _real(rho)   # the run's default: 2h
+            for probe in cfg["probes"] or [[0.5] * box.d]:     # default: the centre
                 try:
                     _, y = _snap_interior(box, probe)
                 except (GreenError, TypeError, ValueError) as exc:
                     violations.append(f"probes entry {probe!r}: {exc}")
                     continue
-                if box.d != 3 or not ok("rho"):   # the run fits decay for d = 3
-                    continue
-                shell = int(decay_shell(box, y, rho)[1].sum())
-                if shell < MIN_FIT_PAIRS:
-                    violations.append(
-                        f"n = {box.n} leaves {shell} decay-fit shell points around "
-                        f"probe {probe!r} at rho = {rho:.4g}; a d = 3 decay fit "
-                        f"needs at least {MIN_FIT_PAIRS}")
+                # a d = 3 run fits the decay exponent on this shell
+                if box.d == 3 and ok("rho") and decay_shell(box, y, rho)[1].sum() < MIN_FIT_PAIRS:
+                    violations.append(f"n = {box.n} leaves fewer than {MIN_FIT_PAIRS} decay-fit "
+                                      f"shell points around probe {probe!r} at rho = {rho:.4g}")
     if sub == "correctors" and box is not None and ok("eps", "n_cell"):
         eps, n_cell = float(cfg["eps"]), cfg["n_cell"]
         try:
@@ -395,10 +390,10 @@ def _run_green(cfg: ExperimentConfig, out_dir: str):
             r, adm = sample.fit_shell()
             mag = sample.magnitude()
             d_x = grid.boundary_distance()
+            d_y = point_boundary_distance(grid, sample.y)
             for rv, gv, dv in zip(r[adm].ravel(), mag[adm].ravel(),
                                   d_x[adm].ravel()):
-                fh.write(f"{ip},{float(rv)!r},{float(gv)!r},"
-                         f"{float(dv)!r},{sample.d_y()!r}\n")
+                fh.write(f"{ip},{float(rv)!r},{float(gv)!r},{float(dv)!r},{d_y!r}\n")
             checks[f"residual_probe{ip}"] = max(sample.residuals) <= 10 * cfg.tol
             if grid.d == 3:
                 fit = decay_fit(sample)

@@ -24,10 +24,8 @@ import numpy as np
 
 from .grid import TorusGrid
 
-# per-axis lattice densities: the structure checks (ellipticity, periodicity,
-# self-adjointness) and the sup-norm maximization behind kappa
-_VALIDATION_LATTICE = 16
-_KAPPA_LATTICE = 64
+_VALIDATION_LATTICE = 16  # per-axis density of the structure and self-adjointness checks
+_KAPPA_LATTICE = 64       # per-axis density of the sup-norm maximization behind kappa
 
 
 class CoefficientError(ValueError):
@@ -63,8 +61,7 @@ class CoefficientSet:
     declared sup-norm bound on V, B, c (``validate`` checks it against a
     lattice maximization).  V, B and c default to zero.  The zero-order shift
     lambda is not part of the set: ``bvp.default_lambda`` derives it from
-    ``mu`` and ``kappa``.  Whether the operator is self-adjoint is computed
-    (``self_adjoint``), not declared.
+    ``mu`` and ``kappa``.
     """
 
     d: int
@@ -104,10 +101,9 @@ class CoefficientSet:
 
     @cached_property
     def self_adjoint(self) -> bool:
-        """Whether L equals its formal adjoint on the validation lattice:
-        A = transpose_a(A), V = transpose_m(B) and c = transpose_m(c), each
-        to 1e-13.  The Krylov solves run CG exactly when this holds for the
-        operator they invert."""
+        """Whether L = L* on the validation lattice (A = transpose_a(A),
+        V = transpose_m(B), c = transpose_m(c), each to 1e-13): the Krylov
+        solves run CG exactly when this holds for the operator they invert."""
         y = self._lattice()
         A, c = self.A(y), self.c(y)
         return all(np.allclose(x, z, atol=1e-13, rtol=0.0)

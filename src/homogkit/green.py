@@ -51,7 +51,8 @@ def _ball_mask(grid: BoxGrid, center: np.ndarray, rho: float) -> np.ndarray:
     return dist <= rho + 1e-12
 
 
-def _boundary_distance(grid: BoxGrid, y: np.ndarray) -> float:
+def point_boundary_distance(grid: BoxGrid, y: np.ndarray) -> float:
+    """d_y, the distance from the point y to the boundary of the box."""
     return float(np.minimum(y, grid.extent - y).min())
 
 
@@ -61,7 +62,8 @@ def decay_shell(grid: BoxGrid, y: np.ndarray, rho: float) -> tuple[np.ndarray, n
     grid scale (r >= 4h), of the boundary influence of y (r <= d_y / 2) and
     of the mollification ball (rho < r / 4)."""
     r = np.sqrt(np.sum((grid.points() - y) ** 2, axis=-1))
-    return r, (r >= 4 * grid.h) & (r <= 0.5 * _boundary_distance(grid, y)) & (rho < r / 4)
+    return r, ((r >= 4 * grid.h) & (r <= 0.5 * point_boundary_distance(grid, y))
+               & (rho < r / 4))
 
 
 @dataclass
@@ -78,9 +80,6 @@ class GreenSample:
     @property
     def m(self) -> int:
         return self.columns.shape[0]
-
-    def d_y(self) -> float:
-        return _boundary_distance(self.grid, self.y)
 
     def fit_shell(self) -> tuple[np.ndarray, np.ndarray]:
         """``decay_shell`` of this sample's grid, source point and rho."""
@@ -216,7 +215,7 @@ def boundary_weighted_ratio(sample: GreenSample) -> float:
     g = sample.grid
     r, _ = sample.fit_shell()
     mag = sample.magnitude()
-    d_y = max(sample.d_y(), g.h)
+    d_y = max(point_boundary_distance(g, sample.y), g.h)
     adm = (r >= 4 * g.h) & (sample.rho < r / 4)
     if not adm.any():
         raise GreenError("no admissible points for the weighted ratio")

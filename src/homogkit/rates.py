@@ -30,11 +30,9 @@ class SweepError(ValueError):
     pass
 
 
-# the corner-excluded norms and the Lipschitz probe keep d_x >= CORNER_MARGIN
-CORNER_MARGIN = 1 / 8
-# exponent p of the W1p and MaxPrinciple probes, sigma of the Holder probe
-PROBE_P = 2.0
-HOLDER_SIGMA = 0.5
+CORNER_MARGIN = 1 / 8   # corner-excluded norms and the Lipschitz probe keep d_x >= this
+PROBE_P = 2.0           # the exponent p of the W1p, Holder and MaxPrinciple probes
+HOLDER_SIGMA = 0.5      # the Holder probe's sigma
 
 
 @dataclass
@@ -321,8 +319,8 @@ class ProbeResult:
 def uniform_constant_probe(kind: str, config: SweepConfig) -> ProbeResult:
     """Ratio of the two sides of a uniform regularity estimate, per eps.
 
-    With p = PROBE_P and sigma = HOLDER_SIGMA, W1p: ||grad u_eps||_p /
-    ||F||_p; Holder: the C^{0,sigma} seminorm over ||F||_p; Lipschitz: sup |grad u_eps| away from corners over ||F||_inf;
+    W1p: ||grad u_eps||_p / ||F||_p; Holder: the C^{0,sigma} seminorm over
+    ||F||_p; Lipschitz: sup |grad u_eps| away from corners over ||F||_inf;
     MaxPrinciple: the nontangential maximal constant from the kernel module.
     The data battery is identical across eps by construction.
     """

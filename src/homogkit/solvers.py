@@ -2,9 +2,8 @@
 
 Both geometries admit an exact fast-Poisson inverse for the constant-
 coefficient part (FFT on the torus, DST-I on the box interior), which is used
-as the preconditioner for CG (self-adjoint operators, as
-``CoefficientSet.self_adjoint`` decides) or BiCGStab (general ones).  A wrong
-choice costs time, not accuracy: one driver runs every solve: it verifies the final relative
+as the preconditioner for CG (``self_adjoint`` operators) or BiCGStab (general
+ones).  A wrong choice costs time, not accuracy: one driver runs every solve: it verifies the final relative
 residual itself, since Krylov "success" flags are not trusted, and returns it
 with the solution.
 """
