@@ -1,11 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from homogkit.cell import (_cell_operator, _source_0, _source_k,
                            build_flux_correctors, divergence_centered,
                            homogenize, solve_correctors)
-from dataclasses import replace
-
 from homogkit.coefficients import CoefficientSet, builtin_family
 from homogkit.grid import TorusGrid, precond_scale
 from homogkit.solvers import solve_periodic
