@@ -1,5 +1,9 @@
 """The assembled operator against the stencil evaluated from the coefficient
-arrays (``principal_part_apply`` and the centered lower-order terms)."""
+arrays (``principal_part_apply`` and the centered lower-order terms), the
+torus operator's contract with the periodic solver, and that solver against
+the mean-zero-projected matvec it replaced."""
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,9 +11,10 @@ import pytest
 from homogkit.bvp import CoefficientSamples, sample_coefficients
 from homogkit.cell import _poisson_components
 from homogkit.coefficients import builtin_family
-from homogkit.grid import (BoxGrid, TorusGrid, assemble_torus,
+from homogkit.grid import (BoxGrid, TorusGrid, assemble_torus, precond_scale,
                            principal_part_apply)
-from homogkit.solvers import solve_periodic
+from homogkit.solvers import (_apply_inverse_torus, _inverse_symbol_torus,
+                              _krylov, _mean_zero, solve_periodic)
 
 REL = 1e-13
 
@@ -68,20 +73,93 @@ def rel_err(got, want):
     return np.abs(got - want).max() / np.abs(want).max()
 
 
+def torus_coefficients(name, params, g, rng) -> np.ndarray:
+    """A of a built-in family on the cell lattice, or an independent random
+    array (not elliptic) for the ``random`` case."""
+    d = params["d"]
+    if name == "random":
+        return rng.standard_normal(g.shape + (d, d, params["m"], params["m"]))
+    return builtin_family(name, **params).A(g.points())
+
+
 @pytest.mark.parametrize("name,params", CASES, ids=IDS)
 def test_torus_matrix_matches_stencil(name, params):
     d = params["d"]
     g = TorusGrid(d, SIZES[d])
     rng = np.random.Generator(np.random.PCG64(7))
-    if name == "random":
-        A = rng.standard_normal(g.shape + (d, d, params["m"], params["m"]))
-    else:
-        A = builtin_family(name, **params).A(g.points())
+    A = torus_coefficients(name, params, g, rng)
     K = assemble_torus(A, g)
     assert K.indices.dtype == np.int32
     u = rng.standard_normal(g.shape + (A.shape[-1],))
     got = (K @ u.ravel()).reshape(u.shape)
     assert rel_err(got, principal_part_apply(A, u, g)) <= REL
+
+
+@pytest.mark.parametrize("name,params", CASES, ids=IDS)
+def test_torus_operator_contract(name, params):
+    """What ``solve_periodic`` relies on instead of projecting every apply:
+    K annihilates constants and its range has mean zero per component."""
+    d = params["d"]
+    g = TorusGrid(d, SIZES[d])
+    rng = np.random.Generator(np.random.PCG64(11))
+    A = torus_coefficients(name, params, g, rng)
+    m = A.shape[-1]
+    K = assemble_torus(A, g)
+    constants = np.tile(np.eye(m), (g.npoints, 1))   # column b: 1 in component b
+    assert np.abs(K @ constants).max() <= 1e-9 * np.abs(K.data).max()
+    for _ in range(3):
+        Kx = (K @ rng.standard_normal(K.shape[1])).reshape(g.shape + (m,))
+        mean = Kx.mean(axis=tuple(range(d)))
+        assert np.abs(mean).max() <= 1e-12 * np.linalg.norm(Kx)
+
+
+def projected_solve(apply_op, rhs, grid, *, tol, precond_scale, self_adjoint):
+    """The periodic solve with a mean-zero projection before and after every
+    operator apply, as ``solve_periodic`` once ran it."""
+    shape, nd = rhs.shape, grid.d
+    inv = _inverse_symbol_torus(grid, precond_scale)
+    inv = inv.reshape(inv.shape + (1,) * (len(shape) - nd))
+
+    def matvec(x):
+        return _mean_zero(apply_op(_mean_zero(x.reshape(shape), nd)), nd).ravel()
+
+    def precond(r):
+        return _apply_inverse_torus(r.reshape(shape), inv, grid).ravel()
+
+    maxiter = max(200, int(20 * grid.n ** (grid.d / 2)))
+    x, res = _krylov(matvec, precond, _mean_zero(rhs, nd), self_adjoint=self_adjoint,
+                     tol=tol, maxiter=maxiter, what="projected periodic solve")
+    return _mean_zero(x, nd), res
+
+
+def elliptic_cell_problem(name, params, g, rng):
+    """(A, self_adjoint) of a cell operator: a built-in family's principal
+    part, or a random full tensor (every a_ij^{ab} nonzero, nonsymmetric)
+    near the identity."""
+    d = params["d"]
+    if name == "random":
+        m = params["m"]
+        eye = np.einsum("ij,ab->ijab", np.eye(d), np.eye(m))
+        A = eye + 0.2 * rng.standard_normal(g.shape + (d, d, m, m))
+        return A, False
+    cs = builtin_family(name, **params)
+    return cs.A(g.points()), replace(cs, V=None, B=None, c=None).self_adjoint
+
+
+@pytest.mark.parametrize("name,params", CASES, ids=IDS)
+def test_periodic_solve_matches_projected_matvec(name, params):
+    d = params["d"]
+    g = TorusGrid(d, SIZES[d])
+    rng = np.random.Generator(np.random.PCG64(12))
+    A, self_adjoint = elliptic_cell_problem(name, params, g, rng)
+    K = assemble_torus(A, g)
+    op = lambda u: (K @ u.ravel()).reshape(u.shape)   # noqa: E731
+    kw = dict(tol=1e-10, precond_scale=precond_scale(A, g), self_adjoint=self_adjoint)
+    rhs = rng.standard_normal(g.shape + (A.shape[-1],))
+    got, res = solve_periodic(op, rhs, g, **kw)
+    want, want_res = projected_solve(op, rhs, g, **kw)
+    assert res <= 10 * kw["tol"] and want_res <= 10 * kw["tol"]
+    assert rel_err(got, want) <= 1e-12
 
 
 @pytest.mark.parametrize("name,params", CASES, ids=IDS)

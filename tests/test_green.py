@@ -6,9 +6,9 @@ import pytest
 from homogkit import bvp
 from homogkit.bvp import default_lambda
 from homogkit.coefficients import builtin_family
-from homogkit.green import (GreenError, approx_green,
+from homogkit.green import (GreenError, _ball_mask, approx_green,
                             boundary_data_battery, boundary_weighted_ratio,
-                            decay_fit, direct_solve, maximal_function_probe,
+                            decay_fit, decay_shell, direct_solve, maximal_function_probe,
                             poisson_kernel_boundary_rep, reciprocity_residual,
                             representation_value)
 from homogkit.grid import (BoxGrid, boundary_lp_norm, linf_norm,
@@ -21,6 +21,27 @@ def const3d_sample():
     g = BoxGrid(3, 48)
     sample = approx_green(cs, 0.25, 0.0, g, y=[0.5, 0.5, 0.5], tol=1e-9)
     return cs, g, sample
+
+
+class TestDistanceFields:
+    """The distance fields around a point, built from per-axis arrays, are
+    bit-identical to the expressions over the full (*shape, d) point array."""
+
+    @pytest.mark.parametrize("d,n", [(1, 9), (1, 16), (2, 7), (2, 12),
+                                     (3, 9), (3, 16)])
+    @pytest.mark.parametrize("extent", [1.0, 2.5])
+    def test_match_point_array(self, d, n, extent):
+        g = BoxGrid(d, n, extent)
+        pts = g.points()
+        for idx in ([n // 2] * d, [2, n - 3, 3][:d], [n - 2, 1, n // 2][:d]):
+            y = np.array(idx) * g.h
+            for rho in (g.h, 2 * g.h, 0.3 * extent):
+                r = np.sqrt(np.sum((pts - y) ** 2, axis=-1))
+                d_y = float(np.minimum(y, g.extent - y).min())
+                adm = (r >= 4 * g.h) & (r <= 0.5 * d_y) & (rho < r / 4)
+                got_r, got_adm = decay_shell(g, y, rho)
+                assert np.array_equal(got_r, r) and np.array_equal(got_adm, adm)
+                assert np.array_equal(_ball_mask(g, y, rho), r <= rho + 1e-12)
 
 
 class TestGuards:

@@ -56,6 +56,18 @@ class TestGrids:
         assert dist[2, 2] == 0.5
         assert dist[1, 2] == 0.25
 
+    @pytest.mark.parametrize("d,n", [(1, 9), (1, 16), (2, 7), (2, 12),
+                                     (3, 5), (3, 8)])
+    @pytest.mark.parametrize("extent", [1.0, 2.5])
+    def test_boundary_distance_matches_point_array(self, d, n, extent):
+        # the per-axis distances combined by broadcasting are bit-identical
+        # to the reduction over the full (*shape, d) point array
+        g = BoxGrid(d, n, extent)
+        pts = g.points()
+        want = np.minimum(pts, g.extent - pts).min(axis=-1)
+        got = g.boundary_distance()
+        assert got.shape == want.shape and np.array_equal(got, want)
+
     def test_boundary_mask_count(self):
         g = BoxGrid(2, 4)
         # 5^2 points minus 3^2 interior
@@ -298,7 +310,35 @@ def test_precond_scale_matches_block_copies(family, params, d, n):
         assert precond_scale(a, g) == want
 
 
+def _loop_write_csv(u: GridFunction, path) -> None:
+    """The CSV writer as it was: one repr(float(x)) per value."""
+    g = u.grid
+    n = g.n if isinstance(g, TorusGrid) else g.n + 1
+    flat = u.values.reshape(np.prod(g.shape), u.ncomp)
+    with open(path, "w") as fh:
+        fh.write("dim,n_per_axis,components\n")
+        fh.write(f"{g.d},{n},{u.ncomp}\n")
+        for row in flat:
+            fh.write(",".join(repr(float(x)) for x in row) + "\n")
+
+
 class TestCsv:
+    @pytest.mark.parametrize("grid", [TorusGrid(2, 8), BoxGrid(2, 6), TorusGrid(3, 4),
+                                      BoxGrid(1, 16)], ids=["torus2", "box2", "torus3", "box1"])
+    @pytest.mark.parametrize("comp", [(), (4,), (2, 2)], ids=["m1", "ncomp4", "2x2"])
+    def test_bytes_match_value_loop(self, grid, comp, tmp_path):
+        rng = np.random.Generator(np.random.PCG64(6))
+        vals = rng.standard_normal(grid.shape + comp)
+        flat = vals.reshape(-1)
+        special = [-0.0, 0.0, 5e-324, -5e-324, 1e300, -1e300, 3.0, -2.0, 1e16,
+                   0.1, 1 / 3, 2.0 ** 52 + 1]
+        flat[: len(special)] = special
+        flat[-3:] = np.rint(flat[-3:] * 1000)   # integral floats at the end
+        u = GridFunction(grid, vals)
+        write_csv(u, tmp_path / "new.csv")
+        _loop_write_csv(u, tmp_path / "old.csv")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
     def test_roundtrip_torus(self, tmp_path):
         g = TorusGrid(2, 8)
         rng = np.random.Generator(np.random.PCG64(5))
