@@ -16,6 +16,7 @@ windows, and the pointwise coefficient sampling stays well defined at any h.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -45,10 +46,16 @@ def _snap_interior(grid: BoxGrid, y) -> tuple[tuple[int, ...], np.ndarray]:
     return tuple(int(i) for i in yi), yi * grid.h
 
 
+def _distance_from(grid: BoxGrid, y: np.ndarray) -> np.ndarray:
+    """|x - y| at every grid point x: the per-axis squared offsets summed in
+    axis order by broadcasting, with no (*shape, d) point array."""
+    x = np.arange(grid.n + 1) * grid.h
+    sq = np.meshgrid(*[(x - yk) ** 2 for yk in y], indexing="ij", sparse=True)
+    return np.sqrt(functools.reduce(np.add, sq))
+
+
 def _ball_mask(grid: BoxGrid, center: np.ndarray, rho: float) -> np.ndarray:
-    pts = grid.points()
-    dist = np.sqrt(np.sum((pts - center) ** 2, axis=-1))
-    return dist <= rho + 1e-12
+    return _distance_from(grid, center) <= rho + 1e-12
 
 
 def point_boundary_distance(grid: BoxGrid, y: np.ndarray) -> float:
@@ -61,7 +68,7 @@ def decay_shell(grid: BoxGrid, y: np.ndarray, rho: float) -> tuple[np.ndarray, n
     around the source point y with mollification radius rho: clear of the
     grid scale (r >= 4h), of the boundary influence of y (r <= d_y / 2) and
     of the mollification ball (rho < r / 4)."""
-    r = np.sqrt(np.sum((grid.points() - y) ** 2, axis=-1))
+    r = _distance_from(grid, y)
     return r, ((r >= 4 * grid.h) & (r <= 0.5 * point_boundary_distance(grid, y))
                & (rho < r / 4))
 

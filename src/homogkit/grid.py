@@ -15,6 +15,7 @@ serve as the reference the assembled matrices are tested against.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -113,10 +114,12 @@ class BoxGrid:
         return mask
 
     def boundary_distance(self) -> np.ndarray:
-        """Exact distance to the box boundary at every grid point."""
-        pts = self.points()
-        per_axis = np.minimum(pts, self.extent - pts)
-        return per_axis.min(axis=-1)
+        """Exact distance to the box boundary at every grid point: the least
+        of the per-axis distances, combined by broadcasting."""
+        x = np.arange(self.n + 1) * self.h
+        near = np.minimum(x, self.extent - x)
+        axes = np.meshgrid(*[near] * self.d, indexing="ij", sparse=True)
+        return functools.reduce(np.minimum, axes)
 
     @property
     def cell_volume(self) -> float:
@@ -715,8 +718,9 @@ def write_csv(u: GridFunction, path) -> None:
         fh.write("dim,n_per_axis,components\n")
         fh.write(f"{g.d},{n},{ncomp}\n")
         for row in flat:
-            # repr of a Python float is the shortest round-trip decimal
-            fh.write(",".join(repr(float(x)) for x in row) + "\n")
+            # repr of a Python float is the shortest round-trip decimal; one
+            # row at a time, so no list of every value is ever held
+            fh.write(",".join(map(repr, row.tolist())) + "\n")
 
 
 def read_csv(path, grid: Grid | None = None) -> GridFunction:

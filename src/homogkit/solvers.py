@@ -3,9 +3,9 @@
 Both geometries admit an exact fast-Poisson inverse for the constant-
 coefficient part (FFT on the torus, DST-I on the box interior), which is used
 as the preconditioner for CG (``self_adjoint`` operators) or BiCGStab (general
-ones).  A wrong choice costs time, not accuracy: one driver runs every solve: it verifies the final relative
-residual itself, since Krylov "success" flags are not trusted, and returns it
-with the solution.
+ones).  A wrong choice costs time, not accuracy, because one driver runs
+every solve and verifies the final relative residual itself (Krylov "success"
+flags are not trusted); it returns that residual with the solution.
 """
 
 from __future__ import annotations
@@ -123,10 +123,13 @@ def solve_periodic(apply_op, rhs: np.ndarray, grid: TorusGrid, *,
     """Solve apply_op(x) = rhs on the torus in the mean-zero subspace.
 
     ``apply_op`` maps full-shape arrays (grid.shape + comp) to same-shape
-    arrays and must annihilate constants (the periodic divergence-form
-    operator does).  The rhs is projected onto mean-zero; the solution comes
-    back mean-zero per component, with the relative residual of the projected
-    system (operator output and rhs both projected onto mean-zero).
+    arrays.  The contract it must keep, which the periodic divergence-form
+    operator (``grid.assemble_torus``) does up to round-off: it annihilates
+    constants, and its range has mean zero per component.  The Krylov
+    iteration therefore applies it unprojected.  The rhs is projected onto
+    mean-zero once; the solution comes back mean-zero per component, with
+    the relative residual of the unprojected operator against the projected
+    rhs.
     """
     shape = rhs.shape
     nd = grid.d
@@ -134,7 +137,7 @@ def solve_periodic(apply_op, rhs: np.ndarray, grid: TorusGrid, *,
     inv = inv.reshape(inv.shape + (1,) * (len(shape) - nd))
 
     def matvec(x):
-        return _mean_zero(apply_op(_mean_zero(x.reshape(shape), nd)), nd).ravel()
+        return apply_op(x.reshape(shape)).ravel()
 
     def precond(r):
         return _apply_inverse_torus(r.reshape(shape), inv, grid).ravel()
