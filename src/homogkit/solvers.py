@@ -123,13 +123,12 @@ def solve_periodic(apply_op, rhs: np.ndarray, grid: TorusGrid, *,
     """Solve apply_op(x) = rhs on the torus in the mean-zero subspace.
 
     ``apply_op`` maps full-shape arrays (grid.shape + comp) to same-shape
-    arrays.  The contract it must keep, which the periodic divergence-form
-    operator (``grid.assemble_torus``) does up to round-off: it annihilates
-    constants, and its range has mean zero per component.  The Krylov
-    iteration therefore applies it unprojected.  The rhs is projected onto
-    mean-zero once; the solution comes back mean-zero per component, with
-    the relative residual of the unprojected operator against the projected
-    rhs.
+    arrays.  It must annihilate constants and have a mean-zero range per
+    component, as the periodic divergence-form operator
+    (``grid.assemble_torus``) does up to round-off; the Krylov iteration
+    therefore applies it unprojected.  The rhs is projected onto mean-zero
+    once; the solution comes back mean-zero per component, with the relative
+    residual of the unprojected operator against the projected rhs.
     """
     shape = rhs.shape
     nd = grid.d
