@@ -6,8 +6,8 @@ The full operator is
 
 with coefficients frozen at x/eps.  The homogenized operator and the
 principal part are coefficient sets of their own
-(``HomogenizedCoefficients.coefficients`` and ``replace(cs, V=None, B=None,
-c=None)``), so they are sampled and solved like any other.
+(``HomogenizedCoefficients.coefficients`` and ``cs.principal_part``), so
+they are sampled and solved like any other.
 Boundary data is imposed strongly at boundary points; the interior system is
 solved by preconditioned Krylov iteration with the algebraic lifting of the
 boundary values, so the discrete boundary trace is exact.

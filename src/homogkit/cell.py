@@ -17,8 +17,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .coefficients import CoefficientSet, ellipticity_margin
-from .grid import (TorusGrid, _centered_periodic, _coef_block, assemble_torus,
-                   precond_scale)
+from .grid import (GridFunction, TorusGrid, _centered_periodic, _coef_block,
+                   assemble_torus, gradient, precond_scale)
 from .solvers import _mean_zero, poisson_periodic, solve_periodic
 
 MEAN_TOL = 1e-10
@@ -40,9 +40,9 @@ class CorrectorSet:
     def gradients(self):
         """Centered periodic gradients: grad_chi0 (*shape, m, m, d) and the
         list for chi_k."""
-        return _torus_gradient(self.chi0, self.grid), [
-            _torus_gradient(ck, self.grid) for ck in self.chi
-        ]
+        g0, *gk = (gradient(GridFunction(self.grid, c)).values
+                   for c in [self.chi0, *self.chi])
+        return g0, gk
 
 
 @dataclass
@@ -83,11 +83,6 @@ class FluxCorrectorSet:
 # ---------------------------------------------------------------------------
 # helpers
 # ---------------------------------------------------------------------------
-
-def _torus_gradient(v: np.ndarray, grid: TorusGrid) -> np.ndarray:
-    return np.stack([_centered_periodic(v, ax, grid.h) for ax in range(grid.d)],
-                    axis=-1)
-
 
 def _cell_mean(v: np.ndarray, grid: TorusGrid) -> np.ndarray:
     return v.mean(axis=tuple(range(grid.d)))
@@ -149,7 +144,7 @@ def solve_correctors(cs: CoefficientSet, grid: TorusGrid, tol: float = 1e-10) ->
         raise CellError("tol must be positive")
     A, op = _cell_operator(cs, grid)
     # the torus operator -div(A grad .) is the principal part of L
-    self_adjoint = replace(cs, V=None, B=None, c=None).self_adjoint
+    self_adjoint = cs.principal_part.self_adjoint
     V = cs.V(grid.points())
     chi0, r0 = _solve_cell(grid, tol, A, op, self_adjoint,
                            [_source_0(V, grid, beta) for beta in range(cs.m)])
@@ -235,9 +230,9 @@ def build_flux_correctors(cs: CoefficientSet, correctors: CorrectorSet,
     # release the coefficient samples before the potentials, to keep peak RSS down
     del coef, corr, fld
     b, U, W, Z = fields
-    E = _curl(_torus_gradient(_poisson_components(b, grid), grid), grid.d)
+    E = _curl(gradient(GridFunction(grid, _poisson_components(b, grid))).values, grid.d)
     theta = _poisson_components(U, grid)
-    F = _curl(_torus_gradient(theta, grid), grid.d)
+    F = _curl(gradient(GridFunction(grid, theta)).values, grid.d)
     return FluxCorrectorSet(grid=grid, b=b, E=E, U=U, theta=theta, F=F, W=W,
                             vartheta=_poisson_components(W, grid), Z=Z,
                             zeta=_poisson_components(Z, grid))

@@ -94,6 +94,12 @@ class CoefficientSet:
                        c=lambda y: transpose_m(c(y)), name=self.name + "*",
                        params=dict(self.params))
 
+    @cached_property
+    def principal_part(self) -> "CoefficientSet":
+        """The set with V, B and c zero, built once, so that its cached
+        ``self_adjoint`` check runs once however many solves use it."""
+        return replace(self, V=None, B=None, c=None)
+
     # -- validation ---------------------------------------------------------
 
     def _lattice(self, n: int = _VALIDATION_LATTICE) -> np.ndarray:

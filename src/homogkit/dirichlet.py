@@ -1,10 +1,13 @@
 """Dirichlet correctors on box domains and their boundary-layer diagnostics.
 
-Phi_{eps,0} solves the principal-part problem with source div(V_eps) and
-identity boundary data; Phi_{eps,k} solves the homogeneous problem with the
-coordinate monomial P_k as boundary data.  The deviation fields
+The corrector Phi_{eps,k} (k = 0..d) has the affine data P_k I on the
+boundary (P_0 = 1, P_k = x_k).  ``solve_dirichlet_correctors`` runs one
+loop over k and the m columns on one sampled principal-part operator L_0:
+each column is P_k + w, with w zero on the boundary and L_0 w = div(V_eps)
+for k = 0, L_0 w = -L_0(P_k) for k >= 1.  The deviations Phi_k - P_k I are
+formed once (``DirichletCorrectorSet.deviations``); the fields
 
-    Psi_k = Phi_k - P_k - eps * chi_k(x/eps)      (P_0 = I)
+    Psi_k = Phi_k - P_k I - eps * chi_k(x/eps)
 
 are pure boundary-layer objects: O(eps) in sup norm with gradients decaying
 like min(1, eps / dist-to-boundary).
@@ -13,14 +16,16 @@ like min(1, eps / dist-to-boundary).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .bvp import CoefficientSamples, pullback, resolution_guard, sample_coefficients
+from .bvp import pullback, resolution_guard, sample_coefficients
 from .cell import CorrectorSet
 from .coefficients import CoefficientSet
-from .grid import BoxGrid, GridFunction, TorusGrid, _centered_box, gradient
+from .grid import (BoxGrid, GridFunction, TorusGrid, _centered_box, _pointwise_abs,
+                   gradient)
 
 
 class CommensurabilityError(ValueError):
@@ -28,6 +33,15 @@ class CommensurabilityError(ValueError):
 
 
 PROFILE_BINS = 8   # logarithmic boundary-distance bins of the Psi gradient profile
+
+
+def affine_data(grid: BoxGrid, k: int, m: int) -> np.ndarray:
+    """P_k I on the grid, (*shape, m, m): P_0 = 1 and P_k = x_k."""
+    p = np.ones(grid.shape) if k == 0 else grid.points()[..., k - 1]
+    out = np.zeros(grid.shape + (m, m))
+    for a in range(m):
+        out[..., a, a] = p
+    return out
 
 
 @dataclass
@@ -42,6 +56,12 @@ class DirichletCorrectorSet:
     def m(self) -> int:
         return self.phi0.shape[-1]
 
+    @cached_property
+    def deviations(self) -> list[np.ndarray]:
+        """Phi_k - P_k I for k = 0..d, each (*shape, m, m)."""
+        return [phi - affine_data(self.grid, k, self.m)
+                for k, phi in enumerate([self.phi0, *self.phi])]
+
 
 @dataclass
 class PsiDiagnostics:
@@ -53,63 +73,38 @@ class PsiDiagnostics:
     profile_max_grad: np.ndarray   # max |grad Psi| per bin, over all k
 
 
-def _phi0(cs: CoefficientSet, eps: float, samples: CoefficientSamples,
-          tol: float) -> tuple[np.ndarray, float]:
-    """Phi_{eps,0}: principal part applied, source div(V_eps), boundary = I."""
-    grid = samples.grid
-    m = cs.m
-    V = cs.V(pullback(grid, eps))   # (*shape, d, m, m)
-    phi0 = np.zeros(grid.shape + (m, m))
-    residuals = []
-    for beta in range(m):
-        rhs = np.zeros(grid.shape + (m,))
-        for i in range(grid.d):
-            rhs += _centered_box(V[..., i, :, beta], i, grid.h)
-        w, res = samples.solve(rhs[grid.interior], tol)
-        residuals.append(res)
-        full = np.zeros(grid.shape + (m,))
-        full[grid.interior] = w
-        full[..., beta] += 1.0   # + identity column (exact on the boundary)
-        phi0[..., :, beta] = full
-    return phi0, max(residuals)
-
-
-def _phik(samples: CoefficientSamples, k: int, tol: float) -> tuple[np.ndarray, float]:
-    """Phi_{eps,k}: homogeneous principal-part solve with P_k boundary data.
-
-    Implemented through w = Phi - P_k, which vanishes on the boundary and
-    satisfies L(w) = -L(P_k); for constant A the right side is identically
-    zero and Phi = P_k exactly.
-    """
-    grid = samples.grid
-    m = samples.m
-    x = grid.points()
-    phik = np.zeros(grid.shape + (m, m))
-    residuals = []
-    for beta in range(m):
-        pk = np.zeros(grid.shape + (m,))
-        pk[..., beta] = x[..., k - 1]
-        w, res = samples.solve(-samples.apply_full(pk)[grid.interior], tol)
-        residuals.append(res)
-        pk[grid.interior] += w
-        phik[..., :, beta] = pk
-    return phik, max(residuals)
-
-
 def solve_dirichlet_correctors(cs: CoefficientSet, eps: float, grid: BoxGrid,
                                tol: float = 1e-10) -> DirichletCorrectorSet:
     """Phi_{eps,0} and Phi_{eps,1..d}, all from one sampled and assembled
-    principal-part operator (``cs`` with V, B and c set to zero)."""
+    principal-part operator (``cs.principal_part``).  For constant A the
+    k >= 1 right sides vanish identically and Phi_k = P_k I exactly."""
     resolution_guard(grid, eps)
-    samples = sample_coefficients(replace(cs, V=None, B=None, c=None), grid, eps, 0.0)
-    phi0, r0 = _phi0(cs, eps, samples, tol)
-    phis = []
-    res = {"phi0": r0}
-    for k in range(1, cs.d + 1):
-        pk, rk = _phik(samples, k, tol)
-        phis.append(pk)
-        res[f"phi{k}"] = rk
-    return DirichletCorrectorSet(grid=grid, eps=eps, phi0=phi0, phi=phis, residuals=res)
+    samples = sample_coefficients(cs.principal_part, grid, eps, 0.0)
+    m = cs.m
+    phis, res = [], {}
+    for k in range(cs.d + 1):
+        # the kept field is allocated before the temporaries, so that they
+        # do not leave holes below it in the heap (peak RSS of a sweep)
+        phi = np.empty(grid.shape + (m, m))
+        P = affine_data(grid, k, m)
+        if k == 0:   # div(V_eps e_beta); V_eps is freed before the k >= 1 solves
+            V = cs.V(pullback(grid, eps))   # (*shape, d, m, m)
+            sources = [sum((_centered_box(V[..., i, :, beta], i, grid.h)
+                            for i in range(grid.d)), np.zeros(grid.shape + (m,)))
+                       for beta in range(m)]
+            del V
+        else:        # -L_0(P_k e_beta)
+            sources = [-samples.apply_full(P[..., :, beta]) for beta in range(m)]
+        phi[...] = P
+        residuals = []
+        for beta, rhs in enumerate(sources):
+            w, r = samples.solve(rhs[grid.interior], tol)
+            residuals.append(r)
+            phi[grid.interior + (slice(None), beta)] += w
+        phis.append(phi)
+        res[f"phi{k}"] = max(residuals)
+    return DirichletCorrectorSet(grid=grid, eps=eps, phi0=phis[0], phi=phis[1:],
+                                 residuals=res)
 
 
 def lattice_step(box_grid: BoxGrid, eps: float, n_cell: int) -> int:
@@ -158,33 +153,14 @@ def psi_diagnostics(phis: DirichletCorrectorSet, correctors: CorrectorSet,
     boundary distance; the theory predicts the envelope min(1, eps / d_x).
     """
     grid = phis.grid
-    m = phis.m
     cell = correctors.grid
-    chi_all = [correctors.chi0] + list(correctors.chi)
-    phi_all = [phis.phi0] + list(phis.phi)
-    pts = grid.points()
     dist = grid.boundary_distance()
-
-    psis = []
-    sup_norms = []
-    grad_sups = []
-    grad_mags = []
-    eye = np.eye(m)
-    for k, (phi, chi) in enumerate(zip(phi_all, chi_all)):
-        chi_pulled = sample_periodic_field(chi, cell, grid, eps)
-        base = np.broadcast_to(eye, grid.shape + (m, m)).copy()
-        if k > 0:
-            base = np.zeros(grid.shape + (m, m))
-            for a in range(m):
-                base[..., a, a] = pts[..., k - 1]
-        psi = phi - base - eps * chi_pulled
-        psis.append(psi)
-        sup_norms.append(float(np.abs(psi).max()))
-        gpsi = gradient(GridFunction(grid, psi)).values
-        nd = grid.d
-        gmag = np.sqrt(np.sum(gpsi ** 2, axis=tuple(range(nd, gpsi.ndim))))
-        grad_sups.append(float(gmag.max()))
-        grad_mags.append(gmag)
+    psis = [dev - eps * sample_periodic_field(chi, cell, grid, eps)
+            for dev, chi in zip(phis.deviations, [correctors.chi0, *correctors.chi])]
+    grad_mags = [_pointwise_abs(gradient(GridFunction(grid, psi)).values, grid)
+                 for psi in psis]
+    sup_norms = [float(np.abs(psi).max()) for psi in psis]
+    grad_sups = [float(g.max()) for g in grad_mags]
 
     interior = dist > 0
     dmin = max(grid.h, 1e-12)

@@ -22,8 +22,8 @@ from .cell import homogenize, solve_correctors
 from .coefficients import builtin_family
 from .dirichlet import DirichletCorrectorSet, solve_dirichlet_correctors
 from .green import boundary_data_battery, maximal_function_probe
-from .grid import (BoxGrid, GridFunction, TorusGrid, gradient, h1_norm,
-                   is_dyadic, lp_norm, linf_norm, holder_seminorm)
+from .grid import (BoxGrid, GridFunction, TorusGrid, _pointwise_abs, gradient,
+                   h1_norm, is_dyadic, lp_norm, linf_norm, holder_seminorm)
 
 
 class SweepError(ValueError):
@@ -111,7 +111,8 @@ class ExpansionError:
     h1_norm: float
     h1_norm_corner_excluded: float
     l2_norm: float
-    deviations: list[np.ndarray]   # Phi_k - P_k, k = 1..d, each (*shape, m, m)
+    norm_phi0_u_l2: float     # ||(Phi_0 - I) u||_2
+    norm_phik_du_l2: float    # ||(Phi_k - P_k) du/dx_k||_2
 
 
 def masked_h1_norm(u: GridFunction, mask: np.ndarray) -> float:
@@ -129,7 +130,8 @@ def masked_h1_norm(u: GridFunction, mask: np.ndarray) -> float:
 
 def expansion_error(u_eps: GridFunction, u: GridFunction,
                     phis: DirichletCorrectorSet) -> ExpansionError:
-    """w_eps and its H1 norms (global and with a corner-excluded mask).
+    """w_eps, its H1 norms (global and with a corner-excluded mask), and the
+    L2 norms of the two corrector terms of the triangle inequality.
 
     On convex-corner domains the corrected rate can degrade near corners, so
     the masked norm (d_x >= CORNER_MARGIN) is recorded alongside the global
@@ -138,23 +140,23 @@ def expansion_error(u_eps: GridFunction, u: GridFunction,
     grid = u_eps.grid
     if u.grid != grid or phis.grid != grid:
         raise SweepError("expansion error requires all fields on one grid")
-    m = phis.m
     uv = u.values
     du = gradient(u).values               # (*shape, m, d)
+    dev0, *devs = phis.deviations
     w = u_eps.values - np.einsum("...ab,...b->...a", phis.phi0, uv)
-    pts = grid.points()
-    devs = []
-    for k in range(grid.d):
-        dev = phis.phi[k].copy()
-        for a in range(m):
-            dev[..., a, a] -= pts[..., k]
-        w -= np.einsum("...ab,...b->...a", dev, du[..., k])
-        devs.append(dev)
+    phik_du = np.zeros(uv.shape)
+    for k, dev in enumerate(devs):
+        term = np.einsum("...ab,...b->...a", dev, du[..., k])
+        w -= term
+        phik_du += term
     wf = GridFunction(grid, w)
     mask = grid.boundary_distance() >= CORNER_MARGIN
     h1c = masked_h1_norm(wf, mask)
+    phi0_u = GridFunction(grid, np.einsum("...ab,...b->...a", dev0, uv))
     return ExpansionError(w=wf, h1_norm=h1_norm(wf), h1_norm_corner_excluded=h1c,
-                          l2_norm=lp_norm(wf, 2.0), deviations=devs)
+                          l2_norm=lp_norm(wf, 2.0),
+                          norm_phi0_u_l2=lp_norm(phi0_u, 2.0),
+                          norm_phik_du_l2=lp_norm(GridFunction(grid, phik_du), 2.0))
 
 
 # ---------------------------------------------------------------------------
@@ -247,17 +249,6 @@ def run_sweep(config: SweepConfig) -> ConvergenceReport:
             complete = False
             break
         diff = GridFunction(grid, u_eps.values - u_hom.values)
-        m = cs.m
-        eye_dev = phis.phi0 - np.eye(m)
-        phik_dev = 0.0
-        phi_u = np.einsum("...ab,...b->...a", eye_dev, u_hom.values)
-        du = gradient(u_hom).values
-        tri_term2 = lp_norm(GridFunction(grid, phi_u), 2.0)
-        tri3_sq = np.zeros(grid.shape + (m,))
-        for k, dev in enumerate(exp.deviations):
-            phik_dev = max(phik_dev, float(np.abs(dev).max()))
-            tri3_sq += np.einsum("...ab,...b->...a", dev, du[..., k])
-        tri_term3 = lp_norm(GridFunction(grid, tri3_sq), 2.0)
         rows.append({
             "eps": eps,
             "n": grid.n,
@@ -267,10 +258,10 @@ def run_sweep(config: SweepConfig) -> ConvergenceReport:
             "w_h1": exp.h1_norm,
             "w_h1_corner": exp.h1_norm_corner_excluded,
             "w_l2": exp.l2_norm,
-            "phi0_dev_sup": float(np.abs(eye_dev).max()),
-            "phik_dev_sup": phik_dev,
-            "norm_phi0_u_l2": tri_term2,
-            "norm_phik_du_l2": tri_term3,
+            "phi0_dev_sup": float(np.abs(phis.deviations[0]).max()),
+            "phik_dev_sup": max(float(np.abs(dev).max()) for dev in phis.deviations[1:]),
+            "norm_phi0_u_l2": exp.norm_phi0_u_l2,
+            "norm_phik_du_l2": exp.norm_phik_du_l2,
             "residual": info["residual"],
         })
 
@@ -348,9 +339,7 @@ def uniform_constant_probe(kind: str, config: SweepConfig) -> ProbeResult:
             per_eps[eps] = holder_seminorm(u, HOLDER_SIGMA) / lp_norm(Ff, PROBE_P)
         else:  # Lipschitz, away from corners
             mask = grid.boundary_distance() >= CORNER_MARGIN
-            nd = grid.d
-            gmag = np.sqrt(np.sum(gu.values ** 2,
-                                  axis=tuple(range(nd, gu.values.ndim))))
+            gmag = _pointwise_abs(gu.values, grid)
             per_eps[eps] = float(gmag[mask].max()) / linf_norm(Ff)
     vals = list(per_eps.values())
     disp = max(vals) / min(vals) if min(vals) > 0 else math.inf

@@ -338,6 +338,29 @@ def test_solve_and_rates_configs_are_rejected_or_run_to_completion(config):
     _assert_rejected_or_completes(config)
 
 
+@st.composite
+def _correctors_configs(draw):
+    """correctors configs on small grids: every family, d = 1..3, dyadic eps
+    and n_cell.  An eps the box cannot resolve and an n_cell off the box
+    lattice exit 2 at parse time; d = 3 keeps n and n_cell at most 16."""
+    family = draw(st.sampled_from(sorted(_FAMILY_PARAMS)))
+    d = draw(st.integers(1, 3))
+    params = {"d": d}
+    if "m" in _FAMILY_PARAMS[family]:
+        params["m"] = draw(st.sampled_from([1, 2]))
+    sizes = [8, 16, 32] if d < 3 else [8, 16]
+    return {"subcommand": "correctors", "family": family, "params": params,
+            "n": draw(st.sampled_from(sizes)),
+            "eps": draw(st.sampled_from([1.0, 0.5, 0.25, 0.125])),
+            "n_cell": draw(st.sampled_from(sizes))}
+
+
+@given(config=_correctors_configs())
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+def test_correctors_configs_are_rejected_or_run_to_completion(config):
+    _assert_rejected_or_completes(config)
+
+
 def _readme_key_table():
     """(subcommand, key, default) rows of the README's CLI key table."""
     path = os.path.join(os.path.dirname(__file__), "..", "README.md")

@@ -95,6 +95,27 @@ class TestSharedOperator:
         assert max(res.values()) <= 10 * tol
 
 
+class TestPrincipalPart:
+    def test_self_adjoint_check_runs_once_per_set(self):
+        # the cell solve and three eps of Dirichlet correctors share one
+        # principal-part set, so its lattice check evaluates A once; the
+        # lattice is the only flat (points, d) argument A receives here
+        base = builtin_family("trig", d=2, alpha=2.0, beta=0.5, lower=0.3)
+        lattice_calls = []
+
+        def A(y):
+            if y.ndim == 2:
+                lattice_calls.append(y.shape)
+            return base.A(y)
+
+        cs = replace(base, A=A)
+        solve_correctors(cs, TorusGrid(2, 32), tol=1e-10)
+        for eps in (1.0, 1 / 2, 1 / 4):
+            solve_dirichlet_correctors(cs, eps, BoxGrid(2, 64), tol=1e-10)
+        assert lattice_calls == [(16 ** 2, 2)]
+        assert cs.principal_part is cs.principal_part
+
+
 class TestGuards:
     def test_resolution_guard(self):
         cs = builtin_family("trig", d=2, alpha=2.0, beta=0.5)
