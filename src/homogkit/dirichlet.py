@@ -87,6 +87,7 @@ def solve_dirichlet_correctors(cs: CoefficientSet, eps: float, grid: BoxGrid,
         # do not leave holes below it in the heap (peak RSS of a sweep)
         phi = np.empty(grid.shape + (m, m))
         P = affine_data(grid, k, m)
+        phi[...] = P
         if k == 0:   # div(V_eps e_beta); V_eps is freed before the k >= 1 solves
             V = cs.V(pullback(grid, eps))   # (*shape, d, m, m)
             sources = [sum((_centered_box(V[..., i, :, beta], i, grid.h)
@@ -95,7 +96,6 @@ def solve_dirichlet_correctors(cs: CoefficientSet, eps: float, grid: BoxGrid,
             del V
         else:        # -L_0(P_k e_beta)
             sources = [-samples.apply_full(P[..., :, beta]) for beta in range(m)]
-        phi[...] = P
         residuals = []
         for beta, rhs in enumerate(sources):
             w, r = samples.solve(rhs[grid.interior], tol)
