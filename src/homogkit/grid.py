@@ -304,16 +304,26 @@ def precond_scale(A: np.ndarray, grid: Grid) -> float:
 # assembled operator
 # ---------------------------------------------------------------------------
 
-def _stencil_offsets(d: int) -> list[tuple[int, ...]]:
-    """The 3 / 9 / 19 lattice offsets of the flux-form stencil in d = 1 / 2 / 3."""
+def _cross_pairs(A: np.ndarray) -> list[tuple[int, int]]:
+    """The axis pairs i < j whose a_ij or a_ji is nonzero (or NaN) somewhere
+    in ``A`` (trailing axes (d, d, m, m)): only these fill the diagonal
+    offsets +-e_i +-e_j of the flux stencil."""
+    d = A.shape[-3]
+    return [(i, j) for i in range(d) for j in range(i + 1, d)
+            if A[..., i, j, :, :].any() or A[..., j, i, :, :].any()]
+
+
+def _stencil_offsets(d: int, pairs: list[tuple[int, int]]) -> list[tuple[int, ...]]:
+    """The offsets of the flux-form stencil: the centre, +-e_i, and +-e_i +-e_j
+    for each axis pair of ``pairs`` (``_cross_pairs``); 3 / 9 / 19 in
+    d = 1 / 2 / 3 when every pair couples, 1 + 2d for a diagonal A."""
     unit = [tuple(int(k == i) for k in range(d)) for i in range(d)]
     out = [(0,) * d]
     for i in range(d):
         out += [unit[i], tuple(-k for k in unit[i])]
-    for i in range(d):
-        for j in range(i + 1, d):
-            out += [tuple(si * a + sj * b for a, b in zip(unit[i], unit[j]))
-                    for si in (1, -1) for sj in (1, -1)]
+    for i, j in pairs:
+        out += [tuple(si * a + sj * b for a, b in zip(unit[i], unit[j]))
+                for si in (1, -1) for sj in (1, -1)]
     return out
 
 
@@ -326,8 +336,10 @@ def _shifted(arr: np.ndarray, s: tuple[int, ...], rows: int) -> np.ndarray:
     return arr[tuple(slice(1 + k, 1 + rows + k) for k in s)]
 
 
-def _flux_stencil(A, V, B, c, lam: float, h: float, rows: int):
-    """Yield (offset, block) once for each offset of ``_stencil_offsets``.
+def _flux_stencil(A, V, B, c, lam: float, h: float, rows: int,
+                  pairs: list[tuple[int, int]]):
+    """Yield (offset, block) once for each offset of
+    ``_stencil_offsets(d, pairs)``, ``pairs`` being ``_cross_pairs(A)``.
 
     Coefficients are laid out as ``_shifted`` expects.  Each block is a fresh
     array (*rows, m, m) whose [..., a, b] entry couples u^b(x + offset) into
@@ -379,16 +391,15 @@ def _flux_stencil(A, V, B, c, lam: float, h: float, rows: int):
             minus -= bi
         yield mi, minus
         del minus
-    for i in range(d):
-        for j in range(i + 1, d):
-            aij, aji = block(A, i, j), block(A, j, i)
-            for si in (1, -1):
-                for sj in (1, -1):
-                    ti = tuple(si * int(k == i) for k in range(d))
-                    tj = tuple(sj * int(k == j) for k in range(d))
-                    blk = at(aij, ti) + at(aji, tj)
-                    blk *= -si * sj / (4.0 * h2)
-                    yield tuple(a + b for a, b in zip(ti, tj)), blk
+    for i, j in pairs:
+        aij, aji = block(A, i, j), block(A, j, i)
+        for si in (1, -1):
+            for sj in (1, -1):
+                ti = tuple(si * int(k == i) for k in range(d))
+                tj = tuple(sj * int(k == j) for k in range(d))
+                blk = at(aij, ti) + at(aji, tj)
+                blk *= -si * sj / (4.0 * h2)
+                yield tuple(a + b for a, b in zip(ti, tj)), blk
     diag += lam * np.eye(m)
     if lower:
         diag += at(block(c), zero)
@@ -401,20 +412,21 @@ def assemble_torus(A: np.ndarray, grid: TorusGrid):
     Unknowns are the points in C order with the m components fastest; the
     int32 column indices wrap around, and with n >= 4 the stencil offsets
     never land on the same column, so every row holds exactly
-    len(offsets) * m entries.
+    m * len(offsets) entries, m * (1 + 2d + 4 * len(_cross_pairs(A))).
     """
     from scipy import sparse
 
     d, n, m = grid.d, grid.n, A.shape[-1]
     npts = grid.npoints
-    offsets = _stencil_offsets(d)
+    pairs = _cross_pairs(A)
+    offsets = _stencil_offsets(d, pairs)
     slot = {s: k for k, s in enumerate(offsets)}
     wrap = [(1, 1)] * d
     A = np.pad(A, wrap + [(0, 0)] * 4, mode="wrap")
     point = np.pad(np.arange(npts, dtype=np.int32).reshape(grid.shape), wrap, mode="wrap")
     data = np.empty((npts, m, m, len(offsets)))
     nbr = np.empty((npts, len(offsets)), dtype=np.int32)
-    for s, blk in _flux_stencil(A, None, None, None, 0.0, grid.h, n):
+    for s, blk in _flux_stencil(A, None, None, None, 0.0, grid.h, n, pairs):
         k = slot[s]
         data[..., k] = blk.reshape(npts, m, m)
         nbr[:, k] = _shifted(point, s, n).ravel()
@@ -434,11 +446,13 @@ def assemble_box(A: np.ndarray, V: np.ndarray, B: np.ndarray, c: np.ndarray,
     Coefficients are sampled on all of ``grid`` with trailing axes
     (d, d, m, m), (d, m, m), (d, m, m), (m, m).  K_ii couples interior
     unknowns (interior points in C order, components fastest) and is stored
-    index-free as DIA: an entry whose neighbour is a boundary point is zero
-    there, so diagonals that wrap across a lattice row carry nothing.  K_ib
-    (CSR) couples interior rows to the boundary values ordered as
-    ``boundary_indices``; only rows next to a face have entries.  For a full
-    field u, the interior rows of L u are K_ii u_int + K_ib u_b.
+    index-free as DIA, holding the offsets
+    ``_stencil_offsets(d, _cross_pairs(A))``: an entry whose neighbour is a
+    boundary point is zero there, so diagonals that wrap across a lattice
+    row carry nothing.  K_ib (CSR) couples interior rows to the boundary
+    values ordered as ``boundary_indices``; only rows next to a face have
+    entries.  For a full field u, the interior rows of L u are
+    K_ii u_int + K_ib u_b.
     """
     from scipy import sparse
 
@@ -449,7 +463,8 @@ def assemble_box(A: np.ndarray, V: np.ndarray, B: np.ndarray, c: np.ndarray,
     def flat(s):
         return sum(k * st for k, st in zip(s, strides))
 
-    diagonals = sorted({flat(s) * m + b - a for s in _stencil_offsets(d)
+    pairs = _cross_pairs(A)
+    diagonals = sorted({flat(s) * m + b - a for s in _stencil_offsets(d, pairs)
                         for a in range(m) for b in range(m)})
     row_of = {k: r for r, k in enumerate(diagonals)}
     data = np.zeros((len(diagonals), npts * m))
@@ -459,7 +474,7 @@ def assemble_box(A: np.ndarray, V: np.ndarray, B: np.ndarray, c: np.ndarray,
     bnum[bmask] = np.arange(nb, dtype=np.int32)
     comp = np.arange(m)
     ib_rows, ib_cols, ib_vals = [], [], []
-    for s, blk in _flux_stencil(A, V, B, c, lam, grid.h, n - 1):
+    for s, blk in _flux_stencil(A, V, B, c, lam, grid.h, n - 1, pairs):
         blk = blk.reshape(npts, m, m)
         nbr = _shifted(bnum, s, n - 1).ravel()
         edge = np.flatnonzero(nbr >= 0)

@@ -192,14 +192,43 @@ def test_adjoint_assembly_is_transpose(name, d):
     assert diff <= REL * abs(K.tocsr()).max()
 
 
+def a12_only(A: np.ndarray) -> np.ndarray:
+    """A copy of ``A`` with every off-diagonal block but a_12 (axes 0, 1) zeroed."""
+    A = A.copy()
+    d = A.shape[-3]
+    for i in range(d):
+        for j in range(d):
+            if i != j and (i, j) != (0, 1):
+                A[..., i, j, :, :] = 0.0
+    return A
+
+
 def test_box_diagonals_store_no_indices():
-    cs = builtin_family("trig", d=3)
-    g = BoxGrid(3, 8)
-    K_ii, K_ib = sample_coefficients(cs, g, 1 / 2, 1.0).matrices
-    assert K_ii.format == "dia" and K_ii.data.shape[0] == 19
-    # only rows next to a face couple to the boundary
-    rows = np.unique(K_ib.nonzero()[0])
-    assert rows.size == (g.n - 1) ** 3 - (g.n - 3) ** 3
+    """K_ii (m = 1) stores one diagonal per stencil offset: the centre and
+    +-e_i always, +-e_i +-e_j only for the axis pairs with a_ij or a_ji
+    nonzero (none for trig, all three for a full tensor, one for a_12)."""
+    trig = sample_coefficients(builtin_family("trig", d=3), BoxGrid(3, 8), 1 / 2, 1.0)
+    full = box_samples("random", dict(d=3, m=1))
+    partial = replace(full, A=a12_only(full.A))
+    for s, ndiag in ((trig, 7), (full, 19), (partial, 11)):
+        g = s.grid
+        K_ii, K_ib = s.matrices
+        assert K_ii.format == "dia" and K_ii.data.shape[0] == ndiag
+        # only rows next to a face couple to the boundary
+        rows = np.unique(K_ib.nonzero()[0])
+        assert rows.size == (g.n - 1) ** 3 - (g.n - 3) ** 3
+
+
+def test_torus_rows_store_coupled_offsets_only():
+    """Every torus row holds m * (1 + 2d + 4 * pairs) entries, where pairs
+    counts the axis pairs i < j with a_ij or a_ji nonzero."""
+    g = TorusGrid(3, SIZES[3])
+    rng = np.random.Generator(np.random.PCG64(13))
+    trig = builtin_family("trig", d=3).A(g.points())
+    full = rng.standard_normal(g.shape + (3, 3, 2, 2))
+    for A, pairs in ((trig, 0), (full, 3), (a12_only(full), 1)):
+        K = assemble_torus(A, g)
+        assert np.all(np.diff(K.indptr) == A.shape[-1] * (1 + 2 * 3 + 4 * pairs))
 
 
 def test_poisson_fft_matches_krylov():
