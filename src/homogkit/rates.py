@@ -115,10 +115,12 @@ class ExpansionError:
     norm_phik_du_l2: float    # ||(Phi_k - P_k) du/dx_k||_2
 
 
-def masked_h1_norm(u: GridFunction, mask: np.ndarray) -> float:
-    """Discrete H1 norm restricted to a point mask (Riemann cell rule)."""
+def masked_h1_norm(u: GridFunction, mask: np.ndarray,
+                   gu: GridFunction | None = None) -> float:
+    """Discrete H1 norm restricted to a point mask (Riemann cell rule);
+    ``gu`` is ``gradient(u)`` when the caller already has it."""
     g = u.grid
-    gu = gradient(u).values
+    gu = (gradient(u) if gu is None else gu).values
     nd = g.d
     mag2 = np.sum(u.values ** 2, axis=tuple(range(nd, u.values.ndim)))
     gmag2 = np.sum(gu ** 2, axis=tuple(range(nd, gu.ndim)))
@@ -150,11 +152,14 @@ def expansion_error(u_eps: GridFunction, u: GridFunction,
         w -= term
         phik_du += term
     wf = GridFunction(grid, w)
+    gw = gradient(wf)   # once, for both H1 norms
     mask = grid.boundary_distance() >= CORNER_MARGIN
-    h1c = masked_h1_norm(wf, mask)
+    l2 = lp_norm(wf, 2.0)
+    h1 = math.sqrt(l2 ** 2 + lp_norm(gw, 2.0) ** 2)   # as grid.h1_norm
     phi0_u = GridFunction(grid, np.einsum("...ab,...b->...a", dev0, uv))
-    return ExpansionError(w=wf, h1_norm=h1_norm(wf), h1_norm_corner_excluded=h1c,
-                          l2_norm=lp_norm(wf, 2.0),
+    return ExpansionError(w=wf, h1_norm=h1,
+                          h1_norm_corner_excluded=masked_h1_norm(wf, mask, gw),
+                          l2_norm=l2,
                           norm_phi0_u_l2=lp_norm(phi0_u, 2.0),
                           norm_phik_du_l2=lp_norm(GridFunction(grid, phik_du), 2.0))
 
