@@ -7,8 +7,8 @@ from dataclasses import replace
 
 from homogkit.bvp import (CoefficientSamples, DirichletProblem, ProblemError,
                           coercivity_constant_bound, coercivity_margin,
-                          default_lambda, estimate_lambda0, sample_coefficients,
-                          solve)
+                          default_lambda, estimate_lambda0, pullback,
+                          sample_coefficients, solve)
 from homogkit.coefficients import builtin_family
 from homogkit.grid import BoxGrid, precond_scale
 from homogkit.solvers import solve_box_dirichlet
@@ -523,3 +523,19 @@ class TestOperatorEquivalence:
                                        cs.m, F, g_vals, 1e-10)
         assert _same_bits(u.values, want)
         assert info == {"residual": residual}
+
+
+PULLBACK_GRIDS = [(1, n) for n in (4, 7, 16, 100, 256)] + \
+    [(2, n) for n in (4, 9, 32, 96, 256)] + [(3, n) for n in (4, 8, 24, 48)]
+
+
+@pytest.mark.parametrize("eps", [1.0, 0.5, 1 / 3, 0.3, 1 / 8, 1 / 16, 0.01])
+def test_pullback_equals_mod(eps):
+    """x/eps - floor(x/eps) is np.mod(x/eps, 1) bit for bit on box points
+    (all >= 0): values and sign bits."""
+    for d, n in PULLBACK_GRIDS:
+        g = BoxGrid(d, n)
+        want = np.mod(g.points() / eps, 1.0)
+        got = pullback(g, eps)
+        assert np.array_equal(got, want) and np.array_equal(np.signbit(got),
+                                                            np.signbit(want))
