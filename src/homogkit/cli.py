@@ -204,6 +204,15 @@ def parse_config(text: str) -> ExperimentConfig:
                 if box.d == 3 and ok("rho") and decay_shell(box, y, rho)[1].sum() < MIN_FIT_PAIRS:
                     violations.append(f"n = {box.n} leaves fewer than {MIN_FIT_PAIRS} decay-fit "
                                       f"shell points around probe {probe!r} at rho = {rho:.4g}")
+        # the battery's box solves apply the resolution guard (DirichletProblem
+        # exempts eps >= the box extent)
+        eps = _real(cfg["eps"])
+        if box is not None and ok("eps", "battery") and cfg["battery"] and eps < box.extent:
+            try:
+                resolution_guard(box, eps)
+            except ProblemError as exc:
+                violations.append(f"eps = {eps:g} is not resolved by n = {cfg['n']} "
+                                  f"for the battery: {exc}")
     if sub == "correctors" and box is not None and ok("eps", "n_cell"):
         eps, n_cell = float(cfg["eps"]), cfg["n_cell"]
         try:

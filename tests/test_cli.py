@@ -338,17 +338,22 @@ def test_solve_and_rates_configs_are_rejected_or_run_to_completion(config):
     _assert_rejected_or_completes(config)
 
 
+def _family_params(draw):
+    """A family and its params: d = 1..3 and, where the family has it, m."""
+    family = draw(st.sampled_from(sorted(_FAMILY_PARAMS)))
+    params = {"d": draw(st.integers(1, 3))}
+    if "m" in _FAMILY_PARAMS[family]:
+        params["m"] = draw(st.sampled_from([1, 2]))
+    return family, params
+
+
 @st.composite
 def _correctors_configs(draw):
     """correctors configs on small grids: every family, d = 1..3, dyadic eps
     and n_cell.  An eps the box cannot resolve and an n_cell off the box
     lattice exit 2 at parse time; d = 3 keeps n and n_cell at most 16."""
-    family = draw(st.sampled_from(sorted(_FAMILY_PARAMS)))
-    d = draw(st.integers(1, 3))
-    params = {"d": d}
-    if "m" in _FAMILY_PARAMS[family]:
-        params["m"] = draw(st.sampled_from([1, 2]))
-    sizes = [8, 16, 32] if d < 3 else [8, 16]
+    family, params = _family_params(draw)
+    sizes = [8, 16, 32] if params["d"] < 3 else [8, 16]
     return {"subcommand": "correctors", "family": family, "params": params,
             "n": draw(st.sampled_from(sizes)),
             "eps": draw(st.sampled_from([1.0, 0.5, 0.25, 0.125])),
@@ -358,6 +363,51 @@ def _correctors_configs(draw):
 @given(config=_correctors_configs())
 @settings(max_examples=120, deadline=None, derandomize=True, database=None)
 def test_correctors_configs_are_rejected_or_run_to_completion(config):
+    _assert_rejected_or_completes(config)
+
+
+@st.composite
+def _homogenize_green_validate_configs(draw):
+    """homogenize, green and validate configs on small grids.  green draws
+    probes, rho, p, the battery, lam and its override and a dyadic eps;
+    validate draws lists of shipped and missing config paths."""
+    sub = draw(st.sampled_from(["homogenize", "green", "validate"]))
+    if sub == "validate":
+        paths = [os.path.join(CONFIG_DIR, name) for name in ("cell_laminate.yaml",
+                                                             "green_const3d.yaml")]
+        good = st.lists(st.sampled_from(paths + ["missing.yaml"]), max_size=3)
+        return {"subcommand": sub,
+                "configs": _pick(draw, [draw(good)], ["abc", [1], None])}
+    family, params = _family_params(draw)
+    d = params["d"]
+    config = {"subcommand": sub, "family": family, "params": params}
+    if sub == "homogenize":
+        config["n"] = _pick(draw, [4, 8, 16] if d < 3 else [4, 8], [2, "x"])
+        if draw(st.booleans()):
+            config["flux"] = _pick(draw, [True, False], ["yes"])
+        return config
+    config["n"] = draw(st.sampled_from([8, 16, 24] if d < 3 else [8, 12, 16]))
+    config["eps"] = _pick(draw, [1.0, 0.5, 0.25], [0.3, None])
+    if draw(st.booleans()):
+        config["probes"] = _pick(draw, [[[0.5] * d], [[0.25] * d], [[0.5] * d, [0.375] * d]],
+                                 [[], [[0.5] * (d + 1)], [[1.5] * d], [[0.0] * d], "abc",
+                                  [["x"] * d]])
+    if draw(st.booleans()):
+        config["rho"] = _pick(draw, [None, 0.125, 0.25], [0.0, -1.0, 1e-3, "abc"])
+    if draw(st.booleans()):
+        config["p"] = _pick(draw, [1.0, 2.0, 4], [0.5, "abc"])
+    if draw(st.booleans()):
+        config["battery"] = _pick(draw, [True, False], ["yes"])
+    if draw(st.booleans()):
+        config["lambda_override"] = _pick(draw, [True, False], [1])
+    if draw(st.booleans()):
+        config["lam"] = _pick(draw, [None, 0.0, 0.5, 2.0], [float("nan"), "abc"])
+    return config
+
+
+@given(config=_homogenize_green_validate_configs())
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+def test_homogenize_green_validate_configs_are_rejected_or_run_to_completion(config):
     _assert_rejected_or_completes(config)
 
 
