@@ -7,11 +7,13 @@ adjoint-operator solution of
 
 so that the bilinear-form pairing of G with any test field u returns the ball
 average of u^gamma near y.  Discrete transposition makes the ball-averaged
-reciprocity between forward and adjoint samples exact up to solver tolerance.
+reciprocity between forward and adjoint samples, and the boundary
+representation through the Poisson kernel -h^d K_ib^T G, exact up to solver
+tolerance.
 
 Grids here are deliberately allowed to under-resolve the oscillation: decay
-exponents and kernel representations are measured with coarse tolerance
-windows, and the pointwise coefficient sampling stays well defined at any h.
+exponents are measured with coarse tolerance windows, and the pointwise
+coefficient sampling stays well defined at any h.
 """
 
 from __future__ import annotations
@@ -22,10 +24,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bvp import DirichletProblem, pullback, sample_coefficients, solve
+from .bvp import DirichletProblem, sample_coefficients, solve
 from .coefficients import CoefficientSet
-from .grid import (BoxGrid, _face_difference, boundary_lp_norm, linf_norm,
-                   nontangential_max)
+from .grid import BoxGrid, boundary_lp_norm, linf_norm, nontangential_max
 
 
 class GreenError(ValueError):
@@ -235,15 +236,12 @@ def boundary_weighted_ratio(sample: GreenSample) -> float:
 
 def poisson_kernel_boundary_rep(samples: list[GreenSample], cs: CoefficientSet,
                                 g_values: np.ndarray) -> np.ndarray:
-    """Probe values u(y) of the homogeneous Dirichlet problem from boundary data.
+    """Ball averages of the solution of L u = 0 with u = g on the boundary,
+    through the discrete Poisson kernel -h^d K_ib^T G.
 
-    For each Green sample the conormal derivative of its columns is taken with
-    a one-sided normal difference on every box face (the zero trace of the
-    columns kills the drift term of the conormal), contracted with the
-    boundary data g shaped (*shape, m), and summed with the face quadrature
-    weight h^(d-1).  Face corners and edges (points on more than one face) are
-    skipped; their normal is ill defined and their quadrature weight vanishes
-    in the limit.
+    By discrete transposition against the adjoint columns G (the default
+    ``star=False`` of ``approx_green``) the result is exact up to solver
+    tolerance.  g is shaped (*shape, m); only its boundary rows are read.
 
     Returns an array (len(samples), m) of probe values.
     """
@@ -252,39 +250,10 @@ def poisson_kernel_boundary_rep(samples: list[GreenSample], cs: CoefficientSet,
     out = np.zeros((len(samples), samples[0].m))
     for isamp, sample in enumerate(samples):
         grid = sample.grid
-        d, m, h = grid.d, sample.m, grid.h
-        A = cs.A(pullback(grid, sample.eps))
-        g_arr = np.asarray(g_values, float)
-        total = np.zeros(m)
-        on_faces = np.zeros(grid.shape, dtype=int)
-        for ax in range(d):
-            idx = [slice(None)] * d
-            idx[ax] = 0
-            on_faces[tuple(idx)] += 1
-            idx[ax] = -1
-            on_faces[tuple(idx)] += 1
-        for ax in range(d):
-            for low in (True, False):
-                # outward normal is -e_ax (low face) or +e_ax (high face)
-                sign = -1.0 if low else 1.0
-                face = [slice(None)] * d
-                face[ax] = 0 if low else -1
-                face = tuple(face)
-                interior_face = on_faces[face] == 1
-                a_norm = A[face][..., ax, ax, :, :]          # a_{ax,ax}^{alpha beta}
-                gb = g_arr[face]                              # (*face, m)
-                # dG[source gamma, *face, field alpha]
-                dG = np.stack([
-                    _face_difference(sample.columns[s], ax, h, low)
-                    for s in range(m)
-                ])
-                # P^{gamma beta} = -n_j a_{ij}^{alpha beta} d_i G^{alpha gamma};
-                # the columns vanish on the face, so tangential gradient
-                # components drop and only i = j = ax survives.
-                kern = -sign * np.einsum("...ab,a...g->g...b", a_norm, dG)
-                contrib = np.einsum("g...b,...b->g...", kern, gb)
-                total += contrib[:, interior_face].sum(axis=1) * h ** (d - 1)
-        out[isamp] = total
+        lifted = sample_coefficients(cs, grid, sample.eps, sample.lam).lift(
+            np.asarray(g_values, float))
+        cols = sample.columns[(slice(None),) + grid.interior]
+        out[isamp] = -np.tensordot(cols, lifted, axes=cols.ndim - 1) * grid.cell_volume
     return out
 
 

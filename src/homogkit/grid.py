@@ -172,20 +172,6 @@ class GridFunction:
         return int(np.prod(self.comp_shape)) if self.comp_shape else 1
 
 
-def constant_function(grid: Grid, value, comp_shape: tuple[int, ...] = ()) -> GridFunction:
-    vals = np.broadcast_to(np.asarray(value, dtype=float), grid.shape + comp_shape).copy()
-    return GridFunction(grid, vals)
-
-
-def from_callable(grid: Grid, fn, comp_shape: tuple[int, ...] = ()) -> GridFunction:
-    """Sample ``fn(points) -> array(*shape, *comp_shape)`` on the grid."""
-    vals = np.asarray(fn(grid.points()), dtype=float)
-    want = grid.shape + comp_shape
-    if vals.shape != want:
-        vals = np.broadcast_to(vals, want).copy()
-    return GridFunction(grid, vals)
-
-
 # ---------------------------------------------------------------------------
 # difference operators (raw-array level)
 # ---------------------------------------------------------------------------
@@ -741,9 +727,9 @@ def write_csv(u: GridFunction, path) -> None:
 def read_csv(path, grid: Grid | None = None) -> GridFunction:
     """Read back a grid function written by ``write_csv``.
 
-    If no grid is supplied, a TorusGrid (n points per axis) or a BoxGrid
-    (n-1 intervals) is inferred from whether n matches a torus layout; since
-    that is ambiguous the caller should pass the grid when it knows it.
+    Without a grid the file is read on ``TorusGrid(d, n_per_axis)``: the
+    header cannot tell a torus from a box, so a box file needs its grid.
+    A grid whose shape disagrees with the header raises GridError.
     """
     with open(path) as fh:
         header = fh.readline().strip()
@@ -753,6 +739,9 @@ def read_csv(path, grid: Grid | None = None) -> GridFunction:
         data = np.loadtxt(fh, delimiter=",", ndmin=2)
     if grid is None:
         grid = TorusGrid(d, n)
+    elif grid.shape != (n,) * d:
+        raise GridError(f"CSV header has (d, n_per_axis) = ({d}, {n}); "
+                        f"the grid has shape {grid.shape}")
     shape = grid.shape + ((ncomp,) if ncomp > 1 else ())
     vals = data.reshape(shape)
     return GridFunction(grid, vals)

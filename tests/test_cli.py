@@ -1,5 +1,6 @@
 import filecmp
 import json
+import math
 import os
 import tempfile
 
@@ -127,6 +128,18 @@ class TestRun:
         assert filecmp.cmp(out1 / "rates_report.csv",
                            out2 / "rates_report.csv", shallow=False)
         assert (out1 / "rates_loglog.svg").exists()
+
+    def test_rates_probe_kinds_reported(self, tmp_path):
+        text = ("subcommand: rates\nfamily: trig\nparams: {d: 2}\n"
+                "eps: [0.5, 0.25]\nn_cell: 16\nprobe_kinds: [W1p, Lipschitz]\n")
+        assert run(parse_config(text), str(tmp_path))["ok"]
+        probes = json.loads((tmp_path / "rates_summary.json").read_text())["probes"]
+        assert sorted(probes) == ["Lipschitz", "W1p"]
+        for res in probes.values():
+            consts = list(res["per_eps"].values())
+            assert len(consts) == 2
+            assert all(math.isfinite(c) and c > 0 for c in consts)
+            assert res["dispersion"] >= 1
 
 
 class TestMain:

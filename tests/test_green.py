@@ -207,6 +207,29 @@ class TestPoissonKernel:
         with pytest.raises(GreenError):
             poisson_kernel_boundary_rep([], cs, np.zeros((3, 3, 1)))
 
+    @pytest.mark.parametrize("family,params,lam,n,eps", [
+        ("trig", {"d": 2}, 0.0, 64, 0.25),
+        ("trig", {"d": 2, "lower": 0.5}, 3.0, 64, 0.25),
+        ("nonsymmetric-system", {"d": 2}, 1.0, 64, 0.25),
+        ("oscillating-potential", {"d": 3}, 3.0, 32, 0.5),
+    ], ids=["trig", "trig-lower", "nonsymmetric-system", "oscillating-potential-3d"])
+    def test_equals_ball_average_of_solve(self, family, params, lam, n, eps):
+        # -h^d K_ib^T G paired with g is, by discrete transposition, the
+        # ball average of the solve with boundary data g: exact to solver
+        # tolerance, for systems and lower-order terms alike
+        cs = builtin_family(family, **params)
+        g = BoxGrid(cs.d, n)
+        y = [0.5] * cs.d
+        sample = approx_green(cs, eps, lam, g, y=y, tol=1e-12)
+        pts = g.points()
+        bd = np.stack([np.cos(2 * pts[..., 0] + k) + 0.5 * (k + 1) * pts[..., -1]
+                       for k in range(cs.m)], axis=-1)
+        probe = poisson_kernel_boundary_rep([sample], cs, bd)
+        u, _ = bvp.solve(bvp.DirichletProblem(cs=cs, grid=g, eps=eps, lam=lam,
+                                              g=bd), tol=1e-12)
+        want = u.values[_ball_mask(g, sample.y, sample.rho)].mean(axis=0)
+        assert np.abs(probe[0] - want).max() <= 1e-8 * np.abs(want).max()
+
 
 class TestMaximalBattery:
     def test_deterministic(self):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,8 +11,7 @@ from homogkit.coefficients import builtin_family
 from homogkit.green import boundary_data_battery
 from homogkit.grid import (BoxGrid, GridError, GridFunction,
                            TorusGrid, _pointwise_abs, bilinear_energy,
-                           boundary_indices, boundary_lp_norm,
-                           constant_function, from_callable, gradient, inner,
+                           boundary_indices, boundary_lp_norm, gradient, inner,
                            is_dyadic, lp_norm, linf_norm, holder_seminorm,
                            h1_norm, nontangential_max,
                            precond_scale, principal_part_apply, read_csv,
@@ -77,7 +77,8 @@ class TestGrids:
 class TestGradient:
     def test_affine_exact_on_box(self):
         g = BoxGrid(2, 16)
-        u = from_callable(g, lambda p: 2.0 * p[..., 0] - 3.0 * p[..., 1] + 1.0)
+        p = g.points()
+        u = GridFunction(g, 2.0 * p[..., 0] - 3.0 * p[..., 1] + 1.0)
         gu = gradient(u).values
         assert np.allclose(gu[..., 0], 2.0, atol=1e-13)
         assert np.allclose(gu[..., 1], -3.0, atol=1e-13)
@@ -86,7 +87,7 @@ class TestGradient:
         errs = []
         for n in (32, 64):
             g = TorusGrid(1, n)
-            u = from_callable(g, lambda p: np.sin(2 * np.pi * p[..., 0]))
+            u = GridFunction(g, np.sin(2 * np.pi * g.points()[..., 0]))
             gu = gradient(u).values[..., 0]
             exact = 2 * np.pi * np.cos(2 * np.pi * g.points()[..., 0])
             errs.append(np.abs(gu - exact).max())
@@ -139,21 +140,21 @@ class TestPrincipalPart:
 class TestNorms:
     def test_lp_of_constant(self):
         g = TorusGrid(2, 16)
-        u = constant_function(g, 3.0)
+        u = GridFunction(g, np.full(g.shape, 3.0))
         assert lp_norm(u, 2.0) == pytest.approx(3.0)
         assert lp_norm(u, 4.0) == pytest.approx(3.0)
         assert linf_norm(u) == 3.0
 
     def test_h1_of_linear_on_box(self):
         g = BoxGrid(1, 64)
-        u = from_callable(g, lambda p: p[..., 0])
+        u = GridFunction(g, g.points()[..., 0])
         # ||u||_L2^2 = 1/3 (Riemann sum converges), |grad| = 1
         val = h1_norm(u)
         assert val == pytest.approx(math.sqrt(1 / 3 + 1), rel=0.05)
 
     def test_holder_sigma_one_is_lipschitz_bound(self):
         g = BoxGrid(1, 64)
-        u = from_callable(g, lambda p: 2.5 * p[..., 0])
+        u = GridFunction(g, 2.5 * g.points()[..., 0])
         assert holder_seminorm(u, 1.0) == pytest.approx(2.5, rel=1e-10)
 
     def test_boundary_lp_scaling(self):
@@ -167,7 +168,7 @@ class TestNorms:
 class TestNontangentialMax:
     def test_constant_field(self):
         g = BoxGrid(2, 12)
-        u = constant_function(g, 2.0)
+        u = GridFunction(g, np.full(g.shape, 2.0))
         star = nontangential_max(u, N0=2.0)
         assert np.allclose(star, 2.0)
 
@@ -181,7 +182,7 @@ class TestNontangentialMax:
     def test_aperture_guard(self):
         g = BoxGrid(2, 8)
         with pytest.raises(GridError):
-            nontangential_max(constant_function(g, 1.0), N0=1.0)
+            nontangential_max(GridFunction(g, np.full(g.shape, 1.0)), N0=1.0)
 
 
 def nontangential_max_brute(u, N0):
@@ -354,6 +355,14 @@ class TestCsv:
         with pytest.raises(GridError):
             read_csv(path)
 
+    @pytest.mark.parametrize("grid", [BoxGrid(2, 10), TorusGrid(3, 9)],
+                             ids=["box-finer", "torus-3d"])
+    def test_grid_disagreeing_with_header(self, grid, tmp_path):
+        path = tmp_path / "box.csv"
+        write_csv(GridFunction(BoxGrid(2, 8), np.zeros((9, 9))), path)
+        with pytest.raises(GridError, match=rf"\(2, 9\).*{re.escape(str(grid.shape))}"):
+            read_csv(path, grid=grid)
+
     @given(seed=st.integers(0, 2 ** 31))
     @settings(max_examples=15, deadline=None)
     def test_roundtrip_is_lossless(self, seed, tmp_path_factory):
@@ -380,6 +389,6 @@ class TestGridFunction:
 
     def test_inner_bilinear(self):
         g = TorusGrid(1, 16)
-        u = constant_function(g, 2.0)
-        v = constant_function(g, 3.0)
+        u = GridFunction(g, np.full(g.shape, 2.0))
+        v = GridFunction(g, np.full(g.shape, 3.0))
         assert inner(u, v) == pytest.approx(6.0)

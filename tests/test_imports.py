@@ -1,17 +1,25 @@
-"""Every module-level import in ``homogkit`` is used by its module.
+"""Every module-level import in ``homogkit`` is used by its module, and
+every module-level private name is referenced somewhere.
 
-No linter ships with the toolchain, so this stands in for the unused-import
-rule: it parses each source file and fails on a module-level import whose
-bound name the module never references (``__all__`` entries count as
-references; ``from __future__`` imports are exempt).
+No linter ships with the toolchain, so this stands in for two rules:
+
+- unused imports: each source file fails on a module-level import whose bound
+  name the module never references (``__all__`` entries count as references;
+  ``from __future__`` imports are exempt);
+- unreferenced private names: a module-level ``_name`` (function, class or
+  assigned constant) fails when no code in ``src``, ``tests`` or
+  ``perfbench`` reads it.  A read is a name load, an attribute, an imported
+  name or a string equal to the name (``monkeypatch.setattr(mod, "_name")``).
 """
 
 import ast
+import functools
 import pathlib
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "homogkit"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "homogkit"
 
 
 def _bound_names(node):
@@ -44,3 +52,61 @@ def test_detector_flags_an_unused_import():
               "import math\nimport os.path\nfrom dataclasses import dataclass, replace\n"
               "x = math.pi\n@dataclass\nclass C:\n    y: int = 0\n")
     assert unused_imports(source) == ["os", "replace"]
+
+
+def private_definitions(tree: ast.Module) -> list[str]:
+    """Module-level ``_name`` definitions (dunder names excluded)."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [t.id for t in targets if isinstance(t, ast.Name)]
+    return [n for n in names if n.startswith("_") and not n.startswith("__")]
+
+
+def referenced_names(tree: ast.Module) -> set[str]:
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            used |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            used.add(node.value)
+    return used
+
+
+def unreferenced_private_names(source: str, used: set[str]) -> list[str]:
+    """Private names defined at the top of ``source`` that neither ``source``
+    nor the names ``used`` elsewhere reference."""
+    tree = ast.parse(source)
+    used = used | referenced_names(tree)
+    return [n for n in private_definitions(tree) if n not in used]
+
+
+@functools.cache
+def _project_references() -> set[str]:
+    return set().union(*(referenced_names(ast.parse(p.read_text()))
+                         for d in ("src", "tests", "perfbench")
+                         for p in (ROOT / d).rglob("*.py")))
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_unreferenced_private_names(path):
+    assert unreferenced_private_names(path.read_text(), _project_references()) == []
+
+
+def test_detector_flags_an_unreferenced_private_name():
+    source = ("_LIMIT = 4\n_SPARE: int = 5\n__all__ = []\n"
+              "def _helper():\n    return _LIMIT\n"
+              "def _patched():\n    pass\n"
+              "def _dead():\n    pass\n"
+              "class _Gone:\n    pass\n"
+              "def public():\n    return _helper()\n")
+    elsewhere = referenced_names(ast.parse(
+        'import m\nmonkeypatch.setattr(m, "_patched", None)\n'))
+    assert unreferenced_private_names(source, elsewhere) == ["_SPARE", "_dead", "_Gone"]
