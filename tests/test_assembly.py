@@ -8,13 +8,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from homogkit.bvp import CoefficientSamples, sample_coefficients
+from homogkit.bvp import CoefficientSamples, default_lambda, sample_coefficients
 from homogkit.cell import _poisson_components
 from homogkit.coefficients import builtin_family
 from homogkit.grid import (BoxGrid, TorusGrid, assemble_torus, precond_scale,
                            principal_part_apply)
 from homogkit.solvers import (_apply_inverse_torus, _inverse_symbol_torus,
                               _krylov, _mean_zero, solve_periodic)
+from oracles import box_precond_float64, torus_precond_float64
 
 REL = 1e-13
 
@@ -160,6 +161,99 @@ def test_periodic_solve_matches_projected_matvec(name, params):
     want, want_res = projected_solve(op, rhs, g, **kw)
     assert res <= 10 * kw["tol"] and want_res <= 10 * kw["tol"]
     assert rel_err(got, want) <= 1e-12
+
+
+# Solves with the solvers' own preconditioners against the same solves with
+# the float64 oracle closures of tests/oracles.py.  Both end with a verified
+# relative residual of at most 10 tol, so
+#     ||x - x64|| <= ||A^-1|| (||r|| + ||r64||) <= 20 tol kappa(A) ||x64||
+# in the 2-norm.  kappa(A) is estimated as the ratio of the extreme Laplacian
+# symbols (nonzero modes on the torus; the lambda shift only lowers it) times
+# the coefficient contrast max ||A(x)||_2 / min lambda_min(sym A(x)), with
+# A(x) the (d m) x (d m) matrix of a_ij^{ab}.  The bound is 20 tol kappa_est.
+EQUIV_TOL = 1e-10
+# a reduced-precision preconditioner may take one more apply, never more
+EXTRA_APPLIES = 1
+
+
+def kappa_est(A: np.ndarray, theta: np.ndarray, h: float) -> float:
+    d, m = A.shape[-3], A.shape[-1]
+    lam1 = (2.0 - 2.0 * np.cos(theta)) / h ** 2
+    sym_ratio = lam1.max() / lam1[lam1 > 0].min()   # d axes cancel: d max / d min
+    M = np.swapaxes(A, -3, -2).reshape(-1, d * m, d * m)
+    top = np.linalg.norm(M, 2, axis=(-2, -1)).max()
+    low = np.linalg.eigvalsh(0.5 * (M + np.swapaxes(M, -1, -2)))[:, 0].min()
+    assert low > 0.0
+    return float(sym_ratio * top / low)
+
+
+def counted_krylov(monkeypatch, oracle=None):
+    """Route every solve through ``_krylov`` with its preconditioner (or
+    ``oracle(rhs.shape)`` in its place) counted; returns the apply list."""
+    import homogkit.solvers as solvers
+
+    applies = []
+
+    def run(matvec, precond, rhs, **kw):
+        p = precond if oracle is None else oracle(rhs.shape)
+
+        def counted(r):
+            applies.append(1)
+            return p(r)
+        return _krylov(matvec, counted, rhs, **kw)
+    monkeypatch.setattr(solvers, "_krylov", run)
+    return applies
+
+
+def assert_equivalent(got, want, kappa, applies, applies64):
+    (x, res), (x64, res64) = got, want
+    assert res <= 10 * EQUIV_TOL and res64 <= 10 * EQUIV_TOL
+    err = np.linalg.norm(x - x64) / np.linalg.norm(x64)
+    assert err <= 20 * EQUIV_TOL * kappa
+    assert len(applies) <= len(applies64) + EXTRA_APPLIES
+
+
+@pytest.mark.parametrize("name,params", CASES, ids=IDS)
+def test_periodic_solve_matches_float64_preconditioner(monkeypatch, name, params):
+    d = params["d"]
+    g = TorusGrid(d, SIZES[d])
+    # the draw of test_periodic_solve_matches_projected_matvec, whose random
+    # tensors are pointwise elliptic (kappa_est needs lambda_min(sym A) > 0)
+    A, self_adjoint = elliptic_cell_problem(name, params, g,
+                                            np.random.Generator(np.random.PCG64(12)))
+    rng = np.random.Generator(np.random.PCG64(14))
+    K = assemble_torus(A, g)
+    op = lambda u: (K @ u.ravel()).reshape(u.shape)   # noqa: E731
+    scale = precond_scale(A, g)
+    kw = dict(tol=EQUIV_TOL, precond_scale=scale, self_adjoint=self_adjoint)
+    rhs = rng.standard_normal(g.shape + (A.shape[-1],))
+    applies = counted_krylov(monkeypatch)
+    got = solve_periodic(op, rhs, g, **kw)
+    applies64 = counted_krylov(
+        monkeypatch, lambda shape: torus_precond_float64(shape, g, scale))
+    want = solve_periodic(op, rhs, g, **kw)
+    kappa = kappa_est(A, 2.0 * np.pi * np.arange(g.n) / g.n, g.h)
+    assert_equivalent(got, want, kappa, applies, applies64)
+
+
+@pytest.mark.parametrize("name,params",
+                         [c for c in CASES if c[0] != "random"],
+                         ids=[i for (name, _), i in zip(CASES, IDS) if name != "random"])
+def test_box_solve_matches_float64_preconditioner(monkeypatch, name, params):
+    """The built-in families at their default lambda (the random box arrays
+    are not elliptic)."""
+    s = box_samples(name, params, lam=default_lambda(builtin_family(name, **params)))
+    g = s.grid
+    rng = np.random.Generator(np.random.PCG64(15))
+    rhs = rng.standard_normal((g.n - 1,) * g.d + (s.m,))
+    applies = counted_krylov(monkeypatch)
+    got = s.solve(rhs, EQUIV_TOL)
+    scale = precond_scale(s.A, g)
+    applies64 = counted_krylov(
+        monkeypatch, lambda shape: box_precond_float64(shape, g, scale, s.lam))
+    want = s.solve(rhs, EQUIV_TOL)
+    kappa = kappa_est(s.A, np.pi * np.arange(1, g.n) / g.n, g.h)
+    assert_equivalent(got, want, kappa, applies, applies64)
 
 
 @pytest.mark.parametrize("name,params", CASES, ids=IDS)

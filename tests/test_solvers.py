@@ -316,3 +316,75 @@ class TestNoDtypeProbe:
             solve_box_dirichlet(lambda w: 4.0 * w, b, bg, lam=1.0,
                                 self_adjoint=self_adjoint)
         assert zero_applies == []
+
+
+def _trig_operators():
+    """A self-adjoint box interior operator and torus operator (trig, d = 2)."""
+    from homogkit.bvp import sample_coefficients
+    from homogkit.coefficients import builtin_family
+    from homogkit.grid import assemble_torus, precond_scale
+
+    cs = builtin_family("trig", d=2).principal_part
+    bg = BoxGrid(2, 16)
+    s = sample_coefficients(cs, bg, 1 / 4, 0.7)
+    tg = TorusGrid(2, 16)
+    A = cs.A(tg.points())
+    K = assemble_torus(A, tg)
+    box = (s.apply_interior, bg, dict(lam=0.7, precond_scale=precond_scale(s.A, bg)))
+    torus = (lambda u: (K @ u.ravel()).reshape(u.shape), tg,
+             dict(precond_scale=precond_scale(A, tg)))
+    return {"box": box, "torus": torus}
+
+
+class TestScaleInvariance:
+    """solve(2^k b) is 2^k solve(b) bit for bit.  The driver hands the Krylov
+    method b scaled by an exact power of two, so neither a float32 apply of
+    the preconditioner nor an absolute breakdown threshold sees 2^k."""
+
+    @pytest.mark.parametrize("k", [-130, 120])
+    @pytest.mark.parametrize("self_adjoint", [True, False], ids=["cg", "bicgstab"])
+    @pytest.mark.parametrize("geometry", ["box", "torus"])
+    def test_power_of_two(self, request, geometry, self_adjoint, k):
+        if not self_adjoint and k < 0:
+            # BiCGStab's absolute rho threshold (eps^2) trips on the unscaled
+            # 2^-130 b at once, and GMRES restarts from zero
+            request.node.add_marker(pytest.mark.xfail(
+                strict=True, reason="unscaled Krylov input: BiCGStab rho breakdown"))
+        apply, grid, kw = _trig_operators()[geometry]
+        solver = solve_box_dirichlet if geometry == "box" else solve_periodic
+        n = grid.n - 1 if geometry == "box" else grid.n
+        rng = np.random.Generator(np.random.PCG64(20))
+        b = rng.standard_normal((n, n, 1))
+        x, res = solver(apply, b, grid, self_adjoint=self_adjoint, **kw)
+        xk, resk = solver(apply, np.ldexp(b, k), grid, self_adjoint=self_adjoint, **kw)
+        assert res <= 1e-9
+        assert np.array_equal(xk, np.ldexp(x, k))
+        assert resk == res
+
+
+class TestPreconditionerContract:
+    """Each preconditioner closure leaves its argument alone and returns a
+    flat float64 array of rhs.size: scipy's Krylov vectors stay float64, and
+    the benchmark tracer wraps M with ``dtype=M.dtype``."""
+
+    @pytest.mark.parametrize("d,n", [(1, 15), (2, 12), (3, 7)])
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("geometry", ["box", "torus"])
+    def test_closure(self, monkeypatch, geometry, d, n, m):
+        if geometry == "box":
+            g, solver, kw = BoxGrid(d, n), solve_box_dirichlet, dict(lam=0.5)
+            shape = (n - 1,) * d
+        else:
+            g, solver, kw = TorusGrid(d, n), solve_periodic, {}
+            shape = g.shape
+        shape += (m,) if m > 1 else ()
+        rng = np.random.Generator(np.random.PCG64(30 + d + n + m))
+        rhs = rng.standard_normal(shape)
+        precond = _capture_precond(monkeypatch, solver, lambda w: w, rhs, g,
+                                   precond_scale=1.3, **kw)
+        r = rng.standard_normal(rhs.size)
+        kept = r.copy()
+        z = precond(r)
+        assert np.array_equal(r, kept)
+        assert z.dtype == np.float64
+        assert z.shape == (rhs.size,)
