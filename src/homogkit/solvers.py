@@ -6,6 +6,15 @@ as the preconditioner for CG (``self_adjoint`` operators) or BiCGStab (general
 ones).  A wrong choice costs time, not accuracy, because one driver runs
 every solve and verifies the final relative residual itself (Krylov "success"
 flags are not trusted); it returns that residual with the solution.
+
+A preconditioner only has to be approximate, so its transforms run in
+float32: the residual is cast down, multiplied by a float32 copy of the
+reciprocal symbol and cast back.  The operator, the Krylov vectors, the
+GMRES fallback and the residual check stay float64.  The driver scales the
+right-hand side by an exact power of two (max |b| in [0.5, 1)) and the
+solution back, so the float32 range never sees the scale of the data.
+``poisson_periodic`` is an exact solve, not a preconditioner, and stays
+float64.
 """
 
 from __future__ import annotations
@@ -65,19 +74,36 @@ def _inverse_symbol_torus(grid: TorusGrid, scale: float) -> np.ndarray:
 
 def _apply_inverse_torus(r: np.ndarray, inv: np.ndarray, grid: TorusGrid) -> np.ndarray:
     """rfftn over the grid axes of ``r``, times ``inv`` (broadcast over any
-    trailing component axes), and back."""
+    trailing component axes), and back, in the precision of ``r``."""
     axes = tuple(range(grid.d))
     zhat = scipy.fft.rfftn(r, axes=axes)
     zhat *= inv
     return scipy.fft.irfftn(zhat, s=grid.shape, axes=axes, overwrite_x=True)
 
 
+def _inverse_symbol_box(grid: BoxGrid, scale: float, lam: float) -> np.ndarray:
+    """1 / ((scale * symbol + max(lam, 0)) (2n)^d) of the Dirichlet
+    -Laplacian on the interior lattice: DST-I is its own inverse up to the
+    factor (2n)^d, folded in here."""
+    sym = _laplace_symbol_box(grid)
+    return 1.0 / ((scale * sym + max(lam, 0.0)) * (2.0 * grid.n) ** grid.d)
+
+
+def _apply_inverse_box(r: np.ndarray, inv: np.ndarray, axes: tuple) -> np.ndarray:
+    """DST-I over ``axes`` of ``r``, times ``inv`` (broadcast over any
+    trailing component axes), and DST-I again, in the precision of ``r``."""
+    rhat = scipy.fft.dstn(r, type=1, axes=axes)
+    rhat *= inv
+    return scipy.fft.dstn(rhat, type=1, axes=axes, overwrite_x=True)
+
+
 def poisson_periodic(rhs: np.ndarray, grid: TorusGrid) -> np.ndarray:
     """Mean-zero x with -Laplace_h x = rhs - mean(rhs) on the torus, by FFT.
 
     Laplace_h is the compact flux Laplacian (the operator of identity
-    coefficients); its symbol ``_laplace_symbol_torus`` is inverted exactly
-    and the constant mode is set to zero.  ``rhs`` has shape grid.shape.
+    coefficients); its symbol ``_laplace_symbol_torus`` is inverted exactly,
+    in float64, and the constant mode is set to zero.  ``rhs`` has shape
+    grid.shape.
     """
     return _apply_inverse_torus(rhs, _inverse_symbol_torus(grid, 1.0), grid)
 
@@ -86,6 +112,12 @@ def _krylov(matvec, precond, rhs: np.ndarray, *, self_adjoint: bool, tol: float,
             maxiter: int, what: str) -> tuple[np.ndarray, float]:
     """Solve matvec(x) = rhs, preconditioned by ``precond``, for x shaped like
     ``rhs``; returns x and its true relative residual ||A x - b|| / ||b||.
+
+    The Krylov method solves for b = rhs * 2^-e, with 2^e the power of two
+    that puts max |b| in [0.5, 1), and x is scaled back by 2^e.  Both scalings
+    are exact, so x and the residual are those of the unscaled solve bit for
+    bit, while a float32 preconditioner apply neither underflows nor
+    overflows and scipy's absolute breakdown thresholds see data of unit size.
 
     CG (``self_adjoint``) or BiCGStab runs first.  A non-finite true residual
     raises SolverError at once.  When the residual exceeds 10 tol, GMRES
@@ -99,10 +131,12 @@ def _krylov(matvec, precond, rhs: np.ndarray, *, self_adjoint: bool, tol: float,
     # zeros; a lazily built operator must therefore be assembled by the caller
     A = LinearOperator((size, size), matvec=matvec, dtype=float)
     M = LinearOperator((size, size), matvec=precond, dtype=float)
-    b = rhs.ravel()
-    bnorm = np.linalg.norm(b)
-    if bnorm == 0.0:
+    bmax = np.max(np.abs(rhs))
+    if bmax == 0.0:
         return np.zeros(rhs.shape), 0.0
+    exponent = int(np.frexp(bmax)[1])
+    b = np.ldexp(rhs.ravel(), -exponent)
+    bnorm = np.linalg.norm(b)
     krylov = cg if self_adjoint else bicgstab
     x, _ = krylov(A, b, rtol=tol, atol=0.0, maxiter=maxiter, M=M)
     res = np.linalg.norm(A @ x - b) / bnorm
@@ -113,7 +147,7 @@ def _krylov(matvec, precond, rhs: np.ndarray, *, self_adjoint: bool, tol: float,
         res = np.linalg.norm(A @ x - b) / bnorm
         if not res <= 10 * tol:
             raise SolverError(f"{what} did not converge", res)
-    return x.reshape(rhs.shape), float(res)
+    return np.ldexp(x, exponent).reshape(rhs.shape), float(res)
 
 
 def solve_periodic(apply_op, rhs: np.ndarray, grid: TorusGrid, *,
@@ -132,14 +166,15 @@ def solve_periodic(apply_op, rhs: np.ndarray, grid: TorusGrid, *,
     """
     shape = rhs.shape
     nd = grid.d
-    inv = _inverse_symbol_torus(grid, precond_scale)
+    inv = _inverse_symbol_torus(grid, precond_scale).astype(np.float32)
     inv = inv.reshape(inv.shape + (1,) * (len(shape) - nd))
 
     def matvec(x):
         return apply_op(x.reshape(shape)).ravel()
 
     def precond(r):
-        return _apply_inverse_torus(r.reshape(shape), inv, grid).ravel()
+        z = _apply_inverse_torus(r.reshape(shape).astype(np.float32), inv, grid)
+        return z.astype(np.float64).ravel()
 
     if maxiter is None:
         maxiter = max(200, int(20 * grid.n ** (grid.d / 2)))
@@ -156,24 +191,22 @@ def solve_box_dirichlet(apply_interior, rhs_interior: np.ndarray, grid: BoxGrid,
 
     ``apply_interior`` maps arrays shaped (n-1)^d + comp (interior points,
     homogeneous boundary implied) to the operator action at interior points.
-    The preconditioner is the exact inverse of precond_scale * (-Laplace_h)
-    + max(lam, 0) via DST-I.  Returns the solution and its relative residual.
+    The preconditioner is the inverse of precond_scale * (-Laplace_h)
+    + max(lam, 0) via DST-I, exact up to float32 rounding.  Returns the
+    solution and its relative residual.
     """
     shape = rhs_interior.shape
     nd = grid.d
-    sym = _laplace_symbol_box(grid)
-    # DST-I is its own inverse up to the factor (2n)^d, folded in here
-    inv = 1.0 / ((precond_scale * sym + max(lam, 0.0)) * (2.0 * grid.n) ** nd)
-    inv = inv.reshape(sym.shape + (1,) * (len(shape) - nd))
+    inv = _inverse_symbol_box(grid, precond_scale, lam).astype(np.float32)
+    inv = inv.reshape(inv.shape + (1,) * (len(shape) - nd))
     dst_axes = tuple(range(nd))
 
     def matvec(x):
         return apply_interior(x.reshape(shape)).ravel()
 
     def precond(r):
-        rhat = scipy.fft.dstn(r.reshape(shape), type=1, axes=dst_axes)
-        rhat *= inv
-        return scipy.fft.dstn(rhat, type=1, axes=dst_axes, overwrite_x=True).ravel()
+        z = _apply_inverse_box(r.reshape(shape).astype(np.float32), inv, dst_axes)
+        return z.astype(np.float64).ravel()
 
     if maxiter is None:
         maxiter = max(200, 50 * grid.n)
