@@ -134,17 +134,6 @@ def sample_periodic_field(arr: np.ndarray, cell_grid: TorusGrid,
     return arr[ix]
 
 
-def phi_inverse(phi0: np.ndarray) -> np.ndarray:
-    """Pointwise inverse of Phi_{eps,0}, guarded by the smallness condition
-    ||Phi - I||_inf <= 1/2 that the paper-regime transformations assume."""
-    m = phi0.shape[-1]
-    eye = np.eye(m)
-    dev = np.abs(phi0 - eye).max()
-    if dev > 0.5:
-        raise ValueError(f"Phi deviates from identity by {dev:.3f} > 1/2; eps too large")
-    return np.linalg.inv(phi0)
-
-
 def psi_diagnostics(phis: DirichletCorrectorSet, correctors: CorrectorSet,
                     eps: float) -> PsiDiagnostics:
     """Psi fields, their sup norms, and the radial gradient profile.

@@ -218,18 +218,6 @@ def decay_fit(sample: GreenSample) -> DecayFit:
                     spans_decade=bool(rr.max() / rr.min() >= 10.0))
 
 
-def boundary_weighted_ratio(sample: GreenSample) -> float:
-    """max over admissible x of |G| |x-y|^(d-1) / d_y, the near-boundary bound."""
-    g = sample.grid
-    r, _ = sample.fit_shell()
-    mag = sample.magnitude()
-    d_y = max(point_boundary_distance(g, sample.y), g.h)
-    adm = (r >= 4 * g.h) & (sample.rho < r / 4)
-    if not adm.any():
-        raise GreenError("no admissible points for the weighted ratio")
-    return float((mag[adm] * r[adm] ** (g.d - 1)).max() / d_y)
-
-
 # ---------------------------------------------------------------------------
 # Poisson kernel and boundary representation
 # ---------------------------------------------------------------------------

@@ -285,19 +285,6 @@ def run_sweep(config: SweepConfig) -> ConvergenceReport:
     return ConvergenceReport(rows=rows, slopes=slopes, complete=complete, notes=notes)
 
 
-def triangle_defects(report: ConvergenceReport) -> list[float]:
-    """Row-wise slack of ||u_eps - u|| <= ||w|| + ||(Phi_0 - I)u|| + ||(Phi_k - P_k) du||.
-
-    Nonnegative values mean the triangle inequality holds on the recorded
-    norms; a negative value beyond round-off flags inconsistent bookkeeping.
-    """
-    out = []
-    for row in report.rows:
-        rhs = row["w_l2"] + row["norm_phi0_u_l2"] + row["norm_phik_du_l2"]
-        out.append(rhs - row["err_l2"])
-    return out
-
-
 # ---------------------------------------------------------------------------
 # uniform-constant probes
 # ---------------------------------------------------------------------------

@@ -3,13 +3,18 @@
 ``box_precond_float64`` and ``torus_precond_float64`` are the preconditioner
 closures of ``solve_box_dirichlet`` and ``solve_periodic`` with every
 transform in float64, the oracles against which the solves with the
-single-precision preconditioners are compared.
+single-precision preconditioners are compared.  ``phi_inverse``,
+``boundary_weighted_ratio`` and ``triangle_defects`` check paper bounds on
+the objects a run computes; no run reports them.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import scipy.fft
+
+from homogkit.green import GreenError, GreenSample, point_boundary_distance
+from homogkit.rates import ConvergenceReport
 
 
 def _laplace_symbol(theta: np.ndarray, h: float, d: int) -> np.ndarray:
@@ -52,3 +57,39 @@ def torus_precond_float64(shape, grid, scale: float):
         zhat *= inv
         return scipy.fft.irfftn(zhat, s=grid.shape, axes=axes, overwrite_x=True).ravel()
     return precond
+
+
+def phi_inverse(phi0: np.ndarray) -> np.ndarray:
+    """Pointwise inverse of Phi_{eps,0}, guarded by the smallness condition
+    ||Phi - I||_inf <= 1/2 that the paper-regime transformations assume."""
+    m = phi0.shape[-1]
+    eye = np.eye(m)
+    dev = np.abs(phi0 - eye).max()
+    if dev > 0.5:
+        raise ValueError(f"Phi deviates from identity by {dev:.3f} > 1/2; eps too large")
+    return np.linalg.inv(phi0)
+
+
+def boundary_weighted_ratio(sample: GreenSample) -> float:
+    """max over admissible x of |G| |x-y|^(d-1) / d_y, the near-boundary bound."""
+    g = sample.grid
+    r, _ = sample.fit_shell()
+    mag = sample.magnitude()
+    d_y = max(point_boundary_distance(g, sample.y), g.h)
+    adm = (r >= 4 * g.h) & (sample.rho < r / 4)
+    if not adm.any():
+        raise GreenError("no admissible points for the weighted ratio")
+    return float((mag[adm] * r[adm] ** (g.d - 1)).max() / d_y)
+
+
+def triangle_defects(report: ConvergenceReport) -> list[float]:
+    """Row-wise slack of ||u_eps - u|| <= ||w|| + ||(Phi_0 - I)u|| + ||(Phi_k - P_k) du||.
+
+    Nonnegative values mean the triangle inequality holds on the recorded
+    norms; a negative value beyond round-off flags inconsistent bookkeeping.
+    """
+    out = []
+    for row in report.rows:
+        rhs = row["w_l2"] + row["norm_phi0_u_l2"] + row["norm_phik_du_l2"]
+        out.append(rhs - row["err_l2"])
+    return out

@@ -7,12 +7,13 @@ from homogkit import bvp
 from homogkit.bvp import default_lambda
 from homogkit.coefficients import builtin_family
 from homogkit.green import (GreenError, _ball_mask, approx_green,
-                            boundary_data_battery, boundary_weighted_ratio,
-                            decay_fit, decay_shell, direct_solve,
-                            maximal_function_probe, poisson_kernel_boundary_rep,
-                            reciprocity_residual, representation_value)
+                            boundary_data_battery, decay_fit, decay_shell,
+                            direct_solve, maximal_function_probe,
+                            poisson_kernel_boundary_rep, reciprocity_residual,
+                            representation_value)
 from homogkit.grid import (BoxGrid, boundary_lp_norm, linf_norm,
                            nontangential_max)
+from oracles import boundary_weighted_ratio
 
 
 @pytest.fixture(scope="module")

@@ -8,8 +8,8 @@ from homogkit.dirichlet import solve_dirichlet_correctors
 from homogkit.grid import BoxGrid, GridFunction, read_csv
 from homogkit.rates import (ConvergenceReport, SweepConfig, SweepError,
                             expansion_error, fit_rate, load_field, restrict,
-                            run_sweep, triangle_defects,
-                            uniform_constant_probe)
+                            run_sweep, uniform_constant_probe)
+from oracles import triangle_defects
 
 
 class TestConfig:
