@@ -17,8 +17,9 @@ from homogkit.green import GreenError, GreenSample, point_boundary_distance
 from homogkit.rates import ConvergenceReport
 
 
-def _laplace_symbol(theta: np.ndarray, h: float, d: int) -> np.ndarray:
-    """Sum over the d axes of (2 - 2 cos theta) / h^2."""
+def laplace_symbol(theta: np.ndarray, h: float, d: int) -> np.ndarray:
+    """Sum over the d axes of (2 - 2 cos theta) / h^2 on the tensor lattice of
+    ``theta``: the -Laplacian's eigenvalues, built independently of ``src``."""
     lam1 = (2.0 - 2.0 * np.cos(theta)) / h ** 2
     return sum(lam1.reshape([-1 if k == ax else 1 for k in range(d)])
                for ax in range(d)) * np.ones((theta.size,) * d)
@@ -28,7 +29,7 @@ def box_precond_float64(shape, grid, scale: float, lam: float):
     """DST-I, times 1 / ((scale * symbol + max(lam, 0)) (2n)^d), DST-I, all in
     float64, for flat residuals of arrays shaped ``shape`` = (n-1)^d + comp."""
     nd = grid.d
-    sym = _laplace_symbol(np.pi * np.arange(1, grid.n) / grid.n, grid.h, nd)
+    sym = laplace_symbol(np.pi * np.arange(1, grid.n) / grid.n, grid.h, nd)
     inv = 1.0 / ((scale * sym + max(lam, 0.0)) * (2.0 * grid.n) ** nd)
     inv = inv.reshape(sym.shape + (1,) * (len(shape) - nd))
     axes = tuple(range(nd))
@@ -44,7 +45,7 @@ def torus_precond_float64(shape, grid, scale: float):
     """rfftn, times 1 / (scale * symbol) (0 at the constant mode), irfftn, all
     in float64, for flat residuals of arrays shaped ``shape`` = grid.shape + comp."""
     nd = grid.d
-    sym = _laplace_symbol(2.0 * np.pi * np.arange(grid.n) / grid.n, grid.h, nd)
+    sym = laplace_symbol(2.0 * np.pi * np.arange(grid.n) / grid.n, grid.h, nd)
     sym = sym[..., : grid.n // 2 + 1]
     sym[(0,) * nd] = 1.0
     inv = 1.0 / (scale * sym)

@@ -7,6 +7,7 @@ from homogkit.grid import BoxGrid, TorusGrid, principal_part_apply
 from homogkit.solvers import (SolverError, _apply_inverse_box, _apply_inverse_torus,
                               _inverse_symbol_box, _inverse_symbol_torus,
                               poisson_periodic, solve_box_dirichlet, solve_periodic)
+from oracles import laplace_symbol
 
 
 def identity_coefficients(grid_shape, d):
@@ -204,16 +205,10 @@ def _capture_precond(monkeypatch, solve, *args, **kwargs):
     return seen["precond"]
 
 
-def _symbol_oracle(theta, h, d):
-    lam1 = (2.0 - 2.0 * np.cos(theta)) / h ** 2
-    return sum(lam1.reshape([-1 if k == ax else 1 for k in range(d)])
-               for ax in range(d)) * np.ones((theta.size,) * d)
-
-
 def _torus_precond_oracle(r, grid, scale):
     """The complex-FFT torus preconditioner the half-spectrum one replaced."""
     nd = grid.d
-    sym = _symbol_oracle(2.0 * np.pi * np.arange(grid.n) / grid.n, grid.h, nd)
+    sym = laplace_symbol(2.0 * np.pi * np.arange(grid.n) / grid.n, grid.h, nd)
     sym[(0,) * nd] = 1.0
     denom = (scale * sym).reshape(sym.shape + (1,) * (r.ndim - nd))
     zhat = np.fft.fftn(r, axes=tuple(range(nd))) / denom
@@ -226,7 +221,7 @@ def _box_precond_oracle(r, grid, scale, lam):
     import scipy.fft
 
     nd = grid.d
-    sym = _symbol_oracle(np.pi * np.arange(1, grid.n) / grid.n, grid.h, nd)
+    sym = laplace_symbol(np.pi * np.arange(1, grid.n) / grid.n, grid.h, nd)
     denom = (scale * sym + max(lam, 0.0)).reshape(sym.shape + (1,) * (r.ndim - nd))
     axes = tuple(range(nd))
     rhat = scipy.fft.dstn(r, type=1, axes=axes)
