@@ -115,9 +115,9 @@ def _krylov(matvec, precond, rhs: np.ndarray, *, self_adjoint: bool, tol: float,
 
     The Krylov method solves for b = rhs * 2^-e, with 2^e the power of two
     that puts max |b| in [0.5, 1), and x is scaled back by 2^e.  Both scalings
-    are exact, so x and the residual are those of the unscaled solve bit for
-    bit, while a float32 preconditioner apply neither underflows nor
-    overflows and scipy's absolute breakdown thresholds see data of unit size.
+    are exact, so solving for 2^k rhs returns 2^k x bit for bit; a float32
+    preconditioner apply neither underflows nor overflows, and scipy's
+    absolute breakdown thresholds see data of unit size.
 
     CG (``self_adjoint``) or BiCGStab runs first.  A non-finite true residual
     raises SolverError at once.  When the residual exceeds 10 tol, GMRES
