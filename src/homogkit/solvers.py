@@ -10,7 +10,7 @@ flags are not trusted); it returns that residual with the solution.
 A preconditioner only has to be approximate, so its transforms run in
 float32: the residual is cast down, multiplied by a float32 copy of the
 reciprocal symbol and cast back.  The operator, the Krylov vectors, the
-GMRES fallback and the residual check stay float64.  The driver scales the
+GMRES fallback and the residual check stay float64.  ``_krylov`` scales the
 right-hand side by an exact power of two (max |b| in [0.5, 1)) and the
 solution back, so the float32 range never sees the scale of the data.
 ``poisson_periodic`` is an exact solve, not a preconditioner, and stays

@@ -351,7 +351,7 @@ def _trig_operators():
 
 
 class TestScaleInvariance:
-    """solve(2^k b) is 2^k solve(b) bit for bit.  The driver hands the Krylov
+    """solve(2^k b) is 2^k solve(b) bit for bit.  ``_krylov`` hands the Krylov
     method b scaled by an exact power of two, so neither a float32 apply of
     the preconditioner nor an absolute breakdown threshold sees 2^k."""
 
