@@ -201,6 +201,12 @@ def _centered_box(v: np.ndarray, axis: int, h: float) -> np.ndarray:
     return out
 
 
+def _difference(grid: Grid):
+    """d/dx_axis as ``f(v, axis, h)``: periodic centred differences on the
+    torus; on a box centred inside and one-sided at the faces."""
+    return _centered_periodic if isinstance(grid, TorusGrid) else _centered_box
+
+
 def gradient(u: GridFunction) -> GridFunction:
     """Discrete gradient; exact for affine fields.
 
@@ -208,13 +214,27 @@ def gradient(u: GridFunction) -> GridFunction:
     ``grid.shape + comp_shape + (d,)``.
     """
     g = u.grid
-    parts = []
+    diff = _difference(g)
+    return GridFunction(g, np.stack([diff(u.values, ax, g.h) for ax in range(g.d)],
+                                    axis=-1))
+
+
+def divergence(u: GridFunction) -> GridFunction:
+    """Discrete divergence, with the differences of ``gradient``: the sum of
+    d/dx_i of component i of the trailing axis of length d, which it drops.
+
+    The terms are added to zeros in axis order, so each value is the sum
+    0 + t_1 + ... + t_d in that order.
+    """
+    g = u.grid
+    if u.comp_shape[-1:] != (g.d,):
+        raise GridError(f"divergence needs a trailing axis of length d = {g.d}, "
+                        f"got components {u.comp_shape}")
+    diff = _difference(g)
+    out = np.zeros(u.values.shape[:-1])
     for ax in range(g.d):
-        if isinstance(g, TorusGrid):
-            parts.append(_centered_periodic(u.values, ax, g.h))
-        else:
-            parts.append(_centered_box(u.values, ax, g.h))
-    return GridFunction(g, np.stack(parts, axis=-1))
+        out += diff(u.values[..., ax], ax, g.h)
+    return GridFunction(g, out)
 
 
 # ---------------------------------------------------------------------------

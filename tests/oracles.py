@@ -3,7 +3,10 @@
 ``box_precond_float64`` and ``torus_precond_float64`` are the preconditioner
 closures of ``solve_box_dirichlet`` and ``solve_periodic`` with every
 transform in float64, the oracles against which the solves with the
-single-precision preconditioners are compared.  ``phi_inverse``,
+single-precision preconditioners are compared.  ``divergence_centered``,
+``divergence_box_sum`` and ``divergence_box_loop`` are the discrete
+divergences that the cell source, the Dirichlet corrector source and the box
+load summed by hand before ``grid.divergence``.  ``phi_inverse``,
 ``boundary_weighted_ratio`` and ``triangle_defects`` check paper bounds on
 the objects a run computes; no run reports them.
 """
@@ -13,6 +16,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.fft
 
+from homogkit.grid import _centered_box, _centered_periodic
 from homogkit.green import GreenError, GreenSample, point_boundary_distance
 from homogkit.rates import ConvergenceReport
 
@@ -58,6 +62,31 @@ def torus_precond_float64(shape, grid, scale: float):
         zhat *= inv
         return scipy.fft.irfftn(zhat, s=grid.shape, axes=axes, overwrite_x=True).ravel()
     return precond
+
+
+def divergence_centered(field: np.ndarray, grid, axis_index: int) -> np.ndarray:
+    """Torus divergence contracting the axis ``axis_index`` of length d:
+    centred periodic differences added to zeros in axis order."""
+    out = np.zeros(tuple(np.delete(np.array(field.shape), axis_index)))
+    for l in range(grid.d):
+        out += _centered_periodic(np.take(field, l, axis=axis_index), l, grid.h)
+    return out
+
+
+def divergence_box_sum(field: np.ndarray, grid) -> np.ndarray:
+    """Box divergence over the trailing axis of length d, as ``sum`` of the
+    per-axis box differences started from zeros."""
+    return sum((_centered_box(field[..., i], i, grid.h) for i in range(grid.d)),
+               np.zeros(field.shape[:-1]))
+
+
+def divergence_box_loop(field: np.ndarray, grid) -> np.ndarray:
+    """Box divergence over the trailing axis of length d, added in place to
+    zeros axis by axis."""
+    out = np.zeros(field.shape[:-1])
+    for i in range(grid.d):
+        out += _centered_box(field[..., i], i, grid.h)
+    return out
 
 
 def phi_inverse(phi0: np.ndarray) -> np.ndarray:

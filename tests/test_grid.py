@@ -6,12 +6,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import homogkit.grid as grid_mod
+import oracles
 from homogkit.bvp import DirichletProblem, solve
 from homogkit.coefficients import builtin_family
 from homogkit.green import boundary_data_battery
 from homogkit.grid import (BoxGrid, GridError, GridFunction,
                            TorusGrid, _pointwise_abs, bilinear_energy,
-                           boundary_indices, boundary_lp_norm, gradient, inner,
+                           boundary_indices, boundary_lp_norm, divergence,
+                           gradient, inner,
                            is_dyadic, lp_norm, linf_norm, holder_seminorm,
                            h1_norm, nontangential_max,
                            precond_scale, principal_part_apply, read_csv,
@@ -92,6 +94,29 @@ class TestGradient:
             exact = 2 * np.pi * np.cos(2 * np.pi * g.points()[..., 0])
             errs.append(np.abs(gu - exact).max())
         assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.1)
+
+
+class TestDivergence:
+    """``divergence`` is bit-identical to the hand-written sums it replaced."""
+
+    @pytest.mark.parametrize("comp", [(), (2,), (2, 2)], ids=str)
+    @pytest.mark.parametrize("d,n", [(1, 9), (2, 7), (3, 5)])
+    def test_matches_hand_sums(self, d, n, comp):
+        rng = np.random.default_rng(10 * d + len(comp))
+        torus, box = TorusGrid(d, n), BoxGrid(d, n)
+        # the flux-direction axis right after the grid axes, as in E[..., l, i]
+        u = rng.standard_normal(torus.shape + (d,) + comp)
+        got = divergence(GridFunction(torus, np.moveaxis(u, d, -1))).values
+        assert np.array_equal(got, oracles.divergence_centered(u, torus, d))
+        u = rng.standard_normal(box.shape + comp + (d,))
+        got = divergence(GridFunction(box, u)).values
+        assert np.array_equal(got, oracles.divergence_box_sum(u, box))
+        assert np.array_equal(got, oracles.divergence_box_loop(u, box))
+
+    def test_needs_a_trailing_axis_of_length_d(self):
+        g = TorusGrid(2, 8)
+        with pytest.raises(GridError):
+            divergence(GridFunction(g, np.zeros(g.shape + (3,))))
 
 
 class TestPrincipalPart:
