@@ -21,7 +21,7 @@ from functools import cached_property
 import numpy as np
 
 from .coefficients import CoefficientSet, transpose_a, transpose_m
-from .grid import BoxGrid, GridFunction, _centered_box, assemble_box, precond_scale
+from .grid import BoxGrid, GridFunction, assemble_box, divergence, precond_scale
 from .solvers import solve_box_dirichlet
 
 
@@ -164,13 +164,10 @@ class DirichletProblem:
     def rhs_interior(self, samples: CoefficientSamples) -> np.ndarray:
         """F + div(f) - L(g-lifting) restricted to interior points."""
         g = self.grid
-        m = self.cs.m
-        rhs = np.zeros(g.shape + (m,))
+        rhs = (np.zeros(g.shape + (self.cs.m,)) if self.f is None
+               else divergence(GridFunction(g, self.f)).values)
         if self.F is not None:
             rhs += self.F
-        if self.f is not None:
-            for i in range(g.d):
-                rhs += _centered_box(self.f[..., :, i], i, g.h)
         rhs = rhs[g.interior].copy()
         if self.g is not None:
             rhs -= samples.lift(np.asarray(self.g, float))

@@ -18,7 +18,7 @@ import numpy as np
 
 from .coefficients import CoefficientSet, ellipticity_margin
 from .grid import (GridFunction, TorusGrid, _centered_periodic, _coef_block,
-                   assemble_torus, gradient, precond_scale)
+                   assemble_torus, divergence, gradient, precond_scale)
 from .solvers import _mean_zero, poisson_periodic, solve_periodic
 
 MEAN_TOL = 1e-10
@@ -92,13 +92,6 @@ def _cell_mean(v: np.ndarray, grid: TorusGrid) -> np.ndarray:
 # correctors
 # ---------------------------------------------------------------------------
 
-def _cell_operator(cs: CoefficientSet, grid: TorusGrid):
-    """A on the cell lattice and the matvec of its assembled -div(A grad .)."""
-    A = cs.A(grid.points())
-    K = assemble_torus(A, grid)
-    return A, lambda u: (K @ u.ravel()).reshape(u.shape)
-
-
 def _source_k(A: np.ndarray, k: int, grid: TorusGrid, beta: int) -> np.ndarray:
     """-L(P_k e_beta): fluxes of the affine field with gradient e_k e_beta,
     with the operator's own stencils, so constant A gives exactly zero."""
@@ -114,53 +107,41 @@ def _source_k(A: np.ndarray, k: int, grid: TorusGrid, beta: int) -> np.ndarray:
     return rhs
 
 
-def _source_0(V: np.ndarray, grid: TorusGrid, beta: int) -> np.ndarray:
-    """div(V e_beta) with centered differences."""
-    rhs = np.zeros(grid.shape + (V.shape[-1],))
-    for i in range(grid.d):
-        rhs += _centered_periodic(V[..., i, :, beta], i, grid.h)
-    return rhs
-
-
-def _solve_cell(grid: TorusGrid, tol: float, A: np.ndarray, op, self_adjoint: bool,
-                sources: list[np.ndarray]) -> tuple[np.ndarray, float]:
-    """Column beta of the corrector solves op(chi[..., :, beta]) = sources[beta]
-    with zero mean; returns the corrector and the worst relative residual."""
-    scale = precond_scale(A, grid)
-    chi = np.zeros(grid.shape + (len(sources),) * 2)   # m sources, (m, m) components
-    residuals = []
-    for beta, rhs in enumerate(sources):
-        chi[..., :, beta], res = solve_periodic(op, rhs, grid, tol=tol,
-                                                precond_scale=scale,
-                                                self_adjoint=self_adjoint)
-        residuals.append(res)
-    return chi, max(residuals)
-
-
 def solve_correctors(cs: CoefficientSet, grid: TorusGrid, tol: float = 1e-10) -> CorrectorSet:
     """All correctors chi_0, chi_1..chi_d on one grid, from one assembled
-    operator."""
+    operator: one solve per k = 0..d and column beta, driven by
+    div(V e_beta) for k = 0 and by -L(P_k e_beta) for k >= 1."""
     if tol <= 0:
         raise CellError("tol must be positive")
-    A, op = _cell_operator(cs, grid)
+    y = grid.points()
+    A, V = cs.A(y), cs.V(y)
+    K = assemble_torus(A, grid)
+
+    def op(u):
+        return (K @ u.ravel()).reshape(u.shape)
+
+    scale = precond_scale(A, grid)
     # the torus operator -div(A grad .) is the principal part of L
     self_adjoint = cs.principal_part.self_adjoint
-    V = cs.V(grid.points())
-    chi0, r0 = _solve_cell(grid, tol, A, op, self_adjoint,
-                           [_source_0(V, grid, beta) for beta in range(cs.m)])
-    chis = []
-    res = {"chi0": r0}
-    for k in range(1, cs.d + 1):
-        ck, rk = _solve_cell(grid, tol, A, op, self_adjoint,
-                             [_source_k(A, k, grid, beta) for beta in range(cs.m)])
-        chis.append(ck)
-        res[f"chi{k}"] = rk
-    out = CorrectorSet(grid=grid, chi0=chi0, chi=chis, residuals=res)
-    for name, arr in [("chi0", chi0)] + [(f"chi{k+1}", c) for k, c in enumerate(chis)]:
-        mean = np.abs(_cell_mean(arr, grid)).max()
+    chis, res = [], {}
+    for k in range(cs.d + 1):
+        chi = np.zeros(grid.shape + (cs.m, cs.m))
+        residuals = []
+        for beta in range(cs.m):
+            if k == 0:   # V[..., beta] is (*shape, d, m): move d last
+                rhs = divergence(GridFunction(grid, np.moveaxis(V[..., beta], -2, -1))).values
+            else:
+                rhs = _source_k(A, k, grid, beta)
+            chi[..., :, beta], r = solve_periodic(op, rhs, grid, tol=tol,
+                                                  precond_scale=scale,
+                                                  self_adjoint=self_adjoint)
+            residuals.append(r)
+        mean = np.abs(_cell_mean(chi, grid)).max()
         if mean > MEAN_TOL:
-            raise CellError(f"{name} cell mean {mean:.2e} exceeds {MEAN_TOL}")
-    return out
+            raise CellError(f"chi{k} cell mean {mean:.2e} exceeds {MEAN_TOL}")
+        chis.append(chi)
+        res[f"chi{k}"] = max(residuals)
+    return CorrectorSet(grid=grid, chi0=chis[0], chi=chis[1:], residuals=res)
 
 
 # ---------------------------------------------------------------------------
@@ -247,12 +228,3 @@ def _poisson_components(src: np.ndarray, grid: TorusGrid) -> np.ndarray:
         out[..., comp] = poisson_periodic(-flat[..., comp], grid)
     return out.reshape(src.shape)
 
-
-def divergence_centered(field: np.ndarray, grid: TorusGrid, axis_index: int) -> np.ndarray:
-    """Centered discrete divergence contracting the axis ``axis_index`` that
-    enumerates the d flux directions (used by identity tests)."""
-    d = grid.d
-    out = np.zeros(tuple(np.delete(np.array(field.shape), axis_index)))
-    for l in range(d):
-        out += _centered_periodic(np.take(field, l, axis=axis_index), l, grid.h)
-    return out

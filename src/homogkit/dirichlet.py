@@ -24,7 +24,7 @@ import numpy as np
 from .bvp import pullback, resolution_guard, sample_coefficients
 from .cell import CorrectorSet
 from .coefficients import CoefficientSet
-from .grid import (BoxGrid, GridFunction, TorusGrid, _centered_box, _pointwise_abs,
+from .grid import (BoxGrid, GridFunction, TorusGrid, _pointwise_abs, divergence,
                    gradient)
 
 
@@ -90,8 +90,7 @@ def solve_dirichlet_correctors(cs: CoefficientSet, eps: float, grid: BoxGrid,
         phi[...] = P
         if k == 0:   # div(V_eps e_beta); V_eps is freed before the k >= 1 solves
             V = cs.V(pullback(grid, eps))   # (*shape, d, m, m)
-            sources = [sum((_centered_box(V[..., i, :, beta], i, grid.h)
-                            for i in range(grid.d)), np.zeros(grid.shape + (m,)))
+            sources = [divergence(GridFunction(grid, np.moveaxis(V[..., beta], -2, -1))).values
                        for beta in range(m)]
             del V
         else:        # -L_0(P_k e_beta)
