@@ -645,24 +645,6 @@ def _distances(cols: list[np.ndarray], q: np.ndarray) -> np.ndarray:
     return np.sqrt(sq, out=sq)
 
 
-def _nearest(cols: list[np.ndarray], q: np.ndarray) -> np.ndarray:
-    """Index of the point nearest each row of ``q``; the lowest index wins a
-    tie, as with ``argmin`` over one full row."""
-    npts = len(cols[0])
-    step = _NTMAX_PAIRS // len(q)
-    rows = np.arange(len(q))
-    best = np.full(len(q), np.inf)
-    idx = np.zeros(len(q), dtype=np.intp)
-    for start in range(0, npts, step):
-        dd = _distances([c[start:start + step] for c in cols], q)
-        j = dd.argmin(axis=1)
-        dj = dd[rows, j]
-        closer = dj < best
-        best[closer] = dj[closer]
-        idx[closer] = start + j[closer]
-    return idx
-
-
 def nontangential_max(u: GridFunction, N0: float) -> np.ndarray:
     """Nontangential maximal function on the boundary of a BoxGrid.
 
@@ -675,9 +657,10 @@ def nontangential_max(u: GridFunction, N0: float) -> np.ndarray:
     scanned in blocks against the boundary points still unresolved.  The
     maximum over a cone is the first point of that order lying in it, so each
     boundary point is resolved by its first hit and leaves the working set.
-    Points never hit take the nearest-point value, found by ``argmin`` over
-    the unsorted interior so that ties resolve to the first point in grid
-    order.
+    Points never hit take the value at the interior point nearest Q = q h,
+    clip(q, 1, n - 1) h: the exact squared distance to any other interior
+    point is larger by at least h^2, so it is also the ``argmin`` of the
+    floating-point distances.
 
     Exactness: cone membership is decided by the floating-point expression
     ``sqrt(sum((x - Q)**2)) <= N0 * dist(x)`` on ``points()`` and
@@ -699,7 +682,8 @@ def nontangential_max(u: GridFunction, N0: float) -> np.ndarray:
     mag = _pointwise_abs(u.values, g)[interior]
     pts = g.points()[interior]
     reach = N0 * g.boundary_distance()[interior]
-    bpts = boundary_indices(g) * g.h
+    bidx = boundary_indices(g)
+    bpts = bidx * g.h
     order = np.argsort(-mag, kind="stable")
     s_mag, s_reach = mag[order], reach[order]
     s_cols = [pts[order, k] for k in range(g.d)]
@@ -719,8 +703,8 @@ def nontangential_max(u: GridFunction, N0: float) -> np.ndarray:
             todo = todo[~hit]
             start = stop
         if todo.size:
-            cols = [pts[:, k] for k in range(g.d)]
-            out[todo] = mag[_nearest(cols, bpts[todo])]
+            nearest = np.clip(bidx[todo], 1, g.n - 1) - 1   # interior lattice indices
+            out[todo] = mag[np.ravel_multi_index(tuple(nearest.T), (g.n - 1,) * g.d)]
     return out
 
 

@@ -243,7 +243,7 @@ APERTURES = (1.2, 2.0, 4.0)
 # (d, n, extent): odd n, extent != 1, and every dimension.
 EQUIV_GRIDS = ((1, 9, 1.0), (2, 15, 1.0), (2, 12, 2.5), (3, 7, 0.7))
 # The production cap, and caps small enough that these grids take several
-# boundary batches, interior blocks and nearest-point chunks.
+# boundary batches and interior blocks.
 PAIR_CAPS = (grid_mod._NTMAX_PAIRS, 256, 64)
 
 
