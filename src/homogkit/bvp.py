@@ -155,7 +155,7 @@ class DirichletProblem:
         self.lam = check_lambda(self.cs, self.lam, self.lambda_override)
         if self.eps <= 0:
             raise ProblemError("eps must be positive")
-        if self.eps < self.grid.extent:   # exempt: at most one period spans the box
+        if self.eps < 1.0:   # exempt: at most one period spans the unit box
             resolution_guard(self.grid, self.eps)
 
     def samples(self) -> CoefficientSamples:
@@ -240,5 +240,5 @@ def coercivity_margin(samples: CoefficientSamples, u_full: np.ndarray) -> tuple[
 
 
 def coercivity_constant_bound(cs: CoefficientSet, grid: BoxGrid) -> float:
-    diam2 = grid.d * grid.extent ** 2
+    diam2 = grid.d   # the squared diameter of the unit box
     return 0.5 * cs.mu * min(1.0, 1.0 / (1.0 + diam2))

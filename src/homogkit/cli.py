@@ -205,9 +205,9 @@ def parse_config(text: str) -> ExperimentConfig:
                     violations.append(f"n = {box.n} leaves fewer than {MIN_FIT_PAIRS} decay-fit "
                                       f"shell points around probe {probe!r} at rho = {rho:.4g}")
         # the battery's box solves apply the resolution guard (DirichletProblem
-        # exempts eps >= the box extent)
+        # exempts eps >= 1, the box side)
         eps = _real(cfg["eps"])
-        if box is not None and ok("eps", "battery") and cfg["battery"] and eps < box.extent:
+        if box is not None and ok("eps", "battery") and cfg["battery"] and eps < 1.0:
             try:
                 resolution_guard(box, eps)
             except ProblemError as exc:

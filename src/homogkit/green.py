@@ -61,7 +61,7 @@ def _ball_mask(grid: BoxGrid, center: np.ndarray, rho: float) -> np.ndarray:
 
 def point_boundary_distance(grid: BoxGrid, y: np.ndarray) -> float:
     """d_y, the distance from the point y to the boundary of the box."""
-    return float(np.minimum(y, grid.extent - y).min())
+    return float(np.minimum(y, 1.0 - y).min())
 
 
 def decay_shell(grid: BoxGrid, y: np.ndarray, rho: float) -> tuple[np.ndarray, np.ndarray]:
@@ -265,7 +265,6 @@ def boundary_data_battery(grid: BoxGrid, m: int, count: int = 10,
     """
     rng = np.random.Generator(np.random.PCG64(seed))
     pts = grid.points()
-    L = grid.extent
     battery = []
     for j in range(count):
         vals = np.zeros(grid.shape + (m,))
@@ -274,12 +273,11 @@ def boundary_data_battery(grid: BoxGrid, m: int, count: int = 10,
             phases = rng.uniform(0, 2 * np.pi, size=grid.d)
             trace = np.ones(grid.shape)
             for ax in range(grid.d):
-                trace = trace * np.cos(2 * np.pi * freqs[ax] * pts[..., ax] / L
-                                       + phases[ax])
+                trace = trace * np.cos(2 * np.pi * freqs[ax] * pts[..., ax] + phases[ax])
             vals[..., j % m] = trace
         else:
-            center = rng.uniform(0.0, L, size=grid.d)
-            width = rng.uniform(0.1, 0.3) * L
+            center = rng.uniform(0.0, 1.0, size=grid.d)
+            width = rng.uniform(0.1, 0.3)
             r2 = np.sum((pts - center) ** 2, axis=-1)
             vals[..., j % m] = np.exp(-r2 / (2 * width ** 2))
         battery.append(vals)

@@ -68,7 +68,7 @@ class TorusGrid:
 
 @dataclass(frozen=True)
 class BoxGrid:
-    """Uniform grid on a box [0, extent]^d including the boundary points.
+    """Uniform grid on the unit box [0, 1]^d including the boundary points.
 
     ``n`` counts intervals per axis; points sit at i*h, i = 0..n, so dyadic
     refinements nest exactly (needed by the sweep restriction logic).
@@ -76,19 +76,16 @@ class BoxGrid:
 
     d: int
     n: int
-    extent: float = 1.0
 
     def __post_init__(self):
         if self.d not in (1, 2, 3):
             raise GridError(f"dimension must be 1, 2 or 3, got {self.d}")
         if self.n < 4:
             raise GridError(f"need n >= 4 intervals per axis, got {self.n}")
-        if self.extent <= 0:
-            raise GridError("extent must be positive")
 
     @property
     def h(self) -> float:
-        return self.extent / self.n
+        return 1.0 / self.n
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -117,7 +114,7 @@ class BoxGrid:
         """Exact distance to the box boundary at every grid point: the least
         of the per-axis distances, combined by broadcasting."""
         x = np.arange(self.n + 1) * self.h
-        near = np.minimum(x, self.extent - x)
+        near = np.minimum(x, 1.0 - x)
         axes = np.meshgrid(*[near] * self.d, indexing="ij", sparse=True)
         return functools.reduce(np.minimum, axes)
 

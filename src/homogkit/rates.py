@@ -79,12 +79,12 @@ def load_field(kind: str, grid: BoxGrid, m: int, seed: int = 0) -> np.ndarray:
     elif kind == "sine":
         prod = np.ones(grid.shape)
         for ax in range(grid.d):
-            prod = prod * np.sin(np.pi * pts[..., ax] / grid.extent)
+            prod = prod * np.sin(np.pi * pts[..., ax])
         vals[..., 0] = prod
     elif kind == "bump":
         rng = np.random.Generator(np.random.PCG64(seed))
-        center = rng.uniform(0.3, 0.7, size=grid.d) * grid.extent
-        width = 0.15 * grid.extent
+        center = rng.uniform(0.3, 0.7, size=grid.d)
+        width = 0.15
         r2 = np.sum((pts - center) ** 2, axis=-1)
         vals[..., 0] = np.exp(-r2 / (2 * width ** 2))
     else:

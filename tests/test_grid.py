@@ -60,13 +60,12 @@ class TestGrids:
 
     @pytest.mark.parametrize("d,n", [(1, 9), (1, 16), (2, 7), (2, 12),
                                      (3, 5), (3, 8)])
-    @pytest.mark.parametrize("extent", [1.0, 2.5])
-    def test_boundary_distance_matches_point_array(self, d, n, extent):
+    def test_boundary_distance_matches_point_array(self, d, n):
         # the per-axis distances combined by broadcasting are bit-identical
         # to the reduction over the full (*shape, d) point array
-        g = BoxGrid(d, n, extent)
+        g = BoxGrid(d, n)
         pts = g.points()
-        want = np.minimum(pts, g.extent - pts).min(axis=-1)
+        want = np.minimum(pts, 1.0 - pts).min(axis=-1)
         got = g.boundary_distance()
         assert got.shape == want.shape and np.array_equal(got, want)
 
@@ -240,8 +239,8 @@ def nontangential_max_brute(u, N0):
 
 
 APERTURES = (1.2, 2.0, 4.0)
-# (d, n, extent): odd n, extent != 1, and every dimension.
-EQUIV_GRIDS = ((1, 9, 1.0), (2, 15, 1.0), (2, 12, 2.5), (3, 7, 0.7))
+# (d, n): odd n and every dimension.
+EQUIV_GRIDS = ((1, 9), (2, 15), (2, 12), (3, 7))
 # The production cap, and caps small enough that these grids take several
 # boundary batches and interior blocks.
 PAIR_CAPS = (grid_mod._NTMAX_PAIRS, 256, 64)
