@@ -320,10 +320,10 @@ def _run_homogenize(cfg: ExperimentConfig, out_dir: str):
     corr = solve_correctors(cs, grid, tol=cfg.tol)
     hats = homogenize(cs, corr)
     wall = {"homogenize": time.perf_counter() - t0}
+    margin = hats.ellipticity_margin(cs.mu)
     summary = {"a_hat": hats.A_hat, "v_hat": hats.V_hat, "b_hat": hats.B_hat,
-               "c_hat": hats.c_hat,
-               "ellipticity_margin": hats.ellipticity_margin(cs.mu)}
-    checks = {"hat_elliptic": hats.ellipticity_margin(cs.mu) > -1e-10}
+               "c_hat": hats.c_hat, "ellipticity_margin": margin}
+    checks = {"hat_elliptic": margin > -1e-10}
     if cfg["flux"]:
         t0 = time.perf_counter()
         flux = build_flux_correctors(cs, corr, hats)
@@ -390,6 +390,7 @@ def _run_green(cfg: ExperimentConfig, out_dir: str):
     t0 = time.perf_counter()
     checks = {}
     fit_summaries = []
+    d_x = grid.boundary_distance()
     with open(os.path.join(out_dir, "green_pairs.csv"), "w") as fh:
         fh.write("probe,abs_x_minus_y,abs_G,d_x,d_y\n")
         for ip, probe in enumerate(probes):
@@ -398,7 +399,6 @@ def _run_green(cfg: ExperimentConfig, out_dir: str):
                                   tol=cfg.tol)
             r, adm = sample.fit_shell()
             mag = sample.magnitude()
-            d_x = grid.boundary_distance()
             d_y = point_boundary_distance(grid, sample.y)
             for rv, gv, dv in zip(r[adm].ravel(), mag[adm].ravel(),
                                   d_x[adm].ravel()):
