@@ -390,7 +390,7 @@ def _run_green(cfg: ExperimentConfig, out_dir: str):
     t0 = time.perf_counter()
     checks = {}
     fit_summaries = []
-    d_x = grid.boundary_distance()
+    d_x = None   # built after the first solve, so that it is not held through it
     with open(os.path.join(out_dir, "green_pairs.csv"), "w") as fh:
         fh.write("probe,abs_x_minus_y,abs_G,d_x,d_y\n")
         for ip, probe in enumerate(probes):
@@ -399,6 +399,8 @@ def _run_green(cfg: ExperimentConfig, out_dir: str):
                                   tol=cfg.tol)
             r, adm = sample.fit_shell()
             mag = sample.magnitude()
+            if d_x is None:
+                d_x = grid.boundary_distance()
             d_y = point_boundary_distance(grid, sample.y)
             for rv, gv, dv in zip(r[adm].ravel(), mag[adm].ravel(),
                                   d_x[adm].ravel()):
