@@ -2,8 +2,9 @@
 
 Everything here lives on the unit torus.  The corrector chi_k (k = 1..d)
 solves the cell problem driven by the coordinate monomial P_k, chi_0 the one
-driven by div(V); ``solve_correctors`` is the one entry point for them.
-The four effective tensors are cell averages of the
+driven by div(V) (``grid.divergence``); ``solve_correctors`` is the one entry
+point for them, one loop over k = 0..d and the m columns on one assembled
+operator.  The four effective tensors are cell averages of the
 coefficient-plus-corrector-flux integrands, written once in
 ``_cell_fluxes``; the flux discrepancy fields (b, U, W, Z) are the remainders
 of the same integrands, represented through antisymmetric potentials (E, F)

@@ -4,7 +4,8 @@ The corrector Phi_{eps,k} (k = 0..d) has the affine data P_k I on the
 boundary (P_0 = 1, P_k = x_k).  ``solve_dirichlet_correctors`` runs one
 loop over k and the m columns on one sampled principal-part operator L_0:
 each column is P_k + w, with w zero on the boundary and L_0 w = div(V_eps)
-for k = 0, L_0 w = -L_0(P_k) for k >= 1.  The deviations Phi_k - P_k I are
+for k = 0 (``grid.divergence``, as for the cell corrector chi_0),
+L_0 w = -L_0(P_k) for k >= 1.  The deviations Phi_k - P_k I are
 formed once (``DirichletCorrectorSet.deviations``); the fields
 
     Psi_k = Phi_k - P_k I - eps * chi_k(x/eps)
