@@ -116,6 +116,21 @@ class TestRun:
         assert rec["checks"]["run_completed"] is False
         assert "resolution" in rec["checks"]["error"]
 
+    def test_homogenize_with_flux_forms_the_integrands_once(self, tmp_path, monkeypatch):
+        from homogkit import cell
+        calls = []
+        original = cell._cell_fluxes
+
+        def counted(*args):
+            calls.append(1)
+            return original(*args)
+
+        monkeypatch.setattr(cell, "_cell_fluxes", counted)
+        cfg = parse_config("subcommand: homogenize\nfamily: trig\n"
+                           "params: {d: 2, lower: 0.3}\nn: 16\nflux: true\n")
+        assert run(cfg, str(tmp_path))["ok"]
+        assert len(calls) == 1
+
     def test_rates_run_deterministic(self, tmp_path):
         text = ("subcommand: rates\nfamily: laminate\nparams: {d: 2}\n"
                 "eps: [0.25, 0.125, 0.0625]\ndivisor: 16\nn_cell: 64\n"
