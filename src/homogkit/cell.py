@@ -70,6 +70,7 @@ class HomogenizedCoefficients:
 @dataclass
 class FluxCorrectorSet:
     grid: TorusGrid
+    hats: HomogenizedCoefficients   # the cell means the remainders below are taken against
     b: np.ndarray          # (*shape, d, d, m, m)
     E: np.ndarray          # (*shape, d, d, d, m, m), E[l, i, j]
     U: np.ndarray          # (*shape, d, m, m)
@@ -171,14 +172,19 @@ def _cell_fluxes(cs: CoefficientSet, correctors: CorrectorSet):
     ]
 
 
-def homogenize(cs: CoefficientSet, correctors: CorrectorSet) -> HomogenizedCoefficients:
-    """Cell averages defining the constant-coefficient limit operator."""
-    grid = correctors.grid
-    (A, corr_a), *lower = _cell_fluxes(cs, correctors)
+def _hats(fluxes, grid: TorusGrid) -> HomogenizedCoefficients:
+    """Cell means of the ``_cell_fluxes`` integrands: A_hat the mean of the
+    sum, the lower-order hats the sum of the two means."""
+    (A, corr_a), *lower = fluxes
     V_hat, B_hat, c_hat = (_cell_mean(coef, grid) + _cell_mean(corr, grid)
                            for coef, corr in lower)
     return HomogenizedCoefficients(A_hat=_cell_mean(A + corr_a, grid),
                                    V_hat=V_hat, B_hat=B_hat, c_hat=c_hat)
+
+
+def homogenize(cs: CoefficientSet, correctors: CorrectorSet) -> HomogenizedCoefficients:
+    """Cell averages defining the constant-coefficient limit operator."""
+    return _hats(_cell_fluxes(cs, correctors), correctors.grid)
 
 
 def _curl(dp: np.ndarray, nd: int) -> np.ndarray:
@@ -188,34 +194,28 @@ def _curl(dp: np.ndarray, nd: int) -> np.ndarray:
     return np.subtract(p, np.swapaxes(p, nd, nd + 1), out=np.empty(p.shape))
 
 
-def build_flux_correctors(cs: CoefficientSet, correctors: CorrectorSet,
-                          hats: HomogenizedCoefficients) -> FluxCorrectorSet:
-    """All flux potentials.
+def build_flux_correctors(cs: CoefficientSet, correctors: CorrectorSet) -> FluxCorrectorSet:
+    """The homogenized tensors and all flux potentials, from one pass over
+    the integrands.
 
     The discrepancies b_ij = A_hat_ij - a_ij - a_ik d_k chi_j and their
     lower-order analogues U_i (V), W_i (B) and Z (c) have zero cell mean,
-    exactly by the quadrature defining the hats.  Each is represented by the
-    zero-mean solution of Laplace(p) = discrepancy: pi_ij, theta_i,
-    vartheta_i and zeta, with E_lij = d_l pi_ij - d_i pi_lj and
-    F_ki = d_k theta_i - d_i theta_k.
+    because the hats are the cell means of the same integrands (``_hats``).
+    Each is represented by the zero-mean solution of Laplace(p) =
+    discrepancy: pi_ij, theta_i, vartheta_i and zeta, with
+    E_lij = d_l pi_ij - d_i pi_lj and F_ki = d_k theta_i - d_i theta_k.
     """
     grid = correctors.grid
-    hat_list = (hats.A_hat, hats.V_hat, hats.B_hat, hats.c_hat)
-    fields = []
-    for name, hat, (coef, corr) in zip("bUWZ", hat_list, _cell_fluxes(cs, correctors)):
-        fld = hat - coef - corr
-        mean = np.abs(_cell_mean(fld, grid)).max()
-        if mean > 1e-6:
-            raise CellError(f"solvability violated: cell mean of {name} is "
-                            f"{mean:.2e}; upstream correctors inaccurate")
-        fields.append(_mean_zero(fld, grid.d))
+    fluxes = _cell_fluxes(cs, correctors)
+    hats = _hats(fluxes, grid)
+    b, U, W, Z = (_mean_zero(hat - coef - corr, grid.d) for hat, (coef, corr) in
+                  zip((hats.A_hat, hats.V_hat, hats.B_hat, hats.c_hat), fluxes))
     # release the coefficient samples before the potentials, to keep peak RSS down
-    del coef, corr, fld
-    b, U, W, Z = fields
+    del fluxes
     E = _curl(gradient(GridFunction(grid, _poisson_components(b, grid))).values, grid.d)
     theta = _poisson_components(U, grid)
     F = _curl(gradient(GridFunction(grid, theta)).values, grid.d)
-    return FluxCorrectorSet(grid=grid, b=b, E=E, U=U, theta=theta, F=F, W=W,
+    return FluxCorrectorSet(grid=grid, hats=hats, b=b, E=E, U=U, theta=theta, F=F, W=W,
                             vartheta=_poisson_components(W, grid), Z=Z,
                             zeta=_poisson_components(Z, grid))
 

@@ -134,14 +134,14 @@ def sample_periodic_field(arr: np.ndarray, cell_grid: TorusGrid,
     return arr[ix]
 
 
-def psi_diagnostics(phis: DirichletCorrectorSet, correctors: CorrectorSet,
-                    eps: float) -> PsiDiagnostics:
-    """Psi fields, their sup norms, and the radial gradient profile.
+def psi_diagnostics(phis: DirichletCorrectorSet, correctors: CorrectorSet) -> PsiDiagnostics:
+    """Psi fields at the eps the Dirichlet correctors were solved at
+    (``phis.eps``), their sup norms, and the radial gradient profile.
 
     The gradient profile records max |grad Psi| over logarithmic bins of the
     boundary distance; the theory predicts the envelope min(1, eps / d_x).
     """
-    grid = phis.grid
+    grid, eps = phis.grid, phis.eps
     cell = correctors.grid
     dist = grid.boundary_distance()
     psis = [dev - eps * sample_periodic_field(chi, cell, grid, eps)

@@ -36,6 +36,7 @@ class GreenError(ValueError):
 CONE_APERTURE = 2.0      # N0 of the nontangential maximal function
 MIN_FIT_PAIRS = 10       # fewest shell points a decay fit accepts
 FIT_MAX_PAIRS = 4000     # a decay fit thins its shell to about this many points
+BATTERY_SIZE = 10        # boundary data fields of the maximal-function battery
 
 
 def _snap_interior(grid: BoxGrid, y) -> tuple[tuple[int, ...], np.ndarray]:
@@ -59,7 +60,7 @@ def _ball_mask(grid: BoxGrid, center: np.ndarray, rho: float) -> np.ndarray:
     return _distance_from(grid, center) <= rho + 1e-12
 
 
-def point_boundary_distance(grid: BoxGrid, y: np.ndarray) -> float:
+def point_boundary_distance(y: np.ndarray) -> float:
     """d_y, the distance from the point y to the boundary of the box."""
     return float(np.minimum(y, 1.0 - y).min())
 
@@ -70,7 +71,7 @@ def decay_shell(grid: BoxGrid, y: np.ndarray, rho: float) -> tuple[np.ndarray, n
     grid scale (r >= 4h), of the boundary influence of y (r <= d_y / 2) and
     of the mollification ball (rho < r / 4)."""
     r = _distance_from(grid, y)
-    return r, ((r >= 4 * grid.h) & (r <= 0.5 * point_boundary_distance(grid, y))
+    return r, ((r >= 4 * grid.h) & (r <= 0.5 * point_boundary_distance(y))
                & (rho < r / 4))
 
 
@@ -257,16 +258,16 @@ class MaximalProbeResult:
     max_principle_ratio: float  # worst ||u||_inf / ||g||_inf
 
 
-def boundary_data_battery(grid: BoxGrid, m: int, count: int = 10,
-                          seed: int = 0) -> list[np.ndarray]:
-    """Deterministic boundary data: trigonometric traces plus localized bumps.
+def boundary_data_battery(grid: BoxGrid, m: int, seed: int = 0) -> list[np.ndarray]:
+    """``BATTERY_SIZE`` deterministic boundary data fields, alternating
+    trigonometric traces and localized bumps, drawn in order from ``seed``.
 
     Full-shape arrays are returned; only the boundary rows matter downstream.
     """
     rng = np.random.Generator(np.random.PCG64(seed))
     pts = grid.points()
     battery = []
-    for j in range(count):
+    for j in range(BATTERY_SIZE):
         vals = np.zeros(grid.shape + (m,))
         if j % 2 == 0:
             freqs = rng.integers(1, 4, size=grid.d)
@@ -294,8 +295,8 @@ def maximal_function_probe(cs: CoefficientSet, eps: float, lam: float,
     operator assembled once for the whole battery.  Also records the worst
     sup-norm ratio (the maximum-principle surrogate).
     """
-    if len(battery) < 10:
-        raise GreenError("battery needs at least 10 boundary data fields")
+    if len(battery) < BATTERY_SIZE:
+        raise GreenError(f"battery needs at least {BATTERY_SIZE} boundary data fields")
     ratios = []
     mp_worst = 0.0
     bmask = grid.boundary_mask()

@@ -115,12 +115,11 @@ class ExpansionError:
     norm_phik_du_l2: float    # ||(Phi_k - P_k) du/dx_k||_2
 
 
-def masked_h1_norm(u: GridFunction, mask: np.ndarray,
-                   gu: GridFunction | None = None) -> float:
-    """Discrete H1 norm restricted to a point mask (Riemann cell rule);
-    ``gu`` is ``gradient(u)`` when the caller already has it."""
+def masked_h1_norm(u: GridFunction, mask: np.ndarray, gu: GridFunction) -> float:
+    """Discrete H1 norm restricted to a point mask (Riemann cell rule), from
+    u and its gradient ``gu``."""
     g = u.grid
-    gu = (gradient(u) if gu is None else gu).values
+    gu = gu.values
     nd = g.d
     mag2 = np.sum(u.values ** 2, axis=tuple(range(nd, u.values.ndim)))
     gmag2 = np.sum(gu ** 2, axis=tuple(range(nd, gu.ndim)))
@@ -315,7 +314,7 @@ def uniform_constant_probe(kind: str, config: SweepConfig) -> ProbeResult:
     for eps in config.eps_list:
         grid = config.grid_for(eps)
         if kind == "MaxPrinciple":
-            battery = boundary_data_battery(grid, cs.m, 10, seed=config.seed)
+            battery = boundary_data_battery(grid, cs.m, seed=config.seed)
             res = maximal_function_probe(cs, eps, lam, grid, battery, p=PROBE_P,
                                          tol=config.tol)
             per_eps[eps] = res.C_p

@@ -105,7 +105,7 @@ def boundary_weighted_ratio(sample: GreenSample) -> float:
     g = sample.grid
     r, _ = sample.fit_shell()
     mag = sample.magnitude()
-    d_y = max(point_boundary_distance(g, sample.y), g.h)
+    d_y = max(point_boundary_distance(sample.y), g.h)
     adm = (r >= 4 * g.h) & (sample.rho < r / 4)
     if not adm.any():
         raise GreenError("no admissible points for the weighted ratio")

@@ -139,7 +139,7 @@ def trig_setup():
     g = TorusGrid(2, 64)
     cor = solve_correctors(cs, g, tol=1e-11)
     hats = homogenize(cs, cor)
-    flux = build_flux_correctors(cs, cor, hats)
+    flux = build_flux_correctors(cs, cor)
     return cs, g, cor, hats, flux
 
 
@@ -165,8 +165,7 @@ class TestFluxCorrectors:
         for n in (32, 64):
             g = TorusGrid(2, n)
             cor = solve_correctors(cs, g, tol=1e-11)
-            h2 = homogenize(cs, cor)
-            flux = build_flux_correctors(cs, cor, h2)
+            flux = build_flux_correctors(cs, cor)
             E = np.moveaxis(flux.E[..., :, :, 0, 0], 2, -1)
             div = divergence(GridFunction(g, E)).values
             defects.append(np.abs(div - flux.b[..., 0, 0]).max())
@@ -176,7 +175,6 @@ class TestFluxCorrectors:
         cs = builtin_family("constant", d=2, a0=1.3)
         g = TorusGrid(2, 16)
         cor = solve_correctors(cs, g)
-        hats = homogenize(cs, cor)
-        flux = build_flux_correctors(cs, cor, hats)
+        flux = build_flux_correctors(cs, cor)
         for fld in (flux.b, flux.E, flux.U, flux.F, flux.W, flux.Z):
             assert np.abs(fld).max() < 1e-10

@@ -164,7 +164,7 @@ def diag_pair():
     for eps, n in ((1 / 4, 64), (1 / 8, 128)):
         cor = solve_correctors(cs, TorusGrid(2, 64), tol=1e-11)
         phis = solve_dirichlet_correctors(cs, eps, BoxGrid(2, n), tol=1e-11)
-        out[eps] = psi_diagnostics(phis, cor, eps)
+        out[eps] = psi_diagnostics(phis, cor)
     return out
 
 

@@ -75,7 +75,7 @@ class TestGuards:
     def test_battery_minimum_size(self):
         cs = builtin_family("constant", d=2, a0=1.0)
         g = BoxGrid(2, 16)
-        battery = boundary_data_battery(g, 1, count=3)
+        battery = boundary_data_battery(g, 1)[:3]
         with pytest.raises(GreenError, match="10"):
             maximal_function_probe(cs, 1.0, 1.0, g, battery)
 
@@ -234,8 +234,8 @@ class TestPoissonKernel:
 class TestMaximalBattery:
     def test_deterministic(self):
         g = BoxGrid(2, 16)
-        b1 = boundary_data_battery(g, 1, count=10, seed=3)
-        b2 = boundary_data_battery(g, 1, count=10, seed=3)
+        b1 = boundary_data_battery(g, 1, seed=3)
+        b2 = boundary_data_battery(g, 1, seed=3)
         for u, v in zip(b1, b2):
             assert np.array_equal(u, v)
 
@@ -243,7 +243,7 @@ class TestMaximalBattery:
         # -Delta obeys the discrete maximum principle: sup |u| <= sup |g|
         cs = builtin_family("constant", d=2, a0=1.0)
         g = BoxGrid(2, 32)
-        battery = boundary_data_battery(g, 1, count=10, seed=5)
+        battery = boundary_data_battery(g, 1, seed=5)
         out = maximal_function_probe(cs, 1.0, 0.0, g, battery, tol=1e-11)
         assert out.max_principle_ratio <= 1.0 + 1e-9
         assert out.C_p < 10.0
@@ -258,7 +258,7 @@ class TestMaximalBattery:
         cs = builtin_family(family, **params)
         g = BoxGrid(2, 32)
         eps, lam, p, N0 = 0.5, default_lambda(cs), 2.0, 2.0
-        battery = boundary_data_battery(g, cs.m, count=10, seed=7)
+        battery = boundary_data_battery(g, cs.m, seed=7)
         calls = []
         sample = bvp.sample_coefficients
         monkeypatch.setattr(bvp, "sample_coefficients",

@@ -265,7 +265,7 @@ def battery_fields():
         for m in (1, 2):
             cs = builtin_family("trig", d=d, m=m)
             g = BoxGrid(d, n)
-            for g_vals in boundary_data_battery(g, m, count=4, seed=d + m):
+            for g_vals in boundary_data_battery(g, m, seed=d + m)[:4]:
                 u, _ = solve(DirichletProblem(cs=cs, grid=g, eps=1.0, lam=1.0,
                                               g=g_vals))
                 fields.append(u)

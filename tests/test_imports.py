@@ -9,7 +9,9 @@ No linter ships with the toolchain, so this stands in for two rules:
 - unreferenced private names: a module-level ``_name`` (function, class or
   assigned constant) fails when no code in ``src``, ``tests`` or
   ``perfbench`` reads it.  A read is a name load, an attribute, an imported
-  name or a string equal to the name (``monkeypatch.setattr(mod, "_name")``).
+  name or a string equal to the name (``monkeypatch.setattr(mod, "_name")``);
+- unused parameters: a parameter of a function (or lambda) whose body never
+  reads it fails; ``self``, ``cls`` and ``_``-prefixed names are exempt.
 """
 
 import ast
@@ -110,3 +112,40 @@ def test_detector_flags_an_unreferenced_private_name():
     elsewhere = referenced_names(ast.parse(
         'import m\nmonkeypatch.setattr(m, "_patched", None)\n'))
     assert unreferenced_private_names(source, elsewhere) == ["_SPARE", "_dead", "_Gone"]
+
+
+def unused_parameters(source: str) -> list[str]:
+    """``function.parameter`` for each parameter that its function's body
+    never reads (a name load anywhere below it, nested functions included)."""
+    functions = [node for node in ast.walk(ast.parse(source))
+                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))]
+    out = []
+    for node in sorted(functions, key=lambda f: (f.lineno, f.col_offset)):
+        a = node.args
+        params = [p.arg for p in (*a.posonlyargs, *a.args, a.vararg, *a.kwonlyargs, a.kwarg)
+                  if p is not None]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        read = {n.id for stmt in body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        name = getattr(node, "name", "<lambda>")
+        out += [f"{name}.{p}" for p in params
+                if p not in read and p not in ("self", "cls") and not p.startswith("_")]
+    return out
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_unused_parameters(path):
+    assert unused_parameters(path.read_text()) == []
+
+
+def test_detector_flags_an_unused_parameter():
+    source = ("class C:\n"
+              "    def method(self, x, _spare, *args, scale=1, **kw):\n"
+              "        return x * scale\n"
+              "    @classmethod\n"
+              "    def make(cls, y):\n"
+              "        def inner(z):\n"
+              "            return y\n"
+              "        return inner\n"
+              "f = lambda u, v: u\n")
+    assert unused_parameters(source) == ["method.args", "method.kw", "inner.z", "<lambda>.v"]
