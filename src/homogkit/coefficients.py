@@ -24,8 +24,7 @@ import numpy as np
 
 from .grid import TorusGrid
 
-_VALIDATION_LATTICE = 16  # per-axis density of the structure and self-adjointness checks
-_KAPPA_LATTICE = 64       # per-axis density of the sup-norm maximization behind kappa
+_VALIDATION_LATTICE = 16  # per-axis density of the self-adjointness check
 
 
 class CoefficientError(ValueError):
@@ -58,8 +57,8 @@ class CoefficientSet:
     """A periodic coefficient tuple with its declared structure constants.
 
     ``mu`` is the two-sided ellipticity constant of A and ``kappa`` the
-    declared sup-norm bound on V, B, c (``validate`` checks it against a
-    lattice maximization).  V, B and c default to zero.  The zero-order shift
+    declared sup-norm bound on V, B, c (the tests check both against lattice
+    samples).  V, B and c default to zero.  The zero-order shift
     lambda is not part of the set: ``bvp.default_lambda`` derives it from
     ``mu`` and ``kappa``.
     """
@@ -100,10 +99,10 @@ class CoefficientSet:
         ``self_adjoint`` check runs once however many solves use it."""
         return replace(self, V=None, B=None, c=None)
 
-    # -- validation ---------------------------------------------------------
+    # -- self-adjointness ---------------------------------------------------
 
-    def _lattice(self, n: int = _VALIDATION_LATTICE) -> np.ndarray:
-        return TorusGrid(self.d, n).points().reshape(-1, self.d)
+    def _lattice(self) -> np.ndarray:
+        return TorusGrid(self.d, _VALIDATION_LATTICE).points().reshape(-1, self.d)
 
     @cached_property
     def self_adjoint(self) -> bool:
@@ -115,44 +114,6 @@ class CoefficientSet:
         return all(np.allclose(x, z, atol=1e-13, rtol=0.0)
                    for x, z in ((A, transpose_a(A)), (self.V(y), transpose_m(self.B(y))),
                                 (c, transpose_m(c))))
-
-    def check_ellipticity(self) -> float:
-        """``ellipticity_margin`` of A over a point lattice; negative means
-        the declared mu is invalid (returned rather than raised so the caller
-        decides)."""
-        return ellipticity_margin(self.A(self._lattice()), self.mu)
-
-    def check_periodicity(self) -> bool:
-        y = self._lattice()
-        for fn in (self.A, self.V, self.B, self.c):
-            base = fn(y)
-            for k in range(self.d):
-                shift = y.copy()
-                shift[:, k] += 1.0
-                if not np.allclose(fn(shift), base, atol=1e-12, rtol=0.0):
-                    return False
-        return True
-
-    def computed_kappa(self) -> float:
-        """Lattice maximization of the sup-norms of V, B, c."""
-        y = self._lattice(_KAPPA_LATTICE)
-        return max(float(np.max(np.abs(fn(y)))) for fn in (self.V, self.B, self.c))
-
-    def validate(self) -> None:
-        """Raise CoefficientError if any declared structure constant fails."""
-        margin = self.check_ellipticity()
-        if margin < -1e-10:
-            raise CoefficientError(
-                f"family {self.name!r}: ellipticity margin {margin:.3e} < 0 for mu = {self.mu}"
-            )
-        if not self.check_periodicity():
-            raise CoefficientError(f"family {self.name!r}: not 1-periodic")
-        got = self.computed_kappa()
-        if got > self.kappa + 1e-8:
-            raise CoefficientError(
-                f"family {self.name!r}: sup-norm of lower-order terms {got:.3g} "
-                f"exceeds declared kappa = {self.kappa:.3g}"
-            )
 
 
 def _probe_directions(d: int, m: int) -> list[np.ndarray]:

@@ -8,9 +8,9 @@ arbitrary tuple of trailing component axes.
 All difference operators are second order.  The divergence-form operator is
 discretized in flux-conservative form so that discrete summation by parts
 holds exactly.  Solvers use it assembled once into a sparse matrix
-(``assemble_torus``, ``assemble_box``); ``principal_part_apply`` and
-``bilinear_energy`` evaluate the same stencil from the coefficient arrays and
-serve as the reference the assembled matrices are tested against.
+(``assemble_torus``, ``assemble_box``); ``principal_part_apply`` evaluates
+the same stencil from the coefficient arrays and serves as the reference the
+assembled matrices are tested against.
 """
 
 from __future__ import annotations
@@ -499,40 +499,6 @@ def assemble_box(A: np.ndarray, V: np.ndarray, B: np.ndarray, c: np.ndarray,
         (np.concatenate(ib_vals), (np.concatenate(ib_rows), np.concatenate(ib_cols))),
         shape=(npts * m, nb * m))
     return K_ii, K_ib
-
-
-def bilinear_energy(A: np.ndarray, u: np.ndarray, v: np.ndarray, grid: Grid) -> float:
-    """The quadratic form matching ``principal_part_apply`` exactly.
-
-    For u, v vanishing on the box boundary (or any periodic pair),
-    ``inner(principal_part_apply(A, u), v) == bilinear_energy(A, u, v)``
-    to machine precision: both sides are the same sums reassociated.
-    """
-    d = grid.d
-    h = grid.h
-    nd = len(grid.shape)
-    total = 0.0
-    for i in range(d):
-        aii = _coef_block(A, nd, i, i)
-        dpu = (np.roll(u, -1, axis=i) - u) / h
-        dpv = (np.roll(v, -1, axis=i) - v) / h
-        half = 0.5 * (aii + np.roll(aii, -1, axis=i))
-        total += np.sum(_component_matvec(half, dpu) * dpv)
-        for j in range(d):
-            if j == i:
-                continue
-            aij = _coef_block(A, nd, i, j)
-            dcu = (np.roll(u, -1, axis=j) - np.roll(u, 1, axis=j)) / (2.0 * h)
-            dcv = (np.roll(v, -1, axis=i) - np.roll(v, 1, axis=i)) / (2.0 * h)
-            total += np.sum(_component_matvec(aij, dcu) * dcv)
-    return float(total) * grid.cell_volume
-
-
-def inner(u: GridFunction, v: GridFunction) -> float:
-    """Midpoint-rule L2 pairing of two grid functions."""
-    if u.grid != v.grid:
-        raise GridError("inner product across different grids")
-    return float(np.sum(u.values * v.values)) * u.grid.cell_volume
 
 
 # ---------------------------------------------------------------------------

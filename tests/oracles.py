@@ -8,7 +8,10 @@ single-precision preconditioners are compared.  ``divergence_centered``,
 divergences that the cell source, the Dirichlet corrector source and the box
 load summed by hand before ``grid.divergence``.  ``phi_inverse``,
 ``boundary_weighted_ratio`` and ``triangle_defects`` check paper bounds on
-the objects a run computes; no run reports them.
+the objects a run computes; no run reports them.  ``validate`` and its three
+checks test a coefficient set's declared structure constants, and
+``bilinear_energy`` and ``inner`` are the quadrature pairings against which
+``grid.principal_part_apply`` is tested; no run calls them.
 """
 
 from __future__ import annotations
@@ -16,7 +19,9 @@ from __future__ import annotations
 import numpy as np
 import scipy.fft
 
-from homogkit.grid import _centered_box, _centered_periodic
+from homogkit.coefficients import CoefficientError, ellipticity_margin
+from homogkit.grid import (GridError, TorusGrid, _centered_box, _centered_periodic,
+                           _coef_block, _component_matvec)
 from homogkit.green import GreenError, GreenSample, point_boundary_distance
 from homogkit.rates import ConvergenceReport
 
@@ -62,6 +67,84 @@ def torus_precond_float64(shape, grid, scale: float):
         zhat *= inv
         return scipy.fft.irfftn(zhat, s=grid.shape, axes=axes, overwrite_x=True).ravel()
     return precond
+
+
+KAPPA_LATTICE = 64   # per-axis density of the sup-norm maximization behind kappa
+
+
+def check_ellipticity(cs) -> float:
+    """``ellipticity_margin`` of A over the validation lattice; negative
+    means the declared mu is invalid."""
+    return ellipticity_margin(cs.A(cs._lattice()), cs.mu)
+
+
+def check_periodicity(cs) -> bool:
+    y = cs._lattice()
+    for fn in (cs.A, cs.V, cs.B, cs.c):
+        base = fn(y)
+        for k in range(cs.d):
+            shift = y.copy()
+            shift[:, k] += 1.0
+            if not np.allclose(fn(shift), base, atol=1e-12, rtol=0.0):
+                return False
+    return True
+
+
+def computed_kappa(cs) -> float:
+    """Lattice maximization of the sup-norms of V, B, c."""
+    y = TorusGrid(cs.d, KAPPA_LATTICE).points().reshape(-1, cs.d)
+    return max(float(np.max(np.abs(fn(y)))) for fn in (cs.V, cs.B, cs.c))
+
+
+def validate(cs) -> None:
+    """Raise CoefficientError if any declared structure constant fails."""
+    margin = check_ellipticity(cs)
+    if margin < -1e-10:
+        raise CoefficientError(
+            f"family {cs.name!r}: ellipticity margin {margin:.3e} < 0 for mu = {cs.mu}"
+        )
+    if not check_periodicity(cs):
+        raise CoefficientError(f"family {cs.name!r}: not 1-periodic")
+    got = computed_kappa(cs)
+    if got > cs.kappa + 1e-8:
+        raise CoefficientError(
+            f"family {cs.name!r}: sup-norm of lower-order terms {got:.3g} "
+            f"exceeds declared kappa = {cs.kappa:.3g}"
+        )
+
+
+def bilinear_energy(A: np.ndarray, u: np.ndarray, v: np.ndarray, grid) -> float:
+    """The quadratic form matching ``grid.principal_part_apply`` exactly.
+
+    For u, v vanishing on the box boundary (or any periodic pair),
+    ``inner(principal_part_apply(A, u), v) == bilinear_energy(A, u, v)``
+    to machine precision: both sides are the same sums reassociated.
+    """
+    d = grid.d
+    h = grid.h
+    nd = len(grid.shape)
+    total = 0.0
+    for i in range(d):
+        aii = _coef_block(A, nd, i, i)
+        dpu = (np.roll(u, -1, axis=i) - u) / h
+        dpv = (np.roll(v, -1, axis=i) - v) / h
+        half = 0.5 * (aii + np.roll(aii, -1, axis=i))
+        total += np.sum(_component_matvec(half, dpu) * dpv)
+        for j in range(d):
+            if j == i:
+                continue
+            aij = _coef_block(A, nd, i, j)
+            dcu = (np.roll(u, -1, axis=j) - np.roll(u, 1, axis=j)) / (2.0 * h)
+            dcv = (np.roll(v, -1, axis=i) - np.roll(v, 1, axis=i)) / (2.0 * h)
+            total += np.sum(_component_matvec(aij, dcu) * dcv)
+    return float(total) * grid.cell_volume
+
+
+def inner(u, v) -> float:
+    """Midpoint-rule L2 pairing of two grid functions."""
+    if u.grid != v.grid:
+        raise GridError("inner product across different grids")
+    return float(np.sum(u.values * v.values)) * u.grid.cell_volume
 
 
 def divergence_centered(field: np.ndarray, grid, axis_index: int) -> np.ndarray:

@@ -5,6 +5,7 @@ from homogkit.bvp import ProblemError, resolution_guard, sample_coefficients
 from homogkit.coefficients import (CoefficientError, FAMILY_NAMES,
                                    builtin_family)
 from homogkit.grid import BoxGrid
+from oracles import check_ellipticity, check_periodicity, computed_kappa, validate
 
 
 class TestFamilies:
@@ -12,7 +13,7 @@ class TestFamilies:
     def test_validate_all(self, name):
         cs = builtin_family(name) if name != "trig" else \
             builtin_family(name, lower=0.5)
-        cs.validate()
+        validate(cs)
 
     def test_constant_mu(self):
         cs = builtin_family("constant", d=2, a0=2.5)
@@ -66,18 +67,18 @@ class TestEllipticity:
     def test_constant_margin_zero(self):
         cs = builtin_family("constant", d=2, a0=1.0)
         # a xi.xi - mu |xi|^2 = 0 identically for A = mu I
-        assert abs(cs.check_ellipticity()) < 1e-12
+        assert abs(check_ellipticity(cs)) < 1e-12
 
     def test_laminate_margin_tiny(self):
         cs = builtin_family("laminate", d=2)
-        margin = cs.check_ellipticity()
+        margin = check_ellipticity(cs)
         assert margin >= -1e-12
         assert margin < 1e-3   # the minimizing y is on the probe lattice
 
     def test_periodicity(self):
         for name in FAMILY_NAMES:
             cs = builtin_family(name)
-            assert cs.check_periodicity()
+            assert check_periodicity(cs)
 
 
 class TestAdjoint:
@@ -121,7 +122,7 @@ class TestSampling:
 
     def test_kappa_covers_samples(self):
         cs = builtin_family("trig", d=2, alpha=2.0, beta=0.5, lower=0.5)
-        kap = cs.computed_kappa()
+        kap = computed_kappa(cs)
         y = np.random.default_rng(4).random((100, 2))
         for field in (cs.V(y), cs.B(y), cs.c(y)):
             assert np.abs(field).max() <= kap + 1e-9
@@ -365,8 +366,8 @@ class TestTableEquivalence:
             for y in (lattice, scattered):
                 for field in ("A", "V", "B", "c"):
                     assert _same_bits(getattr(got, field)(y), getattr(want, field)(y)), field
-        assert new.check_ellipticity() == old.check_ellipticity()
-        assert new.adjoint().check_ellipticity() == old.adjoint().check_ellipticity()
+        assert check_ellipticity(new) == old.check_ellipticity()
+        assert check_ellipticity(new.adjoint()) == old.adjoint().check_ellipticity()
 
     @pytest.mark.parametrize("d,m", [(1, 1), (2, 1), (2, 2), (3, 2)])
     def test_homogenized_margin_identical(self, d, m):
