@@ -25,7 +25,7 @@ import yaml
 
 from . import __version__
 from .bvp import (POINTS_PER_PERIOD, DirichletProblem, ProblemError, check_lambda,
-                  default_lambda, resolution_guard, solve)
+                  resolution_guard, solve)
 from .cell import build_flux_correctors, homogenize, solve_correctors
 from .coefficients import FAMILY_NAMES, CoefficientError, builtin_family
 from .dirichlet import (CommensurabilityError, lattice_step, psi_diagnostics,
@@ -36,9 +36,6 @@ from .green import (MIN_FIT_PAIRS, GreenError, _snap_interior, approx_green,
                     maximal_function_probe, point_boundary_distance)
 from .rates import (PROBE_KINDS, SweepConfig, SweepError, load_field, run_sweep,
                     uniform_constant_probe)
-
-SUBCOMMANDS = ("cell", "homogenize", "solve", "correctors", "green", "rates",
-               "validate")
 
 
 class ConfigError(ValueError):
@@ -66,6 +63,7 @@ _KEYS = {
               "n_cell": 64, "lam": None, "probe_kinds": []},
     "validate": {"configs": []},
 }
+SUBCOMMANDS = tuple(_KEYS)
 
 
 @dataclass
@@ -318,10 +316,9 @@ def _run_homogenize(cfg: ExperimentConfig, out_dir: str):
     grid = TorusGrid(cs.d, cfg["n"])
     t0 = time.perf_counter()
     corr = solve_correctors(cs, grid, tol=cfg.tol)
-    # a flux run takes the hats from the flux correctors' own integrands
     hats = None if cfg["flux"] else homogenize(cs, corr)
     wall = {"homogenize": time.perf_counter() - t0}
-    if cfg["flux"]:
+    if cfg["flux"]:   # the flux correctors form the hats from their own integrands
         t0 = time.perf_counter()
         flux = build_flux_correctors(cs, corr)
         wall["flux"] = time.perf_counter() - t0
@@ -387,7 +384,7 @@ def _run_green(cfg: ExperimentConfig, out_dir: str):
     cs = builtin_family(cfg.family, **cfg.params)
     eps = float(cfg["eps"])
     grid = BoxGrid(cs.d, cfg["n"])
-    lam = default_lambda(cs) if cfg["lam"] is None else float(cfg["lam"])
+    lam = check_lambda(cs, cfg["lam"], override=True)
     probes = cfg["probes"] or [[0.5] * cs.d]
     rho = cfg["rho"]
     t0 = time.perf_counter()
