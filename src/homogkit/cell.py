@@ -4,11 +4,12 @@ Everything here lives on the unit torus.  The corrector chi_k (k = 1..d)
 solves the cell problem driven by the coordinate monomial P_k, chi_0 the one
 driven by div(V) (``grid.divergence``); ``solve_correctors`` is the one entry
 point for them, one loop over k = 0..d and the m columns on one assembled
-operator.  The four effective tensors are cell averages of the
+operator.  The four effective tensors are cell averages (``_hats``) of the
 coefficient-plus-corrector-flux integrands, written once in
 ``_cell_fluxes``; the flux discrepancy fields (b, U, W, Z) are the remainders
 of the same integrands, represented through antisymmetric potentials (E, F)
-and auxiliary zero-mean Poisson solves.
+and auxiliary zero-mean Poisson solves.  ``build_flux_correctors`` forms the
+integrands once and takes both the tensors and the remainders from them.
 """
 
 from __future__ import annotations
@@ -70,7 +71,7 @@ class HomogenizedCoefficients:
 @dataclass
 class FluxCorrectorSet:
     grid: TorusGrid
-    hats: HomogenizedCoefficients   # the cell means the remainders below are taken against
+    hats: HomogenizedCoefficients   # the cell means b, U, W, Z are taken against
     b: np.ndarray          # (*shape, d, d, m, m)
     E: np.ndarray          # (*shape, d, d, d, m, m), E[l, i, j]
     U: np.ndarray          # (*shape, d, m, m)
@@ -215,8 +216,8 @@ def build_flux_correctors(cs: CoefficientSet, correctors: CorrectorSet) -> FluxC
     E = _curl(gradient(GridFunction(grid, _poisson_components(b, grid))).values, grid.d)
     theta = _poisson_components(U, grid)
     F = _curl(gradient(GridFunction(grid, theta)).values, grid.d)
-    return FluxCorrectorSet(grid=grid, hats=hats, b=b, E=E, U=U, theta=theta, F=F, W=W,
-                            vartheta=_poisson_components(W, grid), Z=Z,
+    return FluxCorrectorSet(grid=grid, hats=hats, b=b, E=E, U=U, theta=theta, F=F,
+                            W=W, vartheta=_poisson_components(W, grid), Z=Z,
                             zeta=_poisson_components(Z, grid))
 
 

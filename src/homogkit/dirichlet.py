@@ -10,8 +10,9 @@ formed once (``DirichletCorrectorSet.deviations``); the fields
 
     Psi_k = Phi_k - P_k I - eps * chi_k(x/eps)
 
-are pure boundary-layer objects: O(eps) in sup norm with gradients decaying
-like min(1, eps / dist-to-boundary).
+(``psi_diagnostics``, at the eps the Phi_k were solved at) are pure
+boundary-layer objects: O(eps) in sup norm with gradients decaying like
+min(1, eps / dist-to-boundary).
 """
 
 from __future__ import annotations

@@ -5,7 +5,8 @@ The oracle below is the earlier code, kept verbatim: ``homogenize`` wrote the
 four corrector-flux integrands once for the cell means, and
 ``flux_correctors`` / ``lower_flux_correctors`` wrote them again for the
 zero-mean remainders.  The module under test defines them once; every tensor
-and every flux field must agree with ``np.array_equal``.
+(from ``homogenize`` and as ``FluxCorrectorSet.hats``) and every flux field
+must agree with ``np.array_equal``.
 """
 
 from types import SimpleNamespace
@@ -172,8 +173,8 @@ def test_builtin_families_bit_identical(family, params):
 
 def _random_set(d, m, seed):
     """Full-tensor coefficient callables and corrector arrays of no solve:
-    hat minus integrand is zero-mean by construction, so the mean guards of
-    the flux potentials hold for arbitrary data."""
+    hat minus integrand is zero-mean by construction, so the oracle's mean
+    guards hold for arbitrary data."""
     rng = np.random.default_rng(seed)
     grid = TorusGrid(d, CELL_N[d])
     s = grid.shape
