@@ -15,6 +15,19 @@ right-hand side by an exact power of two (max |b| in [0.5, 1)) and the
 solution back, so the float32 range never sees the scale of the data.
 ``poisson_periodic`` is an exact solve, not a preconditioner, and stays
 float64.
+
+The box DST-I is applied as a product with the dense sine matrix, one BLAS
+GEMM per grid axis, when a grid axis has at most ``DENSE_DST_MAX`` = 127
+interior points, and through ``scipy.fft.dstn`` above that; the rule reads
+the grid size alone.  The product costs O(N^(d+1)) against the FFT's
+O(N^d log N), but on small axes BLAS wins: per float32 transform on one
+BLAS thread, 0.43 against 0.98 ms at 47^3, 0.042 against 0.085 ms at 95^2
+and 0.107 against 0.131 ms at 127^2, while at 255^2 it loses, 0.75 against
+0.41 ms.  Both paths compute the same unnormalised transform, so the
+reciprocal symbol is shared.  The float32 apply agrees with the float64 one
+to about 1.5e-6 relative on the product path and 4e-7 on the FFT path.  The
+torus keeps ``rfftn`` on every size: a dense real-Fourier basis measured
+slower at 96^2 x 2.
 """
 
 from __future__ import annotations
@@ -24,6 +37,10 @@ import scipy.fft
 from scipy.sparse.linalg import LinearOperator, bicgstab, cg, gmres
 
 from .grid import BoxGrid, TorusGrid
+
+# Largest number of interior points per axis at which the box preconditioner
+# applies its DST-I as a dense sine-matrix product (see the module docstring).
+DENSE_DST_MAX = 127
 
 
 class SolverError(RuntimeError):
@@ -89,12 +106,48 @@ def _inverse_symbol_box(grid: BoxGrid, scale: float, lam: float) -> np.ndarray:
     return 1.0 / ((scale * sym + max(lam, 0.0)) * (2.0 * grid.n) ** grid.d)
 
 
-def _apply_inverse_box(r: np.ndarray, inv: np.ndarray, axes: tuple) -> np.ndarray:
-    """DST-I over ``axes`` of ``r``, times ``inv`` (broadcast over any
-    trailing component axes), and DST-I again, in the precision of ``r``."""
-    rhat = scipy.fft.dstn(r, type=1, axes=axes)
+def _sine_matrix(grid: BoxGrid, dtype) -> np.ndarray | None:
+    """The DST-I of ``scipy.fft.dst(type=1)`` as a matrix, S[j, k] =
+    2 sin(pi j k / n) for j, k = 1..n-1 (j k reduced mod 2n before the sine),
+    in ``dtype``; None when n - 1 exceeds DENSE_DST_MAX, which selects the
+    ``scipy.fft.dstn`` path of ``_apply_inverse_box``."""
+    if grid.n - 1 > DENSE_DST_MAX:
+        return None
+    j = np.arange(1, grid.n)
+    jk = np.outer(j, j) % (2 * grid.n)
+    return (2.0 * np.sin(np.pi * jk / grid.n)).astype(dtype)
+
+
+def _dst_dense(x: np.ndarray, S: np.ndarray, nd: int) -> np.ndarray:
+    """DST-I over the first ``nd`` axes of ``x`` as one GEMM per axis (a
+    batched one for the middle axes); a trailing component axis stays in
+    place inside the products."""
+    N, shape = S.shape[0], x.shape
+    for ax in range(nd):
+        lead = N ** ax
+        if ax == 0:
+            x = S @ x.reshape(N, -1)
+        elif x.size == lead * N:   # the last grid axis, no component axis after it
+            x = x.reshape(-1, N) @ S   # S is symmetric
+        else:
+            x = np.matmul(S, x.reshape(lead, N, -1))
+    return x.reshape(shape)
+
+
+def _apply_inverse_box(r: np.ndarray, inv: np.ndarray, nd: int,
+                       S: np.ndarray | None) -> np.ndarray:
+    """DST-I over the first ``nd`` axes of ``r``, times ``inv`` (broadcast
+    over any trailing component axes), and DST-I again, in the precision of
+    ``r``: as products with the sine matrix ``S`` (``_sine_matrix``), or by
+    ``scipy.fft.dstn`` when ``S`` is None."""
+    if S is None:
+        axes = tuple(range(nd))
+        rhat = scipy.fft.dstn(r, type=1, axes=axes)
+        rhat *= inv
+        return scipy.fft.dstn(rhat, type=1, axes=axes, overwrite_x=True)
+    rhat = _dst_dense(r, S, nd)
     rhat *= inv
-    return scipy.fft.dstn(rhat, type=1, axes=axes, overwrite_x=True)
+    return _dst_dense(rhat, S, nd)
 
 
 def poisson_periodic(rhs: np.ndarray, grid: TorusGrid) -> np.ndarray:
@@ -199,13 +252,13 @@ def solve_box_dirichlet(apply_interior, rhs_interior: np.ndarray, grid: BoxGrid,
     nd = grid.d
     inv = _inverse_symbol_box(grid, precond_scale, lam).astype(np.float32)
     inv = inv.reshape(inv.shape + (1,) * (len(shape) - nd))
-    dst_axes = tuple(range(nd))
+    S = _sine_matrix(grid, np.float32)
 
     def matvec(x):
         return apply_interior(x.reshape(shape)).ravel()
 
     def precond(r):
-        z = _apply_inverse_box(r.reshape(shape).astype(np.float32), inv, dst_axes)
+        z = _apply_inverse_box(r.reshape(shape).astype(np.float32), inv, nd, S)
         return z.astype(np.float64).ravel()
 
     if maxiter is None:

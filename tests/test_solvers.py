@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from homogkit.grid import BoxGrid, TorusGrid, principal_part_apply
-from homogkit.solvers import (SolverError, _apply_inverse_box, _apply_inverse_torus,
-                              _inverse_symbol_box, _inverse_symbol_torus,
-                              poisson_periodic, solve_box_dirichlet, solve_periodic)
+from homogkit.solvers import (DENSE_DST_MAX, SolverError, _apply_inverse_box,
+                              _apply_inverse_torus, _inverse_symbol_box,
+                              _inverse_symbol_torus, _sine_matrix, poisson_periodic,
+                              solve_box_dirichlet, solve_periodic)
 from oracles import laplace_symbol
 
 
@@ -267,8 +268,12 @@ class TestPreconditionerEquivalence:
             assert _close(_apply_inverse_torus(r, inv, g), want)
             assert _close32(precond(r.ravel()).reshape(shape), want)
 
+    # n - 1 = DENSE_DST_MAX is the largest size on the sine-matrix path and
+    # n - 1 = DENSE_DST_MAX + 1 the smallest on the scipy.fft.dstn path
     @pytest.mark.parametrize("d,n", [(1, 16), (1, 15), (2, 12), (2, 9),
-                                     (3, 8), (3, 7)])
+                                     (3, 8), (3, 7), (3, 48),
+                                     (1, DENSE_DST_MAX + 1), (1, DENSE_DST_MAX + 2),
+                                     (2, DENSE_DST_MAX + 1), (2, DENSE_DST_MAX + 2)])
     @pytest.mark.parametrize("m", [1, 2])
     def test_box(self, monkeypatch, d, n, m):
         g = BoxGrid(d, n)
@@ -283,7 +288,9 @@ class TestPreconditionerEquivalence:
             want = _box_precond_oracle(r, g, scale, lam)
             inv = _inverse_symbol_box(g, scale, lam)
             inv = inv.reshape(inv.shape + (1,) * (r.ndim - d))
-            assert _close(_apply_inverse_box(r, inv, tuple(range(d))), want)
+            S = _sine_matrix(g, np.float64)
+            assert (S is None) == (n - 1 > DENSE_DST_MAX)
+            assert _close(_apply_inverse_box(r, inv, d, S), want)
             assert _close32(precond(r.ravel()).reshape(shape), want)
 
     @pytest.mark.parametrize("d,n", [(1, 15), (2, 12), (2, 9), (3, 7)])
