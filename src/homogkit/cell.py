@@ -72,6 +72,10 @@ class HomogenizedCoefficients:
 class FluxCorrectorSet:
     grid: TorusGrid
     hats: HomogenizedCoefficients   # the cell means b, U, W, Z are taken against
+    # largest |cell mean| of the remainders hat - coefficient - correction
+    # before b, U, W, Z are centred: round-off when the hats are the
+    # integrands' cell means
+    remainder_mean: float
     b: np.ndarray          # (*shape, d, d, m, m)
     E: np.ndarray          # (*shape, d, d, d, m, m), E[l, i, j]
     U: np.ndarray          # (*shape, d, m, m)
@@ -188,6 +192,11 @@ def homogenize(cs: CoefficientSet, correctors: CorrectorSet) -> HomogenizedCoeff
     return _hats(_cell_fluxes(cs, correctors), correctors.grid)
 
 
+def _centred(remainder: np.ndarray, grid: TorusGrid) -> tuple[np.ndarray, float]:
+    """``remainder`` less its cell mean, and the largest |cell mean| removed."""
+    return _mean_zero(remainder, grid.d), float(np.abs(_cell_mean(remainder, grid)).max())
+
+
 def _curl(dp: np.ndarray, nd: int) -> np.ndarray:
     """out[..., l, i, ...] = d_l p_i - d_i p_l from the gradient
     dp[..., i, ..., l] of a potential p."""
@@ -201,22 +210,24 @@ def build_flux_correctors(cs: CoefficientSet, correctors: CorrectorSet) -> FluxC
 
     The discrepancies b_ij = A_hat_ij - a_ij - a_ik d_k chi_j and their
     lower-order analogues U_i (V), W_i (B) and Z (c) have zero cell mean,
-    because the hats are the cell means of the same integrands (``_hats``).
-    Each is represented by the zero-mean solution of Laplace(p) =
-    discrepancy: pi_ij, theta_i, vartheta_i and zeta, with
+    because the hats are the cell means of the same integrands (``_hats``);
+    ``remainder_mean`` records how far the uncentred remainders miss that,
+    and each is then centred.  Each is represented by the zero-mean solution
+    of Laplace(p) = discrepancy: pi_ij, theta_i, vartheta_i and zeta, with
     E_lij = d_l pi_ij - d_i pi_lj and F_ki = d_k theta_i - d_i theta_k.
     """
     grid = correctors.grid
     fluxes = _cell_fluxes(cs, correctors)
     hats = _hats(fluxes, grid)
-    b, U, W, Z = (_mean_zero(hat - coef - corr, grid.d) for hat, (coef, corr) in
-                  zip((hats.A_hat, hats.V_hat, hats.B_hat, hats.c_hat), fluxes))
+    (b, U, W, Z), means = zip(*(_centred(hat - coef - corr, grid) for hat, (coef, corr) in
+                                zip((hats.A_hat, hats.V_hat, hats.B_hat, hats.c_hat), fluxes)))
     # release the coefficient samples before the potentials, to keep peak RSS down
     del fluxes
     E = _curl(gradient(GridFunction(grid, _poisson_components(b, grid))).values, grid.d)
     theta = _poisson_components(U, grid)
     F = _curl(gradient(GridFunction(grid, theta)).values, grid.d)
-    return FluxCorrectorSet(grid=grid, hats=hats, b=b, E=E, U=U, theta=theta, F=F,
+    return FluxCorrectorSet(grid=grid, hats=hats, remainder_mean=max(means),
+                            b=b, E=E, U=U, theta=theta, F=F,
                             W=W, vartheta=_poisson_components(W, grid), Z=Z,
                             zeta=_poisson_components(Z, grid))
 

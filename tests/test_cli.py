@@ -3,6 +3,7 @@ import json
 import math
 import os
 import tempfile
+from dataclasses import replace
 
 import pytest
 import yaml
@@ -130,6 +131,25 @@ class TestRun:
                            "params: {d: 2, lower: 0.3}\nn: 16\nflux: true\n")
         assert run(cfg, str(tmp_path))["ok"]
         assert len(calls) == 1
+
+    def test_homogenize_flux_check_fails_on_shifted_hats(self, tmp_path, monkeypatch):
+        """flux_zero_mean reads the remainders before they are centred, so
+        hats that are not the integrands' cell means fail it."""
+        from homogkit import cell
+        original = cell._hats
+
+        def shifted(*args):
+            hats = original(*args)
+            return replace(hats, A_hat=hats.A_hat + 1e-3)
+
+        cfg = parse_config("subcommand: homogenize\nfamily: trig\n"
+                           "params: {d: 2, lower: 0.3}\nn: 16\nflux: true\n")
+        assert run(cfg, str(tmp_path / "exact"))["checks"]["flux_zero_mean"] is True
+        monkeypatch.setattr(cell, "_hats", shifted)
+        manifest = run(cfg, str(tmp_path / "shifted"))
+        assert manifest["checks"]["flux_zero_mean"] is False
+        summary = json.loads((tmp_path / "shifted" / "homogenized.json").read_text())
+        assert summary["flux_remainder_mean"] == pytest.approx(1e-3)
 
     def test_rates_run_deterministic(self, tmp_path):
         text = ("subcommand: rates\nfamily: laminate\nparams: {d: 2}\n"
