@@ -262,7 +262,7 @@ def test_box_solve_on_the_fft_path_matches_float64_preconditioner(monkeypatch):
     n - 1 = DENSE_DST_MAX + 1 the solve's preconditioner takes the
     scipy.fft.dstn path.  It agrees with the float64-preconditioned solve to
     the 4e-13 relative the README states, in as many applies."""
-    cs = builtin_family("trig", **FAMILIES[3][1], d=2)
+    cs = builtin_family("trig", **dict(FAMILIES)["trig"], d=2)
     g = BoxGrid(2, DENSE_DST_MAX + 2)
     s = sample_coefficients(cs, g, 1 / 4, default_lambda(cs))
     rhs = np.random.Generator(np.random.PCG64(16)).standard_normal((g.n - 1,) * 2 + (1,))
