@@ -404,3 +404,106 @@ class TestPreconditionerContract:
         assert np.array_equal(r, kept)
         assert z.dtype == np.float64
         assert z.shape == (rhs.size,)
+
+
+def _solve_trig(geometry, seed, **kw):
+    """Solve the trig operator of ``geometry`` (``_trig_operators``) for a
+    standard normal right-hand side drawn from ``seed``."""
+    apply, grid, kw0 = _trig_operators()[geometry]
+    solver = solve_box_dirichlet if geometry == "box" else solve_periodic
+    n = grid.n - 1 if geometry == "box" else grid.n
+    rhs = np.random.Generator(np.random.PCG64(seed)).standard_normal((n, n, 1))
+    return solver(apply, rhs, grid, **kw0, **kw)
+
+
+class TestScipyEquivalence:
+    """``solvers.cg`` and ``solvers.bicgstab`` return what scipy's namesakes
+    return, bit for bit: the same x, the same info and as many callback
+    calls.  Every Krylov call of a solve runs both methods on the same
+    LinearOperator A and M, wrapped the way the benchmark tracer wraps them."""
+
+    @staticmethod
+    def _record(monkeypatch, name):
+        import homogkit.solvers as solvers
+        from scipy.sparse import linalg
+
+        ours, theirs = getattr(solvers, name), getattr(linalg, name)
+        runs = []
+
+        def run(fn, A, b, kw):
+            calls = []
+            x, info = fn(A, b.copy(), **kw, callback=lambda _: calls.append(1))
+            return x.copy(), info, len(calls)
+
+        def both(A, b, **kw):
+            A = linalg.LinearOperator(A.shape, dtype=A.dtype, matvec=A.matvec)
+            M = kw["M"]
+            kw["M"] = linalg.LinearOperator(M.shape, dtype=M.dtype, matvec=M.matvec)
+            mine = run(ours, A, b, kw)
+            runs.append((mine, run(theirs, A, b, kw), A, kw["M"]))
+            return mine[:2]
+        monkeypatch.setattr(solvers, name, both)
+        return runs
+
+    @staticmethod
+    def _assert_equal(runs):
+        assert runs
+        for (x, info, count), (x_ref, info_ref, count_ref), *_ in runs:
+            assert np.array_equal(x, x_ref, equal_nan=True)
+            assert (info, count) == (info_ref, count_ref)
+
+    @pytest.mark.parametrize("self_adjoint", [True, False], ids=["cg", "bicgstab"])
+    @pytest.mark.parametrize("geometry", ["box", "torus"])
+    def test_trig(self, monkeypatch, geometry, self_adjoint):
+        runs = self._record(monkeypatch, "cg" if self_adjoint else "bicgstab")
+        _solve_trig(geometry, 40, self_adjoint=self_adjoint)
+        self._assert_equal(runs)
+        assert runs[0][0][1] == 0
+
+    def test_nonsymmetric_system_box(self, monkeypatch):
+        from homogkit.bvp import sample_coefficients
+        from homogkit.coefficients import builtin_family
+
+        runs = self._record(monkeypatch, "bicgstab")
+        s = sample_coefficients(builtin_family("nonsymmetric-system", d=2),
+                                BoxGrid(2, 16), 1 / 4, 0.7)
+        assert not s.self_adjoint
+        rng = np.random.Generator(np.random.PCG64(41))
+        s.solve(rng.standard_normal((15, 15, 2)), 1e-10)
+        self._assert_equal(runs)
+        assert runs[0][0][1] == 0
+
+    @pytest.mark.parametrize("self_adjoint", [True, False], ids=["cg", "bicgstab"])
+    @pytest.mark.parametrize("geometry", ["box", "torus"])
+    def test_stopped_by_maxiter(self, monkeypatch, geometry, self_adjoint):
+        runs = self._record(monkeypatch, "cg" if self_adjoint else "bicgstab")
+        _solve_trig(geometry, 42, self_adjoint=self_adjoint, maxiter=3)
+        self._assert_equal(runs)
+        assert runs[0][0][1:] == (3, 3)
+
+    @pytest.mark.parametrize("self_adjoint", [True, False], ids=["cg", "bicgstab"])
+    @pytest.mark.parametrize("grid", [TorusGrid(2, 16), BoxGrid(2, 16)],
+                             ids=["periodic", "box"])
+    def test_nan_operator(self, monkeypatch, grid, self_adjoint):
+        runs = self._record(monkeypatch, "cg" if self_adjoint else "bicgstab")
+        solver = solve_periodic if isinstance(grid, TorusGrid) else solve_box_dirichlet
+        n = grid.n if isinstance(grid, TorusGrid) else grid.n - 1
+        rhs = np.random.Generator(np.random.PCG64(5)).standard_normal((n, n))
+        with pytest.raises(SolverError, match="broke down"):
+            solver(lambda w: np.full_like(w, np.nan), rhs, grid,
+                   self_adjoint=self_adjoint, maxiter=5)
+        self._assert_equal(runs)
+
+    @pytest.mark.parametrize("name", ["cg", "bicgstab"])
+    def test_zero_rhs(self, monkeypatch, name):
+        import homogkit.solvers as solvers
+
+        runs = self._record(monkeypatch, name)
+        _solve_trig("box", 43, self_adjoint=name == "cg")
+        A, M = runs[0][2:]
+        getattr(solvers, name)(A, np.zeros(A.shape[0]), rtol=1e-10, atol=0.0,
+                               maxiter=5, M=M)
+        self._assert_equal(runs)
+        (x, info, count), *_ = runs[-1]
+        assert not np.any(x) and (info, count) == (0, 0)
+
