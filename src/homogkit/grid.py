@@ -20,6 +20,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 
 
 class GridError(ValueError):
@@ -417,8 +418,6 @@ def assemble_torus(A: np.ndarray, grid: TorusGrid):
     never land on the same column, so every row holds exactly
     m * len(offsets) entries, m * (1 + 2d + 4 * len(_cross_pairs(A))).
     """
-    from scipy import sparse
-
     d, n, m = grid.d, grid.n, A.shape[-1]
     npts = grid.npoints
     pairs = _cross_pairs(A)
@@ -457,8 +456,6 @@ def assemble_box(A: np.ndarray, V: np.ndarray, B: np.ndarray, c: np.ndarray,
     entries.  For a full field u, the interior rows of L u are
     K_ii u_int + K_ib u_b.
     """
-    from scipy import sparse
-
     d, n, m = grid.d, grid.n, A.shape[-1]
     npts = (n - 1) ** d
     strides = [(n - 1) ** (d - 1 - k) for k in range(d)]

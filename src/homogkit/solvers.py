@@ -7,6 +7,10 @@ ones).  A wrong choice costs time, not accuracy, because one driver runs
 every solve and verifies the final relative residual itself (Krylov "success"
 flags are not trusted); it returns that residual with the solution.
 
+CG and BiCGStab are this module's own copies of scipy's loops, bit for bit,
+so that a run loads neither ``scipy.sparse.linalg`` nor the LAPACK of
+``scipy.linalg``; only the GMRES fallback imports scipy's, on its first call.
+
 A preconditioner only has to be approximate, so its transforms run in
 float32: the residual is cast down, multiplied by a float32 copy of the
 reciprocal symbol and cast back.  The operator, the Krylov vectors, the
@@ -32,9 +36,10 @@ slower at 96^2 x 2.
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 import scipy.fft
-from scipy.sparse.linalg import LinearOperator, bicgstab, cg, gmres
 
 from .grid import BoxGrid, TorusGrid
 
@@ -161,6 +166,103 @@ def poisson_periodic(rhs: np.ndarray, grid: TorusGrid) -> np.ndarray:
     return _apply_inverse_torus(rhs, _inverse_symbol_torus(grid, 1.0), grid)
 
 
+def cg(A, b, *, rtol, atol, maxiter, M, callback=None):
+    """Preconditioned conjugate gradients (Hestenes and Stiefel, 1952): the
+    loop of ``scipy.sparse.linalg.cg`` (scipy 1.17) from x0 = 0, operation
+    for operation, so its iterates match scipy's bit for bit.  ``A`` and
+    ``M`` provide ``matvec``; returns (x, info) with info 0 on convergence,
+    ||r|| < max(atol, rtol ||b||), and ``maxiter`` when the loop ran out."""
+    bnrm2 = np.linalg.norm(b)
+    atol = max(float(atol), float(rtol) * float(bnrm2))
+    if bnrm2 == 0:
+        return b, 0
+    x = np.zeros_like(b)
+    r = b.copy()
+    for iteration in range(maxiter):
+        if np.linalg.norm(r) < atol:
+            return x, 0
+        z = M.matvec(r)
+        rho_cur = np.dot(r, z)
+        if iteration > 0:
+            p *= rho_cur / rho_prev
+            p += z
+        else:
+            p = np.empty_like(r)
+            p[:] = z[:]
+        q = A.matvec(p)
+        alpha = rho_cur / np.dot(p, q)
+        x += alpha * p
+        r -= alpha * q
+        rho_prev = rho_cur
+        if callback:
+            callback(x)
+    return x, maxiter
+
+
+def bicgstab(A, b, *, rtol, atol, maxiter, M, callback=None):
+    """Preconditioned BiCGStab (van der Vorst, SIAM J. Sci. Stat. Comput. 13,
+    1992): the loop of ``scipy.sparse.linalg.bicgstab`` (scipy 1.17) from
+    x0 = 0, operation for operation, with the same calling convention and
+    return values as ``cg``.  info -10 and -11 report a rho and an omega
+    breakdown below scipy's thresholds (eps^2, absolute)."""
+    bnrm2 = np.linalg.norm(b)
+    atol = max(float(atol), float(rtol) * float(bnrm2))
+    if bnrm2 == 0:
+        return b, 0
+    breaktol = np.finfo(b.dtype.char).eps ** 2
+    x = np.zeros_like(b)
+    r = b.copy()
+    rtilde = r.copy()
+    for iteration in range(maxiter):
+        if np.linalg.norm(r) < atol:
+            return x, 0
+        rho = np.dot(rtilde, r)
+        if np.abs(rho) < breaktol:
+            return x, -10
+        if iteration > 0:
+            if np.abs(omega) < breaktol:
+                return x, -11
+            beta = (rho / rho_prev) * (alpha / omega)
+            p -= omega * v
+            p *= beta
+            p += r
+        else:
+            s = np.empty_like(r)
+            p = r.copy()
+        phat = M.matvec(p)
+        v = A.matvec(phat)
+        rv = np.dot(rtilde, v)
+        if rv == 0:
+            return x, -11
+        alpha = rho / rv
+        r -= alpha * v
+        s[:] = r[:]
+        if np.linalg.norm(s) < atol:
+            x += alpha * phat
+            return x, 0
+        shat = M.matvec(s)
+        t = A.matvec(shat)
+        omega = np.dot(t, s) / np.dot(t, t)
+        x += alpha * phat
+        x += omega * shat
+        r -= omega * t
+        rho_prev = rho
+        if callback:
+            callback(x)
+    return x, maxiter
+
+
+def gmres(A, b, **kwargs):
+    """``scipy.sparse.linalg.gmres``, imported on the first call: only the
+    fallback of ``_krylov`` reaches it, and no other solve needs
+    ``scipy.sparse.linalg`` or the LAPACK of ``scipy.linalg`` it loads.
+    scipy wraps ``A`` and ``M`` (objects with shape, dtype and matvec) as
+    LinearOperators itself."""
+    from scipy.sparse.linalg import gmres as scipy_gmres
+
+    return scipy_gmres(A, b, **kwargs)
+
+
 def _krylov(matvec, precond, rhs: np.ndarray, *, self_adjoint: bool, tol: float,
             maxiter: int, what: str) -> tuple[np.ndarray, float]:
     """Solve matvec(x) = rhs, preconditioned by ``precond``, for x shaped like
@@ -169,8 +271,8 @@ def _krylov(matvec, precond, rhs: np.ndarray, *, self_adjoint: bool, tol: float,
     The Krylov method solves for b = rhs * 2^-e, with 2^e the power of two
     that puts max |b| in [0.5, 1), and x is scaled back by 2^e.  Both scalings
     are exact, so solving for 2^k rhs returns 2^k x bit for bit; a float32
-    preconditioner apply neither underflows nor overflows, and scipy's
-    absolute breakdown thresholds see data of unit size.
+    preconditioner apply neither underflows nor overflows, and the breakdown
+    thresholds of ``bicgstab``, which are absolute, see data of unit size.
 
     CG (``self_adjoint``) or BiCGStab runs first.  A non-finite true residual
     raises SolverError at once.  When the residual exceeds 10 tol, GMRES
@@ -180,10 +282,8 @@ def _krylov(matvec, precond, rhs: np.ndarray, *, self_adjoint: bool, tol: float,
     them here (instrumentation, tests) sees every solve.
     """
     size = rhs.size
-    # with the dtype given, scipy runs no probe apply of matvec and precond on
-    # zeros; a lazily built operator must therefore be assembled by the caller
-    A = LinearOperator((size, size), matvec=matvec, dtype=float)
-    M = LinearOperator((size, size), matvec=precond, dtype=float)
+    A = SimpleNamespace(shape=(size, size), dtype=np.dtype(float), matvec=matvec)
+    M = SimpleNamespace(shape=(size, size), dtype=np.dtype(float), matvec=precond)
     bmax = np.max(np.abs(rhs))
     if bmax == 0.0:
         return np.zeros(rhs.shape), 0.0
@@ -192,12 +292,12 @@ def _krylov(matvec, precond, rhs: np.ndarray, *, self_adjoint: bool, tol: float,
     bnorm = np.linalg.norm(b)
     krylov = cg if self_adjoint else bicgstab
     x, _ = krylov(A, b, rtol=tol, atol=0.0, maxiter=maxiter, M=M)
-    res = np.linalg.norm(A @ x - b) / bnorm
+    res = np.linalg.norm(A.matvec(x) - b) / bnorm
     if not np.isfinite(res):   # a NaN compares False against any bound
         raise SolverError(f"{what} broke down", res)
     if res > 10 * tol:
         x, _ = gmres(A, b, rtol=tol, atol=0.0, maxiter=maxiter, restart=100, M=M, x0=x)
-        res = np.linalg.norm(A @ x - b) / bnorm
+        res = np.linalg.norm(A.matvec(x) - b) / bnorm
         if not res <= 10 * tol:
             raise SolverError(f"{what} did not converge", res)
     return np.ldexp(x, exponent).reshape(rhs.shape), float(res)

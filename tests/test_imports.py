@@ -12,11 +12,17 @@ No linter ships with the toolchain, so this stands in for two rules:
   name or a string equal to the name (``monkeypatch.setattr(mod, "_name")``);
 - unused parameters: a parameter of a function (or lambda) whose body never
   reads it fails; ``self``, ``cls`` and ``_``-prefixed names are exempt.
+
+It also checks which scipy modules a CLI process loads.
 """
 
 import ast
 import functools
+import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -149,3 +155,30 @@ def test_detector_flags_an_unused_parameter():
               "        return inner\n"
               "f = lambda u, v: u\n")
     assert unused_parameters(source) == ["method.args", "method.kw", "inner.z", "<lambda>.v"]
+
+
+_FOOTPRINT = """
+import json, sys
+import homogkit.cli as cli
+
+names = ("scipy.sparse", "scipy.fft", "scipy.sparse.linalg", "scipy.linalg")
+loaded = [[name for name in names if name in sys.modules]]
+assert cli.main(["solve", "--config", sys.argv[1], "--out", sys.argv[2]]) == 0
+loaded.append([name for name in names if name in sys.modules])
+print(json.dumps(loaded))
+"""
+
+
+def test_cli_loads_no_scipy_linalg(tmp_path):
+    """``import homogkit.cli`` loads ``scipy.sparse`` (the operator products)
+    and ``scipy.fft`` (the preconditioners), but neither
+    ``scipy.sparse.linalg`` nor ``scipy.linalg``, and a solve run leaves
+    both unloaded: the Krylov loops are homogkit's own, and only the GMRES
+    fallback imports scipy's."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-c", _FOOTPRINT, str(ROOT / "configs" / "solve_trig.yaml"),
+         str(tmp_path / "out")], env=env, capture_output=True, text=True, check=True)
+    before, after = json.loads(done.stdout.splitlines()[-1])
+    assert before == after == ["scipy.sparse", "scipy.fft"]

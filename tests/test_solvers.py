@@ -304,8 +304,9 @@ class TestPreconditionerEquivalence:
 
 
 class TestNoDtypeProbe:
-    """The Krylov driver tells scipy the dtype, so neither the operator nor
-    the preconditioner is ever applied to zeros just to learn it."""
+    """The Krylov methods start from x = 0 without applying the operator or
+    the preconditioner to it, and the dtype the driver hands over spares the
+    GMRES fallback scipy's probe apply, so neither is applied to zeros."""
 
     def test_no_apply_on_zeros(self, monkeypatch):
         import homogkit.solvers as solvers
@@ -380,7 +381,7 @@ class TestScaleInvariance:
 
 class TestPreconditionerContract:
     """Each preconditioner closure leaves its argument alone and returns a
-    flat float64 array of rhs.size: scipy's Krylov vectors stay float64, and
+    flat float64 array of rhs.size: the Krylov vectors stay float64, and
     the benchmark tracer wraps M with ``dtype=M.dtype``."""
 
     @pytest.mark.parametrize("d,n", [(1, 15), (2, 12), (3, 7)])
@@ -507,3 +508,22 @@ class TestScipyEquivalence:
         (x, info, count), *_ = runs[-1]
         assert not np.any(x) and (info, count) == (0, 0)
 
+
+class TestGmresRescue:
+    """Stopped by maxiter=3, CG leaves the trig operators short of 10 tol,
+    and the GMRES fallback, restarted from its iterate, brings the returned
+    residual within 10 tol."""
+
+    @pytest.mark.parametrize("geometry", ["box", "torus"])
+    def test_rescue(self, monkeypatch, geometry):
+        import homogkit.solvers as solvers
+
+        gmres, calls = solvers.gmres, []
+
+        def counting(*args, **kwargs):
+            calls.append("gmres")
+            return gmres(*args, **kwargs)
+        monkeypatch.setattr(solvers, "gmres", counting)
+        _, res = _solve_trig(geometry, 44, tol=1e-10, maxiter=3)
+        assert calls == ["gmres"]
+        assert res <= 1e-9
