@@ -187,8 +187,7 @@ def cg(A, b, *, rtol, atol, maxiter, M, callback=None):
             p *= rho_cur / rho_prev
             p += z
         else:
-            p = np.empty_like(r)
-            p[:] = z[:]
+            p = z.copy()
         q = A.matvec(p)
         alpha = rho_cur / np.dot(p, q)
         x += alpha * p
@@ -202,9 +201,9 @@ def cg(A, b, *, rtol, atol, maxiter, M, callback=None):
 def bicgstab(A, b, *, rtol, atol, maxiter, M, callback=None):
     """Preconditioned BiCGStab (van der Vorst, SIAM J. Sci. Stat. Comput. 13,
     1992): the loop of ``scipy.sparse.linalg.bicgstab`` (scipy 1.17) from
-    x0 = 0, operation for operation, with the same calling convention and
-    return values as ``cg``.  info -10 and -11 report a rho and an omega
-    breakdown below scipy's thresholds (eps^2, absolute)."""
+    x0 = 0, the same arithmetic in the same order, with the calling
+    convention and return values of ``cg``.  info -10 and -11 report a rho
+    and an omega breakdown below scipy's thresholds (eps^2, absolute)."""
     bnrm2 = np.linalg.norm(b)
     atol = max(float(atol), float(rtol) * float(bnrm2))
     if bnrm2 == 0:
@@ -227,7 +226,6 @@ def bicgstab(A, b, *, rtol, atol, maxiter, M, callback=None):
             p *= beta
             p += r
         else:
-            s = np.empty_like(r)
             p = r.copy()
         phat = M.matvec(p)
         v = A.matvec(phat)
@@ -235,14 +233,13 @@ def bicgstab(A, b, *, rtol, atol, maxiter, M, callback=None):
         if rv == 0:
             return x, -11
         alpha = rho / rv
-        r -= alpha * v
-        s[:] = r[:]
-        if np.linalg.norm(s) < atol:
+        r -= alpha * v   # scipy copies r into s here; r is used in its place
+        if np.linalg.norm(r) < atol:
             x += alpha * phat
             return x, 0
-        shat = M.matvec(s)
+        shat = M.matvec(r)
         t = A.matvec(shat)
-        omega = np.dot(t, s) / np.dot(t, t)
+        omega = np.dot(t, r) / np.dot(t, t)
         x += alpha * phat
         x += omega * shat
         r -= omega * t
