@@ -7,9 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 import homogkit.grid as grid_mod
 import oracles
-from homogkit.bvp import DirichletProblem, solve
+from homogkit.bvp import DirichletProblem, default_lambda, solve
 from homogkit.coefficients import builtin_family
-from homogkit.green import boundary_data_battery
+from homogkit.green import CONE_APERTURE, boundary_data_battery
 from homogkit.grid import (BoxGrid, GridError, GridFunction,
                            TorusGrid, _pointwise_abs,
                            boundary_indices, boundary_lp_norm, divergence,
@@ -272,16 +272,28 @@ def battery_fields():
     return fields
 
 
+@pytest.fixture(scope="module")
+def workload_field():
+    """A battery solution on the maximal workload's grid, BoxGrid(2, 96) with
+    trig coefficients at eps = 1/4."""
+    cs = builtin_family("trig", d=2)
+    g = BoxGrid(2, 96)
+    g_vals = boundary_data_battery(g, 1, seed=11)[1]
+    u, _ = solve(DirichletProblem(cs=cs, grid=g, eps=0.25,
+                                  lam=default_lambda(cs), g=g_vals))
+    return u
+
+
 class TestNontangentialMaxEquivalence:
     """The pruned kernel is bit-identical to the all-pairs oracle."""
 
     @staticmethod
-    def assert_matches_oracle(u, monkeypatch):
-        for cap in PAIR_CAPS:
-            monkeypatch.setattr(grid_mod, "_NTMAX_PAIRS", cap)
-            for N0 in APERTURES:
-                assert np.array_equal(nontangential_max(u, N0),
-                                      nontangential_max_brute(u, N0)), (cap, N0)
+    def assert_matches_oracle(u, monkeypatch, apertures=APERTURES):
+        for N0 in apertures:
+            want = nontangential_max_brute(u, N0)
+            for cap in PAIR_CAPS:
+                monkeypatch.setattr(grid_mod, "_NTMAX_PAIRS", cap)
+                assert np.array_equal(nontangential_max(u, N0), want), (cap, N0)
 
     def test_battery_solutions(self, battery_fields, monkeypatch):
         for u in battery_fields:
@@ -293,6 +305,15 @@ class TestNontangentialMaxEquivalence:
     def test_synthetic_fields(self, kind, grid, monkeypatch):
         g = BoxGrid(*grid)
         u = GridFunction(g, _field(kind, g, np.random.default_rng(grid[1])))
+        self.assert_matches_oracle(u, monkeypatch)
+
+    def test_workload_grid_and_aperture(self, workload_field, monkeypatch):
+        self.assert_matches_oracle(workload_field, monkeypatch, (CONE_APERTURE,))
+
+    def test_faces_span_several_batches(self, monkeypatch):
+        # 13^2 points per face: many boundary batches at the caps 256 and 64
+        g = BoxGrid(3, 12)
+        u = GridFunction(g, _field("random", g, np.random.default_rng(12)))
         self.assert_matches_oracle(u, monkeypatch)
 
     @pytest.mark.parametrize("d", [2, 3])
@@ -307,6 +328,38 @@ class TestNontangentialMaxEquivalence:
         vals = np.arange(np.prod(g.shape), dtype=float).reshape(g.shape)
         star = nontangential_max(GridFunction(g, vals), 1.2)
         assert star[0] == vals[(1,) * d]   # boundary_indices starts at the origin
+
+
+class TestNontangentialMaxMemory:
+    """No (boundary point, interior point) distance array of the kernel holds
+    more than ``_NTMAX_PAIRS`` pairs, whatever the grid size."""
+
+    @staticmethod
+    def pair_array_sizes(u, N0, monkeypatch):
+        sizes = []
+        distances = grid_mod._distances
+
+        def recording(cols, q):
+            dd = distances(cols, q)
+            sizes.append(dd.size)
+            return dd
+        monkeypatch.setattr(grid_mod, "_distances", recording)
+        nontangential_max(u, N0)
+        assert sizes
+        return sizes
+
+    def test_production_cap_on_workload_grid(self, workload_field, monkeypatch):
+        sizes = self.pair_array_sizes(workload_field, CONE_APERTURE, monkeypatch)
+        assert max(sizes) <= grid_mod._NTMAX_PAIRS
+
+    @pytest.mark.parametrize("cap", PAIR_CAPS[1:])
+    @pytest.mark.parametrize("grid", EQUIV_GRIDS)
+    def test_small_caps(self, grid, cap, monkeypatch):
+        g = BoxGrid(*grid)
+        u = GridFunction(g, _field("random", g, np.random.default_rng(grid[1])))
+        monkeypatch.setattr(grid_mod, "_NTMAX_PAIRS", cap)
+        for N0 in APERTURES:
+            assert max(self.pair_array_sizes(u, N0, monkeypatch)) <= cap, N0
 
 
 @pytest.mark.parametrize("e, expected", [
