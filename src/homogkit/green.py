@@ -1,4 +1,5 @@
-"""Mollified Green's-matrix approximation, decay fits, and boundary kernels.
+"""Mollified Green's-matrix approximation, decay fits, and the
+nontangential-maximal battery.
 
 The approximating Green column for source component gamma at a point y is the
 adjoint-operator solution of
@@ -7,9 +8,7 @@ adjoint-operator solution of
 
 so that the bilinear-form pairing of G with any test field u returns the ball
 average of u^gamma near y.  Discrete transposition makes the ball-averaged
-reciprocity between forward and adjoint samples, and the boundary
-representation through the Poisson kernel -h^d K_ib^T G, exact up to solver
-tolerance.
+reciprocity between forward and adjoint samples exact up to solver tolerance.
 
 Grids here are deliberately allowed to under-resolve the oscillation: decay
 exponents are measured with coarse tolerance windows, and the pointwise
@@ -220,33 +219,6 @@ def decay_fit(sample: GreenSample) -> DecayFit:
 
 
 # ---------------------------------------------------------------------------
-# Poisson kernel and boundary representation
-# ---------------------------------------------------------------------------
-
-def poisson_kernel_boundary_rep(samples: list[GreenSample], cs: CoefficientSet,
-                                g_values: np.ndarray) -> np.ndarray:
-    """Ball averages of the solution of L u = 0 with u = g on the boundary,
-    through the discrete Poisson kernel -h^d K_ib^T G.
-
-    By discrete transposition against the adjoint columns G (the default
-    ``star=False`` of ``approx_green``) the result is exact up to solver
-    tolerance.  g is shaped (*shape, m); only its boundary rows are read.
-
-    Returns an array (len(samples), m) of probe values.
-    """
-    if not samples:
-        raise GreenError("no Green samples supplied")
-    out = np.zeros((len(samples), samples[0].m))
-    for isamp, sample in enumerate(samples):
-        grid = sample.grid
-        lifted = sample_coefficients(cs, grid, sample.eps, sample.lam).lift(
-            np.asarray(g_values, float))
-        cols = sample.columns[(slice(None),) + grid.interior]
-        out[isamp] = -np.tensordot(cols, lifted, axes=cols.ndim - 1) * grid.cell_volume
-    return out
-
-
-# ---------------------------------------------------------------------------
 # nontangential maximal function battery
 # ---------------------------------------------------------------------------
 
@@ -314,5 +286,8 @@ def maximal_function_probe(cs: CoefficientSet, eps: float, lam: float,
         g_sup = float(np.abs(g_on_b).max())
         if g_sup > 0:
             mp_worst = max(mp_worst, linf_norm(u) / g_sup)
+    if not ratios:
+        raise GreenError("every battery field has zero boundary data; "
+                         "the maximal-function ratio is undefined")
     return MaximalProbeResult(eps=eps, C_p=max(ratios), ratios=ratios,
                               max_principle_ratio=mp_worst)

@@ -12,6 +12,8 @@ the objects a run computes; no run reports them.  ``validate`` and its three
 checks test a coefficient set's declared structure constants, and
 ``bilinear_energy`` and ``inner`` are the quadrature pairings against which
 ``grid.principal_part_apply`` is tested; no run calls them.
+``poisson_kernel_boundary_rep`` is the discrete Poisson kernel, which checks
+the adjoint Green columns against solves with boundary data.
 """
 
 from __future__ import annotations
@@ -19,7 +21,8 @@ from __future__ import annotations
 import numpy as np
 import scipy.fft
 
-from homogkit.coefficients import CoefficientError, ellipticity_margin
+from homogkit.bvp import sample_coefficients
+from homogkit.coefficients import CoefficientError, CoefficientSet, ellipticity_margin
 from homogkit.grid import (GridError, TorusGrid, _centered_box, _centered_periodic,
                            _coef_block, _component_matvec)
 from homogkit.green import GreenError, GreenSample, point_boundary_distance
@@ -193,6 +196,32 @@ def boundary_weighted_ratio(sample: GreenSample) -> float:
     if not adm.any():
         raise GreenError("no admissible points for the weighted ratio")
     return float((mag[adm] * r[adm] ** (g.d - 1)).max() / d_y)
+
+
+def poisson_kernel_boundary_rep(samples: list[GreenSample], cs: CoefficientSet,
+                                g_values: np.ndarray) -> np.ndarray:
+    """Ball averages of the solution of L u = 0 with u = g on the boundary,
+    through the discrete Poisson kernel -h^d K_ib^T G.
+
+    The adjoint Green columns G (the default ``star=False`` of
+    ``green.approx_green``) are paired with the boundary coupling K_ib g_b
+    that ``CoefficientSamples.lift`` assembles.  By discrete transposition
+    the result equals the mollification-ball average of the solve with
+    boundary data g, to solver tolerance.  g is shaped (*shape, m); only its
+    boundary rows are read.
+
+    Returns an array (len(samples), m) of probe values.
+    """
+    if not samples:
+        raise GreenError("no Green samples supplied")
+    out = np.zeros((len(samples), samples[0].m))
+    for isamp, sample in enumerate(samples):
+        grid = sample.grid
+        lifted = sample_coefficients(cs, grid, sample.eps, sample.lam).lift(
+            np.asarray(g_values, float))
+        cols = sample.columns[(slice(None),) + grid.interior]
+        out[isamp] = -np.tensordot(cols, lifted, axes=cols.ndim - 1) * grid.cell_volume
+    return out
 
 
 def triangle_defects(report: ConvergenceReport) -> list[float]:

@@ -9,11 +9,10 @@ from homogkit.coefficients import builtin_family
 from homogkit.green import (GreenError, _ball_mask, approx_green,
                             boundary_data_battery, decay_fit, decay_shell,
                             direct_solve, maximal_function_probe,
-                            poisson_kernel_boundary_rep, reciprocity_residual,
-                            representation_value)
+                            reciprocity_residual, representation_value)
 from homogkit.grid import (BoxGrid, boundary_lp_norm, linf_norm,
                            nontangential_max)
-from oracles import boundary_weighted_ratio
+from oracles import boundary_weighted_ratio, poisson_kernel_boundary_rep
 
 
 @pytest.fixture(scope="module")
@@ -238,6 +237,13 @@ class TestMaximalBattery:
         b2 = boundary_data_battery(g, 1, seed=3)
         for u, v in zip(b1, b2):
             assert np.array_equal(u, v)
+
+    def test_all_zero_battery_rejected(self):
+        cs = builtin_family("constant", d=2)
+        g = BoxGrid(2, 8)
+        battery = [np.zeros(g.shape + (1,))] * 10
+        with pytest.raises(GreenError, match="zero boundary data"):
+            maximal_function_probe(cs, 1.0, 0.0, g, battery)
 
     def test_max_principle_for_laplacian(self):
         # -Delta obeys the discrete maximum principle: sup |u| <= sup |g|
