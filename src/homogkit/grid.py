@@ -587,6 +587,9 @@ def boundary_lp_norm(values_on_boundary: np.ndarray, grid: BoxGrid, p: float) ->
 # Cap on the (boundary point, interior point) cone tests evaluated at once by
 # ``nontangential_max``: 2^16 pairs keep each float working array at 512 KiB.
 _NTMAX_PAIRS = 1 << 16
+# Interior points in the first block a boundary batch scans; each further
+# block is twice as long, up to the pair cap.
+_NTMAX_FIRST_BLOCK = 64
 
 
 def _distances(cols: list[np.ndarray], q: np.ndarray) -> np.ndarray:
@@ -605,6 +608,59 @@ def _distances(cols: list[np.ndarray], q: np.ndarray) -> np.ndarray:
     return np.sqrt(sq, out=sq)
 
 
+def _box_distances(cols: list[np.ndarray], lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Distance from each point x with coordinate columns ``cols`` to the box
+    [lo, hi], a lower bound on |x - Q| for every point Q in the box."""
+    sq = None
+    for k, col in enumerate(cols):
+        dk = np.maximum(lo[k] - col, col - hi[k])
+        np.maximum(dk, 0.0, out=dk)
+        dk *= dk
+        sq = dk if sq is None else np.add(sq, dk, out=sq)
+    return np.sqrt(sq, out=sq)
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+@functools.lru_cache(maxsize=4)
+def _cone_geometry(grid: BoxGrid, N0: float, cap: int):
+    """The field-independent part of ``nontangential_max``, built once per
+    (grid, N0, pair cap) and read-only:
+
+    - the interior points' coordinate columns and their cone reach
+      N0 * dist(x), in the order of ``points()[~boundary_mask()]``;
+    - the boundary points, ordered as ``boundary_indices``;
+    - the boundary batches: rows of that order, at most ``isqrt(cap)`` of
+      them, all on one face and consecutive in the face's lexicographic
+      order, each with the bounding box (lo, hi) of its points;
+    - for every boundary point, the flat index of the interior point nearest
+      it.
+    """
+    interior = ~grid.boundary_mask()
+    pts = grid.points()[interior]
+    cols = tuple(_read_only(pts[:, k].copy()) for k in range(grid.d))
+    reach = _read_only(N0 * grid.boundary_distance()[interior])
+    bidx = boundary_indices(grid)
+    bpts = _read_only(bidx * grid.h)
+    # a boundary point belongs to the face of its first boundary coordinate
+    axis = ((bidx == 0) | (bidx == grid.n)).argmax(axis=1)
+    face = 2 * axis + (bidx[np.arange(len(bidx)), axis] == grid.n)
+    by_face = np.lexsort((*bidx.T[::-1], face))
+    batch = math.isqrt(cap)
+    batches = []
+    for rows in np.split(by_face, np.flatnonzero(np.diff(face[by_face])) + 1):
+        for part in np.array_split(rows, -(-rows.size // batch)):
+            q = bpts[part]
+            batches.append((_read_only(part), _read_only(q.min(axis=0)),
+                            _read_only(q.max(axis=0))))
+    inner = np.clip(bidx, 1, grid.n - 1) - 1            # interior lattice indices
+    nearest = np.ravel_multi_index(tuple(inner.T), (grid.n - 1,) * grid.d)
+    return cols, reach, bpts, tuple(batches), _read_only(nearest)
+
+
 def nontangential_max(u: GridFunction, N0: float) -> np.ndarray:
     """Nontangential maximal function on the boundary of a BoxGrid.
 
@@ -613,58 +669,71 @@ def nontangential_max(u: GridFunction, N0: float) -> np.ndarray:
     boundary point, ordered as ``boundary_indices``).  A degenerate cone, one
     holding no interior point, is widened to the interior point nearest Q.
 
-    Algorithm: the interior points are sorted once by |u|, largest first, and
-    scanned in blocks against the boundary points still unresolved.  The
-    maximum over a cone is the first point of that order lying in it, so each
-    boundary point is resolved by its first hit and leaves the working set.
-    Points never hit take the value at the interior point nearest Q = q h,
-    clip(q, 1, n - 1) h: the exact squared distance to any other interior
-    point is larger by at least h^2, so it is also the ``argmin`` of the
-    floating-point distances.
+    Algorithm: the interior points are sorted by |u|, largest first.  The
+    boundary points are taken in batches that lie on one face, consecutive
+    in the face's lexicographic order, so each batch has a thin bounding box.
+    A batch scans the sorted points in blocks that double in length from
+    ``_NTMAX_FIRST_BLOCK``.  In each block, the points whose distance to the
+    batch's bounding box exceeds their reach N0 * dist(x) by more than a
+    relative 1e-12 are skipped; the rest are tested against the batch's
+    unresolved boundary points.  The maximum over a cone is the first point
+    of the sorted order lying in it, so each boundary point is resolved by
+    its first hit and leaves the batch.  Points never hit take the value at
+    the interior point nearest Q = q h, clip(q, 1, n - 1) h: the exact
+    squared distance to any other interior point is larger by at least h^2,
+    so it is also the ``argmin`` of the floating-point distances.
 
     Exactness: cone membership is decided by the floating-point expression
     ``sqrt(sum((x - Q)**2)) <= N0 * dist(x)`` on ``points()`` and
-    ``boundary_distance()``, the test of the all-pairs definition, and the
-    value returned is a maximum, which no visiting order changes; the output
-    is therefore bit-identical to testing every pair.
+    ``boundary_distance()``, the test of the all-pairs definition.  The skip
+    is conservative.  The distance from x to the box is a lower bound on
+    |x - Q| for every Q of the batch, and each of its floating-point steps
+    (difference, square, sum, sqrt) is monotone, so its computed value is at
+    most the computed |x - Q|; the 1e-12 slack is far above the rounding of
+    either side besides.  So no skipped point lies in the cone of any point
+    of the batch.  The value returned is a maximum, which no visiting order
+    changes, and points tied in |u| carry the same value, so the sort need
+    not be stable.  The output is therefore bit-identical to testing every
+    pair.
+
+    Work per call: the interior points, their reach, the boundary points,
+    the face batches with their boxes and the nearest interior points depend
+    on the grid and N0 only; they are built on the first call and cached
+    (``_cone_geometry``).  A call sorts |u| and scans.
 
     Memory: at most ``_NTMAX_PAIRS`` pairs are tested at once, whatever the
-    grid size.  Boundary points are taken in batches of
-    ``isqrt(_NTMAX_PAIRS)``, and each step scans
-    ``_NTMAX_PAIRS // (unresolved count)`` interior points.
+    grid size.  Batches hold at most ``isqrt(_NTMAX_PAIRS)`` boundary points,
+    and a block holds at most ``_NTMAX_PAIRS // (unresolved count)`` interior
+    points.
     """
     g = u.grid
     if not isinstance(g, BoxGrid):
         raise GridError("nontangential_max requires a BoxGrid")
     if N0 <= 1.0:
         raise GridError("need aperture N0 > 1")
-    interior = ~g.boundary_mask()
-    mag = _pointwise_abs(u.values, g)[interior]
-    pts = g.points()[interior]
-    reach = N0 * g.boundary_distance()[interior]
-    bidx = boundary_indices(g)
-    bpts = bidx * g.h
-    order = np.argsort(-mag, kind="stable")
+    cols, reach, bpts, batches, nearest = _cone_geometry(g, N0, _NTMAX_PAIRS)
+    mag = _pointwise_abs(u.values, g)[g.interior].ravel()
+    order = np.argsort(-mag)
     s_mag, s_reach = mag[order], reach[order]
-    s_cols = [pts[order, k] for k in range(g.d)]
+    s_bound = s_reach * (1.0 + 1e-12)
+    s_cols = [c[order] for c in cols]
     npts = len(order)
     out = np.empty(len(bpts))
-    batch = math.isqrt(_NTMAX_PAIRS)
-    for b0 in range(0, len(bpts), batch):
-        todo = np.arange(b0, min(b0 + batch, len(bpts)))
-        start = 0
+    for todo, lo, hi in batches:
+        start, block = 0, _NTMAX_FIRST_BLOCK
         while todo.size and start < npts:
-            stop = min(npts, start + _NTMAX_PAIRS // todo.size)
-            dd = _distances([c[start:stop] for c in s_cols], bpts[todo])
-            in_cone = dd <= s_reach[start:stop]
-            first = in_cone.argmax(axis=1)
-            hit = in_cone[np.arange(todo.size), first]
-            out[todo[hit]] = s_mag[start + first[hit]]
-            todo = todo[~hit]
-            start = stop
-        if todo.size:
-            nearest = np.clip(bidx[todo], 1, g.n - 1) - 1   # interior lattice indices
-            out[todo] = mag[np.ravel_multi_index(tuple(nearest.T), (g.n - 1,) * g.d)]
+            stop = min(npts, start + block, start + _NTMAX_PAIRS // todo.size)
+            box = _box_distances([c[start:stop] for c in s_cols], lo, hi)
+            near = start + np.flatnonzero(box <= s_bound[start:stop])
+            if near.size:
+                dd = _distances([c[near] for c in s_cols], bpts[todo])
+                in_cone = dd <= s_reach[near]
+                first = in_cone.argmax(axis=1)
+                hit = in_cone[np.arange(todo.size), first]
+                out[todo[hit]] = s_mag[near[first[hit]]]
+                todo = todo[~hit]
+            start, block = stop, 2 * block
+        out[todo] = mag[nearest[todo]]
     return out
 
 
