@@ -689,17 +689,15 @@ def nontangential_max(u: GridFunction, N0: float) -> np.ndarray:
     is conservative.  The distance from x to the box is a lower bound on
     |x - Q| for every Q of the batch, and each of its floating-point steps
     (difference, square, sum, sqrt) is monotone, so its computed value is at
-    most the computed |x - Q|; the 1e-12 slack is far above the rounding of
-    either side besides.  So no skipped point lies in the cone of any point
-    of the batch.  The value returned is a maximum, which no visiting order
+    most the computed |x - Q|.  The 1e-12 slack adds a margin far above the
+    rounding of either side.  So no skipped point lies in the cone of any
+    point of the batch.  The value returned is a maximum, which no visiting order
     changes, and points tied in |u| carry the same value, so the sort need
     not be stable.  The output is therefore bit-identical to testing every
     pair.
 
-    Work per call: the interior points, their reach, the boundary points,
-    the face batches with their boxes and the nearest interior points depend
-    on the grid and N0 only; they are built on the first call and cached
-    (``_cone_geometry``).  A call sorts |u| and scans.
+    Work per call: the field-independent geometry is built once per (grid,
+    N0) and cached (``_cone_geometry``); a call sorts |u| and scans.
 
     Memory: at most ``_NTMAX_PAIRS`` pairs are tested at once, whatever the
     grid size.  Batches hold at most ``isqrt(_NTMAX_PAIRS)`` boundary points,

@@ -208,6 +208,18 @@ class TestNontangentialMax:
         with pytest.raises(GridError):
             nontangential_max(GridFunction(g, np.full(g.shape, 1.0)), N0=1.0)
 
+    def test_geometry_is_cached_read_only(self):
+        g = BoxGrid(2, 10)
+        u = GridFunction(g, np.random.default_rng(0).standard_normal(g.shape))
+        first = nontangential_max(u, 3.0)
+        hits = grid_mod._cone_geometry.cache_info().hits
+        assert np.array_equal(nontangential_max(u, 3.0), first)
+        assert grid_mod._cone_geometry.cache_info().hits == hits + 1
+        cols, reach, bpts, batches, nearest = grid_mod._cone_geometry(
+            g, 3.0, grid_mod._NTMAX_PAIRS)
+        arrays = [*cols, reach, bpts, nearest, *(a for b in batches for a in b)]
+        assert not any(a.flags.writeable for a in arrays)
+
 
 def nontangential_max_brute(u, N0):
     """The all-pairs nontangential maximal function: every boundary point is
@@ -330,36 +342,39 @@ class TestNontangentialMaxEquivalence:
         assert star[0] == vals[(1,) * d]   # boundary_indices starts at the origin
 
 
+@pytest.fixture
+def pair_sizes(monkeypatch):
+    """Sizes of the (boundary point, interior point) distance arrays the
+    kernel forms, recorded by wrapping ``grid._distances``."""
+    sizes = []
+    distances = grid_mod._distances
+
+    def recording(cols, q):
+        dd = distances(cols, q)
+        sizes.append(dd.size)
+        return dd
+    monkeypatch.setattr(grid_mod, "_distances", recording)
+    return sizes
+
+
 class TestNontangentialMaxMemory:
-    """No (boundary point, interior point) distance array of the kernel holds
-    more than ``_NTMAX_PAIRS`` pairs, whatever the grid size."""
+    """No distance array of the kernel holds more than ``_NTMAX_PAIRS``
+    pairs, whatever the grid size."""
 
-    @staticmethod
-    def pair_array_sizes(u, N0, monkeypatch):
-        sizes = []
-        distances = grid_mod._distances
-
-        def recording(cols, q):
-            dd = distances(cols, q)
-            sizes.append(dd.size)
-            return dd
-        monkeypatch.setattr(grid_mod, "_distances", recording)
-        nontangential_max(u, N0)
-        assert sizes
-        return sizes
-
-    def test_production_cap_on_workload_grid(self, workload_field, monkeypatch):
-        sizes = self.pair_array_sizes(workload_field, CONE_APERTURE, monkeypatch)
-        assert max(sizes) <= grid_mod._NTMAX_PAIRS
+    def test_production_cap_on_workload_grid(self, workload_field, pair_sizes):
+        nontangential_max(workload_field, CONE_APERTURE)
+        assert pair_sizes and max(pair_sizes) <= grid_mod._NTMAX_PAIRS
 
     @pytest.mark.parametrize("cap", PAIR_CAPS[1:])
     @pytest.mark.parametrize("grid", EQUIV_GRIDS)
-    def test_small_caps(self, grid, cap, monkeypatch):
+    def test_small_caps(self, grid, cap, pair_sizes, monkeypatch):
         g = BoxGrid(*grid)
         u = GridFunction(g, _field("random", g, np.random.default_rng(grid[1])))
         monkeypatch.setattr(grid_mod, "_NTMAX_PAIRS", cap)
         for N0 in APERTURES:
-            assert max(self.pair_array_sizes(u, N0, monkeypatch)) <= cap, N0
+            pair_sizes.clear()
+            nontangential_max(u, N0)
+            assert pair_sizes and max(pair_sizes) <= cap, N0
 
 
 @pytest.mark.parametrize("e, expected", [
