@@ -1,3 +1,4 @@
+import functools
 import math
 import re
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import homogkit.green as green_mod
 import homogkit.grid as grid_mod
 import oracles
 from homogkit.bvp import DirichletProblem, default_lambda, solve
@@ -18,6 +20,7 @@ from homogkit.grid import (BoxGrid, GridError, GridFunction,
                            h1_norm, nontangential_max,
                            precond_scale, principal_part_apply, read_csv,
                            write_csv)
+from homogkit.rates import masked_h1_norm
 
 
 def identity_coefficients(grid, d):
@@ -73,6 +76,127 @@ class TestGrids:
         g = BoxGrid(2, 4)
         # 5^2 points minus 3^2 interior
         assert g.boundary_mask().sum() == 25 - 9
+
+
+# ---------------------------------------------------------------------------
+# Equivalence with the per-class lattice code that the shared lattice base
+# replaced.  The oracles below are that code, copied in its arithmetic: each
+# grid and consumer derived the points per axis, coordinates, Riemann cells
+# and boundary on its own.
+# ---------------------------------------------------------------------------
+
+def _oracle_per_axis(g):
+    return g.n if isinstance(g, TorusGrid) else g.n + 1
+
+
+def _oracle_points(g):
+    axes = [np.arange(_oracle_per_axis(g)) * g.h for _ in range(g.d)]
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+
+
+def _oracle_boundary_mask(g):
+    mask = np.zeros((g.n + 1,) * g.d, dtype=bool)
+    for ax in range(g.d):
+        idx = [slice(None)] * g.d
+        idx[ax] = 0
+        mask[tuple(idx)] = True
+        idx[ax] = -1
+        mask[tuple(idx)] = True
+    return mask
+
+
+def _oracle_boundary_distance(g):
+    x = np.arange(g.n + 1) * g.h
+    near = np.minimum(x, 1.0 - x)
+    return functools.reduce(np.minimum, np.meshgrid(*[near] * g.d, indexing="ij",
+                                                    sparse=True))
+
+
+def _oracle_cells(g):
+    if isinstance(g, TorusGrid):
+        return (slice(None),) * g.d
+    return (slice(0, -1),) * g.d
+
+
+def _oracle_distance_from(g, y):
+    x = np.arange(g.n + 1) * g.h
+    sq = np.meshgrid(*[(x - yk) ** 2 for yk in y], indexing="ij", sparse=True)
+    return np.sqrt(functools.reduce(np.add, sq))
+
+
+def _oracle_masked_h1_norm(u, mask, gu):
+    g, gu = u.grid, gu.values
+    nd = g.d
+    mag2 = np.sum(u.values ** 2, axis=tuple(range(nd, u.values.ndim)))
+    gmag2 = np.sum(gu ** 2, axis=tuple(range(nd, gu.ndim)))
+    cell = (slice(0, -1),) * nd
+    return math.sqrt(float(((mag2 + gmag2)[cell] * mask[cell]).sum()) * g.cell_volume)
+
+
+def _same_array(got, want):
+    return got.dtype == want.dtype and np.array_equal(got, want)
+
+
+LATTICES = [kind(d, n) for kind in (TorusGrid, BoxGrid) for d in (1, 2, 3)
+            for n in (4, 5, 16, 33)]
+
+
+@pytest.mark.parametrize("g", LATTICES, ids=repr)
+class TestLatticeEquivalence:
+    """Both grids' lattice and every consumer that reads it reproduce the
+    per-class code bit for bit."""
+
+    def test_points_and_shape(self, g):
+        want = _oracle_points(g)
+        assert _same_array(g.points(), want)
+        assert g.shape == want.shape[:-1] == (_oracle_per_axis(g),) * g.d
+        if isinstance(g, TorusGrid):
+            assert g.npoints == want[..., 0].size
+
+    def test_norms_read_the_riemann_cells(self, g):
+        rng = np.random.default_rng(g.d * 100 + g.n)
+        for comp in ((), (2,)):
+            u = GridFunction(g, rng.standard_normal(g.shape + comp))
+            mag = _pointwise_abs(u.values, g)[_oracle_cells(g)]
+            for p in (1.0, 2.0, 3.5):
+                want = float((np.sum(mag ** p) * g.cell_volume) ** (1.0 / p))
+                assert lp_norm(u, p) == want
+
+    def test_csv_header(self, g, tmp_path):
+        for comp, ncomp in (((), 1), ((2,), 2)):
+            write_csv(GridFunction(g, np.zeros(g.shape + comp)), tmp_path / "u.csv")
+            with open(tmp_path / "u.csv") as fh:
+                head = [fh.readline(), fh.readline()]
+            assert head == ["dim,n_per_axis,components\n",
+                            f"{g.d},{_oracle_per_axis(g)},{ncomp}\n"]
+
+
+@pytest.mark.parametrize("g", [g for g in LATTICES if isinstance(g, BoxGrid)], ids=repr)
+class TestBoxLatticeEquivalence:
+    """The box boundary, the Green's-function distances and the masked H1
+    norm (a box-only consumer) reproduce the per-class code bit for bit."""
+
+    def test_boundary(self, g):
+        assert _same_array(g.boundary_mask(), _oracle_boundary_mask(g))
+        assert _same_array(g.boundary_distance(), _oracle_boundary_distance(g))
+        assert _same_array(g.points()[g.interior], _oracle_points(g)[(slice(1, -1),) * g.d])
+
+    def test_distance_and_masked_h1(self, g):
+        rng = np.random.default_rng(g.d * 100 + g.n)
+        for y in ([0.5] * g.d, rng.uniform(0.1, 0.9, g.d), np.full(g.d, g.h)):
+            y = np.asarray(y, float)
+            assert _same_array(green_mod._distance_from(g, y), _oracle_distance_from(g, y))
+        for comp in ((), (2,)):
+            u = GridFunction(g, rng.standard_normal(g.shape + comp))
+            gu = gradient(u)
+            mask = rng.random(g.shape) < 0.7
+            assert masked_h1_norm(u, mask, gu) == _oracle_masked_h1_norm(u, mask, gu)
+
+
+def test_torus_and_box_of_one_size_differ():
+    assert TorusGrid(2, 8) != BoxGrid(2, 8)
+    assert TorusGrid(2, 8) == TorusGrid(2, 8) and BoxGrid(2, 8) == BoxGrid(2, 8)
+    assert len({TorusGrid(2, 8), BoxGrid(2, 8), BoxGrid(2, 8)}) == 2
 
 
 class TestGradient:
