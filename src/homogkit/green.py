@@ -50,7 +50,7 @@ def _snap_interior(grid: BoxGrid, y) -> tuple[tuple[int, ...], np.ndarray]:
 def _distance_from(grid: BoxGrid, y: np.ndarray) -> np.ndarray:
     """|x - y| at every grid point x: the per-axis squared offsets summed in
     axis order by broadcasting, with no (*shape, d) point array."""
-    x = np.arange(grid.n + 1) * grid.h
+    x = grid.axis()
     sq = np.meshgrid(*[(x - yk) ** 2 for yk in y], indexing="ij", sparse=True)
     return np.sqrt(functools.reduce(np.add, sq))
 

@@ -1,9 +1,14 @@
 """Uniform structured grids and discrete differential operators.
 
-Two grid flavors are provided: the periodic unit cell ``[0,1)^d`` (TorusGrid)
-and axis-aligned boxes with strongly imposed Dirichlet boundaries (BoxGrid).
-Grid functions are plain numpy arrays with the grid axes first and an
-arbitrary tuple of trailing component axes.
+Two grid flavors share one lattice: d axes of spacing h = 1/n, with the
+points i*h on each.  The periodic unit cell ``[0,1)^d`` (TorusGrid) has n
+points per axis; the unit box ``[0,1]^d`` with strongly imposed Dirichlet
+boundaries (BoxGrid) has n + 1.  Each grid states that number once, in
+``shape``, and which points carry a Riemann cell, in ``cells``; the
+coordinates (``axis``, ``points``), the cells the norms sum over, the CSV
+header and, on the box, the boundary follow from them.  Grid functions are
+plain numpy arrays with the grid axes first and an arbitrary tuple of
+trailing component axes.
 
 All difference operators are second order.  The divergence-form operator is
 discretized in flux-conservative form so that discrete summation by parts
@@ -32,8 +37,10 @@ class GridError(ValueError):
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class TorusGrid:
-    """Uniform lattice on the flat torus [0,1)^d with n points per axis."""
+class _Lattice:
+    """The lattice of both grids: d axes of spacing h = 1/n with the points
+    i*h, i = 0 .. shape[0] - 1.  Dataclass equality also compares the
+    class, so a torus and a box of one size differ."""
 
     d: int
     n: int
@@ -42,11 +49,29 @@ class TorusGrid:
         if self.d not in (1, 2, 3):
             raise GridError(f"dimension must be 1, 2 or 3, got {self.d}")
         if self.n < 4:
-            raise GridError(f"need n >= 4 points per axis, got {self.n}")
+            raise GridError(f"need n = 1/h >= 4 cells per axis, got {self.n}")
 
     @property
     def h(self) -> float:
         return 1.0 / self.n
+
+    @property
+    def cell_volume(self) -> float:
+        return self.h ** self.d
+
+    def axis(self) -> np.ndarray:
+        """The coordinates i*h of the points of one axis."""
+        return np.arange(self.shape[0]) * self.h
+
+    def points(self) -> np.ndarray:
+        """Array of shape (*shape, d) with the lattice coordinates."""
+        mesh = np.meshgrid(*[self.axis()] * self.d, indexing="ij")
+        return np.stack(mesh, axis=-1)
+
+
+class TorusGrid(_Lattice):
+    """Uniform lattice on the flat torus [0,1)^d with n points per axis;
+    every point carries a Riemann cell."""
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -56,72 +81,44 @@ class TorusGrid:
     def npoints(self) -> int:
         return self.n ** self.d
 
-    def points(self) -> np.ndarray:
-        """Array of shape (*shape, d) with the lattice coordinates."""
-        axes = [np.arange(self.n) * self.h for _ in range(self.d)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        return np.stack(mesh, axis=-1)
-
     @property
-    def cell_volume(self) -> float:
-        return self.h ** self.d
+    def cells(self) -> tuple[slice, ...]:
+        return (slice(None),) * self.d
 
 
-@dataclass(frozen=True)
-class BoxGrid:
+class BoxGrid(_Lattice):
     """Uniform grid on the unit box [0, 1]^d including the boundary points.
 
     ``n`` counts intervals per axis; points sit at i*h, i = 0..n, so dyadic
-    refinements nest exactly (needed by the sweep restriction logic).
+    refinements nest exactly (needed by the sweep restriction logic).  The
+    points of the upper faces carry no Riemann cell.
     """
-
-    d: int
-    n: int
-
-    def __post_init__(self):
-        if self.d not in (1, 2, 3):
-            raise GridError(f"dimension must be 1, 2 or 3, got {self.d}")
-        if self.n < 4:
-            raise GridError(f"need n >= 4 intervals per axis, got {self.n}")
-
-    @property
-    def h(self) -> float:
-        return 1.0 / self.n
 
     @property
     def shape(self) -> tuple[int, ...]:
         return (self.n + 1,) * self.d
 
     @property
+    def cells(self) -> tuple[slice, ...]:
+        return (slice(0, -1),) * self.d
+
+    @property
     def interior(self) -> tuple[slice, ...]:
         return (slice(1, -1),) * self.d
 
-    def points(self) -> np.ndarray:
-        axes = [np.arange(self.n + 1) * self.h for _ in range(self.d)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        return np.stack(mesh, axis=-1)
-
     def boundary_mask(self) -> np.ndarray:
-        mask = np.zeros(self.shape, dtype=bool)
-        for ax in range(self.d):
-            idx = [slice(None)] * self.d
-            idx[ax] = 0
-            mask[tuple(idx)] = True
-            idx[ax] = -1
-            mask[tuple(idx)] = True
+        """The complement of ``interior``."""
+        mask = np.ones(self.shape, dtype=bool)
+        mask[self.interior] = False
         return mask
 
     def boundary_distance(self) -> np.ndarray:
         """Exact distance to the box boundary at every grid point: the least
         of the per-axis distances, combined by broadcasting."""
-        x = np.arange(self.n + 1) * self.h
+        x = self.axis()
         near = np.minimum(x, 1.0 - x)
         axes = np.meshgrid(*[near] * self.d, indexing="ij", sparse=True)
         return functools.reduce(np.minimum, axes)
-
-    @property
-    def cell_volume(self) -> float:
-        return self.h ** self.d
 
 
 Grid = TorusGrid | BoxGrid
@@ -511,16 +508,9 @@ def _pointwise_abs(values: np.ndarray, grid: Grid) -> np.ndarray:
     return np.sqrt(np.sum(values ** 2, axis=comp_axes))
 
 
-def _quadrature_weights_mask(grid: Grid) -> tuple[slice, ...]:
-    # Riemann cell rule: one value per cell [ih, (i+1)h); on the torus this
-    # is every point, on a box it drops the upper faces.
-    if isinstance(grid, TorusGrid):
-        return (slice(None),) * grid.d
-    return (slice(0, -1),) * grid.d
-
-
 def lp_norm(u: GridFunction, p: float) -> float:
-    mag = _pointwise_abs(u.values, u.grid)[_quadrature_weights_mask(u.grid)]
+    """Riemann sum over the grid's cells: one value per cell [ih, (i+1)h)."""
+    mag = _pointwise_abs(u.values, u.grid)[u.grid.cells]
     return float((np.sum(mag ** p) * u.grid.cell_volume) ** (1.0 / p))
 
 
@@ -743,12 +733,11 @@ def write_csv(u: GridFunction, path) -> None:
     """Write a grid function as CSV: header 'dim,n_per_axis,components', then
     row-major point data (one point per row)."""
     g = u.grid
-    n = g.n if isinstance(g, TorusGrid) else g.n + 1
     ncomp = u.ncomp
     flat = u.values.reshape(np.prod(g.shape), ncomp)
     with open(path, "w") as fh:
         fh.write("dim,n_per_axis,components\n")
-        fh.write(f"{g.d},{n},{ncomp}\n")
+        fh.write(f"{g.d},{g.shape[0]},{ncomp}\n")
         for row in flat:
             # repr of a Python float is the shortest round-trip decimal; one
             # row at a time, so no list of every value is ever held

@@ -123,7 +123,7 @@ def masked_h1_norm(u: GridFunction, mask: np.ndarray, gu: GridFunction) -> float
     nd = g.d
     mag2 = np.sum(u.values ** 2, axis=tuple(range(nd, u.values.ndim)))
     gmag2 = np.sum(gu ** 2, axis=tuple(range(nd, gu.ndim)))
-    cell = (slice(0, -1),) * nd
+    cell = g.cells
     w = mask[cell]
     total = float(((mag2 + gmag2)[cell] * w).sum()) * g.cell_volume
     return math.sqrt(total)

@@ -152,6 +152,8 @@ class TestLatticeEquivalence:
         assert g.shape == want.shape[:-1] == (_oracle_per_axis(g),) * g.d
         if isinstance(g, TorusGrid):
             assert g.npoints == want[..., 0].size
+        assert _same_array(g.axis(), want[(slice(None),) + (0,) * (g.d - 1) + (0,)])
+        assert g.cells == _oracle_cells(g)
 
     def test_norms_read_the_riemann_cells(self, g):
         rng = np.random.default_rng(g.d * 100 + g.n)
