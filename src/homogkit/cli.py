@@ -194,7 +194,7 @@ def parse_config(text: str) -> ExperimentConfig:
             rho = 2.0 * box.h if rho is None else _real(rho)   # the run's default: 2h
             for probe in cfg["probes"] or [[0.5] * box.d]:     # default: the centre
                 try:
-                    _, y = _snap_interior(box, probe)
+                    y = _snap_interior(box, probe)
                 except (GreenError, TypeError, ValueError) as exc:
                     violations.append(f"probes entry {probe!r}: {exc}")
                     continue
@@ -202,15 +202,16 @@ def parse_config(text: str) -> ExperimentConfig:
                 if box.d == 3 and ok("rho") and decay_shell(box, y, rho)[1].sum() < MIN_FIT_PAIRS:
                     violations.append(f"n = {box.n} leaves fewer than {MIN_FIT_PAIRS} decay-fit "
                                       f"shell points around probe {probe!r} at rho = {rho:.4g}")
-        # the battery's box solves apply the resolution guard (DirichletProblem
-        # exempts eps >= 1, the box side)
+    # solve's and the battery's box solves apply the resolution guard
+    # (DirichletProblem exempts eps >= 1, the box side)
+    if box is not None and ok("eps", "battery") and (
+            sub == "solve" or sub == "green" and cfg["battery"]):
         eps = _real(cfg["eps"])
-        if box is not None and ok("eps", "battery") and cfg["battery"] and eps < 1.0:
-            try:
+        try:
+            if eps < 1.0:
                 resolution_guard(box, eps)
-            except ProblemError as exc:
-                violations.append(f"eps = {eps:g} is not resolved by n = {cfg['n']} "
-                                  f"for the battery: {exc}")
+        except ProblemError as exc:
+            violations.append(f"eps = {eps:g} is not resolved by n = {cfg['n']}: {exc}")
     if sub == "correctors" and box is not None and ok("eps", "n_cell"):
         eps, n_cell = float(cfg["eps"]), cfg["n_cell"]
         try:

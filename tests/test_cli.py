@@ -5,12 +5,13 @@ import os
 import tempfile
 from dataclasses import replace
 
+import numpy as np
 import pytest
 import yaml
 from hypothesis import given, settings, strategies as st
 
 from homogkit import cli
-from homogkit.cli import (ConfigError, main, parse_config, run,
+from homogkit.cli import (ConfigError, ExperimentConfig, main, parse_config, run,
                           serialize_config)
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
@@ -55,6 +56,12 @@ class TestParse:
     def test_syntax_error_located(self):
         with pytest.raises(ConfigError, match="syntax"):
             parse_config("subcommand: [unclosed\n")
+
+    def test_solve_eps_resolved_by_n(self):
+        text = "subcommand: solve\nfamily: trig\nn: 16\neps: {}\n"
+        with pytest.raises(ConfigError, match="not resolved by n = 16"):
+            parse_config(text.format(0.03125))
+        assert parse_config(text.format(1.0))["eps"] == 1.0
 
     def test_eps_list_checked_per_entry(self):
         with pytest.raises(ConfigError) as exc:
@@ -106,9 +113,11 @@ class TestRun:
         ok_cfg = parse_config("subcommand: cell\nfamily: laminate\n"
                               "params: {d: 1}\nn: 64\n")
         run(ok_cfg, str(tmp_path))
-        bad_cfg = parse_config("subcommand: solve\nfamily: trig\n"
-                               "params: {alpha: 2.0, beta: 0.5}\n"
-                               "n: 16\neps: 0.03125\n")  # resolution guard
+        # parse_config rejects this config (resolution guard); the run's own
+        # DirichletProblem check fails it when it is built directly
+        bad_cfg = ExperimentConfig(subcommand="solve", family="trig",
+                                   params={"alpha": 2.0, "beta": 0.5}, seed=0,
+                                   tol=1e-10, out=None, extra={"n": 16, "eps": 0.03125})
         manifest = run(bad_cfg, str(tmp_path))
         assert not manifest["ok"]
         lines = (tmp_path / "manifest.jsonl").read_text().splitlines()
@@ -116,6 +125,23 @@ class TestRun:
         rec = json.loads(lines[1])
         assert rec["checks"]["run_completed"] is False
         assert "resolution" in rec["checks"]["error"]
+
+    def test_solver_failure_reaches_the_manifest_with_its_residual(self, tmp_path,
+                                                                   monkeypatch):
+        from homogkit import solvers
+
+        def zeros(A, b, **kwargs):
+            return np.zeros_like(b), 0
+
+        for name in ("cg", "bicgstab", "gmres"):
+            monkeypatch.setattr(solvers, name, zeros)
+        out = tmp_path / "out"
+        assert main(["solve", "--config", os.path.join(CONFIG_DIR, "solve_trig.yaml"),
+                     "--out", str(out)]) == 1
+        rec = json.loads((out / "manifest.jsonl").read_text().splitlines()[-1])
+        assert rec["checks"]["run_completed"] is False
+        assert "did not converge" in rec["checks"]["error"]
+        assert "final relative residual" in rec["checks"]["error"]
 
     def test_homogenize_with_flux_forms_the_integrands_once(self, tmp_path, monkeypatch):
         from homogkit import cell
@@ -355,15 +381,15 @@ def _assert_rejected_or_completes(config):
 
 @st.composite
 def _solve_rates_configs(draw):
-    """solve and rates configs on small grids.  solve keeps eps = 1 (or a
-    rejected value): a finer eps at n <= 16 trips the resolution guard, the
-    one documented run-time failure of solve."""
+    """solve and rates configs on small grids.  solve draws a dyadic eps
+    down to 1/4, which n <= 16 resolves only at eps = 1: the resolution
+    guard rejects the finer ones at parse time."""
     sub = draw(st.sampled_from(["solve", "rates"]))
     config = {"subcommand": sub, "family": "trig",
               "params": {"d": 2, "lower": 0.5}}   # lambda threshold 1
     if sub == "solve":
         config["n"] = _pick(draw, [8, 16], [2, None])
-        config["eps"] = _pick(draw, [1.0], [0.3, None, [0.5]])
+        config["eps"] = _pick(draw, [1.0, 0.5, 0.25], [0.3, None, [0.5]])
         if draw(st.booleans()):
             config["lambda_override"] = _pick(draw, [True, False], ["yes"])
     else:
