@@ -16,7 +16,7 @@ V, B, c transposed in the system indices (``transpose_m``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Callable
 
@@ -72,7 +72,6 @@ class CoefficientSet:
     c: Callable[[np.ndarray], np.ndarray] | None = None
     kappa: float = 0.0
     name: str = "custom"
-    params: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if type(self.d) is not int or self.d not in (1, 2, 3):
@@ -90,8 +89,7 @@ class CoefficientSet:
         A, V, B, c = self.A, self.V, self.B, self.c
         return replace(self, A=lambda y: transpose_a(A(y)),
                        V=lambda y: transpose_m(B(y)), B=lambda y: transpose_m(V(y)),
-                       c=lambda y: transpose_m(c(y)), name=self.name + "*",
-                       params=dict(self.params))
+                       c=lambda y: transpose_m(c(y)), name=self.name + "*")
 
     @cached_property
     def principal_part(self) -> "CoefficientSet":
@@ -160,7 +158,7 @@ def _constant_family(d: int = 2, m: int = 1, a0: float = 1.0,
         d=d, m=m, A=lambda y: _diagonal(y, m, [a0] * d, 2),
         V=lambda y: _diagonal(y, m, [v0] * d), B=lambda y: _diagonal(y, m, [b0] * d),
         c=lambda y: _diagonal(y, m, [c0], 0), mu=a0, kappa=max(abs(v0), abs(b0), abs(c0)),
-        name="constant", params=dict(d=d, m=m, a0=a0, v0=v0, b0=b0, c0=c0))
+        name="constant")
 
 
 def _laminate_family(d: int = 2, m: int = 1) -> CoefficientSet:
@@ -168,8 +166,7 @@ def _laminate_family(d: int = 2, m: int = 1) -> CoefficientSet:
     def A(y):
         return _diagonal(y, m, [1.0 / (2.0 + np.cos(2.0 * np.pi * y[..., 0]))] * d, 2)
 
-    return CoefficientSet(d=d, m=m, A=A, mu=1.0 / 3.0, name="laminate",
-                          params=dict(d=d, m=m))
+    return CoefficientSet(d=d, m=m, A=A, mu=1.0 / 3.0, name="laminate")
 
 
 def _laminate_step_family(d: int = 2, m: int = 1, a1: float = 1.0, a2: float = 2.0,
@@ -184,8 +181,7 @@ def _laminate_step_family(d: int = 2, m: int = 1, a1: float = 1.0, a2: float = 2
         frac = 0.5 * (1.0 + np.tanh(np.sin(2.0 * np.pi * (y1 - 0.5)) / (2.0 * np.pi * width)))
         return _diagonal(y, m, [a1 + (a2 - a1) * frac] * d, 2)
 
-    return CoefficientSet(d=d, m=m, A=A, mu=min(a1, a2), name="laminate-step",
-                          params=dict(d=d, m=m, a1=a1, a2=a2, width=width))
+    return CoefficientSet(d=d, m=m, A=A, mu=min(a1, a2), name="laminate-step")
 
 
 def _trig_family(d: int = 2, m: int = 1, alpha: float = 2.0, beta: float = 0.5,
@@ -209,9 +205,7 @@ def _trig_family(d: int = 2, m: int = 1, alpha: float = 2.0, beta: float = 0.5,
                                          for i in range(d)]),
             c=lambda y: _diagonal(y, m, [lower * np.cos(2.0 * np.pi * y[..., 0])], 0))
     return CoefficientSet(
-        d=d, m=m, A=A, mu=alpha - abs(beta) * d, kappa=abs(lower), **terms,
-        name="trig", params=dict(d=d, m=m, alpha=alpha, beta=beta, lower=lower),
-    )
+        d=d, m=m, A=A, mu=alpha - abs(beta) * d, kappa=abs(lower), **terms, name="trig")
 
 
 def _oscillating_potential_family(d: int = 2, m: int = 1, amp: float = 1.0) -> CoefficientSet:
@@ -232,9 +226,7 @@ def _oscillating_potential_family(d: int = 2, m: int = 1, amp: float = 1.0) -> C
 
     return CoefficientSet(
         d=d, m=m, A=lambda y: _diagonal(y, m, [1.0] * d, 2), V=grad_p, B=grad_p,
-        mu=1.0, kappa=abs(amp), name="oscillating-potential",
-        params=dict(d=d, m=m, amp=amp),
-    )
+        mu=1.0, kappa=abs(amp), name="oscillating-potential")
 
 
 def _nonsymmetric_system_family(d: int = 2, delta: float = 0.3) -> CoefficientSet:
@@ -255,8 +247,7 @@ def _nonsymmetric_system_family(d: int = 2, delta: float = 0.3) -> CoefficientSe
             out[..., i, i, 1, 0] = -skew
         return out
 
-    return CoefficientSet(d=d, m=2, A=A, mu=1.0, name="nonsymmetric-system",
-                          params=dict(d=d, delta=delta))
+    return CoefficientSet(d=d, m=2, A=A, mu=1.0, name="nonsymmetric-system")
 
 
 FAMILIES = {

@@ -38,13 +38,13 @@ FIT_MAX_PAIRS = 4000     # a decay fit thins its shell to about this many points
 BATTERY_SIZE = 10        # boundary data fields of the maximal-function battery
 
 
-def _snap_interior(grid: BoxGrid, y) -> tuple[tuple[int, ...], np.ndarray]:
+def _snap_interior(grid: BoxGrid, y) -> np.ndarray:
     yi = np.rint(np.asarray(y, float) / grid.h).astype(int)
     if yi.shape != (grid.d,):
         raise GreenError(f"source point must have {grid.d} coordinates")
     if np.any(yi <= 0) or np.any(yi >= grid.n):
         raise GreenError(f"source point {y} is not an interior grid point")
-    return tuple(int(i) for i in yi), yi * grid.h
+    return yi * grid.h
 
 
 def _distance_from(grid: BoxGrid, y: np.ndarray) -> np.ndarray:
@@ -79,7 +79,6 @@ class GreenSample:
     grid: BoxGrid
     eps: float
     lam: float
-    y_index: tuple[int, ...]
     y: np.ndarray
     rho: float
     columns: np.ndarray        # (m, *shape, m): [source comp, x..., field comp]
@@ -112,7 +111,7 @@ def approx_green(cs: CoefficientSet, eps: float, lam: float, grid: BoxGrid,
         rho = 2.0 * h
     if rho < 2.0 * h - 1e-12:
         raise GreenError(f"mollification radius {rho} below the 2h = {2 * h} floor")
-    y_idx, y_pt = _snap_interior(grid, y)
+    y_pt = _snap_interior(grid, y)
     mask = _ball_mask(grid, y_pt, rho)
     meas = float(mask.sum()) * grid.cell_volume
     samples = sample_coefficients(cs, grid, eps, lam)
@@ -125,8 +124,8 @@ def approx_green(cs: CoefficientSet, eps: float, lam: float, grid: BoxGrid,
         F[mask, gamma] = 1.0 / meas
         columns[gamma][grid.interior], res = op.solve(F[grid.interior], tol)
         residuals.append(res)
-    return GreenSample(grid=grid, eps=eps, lam=lam, y_index=y_idx, y=y_pt,
-                       rho=rho, columns=columns, residuals=residuals)
+    return GreenSample(grid=grid, eps=eps, lam=lam, y=y_pt, rho=rho,
+                       columns=columns, residuals=residuals)
 
 
 def direct_solve(cs: CoefficientSet, eps: float, lam: float, grid: BoxGrid,
@@ -146,7 +145,7 @@ def direct_solve(cs: CoefficientSet, eps: float, lam: float, grid: BoxGrid,
 def ball_average(sample: GreenSample, center) -> np.ndarray:
     """(m, m) matrix of column fields averaged over the sample's
     mollification ball moved to ``center``."""
-    _, c_pt = _snap_interior(sample.grid, center)
+    c_pt = _snap_interior(sample.grid, center)
     mask = _ball_mask(sample.grid, c_pt, sample.rho)
     return sample.columns[:, mask, :].mean(axis=1)
 
@@ -179,8 +178,6 @@ def representation_value(sample: GreenSample, F: np.ndarray) -> np.ndarray:
 
 @dataclass
 class DecayFit:
-    radii: np.ndarray
-    values: np.ndarray
     exponent: float
     prefactor: float
     residual: float
@@ -212,9 +209,8 @@ def decay_fit(sample: GreenSample) -> DecayFit:
     lv = np.log(vv)
     slope, intercept = np.polyfit(lr, lv, 1)
     resid = float(np.sqrt(np.mean((lv - slope * lr - intercept) ** 2)))
-    return DecayFit(radii=rr, values=vv, exponent=float(slope),
-                    prefactor=float(math.exp(intercept)), residual=resid,
-                    n_pairs=int(rr.size),
+    return DecayFit(exponent=float(slope), prefactor=float(math.exp(intercept)),
+                    residual=resid, n_pairs=int(rr.size),
                     spans_decade=bool(rr.max() / rr.min() >= 10.0))
 
 
@@ -224,7 +220,6 @@ def decay_fit(sample: GreenSample) -> DecayFit:
 
 @dataclass
 class MaximalProbeResult:
-    eps: float
     C_p: float                 # worst ||(u)*||_p / ||g||_p over the battery
     ratios: list[float]
     max_principle_ratio: float  # worst ||u||_inf / ||g||_inf
@@ -289,5 +284,5 @@ def maximal_function_probe(cs: CoefficientSet, eps: float, lam: float,
     if not ratios:
         raise GreenError("every battery field has zero boundary data; "
                          "the maximal-function ratio is undefined")
-    return MaximalProbeResult(eps=eps, C_p=max(ratios), ratios=ratios,
+    return MaximalProbeResult(C_p=max(ratios), ratios=ratios,
                               max_principle_ratio=mp_worst)

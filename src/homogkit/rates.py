@@ -293,7 +293,6 @@ PROBE_KINDS = ("W1p", "Holder", "Lipschitz", "MaxPrinciple")
 
 @dataclass
 class ProbeResult:
-    kind: str
     per_eps: dict          # eps -> constant
     dispersion: float      # max / min over the sweep
 
@@ -334,4 +333,4 @@ def uniform_constant_probe(kind: str, config: SweepConfig) -> ProbeResult:
             per_eps[eps] = float(gmag[mask].max()) / linf_norm(Ff)
     vals = list(per_eps.values())
     disp = max(vals) / min(vals) if min(vals) > 0 else math.inf
-    return ProbeResult(kind=kind, per_eps=per_eps, dispersion=disp)
+    return ProbeResult(per_eps=per_eps, dispersion=disp)

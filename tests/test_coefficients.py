@@ -361,7 +361,7 @@ class TestTableEquivalence:
         lattice = TorusGrid(d, 8).points()
         scattered = np.random.default_rng(7).uniform(-1.5, 2.5, size=(3, 5, d))
         for got, want in ((new, old), (new.adjoint(), old.adjoint())):
-            for attr in ("d", "m", "mu", "kappa", "name", "params"):
+            for attr in ("d", "m", "mu", "kappa", "name"):
                 assert getattr(got, attr) == getattr(want, attr), attr
             for y in (lattice, scattered):
                 for field in ("A", "V", "B", "c"):

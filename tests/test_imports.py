@@ -1,7 +1,8 @@
-"""Every module-level import in ``homogkit`` is used by its module, and
-every module-level private name is referenced somewhere.
+"""Every module-level import in ``homogkit`` is used by its module, every
+module-level private name is referenced somewhere, every parameter is read
+and every dataclass field is read.
 
-No linter ships with the toolchain, so this stands in for two rules:
+No linter ships with the toolchain, so this stands in for four rules:
 
 - unused imports: each source file fails on a module-level import whose bound
   name the module never references (``__all__`` entries count as references;
@@ -11,7 +12,15 @@ No linter ships with the toolchain, so this stands in for two rules:
   ``perfbench`` reads it.  A read is a name load, an attribute, an imported
   name or a string equal to the name (``monkeypatch.setattr(mod, "_name")``);
 - unused parameters: a parameter of a function (or lambda) whose body never
-  reads it fails; ``self``, ``cls`` and ``_``-prefixed names are exempt.
+  reads it fails; ``self``, ``cls`` and ``_``-prefixed names are exempt;
+- unread dataclass fields: a field of a ``@dataclass`` in ``src`` fails when
+  no code in ``src``, ``tests`` or ``perfbench`` reads it.  A read is an
+  attribute load of the field's name or the name as a string passed to
+  ``getattr``, ``hasattr``, ``setattr`` or ``monkeypatch.setattr`` (a
+  name passed as a variable may be any string of its module).  Reads
+  are matched by name alone, so a name that several classes share
+  (``values``, ``eps``) counts as read for all of them: the rule is
+  conservative and misses such fields.
 
 It also checks which scipy modules a CLI process loads.
 """
@@ -155,6 +164,85 @@ def test_detector_flags_an_unused_parameter():
               "        return inner\n"
               "f = lambda u, v: u\n")
     assert unused_parameters(source) == ["method.args", "method.kw", "inner.z", "<lambda>.v"]
+
+
+def _is_dataclass(decorator) -> bool:
+    target = decorator.func if isinstance(decorator, ast.Call) else decorator
+    return (getattr(target, "id", None) == "dataclass"
+            or getattr(target, "attr", None) == "dataclass")
+
+
+def dataclass_fields(source: str) -> list[tuple[str, str]]:
+    """(class, field) for each annotated field of each ``@dataclass``."""
+    return [(node.name, stmt.target.id) for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ClassDef) and any(map(_is_dataclass, node.decorator_list))
+            for stmt in node.body
+            if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)]
+
+
+def _is_string(node) -> bool:
+    return isinstance(node, ast.Constant) and isinstance(node.value, str)
+
+
+def attribute_reads(tree: ast.Module) -> set[str]:
+    """Attribute names ``tree`` reads: attribute loads, and names passed as
+    strings to ``getattr``, ``hasattr``, ``setattr`` or ``monkeypatch.setattr``.
+    A name passed as a variable (``for name in FIELDS: getattr(x, name)``)
+    may be any string of the module, so then each of them counts."""
+    reads, dynamic = set(), False
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            reads.add(node.attr)
+        elif isinstance(node, ast.Call) and len(node.args) >= 2:
+            f, name = node.func, node.args[1]
+            if (isinstance(f, ast.Name) and f.id in ("getattr", "hasattr", "setattr")
+                    or isinstance(f, ast.Attribute) and f.attr == "setattr"
+                    and getattr(f.value, "id", None) == "monkeypatch"):
+                if _is_string(name):
+                    reads.add(name.value)
+                else:
+                    dynamic = True
+    if dynamic:
+        reads |= {node.value for node in ast.walk(tree) if _is_string(node)}
+    return reads
+
+
+def unread_dataclass_fields(source: str, reads: set[str]) -> list[str]:
+    """``Class.field`` for each dataclass field of ``source`` that neither
+    ``source`` nor the attribute names ``reads`` elsewhere read."""
+    reads = reads | attribute_reads(ast.parse(source))
+    return [f"{cls}.{name}" for cls, name in dataclass_fields(source) if name not in reads]
+
+
+@functools.cache
+def _project_attribute_reads() -> set[str]:
+    return set().union(*(attribute_reads(ast.parse(p.read_text()))
+                         for d in ("src", "tests", "perfbench")
+                         for p in (ROOT / d).rglob("*.py")))
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_unread_dataclass_fields(path):
+    assert unread_dataclass_fields(path.read_text(), _project_attribute_reads()) == []
+
+
+def test_detector_flags_an_unread_dataclass_field():
+    source = ("import dataclasses\nfrom dataclasses import dataclass\n"
+              "@dataclass\nclass Result:\n"
+              "    value: float\n    echo: str\n    spare: int = 0\n    written: int = 0\n"
+              "    def total(self):\n        return self.value\n"
+              "@dataclasses.dataclass(frozen=True)\nclass Key:\n"
+              "    probed: int\n    patched: int\n    dropped: int\n"
+              "class Plain:\n    ignored: int\n"
+              "def fill(r):\n    r.written = 1\n    return hasattr(r, 'probed')\n")
+    elsewhere = attribute_reads(ast.parse(
+        'monkeypatch.setattr(key, "patched", 1)\nsetattr(key, "echo", "x")\n'
+        'print("spare")\n'))
+    assert unread_dataclass_fields(source, elsewhere) == [
+        "Result.spare", "Result.written", "Key.dropped"]
+    looped = attribute_reads(ast.parse('for name in ("spare", "dropped"):\n'
+                                       '    getattr(r, name)\n'))
+    assert unread_dataclass_fields(source, elsewhere | looped) == ["Result.written"]
 
 
 _FOOTPRINT = """
