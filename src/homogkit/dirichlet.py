@@ -130,7 +130,7 @@ def sample_periodic_field(arr: np.ndarray, cell_grid: TorusGrid,
     of two satisfy this by construction.
     """
     step = lattice_step(box_grid, eps, cell_grid.n)
-    idx1 = (np.arange(box_grid.n + 1) * step) % cell_grid.n
+    idx1 = (np.arange(box_grid.shape[0]) * step) % cell_grid.n
     ix = np.ix_(*([idx1] * box_grid.d))
     return arr[ix]
 
