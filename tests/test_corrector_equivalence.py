@@ -3,8 +3,10 @@
 The oracles below are the corrector solves, the Psi diagnostics, the
 expansion error and the sweep's triangle-term bookkeeping as they were
 written before ``solve_dirichlet_correctors`` became one loop over
-k = 0..d and the deviations Phi_k - P_k were formed in one place.  The
-current code must reproduce them bit for bit, signed zeros included.
+k = 0..d and the deviations Phi_k - P_k were formed in one place, and the
+per-column source expressions of both corrector loops as they were written
+before the sources were formed for all m columns at once.  The current code
+must reproduce them bit for bit, signed zeros included.
 """
 
 import math
@@ -16,12 +18,13 @@ import pytest
 from homogkit.bvp import (DirichletProblem, check_lambda, pullback,
                           sample_coefficients, solve)
 from homogkit.cell import homogenize, solve_correctors
-from homogkit.coefficients import builtin_family
+from homogkit.coefficients import CoefficientSet, builtin_family
 from homogkit.dirichlet import (PROFILE_BINS, psi_diagnostics,
                                 sample_periodic_field,
                                 solve_dirichlet_correctors)
 from homogkit.grid import (BoxGrid, GridFunction, TorusGrid, _centered_box,
-                           gradient, h1_norm, linf_norm, lp_norm)
+                           _centered_periodic, _coef_block, divergence, gradient,
+                           h1_norm, linf_norm, lp_norm)
 from homogkit.rates import (CORNER_MARGIN, SweepConfig, expansion_error,
                             load_field, masked_h1_norm, restrict, run_sweep)
 
@@ -276,3 +279,109 @@ def test_sweep_rows_match(family, params):
         assert got_row.keys() == want_row.keys()
         for key in want_row:
             assert got_row[key] == want_row[key], key
+
+
+# ---------------------------------------------------------------------------
+# corrector sources against the per-column expressions
+# ---------------------------------------------------------------------------
+
+def _old_source_k(A, k, grid, beta):
+    """-L(P_k e_beta) on the torus, one column, as it was written."""
+    nd, h, ki = grid.d, grid.h, k - 1
+    akk = _coef_block(A, nd, ki, ki)[..., :, beta]
+    half = 0.5 * (akk + np.roll(akk, -1, axis=ki))
+    rhs = (half - np.roll(half, 1, axis=ki)) / h
+    for i in range(nd):
+        if i == ki:
+            continue
+        aik = _coef_block(A, nd, i, ki)[..., :, beta]
+        rhs += _centered_periodic(aik, i, h)
+    return rhs
+
+
+def _old_div_v(V, grid, beta):
+    """div(V e_beta), one column, as both corrector loops wrote it."""
+    return divergence(GridFunction(grid, np.moveaxis(V[..., beta], -2, -1))).values
+
+
+def _random_full_set(d, m, seed):
+    """Independent standard normal A, V, B, c at every point (every a_ij^{ab}
+    nonzero, which no built-in family has for i != j); not elliptic, so it
+    feeds the sources only, with no solve."""
+    def field(tail, offset):
+        def fn(y):
+            rng = np.random.Generator(np.random.PCG64(seed + offset))
+            return rng.standard_normal(y.shape[:-1] + tail)
+        return fn
+
+    return CoefficientSet(d=d, m=m, A=field((d, d, m, m), 0), V=field((d, m, m), 1),
+                          B=field((d, m, m), 2), c=field((m, m), 3), mu=1.0)
+
+
+SOURCE_CASES = (
+    [(name, dict(params, d=d, m=m)) for d in (1, 2, 3)
+     for name, params in [("constant", dict(a0=1.5, v0=0.3, b0=-0.2, c0=0.1)),
+                          ("laminate", {}), ("laminate-step", {}),
+                          ("trig", dict(lower=0.4)),
+                          ("oscillating-potential", dict(amp=0.8)),
+                          ("random", {})]
+     for m in (1, 2)]
+    + [("nonsymmetric-system", dict(d=d, delta=0.3)) for d in (1, 2, 3)])
+SOURCE_IDS = [f"{name}-d{p['d']}-m{p.get('m', 2)}" for name, p in SOURCE_CASES]
+
+
+def _source_set(name, params):
+    if name == "random":
+        return _random_full_set(params["d"], params["m"], seed=10 * params["d"] + params["m"])
+    return builtin_family(name, **params)
+
+
+@pytest.mark.parametrize("name,params", SOURCE_CASES, ids=SOURCE_IDS)
+def test_cell_sources_match(monkeypatch, name, params):
+    """The right-hand sides ``solve_correctors`` hands to ``solve_periodic``,
+    in solve order, are the per-column expressions bit for bit."""
+    import homogkit.cell as cell
+
+    cs = _source_set(name, params)
+    grid = TorusGrid(cs.d, {1: 32, 2: 16, 3: 8}[cs.d])
+    seen = []
+
+    def capture(op, rhs, g, **kw):
+        seen.append(rhs.copy())
+        return np.zeros(rhs.shape), 0.0
+    monkeypatch.setattr(cell, "solve_periodic", capture)
+    solve_correctors(cs, grid)
+    y = grid.points()
+    A, V = cs.A(y), cs.V(y)
+    want = [_old_div_v(V, grid, beta) if k == 0 else _old_source_k(A, k, grid, beta)
+            for k in range(cs.d + 1) for beta in range(cs.m)]
+    assert len(seen) == len(want)
+    for got, ref in zip(seen, want):
+        _assert_identical(got, ref)
+
+
+@pytest.mark.parametrize("name,params", SOURCE_CASES, ids=SOURCE_IDS)
+def test_dirichlet_sources_match(monkeypatch, name, params):
+    """The right-hand sides ``solve_dirichlet_correctors`` hands to the box
+    solve, in solve order: div(V_eps e_beta) for k = 0 and -L_0(P_k e_beta)
+    for k >= 1, on the interior, bit for bit."""
+    from homogkit.bvp import CoefficientSamples
+    from homogkit.dirichlet import affine_data
+
+    cs = _source_set(name, params)
+    eps, grid = (1 / 2, BoxGrid(1, 32)) if cs.d == 1 else (1.0, BoxGrid(cs.d, 16))
+    seen = []
+
+    def capture(self, rhs_int, tol):
+        seen.append(rhs_int.copy())
+        return np.zeros(rhs_int.shape), 0.0
+    monkeypatch.setattr(CoefficientSamples, "solve", capture)
+    solve_dirichlet_correctors(cs, eps, grid)
+    samples = sample_coefficients(cs.principal_part, grid, eps, 0.0)
+    V = cs.V(pullback(grid, eps))
+    want = [(_old_div_v(V, grid, beta) if k == 0 else
+             -samples.apply_full(affine_data(grid, k, cs.m)[..., :, beta]))[grid.interior]
+            for k in range(cs.d + 1) for beta in range(cs.m)]
+    assert len(seen) == len(want)
+    for got, ref in zip(seen, want):
+        _assert_identical(got, ref)

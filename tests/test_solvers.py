@@ -527,3 +527,115 @@ class TestGmresRescue:
         _, res = _solve_trig(geometry, 44, tol=1e-10, maxiter=3)
         assert calls == ["gmres"]
         assert res <= 1e-9
+
+
+# ---------------------------------------------------------------------------
+# the two solves against their earlier closure pairs
+# ---------------------------------------------------------------------------
+
+def _oracle_periodic(apply_op, rhs, grid, *, precond_scale, self_adjoint, tol=1e-10):
+    """``solve_periodic`` as it was written with its own matvec and float32
+    preconditioner closures."""
+    from homogkit.solvers import _krylov, _mean_zero
+
+    shape = rhs.shape
+    nd = grid.d
+    inv = _inverse_symbol_torus(grid, precond_scale).astype(np.float32)
+    inv = inv.reshape(inv.shape + (1,) * (len(shape) - nd))
+
+    def matvec(x):
+        return apply_op(x.reshape(shape)).ravel()
+
+    def precond(r):
+        z = _apply_inverse_torus(r.reshape(shape).astype(np.float32), inv, grid)
+        return z.astype(np.float64).ravel()
+
+    maxiter = max(200, int(20 * grid.n ** (grid.d / 2)))
+    x, res = _krylov(matvec, precond, _mean_zero(rhs, nd), self_adjoint=self_adjoint,
+                     tol=tol, maxiter=maxiter, what="periodic cell solve")
+    return _mean_zero(x, nd), res
+
+
+def _oracle_box(apply_interior, rhs_interior, grid, *, lam, precond_scale,
+                self_adjoint, tol=1e-10):
+    """``solve_box_dirichlet`` as it was written with its own matvec and
+    float32 preconditioner closures."""
+    from homogkit.solvers import _krylov
+
+    shape = rhs_interior.shape
+    nd = grid.d
+    inv = _inverse_symbol_box(grid, precond_scale, lam).astype(np.float32)
+    inv = inv.reshape(inv.shape + (1,) * (len(shape) - nd))
+    S = _sine_matrix(grid, np.float32)
+
+    def matvec(x):
+        return apply_interior(x.reshape(shape)).ravel()
+
+    def precond(r):
+        z = _apply_inverse_box(r.reshape(shape).astype(np.float32), inv, nd, S)
+        return z.astype(np.float64).ravel()
+
+    maxiter = max(200, 50 * grid.n)
+    return _krylov(matvec, precond, rhs_interior, self_adjoint=self_adjoint, tol=tol,
+                   maxiter=maxiter, what="box Dirichlet solve")
+
+
+_EQUIV_N = {1: 32, 2: 16, 3: 8}
+
+
+class TestSolveEquivalence:
+    """Both solves return the x and the residual of their earlier closure
+    pairs (``_oracle_periodic``, ``_oracle_box``) bit for bit, on trig
+    operators with and without component axes, both Krylov methods, a zero
+    and a positive lambda shift, and both DST paths of the box."""
+
+    @pytest.mark.parametrize("comp", [(), (2,)], ids=["scalar", "comp2"])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_torus(self, d, comp):
+        from homogkit.coefficients import builtin_family
+        from homogkit.grid import assemble_torus, precond_scale
+
+        g = TorusGrid(d, _EQUIV_N[d])
+        m = comp[0] if comp else 1
+        A = builtin_family("trig", d=d, m=m).A(g.points())
+        K = assemble_torus(A, g)
+
+        def op(u):
+            return (K @ u.ravel()).reshape(u.shape)
+
+        rhs = np.random.Generator(np.random.PCG64(50 + d)).standard_normal(g.shape + comp)
+        kw = dict(precond_scale=precond_scale(A, g), self_adjoint=True)
+        x, res = solve_periodic(op, rhs, g, **kw)
+        want, want_res = _oracle_periodic(op, rhs, g, **kw)
+        assert np.array_equal(x, want)
+        assert res == want_res
+
+    @staticmethod
+    def _box(d, n, m, lam, self_adjoint, seed):
+        from homogkit.bvp import sample_coefficients
+        from homogkit.coefficients import builtin_family
+        from homogkit.grid import precond_scale
+
+        g = BoxGrid(d, n)
+        s = sample_coefficients(builtin_family("trig", d=d, m=m).principal_part,
+                                g, 1 / 2, lam)
+        rhs = np.random.Generator(np.random.PCG64(seed)).standard_normal(
+            (n - 1,) * d + (m,))
+        kw = dict(lam=lam, precond_scale=precond_scale(s.A, g),
+                  self_adjoint=self_adjoint)
+        x, res = solve_box_dirichlet(s.apply_interior, rhs, g, **kw)
+        want, want_res = _oracle_box(s.apply_interior, rhs, g, **kw)
+        assert np.array_equal(x, want)
+        assert res == want_res
+
+    @pytest.mark.parametrize("self_adjoint", [True, False], ids=["cg", "bicgstab"])
+    @pytest.mark.parametrize("lam", [0.0, 1.0])
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_box(self, d, m, lam, self_adjoint):
+        self._box(d, _EQUIV_N[d], m, lam, self_adjoint, 60 + 10 * d + m)
+
+    # n - 1 = DENSE_DST_MAX runs the sine-matrix product, one more the dstn path
+    @pytest.mark.parametrize("n", [DENSE_DST_MAX + 1, DENSE_DST_MAX + 2])
+    def test_box_dst_paths(self, n):
+        self._box(2, n, 1, 0.0, True, 70 + n)
