@@ -2,9 +2,12 @@
 
 Everything here lives on the unit torus.  The corrector chi_k (k = 1..d)
 solves the cell problem driven by the coordinate monomial P_k, chi_0 the one
-driven by div(V) (``grid.divergence``); ``solve_correctors`` is the one entry
-point for them, one loop over k = 0..d and the m columns on one assembled
-operator.  The four effective tensors are cell averages (``_hats``) of the
+driven by div(V); ``solve_correctors`` is the one entry point for them, one
+loop over k = 0..d and the m columns on one assembled operator.  Each k
+forms the sources of all m columns at once: ``_source_k`` is -L(P_k e_beta)
+and ``_source_0`` is div(V e_beta) (``grid.divergence``, on either geometry,
+so ``dirichlet`` takes the source of Phi_{eps,0} from it too).  The four
+effective tensors are cell averages (``_hats``) of the
 coefficient-plus-corrector-flux integrands, written once in
 ``_cell_fluxes``; the flux discrepancy fields (b, U, W, Z) are the remainders
 of the same integrands, represented through antisymmetric potentials (E, F)
@@ -19,7 +22,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .coefficients import CoefficientSet, ellipticity_margin
-from .grid import (GridFunction, TorusGrid, _centered_periodic, _coef_block,
+from .grid import (Grid, GridFunction, TorusGrid, _centered_periodic, _coef_block,
                    assemble_torus, divergence, gradient, precond_scale)
 from .solvers import _mean_zero, poisson_periodic, solve_periodic
 
@@ -99,18 +102,24 @@ def _cell_mean(v: np.ndarray, grid: TorusGrid) -> np.ndarray:
 # correctors
 # ---------------------------------------------------------------------------
 
-def _source_k(A: np.ndarray, k: int, grid: TorusGrid, beta: int) -> np.ndarray:
-    """-L(P_k e_beta): fluxes of the affine field with gradient e_k e_beta,
-    with the operator's own stencils, so constant A gives exactly zero."""
+def _source_0(V: np.ndarray, grid: Grid) -> np.ndarray:
+    """div(V e_beta) for all m columns beta, (*shape, m, m), on the torus or
+    the box: the source of chi_0 and of Phi_{eps,0}."""
+    return divergence(GridFunction(grid, np.moveaxis(V, -3, -1))).values
+
+
+def _source_k(A: np.ndarray, k: int, grid: TorusGrid) -> np.ndarray:
+    """-L(P_k e_beta) for all m columns beta, (*shape, m, m): fluxes of the
+    affine fields with gradient e_k e_beta, with the operator's own
+    stencils, so constant A gives exactly zero."""
     nd, h, ki = grid.d, grid.h, k - 1
-    akk = _coef_block(A, nd, ki, ki)[..., :, beta]        # (*shape, m)
+    akk = _coef_block(A, nd, ki, ki)                      # (*shape, m, m)
     half = 0.5 * (akk + np.roll(akk, -1, axis=ki))
     rhs = (half - np.roll(half, 1, axis=ki)) / h
     for i in range(nd):
         if i == ki:
             continue
-        aik = _coef_block(A, nd, i, ki)[..., :, beta]
-        rhs += _centered_periodic(aik, i, h)
+        rhs += _centered_periodic(_coef_block(A, nd, i, ki), i, h)
     return rhs
 
 
@@ -133,13 +142,10 @@ def solve_correctors(cs: CoefficientSet, grid: TorusGrid, tol: float = 1e-10) ->
     chis, res = [], {}
     for k in range(cs.d + 1):
         chi = np.zeros(grid.shape + (cs.m, cs.m))
+        src = _source_0(V, grid) if k == 0 else _source_k(A, k, grid)
         residuals = []
         for beta in range(cs.m):
-            if k == 0:   # V[..., beta] is (*shape, d, m): move d last
-                rhs = divergence(GridFunction(grid, np.moveaxis(V[..., beta], -2, -1))).values
-            else:
-                rhs = _source_k(A, k, grid, beta)
-            chi[..., :, beta], r = solve_periodic(op, rhs, grid, tol=tol,
+            chi[..., :, beta], r = solve_periodic(op, src[..., :, beta], grid, tol=tol,
                                                   precond_scale=scale,
                                                   self_adjoint=self_adjoint)
             residuals.append(r)

@@ -4,8 +4,8 @@ The corrector Phi_{eps,k} (k = 0..d) has the affine data P_k I on the
 boundary (P_0 = 1, P_k = x_k).  ``solve_dirichlet_correctors`` runs one
 loop over k and the m columns on one sampled principal-part operator L_0:
 each column is P_k + w, with w zero on the boundary and L_0 w = div(V_eps)
-for k = 0 (``grid.divergence``, as for the cell corrector chi_0),
-L_0 w = -L_0(P_k) for k >= 1.  The deviations Phi_k - P_k I are
+for k = 0 (``cell._source_0``, the source of the cell corrector chi_0, here
+on the box), L_0 w = -L_0(P_k) for k >= 1.  The deviations Phi_k - P_k I are
 formed once (``DirichletCorrectorSet.deviations``); the fields
 
     Psi_k = Phi_k - P_k I - eps * chi_k(x/eps)
@@ -24,10 +24,9 @@ from functools import cached_property
 import numpy as np
 
 from .bvp import pullback, resolution_guard, sample_coefficients
-from .cell import CorrectorSet
+from .cell import CorrectorSet, _source_0
 from .coefficients import CoefficientSet
-from .grid import (BoxGrid, GridFunction, TorusGrid, _pointwise_abs, divergence,
-                   gradient)
+from .grid import BoxGrid, GridFunction, TorusGrid, _pointwise_abs, gradient
 
 
 class CommensurabilityError(ValueError):
@@ -90,11 +89,8 @@ def solve_dirichlet_correctors(cs: CoefficientSet, eps: float, grid: BoxGrid,
         phi = np.empty(grid.shape + (m, m))
         P = affine_data(grid, k, m)
         phi[...] = P
-        if k == 0:   # div(V_eps e_beta); V_eps is freed before the k >= 1 solves
-            V = cs.V(pullback(grid, eps))   # (*shape, d, m, m)
-            sources = [divergence(GridFunction(grid, np.moveaxis(V[..., beta], -2, -1))).values
-                       for beta in range(m)]
-            del V
+        if k == 0:   # div(V_eps e_beta), as column views; V_eps is freed here
+            sources = np.moveaxis(_source_0(cs.V(pullback(grid, eps)), grid), -1, 0)
         else:        # -L_0(P_k e_beta)
             sources = [-samples.apply_full(P[..., :, beta]) for beta in range(m)]
         residuals = []

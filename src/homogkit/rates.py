@@ -57,11 +57,6 @@ class SweepConfig:
         if any(b >= a for a, b in zip(eps, eps[1:])):
             raise SweepError(f"eps list must be strictly decreasing, got {eps}")
         self.eps_list = eps
-        if self.n_fixed is None and self.n_cell % self.divisor != 0:
-            raise SweepError(
-                f"n_cell = {self.n_cell} must be divisible by the grid divisor "
-                f"{self.divisor} so cell fields land on the box lattice"
-            )
 
     def grid_for(self, eps: float) -> BoxGrid:
         d = builtin_family(self.family, **self.params).d

@@ -12,13 +12,15 @@ so that a run loads neither ``scipy.sparse.linalg`` nor the LAPACK of
 ``scipy.linalg``; only the GMRES fallback imports scipy's, on its first call.
 
 A preconditioner only has to be approximate, so its transforms run in
-float32: the residual is cast down, multiplied by a float32 copy of the
-reciprocal symbol and cast back.  The operator, the Krylov vectors, the
-GMRES fallback and the residual check stay float64.  ``_krylov`` scales the
-right-hand side by an exact power of two (max |b| in [0.5, 1)) and the
-solution back, so the float32 range never sees the scale of the data.
-``poisson_periodic`` is an exact solve, not a preconditioner, and stays
-float64.
+float32: the residual is cast down, transformed, multiplied by a float32
+copy of the reciprocal symbol, transformed back and cast back.
+``_spectral_solve`` holds this contract for both geometries; the two solves
+pass it only their transform, symbol and right-hand side.  The operator, the
+Krylov vectors, the GMRES fallback and the residual check stay float64.
+``_krylov`` scales the right-hand side by an exact power of two (max |b| in
+[0.5, 1)) and the solution back, so the float32 range never sees the scale
+of the data.  ``poisson_periodic`` is an exact solve, not a preconditioner,
+and stays float64.
 
 The box DST-I is applied as a product with the dense sine matrix, one BLAS
 GEMM per grid axis, when a grid axis has at most ``DENSE_DST_MAX`` = 127
@@ -68,16 +70,6 @@ def _laplace_symbol(theta: np.ndarray, h: float, d: int) -> np.ndarray:
     return sym
 
 
-def _laplace_symbol_torus(grid: TorusGrid) -> np.ndarray:
-    """Eigenvalues of the -Laplacian on the torus lattice (FFT modes)."""
-    return _laplace_symbol(2.0 * np.pi * np.arange(grid.n) / grid.n, grid.h, grid.d)
-
-
-def _laplace_symbol_box(grid: BoxGrid) -> np.ndarray:
-    """Eigenvalues of the Dirichlet -Laplacian on the interior lattice (DST-I)."""
-    return _laplace_symbol(np.pi * np.arange(1, grid.n) / grid.n, grid.h, grid.d)
-
-
 def _mean_zero(v: np.ndarray, grid_axes: int) -> np.ndarray:
     axes = tuple(range(grid_axes))
     return v - v.mean(axis=axes, keepdims=True)
@@ -87,7 +79,8 @@ def _inverse_symbol_torus(grid: TorusGrid, scale: float) -> np.ndarray:
     """1 / (scale * symbol) of the torus -Laplacian over the half spectrum of
     ``scipy.fft.rfftn`` (last grid axis n//2 + 1), 0 at the constant mode."""
     nd = grid.d
-    sym = _laplace_symbol_torus(grid)[..., : grid.n // 2 + 1]
+    theta = 2.0 * np.pi * np.arange(grid.n) / grid.n   # the FFT modes
+    sym = _laplace_symbol(theta, grid.h, nd)[..., : grid.n // 2 + 1]
     sym[(0,) * nd] = 1.0
     inv = 1.0 / (scale * sym)
     inv[(0,) * nd] = 0.0
@@ -107,7 +100,7 @@ def _inverse_symbol_box(grid: BoxGrid, scale: float, lam: float) -> np.ndarray:
     """1 / ((scale * symbol + max(lam, 0)) (2n)^d) of the Dirichlet
     -Laplacian on the interior lattice: DST-I is its own inverse up to the
     factor (2n)^d, folded in here."""
-    sym = _laplace_symbol_box(grid)
+    sym = _laplace_symbol(np.pi * np.arange(1, grid.n) / grid.n, grid.h, grid.d)
     return 1.0 / ((scale * sym + max(lam, 0.0)) * (2.0 * grid.n) ** grid.d)
 
 
@@ -159,9 +152,9 @@ def poisson_periodic(rhs: np.ndarray, grid: TorusGrid) -> np.ndarray:
     """Mean-zero x with -Laplace_h x = rhs - mean(rhs) on the torus, by FFT.
 
     Laplace_h is the compact flux Laplacian (the operator of identity
-    coefficients); its symbol ``_laplace_symbol_torus`` is inverted exactly,
-    in float64, and the constant mode is set to zero.  ``rhs`` has shape
-    grid.shape.
+    coefficients); its symbol is inverted exactly, in float64, by
+    ``_inverse_symbol_torus``, which sets the constant mode to zero.  ``rhs``
+    has shape grid.shape.
     """
     return _apply_inverse_torus(rhs, _inverse_symbol_torus(grid, 1.0), grid)
 
@@ -300,6 +293,25 @@ def _krylov(matvec, precond, rhs: np.ndarray, *, self_adjoint: bool, tol: float,
     return np.ldexp(x, exponent).reshape(rhs.shape), float(res)
 
 
+def _spectral_solve(apply_op, apply_inverse, inv: np.ndarray, rhs: np.ndarray,
+                    nd: int, **krylov) -> tuple[np.ndarray, float]:
+    """``_krylov`` on apply_op(x) = rhs with a float32 spectral preconditioner:
+    the residual is cast down, ``apply_inverse`` transforms it, multiplies by
+    the float32 copy of the reciprocal symbol ``inv`` (broadcast over the axes
+    after the first ``nd``) and transforms back, and the result is cast back."""
+    shape = rhs.shape
+    inv = inv.astype(np.float32).reshape(inv.shape + (1,) * (len(shape) - nd))
+
+    def matvec(x):
+        return apply_op(x.reshape(shape)).ravel()
+
+    def precond(r):
+        z = apply_inverse(r.reshape(shape).astype(np.float32), inv)
+        return z.astype(np.float64).ravel()
+
+    return _krylov(matvec, precond, rhs, **krylov)
+
+
 def solve_periodic(apply_op, rhs: np.ndarray, grid: TorusGrid, *,
                    tol: float = 1e-10, maxiter: int | None = None,
                    precond_scale: float = 1.0,
@@ -314,22 +326,13 @@ def solve_periodic(apply_op, rhs: np.ndarray, grid: TorusGrid, *,
     once; the solution comes back mean-zero per component, with the relative
     residual of the unprojected operator against the projected rhs.
     """
-    shape = rhs.shape
     nd = grid.d
-    inv = _inverse_symbol_torus(grid, precond_scale).astype(np.float32)
-    inv = inv.reshape(inv.shape + (1,) * (len(shape) - nd))
-
-    def matvec(x):
-        return apply_op(x.reshape(shape)).ravel()
-
-    def precond(r):
-        z = _apply_inverse_torus(r.reshape(shape).astype(np.float32), inv, grid)
-        return z.astype(np.float64).ravel()
-
     if maxiter is None:
         maxiter = max(200, int(20 * grid.n ** (grid.d / 2)))
-    x, res = _krylov(matvec, precond, _mean_zero(rhs, nd), self_adjoint=self_adjoint,
-                     tol=tol, maxiter=maxiter, what="periodic cell solve")
+    x, res = _spectral_solve(apply_op, lambda r, inv: _apply_inverse_torus(r, inv, grid),
+                             _inverse_symbol_torus(grid, precond_scale),
+                             _mean_zero(rhs, nd), nd, self_adjoint=self_adjoint,
+                             tol=tol, maxiter=maxiter, what="periodic cell solve")
     return _mean_zero(x, nd), res
 
 
@@ -345,20 +348,11 @@ def solve_box_dirichlet(apply_interior, rhs_interior: np.ndarray, grid: BoxGrid,
     + max(lam, 0) via DST-I, exact up to float32 rounding.  Returns the
     solution and its relative residual.
     """
-    shape = rhs_interior.shape
     nd = grid.d
-    inv = _inverse_symbol_box(grid, precond_scale, lam).astype(np.float32)
-    inv = inv.reshape(inv.shape + (1,) * (len(shape) - nd))
     S = _sine_matrix(grid, np.float32)
-
-    def matvec(x):
-        return apply_interior(x.reshape(shape)).ravel()
-
-    def precond(r):
-        z = _apply_inverse_box(r.reshape(shape).astype(np.float32), inv, nd, S)
-        return z.astype(np.float64).ravel()
-
     if maxiter is None:
         maxiter = max(200, 50 * grid.n)
-    return _krylov(matvec, precond, rhs_interior, self_adjoint=self_adjoint, tol=tol,
-                   maxiter=maxiter, what="box Dirichlet solve")
+    return _spectral_solve(apply_interior, lambda r, inv: _apply_inverse_box(r, inv, nd, S),
+                           _inverse_symbol_box(grid, precond_scale, lam), rhs_interior,
+                           nd, self_adjoint=self_adjoint, tol=tol, maxiter=maxiter,
+                           what="box Dirichlet solve")

@@ -73,7 +73,7 @@ class TestCorrectors:
             worst = []
             for beta in range(cs.m):
                 rhs = (oracle_divergence(V[..., beta], g, g.d) if k == 0
-                       else _source_k(A, k, g, beta))
+                       else _source_k(A, k, g)[..., :, beta])
                 want, res = solve_periodic(op, rhs, g, **kw)
                 assert np.array_equal(got[..., :, beta], want)
                 worst.append(res)

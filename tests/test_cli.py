@@ -231,7 +231,6 @@ class TestMain:
         "subcommand: solve\nlam: abc\n",
         "subcommand: green\nlam: .nan\n",
         "subcommand: rates\nn_cell: 2\n",
-        "subcommand: rates\nn_cell: 24\n",
         "subcommand: correctors\nn_cell: true\n",
         "subcommand: green\nrho: -1\n",
         "subcommand: green\nn: 16\nrho: 0.1\n",
@@ -287,6 +286,18 @@ class TestMain:
         assert main(["green", "--config", cfg, "--out", str(out)]) == 0
         rec = json.loads((out / "manifest.jsonl").read_text().splitlines()[-1])
         assert rec["checks"]["max_principle"] is True
+
+    def test_rates_n_cell_off_the_divisor(self, tmp_path, capsys):
+        # the sweep takes only the hats from the cell correctors, so n_cell
+        # need not be a multiple of divisor
+        cfg = self._write(tmp_path, "subcommand: rates\nfamily: trig\n"
+                                    "params: {d: 2, lower: 0.5}\n"
+                                    "eps: [0.25, 0.125, 0.0625]\ndivisor: 16\n"
+                                    "n_cell: 24\n")
+        assert main(["rates", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        out = capsys.readouterr().out
+        assert "check sweep_complete: pass" in out
+        assert "check l2_slope_near_one: pass" in out
 
     def test_exit_two_on_missing_config(self, capsys):
         rc = main(["cell", "--config", "/nonexistent.yaml"])

@@ -21,10 +21,6 @@ class TestConfig:
         with pytest.raises(SweepError, match="decreasing"):
             SweepConfig(family="laminate", eps_list=(1 / 16, 1 / 8))
 
-    def test_divisibility_guard(self):
-        with pytest.raises(SweepError, match="divisible"):
-            SweepConfig(family="laminate", n_cell=48, divisor=32)
-
     def test_grid_sizes_follow_divisor(self):
         cfg = SweepConfig(family="laminate", eps_list=(1 / 8, 1 / 16),
                           divisor=16)
