@@ -36,6 +36,7 @@ from .green import (MIN_FIT_PAIRS, GreenError, _snap_interior, approx_green,
                     maximal_function_probe, point_boundary_distance)
 from .rates import (PROBE_KINDS, SweepConfig, SweepError, load_field, run_sweep,
                     uniform_constant_probe)
+from .solvers import needs_scipy_fft, scipy_fft
 
 
 class ConfigError(ValueError):
@@ -138,7 +139,35 @@ def _sweep_config(cfg: ExperimentConfig) -> SweepConfig:
 
 
 def parse_config(text: str) -> ExperimentConfig:
-    """Parse and validate a YAML config, reporting every violation at once."""
+    """Parse and validate a YAML config (``check_config``), then import
+    ``scipy.fft`` when a grid the run solves on ``needs_scipy_fft``, so that
+    the import counts in set-up and never inside the run."""
+    cfg = check_config(text)
+    if any(map(needs_scipy_fft, _solve_grids(cfg))):
+        scipy_fft()
+    return cfg
+
+
+def _solve_grids(cfg: ExperimentConfig) -> list[TorusGrid | BoxGrid]:
+    """The grids the run of a valid ``cfg`` solves on: the torus of its cell
+    correctors and the boxes of its Dirichlet solves; none for ``validate``."""
+    sub = cfg.subcommand
+    if sub == "validate":
+        return []
+    d = builtin_family(cfg.family, **cfg.params).d
+    if sub == "rates":
+        sweep = _sweep_config(cfg)
+        return [TorusGrid(d, cfg["n_cell"])] + [sweep.grid_for(e) for e in sweep.eps_list]
+    if sub in ("cell", "homogenize"):
+        return [TorusGrid(d, cfg["n"])]
+    if sub == "correctors":
+        return [TorusGrid(d, cfg["n_cell"]), BoxGrid(d, cfg["n"])]
+    return [BoxGrid(d, cfg["n"])]   # solve, and green with or without the battery
+
+
+def check_config(text: str) -> ExperimentConfig:
+    """Parse and validate a YAML config, reporting every violation at once;
+    imports nothing a run would need."""
     violations = []
     try:
         raw = yaml.safe_load(text)
@@ -486,13 +515,14 @@ def _write_loglog_svg(report, path):
 
 
 def _run_validate(cfg: ExperimentConfig, out_dir: str):
-    """Re-parse a list of config files, collecting violations per file."""
+    """Re-check a list of config files, collecting violations per file; it
+    runs none of them, so it loads no transform library for them."""
     results = {}
     ok = True
     for path in cfg["configs"]:
         try:
             with open(path) as fh:
-                parse_config(fh.read())
+                check_config(fh.read())
             results[path] = "ok"
         except (ConfigError, OSError) as exc:
             results[path] = str(exc)

@@ -89,13 +89,28 @@ class GreenSample:
         return self.columns.shape[0]
 
     def fit_shell(self) -> tuple[np.ndarray, np.ndarray]:
-        """``decay_shell`` of this sample's grid, source point and rho."""
-        return decay_shell(self.grid, self.y, self.rho)
+        """``decay_shell`` of this sample's grid, source point and rho,
+        computed once per sample; both arrays are read-only."""
+        return self._fit_shell
 
     def magnitude(self) -> np.ndarray:
-        """Frobenius norm over both matrix indices, per grid point."""
+        """Frobenius norm over both matrix indices, per grid point, computed
+        once per sample; the array is read-only."""
+        return self._magnitude
+
+    @functools.cached_property
+    def _fit_shell(self) -> tuple[np.ndarray, np.ndarray]:
+        return tuple(map(_read_only, decay_shell(self.grid, self.y, self.rho)))
+
+    @functools.cached_property
+    def _magnitude(self) -> np.ndarray:
         sq = np.sum(self.columns ** 2, axis=(0, self.columns.ndim - 1))
-        return np.sqrt(sq)
+        return _read_only(np.sqrt(sq))
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 def approx_green(cs: CoefficientSet, eps: float, lam: float, grid: BoxGrid,
@@ -195,7 +210,7 @@ def decay_fit(sample: GreenSample) -> DecayFit:
         raise GreenError("power-law decay fits require d = 3")
     r, adm = sample.fit_shell()
     mag = sample.magnitude()
-    adm &= mag > 0
+    adm = adm & (mag > 0)
     rr = r[adm]
     vv = mag[adm]
     if rr.size < MIN_FIT_PAIRS:

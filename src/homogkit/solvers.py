@@ -24,30 +24,51 @@ and stays float64.
 
 The box DST-I is applied as a product with the dense sine matrix, one BLAS
 GEMM per grid axis, when a grid axis has at most ``DENSE_DST_MAX`` = 127
-interior points, and through ``scipy.fft.dstn`` above that; the rule reads
-the grid size alone.  The product costs O(N^(d+1)) against the FFT's
-O(N^d log N), but on small axes BLAS wins: per float32 transform on one
-BLAS thread, 0.43 against 0.98 ms at 47^3, 0.042 against 0.085 ms at 95^2
-and 0.107 against 0.131 ms at 127^2, while at 255^2 it loses, 0.75 against
-0.41 ms.  Both paths compute the same unnormalised transform, so the
-reciprocal symbol is shared.  The float32 apply agrees with the float64 one
-to about 1.5e-6 relative on the product path and 4e-7 on the FFT path.  The
-torus keeps ``rfftn`` on every size: a dense real-Fourier basis measured
-slower at 96^2 x 2.
+interior points, and through ``scipy.fft.dstn`` above that; the rule,
+``needs_scipy_fft``, reads the grid size alone.  The sine matrix is built
+once per size and dtype and shared read-only.  The product costs
+O(N^(d+1)) against the FFT's O(N^d log N), but on small axes BLAS wins: per
+float32 transform on one BLAS thread, 0.43 against 0.98 ms at 47^3, 0.042
+against 0.085 ms at 95^2 and 0.107 against 0.131 ms at 127^2, while at
+255^2 it loses, 0.75 against 0.41 ms.  Both paths compute the same
+unnormalised transform, so the reciprocal symbol is shared.  The float32
+apply agrees with the float64 one to about 1.5e-6 relative on the product
+path and 4e-7 on the FFT path.  The torus keeps ``rfftn`` on every size: a
+dense real-Fourier basis measured slower at 96^2 x 2.
+
+``scipy.fft`` (which also loads ``scipy.special``) is imported on first use,
+by ``scipy_fft``: only a torus solve, ``poisson_periodic`` and a box above
+the rule transform with it.  ``cli.parse_config`` calls ``scipy_fft`` for a
+run whose grids ``needs_scipy_fft``, so the import lands in the set-up of
+the runs that need it and in no run on small boxes only.
 """
 
 from __future__ import annotations
 
+import functools
 from types import SimpleNamespace
 
 import numpy as np
-import scipy.fft
 
 from .grid import BoxGrid, TorusGrid
 
 # Largest number of interior points per axis at which the box preconditioner
 # applies its DST-I as a dense sine-matrix product (see the module docstring).
 DENSE_DST_MAX = 127
+
+
+def needs_scipy_fft(grid: TorusGrid | BoxGrid) -> bool:
+    """Whether a solve on ``grid`` transforms with ``scipy.fft``: every torus
+    grid (``rfftn``), and a box grid with more than ``DENSE_DST_MAX`` interior
+    points per axis (``dstn``); smaller boxes take the sine-matrix product."""
+    return isinstance(grid, TorusGrid) or grid.n - 1 > DENSE_DST_MAX
+
+
+def scipy_fft():
+    """The ``scipy.fft`` module, imported on the first call."""
+    import scipy.fft
+
+    return scipy.fft
 
 
 class SolverError(RuntimeError):
@@ -90,10 +111,10 @@ def _inverse_symbol_torus(grid: TorusGrid, scale: float) -> np.ndarray:
 def _apply_inverse_torus(r: np.ndarray, inv: np.ndarray, grid: TorusGrid) -> np.ndarray:
     """rfftn over the grid axes of ``r``, times ``inv`` (broadcast over any
     trailing component axes), and back, in the precision of ``r``."""
-    axes = tuple(range(grid.d))
-    zhat = scipy.fft.rfftn(r, axes=axes)
+    fft, axes = scipy_fft(), tuple(range(grid.d))
+    zhat = fft.rfftn(r, axes=axes)
     zhat *= inv
-    return scipy.fft.irfftn(zhat, s=grid.shape, axes=axes, overwrite_x=True)
+    return fft.irfftn(zhat, s=grid.shape, axes=axes, overwrite_x=True)
 
 
 def _inverse_symbol_box(grid: BoxGrid, scale: float, lam: float) -> np.ndarray:
@@ -105,15 +126,25 @@ def _inverse_symbol_box(grid: BoxGrid, scale: float, lam: float) -> np.ndarray:
 
 
 def _sine_matrix(grid: BoxGrid, dtype) -> np.ndarray | None:
-    """The DST-I of ``scipy.fft.dst(type=1)`` as a matrix, S[j, k] =
-    2 sin(pi j k / n) for j, k = 1..n-1 (j k reduced mod 2n before the sine),
-    in ``dtype``; None when n - 1 exceeds DENSE_DST_MAX, which selects the
-    ``scipy.fft.dstn`` path of ``_apply_inverse_box``."""
-    if grid.n - 1 > DENSE_DST_MAX:
+    """The DST-I of ``scipy.fft.dst(type=1)`` as a read-only matrix in
+    ``dtype``, shared by every solve on a grid of the same n; None when the
+    grid ``needs_scipy_fft``, which selects the ``scipy.fft.dstn`` path of
+    ``_apply_inverse_box``."""
+    if needs_scipy_fft(grid):
         return None
-    j = np.arange(1, grid.n)
-    jk = np.outer(j, j) % (2 * grid.n)
-    return (2.0 * np.sin(np.pi * jk / grid.n)).astype(dtype)
+    return _dense_sine_matrix(grid.n, np.dtype(dtype))
+
+
+@functools.lru_cache(maxsize=8)
+def _dense_sine_matrix(n: int, dtype: np.dtype) -> np.ndarray:
+    """S[j, k] = 2 sin(pi j k / n) for j, k = 1..n-1 (j k reduced mod 2n
+    before the sine), in ``dtype``, not writeable; kept for the last 8
+    (n, dtype) pairs, at most 128 KiB each."""
+    j = np.arange(1, n)
+    jk = np.outer(j, j) % (2 * n)
+    S = (2.0 * np.sin(np.pi * jk / n)).astype(dtype)
+    S.flags.writeable = False
+    return S
 
 
 def _dst_dense(x: np.ndarray, S: np.ndarray, nd: int) -> np.ndarray:
@@ -139,10 +170,10 @@ def _apply_inverse_box(r: np.ndarray, inv: np.ndarray, nd: int,
     ``r``: as products with the sine matrix ``S`` (``_sine_matrix``), or by
     ``scipy.fft.dstn`` when ``S`` is None."""
     if S is None:
-        axes = tuple(range(nd))
-        rhat = scipy.fft.dstn(r, type=1, axes=axes)
+        fft, axes = scipy_fft(), tuple(range(nd))
+        rhat = fft.dstn(r, type=1, axes=axes)
         rhat *= inv
-        return scipy.fft.dstn(rhat, type=1, axes=axes, overwrite_x=True)
+        return fft.dstn(rhat, type=1, axes=axes, overwrite_x=True)
     rhat = _dst_dense(r, S, nd)
     rhat *= inv
     return _dst_dense(rhat, S, nd)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -102,6 +103,25 @@ class TestColumns:
         assert np.all(vals < 1.05)
         assert np.all(vals > 0.6)
         assert np.median(vals) > 0.75
+
+
+    def test_decay_fit_leaves_the_cached_shell_intact(self, const3d_sample):
+        # fit_shell() and magnitude() are computed once per sample and are
+        # read-only; decay_fit drops the zero-magnitude points of the shell
+        # on a copy of its mask, so a second fit and the shell are unchanged
+        _, g, sample = const3d_sample
+        columns = sample.columns.copy()
+        columns[..., : g.n // 2, :] = 0.0   # zero on the half shell below y
+        zeroed = replace(sample, columns=columns)
+        first = decay_fit(zeroed)
+        assert decay_fit(zeroed) == first
+        r, adm = zeroed.fit_shell()
+        want_r, want_adm = decay_shell(g, zeroed.y, zeroed.rho)
+        assert np.array_equal(r, want_r) and np.array_equal(adm, want_adm)
+        assert first.n_pairs < int(adm.sum())
+        mag = zeroed.magnitude()
+        assert zeroed.fit_shell()[1] is adm and zeroed.magnitude() is mag
+        assert not (r.flags.writeable or adm.flags.writeable or mag.flags.writeable)
 
 
 class TestReciprocity:

@@ -22,12 +22,19 @@ No linter ships with the toolchain, so this stands in for four rules:
   (``values``, ``eps``) counts as read for all of them: the rule is
   conservative and misses such fields.
 
-It also checks which scipy modules a CLI process loads.
+A fifth rule keeps two scipy modules off the import of ``homogkit``: no
+source file imports ``scipy.fft`` or ``scipy.sparse.linalg`` outside a
+function body (``solvers`` imports each on first use).
+
+It also checks which scipy modules a CLI process loads, and at which stage:
+the parse loads ``scipy.fft`` exactly for the runs that transform with it,
+and no run loads it first.
 """
 
 import ast
 import functools
 import json
+from concurrent.futures import ThreadPoolExecutor
 import os
 import pathlib
 import subprocess
@@ -245,6 +252,59 @@ def test_detector_flags_an_unread_dataclass_field():
     assert unread_dataclass_fields(source, elsewhere | looped) == ["Result.written"]
 
 
+# Imported by ``homogkit.solvers`` on first use, never with the package.
+LAZY_MODULES = ("scipy.fft", "scipy.sparse.linalg")
+
+
+def _loaded_modules(node) -> list[str]:
+    """The modules an import statement may load: ``import a.b`` names
+    ``a.b``; ``from a import b`` names ``a`` and ``a.b``, as b may be a
+    module.  Relative imports (homogkit's own modules) name none."""
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    if node.level:
+        return []
+    return [node.module] + [f"{node.module}.{alias.name}" for alias in node.names]
+
+
+def eager_lazy_imports(source: str) -> list[str]:
+    """``line: module`` for each import statement outside every function
+    body (so also inside a top-level ``if``, ``try`` or class body) that
+    loads one of ``LAZY_MODULES`` or a submodule of one."""
+    out = []
+
+    def visit(node):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            if isinstance(child, (ast.Import, ast.ImportFrom)):
+                hits = {lazy for name in _loaded_modules(child) for lazy in LAZY_MODULES
+                        if name == lazy or name.startswith(lazy + ".")}
+                out.extend(f"{child.lineno}: {lazy}" for lazy in sorted(hits))
+            visit(child)
+
+    visit(ast.parse(source))
+    return out
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_level_import_of_lazy_modules(path):
+    assert eager_lazy_imports(path.read_text()) == []
+
+
+def test_detector_flags_a_module_level_lazy_import():
+    source = ("import numpy as np\nimport scipy.fft as fft\nfrom scipy import sparse\n"
+              "from scipy.sparse import linalg\nfrom scipy.sparse.linalg import gmres\n"
+              "from .solvers import cg\n"
+              "try:\n    from scipy import fft\nexcept ImportError:\n    pass\n"
+              "class C:\n    import scipy.fft._pocketfft\n"
+              "    def lazy(self):\n        import scipy.fft\n"
+              "def lazy():\n    from scipy.sparse.linalg import cg\n")
+    assert eager_lazy_imports(source) == [
+        "2: scipy.fft", "4: scipy.sparse.linalg", "5: scipy.sparse.linalg",
+        "8: scipy.fft", "12: scipy.fft"]
+
+
 _FOOTPRINT = """
 import json, sys
 import homogkit.cli as cli
@@ -257,16 +317,87 @@ print(json.dumps(loaded))
 """
 
 
-def test_cli_loads_no_scipy_linalg(tmp_path):
-    """``import homogkit.cli`` loads ``scipy.sparse`` (the operator products)
-    and ``scipy.fft`` (the preconditioners), but neither
-    ``scipy.sparse.linalg`` nor ``scipy.linalg``, and a solve run leaves
-    both unloaded: the Krylov loops are homogkit's own, and only the GMRES
-    fallback imports scipy's."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+def _subprocess_env() -> dict:
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")])))
+
+
+def test_cli_loads_no_scipy_linalg(tmp_path):
+    """``import homogkit.cli`` loads ``scipy.sparse`` (the operator
+    products), but neither ``scipy.sparse.linalg`` nor ``scipy.linalg``, and
+    a solve run leaves both unloaded: the Krylov loops are homogkit's own,
+    and only the GMRES fallback imports scipy's.  ``solve_trig``'s box (127
+    interior points per axis) takes the sine-matrix product, so the run
+    loads no ``scipy.fft`` either."""
     done = subprocess.run(
         [sys.executable, "-c", _FOOTPRINT, str(ROOT / "configs" / "solve_trig.yaml"),
-         str(tmp_path / "out")], env=env, capture_output=True, text=True, check=True)
+         str(tmp_path / "out")], env=_subprocess_env(), capture_output=True, text=True,
+        check=True)
     before, after = json.loads(done.stdout.splitlines()[-1])
-    assert before == after == ["scipy.sparse", "scipy.fft"]
+    assert before == after == ["scipy.sparse"]
+
+
+_STAGES = """
+import json, sys
+
+names = ("scipy.fft", "scipy.special")
+stages = {}
+import homogkit.cli as cli
+stages["imported"] = [name in sys.modules for name in names]
+with open(sys.argv[1]) as fh:
+    cfg = cli.parse_config(fh.read())
+stages["parsed"] = [name in sys.modules for name in names]
+stages["ok"] = cli.run(cfg, sys.argv[2])["ok"]
+stages["ran"] = [name in sys.modules for name in names]
+print(json.dumps(stages))
+"""
+
+# Configs beside configs/*.yaml: the maximal battery on the 96^2 box of the
+# benchmark's maximal workload, and a solve on the smallest box above
+# DENSE_DST_MAX (128 interior points per axis).
+_EXTRA_CONFIGS = {
+    "battery_96": "subcommand: green\nfamily: trig\nparams: {d: 2}\nn: 96\n"
+                  "eps: 0.25\nbattery: true\nprobes: [[0.5, 0.5]]\nseed: 0\n",
+    "solve_129": "subcommand: solve\nfamily: constant\nparams: {d: 2}\nn: 129\n",
+}
+# The runs that transform with scipy.fft: those on a torus, and the box above
+# the rule; every other one solves on smaller boxes, or not at all.
+_TRANSFORMING = {"cell_laminate", "homogenize_laminate", "correctors_trig",
+                 "rates_trig2d", "solve_129"}
+_STAGE_CASES = sorted(p.stem for p in (ROOT / "configs").glob("*.yaml")) + sorted(
+    _EXTRA_CONFIGS)
+
+
+@pytest.fixture(scope="module")
+def import_stages(tmp_path_factory):
+    """Per config: whether ``scipy.fft`` and ``scipy.special`` are loaded
+    after ``import homogkit.cli``, after ``parse_config`` and after ``run``,
+    each config in a fresh process (two at a time), from the repository
+    root so that ``validate_all``'s relative paths resolve."""
+    tmp = tmp_path_factory.mktemp("stages")
+    paths = {name: ROOT / "configs" / f"{name}.yaml" for name in _STAGE_CASES}
+    for name, text in _EXTRA_CONFIGS.items():
+        paths[name] = tmp / f"{name}.yaml"
+        paths[name].write_text(text)
+
+    def stages(name):
+        done = subprocess.run(
+            [sys.executable, "-c", _STAGES, str(paths[name]), str(tmp / name)],
+            cwd=ROOT, env=_subprocess_env(), capture_output=True, text=True, check=True)
+        return json.loads(done.stdout.splitlines()[-1])
+
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        return dict(zip(_STAGE_CASES, pool.map(stages, _STAGE_CASES)))
+
+
+@pytest.mark.parametrize("name", _STAGE_CASES)
+def test_scipy_fft_is_loaded_at_parse_time_or_never(import_stages, name):
+    """The parse loads ``scipy.fft`` (and with it ``scipy.special``) exactly
+    for the runs that transform with it, and no run loads either first, so
+    no library import lands in a stage time of the manifest.  ``validate``
+    only checks its configs, so it loads nothing for the torus ones."""
+    stages = import_stages[name]
+    assert stages["ok"]
+    assert stages["imported"] == [False, False]
+    assert stages["parsed"] == [name in _TRANSFORMING] * 2
+    assert stages["ran"] == stages["parsed"]

@@ -6,8 +6,8 @@ import pytest
 from homogkit.grid import BoxGrid, TorusGrid, principal_part_apply
 from homogkit.solvers import (DENSE_DST_MAX, SolverError, _apply_inverse_box,
                               _apply_inverse_torus, _inverse_symbol_box,
-                              _inverse_symbol_torus, _sine_matrix, poisson_periodic,
-                              solve_box_dirichlet, solve_periodic)
+                              _inverse_symbol_torus, _sine_matrix, needs_scipy_fft,
+                              poisson_periodic, solve_box_dirichlet, solve_periodic)
 from oracles import laplace_symbol
 
 
@@ -301,6 +301,30 @@ class TestPreconditionerEquivalence:
         x = poisson_periodic(rhs, g)
         assert abs(x.mean()) < 1e-14 * np.abs(x).max()
         assert _close(x, _torus_precond_oracle(rhs, g, 1.0))
+
+
+class TestTransformPath:
+    """``needs_scipy_fft`` is the one rule for the transform path: the torus
+    and boxes above ``DENSE_DST_MAX`` interior points per axis transform with
+    ``scipy.fft``; every smaller box shares one read-only sine matrix per
+    size and dtype."""
+
+    @pytest.mark.parametrize("grid,needs", [
+        (TorusGrid(1, 8), True), (TorusGrid(2, 16), True),
+        (BoxGrid(2, DENSE_DST_MAX + 1), False), (BoxGrid(3, 48), False),
+        (BoxGrid(1, DENSE_DST_MAX + 2), True), (BoxGrid(2, 256), True)])
+    def test_needs_scipy_fft(self, grid, needs):
+        assert needs_scipy_fft(grid) is needs
+        if isinstance(grid, BoxGrid):
+            assert (_sine_matrix(grid, np.float32) is None) is needs
+
+    def test_sine_matrix_is_shared_and_read_only(self):
+        S = _sine_matrix(BoxGrid(2, 16), np.float32)
+        assert _sine_matrix(BoxGrid(3, 16), np.dtype(np.float32)) is S
+        assert S.dtype == np.float32 and S.shape == (15, 15)
+        assert not S.flags.writeable
+        S64 = _sine_matrix(BoxGrid(2, 16), np.float64)
+        assert S64.dtype == np.float64 and np.array_equal(S64.astype(np.float32), S)
 
 
 class TestNoDtypeProbe:
