@@ -332,7 +332,7 @@ def test_cli_loads_no_scipy_linalg(tmp_path):
     done = subprocess.run(
         [sys.executable, "-c", _FOOTPRINT, str(ROOT / "configs" / "solve_trig.yaml"),
          str(tmp_path / "out")], env=_subprocess_env(), capture_output=True, text=True,
-        check=True)
+        check=True, timeout=120)
     before, after = json.loads(done.stdout.splitlines()[-1])
     assert before == after == ["scipy.sparse"]
 
@@ -383,7 +383,8 @@ def import_stages(tmp_path_factory):
     def stages(name):
         done = subprocess.run(
             [sys.executable, "-c", _STAGES, str(paths[name]), str(tmp / name)],
-            cwd=ROOT, env=_subprocess_env(), capture_output=True, text=True, check=True)
+            cwd=ROOT, env=_subprocess_env(), capture_output=True, text=True, check=True,
+            timeout=120)
         return json.loads(done.stdout.splitlines()[-1])
 
     with ThreadPoolExecutor(max_workers=2) as pool:
