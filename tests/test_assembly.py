@@ -42,11 +42,12 @@ IDS = [f"{name}-d{p['d']}-m{p.get('m', 2)}" for name, p in CASES]
 SIZES = {1: 32, 2: 16, 3: 8}
 
 
-def box_samples(name, params, lam=0.7) -> CoefficientSamples:
+def box_samples(name, params, lam=0.7, n=None) -> CoefficientSamples:
     """A built-in family at eps = 1/4, or independent random coefficient
-    arrays (every a_ij^{ab} nonzero, which no built-in family has for i != j)."""
+    arrays (every a_ij^{ab} nonzero, which no built-in family has for i != j),
+    on the box of ``n`` (default ``SIZES[d]``) intervals per axis."""
     d = params["d"]
-    g = BoxGrid(d, SIZES[d])
+    g = BoxGrid(d, n or SIZES[d])
     if name != "random":
         return sample_coefficients(builtin_family(name, **params), g, 1 / 4, lam)
     m = params["m"]
