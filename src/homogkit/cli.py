@@ -30,7 +30,7 @@ from .cell import build_flux_correctors, homogenize, solve_correctors
 from .coefficients import FAMILY_NAMES, CoefficientError, builtin_family
 from .dirichlet import (CommensurabilityError, lattice_step, psi_diagnostics,
                         solve_dirichlet_correctors)
-from .grid import BoxGrid, GridFunction, TorusGrid, is_dyadic, write_csv
+from .grid import BoxGrid, GridFunction, TorusGrid, is_dyadic, scipy_sparse, write_csv
 from .green import (MIN_FIT_PAIRS, GreenError, _snap_interior, approx_green,
                     boundary_data_battery, decay_fit, decay_shell,
                     maximal_function_probe, point_boundary_distance)
@@ -140,11 +140,15 @@ def _sweep_config(cfg: ExperimentConfig) -> SweepConfig:
 
 def parse_config(text: str) -> ExperimentConfig:
     """Parse and validate a YAML config (``check_config``), then import
-    ``scipy.fft`` when a grid the run solves on ``needs_scipy_fft``, so that
-    the import counts in set-up and never inside the run."""
+    ``scipy.fft`` when a grid the run solves on ``needs_scipy_fft`` and
+    ``scipy.sparse`` when one is a torus (``assemble_torus``), so that the
+    imports count in set-up and never inside the run."""
     cfg = check_config(text)
-    if any(map(needs_scipy_fft, _solve_grids(cfg))):
+    grids = _solve_grids(cfg)
+    if any(map(needs_scipy_fft, grids)):
         scipy_fft()
+    if any(isinstance(g, TorusGrid) for g in grids):
+        scipy_sparse()
     return cfg
 
 

@@ -21,6 +21,7 @@ from functools import cached_property
 from typing import Callable
 
 import numpy as np
+from numpy.random import PCG64, Generator
 
 from .grid import TorusGrid
 
@@ -127,7 +128,7 @@ def _probe_directions(d: int, m: int) -> list[np.ndarray]:
         xi = np.full((d, m), s)
         xi[0, 0] = 1.0
         dirs.append(xi / np.linalg.norm(xi))
-    rng = np.random.Generator(np.random.PCG64(12345))
+    rng = Generator(PCG64(12345))
     for _ in range(8):
         xi = rng.standard_normal((d, m))
         dirs.append(xi / np.linalg.norm(xi))

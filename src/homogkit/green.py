@@ -22,6 +22,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+from numpy.random import PCG64, Generator
 
 from .bvp import DirichletProblem, sample_coefficients, solve
 from .coefficients import CoefficientSet
@@ -246,7 +247,7 @@ def boundary_data_battery(grid: BoxGrid, m: int, seed: int = 0) -> list[np.ndarr
 
     Full-shape arrays are returned; only the boundary rows matter downstream.
     """
-    rng = np.random.Generator(np.random.PCG64(seed))
+    rng = Generator(PCG64(seed))
     pts = grid.points()
     battery = []
     for j in range(BATTERY_SIZE):

@@ -12,10 +12,12 @@ trailing component axes.
 
 All difference operators are second order.  The divergence-form operator is
 discretized in flux-conservative form so that discrete summation by parts
-holds exactly.  Solvers use it assembled once into a sparse matrix
-(``assemble_torus``, ``assemble_box``); ``principal_part_apply`` evaluates
-the same stencil from the coefficient arrays and serves as the reference the
-assembled matrices are tested against.
+holds exactly.  Solvers use it assembled once (``assemble_torus``,
+``assemble_box``); ``principal_part_apply`` evaluates the same stencil from
+the coefficient arrays and serves as the reference the assembled operators
+are tested against.  The torus operator is a ``scipy.sparse`` CSR matrix,
+imported on first use (``scipy_sparse``); the box operator is held in numpy
+arrays (``Diagonals``, ``Triplets``) and applied with numpy.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
 
 class GridError(ValueError):
@@ -407,6 +408,77 @@ def _flux_stencil(A, V, B, c, lam: float, h: float, rows: int,
     yield zero, diag
 
 
+# Rows of a ``Diagonals`` product handled at once: the block of the result
+# and the product temporary (256 KiB each) stay in cache while the stored
+# diagonals stream through.
+_ROW_BLOCK = 1 << 15
+
+
+class Diagonals:
+    """A square matrix stored by diagonals in scipy's DIA layout:
+    ``data[k, j]`` is the entry in column j of row j - offsets[k]; entries
+    whose row lies outside the matrix are never read.
+
+    ``K @ x`` adds the products of the diagonals, in stored order, into a
+    zeroed vector, one block of ``_ROW_BLOCK`` rows at a time; the slices
+    of each diagonal are cut once, here.  Every entry of the result is thus
+    the sum 0 + p_1 + p_2 + ... of its row's products in the order
+    ``scipy.sparse.dia_array((data, offsets)) @ x`` adds them, so the two
+    agree bit for bit, the sign of a zero included.
+    """
+
+    def __init__(self, data: np.ndarray, offsets: list[int]):
+        n = data.shape[1]
+        self.data, self.offsets, self.shape = data, np.array(offsets), (n, n)
+        self._steps = []   # (diagonal slice, its columns, its rows)
+        for r0 in range(0, n, _ROW_BLOCK):
+            r1 = min(n, r0 + _ROW_BLOCK)
+            for k, off in enumerate(offsets):
+                lo, hi = max(r0, -off), min(r1, n - off)
+                if lo < hi:
+                    self._steps.append((data[k, lo + off:hi + off],
+                                        slice(lo + off, hi + off), slice(lo, hi)))
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        y = np.zeros(self.shape[0])
+        tmp = np.empty(min(self.shape[0], _ROW_BLOCK))
+        for diag, cols, rows in self._steps:
+            t = tmp[:diag.size]
+            np.multiply(diag, x[cols], t)
+            yr = y[rows]
+            np.add(yr, t, yr)
+        return y
+
+
+class Triplets:
+    """A sparse matrix as (row, column, value) triplets, sorted once into
+    CSR order: by row, then by column within the row.
+
+    ``K @ x`` sums the products of each row with ``np.bincount``, which adds
+    them in stored order into a zeroed vector: the order in which
+    ``scipy.sparse.csr_array`` adds them, so the two agree bit for bit.
+    """
+
+    def __init__(self, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray,
+                 shape: tuple[int, int]):
+        order = np.lexsort((cols, rows))
+        self.rows = rows[order].astype(np.intp)
+        self.cols = cols[order].astype(np.intp)
+        self.vals, self.shape = vals[order], shape
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        return np.bincount(self.rows, weights=self.vals * x[self.cols],
+                           minlength=self.shape[0])
+
+
+def scipy_sparse():
+    """The ``scipy.sparse`` module, imported on the first call: only the
+    torus operator is stored with it."""
+    from scipy import sparse
+
+    return sparse
+
+
 def assemble_torus(A: np.ndarray, grid: TorusGrid):
     """CSR matrix of -div(A grad .) on the torus (``principal_part_apply``).
 
@@ -434,8 +506,8 @@ def assemble_torus(A: np.ndarray, grid: TorusGrid):
     indices = np.broadcast_to(m * nbr[:, None, None, :] + comp, data.shape)
     rowlen = m * len(offsets)
     indptr = np.arange(0, data.size + 1, rowlen, dtype=np.int32)
-    return sparse.csr_array((data.ravel(), indices.ravel(), indptr),
-                            shape=(npts * m, npts * m))
+    return scipy_sparse().csr_array((data.ravel(), indices.ravel(), indptr),
+                                    shape=(npts * m, npts * m))
 
 
 def assemble_box(A: np.ndarray, V: np.ndarray, B: np.ndarray, c: np.ndarray,
@@ -445,12 +517,12 @@ def assemble_box(A: np.ndarray, V: np.ndarray, B: np.ndarray, c: np.ndarray,
     Coefficients are sampled on all of ``grid`` with trailing axes
     (d, d, m, m), (d, m, m), (d, m, m), (m, m).  K_ii couples interior
     unknowns (interior points in C order, components fastest) and is stored
-    index-free as DIA, holding the offsets
+    index-free by diagonals (``Diagonals``), holding the offsets
     ``_stencil_offsets(d, _cross_pairs(A))``: an entry whose neighbour is a
     boundary point is zero there, so diagonals that wrap across a lattice
-    row carry nothing.  K_ib (CSR) couples interior rows to the boundary
-    values ordered as ``boundary_indices``; only rows next to a face have
-    entries.  For a full field u, the interior rows of L u are
+    row carry nothing.  K_ib (``Triplets``) couples interior rows to the
+    boundary values ordered as ``boundary_indices``; only rows next to a
+    face have entries.  For a full field u, the interior rows of L u are
     K_ii u_int + K_ib u_b.
     """
     d, n, m = grid.d, grid.n, A.shape[-1]
@@ -488,11 +560,9 @@ def assemble_box(A: np.ndarray, V: np.ndarray, B: np.ndarray, c: np.ndarray,
             for b in range(m):
                 dst = data[row_of[off * m + b - a]].reshape(npts, m)[:, b]
                 dst[lo + off:hi + off] = blk[lo:hi, a, b]
-    K_ii = sparse.dia_array((data, diagonals), shape=(npts * m, npts * m))
-    K_ib = sparse.csr_array(
-        (np.concatenate(ib_vals), (np.concatenate(ib_rows), np.concatenate(ib_cols))),
-        shape=(npts * m, nb * m))
-    return K_ii, K_ib
+    K_ib = Triplets(np.concatenate(ib_rows), np.concatenate(ib_cols),
+                    np.concatenate(ib_vals), (npts * m, nb * m))
+    return Diagonals(data, diagonals), K_ib
 
 
 # ---------------------------------------------------------------------------

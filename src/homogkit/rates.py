@@ -16,6 +16,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.random import PCG64, Generator
 
 from .bvp import DirichletProblem, check_lambda, solve
 from .cell import homogenize, solve_correctors
@@ -77,7 +78,7 @@ def load_field(kind: str, grid: BoxGrid, m: int, seed: int = 0) -> np.ndarray:
             prod = prod * np.sin(np.pi * pts[..., ax])
         vals[..., 0] = prod
     elif kind == "bump":
-        rng = np.random.Generator(np.random.PCG64(seed))
+        rng = Generator(PCG64(seed))
         center = rng.uniform(0.3, 0.7, size=grid.d)
         width = 0.15
         r2 = np.sum((pts - center) ** 2, axis=-1)

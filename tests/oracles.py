@@ -14,12 +14,16 @@ checks test a coefficient set's declared structure constants, and
 ``grid.principal_part_apply`` is tested; no run calls them.
 ``poisson_kernel_boundary_rep`` is the discrete Poisson kernel, which checks
 the adjoint Green columns against solves with boundary data.
+``scipy_interior`` and ``scipy_boundary`` rebuild the box operator's blocks
+as ``scipy.sparse`` arrays from their stored arrays: the products they are
+tested against, and the transposes and dense forms the assembly tests read.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import scipy.fft
+from scipy import sparse
 
 from homogkit.bvp import sample_coefficients
 from homogkit.coefficients import CoefficientError, CoefficientSet, ellipticity_margin
@@ -27,6 +31,16 @@ from homogkit.grid import (GridError, TorusGrid, _centered_box, _centered_period
                            _coef_block, _component_matvec)
 from homogkit.green import GreenError, GreenSample, point_boundary_distance
 from homogkit.rates import ConvergenceReport
+
+
+def scipy_interior(K_ii) -> sparse.dia_array:
+    """K_ii (``grid.Diagonals``) as the DIA array of its data and offsets."""
+    return sparse.dia_array((K_ii.data, K_ii.offsets), shape=K_ii.shape)
+
+
+def scipy_boundary(K_ib) -> sparse.csr_array:
+    """K_ib (``grid.Triplets``) as the CSR array of its triplets."""
+    return sparse.csr_array((K_ib.vals, (K_ib.rows, K_ib.cols)), shape=K_ib.shape)
 
 
 def laplace_symbol(theta: np.ndarray, h: float, d: int) -> np.ndarray:

@@ -1,21 +1,18 @@
 """The box operator's products against scipy's sparse products on the same
 stored arrays, bit for bit, signs of zeros included: K_ii @ x against
 ``scipy.sparse.dia_array((data, offsets))`` and K_ib @ u_b against a
-``csr_array`` built from the (row, column, value) triplets."""
+``csr_array`` built from the (row, column, value) triplets
+(``oracles.scipy_interior``, ``oracles.scipy_boundary``)."""
 
 import numpy as np
 import pytest
 
 from homogkit.bvp import CoefficientSamples
+from homogkit.grid import _ROW_BLOCK
+from oracles import scipy_boundary, scipy_interior
 
 from test_assembly import CASES, IDS, box_samples
 from test_assembly_offsets import PARTIAL_CASES, PARTIAL_IDS, partial_box_samples, same_bits
-
-
-def triplets(K_ib):
-    """(rows, cols, vals) of the boundary coupling, in its stored order."""
-    coo = K_ib.tocoo()
-    return coo.row, coo.col, coo.data
 
 
 def draw(rng, size: int) -> np.ndarray:
@@ -27,16 +24,12 @@ def draw(rng, size: int) -> np.ndarray:
 
 
 def check_products(s: CoefficientSamples):
-    from scipy import sparse
-
     rng = np.random.Generator(np.random.PCG64(23))
     for t in (s, s.adjoint()):
         K_ii, K_ib = t.matrices
-        dia = sparse.dia_array((K_ii.data, K_ii.offsets), shape=K_ii.shape)
-        rows, cols, vals = triplets(K_ib)
+        dia, csr = scipy_interior(K_ii), scipy_boundary(K_ib)
         # stored in CSR order: by row, then by column within the row
-        assert np.array_equal(np.lexsort((cols, rows)), np.arange(rows.size))
-        csr = sparse.csr_array((vals, (rows, cols)), shape=K_ib.shape)
+        assert np.array_equal(np.lexsort((K_ib.cols, K_ib.rows)), np.arange(K_ib.rows.size))
         for _ in range(2):
             x = draw(rng, K_ii.shape[1])
             assert same_bits(K_ii @ x, dia @ x)
@@ -66,4 +59,6 @@ LARGE = [("trig", dict(d=2), 200), ("nonsymmetric-system", dict(d=2, delta=0.3),
 
 @pytest.mark.parametrize("name,params,n", LARGE, ids=[f"{c[0]}-d{c[1]['d']}" for c in LARGE])
 def test_box_products_match_scipy_across_row_blocks(name, params, n):
-    check_products(box_samples(name, params, n=n))
+    s = box_samples(name, params, n=n)
+    assert s.matrices[0].shape[0] > _ROW_BLOCK
+    check_products(s)

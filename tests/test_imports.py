@@ -22,13 +22,14 @@ No linter ships with the toolchain, so this stands in for four rules:
   (``values``, ``eps``) counts as read for all of them: the rule is
   conservative and misses such fields.
 
-A fifth rule keeps two scipy modules off the import of ``homogkit``: no
-source file imports ``scipy.fft`` or ``scipy.sparse.linalg`` outside a
-function body (``solvers`` imports each on first use).
+A fifth rule keeps three scipy modules off the import of ``homogkit``: no
+source file imports ``scipy.fft``, ``scipy.sparse`` or ``scipy.sparse.linalg``
+outside a function body (``solvers`` and ``grid`` import each on first use).
 
-It also checks which scipy modules a CLI process loads, and at which stage:
-the parse loads ``scipy.fft`` exactly for the runs that transform with it,
-and no run loads it first.
+It also checks which modules a CLI process loads, and at which stage: the
+parse loads ``scipy.fft`` exactly for the runs that transform with it and
+``scipy.sparse`` exactly for the runs with a torus grid, and no run loads
+any module at all.
 """
 
 import ast
@@ -252,8 +253,9 @@ def test_detector_flags_an_unread_dataclass_field():
     assert unread_dataclass_fields(source, elsewhere | looped) == ["Result.written"]
 
 
-# Imported by ``homogkit.solvers`` on first use, never with the package.
-LAZY_MODULES = ("scipy.fft", "scipy.sparse.linalg")
+# Imported by ``homogkit.solvers`` and ``homogkit.grid`` on first use, never
+# with the package.
+LAZY_MODULES = ("scipy.fft", "scipy.sparse", "scipy.sparse.linalg")
 
 
 def _loaded_modules(node) -> list[str]:
@@ -301,8 +303,8 @@ def test_detector_flags_a_module_level_lazy_import():
               "    def lazy(self):\n        import scipy.fft\n"
               "def lazy():\n    from scipy.sparse.linalg import cg\n")
     assert eager_lazy_imports(source) == [
-        "2: scipy.fft", "4: scipy.sparse.linalg", "5: scipy.sparse.linalg",
-        "8: scipy.fft", "12: scipy.fft"]
+        "2: scipy.fft", "3: scipy.sparse", "4: scipy.sparse", "4: scipy.sparse.linalg",
+        "5: scipy.sparse", "5: scipy.sparse.linalg", "8: scipy.fft", "12: scipy.fft"]
 
 
 _FOOTPRINT = """
@@ -323,32 +325,33 @@ def _subprocess_env() -> dict:
 
 
 def test_cli_loads_no_scipy_linalg(tmp_path):
-    """``import homogkit.cli`` loads ``scipy.sparse`` (the operator
-    products), but neither ``scipy.sparse.linalg`` nor ``scipy.linalg``, and
-    a solve run leaves both unloaded: the Krylov loops are homogkit's own,
-    and only the GMRES fallback imports scipy's.  ``solve_trig``'s box (127
-    interior points per axis) takes the sine-matrix product, so the run
-    loads no ``scipy.fft`` either."""
+    """``import homogkit.cli`` loads none of these scipy modules, and a
+    solve run on a box leaves them all unloaded: the box operator is
+    applied with numpy, the Krylov loops are homogkit's own and only the
+    GMRES fallback imports scipy's.  ``solve_trig``'s box (127 interior
+    points per axis) takes the sine-matrix product, so the run loads no
+    ``scipy.fft`` either."""
     done = subprocess.run(
         [sys.executable, "-c", _FOOTPRINT, str(ROOT / "configs" / "solve_trig.yaml"),
          str(tmp_path / "out")], env=_subprocess_env(), capture_output=True, text=True,
         check=True, timeout=120)
     before, after = json.loads(done.stdout.splitlines()[-1])
-    assert before == after == ["scipy.sparse"]
+    assert before == after == []
 
 
 _STAGES = """
 import json, sys
 
-names = ("scipy.fft", "scipy.special")
+names = ("scipy.fft", "scipy.special", "scipy.sparse")
 stages = {}
 import homogkit.cli as cli
-stages["imported"] = [name in sys.modules for name in names]
+stages["imported"] = [name for name in names if name in sys.modules]
 with open(sys.argv[1]) as fh:
     cfg = cli.parse_config(fh.read())
-stages["parsed"] = [name in sys.modules for name in names]
+stages["parsed"] = [name for name in names if name in sys.modules]
+loaded = set(sys.modules)
 stages["ok"] = cli.run(cfg, sys.argv[2])["ok"]
-stages["ran"] = [name in sys.modules for name in names]
+stages["ran"] = sorted(set(sys.modules) - loaded)
 print(json.dumps(stages))
 """
 
@@ -364,16 +367,20 @@ _EXTRA_CONFIGS = {
 # the rule; every other one solves on smaller boxes, or not at all.
 _TRANSFORMING = {"cell_laminate", "homogenize_laminate", "correctors_trig",
                  "rates_trig2d", "solve_129"}
+# The runs with a torus grid (cell correctors), whose operator scipy.sparse
+# stores.
+_TORUS = {"cell_laminate", "homogenize_laminate", "correctors_trig", "rates_trig2d"}
 _STAGE_CASES = sorted(p.stem for p in (ROOT / "configs").glob("*.yaml")) + sorted(
     _EXTRA_CONFIGS)
 
 
 @pytest.fixture(scope="module")
 def import_stages(tmp_path_factory):
-    """Per config: whether ``scipy.fft`` and ``scipy.special`` are loaded
-    after ``import homogkit.cli``, after ``parse_config`` and after ``run``,
-    each config in a fresh process (two at a time), from the repository
-    root so that ``validate_all``'s relative paths resolve."""
+    """Per config: which of ``scipy.fft``, ``scipy.special`` and
+    ``scipy.sparse`` are loaded after ``import homogkit.cli`` and after
+    ``parse_config``, and every module ``run`` loads first, each config in a
+    fresh process (two at a time), from the repository root so that
+    ``validate_all``'s relative paths resolve."""
     tmp = tmp_path_factory.mktemp("stages")
     paths = {name: ROOT / "configs" / f"{name}.yaml" for name in _STAGE_CASES}
     for name, text in _EXTRA_CONFIGS.items():
@@ -399,6 +406,22 @@ def test_scipy_fft_is_loaded_at_parse_time_or_never(import_stages, name):
     only checks its configs, so it loads nothing for the torus ones."""
     stages = import_stages[name]
     assert stages["ok"]
-    assert stages["imported"] == [False, False]
-    assert stages["parsed"] == [name in _TRANSFORMING] * 2
-    assert stages["ran"] == stages["parsed"]
+    assert stages["imported"] == []
+    assert [m in stages["parsed"] for m in ("scipy.fft", "scipy.special")] == [
+        name in _TRANSFORMING] * 2
+
+
+@pytest.mark.parametrize("name", _STAGE_CASES)
+def test_scipy_sparse_is_loaded_at_parse_time_for_torus_runs(import_stages, name):
+    """The parse loads ``scipy.sparse`` exactly for the runs with a torus
+    grid; the box operator needs no scipy."""
+    assert ("scipy.sparse" in import_stages[name]["parsed"]) == (name in _TORUS)
+
+
+@pytest.mark.parametrize("name", _STAGE_CASES)
+def test_run_loads_no_module(import_stages, name):
+    """Every module a run uses is loaded by the import of ``homogkit.cli``
+    or by the parse, so no import lands in a stage time of the manifest.
+    ``numpy.random`` is one: ``coefficients``, ``green`` and ``rates``
+    import it themselves, as nothing else loads it on small boxes."""
+    assert import_stages[name]["ran"] == []
