@@ -40,7 +40,9 @@ dense real-Fourier basis measured slower at 96^2 x 2.
 by ``scipy_fft``: only a torus solve, ``poisson_periodic`` and a box above
 the rule transform with it.  ``cli.parse_config`` calls ``scipy_fft`` for a
 run whose grids ``needs_scipy_fft``, so the import lands in the set-up of
-the runs that need it and in no run on small boxes only.
+the runs that need it.  A run on small boxes only loads no scipy module at
+all: this module imports none, and the box operator it solves with is
+applied with numpy (``grid.assemble_box``).
 """
 
 from __future__ import annotations
