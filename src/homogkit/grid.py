@@ -462,8 +462,8 @@ class Triplets:
     def __init__(self, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray,
                  shape: tuple[int, int]):
         order = np.lexsort((cols, rows))
-        self.rows = rows[order].astype(np.intp)
-        self.cols = cols[order].astype(np.intp)
+        self.rows = rows[order].astype(np.intp, copy=False)
+        self.cols = cols[order].astype(np.intp, copy=False)
         self.vals, self.shape = vals[order], shape
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
