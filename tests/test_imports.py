@@ -400,10 +400,11 @@ def import_stages(tmp_path_factory):
 
 @pytest.mark.parametrize("name", _STAGE_CASES)
 def test_scipy_fft_is_loaded_at_parse_time_or_never(import_stages, name):
-    """The parse loads ``scipy.fft`` (and with it ``scipy.special``) exactly
-    for the runs that transform with it, and no run loads either first, so
-    no library import lands in a stage time of the manifest.  ``validate``
-    only checks its configs, so it loads nothing for the torus ones."""
+    """``import homogkit.cli`` loads none of the three scipy modules, and
+    the parse loads ``scipy.fft`` (and with it ``scipy.special``) exactly
+    for the runs that transform with it (``test_run_loads_no_module``
+    checks that no run loads it later).  ``validate`` only checks its
+    configs, so it loads nothing for the torus ones."""
     stages = import_stages[name]
     assert stages["ok"]
     assert stages["imported"] == []
