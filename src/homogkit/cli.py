@@ -6,6 +6,12 @@ deterministic for a fixed config and seed; every run appends a manifest line
 (config hash, wall times, check outcomes) to ``manifest.jsonl`` in the output
 directory, even on failure.
 
+Every manifest has the check ``run_completed``: true, or false with the
+error when the run raised.  The raises bound each solve: ``solvers.SolverError``
+above a residual of 10 tol, ``cell.CellError`` on a cell mean above
+``MEAN_TOL``.  So no check restates them, and the residuals go to the JSON
+summaries.  Every other check reads a value that no raise bounds, and can fail.
+
 Exit status is 0 exactly when all checks performed by the run pass.
 """
 
@@ -337,12 +343,7 @@ def _run_cell(cfg: ExperimentConfig, out_dir: str):
              for c in [corr.chi0] + list(corr.chi)]
     _json_dump({"residuals": corr.residuals, "max_abs_mean": means},
                os.path.join(out_dir, "cell_summary.json"))
-    checks = {
-        "residuals_within_tol": all(r <= 10 * cfg.tol
-                                    for r in corr.residuals.values()),
-        "zero_means": max(means) <= 1e-10,
-    }
-    return checks, wall
+    return {}, wall
 
 
 def _run_homogenize(cfg: ExperimentConfig, out_dir: str):
@@ -381,8 +382,7 @@ def _run_solve(cfg: ExperimentConfig, out_dir: str):
     write_csv(u, os.path.join(out_dir, "solution.csv"))
     _json_dump({"residual": info["residual"], "lambda": problem.lam,
                 "eps": eps, "n": n}, os.path.join(out_dir, "solve_summary.json"))
-    checks = {"residual_within_tol": info["residual"] <= 10 * cfg.tol}
-    return checks, wall
+    return {}, wall
 
 
 def _run_correctors(cfg: ExperimentConfig, out_dir: str):
@@ -405,12 +405,7 @@ def _run_correctors(cfg: ExperimentConfig, out_dir: str):
         "profile_max_grad": diag.profile_max_grad,
         "residuals": phis.residuals,
     }, os.path.join(out_dir, "psi_summary.json"))
-    checks = {
-        "residuals_within_tol": all(r <= 10 * cfg.tol
-                                    for r in phis.residuals.values()),
-        "psi_sup_small": max(diag.sup_norms) <= 1.0,
-    }
-    return checks, wall
+    return {"psi_sup_small": max(diag.sup_norms) <= 1.0}, wall
 
 
 def _run_green(cfg: ExperimentConfig, out_dir: str):
@@ -430,15 +425,14 @@ def _run_green(cfg: ExperimentConfig, out_dir: str):
             sample = approx_green(cs, eps, lam, grid, np.asarray(probe, float),
                                   rho=None if rho is None else float(rho),
                                   tol=cfg.tol)
-            r, adm = sample.fit_shell()
-            mag = sample.magnitude()
+            r, adm = sample.fit_shell
+            mag = sample.magnitude
             if d_x is None:
                 d_x = grid.boundary_distance()
             d_y = point_boundary_distance(sample.y)
             for rv, gv, dv in zip(r[adm].ravel(), mag[adm].ravel(),
                                   d_x[adm].ravel()):
                 fh.write(f"{ip},{float(rv)!r},{float(gv)!r},{float(dv)!r},{d_y!r}\n")
-            checks[f"residual_probe{ip}"] = max(sample.residuals) <= 10 * cfg.tol
             if grid.d == 3:
                 fit = decay_fit(sample)
                 fit_summaries.append({
@@ -558,10 +552,9 @@ def run(cfg: ExperimentConfig, out_dir: str) -> dict:
         manifest["ok"] = False
         return manifest
     wall["total"] = time.perf_counter() - t0
-    checks = {k: bool(v) if isinstance(v, (bool, np.bool_)) else v
-              for k, v in checks.items()}
+    checks = {"run_completed": True} | {k: bool(v) for k, v in checks.items()}
     manifest = write_manifest(out_dir, cfg, wall, checks)
-    manifest["ok"] = all(v for v in checks.values() if isinstance(v, bool))
+    manifest["ok"] = all(checks.values())
     return manifest
 
 

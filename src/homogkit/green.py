@@ -26,7 +26,7 @@ from numpy.random import PCG64, Generator
 
 from .bvp import DirichletProblem, sample_coefficients, solve
 from .coefficients import CoefficientSet
-from .grid import BoxGrid, boundary_lp_norm, linf_norm, nontangential_max
+from .grid import BoxGrid, _read_only, boundary_lp_norm, linf_norm, nontangential_max
 
 
 class GreenError(ValueError):
@@ -89,29 +89,18 @@ class GreenSample:
     def m(self) -> int:
         return self.columns.shape[0]
 
+    @functools.cached_property
     def fit_shell(self) -> tuple[np.ndarray, np.ndarray]:
         """``decay_shell`` of this sample's grid, source point and rho,
         computed once per sample; both arrays are read-only."""
-        return self._fit_shell
-
-    def magnitude(self) -> np.ndarray:
-        """Frobenius norm over both matrix indices, per grid point, computed
-        once per sample; the array is read-only."""
-        return self._magnitude
-
-    @functools.cached_property
-    def _fit_shell(self) -> tuple[np.ndarray, np.ndarray]:
         return tuple(map(_read_only, decay_shell(self.grid, self.y, self.rho)))
 
     @functools.cached_property
-    def _magnitude(self) -> np.ndarray:
+    def magnitude(self) -> np.ndarray:
+        """Frobenius norm over both matrix indices, per grid point, computed
+        once per sample; the array is read-only."""
         sq = np.sum(self.columns ** 2, axis=(0, self.columns.ndim - 1))
         return _read_only(np.sqrt(sq))
-
-
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
 
 
 def approx_green(cs: CoefficientSet, eps: float, lam: float, grid: BoxGrid,
@@ -209,8 +198,8 @@ def decay_fit(sample: GreenSample) -> DecayFit:
     """
     if sample.grid.d != 3:
         raise GreenError("power-law decay fits require d = 3")
-    r, adm = sample.fit_shell()
-    mag = sample.magnitude()
+    r, adm = sample.fit_shell
+    mag = sample.magnitude
     adm = adm & (mag > 0)
     rr = r[adm]
     vv = mag[adm]

@@ -203,8 +203,8 @@ def phi_inverse(phi0: np.ndarray) -> np.ndarray:
 def boundary_weighted_ratio(sample: GreenSample) -> float:
     """max over admissible x of |G| |x-y|^(d-1) / d_y, the near-boundary bound."""
     g = sample.grid
-    r, _ = sample.fit_shell()
-    mag = sample.magnitude()
+    r, _ = sample.fit_shell
+    mag = sample.magnitude
     d_y = max(point_boundary_distance(sample.y), g.h)
     adm = (r >= 4 * g.h) & (sample.rho < r / 4)
     if not adm.any():

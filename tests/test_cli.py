@@ -13,6 +13,8 @@ from hypothesis import given, settings, strategies as st
 from homogkit import cli
 from homogkit.cli import (ConfigError, ExperimentConfig, main, parse_config, run,
                           serialize_config)
+from homogkit.grid import GridFunction
+from homogkit.solvers import SolverError
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 
@@ -107,7 +109,9 @@ class TestRun:
         lines = (tmp_path / "manifest.jsonl").read_text().splitlines()
         assert len(lines) == 1
         rec = json.loads(lines[0])
-        assert rec["checks"]["zero_means"] is True
+        assert rec["checks"]["run_completed"] is True
+        summary = json.loads((tmp_path / "cell_summary.json").read_text())
+        assert max(summary["max_abs_mean"]) <= 1e-10
 
     def test_manifest_appends_and_records_failure(self, tmp_path):
         ok_cfg = parse_config("subcommand: cell\nfamily: laminate\n"
@@ -203,6 +207,118 @@ class TestRun:
             assert res["dispersion"] >= 1
 
 
+# One small config per subcommand, with every check the subcommand can write
+# switched on: flux, the battery, and three eps rows for the err_l2 slope.
+_TINY = {
+    "cell": "subcommand: cell\nfamily: laminate\nparams: {d: 1}\nn: 16\n",
+    "homogenize": "subcommand: homogenize\nfamily: trig\nparams: {d: 2, lower: 0.3}\n"
+                  "n: 8\nflux: true\n",
+    "solve": "subcommand: solve\nfamily: trig\nparams: {d: 2}\nn: 8\neps: 1.0\n",
+    "correctors": "subcommand: correctors\nfamily: trig\nparams: {d: 2}\nn: 32\n"
+                  "eps: 0.5\nn_cell: 16\n",
+    "green": "subcommand: green\nfamily: trig\nparams: {d: 2}\nn: 16\neps: 1.0\n"
+             "battery: true\n",
+    "rates": "subcommand: rates\nfamily: trig\nparams: {d: 1}\n"
+             "eps: [0.25, 0.125, 0.0625]\nn_cell: 16\n",
+    "validate": f"subcommand: validate\n"
+                f"configs: [{os.path.join(CONFIG_DIR, 'cell_laminate.yaml')}]\n",
+}
+
+# Each check the CLI writes, and the test that makes it read false by
+# perturbing the data the check reads.
+FALSIFIED_BY = {
+    "run_completed": "TestRun::test_solver_failure_reaches_the_manifest_with_its_residual",
+    "hat_elliptic": "TestChecksReadFalse::test_hat_elliptic",
+    "flux_zero_mean": "TestRun::test_homogenize_flux_check_fails_on_shifted_hats",
+    "psi_sup_small": "TestChecksReadFalse::test_psi_sup_small",
+    "max_principle": "TestChecksReadFalse::test_max_principle",
+    "sweep_complete": "TestChecksReadFalse::test_sweep_complete",
+    "l2_slope_near_one": "TestChecksReadFalse::test_l2_slope_near_one",
+    "all_configs_valid": "TestChecksReadFalse::test_all_configs_valid",
+}
+
+
+def test_every_check_has_a_test_that_makes_it_read_false(tmp_path):
+    written = set()
+    for sub in cli.SUBCOMMANDS:
+        manifest = run(parse_config(_TINY[sub]), str(tmp_path / sub))
+        assert manifest["ok"], (sub, manifest["checks"])
+        written |= {k for k, v in manifest["checks"].items() if isinstance(v, bool)}
+    assert written == set(FALSIFIED_BY)
+    for name in FALSIFIED_BY.values():
+        cls, test = name.split("::")
+        assert callable(getattr(globals().get(cls), test, None)), name
+
+
+def _halved_a_hat(homogenize):
+    def halved(*args):
+        hats = homogenize(*args)
+        return replace(hats, A_hat=hats.A_hat / 2)
+    return halved
+
+
+class TestChecksReadFalse:
+    """The tiny config of each subcommand, with the data one check reads
+    perturbed; each check passes unperturbed in the test above."""
+
+    def _checks(self, tmp_path, sub, text=None):
+        return run(parse_config(text or _TINY[sub]), str(tmp_path))["checks"]
+
+    def test_hat_elliptic(self, tmp_path, monkeypatch):
+        # with flux off the hats come from cli.homogenize
+        monkeypatch.setattr(cli, "homogenize", _halved_a_hat(cli.homogenize))
+        text = _TINY["homogenize"].replace("flux: true", "flux: false")
+        assert self._checks(tmp_path, "homogenize", text)["hat_elliptic"] is False
+
+    def test_psi_sup_small(self, tmp_path, monkeypatch):
+        original = cli.solve_dirichlet_correctors
+
+        def shifted(*args, **kwargs):
+            phis = original(*args, **kwargs)
+            return replace(phis, phi0=phis.phi0 + 2.0)
+
+        monkeypatch.setattr(cli, "solve_dirichlet_correctors", shifted)
+        assert self._checks(tmp_path, "correctors")["psi_sup_small"] is False
+
+    def test_max_principle(self, tmp_path, monkeypatch):
+        from homogkit import green
+        original = green.solve
+
+        def doubled(*args, **kwargs):
+            u, info = original(*args, **kwargs)
+            return GridFunction(u.grid, 2.0 * u.values), info
+
+        monkeypatch.setattr(green, "solve", doubled)
+        assert self._checks(tmp_path, "green")["max_principle"] is False
+
+    def test_sweep_complete(self, tmp_path, monkeypatch):
+        from homogkit import rates
+        original, calls = rates.solve_dirichlet_correctors, []
+
+        def second_eps_fails(*args, **kwargs):
+            calls.append(args)
+            if len(calls) == 2:
+                raise SolverError("no convergence at the second eps")
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(rates, "solve_dirichlet_correctors", second_eps_fails)
+        checks = self._checks(tmp_path, "rates")
+        assert checks["sweep_complete"] is False and checks["run_completed"] is True
+
+    def test_l2_slope_near_one(self, tmp_path, monkeypatch):
+        # a wrong homogenized matrix leaves an eps-independent L2 error
+        from homogkit import rates
+        monkeypatch.setattr(rates, "homogenize", _halved_a_hat(rates.homogenize))
+        assert self._checks(tmp_path, "rates")["l2_slope_near_one"] is False
+
+    def test_all_configs_valid(self, tmp_path):
+        missing = tmp_path / "missing.yaml"
+        text = _TINY["validate"].replace("]", f", {missing}]")
+        assert self._checks(tmp_path, "validate", text)["all_configs_valid"] is False
+        summary = json.loads((tmp_path / "validate_summary.json").read_text())
+        assert "No such file" in summary[str(missing)]
+
+
 class TestMain:
     def _write(self, tmp_path, text):
         p = tmp_path / "cfg.yaml"
@@ -216,7 +332,7 @@ class TestMain:
         assert rc == 0
         out = capsys.readouterr().out
         assert "[ok]" in out
-        assert "check residuals_within_tol: pass" in out
+        assert "check run_completed: pass" in out
 
     def test_exit_two_on_bad_config(self, tmp_path, capsys):
         cfg = self._write(tmp_path, "subcommand: cell\nfamily: zebra\n")
@@ -387,7 +503,7 @@ def _assert_rejected_or_completes(config):
             return
         with open(os.path.join(out, "manifest.jsonl")) as fh:
             checks = json.loads(fh.read().splitlines()[-1])["checks"]
-        assert checks.get("run_completed") is not False, (config, checks)
+        assert checks.get("run_completed") is True, (config, checks)
 
 
 @st.composite

@@ -97,7 +97,7 @@ class TestColumns:
         _, g, sample = const3d_sample
         pts = g.points()
         r = np.sqrt(np.sum((pts - sample.y) ** 2, axis=-1))
-        mag = sample.magnitude()
+        mag = sample.magnitude
         shell = (r > 0.06) & (r < 0.1) & (mag > 0)
         vals = mag[shell] * 4.0 * math.pi * r[shell]
         assert np.all(vals < 1.05)
@@ -106,7 +106,7 @@ class TestColumns:
 
 
     def test_decay_fit_leaves_the_cached_shell_intact(self, const3d_sample):
-        # fit_shell() and magnitude() are computed once per sample and are
+        # fit_shell and magnitude are computed once per sample and are
         # read-only; decay_fit drops the zero-magnitude points of the shell
         # on a copy of its mask, so a second fit and the shell are unchanged
         _, g, sample = const3d_sample
@@ -115,12 +115,12 @@ class TestColumns:
         zeroed = replace(sample, columns=columns)
         first = decay_fit(zeroed)
         assert decay_fit(zeroed) == first
-        r, adm = zeroed.fit_shell()
+        r, adm = zeroed.fit_shell
         want_r, want_adm = decay_shell(g, zeroed.y, zeroed.rho)
         assert np.array_equal(r, want_r) and np.array_equal(adm, want_adm)
         assert first.n_pairs < int(adm.sum())
-        mag = zeroed.magnitude()
-        assert zeroed.fit_shell()[1] is adm and zeroed.magnitude() is mag
+        mag = zeroed.magnitude
+        assert zeroed.fit_shell[1] is adm and zeroed.magnitude is mag
         assert not (r.flags.writeable or adm.flags.writeable or mag.flags.writeable)
 
 
