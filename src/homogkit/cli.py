@@ -42,7 +42,7 @@ from .green import (MIN_FIT_PAIRS, GreenError, _snap_interior, approx_green,
                     maximal_function_probe, point_boundary_distance)
 from .rates import (PROBE_KINDS, SweepConfig, SweepError, load_field, run_sweep,
                     uniform_constant_probe)
-from .solvers import needs_scipy_fft, scipy_fft
+from .solvers import kernel, scipy_fft
 
 
 class ConfigError(ValueError):
@@ -146,33 +146,38 @@ def _sweep_config(cfg: ExperimentConfig) -> SweepConfig:
 
 def parse_config(text: str) -> ExperimentConfig:
     """Parse and validate a YAML config (``check_config``), then import
-    ``scipy.fft`` when a grid the run solves on ``needs_scipy_fft`` and
-    ``scipy.sparse`` when one is a torus (``assemble_torus``), so that the
-    imports count in set-up and never inside the run."""
+    ``scipy.fft`` when a solve of the run transforms with it and
+    ``scipy.sparse`` when one is on a torus whose operator it stores (both
+    by ``solvers.kernel``), so that the imports count in set-up and never
+    inside the run."""
     cfg = check_config(text)
-    grids = _solve_grids(cfg)
-    if any(map(needs_scipy_fft, grids)):
+    kernels = _solve_kernels(cfg)
+    if kernels & {"rfftn", "dstn"}:
         scipy_fft()
-    if any(isinstance(g, TorusGrid) for g in grids):
+    if "rfftn" in kernels:
         scipy_sparse()
     return cfg
 
 
-def _solve_grids(cfg: ExperimentConfig) -> list[TorusGrid | BoxGrid]:
-    """The grids the run of a valid ``cfg`` solves on: the torus of its cell
-    correctors and the boxes of its Dirichlet solves; none for ``validate``."""
+def _solve_kernels(cfg: ExperimentConfig) -> set[str]:
+    """The ``solvers.kernel`` of every solve of a valid ``cfg``: on the torus
+    of its cell correctors and the boxes of its Dirichlet solves, all with
+    the family's m; none for ``validate``."""
     sub = cfg.subcommand
     if sub == "validate":
-        return []
-    d = builtin_family(cfg.family, **cfg.params).d
+        return set()
+    cs = builtin_family(cfg.family, **cfg.params)
+    d = cs.d
     if sub == "rates":
         sweep = _sweep_config(cfg)
-        return [TorusGrid(d, cfg["n_cell"])] + [sweep.grid_for(e) for e in sweep.eps_list]
-    if sub in ("cell", "homogenize"):
-        return [TorusGrid(d, cfg["n"])]
-    if sub == "correctors":
-        return [TorusGrid(d, cfg["n_cell"]), BoxGrid(d, cfg["n"])]
-    return [BoxGrid(d, cfg["n"])]   # solve, and green with or without the battery
+        grids = [TorusGrid(d, cfg["n_cell"])] + [sweep.grid_for(e) for e in sweep.eps_list]
+    elif sub in ("cell", "homogenize"):
+        grids = [TorusGrid(d, cfg["n"])]
+    elif sub == "correctors":
+        grids = [TorusGrid(d, cfg["n_cell"]), BoxGrid(d, cfg["n"])]
+    else:
+        grids = [BoxGrid(d, cfg["n"])]   # solve, and green with or without the battery
+    return {kernel(g, cs.m) for g in grids}
 
 
 def check_config(text: str) -> ExperimentConfig:
@@ -433,13 +438,14 @@ def _run_green(cfg: ExperimentConfig, out_dir: str):
             for rv, gv, dv in zip(r[adm].ravel(), mag[adm].ravel(),
                                   d_x[adm].ravel()):
                 fh.write(f"{ip},{float(rv)!r},{float(gv)!r},{float(dv)!r},{d_y!r}\n")
+            entry = {"probe": probe}
             if grid.d == 3:
                 fit = decay_fit(sample)
-                fit_summaries.append({
-                    "probe": probe, "exponent": fit.exponent,
-                    "prefactor": fit.prefactor, "residual": fit.residual,
-                    "n_pairs": fit.n_pairs, "spans_decade": fit.spans_decade,
-                })
+                entry.update({"exponent": fit.exponent, "prefactor": fit.prefactor,
+                              "residual": fit.residual, "n_pairs": fit.n_pairs,
+                              "spans_decade": fit.spans_decade})
+            entry["residuals"] = sample.residuals   # one per column of G
+            fit_summaries.append(entry)
     wall = {"green": time.perf_counter() - t0}
     if cfg["battery"]:
         t0 = time.perf_counter()

@@ -16,8 +16,10 @@ holds exactly.  Solvers use it assembled once (``assemble_torus``,
 ``assemble_box``); ``principal_part_apply`` evaluates the same stencil from
 the coefficient arrays and serves as the reference the assembled operators
 are tested against.  The torus operator is a ``scipy.sparse`` CSR matrix,
-imported on first use (``scipy_sparse``); the box operator is held in numpy
-arrays (``Diagonals``, ``Triplets``) and applied with numpy.
+imported on first use (``scipy_sparse``), except on the small scalar tori
+whose solves ``solvers.kernel`` keeps in numpy, where it is held as
+``Triplets``; the box operator is held in numpy arrays (``Diagonals``,
+``Triplets``) and applied with numpy.
 """
 
 from __future__ import annotations
@@ -451,8 +453,9 @@ class Diagonals:
 
 
 class Triplets:
-    """A sparse matrix as (row, column, value) triplets, sorted once into
-    CSR order: by row, then by column within the row.
+    """A sparse matrix as (row, column, value) triplets in CSR order: sorted
+    once by row, then by column within the row, or kept as given when
+    ``sort`` is False and they come grouped by row already.
 
     ``K @ x`` sums the products of each row with ``np.bincount``, which adds
     them in stored order into a zeroed vector: the order in which
@@ -460,8 +463,8 @@ class Triplets:
     """
 
     def __init__(self, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray,
-                 shape: tuple[int, int]):
-        order = np.lexsort((cols, rows))
+                 shape: tuple[int, int], sort: bool = True):
+        order = np.lexsort((cols, rows)) if sort else slice(None)
         self.rows = rows[order].astype(np.intp, copy=False)
         self.cols = cols[order].astype(np.intp, copy=False)
         self.vals, self.shape = vals[order], shape
@@ -473,20 +476,27 @@ class Triplets:
 
 def scipy_sparse():
     """The ``scipy.sparse`` module, imported on the first call: only the
-    torus operator is stored with it."""
+    torus operators that ``solvers.kernel`` leaves on ``rfftn`` are stored
+    with it."""
     from scipy import sparse
 
     return sparse
 
 
 def assemble_torus(A: np.ndarray, grid: TorusGrid):
-    """CSR matrix of -div(A grad .) on the torus (``principal_part_apply``).
+    """-div(A grad .) on the torus (``principal_part_apply``) as a sparse
+    matrix: a ``scipy.sparse`` CSR array, or, for the grids whose solves
+    ``solvers.kernel`` sends to the Hartley products, ``Triplets`` of the
+    same entries in the same order, so that those runs load no scipy and
+    the two products agree bit for bit.
 
     Unknowns are the points in C order with the m components fastest; the
     int32 column indices wrap around, and with n >= 4 the stencil offsets
     never land on the same column, so every row holds exactly
     m * len(offsets) entries, m * (1 + 2d + 4 * len(_cross_pairs(A))).
     """
+    from .solvers import kernel
+
     d, n, m = grid.d, grid.n, A.shape[-1]
     npts = grid.npoints
     pairs = _cross_pairs(A)
@@ -504,10 +514,12 @@ def assemble_torus(A: np.ndarray, grid: TorusGrid):
     # row (p, a) holds the columns (nbr[p, k], b), ordered by b, then k
     comp = np.arange(m, dtype=np.int32)[:, None]
     indices = np.broadcast_to(m * nbr[:, None, None, :] + comp, data.shape)
-    rowlen = m * len(offsets)
+    shape, rowlen = (npts * m, npts * m), m * len(offsets)
+    if kernel(grid, m) == "hartley":   # in the CSR's order, so with its products
+        rows = np.repeat(np.arange(npts * m), rowlen)
+        return Triplets(rows, indices.ravel(), data.ravel(), shape, sort=False)
     indptr = np.arange(0, data.size + 1, rowlen, dtype=np.int32)
-    return scipy_sparse().csr_array((data.ravel(), indices.ravel(), indptr),
-                                    shape=(npts * m, npts * m))
+    return scipy_sparse().csr_array((data.ravel(), indices.ravel(), indptr), shape=shape)
 
 
 def assemble_box(A: np.ndarray, V: np.ndarray, B: np.ndarray, c: np.ndarray,

@@ -54,16 +54,31 @@ import numpy as np
 
 from .grid import BoxGrid, TorusGrid
 
-# Largest number of interior points per axis at which the box preconditioner
-# applies its DST-I as a dense sine-matrix product (see the module docstring).
-DENSE_DST_MAX = 127
+def kernel(grid: TorusGrid | BoxGrid, m: int = 1) -> str:
+    """The preconditioner transform of a solve on ``grid`` with ``m``
+    components per point, by the shape alone (the module docstring gives the
+    timings it rests on):
 
+    - torus: ``"hartley"`` for m = 1 with at most 64 points per axis and
+      64^2 in all, ``"rfftn"`` otherwise;
+    - box with N = n - 1 interior points per axis: ``"dstn"`` for N > 255
+      and, in 3D, N > 127; ``"sine-split"`` in 2D from N = 128 (108 when
+      m > 1); ``"sine"`` otherwise.
 
-def needs_scipy_fft(grid: TorusGrid | BoxGrid) -> bool:
-    """Whether a solve on ``grid`` transforms with ``scipy.fft``: every torus
-    grid (``rfftn``), and a box grid with more than ``DENSE_DST_MAX`` interior
-    points per axis (``dstn``); smaller boxes take the sine-matrix product."""
-    return isinstance(grid, TorusGrid) or grid.n - 1 > DENSE_DST_MAX
+    ``"rfftn"`` and ``"dstn"`` are ``scipy.fft``'s, and the operator of a
+    torus solve on ``"rfftn"`` is a ``scipy.sparse`` array
+    (``grid.assemble_torus``).  No kernel moves to scipy as m falls, so a
+    scalar solve needs scipy on a grid only if a system solve there does.
+    """
+    if isinstance(grid, TorusGrid):
+        small = grid.n <= 64 and grid.npoints <= 64 ** 2
+        return "hartley" if m == 1 and small else "rfftn"
+    N = grid.n - 1
+    if N > 255 or (grid.d == 3 and N > 127):
+        return "dstn"
+    if grid.d == 2 and N >= (128 if m == 1 else 108):
+        return "sine-split"
+    return "sine"
 
 
 def scipy_fft():
@@ -98,61 +113,65 @@ def _mean_zero(v: np.ndarray, grid_axes: int) -> np.ndarray:
     return v - v.mean(axis=axes, keepdims=True)
 
 
-def _inverse_symbol_torus(grid: TorusGrid, scale: float) -> np.ndarray:
-    """1 / (scale * symbol) of the torus -Laplacian over the half spectrum of
-    ``scipy.fft.rfftn`` (last grid axis n//2 + 1), 0 at the constant mode."""
-    nd = grid.d
-    theta = 2.0 * np.pi * np.arange(grid.n) / grid.n   # the FFT modes
-    sym = _laplace_symbol(theta, grid.h, nd)[..., : grid.n // 2 + 1]
-    sym[(0,) * nd] = 1.0
-    inv = 1.0 / (scale * sym)
-    inv[(0,) * nd] = 0.0
+def _inverse_symbol(grid: TorusGrid | BoxGrid, kern: str, scale: float,
+                    lam: float = 0.0) -> np.ndarray:
+    """The reciprocal symbol that ``_apply_inverse`` multiplies by, laid out
+    as ``kern`` leaves the spectrum, with the transforms' normalisation
+    folded in.
+
+    Torus: 1 / (scale * symbol), 0 at the constant mode, over the half
+    spectrum of ``rfftn`` (last grid axis n//2 + 1), or over all modes
+    divided by n^d for ``"hartley"`` (the Hartley matrix squares to n I).
+    Box: 1 / ((scale * symbol + max(lam, 0)) (2n)^d) (DST-I squares to 2n I),
+    with each axis in the row order of the split plan for ``"sine-split"``.
+    """
+    nd, n = grid.d, grid.n
+    if isinstance(grid, TorusGrid):
+        sym = _laplace_symbol(2.0 * np.pi * np.arange(n) / n, grid.h, nd)
+        if kern == "rfftn":
+            sym = sym[..., : n // 2 + 1]
+        sym[(0,) * nd] = 1.0
+        inv = 1.0 / (scale * sym) if kern == "rfftn" else 1.0 / (scale * sym * n ** nd)
+        inv[(0,) * nd] = 0.0
+        return inv
+    sym = _laplace_symbol(np.pi * np.arange(1, n) / n, grid.h, nd)
+    inv = 1.0 / ((scale * sym + max(lam, 0.0)) * (2.0 * n) ** nd)
+    if kern == "sine-split":
+        rows = _split_plan(n, np.dtype(np.float64)).order - 1
+        inv = inv[np.ix_(*(rows,) * nd)]
     return inv
 
 
-def _apply_inverse_torus(r: np.ndarray, inv: np.ndarray, grid: TorusGrid) -> np.ndarray:
-    """rfftn over the grid axes of ``r``, times ``inv`` (broadcast over any
-    trailing component axes), and back, in the precision of ``r``."""
-    fft, axes = scipy_fft(), tuple(range(grid.d))
-    zhat = fft.rfftn(r, axes=axes)
-    zhat *= inv
-    return fft.irfftn(zhat, s=grid.shape, axes=axes, overwrite_x=True)
-
-
-def _inverse_symbol_box(grid: BoxGrid, scale: float, lam: float) -> np.ndarray:
-    """1 / ((scale * symbol + max(lam, 0)) (2n)^d) of the Dirichlet
-    -Laplacian on the interior lattice: DST-I is its own inverse up to the
-    factor (2n)^d, folded in here."""
-    sym = _laplace_symbol(np.pi * np.arange(1, grid.n) / grid.n, grid.h, grid.d)
-    return 1.0 / ((scale * sym + max(lam, 0.0)) * (2.0 * grid.n) ** grid.d)
-
-
-def _sine_matrix(grid: BoxGrid, dtype) -> np.ndarray | None:
-    """The DST-I of ``scipy.fft.dst(type=1)`` as a read-only matrix in
-    ``dtype``, shared by every solve on a grid of the same n; None when the
-    grid ``needs_scipy_fft``, which selects the ``scipy.fft.dstn`` path of
-    ``_apply_inverse_box``."""
-    if needs_scipy_fft(grid):
-        return None
-    return _dense_sine_matrix(grid.n, np.dtype(dtype))
-
-
 @functools.lru_cache(maxsize=8)
-def _dense_sine_matrix(n: int, dtype: np.dtype) -> np.ndarray:
-    """S[j, k] = 2 sin(pi j k / n) for j, k = 1..n-1 (j k reduced mod 2n
-    before the sine), in ``dtype``, not writeable; kept for the last 8
-    (n, dtype) pairs, at most 128 KiB each."""
-    j = np.arange(1, n)
-    jk = np.outer(j, j) % (2 * n)
-    S = (2.0 * np.sin(np.pi * jk / n)).astype(dtype)
-    S.flags.writeable = False
-    return S
+def _dense_matrix(kern: str, n: int, dtype: np.dtype) -> np.ndarray:
+    """The symmetric transform matrix of ``kern`` in ``dtype``, not writeable;
+    kept for the last 8 (kern, n, dtype), at most 256 KiB each:
+
+    - ``"sine"``: the DST-I of ``scipy.fft.dst(type=1)``,
+      S[j, k] = 2 sin(pi j k / n) for j, k = 1..n-1 (j k reduced mod 2n);
+    - ``"hartley"``: H[j, k] = cos(2 pi j k / n) + sin(2 pi j k / n) for
+      j, k = 0..n-1 (j k reduced mod n), which diagonalises every symmetric
+      circulant matrix, the periodic -Laplacian among them.
+    """
+    if kern == "sine":
+        j = np.arange(1, n)
+        M = 2.0 * np.sin(np.pi * (np.outer(j, j) % (2 * n)) / n)
+    else:
+        j = np.arange(n)
+        theta = 2.0 * np.pi * (np.outer(j, j) % n) / n
+        M = np.cos(theta) + np.sin(theta)
+    return _read_only(M.astype(dtype))
 
 
-def _dst_dense(x: np.ndarray, S: np.ndarray, nd: int) -> np.ndarray:
-    """DST-I over the first ``nd`` axes of ``x`` as one GEMM per axis (a
-    batched one for the middle axes); a trailing component axis stays in
-    place inside the products."""
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+def _dense_products(x: np.ndarray, S: np.ndarray, nd: int) -> np.ndarray:
+    """The symmetric matrix ``S`` applied along each of the first ``nd`` axes
+    of ``x`` as one GEMM per axis (a batched one for the middle axes); a
+    trailing component axis stays in place inside the products."""
     N, shape = S.shape[0], x.shape
     for ax in range(nd):
         lead = N ** ax
@@ -165,31 +184,163 @@ def _dst_dense(x: np.ndarray, S: np.ndarray, nd: int) -> np.ndarray:
     return x.reshape(shape)
 
 
-def _apply_inverse_box(r: np.ndarray, inv: np.ndarray, nd: int,
-                       S: np.ndarray | None) -> np.ndarray:
-    """DST-I over the first ``nd`` axes of ``r``, times ``inv`` (broadcast
-    over any trailing component axes), and DST-I again, in the precision of
-    ``r``: as products with the sine matrix ``S`` (``_sine_matrix``), or by
-    ``scipy.fft.dstn`` when ``S`` is None."""
-    if S is None:
-        fft, axes = scipy_fft(), tuple(range(nd))
+# The split DST-I.  A plan applies rows of S to the rows of x (an (N, R)
+# array); with ``t`` its output, and a backward pass's input, hold the
+# transpose, so that the second grid axis is split along rows too and the
+# transposes fall to the GEMMs.
+
+def _rows(a: np.ndarray, lo: int, hi: int | None, t: bool) -> np.ndarray:
+    return a[:, lo:hi] if t else a[lo:hi]
+
+
+class _Product:
+    """The rows ``order`` of the DST-I restricted to the columns it is given
+    as one matrix M: forward M x, backward M^T y."""
+
+    def __init__(self, M: np.ndarray, order: np.ndarray):
+        self.M, self.MT, self.order = _read_only(M), _read_only(M.T.copy()), order
+
+    def forward(self, x, out, t):
+        if t:
+            np.matmul(x.T, self.MT, out=out)
+        else:
+            np.matmul(self.M, x, out=out)
+
+    def backward(self, y, out, t):
+        np.matmul(self.MT, y.T if t else y, out=out)
+
+
+class _Fold:
+    """S[n - j, k] = (-1)^(k+1) S[j, k]: the odd rows k act on the folded
+    sums x_j + x_{n-j} (with the middle x_{n/2}), the even rows on the
+    differences x_j - x_{n-j}, for j up to half the axis."""
+
+    def __init__(self, odd, even, N: int):
+        self.odd, self.even, self.h = odd, even, N // 2
+        self.L = N - self.h
+        self.order = np.concatenate([odd.order, even.order])
+
+    def forward(self, x, out, t):
+        L, h = self.L, self.h
+        u, xr = np.empty(x.shape, x.dtype), x[::-1]
+        np.add(x[:h], xr[:h], out=u[:h])
+        u[h:L] = x[h:L]
+        np.subtract(x[:h], xr[:h], out=u[L:])
+        self.odd.forward(u[:L], _rows(out, 0, L, t), t)
+        self.even.forward(u[L:], _rows(out, L, None, t), t)
+
+    def backward(self, y, out, t):
+        L, h = self.L, self.h
+        q = np.empty(out.shape, out.dtype)
+        self.odd.backward(_rows(y, 0, L, t), q[:L], t)
+        self.even.backward(_rows(y, L, None, t), q[L:], t)
+        np.add(q[:h], q[L:], out=out[:h])
+        out[h:L] = q[h:L]
+        np.subtract(q[:h], q[L:], out=out[::-1][:h])
+
+
+class _Butterfly:
+    """S[j, n - k] = (-1)^(j+1) S[j, k] for odd k when 4 divides n: the
+    rows k and n - k of the odd half share the products E of the odd and O
+    of the even columns j, as E + O and E - O."""
+
+    def __init__(self, cols_odd: _Product, cols_even: _Product, order: np.ndarray):
+        self.e, self.o, self.order = cols_odd, cols_even, order
+
+    def forward(self, u, out, t):
+        half = u.shape[0] // 2
+        shape = (u.shape[1], half) if t else (half, u.shape[1])
+        E, O = np.empty(shape, u.dtype), np.empty(shape, u.dtype)
+        self.e.forward(u[0::2], E, t)
+        self.o.forward(u[1::2], O, t)
+        np.add(E, O, out=_rows(out, 0, half, t))
+        np.subtract(E, O, out=_rows(out, half, None, t))
+
+    def backward(self, y, out, t):
+        half = out.shape[0] // 2
+        top, bottom = _rows(y, 0, half, t), _rows(y, half, None, t)
+        self.e.backward(top + bottom, out[0::2], t)
+        self.o.backward(top - bottom, out[1::2], t)
+
+
+@functools.lru_cache(maxsize=4)
+def _split_plan(n: int, dtype: np.dtype):
+    """The DST-I on N = n - 1 points as a ``_Fold`` of two half-size
+    products; when 4 divides n, the odd half is a ``_Butterfly`` of two
+    quarter-size products and the even half, a DST-I on n/2, is folded
+    again.  ``order`` lists the k of each output row."""
+    N = n - 1
+
+    def product(k, j):
+        return _Product((2.0 * np.sin(np.pi * (np.outer(k, j) % (2 * n)) / n)).astype(dtype),
+                        k)
+
+    L, h = N - N // 2, N // 2
+    k_odd, k_even = 2 * np.arange(L) + 1, 2 * np.arange(1, h + 1)
+    j = np.arange(1, L + 1)
+    if n % 4:
+        return _Fold(product(k_odd, j), product(k_even, j[:h]), N)
+    top = k_odd[: L // 2]
+    odd = _Butterfly(product(top, j[0::2]), product(top, j[1::2]),
+                     np.concatenate([top, n - top]))
+    L2, h2 = h - h // 2, h // 2
+    even = _Fold(product(2 * k_odd[:L2], j[:L2]), product(2 * k_even[:h2], j[:h2]), h)
+    return _Fold(odd, even, N)
+
+
+def _split_products(r: np.ndarray, inv: np.ndarray, plan) -> np.ndarray:
+    """DST-I over both grid axes of ``r`` (N, N, comp...), times ``inv``
+    (in the plan's row order on both axes) and DST-I again, one component
+    at a time.  The spectrum is held transposed: it only meets ``inv``,
+    which is symmetric."""
+    out = np.empty(r.shape, r.dtype)
+    inv2 = inv.reshape(inv.shape[:2])
+    for c in np.ndindex(r.shape[2:]):
+        x = np.ascontiguousarray(r[(...,) + c])
+        spec, tmp = np.empty_like(x), np.empty_like(x)
+        plan.forward(x, tmp, True)
+        plan.forward(tmp, spec, False)
+        spec *= inv2
+        plan.backward(spec, tmp, False)
+        plan.backward(tmp, out[(...,) + c], True)
+    return out
+
+
+def _apply_inverse(r: np.ndarray, inv: np.ndarray, grid: TorusGrid | BoxGrid,
+                   kern: str) -> np.ndarray:
+    """The transform ``kern`` over the grid axes of ``r``, times ``inv``
+    (``_inverse_symbol``, broadcast over any trailing component axes), and
+    the transform back, in the precision of ``r``."""
+    nd, axes = grid.d, tuple(range(grid.d))
+    if kern == "rfftn":
+        fft = scipy_fft()
+        zhat = fft.rfftn(r, axes=axes)
+        zhat *= inv
+        return fft.irfftn(zhat, s=grid.shape, axes=axes, overwrite_x=True)
+    if kern == "dstn":
+        fft = scipy_fft()
         rhat = fft.dstn(r, type=1, axes=axes)
         rhat *= inv
         return fft.dstn(rhat, type=1, axes=axes, overwrite_x=True)
-    rhat = _dst_dense(r, S, nd)
+    if kern == "sine-split":
+        return _split_products(r, inv, _split_plan(grid.n, r.dtype))
+    S = _dense_matrix(kern, grid.n, r.dtype)
+    rhat = _dense_products(r, S, nd)
     rhat *= inv
-    return _dst_dense(rhat, S, nd)
+    return _dense_products(rhat, S, nd)
 
 
 def poisson_periodic(rhs: np.ndarray, grid: TorusGrid) -> np.ndarray:
-    """Mean-zero x with -Laplace_h x = rhs - mean(rhs) on the torus, by FFT.
+    """Mean-zero x with -Laplace_h x = rhs - mean(rhs) on the torus, by the
+    transform ``kernel`` picks for a scalar field.
 
     Laplace_h is the compact flux Laplacian (the operator of identity
     coefficients); its symbol is inverted exactly, in float64, by
-    ``_inverse_symbol_torus``, which sets the constant mode to zero.  ``rhs``
+    ``_inverse_symbol``, which sets the constant mode to zero.  ``rhs``
     has shape grid.shape.
     """
-    return _apply_inverse_torus(rhs, _inverse_symbol_torus(grid, 1.0), grid)
+    kern = kernel(grid)
+    return _apply_inverse(rhs, _inverse_symbol(grid, kern, 1.0), grid, kern)
 
 
 def cg(A, b, *, rtol, atol, maxiter, M, callback=None):
@@ -326,23 +477,30 @@ def _krylov(matvec, precond, rhs: np.ndarray, *, self_adjoint: bool, tol: float,
     return np.ldexp(x, exponent).reshape(rhs.shape), float(res)
 
 
-def _spectral_solve(apply_op, apply_inverse, inv: np.ndarray, rhs: np.ndarray,
-                    nd: int, **krylov) -> tuple[np.ndarray, float]:
+def _spectral_solve(apply_op, rhs: np.ndarray, grid: TorusGrid | BoxGrid, kern: str,
+                    inv: np.ndarray, **krylov) -> tuple[np.ndarray, float]:
     """``_krylov`` on apply_op(x) = rhs with a float32 spectral preconditioner:
-    the residual is cast down, ``apply_inverse`` transforms it, multiplies by
-    the float32 copy of the reciprocal symbol ``inv`` (broadcast over the axes
-    after the first ``nd``) and transforms back, and the result is cast back."""
-    shape = rhs.shape
+    the residual is cast down, transformed by ``kern``, multiplied by the
+    float32 copy of the reciprocal symbol ``inv`` (``_inverse_symbol``,
+    broadcast over the component axes) and transformed back, and the result
+    is cast back."""
+    shape, nd = rhs.shape, grid.d
     inv = inv.astype(np.float32).reshape(inv.shape + (1,) * (len(shape) - nd))
 
     def matvec(x):
         return apply_op(x.reshape(shape)).ravel()
 
     def precond(r):
-        z = apply_inverse(r.reshape(shape).astype(np.float32), inv)
+        z = _apply_inverse(r.reshape(shape).astype(np.float32), inv, grid, kern)
         return z.astype(np.float64).ravel()
 
     return _krylov(matvec, precond, rhs, **krylov)
+
+
+def _kernel_of(grid: TorusGrid | BoxGrid, rhs: np.ndarray) -> str:
+    """``kernel`` for a right-hand side shaped grid points + components."""
+    points = grid.npoints if isinstance(grid, TorusGrid) else (grid.n - 1) ** grid.d
+    return kernel(grid, rhs.size // points)
 
 
 def solve_periodic(apply_op, rhs: np.ndarray, grid: TorusGrid, *,
@@ -362,10 +520,11 @@ def solve_periodic(apply_op, rhs: np.ndarray, grid: TorusGrid, *,
     nd = grid.d
     if maxiter is None:
         maxiter = max(200, int(20 * grid.n ** (grid.d / 2)))
-    x, res = _spectral_solve(apply_op, lambda r, inv: _apply_inverse_torus(r, inv, grid),
-                             _inverse_symbol_torus(grid, precond_scale),
-                             _mean_zero(rhs, nd), nd, self_adjoint=self_adjoint,
-                             tol=tol, maxiter=maxiter, what="periodic cell solve")
+    kern = _kernel_of(grid, rhs)
+    x, res = _spectral_solve(apply_op, _mean_zero(rhs, nd), grid, kern,
+                             _inverse_symbol(grid, kern, precond_scale),
+                             self_adjoint=self_adjoint, tol=tol, maxiter=maxiter,
+                             what="periodic cell solve")
     return _mean_zero(x, nd), res
 
 
@@ -381,11 +540,10 @@ def solve_box_dirichlet(apply_interior, rhs_interior: np.ndarray, grid: BoxGrid,
     + max(lam, 0) via DST-I, exact up to float32 rounding.  Returns the
     solution and its relative residual.
     """
-    nd = grid.d
-    S = _sine_matrix(grid, np.float32)
     if maxiter is None:
         maxiter = max(200, 50 * grid.n)
-    return _spectral_solve(apply_interior, lambda r, inv: _apply_inverse_box(r, inv, nd, S),
-                           _inverse_symbol_box(grid, precond_scale, lam), rhs_interior,
-                           nd, self_adjoint=self_adjoint, tol=tol, maxiter=maxiter,
+    kern = _kernel_of(grid, rhs_interior)
+    return _spectral_solve(apply_interior, rhs_interior, grid, kern,
+                           _inverse_symbol(grid, kern, precond_scale, lam),
+                           self_adjoint=self_adjoint, tol=tol, maxiter=maxiter,
                            what="box Dirichlet solve")

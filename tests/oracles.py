@@ -15,8 +15,10 @@ checks test a coefficient set's declared structure constants, and
 ``poisson_kernel_boundary_rep`` is the discrete Poisson kernel, which checks
 the adjoint Green columns against solves with boundary data.
 ``scipy_interior`` and ``scipy_boundary`` rebuild the box operator's blocks
-as ``scipy.sparse`` arrays from their stored arrays: the products they are
-tested against, and the transposes and dense forms the assembly tests read.
+as ``scipy.sparse`` arrays from their stored arrays, and ``torus_csr`` the
+torus operator: the products they are tested against, and the transposes
+and dense forms the assembly tests read.  ``torus_csr_array`` is the torus
+assembly as it was when every torus operator was a CSR array.
 """
 
 from __future__ import annotations
@@ -27,8 +29,9 @@ from scipy import sparse
 
 from homogkit.bvp import sample_coefficients
 from homogkit.coefficients import CoefficientError, CoefficientSet, ellipticity_margin
-from homogkit.grid import (GridError, TorusGrid, _centered_box, _centered_periodic,
-                           _coef_block, _component_matvec)
+from homogkit.grid import (GridError, TorusGrid, Triplets, _centered_box,
+                           _centered_periodic, _coef_block, _component_matvec,
+                           _cross_pairs, _flux_stencil, _shifted, _stencil_offsets)
 from homogkit.green import GreenError, GreenSample, point_boundary_distance
 from homogkit.rates import ConvergenceReport
 
@@ -41,6 +44,39 @@ def scipy_interior(K_ii) -> sparse.dia_array:
 def scipy_boundary(K_ib) -> sparse.csr_array:
     """K_ib (``grid.Triplets``) as the CSR array of its triplets."""
     return sparse.csr_array((K_ib.vals, (K_ib.rows, K_ib.cols)), shape=K_ib.shape)
+
+
+def torus_csr(K) -> sparse.csr_array:
+    """A torus operator (``grid.assemble_torus``) as a CSR array: itself, or
+    the CSR array of its triplets in their stored order (grouped by row,
+    not sorted within a row, which a COO conversion would do)."""
+    if isinstance(K, Triplets):
+        indptr = np.concatenate([[0], np.cumsum(np.bincount(K.rows, minlength=K.shape[0]))])
+        return sparse.csr_array((K.vals, K.cols, indptr), shape=K.shape)
+    return K
+
+
+def torus_csr_array(A: np.ndarray, grid: TorusGrid) -> sparse.csr_array:
+    """The CSR array that ``grid.assemble_torus`` built for every torus:
+    row (p, a) holds the columns (nbr[p, k], b), ordered by b, then k."""
+    d, n, m = grid.d, grid.n, A.shape[-1]
+    npts = grid.npoints
+    pairs = _cross_pairs(A)
+    offsets = _stencil_offsets(d, pairs)
+    slot = {s: k for k, s in enumerate(offsets)}
+    wrap = [(1, 1)] * d
+    A = np.pad(A, wrap + [(0, 0)] * 4, mode="wrap")
+    point = np.pad(np.arange(npts, dtype=np.int32).reshape(grid.shape), wrap, mode="wrap")
+    data = np.empty((npts, m, m, len(offsets)))
+    nbr = np.empty((npts, len(offsets)), dtype=np.int32)
+    for s, blk in _flux_stencil(A, None, None, None, 0.0, grid.h, n, pairs):
+        data[..., slot[s]] = blk.reshape(npts, m, m)
+        nbr[:, slot[s]] = _shifted(point, s, n).ravel()
+    comp = np.arange(m, dtype=np.int32)[:, None]
+    indices = np.broadcast_to(m * nbr[:, None, None, :] + comp, data.shape)
+    indptr = np.arange(0, data.size + 1, m * len(offsets), dtype=np.int32)
+    return sparse.csr_array((data.ravel(), indices.ravel(), indptr),
+                            shape=(npts * m, npts * m))
 
 
 def laplace_symbol(theta: np.ndarray, h: float, d: int) -> np.ndarray:

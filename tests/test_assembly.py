@@ -13,11 +13,10 @@ from homogkit.cell import _poisson_components
 from homogkit.coefficients import builtin_family
 from homogkit.grid import (BoxGrid, TorusGrid, assemble_torus, precond_scale,
                            principal_part_apply)
-from homogkit.solvers import (DENSE_DST_MAX, _apply_inverse_torus,
-                              _inverse_symbol_torus, _krylov, _mean_zero,
-                              solve_periodic)
-from oracles import (box_precond_float64, scipy_boundary, scipy_interior,
-                     torus_precond_float64)
+from homogkit.solvers import (_apply_inverse, _inverse_symbol, _krylov, _mean_zero,
+                              kernel, solve_periodic)
+from oracles import (box_precond_float64, scipy_boundary, scipy_interior, torus_csr,
+                     torus_csr_array, torus_precond_float64)
 
 REL = 1e-13
 
@@ -93,7 +92,8 @@ def test_torus_matrix_matches_stencil(name, params):
     rng = np.random.Generator(np.random.PCG64(7))
     A = torus_coefficients(name, params, g, rng)
     K = assemble_torus(A, g)
-    assert K.indices.dtype == np.int32
+    if kernel(g, A.shape[-1]) == "rfftn":   # Triplets index with intp, as bincount does
+        assert K.indices.dtype == np.int32
     u = rng.standard_normal(g.shape + (A.shape[-1],))
     got = (K @ u.ravel()).reshape(u.shape)
     assert rel_err(got, principal_part_apply(A, u, g)) <= REL
@@ -110,7 +110,8 @@ def test_torus_operator_contract(name, params):
     m = A.shape[-1]
     K = assemble_torus(A, g)
     constants = np.tile(np.eye(m), (g.npoints, 1))   # column b: 1 in component b
-    assert np.abs(K @ constants).max() <= 1e-9 * np.abs(K.data).max()
+    K_constants = np.stack([K @ c for c in constants.T], axis=1)
+    assert np.abs(K_constants).max() <= 1e-9 * np.abs(torus_csr(K).data).max()
     for _ in range(3):
         Kx = (K @ rng.standard_normal(K.shape[1])).reshape(g.shape + (m,))
         mean = Kx.mean(axis=tuple(range(d)))
@@ -121,14 +122,15 @@ def projected_solve(apply_op, rhs, grid, *, tol, precond_scale, self_adjoint):
     """The periodic solve with a mean-zero projection before and after every
     operator apply, as ``solve_periodic`` once ran it."""
     shape, nd = rhs.shape, grid.d
-    inv = _inverse_symbol_torus(grid, precond_scale)
+    kern = kernel(grid, rhs.size // grid.npoints)
+    inv = _inverse_symbol(grid, kern, precond_scale)
     inv = inv.reshape(inv.shape + (1,) * (len(shape) - nd))
 
     def matvec(x):
         return _mean_zero(apply_op(_mean_zero(x.reshape(shape), nd)), nd).ravel()
 
     def precond(r):
-        return _apply_inverse_torus(r.reshape(shape), inv, grid).ravel()
+        return _apply_inverse(r.reshape(shape), inv, grid, kern).ravel()
 
     maxiter = max(200, int(20 * grid.n ** (grid.d / 2)))
     x, res = _krylov(matvec, precond, _mean_zero(rhs, nd), self_adjoint=self_adjoint,
@@ -216,14 +218,26 @@ def assert_equivalent(got, want, kappa, applies, applies64):
     assert len(applies) <= len(applies64) + EXTRA_APPLIES
 
 
-@pytest.mark.parametrize("name,params", CASES, ids=IDS)
+# The sizes at the boundaries of ``solvers.kernel``, beside the cases of
+# ``SIZES``: the sweep's 64^2 cell torus and one point less (Hartley) and
+# more (rfftn), and boxes with n - 1 = 128, 199 and 255 (the split DST-I);
+# 2D scalar trig, as in the sweep.
+TORUS_EDGES = [("trig", dict(FAMILIES)["trig"] | dict(d=2, m=1, n=n)) for n in (63, 64, 65)]
+BOX_EDGES = [("trig", dict(FAMILIES)["trig"] | dict(d=2, m=1, n=n)) for n in (129, 200, 256)]
+
+
+def edge_ids(cases):
+    return [f"{name}-d{p['d']}-m{p['m']}-n{p['n']}" for name, p in cases]
+
+
+@pytest.mark.parametrize("name,params", CASES + TORUS_EDGES, ids=IDS + edge_ids(TORUS_EDGES))
 def test_periodic_solve_matches_float64_preconditioner(monkeypatch, name, params):
     d = params["d"]
-    g = TorusGrid(d, SIZES[d])
+    g = TorusGrid(d, params.get("n", SIZES[d]))
     # the draw of test_periodic_solve_matches_projected_matvec, whose random
     # tensors are pointwise elliptic (kappa_est needs lambda_min(sym A) > 0)
-    A, self_adjoint = elliptic_cell_problem(name, params, g,
-                                            np.random.Generator(np.random.PCG64(12)))
+    A, self_adjoint = elliptic_cell_problem(name, {k: v for k, v in params.items() if k != "n"},
+                                            g, np.random.Generator(np.random.PCG64(12)))
     rng = np.random.Generator(np.random.PCG64(14))
     K = assemble_torus(A, g)
     op = lambda u: (K @ u.ravel()).reshape(u.shape)   # noqa: E731
@@ -240,12 +254,15 @@ def test_periodic_solve_matches_float64_preconditioner(monkeypatch, name, params
 
 
 @pytest.mark.parametrize("name,params",
-                         [c for c in CASES if c[0] != "random"],
-                         ids=[i for (name, _), i in zip(CASES, IDS) if name != "random"])
+                         [c for c in CASES if c[0] != "random"] + BOX_EDGES,
+                         ids=[i for (name, _), i in zip(CASES, IDS) if name != "random"]
+                         + edge_ids(BOX_EDGES))
 def test_box_solve_matches_float64_preconditioner(monkeypatch, name, params):
     """The built-in families at their default lambda (the random box arrays
     are not elliptic)."""
-    s = box_samples(name, params, lam=default_lambda(builtin_family(name, **params)))
+    params = dict(params)
+    n = params.pop("n", None)
+    s = box_samples(name, params, lam=default_lambda(builtin_family(name, **params)), n=n)
     g = s.grid
     rng = np.random.Generator(np.random.PCG64(15))
     rhs = rng.standard_normal((g.n - 1,) * g.d + (s.m,))
@@ -260,12 +277,13 @@ def test_box_solve_matches_float64_preconditioner(monkeypatch, name, params):
 
 
 def test_box_solve_on_the_fft_path_matches_float64_preconditioner(monkeypatch):
-    """The cases above all apply the DST-I as a sine-matrix product; at
-    n - 1 = DENSE_DST_MAX + 1 the solve's preconditioner takes the
-    scipy.fft.dstn path.  It agrees with the float64-preconditioned solve to
-    the 4e-13 relative the README states, in as many applies."""
+    """The cases above apply the DST-I as a sine-matrix product or its split;
+    at n - 1 = 319 the solve's preconditioner takes the scipy.fft.dstn path.
+    It agrees with the float64-preconditioned solve to the 4e-13 relative
+    the README states, in as many applies."""
     cs = builtin_family("trig", **dict(FAMILIES)["trig"], d=2)
-    g = BoxGrid(2, DENSE_DST_MAX + 2)
+    g = BoxGrid(2, 320)
+    assert kernel(g, 1) == "dstn"
     s = sample_coefficients(cs, g, 1 / 4, default_lambda(cs))
     rhs = np.random.Generator(np.random.PCG64(16)).standard_normal((g.n - 1,) * 2 + (1,))
     applies = counted_krylov(monkeypatch)
@@ -276,6 +294,25 @@ def test_box_solve_on_the_fft_path_matches_float64_preconditioner(monkeypatch):
     assert res <= 10 * EQUIV_TOL and res64 <= 10 * EQUIV_TOL
     assert np.linalg.norm(x - x64) / np.linalg.norm(x64) <= 4e-13
     assert len(applies) == len(applies64)
+
+
+@pytest.mark.parametrize("d,n,m", [(2, 64, 1), (2, 63, 1), (2, 65, 1), (2, 64, 2),
+                                   (3, 16, 1), (1, 64, 1)])
+@pytest.mark.parametrize("full", [False, True], ids=["trig", "full"])
+def test_torus_product_matches_csr(d, n, m, full):
+    """Whichever storage ``assemble_torus`` picks, its product is that of the
+    CSR array it built for every torus before (``torus_csr_array``), bit for
+    bit, and that of the CSR array of its own entries (``torus_csr``)."""
+    g = TorusGrid(d, n)
+    rng = np.random.Generator(np.random.PCG64(17))
+    if full:
+        A = rng.standard_normal(g.shape + (d, d, m, m))
+    else:
+        A = builtin_family("trig", d=d, m=m).A(g.points())
+    K = assemble_torus(A, g)
+    u = rng.standard_normal(K.shape[1])
+    assert np.array_equal(K @ u, torus_csr_array(A, g) @ u)
+    assert np.array_equal(K @ u, torus_csr(K) @ u)
 
 
 @pytest.mark.parametrize("name,params", CASES, ids=IDS)
@@ -342,7 +379,7 @@ def test_torus_rows_store_coupled_offsets_only():
     trig = builtin_family("trig", d=3).A(g.points())
     full = rng.standard_normal(g.shape + (3, 3, 2, 2))
     for A, pairs in ((trig, 0), (full, 3), (a12_only(full), 1)):
-        K = assemble_torus(A, g)
+        K = torus_csr(assemble_torus(A, g))
         assert np.all(np.diff(K.indptr) == A.shape[-1] * (1 + 2 * 3 + 4 * pairs))
 
 

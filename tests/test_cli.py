@@ -238,6 +238,32 @@ FALSIFIED_BY = {
 }
 
 
+def test_green_summary_records_each_probes_residuals(tmp_path, monkeypatch):
+    """Every probe of a ``green`` run has an entry in ``green_summary.json``
+    holding the verified residual of each of its m column solves, the values
+    ``approx_green`` returned; the battery's entry stays last."""
+    samples = []
+
+    def keep(*args, **kwargs):
+        sample = approx_green(*args, **kwargs)
+        samples.append(sample)
+        return sample
+    approx_green = cli.approx_green
+    monkeypatch.setattr(cli, "approx_green", keep)
+    cfg = parse_config("subcommand: green\nfamily: nonsymmetric-system\n"
+                       "params: {d: 2}\nn: 16\neps: 1.0\nbattery: true\n"
+                       "probes: [[0.5, 0.5], [0.25, 0.75]]\ntol: 1.0e-9\n")
+    assert run(cfg, str(tmp_path))["ok"]
+    fits = json.loads((tmp_path / "green_summary.json").read_text())["fits"]
+    assert [f["probe"] for f in fits[:-1]] == [[0.5, 0.5], [0.25, 0.75]]
+    assert "C_p" in fits[-1]
+    assert len(samples) == 2
+    for entry, sample in zip(fits, samples):
+        assert entry["residuals"] == sample.residuals
+        assert len(entry["residuals"]) == 2
+        assert all(0.0 <= r <= 10 * cfg.tol for r in entry["residuals"])
+
+
 def test_every_check_has_a_test_that_makes_it_read_false(tmp_path):
     written = set()
     for sub in cli.SUBCOMMANDS:

@@ -352,24 +352,32 @@ stages["parsed"] = [name for name in names if name in sys.modules]
 loaded = set(sys.modules)
 stages["ok"] = cli.run(cfg, sys.argv[2])["ok"]
 stages["ran"] = sorted(set(sys.modules) - loaded)
+stages["scipy"] = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
 print(json.dumps(stages))
 """
 
 # Configs beside configs/*.yaml: the maximal battery on the 96^2 box of the
-# benchmark's maximal workload, and a solve on the smallest box above
-# DENSE_DST_MAX (128 interior points per axis).
+# benchmark's maximal workload; solves on the smallest box of the split
+# DST-I (128 interior points per axis) and on a box of scipy.fft.dstn (319);
+# and a rates sweep with the benchmark sweep's shapes (the 64^2 cell torus,
+# boxes of 127^2 and 255^2 interior points).
 _EXTRA_CONFIGS = {
     "battery_96": "subcommand: green\nfamily: trig\nparams: {d: 2}\nn: 96\n"
                   "eps: 0.25\nbattery: true\nprobes: [[0.5, 0.5]]\nseed: 0\n",
     "solve_129": "subcommand: solve\nfamily: constant\nparams: {d: 2}\nn: 129\n",
+    "solve_320": "subcommand: solve\nfamily: constant\nparams: {d: 2}\nn: 320\n",
+    "rates_255": "subcommand: rates\nfamily: trig\n"
+                 "params: {d: 2, alpha: 2.0, beta: 0.5, lower: 0.5}\n"
+                 "eps: [0.125, 0.0625]\ndivisor: 16\nn_cell: 64\ndata: bump\nseed: 5\n",
 }
-# The runs that transform with scipy.fft: those on a torus, and the box above
-# the rule; every other one solves on smaller boxes, or not at all.
-_TRANSFORMING = {"cell_laminate", "homogenize_laminate", "correctors_trig",
-                 "rates_trig2d", "solve_129"}
-# The runs with a torus grid (cell correctors), whose operator scipy.sparse
-# stores.
-_TORUS = {"cell_laminate", "homogenize_laminate", "correctors_trig", "rates_trig2d"}
+# The runs that transform with scipy.fft (``solvers.kernel`` is "rfftn" or
+# "dstn" for one of their solves): the d = 1 cell tori of 512 points, and
+# the boxes above 255 interior points per axis.
+_TRANSFORMING = {"cell_laminate", "homogenize_laminate", "rates_trig2d", "solve_320"}
+# The runs with a torus operator that scipy.sparse stores (the tori on
+# "rfftn"); the 64^2 scalar cell tori of correctors_trig and the rates runs
+# are Triplets.
+_TORUS = {"cell_laminate", "homogenize_laminate"}
 _STAGE_CASES = sorted(p.stem for p in (ROOT / "configs").glob("*.yaml")) + sorted(
     _EXTRA_CONFIGS)
 
@@ -426,3 +434,12 @@ def test_run_loads_no_module(import_stages, name):
     ``numpy.random`` is one: ``coefficients``, ``green`` and ``rates``
     import it themselves, as nothing else loads it on small boxes."""
     assert import_stages[name]["ran"] == []
+
+
+@pytest.mark.parametrize("name", _STAGE_CASES)
+def test_runs_without_scipy_kernels_load_no_scipy(import_stages, name):
+    """A run none of whose solves ``solvers.kernel`` sends to scipy ends
+    with no scipy module loaded at all, the sweep-shaped ``rates_255``
+    among them; the others load scipy."""
+    scipy_free = name not in _TRANSFORMING | _TORUS
+    assert (import_stages[name]["scipy"] == []) is scipy_free

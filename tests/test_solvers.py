@@ -1,13 +1,13 @@
+import functools
 import math
 
 import numpy as np
 import pytest
 
 from homogkit.grid import BoxGrid, TorusGrid, principal_part_apply
-from homogkit.solvers import (DENSE_DST_MAX, SolverError, _apply_inverse_box,
-                              _apply_inverse_torus, _inverse_symbol_box,
-                              _inverse_symbol_torus, _sine_matrix, needs_scipy_fft,
-                              poisson_periodic, solve_box_dirichlet, solve_periodic)
+from homogkit.solvers import (SolverError, _apply_inverse, _dense_matrix, _inverse_symbol,
+                              _split_plan, kernel, poisson_periodic, solve_box_dirichlet,
+                              solve_periodic)
 from oracles import laplace_symbol
 
 
@@ -242,16 +242,37 @@ def _close32(new, old):
     return np.max(np.abs(new - old)) <= FLOAT32_REL * np.max(np.abs(old))
 
 
+def _kernel_used(monkeypatch, solve, *args, **kwargs):
+    """The kernels the preconditioner closure of a solver applies."""
+    import homogkit.solvers as solvers
+
+    apply, used = solvers._apply_inverse, []
+
+    def recording(r, inv, grid, kern):
+        used.append(kern)
+        return apply(r, inv, grid, kern)
+    monkeypatch.setattr(solvers, "_apply_inverse", recording)
+    precond = _capture_precond(monkeypatch, solve, *args, **kwargs)
+    return precond, used
+
+
+TORUS_KERNELS = ("hartley", "rfftn")
+BOX_KERNELS = ("sine", "sine-split", "dstn")
+
+
 class TestPreconditionerEquivalence:
-    """The inverse-symbol helpers in float64 agree with the transforms they
-    replaced to 1e-13 relative, which pins the symbol, the scale, the lambda
-    shift and the (2n)^d normalisation; the float32 closures the solvers
-    build agree with the same oracles to ``FLOAT32_REL``.  Even and odd n
-    (odd n exercises the half-spectrum inverse with an explicit output
-    shape)."""
+    """Every transform kernel, with the reciprocal symbol laid out for it, in
+    float64 agrees with the transforms the kernels replaced to 1e-13
+    relative, which pins the symbol, the scale, the lambda shift, the
+    normalisation and the split plan's row order; the float32 closure a
+    solver builds applies the kernel ``kernel`` names for the shape and
+    agrees with the same oracles to ``FLOAT32_REL``.  Even and odd n (odd n
+    exercises the half-spectrum inverse with an explicit output shape, and
+    the split plans without the butterfly); the box sizes straddle every
+    boundary of the rule."""
 
     @pytest.mark.parametrize("d,n", [(1, 16), (1, 15), (2, 12), (2, 9),
-                                     (3, 8), (3, 7)])
+                                     (3, 8), (3, 7), (2, 64), (2, 63), (2, 65)])
     @pytest.mark.parametrize("m", [1, 2])
     def test_torus(self, monkeypatch, d, n, m):
         g = TorusGrid(d, n)
@@ -259,21 +280,24 @@ class TestPreconditionerEquivalence:
         shape = g.shape + ((m,) if m > 1 else ())
         rhs = rng.standard_normal(shape)
         for scale in (1.0, 2.7):
-            precond = _capture_precond(monkeypatch, solve_periodic,
-                                       lambda w: w, rhs, g, precond_scale=scale)
+            precond, used = _kernel_used(monkeypatch, solve_periodic,
+                                         lambda w: w, rhs, g, precond_scale=scale)
             r = rng.standard_normal(shape)
             want = _torus_precond_oracle(r, g, scale)
-            inv = _inverse_symbol_torus(g, scale)
-            inv = inv.reshape(inv.shape + (1,) * (r.ndim - d))
-            assert _close(_apply_inverse_torus(r, inv, g), want)
+            for kern in TORUS_KERNELS:
+                inv = _inverse_symbol(g, kern, scale)
+                inv = inv.reshape(inv.shape + (1,) * (r.ndim - d))
+                assert _close(_apply_inverse(r, inv, g, kern), want)
             assert _close32(precond(r.ravel()).reshape(shape), want)
+            assert used == [kernel(g, m)]
 
-    # n - 1 = DENSE_DST_MAX is the largest size on the sine-matrix path and
-    # n - 1 = DENSE_DST_MAX + 1 the smallest on the scipy.fft.dstn path
+    # n - 1 = 127 / 128 and 255 / 256 straddle the sine product, the split
+    # and dstn; 107 / 108 the split of a system in 2D
     @pytest.mark.parametrize("d,n", [(1, 16), (1, 15), (2, 12), (2, 9),
                                      (3, 8), (3, 7), (3, 48),
-                                     (1, DENSE_DST_MAX + 1), (1, DENSE_DST_MAX + 2),
-                                     (2, DENSE_DST_MAX + 1), (2, DENSE_DST_MAX + 2)])
+                                     (1, 128), (1, 129), (2, 128), (2, 129),
+                                     (2, 108), (2, 109), (1, 256), (1, 257),
+                                     (2, 256), (2, 257)])
     @pytest.mark.parametrize("m", [1, 2])
     def test_box(self, monkeypatch, d, n, m):
         g = BoxGrid(d, n)
@@ -281,17 +305,17 @@ class TestPreconditionerEquivalence:
         shape = (n - 1,) * d + ((m,) if m > 1 else ())
         rhs = rng.standard_normal(shape)
         for scale, lam in ((1.0, 0.0), (2.7, 0.0), (0.6, 3.5)):
-            precond = _capture_precond(monkeypatch, solve_box_dirichlet,
-                                       lambda w: w, rhs, g, lam=lam,
-                                       precond_scale=scale)
+            precond, used = _kernel_used(monkeypatch, solve_box_dirichlet,
+                                         lambda w: w, rhs, g, lam=lam,
+                                         precond_scale=scale)
             r = rng.standard_normal(shape)
             want = _box_precond_oracle(r, g, scale, lam)
-            inv = _inverse_symbol_box(g, scale, lam)
-            inv = inv.reshape(inv.shape + (1,) * (r.ndim - d))
-            S = _sine_matrix(g, np.float64)
-            assert (S is None) == (n - 1 > DENSE_DST_MAX)
-            assert _close(_apply_inverse_box(r, inv, d, S), want)
+            for kern in BOX_KERNELS if d == 2 else ("sine", "dstn"):
+                inv = _inverse_symbol(g, kern, scale, lam)
+                inv = inv.reshape(inv.shape + (1,) * (r.ndim - d))
+                assert _close(_apply_inverse(r, inv, g, kern), want)
             assert _close32(precond(r.ravel()).reshape(shape), want)
+            assert used == [kernel(g, m)]
 
     @pytest.mark.parametrize("d,n", [(1, 15), (2, 12), (2, 9), (3, 7)])
     def test_poisson_periodic(self, d, n):
@@ -304,27 +328,62 @@ class TestPreconditionerEquivalence:
 
 
 class TestTransformPath:
-    """``needs_scipy_fft`` is the one rule for the transform path: the torus
-    and boxes above ``DENSE_DST_MAX`` interior points per axis transform with
-    ``scipy.fft``; every smaller box shares one read-only sine matrix per
-    size and dtype."""
+    """``kernel`` is the one rule for the transforms, and through them for
+    scipy: a solve needs ``scipy.fft`` exactly on ``rfftn`` and ``dstn``.
+    Each row holds (grid, m, kernel) and whether the solve loads scipy: the
+    first six keep the outcomes of the rule this one replaced, the rest
+    cover every boundary of the new one (n - 1 = 127, 128, 255, 256 on the
+    box; m = 1, 2; d = 1, 2, 3; odd and even n)."""
 
     @pytest.mark.parametrize("grid,needs", [
-        (TorusGrid(1, 8), True), (TorusGrid(2, 16), True),
-        (BoxGrid(2, DENSE_DST_MAX + 1), False), (BoxGrid(3, 48), False),
-        (BoxGrid(1, DENSE_DST_MAX + 2), True), (BoxGrid(2, 256), True)])
+        ((TorusGrid(2, 65), 1, "rfftn"), True), ((TorusGrid(2, 64), 2, "rfftn"), True),
+        ((BoxGrid(2, 128), 1, "sine"), False), ((BoxGrid(3, 48), 1, "sine"), False),
+        ((BoxGrid(2, 257), 1, "dstn"), True), ((BoxGrid(3, 129), 1, "dstn"), True),
+        ((TorusGrid(1, 8), 1, "hartley"), False), ((TorusGrid(1, 64), 1, "hartley"), False),
+        ((TorusGrid(1, 65), 1, "rfftn"), True), ((TorusGrid(2, 63), 1, "hartley"), False),
+        ((TorusGrid(2, 64), 1, "hartley"), False), ((TorusGrid(2, 96), 2, "rfftn"), True),
+        ((TorusGrid(3, 16), 1, "hartley"), False), ((TorusGrid(3, 17), 1, "rfftn"), True),
+        ((TorusGrid(3, 16), 2, "rfftn"), True), ((TorusGrid(1, 512), 1, "rfftn"), True),
+        ((BoxGrid(1, 128), 2, "sine"), False), ((BoxGrid(1, 129), 1, "sine"), False),
+        ((BoxGrid(1, 256), 2, "sine"), False), ((BoxGrid(1, 257), 1, "dstn"), True),
+        ((BoxGrid(2, 129), 1, "sine-split"), False), ((BoxGrid(2, 200), 1, "sine-split"), False),
+        ((BoxGrid(2, 256), 1, "sine-split"), False), ((BoxGrid(2, 257), 2, "dstn"), True),
+        ((BoxGrid(2, 64), 2, "sine"), False), ((BoxGrid(2, 96), 1, "sine"), False),
+        ((BoxGrid(2, 108), 2, "sine"), False), ((BoxGrid(2, 109), 2, "sine-split"), False),
+        ((BoxGrid(2, 128), 2, "sine-split"), False), ((BoxGrid(2, 129), 2, "sine-split"), False),
+        ((BoxGrid(3, 128), 2, "sine"), False), ((BoxGrid(3, 129), 2, "dstn"), True)])
     def test_needs_scipy_fft(self, grid, needs):
-        assert needs_scipy_fft(grid) is needs
-        if isinstance(grid, BoxGrid):
-            assert (_sine_matrix(grid, np.float32) is None) is needs
+        g, m, kern = grid
+        assert kernel(g, m) == kern
+        assert (kern in ("rfftn", "dstn")) is needs
+        # no kernel moves to scipy as m falls (cli.parse_config relies on it)
+        assert kernel(g, 1) not in ("rfftn", "dstn") or needs
 
     def test_sine_matrix_is_shared_and_read_only(self):
-        S = _sine_matrix(BoxGrid(2, 16), np.float32)
-        assert _sine_matrix(BoxGrid(3, 16), np.dtype(np.float32)) is S
+        S = _dense_matrix("sine", 16, np.dtype(np.float32))
+        assert _dense_matrix("sine", 16, np.dtype(np.float32)) is S
         assert S.dtype == np.float32 and S.shape == (15, 15)
         assert not S.flags.writeable
-        S64 = _sine_matrix(BoxGrid(2, 16), np.float64)
+        S64 = _dense_matrix("sine", 16, np.dtype(np.float64))
         assert S64.dtype == np.float64 and np.array_equal(S64.astype(np.float32), S)
+        H = _dense_matrix("hartley", 16, np.dtype(np.float32))
+        assert H.shape == (16, 16) and not H.flags.writeable
+        assert np.array_equal(H, H.T)
+
+    @pytest.mark.parametrize("n", [129, 130, 131, 132, 256])
+    def test_split_plan_orders_every_row_once(self, n):
+        """The split plan's rows are a permutation of the DST-I's, and its
+        matrices are shared and read-only."""
+        plan = _split_plan(n, np.dtype(np.float32))
+        assert _split_plan(n, np.dtype(np.float32)) is plan
+        assert np.array_equal(np.sort(plan.order), np.arange(1, n))
+        leaves = [plan.odd, plan.even]
+        while leaves:
+            part = leaves.pop()
+            if hasattr(part, "M"):
+                assert not part.M.flags.writeable and not part.MT.flags.writeable
+            else:
+                leaves += [getattr(part, k) for k in ("odd", "even", "e", "o") if hasattr(part, k)]
 
 
 class TestNoDtypeProbe:
@@ -364,22 +423,31 @@ class TestNoDtypeProbe:
         assert zero_applies == []
 
 
+@functools.cache
 def _trig_operators():
-    """A self-adjoint box interior operator and torus operator (trig, d = 2)."""
+    """Self-adjoint box interior operators and torus operators (trig, d = 2):
+    on the sine-matrix box and the Hartley torus, and on the split box
+    (n - 1 = 128) and the rfftn torus (n = 65) as "box-split" and
+    "torus-fft"."""
     from homogkit.bvp import sample_coefficients
     from homogkit.coefficients import builtin_family
     from homogkit.grid import assemble_torus, precond_scale
 
     cs = builtin_family("trig", d=2).principal_part
-    bg = BoxGrid(2, 16)
-    s = sample_coefficients(cs, bg, 1 / 4, 0.7)
-    tg = TorusGrid(2, 16)
-    A = cs.A(tg.points())
-    K = assemble_torus(A, tg)
-    box = (s.apply_interior, bg, dict(lam=0.7, precond_scale=precond_scale(s.A, bg)))
-    torus = (lambda u: (K @ u.ravel()).reshape(u.shape), tg,
-             dict(precond_scale=precond_scale(A, tg)))
-    return {"box": box, "torus": torus}
+    out = {}
+    for name, bn, tn in (("", 16, 16), ("-split", 129, None), ("-fft", None, 65)):
+        if bn:
+            bg = BoxGrid(2, bn)
+            s = sample_coefficients(cs, bg, 1 / 4, 0.7)
+            out["box" + name] = (s.apply_interior, bg,
+                                 dict(lam=0.7, precond_scale=precond_scale(s.A, bg)))
+        if tn:
+            tg = TorusGrid(2, tn)
+            A = cs.A(tg.points())
+            K = assemble_torus(A, tg)
+            out["torus" + name] = (lambda u, K=K: (K @ u.ravel()).reshape(u.shape), tg,
+                                   dict(precond_scale=precond_scale(A, tg)))
+    return out
 
 
 class TestScaleInvariance:
@@ -389,11 +457,12 @@ class TestScaleInvariance:
 
     @pytest.mark.parametrize("k", [-130, 120])
     @pytest.mark.parametrize("self_adjoint", [True, False], ids=["cg", "bicgstab"])
-    @pytest.mark.parametrize("geometry", ["box", "torus"])
+    @pytest.mark.parametrize("geometry", ["box", "torus", "box-split", "torus-fft"])
     def test_power_of_two(self, geometry, self_adjoint, k):
         apply, grid, kw = _trig_operators()[geometry]
-        solver = solve_box_dirichlet if geometry == "box" else solve_periodic
-        n = grid.n - 1 if geometry == "box" else grid.n
+        box = isinstance(grid, BoxGrid)
+        solver = solve_box_dirichlet if box else solve_periodic
+        n = grid.n - 1 if box else grid.n
         rng = np.random.Generator(np.random.PCG64(20))
         b = rng.standard_normal((n, n, 1))
         x, res = solver(apply, b, grid, self_adjoint=self_adjoint, **kw)
@@ -406,9 +475,11 @@ class TestScaleInvariance:
 class TestPreconditionerContract:
     """Each preconditioner closure leaves its argument alone and returns a
     flat float64 array of rhs.size: the Krylov vectors stay float64, and
-    the benchmark tracer wraps M with ``dtype=M.dtype``."""
+    the benchmark tracer wraps M with ``dtype=M.dtype``.  The shapes reach
+    every kernel: the Hartley and rfftn tori, the sine, split and dstn
+    boxes."""
 
-    @pytest.mark.parametrize("d,n", [(1, 15), (2, 12), (3, 7)])
+    @pytest.mark.parametrize("d,n", [(1, 15), (2, 12), (3, 7), (2, 65), (2, 129), (1, 300)])
     @pytest.mark.parametrize("m", [1, 2])
     @pytest.mark.parametrize("geometry", ["box", "torus"])
     def test_closure(self, monkeypatch, geometry, d, n, m):
@@ -564,14 +635,15 @@ def _oracle_periodic(apply_op, rhs, grid, *, precond_scale, self_adjoint, tol=1e
 
     shape = rhs.shape
     nd = grid.d
-    inv = _inverse_symbol_torus(grid, precond_scale).astype(np.float32)
+    kern = kernel(grid, rhs.size // grid.npoints)
+    inv = _inverse_symbol(grid, kern, precond_scale).astype(np.float32)
     inv = inv.reshape(inv.shape + (1,) * (len(shape) - nd))
 
     def matvec(x):
         return apply_op(x.reshape(shape)).ravel()
 
     def precond(r):
-        z = _apply_inverse_torus(r.reshape(shape).astype(np.float32), inv, grid)
+        z = _apply_inverse(r.reshape(shape).astype(np.float32), inv, grid, kern)
         return z.astype(np.float64).ravel()
 
     maxiter = max(200, int(20 * grid.n ** (grid.d / 2)))
@@ -588,15 +660,15 @@ def _oracle_box(apply_interior, rhs_interior, grid, *, lam, precond_scale,
 
     shape = rhs_interior.shape
     nd = grid.d
-    inv = _inverse_symbol_box(grid, precond_scale, lam).astype(np.float32)
+    kern = kernel(grid, rhs_interior.size // (grid.n - 1) ** nd)
+    inv = _inverse_symbol(grid, kern, precond_scale, lam).astype(np.float32)
     inv = inv.reshape(inv.shape + (1,) * (len(shape) - nd))
-    S = _sine_matrix(grid, np.float32)
 
     def matvec(x):
         return apply_interior(x.reshape(shape)).ravel()
 
     def precond(r):
-        z = _apply_inverse_box(r.reshape(shape).astype(np.float32), inv, nd, S)
+        z = _apply_inverse(r.reshape(shape).astype(np.float32), inv, grid, kern)
         return z.astype(np.float64).ravel()
 
     maxiter = max(200, 50 * grid.n)
@@ -659,7 +731,7 @@ class TestSolveEquivalence:
     def test_box(self, d, m, lam, self_adjoint):
         self._box(d, _EQUIV_N[d], m, lam, self_adjoint, 60 + 10 * d + m)
 
-    # n - 1 = DENSE_DST_MAX runs the sine-matrix product, one more the dstn path
-    @pytest.mark.parametrize("n", [DENSE_DST_MAX + 1, DENSE_DST_MAX + 2])
+    # n - 1 = 127 runs the sine-matrix product, 128 the split one and 319 dstn
+    @pytest.mark.parametrize("n", [128, 129, 320])
     def test_box_dst_paths(self, n):
         self._box(2, n, 1, 0.0, True, 70 + n)
