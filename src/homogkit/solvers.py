@@ -187,10 +187,22 @@ def _dense_products(x: np.ndarray, S: np.ndarray, nd: int) -> np.ndarray:
 # The split DST-I.  A plan applies rows of S to the rows of x (an (N, R)
 # array); with ``t`` its output, and a backward pass's input, hold the
 # transpose, so that the second grid axis is split along rows too and the
-# transposes fall to the GEMMs.
+# transposes fall to the GEMMs.  Each part keeps its work arrays between
+# applies (``_scratch``): fresh ones cost page faults and made the apply
+# time swing by a third from process to process.  Solves run one at a time,
+# so no two applies share them.
 
 def _rows(a: np.ndarray, lo: int, hi: int | None, t: bool) -> np.ndarray:
     return a[:, lo:hi] if t else a[lo:hi]
+
+
+def _scratch(part, name: str, shape: tuple, dtype) -> np.ndarray:
+    """The work array ``name`` of ``part`` for this shape and dtype, made on
+    first use and kept; its contents are whatever the last apply left."""
+    key = (name, shape, dtype)
+    if key not in part.scratch:
+        part.scratch[key] = np.empty(shape, dtype)
+    return part.scratch[key]
 
 
 class _Product:
@@ -219,10 +231,11 @@ class _Fold:
         self.odd, self.even, self.h = odd, even, N // 2
         self.L = N - self.h
         self.order = np.concatenate([odd.order, even.order])
+        self.scratch = {}
 
     def forward(self, x, out, t):
         L, h = self.L, self.h
-        u, xr = np.empty(x.shape, x.dtype), x[::-1]
+        u, xr = _scratch(self, "fold", x.shape, x.dtype), x[::-1]
         np.add(x[:h], xr[:h], out=u[:h])
         u[h:L] = x[h:L]
         np.subtract(x[:h], xr[:h], out=u[L:])
@@ -231,7 +244,7 @@ class _Fold:
 
     def backward(self, y, out, t):
         L, h = self.L, self.h
-        q = np.empty(out.shape, out.dtype)
+        q = _scratch(self, "fold", out.shape, out.dtype)
         self.odd.backward(_rows(y, 0, L, t), q[:L], t)
         self.even.backward(_rows(y, L, None, t), q[L:], t)
         np.add(q[:h], q[L:], out=out[:h])
@@ -246,11 +259,12 @@ class _Butterfly:
 
     def __init__(self, cols_odd: _Product, cols_even: _Product, order: np.ndarray):
         self.e, self.o, self.order = cols_odd, cols_even, order
+        self.scratch = {}
 
     def forward(self, u, out, t):
         half = u.shape[0] // 2
         shape = (u.shape[1], half) if t else (half, u.shape[1])
-        E, O = np.empty(shape, u.dtype), np.empty(shape, u.dtype)
+        E, O = (_scratch(self, name, shape, u.dtype) for name in "EO")
         self.e.forward(u[0::2], E, t)
         self.o.forward(u[1::2], O, t)
         np.add(E, O, out=_rows(out, 0, half, t))
@@ -259,8 +273,9 @@ class _Butterfly:
     def backward(self, y, out, t):
         half = out.shape[0] // 2
         top, bottom = _rows(y, 0, half, t), _rows(y, half, None, t)
-        self.e.backward(top + bottom, out[0::2], t)
-        self.o.backward(top - bottom, out[1::2], t)
+        S, D = (_scratch(self, name, top.shape, y.dtype) for name in "SD")
+        self.e.backward(np.add(top, bottom, out=S), out[0::2], t)
+        self.o.backward(np.subtract(top, bottom, out=D), out[1::2], t)
 
 
 @functools.lru_cache(maxsize=4)
@@ -295,9 +310,9 @@ def _split_products(r: np.ndarray, inv: np.ndarray, plan) -> np.ndarray:
     which is symmetric."""
     out = np.empty(r.shape, r.dtype)
     inv2 = inv.reshape(inv.shape[:2])
+    spec, tmp = (_scratch(plan, name, inv2.shape, r.dtype) for name in ("spec", "tmp"))
     for c in np.ndindex(r.shape[2:]):
         x = np.ascontiguousarray(r[(...,) + c])
-        spec, tmp = np.empty_like(x), np.empty_like(x)
         plan.forward(x, tmp, True)
         plan.forward(tmp, spec, False)
         spec *= inv2
