@@ -1,7 +1,7 @@
 """Preconditioned Krylov solves for the periodic cell and box Dirichlet systems.
 
 Both geometries admit an exact fast-Poisson inverse for the constant-
-coefficient part (FFT on the torus, DST-I on the box interior), which is used
+coefficient part (Fourier on the torus, DST-I on the box interior), which is used
 as the preconditioner for CG (``self_adjoint`` operators) or BiCGStab (general
 ones).  A wrong choice costs time, not accuracy, because one driver runs
 every solve and verifies the final relative residual itself (Krylov "success"
@@ -15,34 +15,65 @@ A preconditioner only has to be approximate, so its transforms run in
 float32: the residual is cast down, transformed, multiplied by a float32
 copy of the reciprocal symbol, transformed back and cast back.
 ``_spectral_solve`` holds this contract for both geometries; the two solves
-pass it only their transform, symbol and right-hand side.  The operator, the
+pass it only their kernel, symbol and right-hand side.  The operator, the
 Krylov vectors, the GMRES fallback and the residual check stay float64.
 ``_krylov`` scales the right-hand side by an exact power of two (max |b| in
 [0.5, 1)) and the solution back, so the float32 range never sees the scale
 of the data.  ``poisson_periodic`` is an exact solve, not a preconditioner,
 and stays float64.
 
-The box DST-I is applied as a product with the dense sine matrix, one BLAS
-GEMM per grid axis, when a grid axis has at most ``DENSE_DST_MAX`` = 127
-interior points, and through ``scipy.fft.dstn`` above that; the rule,
-``needs_scipy_fft``, reads the grid size alone.  The sine matrix is built
-once per size and dtype and shared read-only.  The product costs
-O(N^(d+1)) against the FFT's O(N^d log N), but on small axes BLAS wins: per
-float32 transform on one BLAS thread, 0.43 against 0.98 ms at 47^3, 0.042
-against 0.085 ms at 95^2 and 0.107 against 0.131 ms at 127^2, while at
-255^2 it loses, 0.75 against 0.41 ms.  Both paths compute the same
-unnormalised transform, so the reciprocal symbol is shared.  The float32
-apply agrees with the float64 one to about 1.5e-6 relative on the product
-path and 4e-7 on the FFT path.  The torus keeps ``rfftn`` on every size: a
-dense real-Fourier basis measured slower at 96^2 x 2.
+Every preconditioner transform is picked by one rule, ``kernel``, from the
+shape of the solve alone: the geometry, d, n and the m components per point.
+There are five kernels.  On the torus, ``"rfftn"`` (``scipy.fft``) and
+``"hartley"``, products with the dense Hartley matrix
+H[j, k] = cos(2 pi j k / n) + sin(2 pi j k / n), which is symmetric, squares
+to n I and diagonalises the periodic -Laplacian as the Fourier basis does.
+On the box, ``"dstn"`` (``scipy.fft``), ``"sine"``, products with the dense
+DST-I matrix S[j, k] = 2 sin(pi j k / n), which squares to 2n I, and
+``"sine-split"``, the same products with each GEMM split by
+S[n - j, k] = (-1)^(k+1) S[j, k] into two of half size after the input is
+folded (x_j + x_{n-j}, x_j - x_{n-j}), and once more when 4 divides n: the
+first radix-2 steps of the fast sine transform (Van Loan, *Computational
+Frameworks for the Fast Fourier Transform*, SIAM 1992).  The dense kernels
+share one per-axis GEMM loop (``_dense_products``) and their matrices are
+built once per size and dtype and shared read-only.  A dense product costs
+O(N^(d+1)) against the FFT's O(N^d log N), but scipy's transforms carry a
+fixed cost of about 0.03 ms a call.  The rule rests on these per-apply
+timings (float32, two transforms and the multiply, one BLAS thread on a
+2-vCPU Xeon VM, medians of alternated runs; ms):
+
+    torus 64^2       hartley 0.039  rfftn 0.085
+    torus 65^2       hartley 0.032  rfftn 0.079   (the Triplets product
+    torus 96^2 x 2   hartley 0.367  rfftn 0.242    sets the 64^2 limit)
+    torus 16^3       hartley 0.027  rfftn 0.072
+    box 255          sine 0.024                dstn 0.045
+    box 47^3         sine 1.043                dstn 2.970
+    box 95^2         sine 0.099  split 0.253   dstn 0.191
+    box 127^2        sine 0.207  split 0.261   dstn 0.265
+    box 128^2        sine 0.235  split 0.252   dstn 0.762
+    box 255^2        sine 1.227  split 0.899   dstn 0.919
+    box 256^2        sine 1.374  split 1.123   dstn 13.69
+    box 63^2 x 2     sine 0.137  split 0.396   dstn 0.199
+    box 107^2 x 2    sine 0.500  split 0.548   dstn 0.524
+    box 108^2 x 2    sine 0.320  split 0.244   dstn 1.569
+    box 255^2 x 2    sine 3.786  split 2.393   dstn 1.713
+
+Single cells drift by 10–30% from run to run with the host.  The 255^2
+box takes the split, level with ``dstn``, so that a run on the sweep's
+shapes loads no scipy: the import costs about 0.2 s a process, the time of
+about a thousand applies there.  2D systems at N = 127 and 255 stay on the
+split although ``dstn``, on a power-of-two FFT there, is faster, and
+N = 256 takes ``dstn``, whose FFT of length 2 * 257 is slow; no workload
+solves on these.  The float32 apply agrees with the float64 transforms to
+about 1.5e-6 relative on the dense paths and 2–4e-7 on scipy's.
 
 ``scipy.fft`` (which also loads ``scipy.special``) is imported on first use,
-by ``scipy_fft``: only a torus solve, ``poisson_periodic`` and a box above
-the rule transform with it.  ``cli.parse_config`` calls ``scipy_fft`` for a
-run whose grids ``needs_scipy_fft``, so the import lands in the set-up of
-the runs that need it.  A run on small boxes only loads no scipy module at
-all: this module imports none, and the box operator it solves with is
-applied with numpy (``grid.assemble_box``).
+by ``scipy_fft``: only ``"rfftn"`` and ``"dstn"`` call it.
+``cli.parse_config`` calls ``scipy_fft`` for a run one of whose solves
+``kernel`` sends there, so the import lands in the set-up of the runs that
+need it.  Every other run loads no scipy module at all: this module imports
+none, and the operators it solves with are applied with numpy
+(``grid.assemble_box``, and ``grid.assemble_torus`` on the Hartley tori).
 """
 
 from __future__ import annotations
@@ -52,7 +83,8 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .grid import BoxGrid, TorusGrid
+from .grid import BoxGrid, TorusGrid, _read_only
+
 
 def kernel(grid: TorusGrid | BoxGrid, m: int = 1) -> str:
     """The preconditioner transform of a solve on ``grid`` with ``m``
@@ -137,7 +169,7 @@ def _inverse_symbol(grid: TorusGrid | BoxGrid, kern: str, scale: float,
     sym = _laplace_symbol(np.pi * np.arange(1, n) / n, grid.h, nd)
     inv = 1.0 / ((scale * sym + max(lam, 0.0)) * (2.0 * n) ** nd)
     if kern == "sine-split":
-        rows = _split_plan(n, np.dtype(np.float64)).order - 1
+        rows = _split_plan(n, np.dtype(np.float32)).order - 1
         inv = inv[np.ix_(*(rows,) * nd)]
     return inv
 
@@ -145,7 +177,7 @@ def _inverse_symbol(grid: TorusGrid | BoxGrid, kern: str, scale: float,
 @functools.lru_cache(maxsize=8)
 def _dense_matrix(kern: str, n: int, dtype: np.dtype) -> np.ndarray:
     """The symmetric transform matrix of ``kern`` in ``dtype``, not writeable;
-    kept for the last 8 (kern, n, dtype), at most 256 KiB each:
+    kept for the last 8 (kern, n, dtype), at most 512 KiB each:
 
     - ``"sine"``: the DST-I of ``scipy.fft.dst(type=1)``,
       S[j, k] = 2 sin(pi j k / n) for j, k = 1..n-1 (j k reduced mod 2n);
@@ -161,11 +193,6 @@ def _dense_matrix(kern: str, n: int, dtype: np.dtype) -> np.ndarray:
         theta = 2.0 * np.pi * (np.outer(j, j) % n) / n
         M = np.cos(theta) + np.sin(theta)
     return _read_only(M.astype(dtype))
-
-
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
 
 
 def _dense_products(x: np.ndarray, S: np.ndarray, nd: int) -> np.ndarray:
@@ -187,22 +214,22 @@ def _dense_products(x: np.ndarray, S: np.ndarray, nd: int) -> np.ndarray:
 # The split DST-I.  A plan applies rows of S to the rows of x (an (N, R)
 # array); with ``t`` its output, and a backward pass's input, hold the
 # transpose, so that the second grid axis is split along rows too and the
-# transposes fall to the GEMMs.  Each part keeps its work arrays between
-# applies (``_scratch``): fresh ones cost page faults and made the apply
-# time swing by a third from process to process.  Solves run one at a time,
-# so no two applies share them.
+# transposes fall to the GEMMs.  The plan is shared read-only; its work
+# arrays live in ``work``, a dict that one solve keeps for all its applies
+# (``_scratch``): fresh arrays on every apply cost page faults and made the
+# apply time swing by a third from process to process.
 
 def _rows(a: np.ndarray, lo: int, hi: int | None, t: bool) -> np.ndarray:
     return a[:, lo:hi] if t else a[lo:hi]
 
 
-def _scratch(part, name: str, shape: tuple, dtype) -> np.ndarray:
+def _scratch(work: dict, part, name: str, shape: tuple, dtype) -> np.ndarray:
     """The work array ``name`` of ``part`` for this shape and dtype, made on
-    first use and kept; its contents are whatever the last apply left."""
-    key = (name, shape, dtype)
-    if key not in part.scratch:
-        part.scratch[key] = np.empty(shape, dtype)
-    return part.scratch[key]
+    first use and kept in ``work``; it holds whatever the last apply left."""
+    key = (id(part), name, shape, dtype)
+    if key not in work:
+        work[key] = np.empty(shape, dtype)
+    return work[key]
 
 
 class _Product:
@@ -212,13 +239,13 @@ class _Product:
     def __init__(self, M: np.ndarray, order: np.ndarray):
         self.M, self.MT, self.order = _read_only(M), _read_only(M.T.copy()), order
 
-    def forward(self, x, out, t):
+    def forward(self, x, out, t, _work):
         if t:
             np.matmul(x.T, self.MT, out=out)
         else:
             np.matmul(self.M, x, out=out)
 
-    def backward(self, y, out, t):
+    def backward(self, y, out, t, _work):
         np.matmul(self.MT, y.T if t else y, out=out)
 
 
@@ -231,22 +258,21 @@ class _Fold:
         self.odd, self.even, self.h = odd, even, N // 2
         self.L = N - self.h
         self.order = np.concatenate([odd.order, even.order])
-        self.scratch = {}
 
-    def forward(self, x, out, t):
+    def forward(self, x, out, t, work):
         L, h = self.L, self.h
-        u, xr = _scratch(self, "fold", x.shape, x.dtype), x[::-1]
+        u, xr = _scratch(work, self, "fold", x.shape, x.dtype), x[::-1]
         np.add(x[:h], xr[:h], out=u[:h])
         u[h:L] = x[h:L]
         np.subtract(x[:h], xr[:h], out=u[L:])
-        self.odd.forward(u[:L], _rows(out, 0, L, t), t)
-        self.even.forward(u[L:], _rows(out, L, None, t), t)
+        self.odd.forward(u[:L], _rows(out, 0, L, t), t, work)
+        self.even.forward(u[L:], _rows(out, L, None, t), t, work)
 
-    def backward(self, y, out, t):
+    def backward(self, y, out, t, work):
         L, h = self.L, self.h
-        q = _scratch(self, "fold", out.shape, out.dtype)
-        self.odd.backward(_rows(y, 0, L, t), q[:L], t)
-        self.even.backward(_rows(y, L, None, t), q[L:], t)
+        q = _scratch(work, self, "fold", out.shape, out.dtype)
+        self.odd.backward(_rows(y, 0, L, t), q[:L], t, work)
+        self.even.backward(_rows(y, L, None, t), q[L:], t, work)
         np.add(q[:h], q[L:], out=out[:h])
         out[h:L] = q[h:L]
         np.subtract(q[:h], q[L:], out=out[::-1][:h])
@@ -259,23 +285,22 @@ class _Butterfly:
 
     def __init__(self, cols_odd: _Product, cols_even: _Product, order: np.ndarray):
         self.e, self.o, self.order = cols_odd, cols_even, order
-        self.scratch = {}
 
-    def forward(self, u, out, t):
+    def forward(self, u, out, t, work):
         half = u.shape[0] // 2
         shape = (u.shape[1], half) if t else (half, u.shape[1])
-        E, O = (_scratch(self, name, shape, u.dtype) for name in "EO")
-        self.e.forward(u[0::2], E, t)
-        self.o.forward(u[1::2], O, t)
+        E, O = (_scratch(work, self, name, shape, u.dtype) for name in "EO")
+        self.e.forward(u[0::2], E, t, work)
+        self.o.forward(u[1::2], O, t, work)
         np.add(E, O, out=_rows(out, 0, half, t))
         np.subtract(E, O, out=_rows(out, half, None, t))
 
-    def backward(self, y, out, t):
+    def backward(self, y, out, t, work):
         half = out.shape[0] // 2
         top, bottom = _rows(y, 0, half, t), _rows(y, half, None, t)
-        S, D = (_scratch(self, name, top.shape, y.dtype) for name in "SD")
-        self.e.backward(np.add(top, bottom, out=S), out[0::2], t)
-        self.o.backward(np.subtract(top, bottom, out=D), out[1::2], t)
+        S, D = (_scratch(work, self, name, top.shape, y.dtype) for name in "SD")
+        self.e.backward(np.add(top, bottom, out=S), out[0::2], t, work)
+        self.o.backward(np.subtract(top, bottom, out=D), out[1::2], t, work)
 
 
 @functools.lru_cache(maxsize=4)
@@ -303,29 +328,30 @@ def _split_plan(n: int, dtype: np.dtype):
     return _Fold(odd, even, N)
 
 
-def _split_products(r: np.ndarray, inv: np.ndarray, plan) -> np.ndarray:
+def _split_products(r: np.ndarray, inv: np.ndarray, plan, work: dict) -> np.ndarray:
     """DST-I over both grid axes of ``r`` (N, N, comp...), times ``inv``
     (in the plan's row order on both axes) and DST-I again, one component
     at a time.  The spectrum is held transposed: it only meets ``inv``,
     which is symmetric."""
     out = np.empty(r.shape, r.dtype)
     inv2 = inv.reshape(inv.shape[:2])
-    spec, tmp = (_scratch(plan, name, inv2.shape, r.dtype) for name in ("spec", "tmp"))
+    spec, tmp = (_scratch(work, plan, name, inv2.shape, r.dtype) for name in ("spec", "tmp"))
     for c in np.ndindex(r.shape[2:]):
         x = np.ascontiguousarray(r[(...,) + c])
-        plan.forward(x, tmp, True)
-        plan.forward(tmp, spec, False)
+        plan.forward(x, tmp, True, work)
+        plan.forward(tmp, spec, False, work)
         spec *= inv2
-        plan.backward(spec, tmp, False)
-        plan.backward(tmp, out[(...,) + c], True)
+        plan.backward(spec, tmp, False, work)
+        plan.backward(tmp, out[(...,) + c], True, work)
     return out
 
 
 def _apply_inverse(r: np.ndarray, inv: np.ndarray, grid: TorusGrid | BoxGrid,
-                   kern: str) -> np.ndarray:
+                   kern: str, work: dict | None = None) -> np.ndarray:
     """The transform ``kern`` over the grid axes of ``r``, times ``inv``
     (``_inverse_symbol``, broadcast over any trailing component axes), and
-    the transform back, in the precision of ``r``."""
+    the transform back, in the precision of ``r``; ``work`` keeps the split
+    kernel's work arrays from one call to the next."""
     nd, axes = grid.d, tuple(range(grid.d))
     if kern == "rfftn":
         fft = scipy_fft()
@@ -338,7 +364,7 @@ def _apply_inverse(r: np.ndarray, inv: np.ndarray, grid: TorusGrid | BoxGrid,
         rhat *= inv
         return fft.dstn(rhat, type=1, axes=axes, overwrite_x=True)
     if kern == "sine-split":
-        return _split_products(r, inv, _split_plan(grid.n, r.dtype))
+        return _split_products(r, inv, _split_plan(grid.n, r.dtype), {} if work is None else work)
     S = _dense_matrix(kern, grid.n, r.dtype)
     rhat = _dense_products(r, S, nd)
     rhat *= inv
@@ -505,8 +531,10 @@ def _spectral_solve(apply_op, rhs: np.ndarray, grid: TorusGrid | BoxGrid, kern: 
     def matvec(x):
         return apply_op(x.reshape(shape)).ravel()
 
+    work = {}
+
     def precond(r):
-        z = _apply_inverse(r.reshape(shape).astype(np.float32), inv, grid, kern)
+        z = _apply_inverse(r.reshape(shape).astype(np.float32), inv, grid, kern, work)
         return z.astype(np.float64).ravel()
 
     return _krylov(matvec, precond, rhs, **krylov)

@@ -220,10 +220,10 @@ def assert_equivalent(got, want, kappa, applies, applies64):
 
 # The sizes at the boundaries of ``solvers.kernel``, beside the cases of
 # ``SIZES``: the sweep's 64^2 cell torus and one point less (Hartley) and
-# more (rfftn), and boxes with n - 1 = 128, 199 and 255 (the split DST-I);
-# 2D scalar trig, as in the sweep.
+# more (rfftn), and boxes with n - 1 = 128 and 255 (the split DST-I, without
+# and with its second level); 2D scalar trig, as in the sweep.
 TORUS_EDGES = [("trig", dict(FAMILIES)["trig"] | dict(d=2, m=1, n=n)) for n in (63, 64, 65)]
-BOX_EDGES = [("trig", dict(FAMILIES)["trig"] | dict(d=2, m=1, n=n)) for n in (129, 200, 256)]
+BOX_EDGES = [("trig", dict(FAMILIES)["trig"] | dict(d=2, m=1, n=n)) for n in (129, 256)]
 
 
 def edge_ids(cases):

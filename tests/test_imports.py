@@ -423,7 +423,8 @@ def test_scipy_fft_is_loaded_at_parse_time_or_never(import_stages, name):
 @pytest.mark.parametrize("name", _STAGE_CASES)
 def test_scipy_sparse_is_loaded_at_parse_time_for_torus_runs(import_stages, name):
     """The parse loads ``scipy.sparse`` exactly for the runs with a torus
-    grid; the box operator needs no scipy."""
+    whose operator it stores (``solvers.kernel`` "rfftn"); the box
+    operator and the Hartley tori's need no scipy."""
     assert ("scipy.sparse" in import_stages[name]["parsed"]) == (name in _TORUS)
 
 
