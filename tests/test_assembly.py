@@ -296,23 +296,46 @@ def test_box_solve_on_the_fft_path_matches_float64_preconditioner(monkeypatch):
     assert len(applies) == len(applies64)
 
 
-@pytest.mark.parametrize("d,n,m", [(2, 64, 1), (2, 63, 1), (2, 65, 1), (2, 64, 2),
-                                   (3, 16, 1), (1, 64, 1)])
+def same_values(got, want) -> bool:
+    """Equal entry for entry, the sign of a zero included; a NaN matches a
+    NaN, whose sign and payload IEEE 754 leaves open."""
+    nan = np.isnan(got)
+    return (np.array_equal(got, want, equal_nan=True)
+            and np.array_equal(np.signbit(got[~nan]), np.signbit(want[~nan])))
+
+
+# n = 4, 5, 17, 64, 96 for d = 1, 2 and up to 17 for d = 3, with m = 1..3;
+# and the scalar tori of 63^2, 65^2 and 16^3
+PRODUCT_CASES = [(d, n, m) for d in (1, 2, 3) for n in (4, 5, 17, 64, 96)
+                 for m in (1, 2, 3) if d < 3 or n < 64] + [(2, 63, 1), (2, 65, 1), (3, 16, 1)]
+
+
+@pytest.mark.parametrize("d,n,m", PRODUCT_CASES)
 @pytest.mark.parametrize("full", [False, True], ids=["trig", "full"])
 def test_torus_product_matches_csr(d, n, m, full):
-    """Whichever storage ``assemble_torus`` picks, its product is that of the
-    CSR array it built for every torus before (``torus_csr_array``), bit for
-    bit, and that of the CSR array of its own entries (``torus_csr``)."""
+    """The product of ``assemble_torus`` is that of the CSR array it built
+    for every torus before (``torus_csr_array``), bit for bit, and that of
+    the CSR array of its own entries (``torus_csr``): on a vector with
+    signed zeros, on one of zeros alone (every product a signed zero, so
+    only the order of the additions sets the signs), and on one with
+    infinities and a NaN, which must reach the same entries."""
     g = TorusGrid(d, n)
     rng = np.random.Generator(np.random.PCG64(17))
     if full:
         A = rng.standard_normal(g.shape + (d, d, m, m))
     else:
         A = builtin_family("trig", d=d, m=m).A(g.points())
-    K = assemble_torus(A, g)
+    K, W = assemble_torus(A, g), torus_csr_array(A, g)
     u = rng.standard_normal(K.shape[1])
-    assert np.array_equal(K @ u, torus_csr_array(A, g) @ u)
-    assert np.array_equal(K @ u, torus_csr(K) @ u)
+    u[::7], u[1::7] = 0.0, -0.0
+    zeros = np.copysign(0.0, rng.standard_normal(K.shape[1]))
+    wild = u.copy()
+    wild[rng.choice(wild.size, 3, replace=False)] = [np.inf, -np.inf, np.nan]
+    for x in (u, zeros, wild):
+        with np.errstate(invalid="ignore"):
+            got = K @ x
+            assert same_values(got, W @ x)
+            assert same_values(got, torus_csr(K) @ x)
 
 
 @pytest.mark.parametrize("name,params", CASES, ids=IDS)

@@ -14,7 +14,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from homogkit.cell import homogenize, solve_correctors
-from homogkit.coefficients import CoefficientSet
+from homogkit.coefficients import CoefficientSet, transpose_a
 from homogkit.dirichlet import solve_dirichlet_correctors
 from homogkit.grid import BoxGrid, TorusGrid
 
@@ -98,3 +98,28 @@ def test_power_of_two_scaling(cs):
     phis2 = solve_dirichlet_correctors(twice, eps, box)
     for phi, phi2 in zip([phis.phi0, *phis.phi], [phis2.phi0, *phis2.phi]):
         assert np.array_equal(phi, phi2)
+
+
+TOL = 1e-10   # the relative residual every corrector solve stops at
+
+
+@given(cs=elliptic_sets())
+@settings(max_examples=24, deadline=None, derandomize=True, database=None)
+def test_adjoint_homogenizes_to_transpose(cs):
+    """Homogenizing the formal adjoint gives the transposed tensor,
+    A*_hat = transpose_a(A_hat) (Bensoussan, Lions and Papanicolaou,
+    *Asymptotic Analysis for Periodic Structures*, 1978, ch. 1).
+
+    The assembled adjoint is the transpose of the assembled operator, so
+    the identity holds for the discrete correctors as well, up to the
+    solves.  Each stops at a relative residual of TOL on an operator that
+    the Laplacian preconditions to a condition number of about
+    max |A| / mu <= 4, so each side's corrector gradients, and with them
+    each hat, carry errors of order 10 TOL relative; the bound allows
+    100 TOL of max |A_hat|.  With m = 2 and a full A these are the first
+    solves on tori whose operator couples components across axis pairs."""
+    torus = TorusGrid(cs.d, 8 if cs.d == 3 else 16)
+    adj = cs.adjoint()
+    hat = homogenize(cs, solve_correctors(cs, torus, TOL)).A_hat
+    hat_adj = homogenize(adj, solve_correctors(adj, torus, TOL)).A_hat
+    assert np.abs(hat_adj - transpose_a(hat)).max() <= 100 * TOL * np.abs(hat).max()

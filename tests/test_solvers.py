@@ -271,8 +271,11 @@ class TestPreconditionerEquivalence:
     the split plans without the butterfly); the box sizes straddle every
     boundary of the rule."""
 
+    # 96^2 is the largest Hartley torus, 97^2 the smallest rfftn one in 2D,
+    # and 512 / 513 the same pair in 1D
     @pytest.mark.parametrize("d,n", [(1, 16), (1, 15), (2, 12), (2, 9),
-                                     (3, 8), (3, 7), (2, 64), (2, 63), (2, 65)])
+                                     (3, 8), (3, 7), (2, 64), (2, 63), (2, 65),
+                                     (2, 96), (2, 97), (1, 512), (1, 513)])
     @pytest.mark.parametrize("m", [1, 2])
     def test_torus(self, monkeypatch, d, n, m):
         g = TorusGrid(d, n)
