@@ -36,7 +36,7 @@ from .cell import build_flux_correctors, homogenize, solve_correctors
 from .coefficients import FAMILY_NAMES, CoefficientError, builtin_family
 from .dirichlet import (CommensurabilityError, lattice_step, psi_diagnostics,
                         solve_dirichlet_correctors)
-from .grid import BoxGrid, GridFunction, TorusGrid, is_dyadic, scipy_sparse, write_csv
+from .grid import BoxGrid, GridFunction, TorusGrid, is_dyadic, write_csv
 from .green import (MIN_FIT_PAIRS, GreenError, _snap_interior, approx_green,
                     boundary_data_battery, decay_fit, decay_shell,
                     maximal_function_probe, point_boundary_distance)
@@ -146,16 +146,12 @@ def _sweep_config(cfg: ExperimentConfig) -> SweepConfig:
 
 def parse_config(text: str) -> ExperimentConfig:
     """Parse and validate a YAML config (``check_config``), then import
-    ``scipy.fft`` when a solve of the run transforms with it and
-    ``scipy.sparse`` when one is on a torus whose operator it stores (both
-    by ``solvers.kernel``), so that the imports count in set-up and never
+    ``scipy.fft`` when a solve of the run transforms with it (by
+    ``solvers.kernel``), so that the import counts in set-up and never
     inside the run."""
     cfg = check_config(text)
-    kernels = _solve_kernels(cfg)
-    if kernels & {"rfftn", "dstn"}:
+    if _solve_kernels(cfg) & {"rfftn", "dstn"}:
         scipy_fft()
-    if "rfftn" in kernels:
-        scipy_sparse()
     return cfg
 
 

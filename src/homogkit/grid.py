@@ -15,11 +15,11 @@ discretized in flux-conservative form so that discrete summation by parts
 holds exactly.  Solvers use it assembled once (``assemble_torus``,
 ``assemble_box``); ``principal_part_apply`` evaluates the same stencil from
 the coefficient arrays and serves as the reference the assembled operators
-are tested against.  The torus operator is a ``scipy.sparse`` CSR matrix,
-imported on first use (``scipy_sparse``), except on the small scalar tori
-whose solves ``solvers.kernel`` keeps in numpy, where it is held as
-``Triplets``; the box operator is held in numpy arrays (``Diagonals``,
-``Triplets``) and applied with numpy.
+are tested against.  Both assembled operators are held in numpy arrays and
+applied with numpy, so no operator needs ``scipy.sparse``: the torus
+operator as one block of entries per stencil offset and component
+(``TorusStencil``), the box operator by diagonals (``Diagonals``) with its
+boundary coupling as ``Triplets``.
 """
 
 from __future__ import annotations
@@ -454,8 +454,7 @@ class Diagonals:
 
 class Triplets:
     """A sparse matrix as (row, column, value) triplets in CSR order: sorted
-    once by row, then by column within the row, or kept as given when
-    ``sort`` is False and they come grouped by row already.
+    once by row, then by column within the row.
 
     ``K @ x`` sums the products of each row with ``np.bincount``, which adds
     them in stored order into a zeroed vector: the order in which
@@ -463,8 +462,8 @@ class Triplets:
     """
 
     def __init__(self, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray,
-                 shape: tuple[int, int], sort: bool = True):
-        order = np.lexsort((cols, rows)) if sort else slice(None)
+                 shape: tuple[int, int]):
+        order = np.lexsort((cols, rows))
         self.rows = rows[order].astype(np.intp, copy=False)
         self.cols = cols[order].astype(np.intp, copy=False)
         self.vals, self.shape = vals[order], shape
@@ -474,52 +473,92 @@ class Triplets:
                            minlength=self.shape[0])
 
 
-def scipy_sparse():
-    """The ``scipy.sparse`` module, imported on the first call: only the
-    torus operators that ``solvers.kernel`` leaves on ``rfftn`` are stored
-    with it."""
-    from scipy import sparse
+class TorusStencil:
+    """The torus operator as one block of entries per (component b, stencil
+    offset k): ``blocks[b, k, a]`` holds, on the lattice padded by one layer
+    per axis ((n + 2)^d points), the entry coupling u^b(x + offsets[k]) into
+    row (x, a) at every grid point x, and zero on the padding layer.
 
-    return sparse
+    ``K @ x`` copies x, one component at a time, into a padded array whose
+    padding layer wraps the opposite faces.  In that layout the neighbours
+    x + s of all grid points are one contiguous slice, moved by the flat
+    offset of s, so the product is one multiply and one add per (b, k),
+    over the flat range from the first to the last grid point (the padding
+    points inside it are computed and dropped).  The products are added in
+    the order b first, then k, starting from the first, and 0.0 is added
+    last, as the rows are written out with the components fastest.  Each
+    entry is thus (((p_1 + p_2) + ...) + 0.0).  Its partial sums differ from
+    those of 0 + p_1 + p_2 + ... only by a zero's sign, which the last
+    addition clears, so the product agrees bit for bit with that of a
+    ``scipy.sparse.csr_array`` holding the same rows in this order, the sign
+    of a zero included, and a NaN or an infinity in x reaches the same
+    entries.
 
-
-def assemble_torus(A: np.ndarray, grid: TorusGrid):
-    """-div(A grad .) on the torus (``principal_part_apply``) as a sparse
-    matrix: a ``scipy.sparse`` CSR array, or, for the grids whose solves
-    ``solvers.kernel`` sends to the Hartley products, ``Triplets`` of the
-    same entries in the same order, so that those runs load no scipy and
-    the two products agree bit for bit.
-
-    Unknowns are the points in C order with the m components fastest; the
-    int32 column indices wrap around, and with n >= 4 the stencil offsets
-    never land on the same column, so every row holds exactly
-    m * len(offsets) entries, m * (1 + 2d + 4 * len(_cross_pairs(A))).
+    The product's work arrays are kept from one call to the next; the
+    vector it returns is fresh.
     """
-    from .solvers import kernel
 
+    def __init__(self, blocks: np.ndarray, offsets: list[tuple[int, ...]]):
+        m, d, n = blocks.shape[0], blocks.ndim - 3, blocks.shape[-1] - 2
+        self.blocks, self.offsets = blocks, offsets
+        self.shape = (m * n ** d,) * 2
+        self._field = (n,) * d + (m,)
+        self._comp_first = (d,) + tuple(range(d))   # field axes, components first
+        padded = (m,) + (n + 2,) * d
+        strides = [(n + 2) ** (d - 1 - ax) for ax in range(d)]
+        lo = sum(strides)              # the flat index of the first grid point
+        hi = (n + 2) ** d - lo         # one past the last
+        self._x, y = np.empty(padded), np.empty(padded)
+        inner = (slice(None),) + (slice(1, -1),) * d
+        self._x_inner, self._y_inner = self._x[inner], y[inner]
+        self._wraps = []               # (padding face, the opposite grid face)
+        for ax in range(1, d + 1):
+            lead = (slice(None),) * ax
+            self._wraps += [(self._x[lead + (0,)], self._x[lead + (n,)]),
+                            (self._x[lead + (n + 1,)], self._x[lead + (1,)])]
+        flat = blocks.reshape(m, len(offsets), m, -1)
+        xf = self._x.reshape(m, -1)
+        self._y, self._t = y.reshape(m, -1)[:, lo:hi], np.empty((m, hi - lo))
+        shift = [sum(sk * st for sk, st in zip(s, strides)) for s in offsets]
+        self._steps = [(flat[b, k, :, lo:hi], xf[b, lo + off:hi + off])
+                       for b in range(m) for k, off in enumerate(shift)]
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        self._x_inner[...] = x.reshape(self._field).transpose(self._comp_first)
+        for face, opposite in self._wraps:
+            face[...] = opposite
+        y, t = self._y, self._t
+        (blk, xs), *rest = self._steps
+        np.multiply(blk, xs, out=y)
+        for blk, xs in rest:
+            np.multiply(blk, xs, out=t)
+            y += t
+        out = np.empty(self._field)
+        np.add(self._y_inner, 0.0, out=out.transpose(self._comp_first))
+        return out.reshape(-1)
+
+
+def assemble_torus(A: np.ndarray, grid: TorusGrid) -> TorusStencil:
+    """-div(A grad .) on the torus (``principal_part_apply``) as a
+    ``TorusStencil``.
+
+    Unknowns are the points in C order with the m components fastest.  The
+    offsets are ``_stencil_offsets(d, _cross_pairs(A))``, and with n >= 4
+    no two of them reach the same point, so every row couples to exactly
+    m * (1 + 2d + 4 * len(_cross_pairs(A))) unknowns.
+    """
     d, n, m = grid.d, grid.n, A.shape[-1]
-    npts = grid.npoints
     pairs = _cross_pairs(A)
     offsets = _stencil_offsets(d, pairs)
     slot = {s: k for k, s in enumerate(offsets)}
     wrap = [(1, 1)] * d
     A = np.pad(A, wrap + [(0, 0)] * 4, mode="wrap")
-    point = np.pad(np.arange(npts, dtype=np.int32).reshape(grid.shape), wrap, mode="wrap")
-    data = np.empty((npts, m, m, len(offsets)))
-    nbr = np.empty((npts, len(offsets)), dtype=np.int32)
+    blocks = np.zeros((m, len(offsets), m) + (n + 2,) * d)
+    inner = (slice(1, -1),) * d
     for s, blk in _flux_stencil(A, None, None, None, 0.0, grid.h, n, pairs):
-        k = slot[s]
-        data[..., k] = blk.reshape(npts, m, m)
-        nbr[:, k] = _shifted(point, s, n).ravel()
-    # row (p, a) holds the columns (nbr[p, k], b), ordered by b, then k
-    comp = np.arange(m, dtype=np.int32)[:, None]
-    indices = np.broadcast_to(m * nbr[:, None, None, :] + comp, data.shape)
-    shape, rowlen = (npts * m, npts * m), m * len(offsets)
-    if kernel(grid, m) == "hartley":   # in the CSR's order, so with its products
-        rows = np.repeat(np.arange(npts * m), rowlen)
-        return Triplets(rows, indices.ravel(), data.ravel(), shape, sort=False)
-    indptr = np.arange(0, data.size + 1, rowlen, dtype=np.int32)
-    return scipy_sparse().csr_array((data.ravel(), indices.ravel(), indptr), shape=shape)
+        # blk[..., a, b] is blocks[b, k, a] at the grid points
+        blocks[(slice(None), slot[s], slice(None)) + inner] = np.moveaxis(blk, (-1, -2), (0, 1))
+    return TorusStencil(blocks, offsets)
 
 
 def assemble_box(A: np.ndarray, V: np.ndarray, B: np.ndarray, c: np.ndarray,

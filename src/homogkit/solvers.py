@@ -35,17 +35,23 @@ S[n - j, k] = (-1)^(k+1) S[j, k] into two of half size after the input is
 folded (x_j + x_{n-j}, x_j - x_{n-j}), and once more when 4 divides n: the
 first radix-2 steps of the fast sine transform (Van Loan, *Computational
 Frameworks for the Fast Fourier Transform*, SIAM 1992).  The dense kernels
-share one per-axis GEMM loop (``_dense_products``) and their matrices are
+share one per-axis GEMM loop (``_dense_products``), run on one component
+at a time for the systems on 2D and 3D grids, and their matrices are
 built once per size and dtype and shared read-only.  A dense product costs
 O(N^(d+1)) against the FFT's O(N^d log N), but scipy's transforms carry a
 fixed cost of about 0.03 ms a call.  The rule rests on these per-apply
-timings (float32, two transforms and the multiply, one BLAS thread on a
-2-vCPU Xeon VM, medians of alternated runs; ms):
+timings (float32 unless marked, two transforms and the multiply, one BLAS
+thread on a 2-vCPU Xeon VM, medians of alternated runs; ms):
 
-    torus 64^2       hartley 0.039  rfftn 0.085
-    torus 65^2       hartley 0.032  rfftn 0.079   (the Triplets product
-    torus 96^2 x 2   hartley 0.367  rfftn 0.242    sets the 64^2 limit)
-    torus 16^3       hartley 0.027  rfftn 0.072
+    torus 64^2             hartley 0.039  rfftn 0.085
+    torus 65^2             hartley 0.032  rfftn 0.079
+    torus 64^2 x 2         hartley 0.096  rfftn 0.138
+    torus 96^2 x 2         hartley 0.219  rfftn 0.277
+    torus 96^2, float64    hartley 0.176  rfftn 0.198
+    torus 16^3             hartley 0.027  rfftn 0.072
+    torus 20^3 x 2         hartley 0.178  rfftn 0.304
+    torus 512              hartley 0.051  rfftn 0.044
+    torus 512, float64     hartley 0.139  rfftn 0.059
     box 255          sine 0.024                dstn 0.045
     box 47^3         sine 1.043                dstn 2.970
     box 95^2         sine 0.099  split 0.253   dstn 0.191
@@ -53,17 +59,26 @@ timings (float32, two transforms and the multiply, one BLAS thread on a
     box 128^2        sine 0.235  split 0.252   dstn 0.762
     box 255^2        sine 1.227  split 0.899   dstn 0.919
     box 256^2        sine 1.374  split 1.123   dstn 13.69
-    box 63^2 x 2     sine 0.137  split 0.396   dstn 0.199
+    box 319^2                    split 1.983   dstn 2.538
+    box 320^2                    split 2.293   dstn 9.409
+    box 511^2                    split 6.2-9.3 dstn 3.9-6.6
+    box 63^2 x 2     sine 0.123  split 0.373   dstn 0.240
     box 107^2 x 2    sine 0.500  split 0.548   dstn 0.524
     box 108^2 x 2    sine 0.320  split 0.244   dstn 1.569
     box 255^2 x 2    sine 3.786  split 2.393   dstn 1.713
 
 Single cells drift by 10–30% from run to run with the host.  The 255^2
-box takes the split, level with ``dstn``, so that a run on the sweep's
-shapes loads no scipy: the import costs about 0.2 s a process, the time of
-about a thousand applies there.  2D systems at N = 127 and 255 stay on the
-split although ``dstn``, on a power-of-two FFT there, is faster, and
-N = 256 takes ``dstn``, whose FFT of length 2 * 257 is slow; no workload
+box takes the split, level with ``dstn``, and the 1D torus of 512 points
+and the 96^2 float64 torus of ``poisson_periodic`` take the Hartley
+products, level with ``rfftn`` in float32 and slower in float64, so that
+runs on the sweep's, the systems' and the laminates' shapes load no scipy:
+the import costs about 0.2 s a process, the time of about a thousand
+applies there.  Above 255 points a 2D box takes ``dstn`` only when its FFT
+length 2n has no prime factor above 7: at N = 256 (2n = 2 * 257) and 320
+(2n = 2 * 3 * 107) scipy's transform is 4–12 times slower than the split,
+at N = 511 (2n = 1024) it is faster.  2D systems at N = 127 and 255 stay on
+the split although ``dstn``, on a power-of-two FFT there, is faster, and
+N = 319 takes ``dstn`` although the split measured faster; no workload
 solves on these.  The float32 apply agrees with the float64 transforms to
 about 1.5e-6 relative on the dense paths and 2–4e-7 on scipy's.
 
@@ -72,8 +87,8 @@ by ``scipy_fft``: only ``"rfftn"`` and ``"dstn"`` call it.
 ``cli.parse_config`` calls ``scipy_fft`` for a run one of whose solves
 ``kernel`` sends there, so the import lands in the set-up of the runs that
 need it.  Every other run loads no scipy module at all: this module imports
-none, and the operators it solves with are applied with numpy
-(``grid.assemble_box``, and ``grid.assemble_torus`` on the Hartley tori).
+none, and the operators it solves with are numpy arrays
+(``grid.assemble_torus``, ``grid.assemble_box``).
 """
 
 from __future__ import annotations
@@ -86,29 +101,39 @@ import numpy as np
 from .grid import BoxGrid, TorusGrid, _read_only
 
 
+def _smooth(k: int) -> bool:
+    """Whether ``k`` has no prime factor above 7, so that an FFT of length k
+    runs in scipy's fast radices."""
+    for p in (2, 3, 5, 7):
+        while k % p == 0:
+            k //= p
+    return k == 1
+
+
 def kernel(grid: TorusGrid | BoxGrid, m: int = 1) -> str:
     """The preconditioner transform of a solve on ``grid`` with ``m``
     components per point, by the shape alone (the module docstring gives the
     timings it rests on):
 
-    - torus: ``"hartley"`` for m = 1 with at most 64 points per axis and
-      64^2 in all, ``"rfftn"`` otherwise;
+    - torus: ``"hartley"`` with at most 96^2 points in all and at most 96
+      per axis (512 in 1D), ``"rfftn"`` otherwise;
     - box with N = n - 1 interior points per axis: ``"dstn"`` for N > 255
-      and, in 3D, N > 127; ``"sine-split"`` in 2D from N = 128 (108 when
-      m > 1); ``"sine"`` otherwise.
+      in 1D, N > 127 in 3D, and N > 255 in 2D when 2n, the length of its
+      FFT, has no prime factor above 7; ``"sine-split"`` for the other 2D
+      boxes from N = 128 (108 when m > 1); ``"sine"`` otherwise.
 
-    ``"rfftn"`` and ``"dstn"`` are ``scipy.fft``'s, and the operator of a
-    torus solve on ``"rfftn"`` is a ``scipy.sparse`` array
-    (``grid.assemble_torus``).  No kernel moves to scipy as m falls, so a
-    scalar solve needs scipy on a grid only if a system solve there does.
+    ``"rfftn"`` and ``"dstn"`` are ``scipy.fft``'s.  No kernel moves to
+    scipy as m falls, so a scalar solve needs scipy on a grid only if a
+    system solve there does.
     """
     if isinstance(grid, TorusGrid):
-        small = grid.n <= 64 and grid.npoints <= 64 ** 2
-        return "hartley" if m == 1 and small else "rfftn"
-    N = grid.n - 1
-    if N > 255 or (grid.d == 3 and N > 127):
+        most = 512 if grid.d == 1 else 96
+        return "hartley" if grid.n <= most and grid.npoints <= 96 ** 2 else "rfftn"
+    d, N = grid.d, grid.n - 1
+    if (d == 1 and N > 255) or (d == 3 and N > 127) or (
+            d == 2 and N > 255 and _smooth(2 * grid.n)):
         return "dstn"
-    if grid.d == 2 and N >= (128 if m == 1 else 108):
+    if d == 2 and N >= (128 if m == 1 else 108):
         return "sine-split"
     return "sine"
 
@@ -177,7 +202,8 @@ def _inverse_symbol(grid: TorusGrid | BoxGrid, kern: str, scale: float,
 @functools.lru_cache(maxsize=8)
 def _dense_matrix(kern: str, n: int, dtype: np.dtype) -> np.ndarray:
     """The symmetric transform matrix of ``kern`` in ``dtype``, not writeable;
-    kept for the last 8 (kern, n, dtype), at most 512 KiB each:
+    kept for the last 8 (kern, n, dtype), at most 2 MiB each (the Hartley
+    matrix of a 512-point torus in float64):
 
     - ``"sine"``: the DST-I of ``scipy.fft.dst(type=1)``,
       S[j, k] = 2 sin(pi j k / n) for j, k = 1..n-1 (j k reduced mod 2n);
@@ -197,8 +223,9 @@ def _dense_matrix(kern: str, n: int, dtype: np.dtype) -> np.ndarray:
 
 def _dense_products(x: np.ndarray, S: np.ndarray, nd: int) -> np.ndarray:
     """The symmetric matrix ``S`` applied along each of the first ``nd`` axes
-    of ``x`` as one GEMM per axis (a batched one for the middle axes); a
-    trailing component axis stays in place inside the products."""
+    of ``x`` as one GEMM per axis (a batched one for the middle axis of a 3D
+    grid); a trailing component axis stays in place inside the products,
+    which ``_apply_inverse`` only lets through in 1D or at length 1."""
     N, shape = S.shape[0], x.shape
     for ax in range(nd):
         lead = N ** ax
@@ -350,8 +377,10 @@ def _apply_inverse(r: np.ndarray, inv: np.ndarray, grid: TorusGrid | BoxGrid,
                    kern: str, work: dict | None = None) -> np.ndarray:
     """The transform ``kern`` over the grid axes of ``r``, times ``inv``
     (``_inverse_symbol``, broadcast over any trailing component axes), and
-    the transform back, in the precision of ``r``; ``work`` keeps the split
-    kernel's work arrays from one call to the next."""
+    the transform back, in the precision of ``r``.  The dense and split
+    products take the components of a 2D or 3D grid one at a time;
+    ``work`` keeps the split kernel's work arrays from one call to the
+    next."""
     nd, axes = grid.d, tuple(range(grid.d))
     if kern == "rfftn":
         fft = scipy_fft()
@@ -366,9 +395,19 @@ def _apply_inverse(r: np.ndarray, inv: np.ndarray, grid: TorusGrid | BoxGrid,
     if kern == "sine-split":
         return _split_products(r, inv, _split_plan(grid.n, r.dtype), {} if work is None else work)
     S = _dense_matrix(kern, grid.n, r.dtype)
-    rhat = _dense_products(r, S, nd)
-    rhat *= inv
-    return _dense_products(rhat, S, nd)
+    if nd == 1 or r.size == inv.size:
+        rhat = _dense_products(r, S, nd)
+        rhat *= inv
+        return _dense_products(rhat, S, nd)
+    # several components on a 2D or 3D grid: one at a time, so that the
+    # product along every axis is a GEMM on contiguous rows
+    out = np.empty(r.shape, r.dtype)
+    inv = inv.reshape(inv.shape[:nd])
+    for c in np.ndindex(r.shape[nd:]):
+        rhat = _dense_products(np.ascontiguousarray(r[(...,) + c]), S, nd)
+        rhat *= inv
+        out[(...,) + c] = _dense_products(rhat, S, nd)
+    return out
 
 
 def poisson_periodic(rhs: np.ndarray, grid: TorusGrid) -> np.ndarray:

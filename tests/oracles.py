@@ -16,9 +16,10 @@ checks test a coefficient set's declared structure constants, and
 the adjoint Green columns against solves with boundary data.
 ``scipy_interior`` and ``scipy_boundary`` rebuild the box operator's blocks
 as ``scipy.sparse`` arrays from their stored arrays, and ``torus_csr`` the
-torus operator: the products they are tested against, and the transposes
-and dense forms the assembly tests read.  ``torus_csr_array`` is the torus
-assembly as it was when every torus operator was a CSR array.
+torus operator from its blocks: the products they are tested against, and
+the transposes and dense forms the assembly tests read.
+``torus_csr_array`` is the torus assembly as it was when the torus operator
+was a CSR array.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from scipy import sparse
 
 from homogkit.bvp import sample_coefficients
 from homogkit.coefficients import CoefficientError, CoefficientSet, ellipticity_margin
-from homogkit.grid import (GridError, TorusGrid, Triplets, _centered_box,
+from homogkit.grid import (GridError, TorusGrid, _centered_box,
                            _centered_periodic, _coef_block, _component_matvec,
                            _cross_pairs, _flux_stencil, _shifted, _stencil_offsets)
 from homogkit.green import GreenError, GreenSample, point_boundary_distance
@@ -47,13 +48,21 @@ def scipy_boundary(K_ib) -> sparse.csr_array:
 
 
 def torus_csr(K) -> sparse.csr_array:
-    """A torus operator (``grid.assemble_torus``) as a CSR array: itself, or
-    the CSR array of its triplets in their stored order (grouped by row,
-    not sorted within a row, which a COO conversion would do)."""
-    if isinstance(K, Triplets):
-        indptr = np.concatenate([[0], np.cumsum(np.bincount(K.rows, minlength=K.shape[0]))])
-        return sparse.csr_array((K.vals, K.cols, indptr), shape=K.shape)
-    return K
+    """A torus operator (``grid.TorusStencil``) as the CSR array of its
+    entries: row (p, a) holds the columns (p + offsets[k], b), ordered by b,
+    then k, as the product adds them."""
+    m, nk = K.blocks.shape[:2]
+    d, n = K.blocks.ndim - 3, K.blocks.shape[-1] - 2
+    npts = n ** d
+    entries = K.blocks[(slice(None),) * 3 + (slice(1, -1),) * d].reshape(m, nk, m, npts)
+    data = np.ascontiguousarray(entries.transpose(3, 2, 0, 1))   # [p, a, b, k]
+    point = np.arange(npts, dtype=np.int32).reshape((n,) * d)
+    nbr = np.stack([np.roll(point, [-k for k in s], axis=tuple(range(d))).ravel()
+                    for s in K.offsets], axis=1)
+    comp = np.arange(m, dtype=np.int32)[:, None]
+    indices = np.broadcast_to(m * nbr[:, None, None, :] + comp, data.shape)
+    indptr = np.arange(0, data.size + 1, m * nk, dtype=np.int32)
+    return sparse.csr_array((data.ravel(), indices.ravel(), indptr), shape=K.shape)
 
 
 def torus_csr_array(A: np.ndarray, grid: TorusGrid) -> sparse.csr_array:

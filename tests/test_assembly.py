@@ -92,8 +92,6 @@ def test_torus_matrix_matches_stencil(name, params):
     rng = np.random.Generator(np.random.PCG64(7))
     A = torus_coefficients(name, params, g, rng)
     K = assemble_torus(A, g)
-    if kernel(g, A.shape[-1]) == "rfftn":   # Triplets index with intp, as bincount does
-        assert K.indices.dtype == np.int32
     u = rng.standard_normal(g.shape + (A.shape[-1],))
     got = (K @ u.ravel()).reshape(u.shape)
     assert rel_err(got, principal_part_apply(A, u, g)) <= REL
@@ -219,10 +217,12 @@ def assert_equivalent(got, want, kappa, applies, applies64):
 
 
 # The sizes at the boundaries of ``solvers.kernel``, beside the cases of
-# ``SIZES``: the sweep's 64^2 cell torus and one point less (Hartley) and
-# more (rfftn), and boxes with n - 1 = 128 and 255 (the split DST-I, without
-# and with its second level); 2D scalar trig, as in the sweep.
-TORUS_EDGES = [("trig", dict(FAMILIES)["trig"] | dict(d=2, m=1, n=n)) for n in (63, 64, 65)]
+# ``SIZES``: the sweep's 64^2 cell torus and one point less and more, the
+# largest Hartley torus (96^2) and the smallest rfftn one (97^2), and boxes
+# with n - 1 = 128 and 255 (the split DST-I, without and with its second
+# level); 2D scalar trig, as in the sweep.
+TORUS_EDGES = [("trig", dict(FAMILIES)["trig"] | dict(d=2, m=1, n=n))
+               for n in (63, 64, 65, 96, 97)]
 BOX_EDGES = [("trig", dict(FAMILIES)["trig"] | dict(d=2, m=1, n=n)) for n in (129, 256)]
 
 

@@ -27,9 +27,9 @@ source file imports ``scipy.fft``, ``scipy.sparse`` or ``scipy.sparse.linalg``
 outside a function body (``solvers`` and ``grid`` import each on first use).
 
 It also checks which modules a CLI process loads, and at which stage: the
-parse loads ``scipy.fft`` exactly for the runs that transform with it and
-``scipy.sparse`` exactly for the runs with a torus grid, and no run loads
-any module at all.
+parse loads ``scipy.fft`` exactly for the runs that transform with it, no
+run loads ``scipy.sparse`` at any stage, and no run loads any module at
+all.
 """
 
 import ast
@@ -359,8 +359,10 @@ print(json.dumps(stages))
 # Configs beside configs/*.yaml: the maximal battery on the 96^2 box of the
 # benchmark's maximal workload; solves on the smallest box of the split
 # DST-I (128 interior points per axis) and on a box of scipy.fft.dstn (319);
-# and a rates sweep with the benchmark sweep's shapes (the 64^2 cell torus,
-# boxes of 127^2 and 255^2 interior points).
+# a rates sweep with the benchmark sweep's shapes (the 64^2 cell torus,
+# boxes of 127^2 and 255^2 interior points); and the benchmark systems'
+# pair (the 96^2 x 2 torus with flux correctors; the 64^2 x 2 torus and the
+# 63^2 x 2 box).
 _EXTRA_CONFIGS = {
     "battery_96": "subcommand: green\nfamily: trig\nparams: {d: 2}\nn: 96\n"
                   "eps: 0.25\nbattery: true\nprobes: [[0.5, 0.5]]\nseed: 0\n",
@@ -369,15 +371,16 @@ _EXTRA_CONFIGS = {
     "rates_255": "subcommand: rates\nfamily: trig\n"
                  "params: {d: 2, alpha: 2.0, beta: 0.5, lower: 0.5}\n"
                  "eps: [0.125, 0.0625]\ndivisor: 16\nn_cell: 64\ndata: bump\nseed: 5\n",
+    "systems_homogenize": "subcommand: homogenize\nfamily: nonsymmetric-system\n"
+                          "params: {d: 2, delta: 0.3}\nn: 96\nflux: true\nseed: 5\n",
+    "systems_correctors": "subcommand: correctors\nfamily: nonsymmetric-system\n"
+                          "params: {d: 2, delta: 0.3}\nn: 64\neps: 0.25\nn_cell: 64\n"
+                          "seed: 5\n",
 }
 # The runs that transform with scipy.fft (``solvers.kernel`` is "rfftn" or
-# "dstn" for one of their solves): the d = 1 cell tori of 512 points, and
-# the boxes above 255 interior points per axis.
-_TRANSFORMING = {"cell_laminate", "homogenize_laminate", "rates_trig2d", "solve_320"}
-# The runs with a torus operator that scipy.sparse stores (the tori on
-# "rfftn"); the 64^2 scalar cell tori of correctors_trig and the rates runs
-# are Triplets.
-_TORUS = {"cell_laminate", "homogenize_laminate"}
+# "dstn" for one of their solves): the boxes of 319^2 and 511^2 interior
+# points, whose FFT lengths 640 and 1024 have no prime factor above 7.
+_TRANSFORMING = {"rates_trig2d", "solve_320"}
 _STAGE_CASES = sorted(p.stem for p in (ROOT / "configs").glob("*.yaml")) + sorted(
     _EXTRA_CONFIGS)
 
@@ -422,10 +425,10 @@ def test_scipy_fft_is_loaded_at_parse_time_or_never(import_stages, name):
 
 @pytest.mark.parametrize("name", _STAGE_CASES)
 def test_scipy_sparse_is_loaded_at_parse_time_for_torus_runs(import_stages, name):
-    """The parse loads ``scipy.sparse`` exactly for the runs with a torus
-    whose operator it stores (``solvers.kernel`` "rfftn"); the box
-    operator and the Hartley tori's need no scipy."""
-    assert ("scipy.sparse" in import_stages[name]["parsed"]) == (name in _TORUS)
+    """The parse once loaded ``scipy.sparse`` for the runs whose torus
+    operator it stored.  Every operator is a numpy array now, so no config
+    loads ``scipy.sparse`` at import, at parse or during the run."""
+    assert not [m for m in import_stages[name]["scipy"] if m.startswith("scipy.sparse")]
 
 
 @pytest.mark.parametrize("name", _STAGE_CASES)
@@ -440,7 +443,7 @@ def test_run_loads_no_module(import_stages, name):
 @pytest.mark.parametrize("name", _STAGE_CASES)
 def test_runs_without_scipy_kernels_load_no_scipy(import_stages, name):
     """A run none of whose solves ``solvers.kernel`` sends to scipy ends
-    with no scipy module loaded at all, the sweep-shaped ``rates_255``
-    among them; the others load scipy."""
-    scipy_free = name not in _TRANSFORMING | _TORUS
+    with no scipy module loaded at all, the sweep-shaped ``rates_255`` and
+    the systems-shaped pair among them; the others load scipy."""
+    scipy_free = name not in _TRANSFORMING
     assert (import_stages[name]["scipy"] == []) is scipy_free

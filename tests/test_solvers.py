@@ -294,8 +294,10 @@ class TestPreconditionerEquivalence:
             assert _close32(precond(r.ravel()).reshape(shape), want)
             assert used == [kernel(g, m)]
 
-    # n - 1 = 127 / 128 and 255 / 256 straddle the sine product, the split
-    # and dstn; 107 / 108 the split of a system in 2D
+    # n - 1 = 127 / 128 straddle the sine product and the split, 255 / 256
+    # the split's second level and dstn in 1D (in 2D 2n = 514 has the prime
+    # factor 257, so 256 stays on the split); 107 / 108 the split of a
+    # system in 2D
     @pytest.mark.parametrize("d,n", [(1, 16), (1, 15), (2, 12), (2, 9),
                                      (3, 8), (3, 7), (3, 48),
                                      (1, 128), (1, 129), (2, 128), (2, 129),
@@ -336,28 +338,39 @@ class TestPreconditionerEquivalence:
 class TestTransformPath:
     """``kernel`` is the one rule for the transforms, and through them for
     scipy: a solve needs ``scipy.fft`` exactly on ``rfftn`` and ``dstn``.
-    Each row holds (grid, m, kernel) and whether the solve loads scipy: the
-    first six keep the outcomes of the rule this one replaced, the rest
-    cover every boundary of the new one (n - 1 = 127, 128, 255, 256 on the
-    box; m = 1, 2; d = 1, 2, 3; odd and even n)."""
+    Each row holds (grid, m, kernel) and whether the solve loads scipy; the
+    rows cover every boundary of the rule: 96 points per axis and 96^2 in
+    all on the torus (512 in 1D), for m = 1, 2 and d = 1, 2, 3; n - 1 =
+    107, 108, 127, 128, 255 and 256 on the box, and in 2D above 255 a 2n
+    with (320, 512) and without (257, 321) a prime factor above 7.  The
+    first 32 rows keep the second column of the 64^2 rule's table: where a
+    shape left scipy, its row moved to the tail and a shape that still
+    loads scipy took its place."""
 
     @pytest.mark.parametrize("grid,needs", [
-        ((TorusGrid(2, 65), 1, "rfftn"), True), ((TorusGrid(2, 64), 2, "rfftn"), True),
+        ((TorusGrid(2, 97), 1, "rfftn"), True), ((TorusGrid(2, 97), 2, "rfftn"), True),
         ((BoxGrid(2, 128), 1, "sine"), False), ((BoxGrid(3, 48), 1, "sine"), False),
-        ((BoxGrid(2, 257), 1, "dstn"), True), ((BoxGrid(3, 129), 1, "dstn"), True),
+        ((BoxGrid(2, 320), 1, "dstn"), True), ((BoxGrid(3, 129), 1, "dstn"), True),
         ((TorusGrid(1, 8), 1, "hartley"), False), ((TorusGrid(1, 64), 1, "hartley"), False),
-        ((TorusGrid(1, 65), 1, "rfftn"), True), ((TorusGrid(2, 63), 1, "hartley"), False),
-        ((TorusGrid(2, 64), 1, "hartley"), False), ((TorusGrid(2, 96), 2, "rfftn"), True),
-        ((TorusGrid(3, 16), 1, "hartley"), False), ((TorusGrid(3, 17), 1, "rfftn"), True),
-        ((TorusGrid(3, 16), 2, "rfftn"), True), ((TorusGrid(1, 512), 1, "rfftn"), True),
+        ((TorusGrid(1, 513), 1, "rfftn"), True), ((TorusGrid(2, 63), 1, "hartley"), False),
+        ((TorusGrid(2, 64), 1, "hartley"), False), ((TorusGrid(3, 21), 1, "rfftn"), True),
+        ((TorusGrid(3, 16), 1, "hartley"), False), ((TorusGrid(1, 513), 2, "rfftn"), True),
+        ((TorusGrid(3, 21), 2, "rfftn"), True), ((BoxGrid(2, 512), 1, "dstn"), True),
         ((BoxGrid(1, 128), 2, "sine"), False), ((BoxGrid(1, 129), 1, "sine"), False),
         ((BoxGrid(1, 256), 2, "sine"), False), ((BoxGrid(1, 257), 1, "dstn"), True),
         ((BoxGrid(2, 129), 1, "sine-split"), False), ((BoxGrid(2, 200), 1, "sine-split"), False),
-        ((BoxGrid(2, 256), 1, "sine-split"), False), ((BoxGrid(2, 257), 2, "dstn"), True),
+        ((BoxGrid(2, 256), 1, "sine-split"), False), ((BoxGrid(2, 320), 2, "dstn"), True),
         ((BoxGrid(2, 64), 2, "sine"), False), ((BoxGrid(2, 96), 1, "sine"), False),
         ((BoxGrid(2, 108), 2, "sine"), False), ((BoxGrid(2, 109), 2, "sine-split"), False),
         ((BoxGrid(2, 128), 2, "sine-split"), False), ((BoxGrid(2, 129), 2, "sine-split"), False),
-        ((BoxGrid(3, 128), 2, "sine"), False), ((BoxGrid(3, 129), 2, "dstn"), True)])
+        ((BoxGrid(3, 128), 2, "sine"), False), ((BoxGrid(3, 129), 2, "dstn"), True),
+        ((TorusGrid(2, 65), 1, "hartley"), False), ((TorusGrid(2, 64), 2, "hartley"), False),
+        ((BoxGrid(2, 257), 1, "sine-split"), False), ((TorusGrid(1, 65), 1, "hartley"), False),
+        ((TorusGrid(2, 96), 2, "hartley"), False), ((TorusGrid(3, 17), 1, "hartley"), False),
+        ((TorusGrid(3, 16), 2, "hartley"), False), ((TorusGrid(1, 512), 1, "hartley"), False),
+        ((BoxGrid(2, 257), 2, "sine-split"), False), ((TorusGrid(2, 96), 1, "hartley"), False),
+        ((TorusGrid(1, 512), 2, "hartley"), False), ((TorusGrid(3, 20), 2, "hartley"), False),
+        ((BoxGrid(2, 321), 1, "sine-split"), False)])
     def test_needs_scipy_fft(self, grid, needs):
         g, m, kern = grid
         assert kernel(g, m) == kern
@@ -433,7 +446,7 @@ class TestNoDtypeProbe:
 def _trig_operators():
     """Self-adjoint box interior operators and torus operators (trig, d = 2):
     on the sine-matrix box and the Hartley torus, and on the split box
-    (n - 1 = 128) and the rfftn torus (n = 65) as "box-split" and
+    (n - 1 = 128) and the rfftn torus (n = 97) as "box-split" and
     "torus-fft"."""
     from homogkit.bvp import sample_coefficients
     from homogkit.coefficients import builtin_family
@@ -441,7 +454,7 @@ def _trig_operators():
 
     cs = builtin_family("trig", d=2).principal_part
     out = {}
-    for name, bn, tn in (("", 16, 16), ("-split", 129, None), ("-fft", None, 65)):
+    for name, bn, tn in (("", 16, 16), ("-split", 129, None), ("-fft", None, 97)):
         if bn:
             bg = BoxGrid(2, bn)
             s = sample_coefficients(cs, bg, 1 / 4, 0.7)
@@ -485,7 +498,8 @@ class TestPreconditionerContract:
     every kernel: the Hartley and rfftn tori, the sine, split and dstn
     boxes."""
 
-    @pytest.mark.parametrize("d,n", [(1, 15), (2, 12), (3, 7), (2, 65), (2, 129), (1, 300)])
+    @pytest.mark.parametrize("d,n", [(1, 15), (2, 12), (3, 7), (2, 65), (2, 129), (1, 300),
+                                     (2, 97)])
     @pytest.mark.parametrize("m", [1, 2])
     @pytest.mark.parametrize("geometry", ["box", "torus"])
     def test_closure(self, monkeypatch, geometry, d, n, m):
