@@ -69,17 +69,17 @@ thread on a 2-vCPU Xeon VM, medians of alternated runs; ms):
 
 Single cells drift by 10–30% from run to run with the host.  The 255^2
 box takes the split, level with ``dstn``, and the 1D torus of 512 points
-and the 96^2 float64 torus of ``poisson_periodic`` take the Hartley
-products, level with ``rfftn`` in float32 and slower in float64, so that
-runs on the sweep's, the systems' and the laminates' shapes load no scipy:
-the import costs about 0.2 s a process, the time of about a thousand
-applies there.  Above 255 points a 2D box takes ``dstn`` only when its FFT
-length 2n has no prime factor above 7: at N = 256 (2n = 2 * 257) and 320
-(2n = 2 * 3 * 107) scipy's transform is 4–12 times slower than the split,
-at N = 511 (2n = 1024) it is faster.  2D systems at N = 127 and 255 stay on
-the split although ``dstn``, on a power-of-two FFT there, is faster, and
-N = 319 takes ``dstn`` although the split measured faster; no workload
-solves on these.  The float32 apply agrees with the float64 transforms to
+takes the Hartley products, level with ``rfftn`` in float32 and twice as
+slow in float64 (``poisson_periodic``), so that runs on the sweep's, the
+systems' and the laminates' shapes load no scipy: the import costs about
+0.2 s a process, the time of about a thousand applies there.  Above 255
+points a 2D box takes ``dstn`` only when its FFT length 2n has no prime
+factor above 7: at N = 256 (2n = 2 * 257) and 320 (2n = 2 * 3 * 107)
+scipy's transform is 4–12 times slower than the split, at N = 511
+(2n = 1024) it is faster.  2D systems at N = 127 and 255 stay on the split
+although ``dstn``, on a power-of-two FFT there, is faster, and N = 319
+takes ``dstn`` although the split measured faster; no workload solves on
+these.  The float32 apply agrees with the float64 transforms to
 about 1.5e-6 relative on the dense paths and 2–4e-7 on scipy's.
 
 ``scipy.fft`` (which also loads ``scipy.special``) is imported on first use,

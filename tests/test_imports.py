@@ -24,7 +24,7 @@ No linter ships with the toolchain, so this stands in for four rules:
 
 A fifth rule keeps three scipy modules off the import of ``homogkit``: no
 source file imports ``scipy.fft``, ``scipy.sparse`` or ``scipy.sparse.linalg``
-outside a function body (``solvers`` and ``grid`` import each on first use).
+outside a function body (``solvers`` imports the two it uses on first use).
 
 It also checks which modules a CLI process loads, and at which stage: the
 parse loads ``scipy.fft`` exactly for the runs that transform with it, no
@@ -425,9 +425,10 @@ def test_scipy_fft_is_loaded_at_parse_time_or_never(import_stages, name):
 
 @pytest.mark.parametrize("name", _STAGE_CASES)
 def test_scipy_sparse_is_loaded_at_parse_time_for_torus_runs(import_stages, name):
-    """The parse once loaded ``scipy.sparse`` for the runs whose torus
-    operator it stored.  Every operator is a numpy array now, so no config
-    loads ``scipy.sparse`` at import, at parse or during the run."""
+    """No config loads ``scipy.sparse`` at import, at parse or during the
+    run: the torus and box operators are numpy arrays.  (The name is that
+    of the rule this replaced, which loaded it at parse for the tori whose
+    operator it stored; no torus needs it now.)"""
     assert not [m for m in import_stages[name]["scipy"] if m.startswith("scipy.sparse")]
 
 
