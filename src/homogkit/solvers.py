@@ -621,6 +621,12 @@ def solve_box_dirichlet(apply_interior, rhs_interior: np.ndarray, grid: BoxGrid,
     The preconditioner is the inverse of precond_scale * (-Laplace_h)
     + max(lam, 0) via DST-I, exact up to float32 rounding.  Returns the
     solution and its relative residual.
+
+    The default ``maxiter``, max(200, 50 n), is a cap against a loop that
+    does not converge, not a contract: the solves of the workloads and
+    configs stop within a few dozen iterations, and a loop cut short by the
+    cap is handed to GMRES and ``SolverError`` like any other (``_krylov``),
+    so no test pins the number.
     """
     if maxiter is None:
         maxiter = max(200, 50 * grid.n)

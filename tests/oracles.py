@@ -20,6 +20,11 @@ torus operator from its blocks: the products they are tested against, and
 the transposes and dense forms the assembly tests read.
 ``torus_csr_array`` is the torus assembly as it was when the torus operator
 was a CSR array.
+``assemble_box_full`` and ``precond_scale_full`` are the box assembly and
+the preconditioner scale as they were when a box sample held the full
+d x d x m x m tensor A and V, B, c arrays (zero for a set without
+lower-order terms); ``flux_stencil_full`` and ``cross_pairs_full`` are the
+stencil and the pair rule they read.
 """
 
 from __future__ import annotations
@@ -30,9 +35,9 @@ from scipy import sparse
 
 from homogkit.bvp import sample_coefficients
 from homogkit.coefficients import CoefficientError, CoefficientSet, ellipticity_margin
-from homogkit.grid import (GridError, TorusGrid, _centered_box,
-                           _centered_periodic, _coef_block, _component_matvec,
-                           _cross_pairs, _flux_stencil, _shifted, _stencil_offsets)
+from homogkit.grid import (BoxGrid, Diagonals, GridError, TorusGrid, Triplets,
+                           _centered_box, _centered_periodic, _coef_block,
+                           _component_matvec, _shifted, _stencil_offsets)
 from homogkit.green import GreenError, GreenSample, point_boundary_distance
 from homogkit.rates import ConvergenceReport
 
@@ -70,7 +75,7 @@ def torus_csr_array(A: np.ndarray, grid: TorusGrid) -> sparse.csr_array:
     row (p, a) holds the columns (nbr[p, k], b), ordered by b, then k."""
     d, n, m = grid.d, grid.n, A.shape[-1]
     npts = grid.npoints
-    pairs = _cross_pairs(A)
+    pairs = cross_pairs_full(A)
     offsets = _stencil_offsets(d, pairs)
     slot = {s: k for k, s in enumerate(offsets)}
     wrap = [(1, 1)] * d
@@ -78,7 +83,7 @@ def torus_csr_array(A: np.ndarray, grid: TorusGrid) -> sparse.csr_array:
     point = np.pad(np.arange(npts, dtype=np.int32).reshape(grid.shape), wrap, mode="wrap")
     data = np.empty((npts, m, m, len(offsets)))
     nbr = np.empty((npts, len(offsets)), dtype=np.int32)
-    for s, blk in _flux_stencil(A, None, None, None, 0.0, grid.h, n, pairs):
+    for s, blk in flux_stencil_full(A, None, None, None, 0.0, grid.h, n, pairs):
         data[..., slot[s]] = blk.reshape(npts, m, m)
         nbr[:, slot[s]] = _shifted(point, s, n).ravel()
     comp = np.arange(m, dtype=np.int32)[:, None]
@@ -86,6 +91,129 @@ def torus_csr_array(A: np.ndarray, grid: TorusGrid) -> sparse.csr_array:
     indptr = np.arange(0, data.size + 1, m * len(offsets), dtype=np.int32)
     return sparse.csr_array((data.ravel(), indices.ravel(), indptr),
                             shape=(npts * m, npts * m))
+
+
+def cross_pairs_full(A: np.ndarray) -> list[tuple[int, int]]:
+    """The axis pairs i < j whose a_ij or a_ji is nonzero (or NaN) somewhere
+    in the full tensor ``A`` (trailing axes (d, d, m, m))."""
+    d = A.shape[-3]
+    return [(i, j) for i in range(d) for j in range(i + 1, d)
+            if A[..., i, j, :, :].any() or A[..., j, i, :, :].any()]
+
+
+def flux_stencil_full(A, V, B, c, lam: float, h: float, rows: int,
+                      pairs: list[tuple[int, int]]):
+    """(offset, block) of the flux stencil from the full tensor ``A`` and,
+    unless they are None, the arrays V, B, c, as ``grid._flux_stencil``
+    yielded them from full arrays."""
+    d, m = A.shape[-3], A.shape[-1]
+    h2 = h * h
+    lower = V is not None
+
+    def at(arr, s):
+        return _shifted(arr, s, rows)
+
+    def block(arr, *idx):
+        return np.ascontiguousarray(arr[(Ellipsis,) + idx + (slice(None),) * 2])
+
+    zero = (0,) * d
+    diag = None
+    for i in range(d):
+        ei = tuple(int(k == i) for k in range(d))
+        mi = tuple(-k for k in ei)
+        aii = block(A, i, i)
+        plus = at(aii, zero) + at(aii, ei)
+        plus *= 0.5 / h2
+        minus = at(aii, mi) + at(aii, zero)
+        minus *= 0.5 / h2
+        del aii
+        if diag is None:
+            diag = plus + minus
+        else:
+            diag += plus
+            diag += minus
+        np.negative(plus, out=plus)
+        np.negative(minus, out=minus)
+        if lower:
+            vi = block(V, i)
+            bi = at(block(B, i), zero) / (2.0 * h)
+            plus -= at(vi, ei) / (2.0 * h)
+            plus += bi
+        yield ei, plus
+        del plus
+        if lower:
+            minus += at(vi, mi) / (2.0 * h)
+            minus -= bi
+        yield mi, minus
+        del minus
+    for i, j in pairs:
+        aij, aji = block(A, i, j), block(A, j, i)
+        for si in (1, -1):
+            for sj in (1, -1):
+                ti = tuple(si * int(k == i) for k in range(d))
+                tj = tuple(sj * int(k == j) for k in range(d))
+                blk = at(aij, ti) + at(aji, tj)
+                blk *= -si * sj / (4.0 * h2)
+                yield tuple(a + b for a, b in zip(ti, tj)), blk
+    diag += lam * np.eye(m)
+    if lower:
+        diag += at(block(c), zero)
+    yield zero, diag
+
+
+def assemble_box_full(A: np.ndarray, V: np.ndarray, B: np.ndarray, c: np.ndarray,
+                      lam: float, grid: BoxGrid):
+    """(K_ii, K_ib) of ``grid.assemble_box`` from coefficients sampled on all
+    of ``grid`` with trailing axes (d, d, m, m), (d, m, m), (d, m, m), (m, m),
+    as it assembled them from the full arrays."""
+    d, n, m = grid.d, grid.n, A.shape[-1]
+    npts = (n - 1) ** d
+    strides = [(n - 1) ** (d - 1 - k) for k in range(d)]
+
+    def flat(s):
+        return sum(k * st for k, st in zip(s, strides))
+
+    pairs = cross_pairs_full(A)
+    diagonals = sorted({flat(s) * m + b - a for s in _stencil_offsets(d, pairs)
+                        for a in range(m) for b in range(m)})
+    row_of = {k: r for r, k in enumerate(diagonals)}
+    data = np.zeros((len(diagonals), npts * m))
+    bmask = grid.boundary_mask()
+    nb = int(bmask.sum())
+    bnum = np.full(grid.shape, -1, dtype=np.int32)
+    bnum[bmask] = np.arange(nb, dtype=np.int32)
+    comp = np.arange(m)
+    ib_rows, ib_cols, ib_vals = [], [], []
+    for s, blk in flux_stencil_full(A, V, B, c, lam, grid.h, n - 1, pairs):
+        blk = blk.reshape(npts, m, m)
+        nbr = _shifted(bnum, s, n - 1).ravel()
+        edge = np.flatnonzero(nbr >= 0)
+        if edge.size:
+            ib_rows.append(np.broadcast_to((edge * m)[:, None, None] + comp[:, None],
+                                           (edge.size, m, m)).ravel())
+            ib_cols.append(np.broadcast_to((nbr[edge] * m)[:, None, None] + comp,
+                                           (edge.size, m, m)).ravel())
+            ib_vals.append(blk[edge].ravel())
+            blk[edge] = 0.0
+        off = flat(s)
+        lo, hi = max(0, -off), min(npts, npts - off)
+        for a in range(m):
+            for b in range(m):
+                dst = data[row_of[off * m + b - a]].reshape(npts, m)[:, b]
+                dst[lo + off:hi + off] = blk[lo:hi, a, b]
+    K_ib = Triplets(np.concatenate(ib_rows), np.concatenate(ib_cols),
+                    np.concatenate(ib_vals), (npts * m, nb * m))
+    return Diagonals(data, diagonals), K_ib
+
+
+def precond_scale_full(A: np.ndarray, grid) -> float:
+    """Mean of the diagonal entries a_ii^{aa} of the full tensor ``A``
+    (shaped grid.shape + (d, d, m, m)), read through views of ``A``."""
+    m = A.shape[-1]
+    s = 0.0
+    for i in range(grid.d):
+        s += sum(float(A[..., i, i, a, a].mean()) for a in range(m)) / m
+    return s / grid.d
 
 
 def laplace_symbol(theta: np.ndarray, h: float, d: int) -> np.ndarray:

@@ -32,6 +32,21 @@ class TestCorrectors:
         for arr in [cor.chi0] + cor.chi:
             assert np.abs(arr.mean(axis=(0, 1))).max() < 1e-10
 
+    @pytest.mark.parametrize("mean,raises", [(2e-10, True), (5e-11, False)])
+    def test_cell_mean_bound(self, monkeypatch, mean, raises):
+        # a corrector whose cell mean exceeds MEAN_TOL = 1e-10 is rejected
+        import homogkit.cell as cell
+
+        monkeypatch.setattr(cell, "solve_periodic",
+                            lambda op, rhs, grid, **kw: (np.full(rhs.shape, mean), 0.0))
+        cs = builtin_family("trig", d=1)
+        if raises:
+            with pytest.raises(cell.CellError, match="cell mean"):
+                solve_correctors(cs, TorusGrid(1, 16))
+        else:
+            cor = solve_correctors(cs, TorusGrid(1, 16))
+            assert np.all(cor.chi0 == mean)
+
     def test_laminate_closed_form_gradient(self):
         # for a 1D laminate the cell problem integrates exactly:
         # chi1' = a_hat / a - 1 with a_hat the harmonic mean.

@@ -307,6 +307,16 @@ class TestNorms:
         u = GridFunction(g, 2.5 * g.points()[..., 0])
         assert holder_seminorm(u, 1.0) == pytest.approx(2.5, rel=1e-10)
 
+    @pytest.mark.parametrize("sigma", [0.25, 0.5, 1.0])
+    def test_holder_of_power_cusp_is_one(self, sigma):
+        # u = |x - 1/2|^sigma has Holder(sigma) seminorm 1, attained by the
+        # pairs (1/2, y); BoxGrid(1, 64) has 65 points, all of them in the
+        # pair sample, and every distance and power there is computed from
+        # the same exact differences, so the ratio at x = 1/2 is exactly 1
+        g = BoxGrid(1, 64)
+        u = GridFunction(g, np.abs(g.axis() - 0.5) ** sigma)
+        assert holder_seminorm(u, sigma) == 1.0
+
     def test_boundary_lp_scaling(self):
         g = BoxGrid(2, 16)
         nb = g.boundary_mask().sum()

@@ -147,6 +147,69 @@ class TestBreakdown:
                    self_adjoint=self_adjoint, maxiter=5)
         assert np.isnan(err.value.residual)
 
+class TestKrylovBounds:
+    """The bounds ``_krylov`` states: an iterate within 10 tol is returned,
+    one above it is handed to GMRES with the preconditioner, and SolverError
+    follows when GMRES leaves it above 10 tol.  The loop and GMRES are
+    stubbed to return iterates of the identity operator at chosen multiples
+    of tol, so each bound is read on both of its sides."""
+
+    TOL = 1e-10
+
+    @classmethod
+    def _iterate(cls, b, k):
+        """b plus a vector of norm k tol ||b||: relative residual k tol."""
+        x = b.copy()
+        x[0] += k * cls.TOL * np.linalg.norm(b)
+        return x
+
+    def _run(self, monkeypatch, self_adjoint, loop_k, gmres_k=None):
+        import homogkit.solvers as solvers
+
+        calls = []
+
+        def loop(A, b, **kw):
+            return self._iterate(b, loop_k), 0
+
+        def gmres(A, b, **kw):
+            calls.append((b, kw))
+            return self._iterate(b, gmres_k), 0
+
+        monkeypatch.setattr(solvers, "cg" if self_adjoint else "bicgstab", loop)
+        monkeypatch.setattr(solvers, "gmres", gmres)
+        rhs = np.random.Generator(np.random.PCG64(8)).standard_normal((5, 3))
+        precond = lambda r: 0.5 * r   # noqa: E731
+        x, res = solvers._krylov(lambda v: v, precond, rhs, self_adjoint=self_adjoint,
+                                 tol=self.TOL, maxiter=7, what="stub")
+        return x, res, calls, precond
+
+    @pytest.mark.parametrize("self_adjoint", [True, False], ids=["cg", "bicgstab"])
+    def test_within_ten_tol_returns(self, monkeypatch, self_adjoint):
+        _, res, calls, _ = self._run(monkeypatch, self_adjoint, 5)
+        assert calls == []
+        assert res == pytest.approx(5 * self.TOL, rel=1e-6)
+
+    @pytest.mark.parametrize("loop_k", [20, 200])
+    @pytest.mark.parametrize("self_adjoint", [True, False], ids=["cg", "bicgstab"])
+    def test_above_ten_tol_falls_back_to_preconditioned_gmres(self, monkeypatch,
+                                                              self_adjoint, loop_k):
+        _, res, calls, precond = self._run(monkeypatch, self_adjoint, loop_k, gmres_k=5)
+        (b, kw), = calls
+        v = np.arange(15.0)
+        assert kw["M"] is not None and np.array_equal(kw["M"].matvec(v), precond(v))
+        assert kw["rtol"] == self.TOL and kw["maxiter"] == 7
+        # restarted from the loop's iterate
+        assert np.array_equal(kw["x0"], self._iterate(b, loop_k))
+        assert res == pytest.approx(5 * self.TOL, rel=1e-6)
+
+    @pytest.mark.parametrize("loop_k,gmres_k", [(20, 20), (200, 200), (200, 20)])
+    @pytest.mark.parametrize("self_adjoint", [True, False], ids=["cg", "bicgstab"])
+    def test_gmres_above_ten_tol_raises(self, monkeypatch, self_adjoint, loop_k, gmres_k):
+        with pytest.raises(SolverError, match="did not converge") as err:
+            self._run(monkeypatch, self_adjoint, loop_k, gmres_k)
+        assert err.value.residual == pytest.approx(gmres_k * self.TOL, rel=1e-6)
+
+
 class TestKrylovLookup:
     """Both solvers reach cg, bicgstab and gmres through the names bound in
     homogkit.solvers at call time, which is where instrumentation that counts
