@@ -11,17 +11,26 @@ they are sampled and solved like any other.
 Boundary data is imposed strongly at boundary points; the interior system is
 solved by preconditioned Krylov iteration with the algebraic lifting of the
 boundary values, so the discrete boundary trace is exact.
+
+A box sample holds what the flux stencil reads and nothing else: the
+blocks of A it uses (``grid.PrincipalBlocks``: the d diagonal blocks, and
+cross blocks only for coupled axis pairs), and V, B, c only for a set with
+lower-order terms.  ``sample_coefficients`` evaluates the set one slab of
+whole lattice planes at a time, so no point array or full d x d x m x m
+tensor of the whole box exists.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
 
-from .coefficients import CoefficientSet, transpose_a, transpose_m
-from .grid import BoxGrid, GridFunction, assemble_box, divergence, precond_scale
+from .coefficients import CoefficientSet, transpose_m
+from .grid import (BoxGrid, GridFunction, PrincipalBlocks, assemble_box, coefficient_blocks,
+                   divergence, precond_scale)
 from .solvers import solve_box_dirichlet
 
 
@@ -74,20 +83,24 @@ def check_lambda(cs: CoefficientSet, lam: float | None, override: bool = False) 
 
 @dataclass
 class CoefficientSamples:
-    """Coefficient arrays frozen on a box grid at x/eps."""
+    """Coefficients frozen on a box grid at x/eps, as the blocks the flux
+    stencil reads; V, B and c are all None for a set without lower-order
+    terms."""
 
     grid: BoxGrid
-    A: np.ndarray   # (*shape, d, d, m, m)
-    V: np.ndarray   # (*shape, d, m, m)
-    B: np.ndarray   # (*shape, d, m, m)
-    c: np.ndarray   # (*shape, m, m)
+    A: PrincipalBlocks       # blocks (*shape, m, m)
+    V: np.ndarray | None     # (*shape, d, m, m)
+    B: np.ndarray | None     # (*shape, d, m, m)
+    c: np.ndarray | None     # (*shape, m, m)
     lam: float
     m: int
     self_adjoint: bool   # the sampled set's ``CoefficientSet.self_adjoint``
 
     def adjoint(self) -> "CoefficientSamples":
-        return replace(self, A=transpose_a(self.A), V=transpose_m(self.B),
-                       B=transpose_m(self.V), c=transpose_m(self.c))
+        lower = {}
+        if self.V is not None:
+            lower = dict(V=transpose_m(self.B), B=transpose_m(self.V), c=transpose_m(self.c))
+        return replace(self, A=self.A.transposed(), **lower)
 
     @cached_property
     def matrices(self):
@@ -174,25 +187,66 @@ class DirichletProblem:
         return rhs
 
 
-def pullback(grid: BoxGrid, eps: float) -> np.ndarray:
-    """The cell coordinates y = x/eps mod 1 of the box lattice points.  The
+def pullback(grid: BoxGrid, eps: float, planes: slice = slice(None)) -> np.ndarray:
+    """The cell coordinates y = x/eps mod 1 of the box lattice points in the
+    lattice planes ``planes`` of the first axis (all of them by default),
+    shaped (*planes, d).  Each axis is pulled back once and broadcast.  The
     points are >= 0, so subtracting the floor is exact and equals ``np.mod``
     bit for bit."""
-    y = grid.points() / eps
-    y -= np.floor(y)
+    t = grid.axis() / eps
+    t -= np.floor(t)
+    d = grid.d
+    first = t[planes]
+    y = np.empty(first.shape + grid.shape[1:] + (d,))
+    for k in range(d):
+        y[..., k] = (first if k == 0 else t).reshape([-1 if ax == k else 1 for ax in range(d)])
     return y
+
+
+# Lattice points per call of a coefficient while a box is sampled: whole
+# planes of the first axis, about this many at a time (at least one plane),
+# so that the full tensor of A and the point array exist for one slab only.
+_SLAB_POINTS = 1 << 15
 
 
 def sample_coefficients(cs: CoefficientSet, grid: BoxGrid, eps: float,
                         lam: float) -> CoefficientSamples:
     """Coefficients frozen on the box lattice at x/eps.
 
+    The set is evaluated one slab of lattice planes at a time, and each
+    slab's A is cut into blocks by ``grid.coefficient_blocks`` and copied
+    into contiguous whole-box blocks.  A cross block is allocated, as
+    zeros, when a slab first shows its pair coupled.  V, B and c are
+    evaluated only for a set with lower-order terms.  Every value is
+    computed elementwise, so none depends on the slabs.
+
     No resolution guard is applied here; ``DirichletProblem`` and the
     corrector solves call ``resolution_guard``.
     """
-    y = pullback(grid, float(eps))
-    return CoefficientSamples(grid=grid, A=cs.A(y), V=cs.V(y), B=cs.B(y), c=cs.c(y),
-                              lam=float(lam), m=cs.m, self_adjoint=cs.self_adjoint)
+    eps = float(eps)
+    shape, m = grid.shape, cs.m
+    step = max(1, _SLAB_POINTS // math.prod(shape[1:]))
+    diag = tuple(np.empty(shape + (m, m)) for _ in range(grid.d))
+    cross = {}
+    lower = None
+    if cs.lower_order:
+        lower = [np.empty(shape + t) for t in ((grid.d, m, m), (grid.d, m, m), (m, m))]
+    for p0 in range(0, shape[0], step):
+        planes = slice(p0, p0 + step)
+        y = pullback(grid, eps, planes)
+        a = coefficient_blocks(cs.A(y))
+        for whole, part in zip(diag, a.diag):
+            whole[planes] = part
+        for key, part in a.cross.items():
+            if key not in cross:
+                cross[key] = np.zeros(shape + (m, m))
+            cross[key][planes] = part
+        del a
+        for whole, f in zip(lower or (), (cs.V, cs.B, cs.c)):
+            whole[planes] = f(y)
+    V, B, c = lower or (None, None, None)
+    return CoefficientSamples(grid=grid, A=PrincipalBlocks(diag, cross), V=V, B=B, c=c,
+                              lam=float(lam), m=m, self_adjoint=cs.self_adjoint)
 
 
 def solve(problem: DirichletProblem, tol: float = 1e-10,

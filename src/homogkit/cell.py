@@ -23,7 +23,7 @@ import numpy as np
 
 from .coefficients import CoefficientSet, ellipticity_margin
 from .grid import (Grid, GridFunction, TorusGrid, _centered_periodic, _coef_block,
-                   assemble_torus, divergence, gradient, precond_scale)
+                   assemble_torus, coefficient_blocks, divergence, gradient, precond_scale)
 from .solvers import _mean_zero, poisson_periodic, solve_periodic
 
 MEAN_TOL = 1e-10
@@ -131,12 +131,13 @@ def solve_correctors(cs: CoefficientSet, grid: TorusGrid, tol: float = 1e-10) ->
         raise CellError("tol must be positive")
     y = grid.points()
     A, V = cs.A(y), cs.V(y)
-    K = assemble_torus(A, grid)
+    blocks = coefficient_blocks(A)
+    K = assemble_torus(blocks, grid)
 
     def op(u):
         return (K @ u.ravel()).reshape(u.shape)
 
-    scale = precond_scale(A, grid)
+    scale = precond_scale(blocks, grid)
     # the torus operator -div(A grad .) is the principal part of L
     self_adjoint = cs.principal_part.self_adjoint
     chis, res = [], {}

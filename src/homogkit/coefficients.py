@@ -16,7 +16,7 @@ V, B, c transposed in the system indices (``transpose_m``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Callable
 
@@ -59,7 +59,9 @@ class CoefficientSet:
 
     ``mu`` is the two-sided ellipticity constant of A and ``kappa`` the
     declared sup-norm bound on V, B, c (the tests check both against lattice
-    samples).  V, B and c default to zero.  The zero-order shift
+    samples).  V, B and c default to zero; ``lower_order`` records at
+    construction whether any of them was given, and a set without them is
+    sampled and checked without calling them.  The zero-order shift
     lambda is not part of the set: ``bvp.default_lambda`` derives it from
     ``mu`` and ``kappa``.
     """
@@ -73,6 +75,7 @@ class CoefficientSet:
     c: Callable[[np.ndarray], np.ndarray] | None = None
     kappa: float = 0.0
     name: str = "custom"
+    lower_order: bool = field(init=False)
 
     def __post_init__(self):
         if type(self.d) is not int or self.d not in (1, 2, 3):
@@ -80,6 +83,7 @@ class CoefficientSet:
         if type(self.m) is not int or self.m < 1:
             raise CoefficientError(f"m must be a positive integer, got {self.m!r}")
         d, m = self.d, self.m
+        self.lower_order = any(t is not None for t in (self.V, self.B, self.c))
         self.V = self.V or (lambda y: np.zeros(y.shape[:-1] + (d, m, m)))
         self.B = self.B or (lambda y: np.zeros(y.shape[:-1] + (d, m, m)))
         self.c = self.c or (lambda y: np.zeros(y.shape[:-1] + (m, m)))
@@ -88,9 +92,11 @@ class CoefficientSet:
         """Coefficients of the formal adjoint: a*_ij^{ab} = a_ji^{ba},
         with V and B exchanging roles (transposed in the system indices)."""
         A, V, B, c = self.A, self.V, self.B, self.c
-        return replace(self, A=lambda y: transpose_a(A(y)),
-                       V=lambda y: transpose_m(B(y)), B=lambda y: transpose_m(V(y)),
-                       c=lambda y: transpose_m(c(y)), name=self.name + "*")
+        lower = dict(V=None, B=None, c=None)
+        if self.lower_order:
+            lower = dict(V=lambda y: transpose_m(B(y)), B=lambda y: transpose_m(V(y)),
+                         c=lambda y: transpose_m(c(y)))
+        return replace(self, A=lambda y: transpose_a(A(y)), **lower, name=self.name + "*")
 
     @cached_property
     def principal_part(self) -> "CoefficientSet":
@@ -107,12 +113,15 @@ class CoefficientSet:
     def self_adjoint(self) -> bool:
         """Whether L = L* on the validation lattice (A = transpose_a(A),
         V = transpose_m(B), c = transpose_m(c), each to 1e-13): the Krylov
-        solves run CG exactly when this holds for the operator they invert."""
+        solves run CG exactly when this holds for the operator they invert.
+        Without lower-order terms only A is evaluated."""
         y = self._lattice()
-        A, c = self.A(y), self.c(y)
-        return all(np.allclose(x, z, atol=1e-13, rtol=0.0)
-                   for x, z in ((A, transpose_a(A)), (self.V(y), transpose_m(self.B(y))),
-                                (c, transpose_m(c))))
+        A = self.A(y)
+        pairs = [(A, transpose_a(A))]
+        if self.lower_order:
+            c = self.c(y)
+            pairs += [(self.V(y), transpose_m(self.B(y))), (c, transpose_m(c))]
+        return all(np.allclose(x, z, atol=1e-13, rtol=0.0) for x, z in pairs)
 
 
 def _probe_directions(d: int, m: int) -> list[np.ndarray]:
@@ -155,11 +164,14 @@ def _constant_family(d: int = 2, m: int = 1, a0: float = 1.0,
                      v0: float = 0.0, b0: float = 0.0, c0: float = 0.0) -> CoefficientSet:
     if a0 <= 0:
         raise CoefficientError("constant family needs a0 > 0")
+    # with v0 = b0 = c0 = 0 the set has no lower-order terms
+    terms = {}
+    if v0 or b0 or c0:
+        terms = dict(V=lambda y: _diagonal(y, m, [v0] * d), B=lambda y: _diagonal(y, m, [b0] * d),
+                     c=lambda y: _diagonal(y, m, [c0], 0))
     return CoefficientSet(
-        d=d, m=m, A=lambda y: _diagonal(y, m, [a0] * d, 2),
-        V=lambda y: _diagonal(y, m, [v0] * d), B=lambda y: _diagonal(y, m, [b0] * d),
-        c=lambda y: _diagonal(y, m, [c0], 0), mu=a0, kappa=max(abs(v0), abs(b0), abs(c0)),
-        name="constant")
+        d=d, m=m, A=lambda y: _diagonal(y, m, [a0] * d, 2), mu=a0,
+        kappa=max(abs(v0), abs(b0), abs(c0)), **terms, name="constant")
 
 
 def _laminate_family(d: int = 2, m: int = 1) -> CoefficientSet:

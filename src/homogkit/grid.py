@@ -15,9 +15,12 @@ discretized in flux-conservative form so that discrete summation by parts
 holds exactly.  Solvers use it assembled once (``assemble_torus``,
 ``assemble_box``); ``principal_part_apply`` evaluates the same stencil from
 the coefficient arrays and serves as the reference the assembled operators
-are tested against.  Both assembled operators are held in numpy arrays and
-applied with numpy, so no operator needs ``scipy.sparse``: the torus
-operator as one block of entries per stencil offset and component
+are tested against.  The assemblers read A as ``PrincipalBlocks``, the
+blocks a_ij (*grid shape, m, m) the stencil uses: cut from a full tensor by
+``coefficient_blocks`` on the torus, sampled block by block on a box
+(``bvp.sample_coefficients``).  Both assembled operators are held in numpy
+arrays and applied with numpy, so no operator needs ``scipy.sparse``: the
+torus operator as one block of entries per stencil offset and component
 (``TorusStencil``), the box operator by diagonals (``Diagonals``) with its
 boundary coupling as ``Triplets``.
 """
@@ -292,15 +295,58 @@ def principal_part_apply(A: np.ndarray, u: np.ndarray, grid: Grid) -> np.ndarray
     return out
 
 
-def precond_scale(A: np.ndarray, grid: Grid) -> float:
+# ---------------------------------------------------------------------------
+# the coefficient blocks the stencil reads
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class PrincipalBlocks:
+    """The blocks a_ij (*grid shape, m, m) of a principal coefficient A that
+    the flux stencil reads: every diagonal block a_ii, and the cross blocks
+    a_ij and a_ji of each axis pair i < j whose a_ij or a_ji is nonzero (or
+    NaN) somewhere (``_cross_pairs``).  Every cross block not in ``cross``
+    is zero.  ``coefficient_blocks`` cuts them from a full tensor."""
+
+    diag: tuple[np.ndarray, ...]
+    cross: dict[tuple[int, int], np.ndarray]
+
+    def map(self, f) -> "PrincipalBlocks":
+        """``f`` applied to every block."""
+        return PrincipalBlocks(tuple(map(f, self.diag)),
+                               {key: f(b) for key, b in self.cross.items()})
+
+    def transposed(self) -> "PrincipalBlocks":
+        """The blocks of a_ij^{ab} -> a_ji^{ba} (the principal part of the
+        adjoint), as views."""
+        def t(b):
+            return np.swapaxes(b, -1, -2)
+
+        return PrincipalBlocks(tuple(map(t, self.diag)),
+                               {(i, j): t(self.cross[j, i]) for i, j in self.cross})
+
+
+def coefficient_blocks(A: np.ndarray) -> PrincipalBlocks:
+    """The ``PrincipalBlocks`` of a full tensor ``A`` (..., d, d, m, m), as
+    views of ``A``."""
+    d = A.shape[-3]
+    cross = {}
+    for i in range(d):
+        for j in range(i + 1, d):
+            aij, aji = A[..., i, j, :, :], A[..., j, i, :, :]
+            if aij.any() or aji.any():
+                cross[i, j], cross[j, i] = aij, aji
+    return PrincipalBlocks(tuple(A[..., i, i, :, :] for i in range(d)), cross)
+
+
+def precond_scale(A: PrincipalBlocks, grid: Grid) -> float:
     """Mean of the diagonal entries a_ii^{aa}: the Laplacian scale of the
-    FFT/DST preconditioners for the operator with coefficients ``A``
-    (shaped grid.shape + (d, d, m, m)).  It reads views of ``A``: copies of
-    its blocks would stay in the allocator's heap through the solve."""
-    m = A.shape[-1]
+    FFT/DST preconditioners for the operator with principal blocks ``A``.
+    Each mean runs over the grid points in C order, so it is the same
+    whether a block is a view of a full tensor or a copy."""
+    m = A.diag[0].shape[-1]
     s = 0.0
     for i in range(grid.d):
-        s += sum(float(A[..., i, i, a, a].mean()) for a in range(m)) / m
+        s += sum(float(A.diag[i][..., a, a].mean()) for a in range(m)) / m
     return s / grid.d
 
 
@@ -308,13 +354,10 @@ def precond_scale(A: np.ndarray, grid: Grid) -> float:
 # assembled operator
 # ---------------------------------------------------------------------------
 
-def _cross_pairs(A: np.ndarray) -> list[tuple[int, int]]:
-    """The axis pairs i < j whose a_ij or a_ji is nonzero (or NaN) somewhere
-    in ``A`` (trailing axes (d, d, m, m)): only these fill the diagonal
-    offsets +-e_i +-e_j of the flux stencil."""
-    d = A.shape[-3]
-    return [(i, j) for i in range(d) for j in range(i + 1, d)
-            if A[..., i, j, :, :].any() or A[..., j, i, :, :].any()]
+def _cross_pairs(A: PrincipalBlocks) -> list[tuple[int, int]]:
+    """The axis pairs i < j whose a_ij or a_ji is nonzero (or NaN) somewhere:
+    only these fill the diagonal offsets +-e_i +-e_j of the flux stencil."""
+    return sorted((i, j) for i, j in A.cross if i < j)
 
 
 def _stencil_offsets(d: int, pairs: list[tuple[int, int]]) -> list[tuple[int, ...]]:
@@ -340,18 +383,20 @@ def _shifted(arr: np.ndarray, s: tuple[int, ...], rows: int) -> np.ndarray:
     return arr[tuple(slice(1 + k, 1 + rows + k) for k in s)]
 
 
-def _flux_stencil(A, V, B, c, lam: float, h: float, rows: int,
-                  pairs: list[tuple[int, int]]):
+def _flux_stencil(A: PrincipalBlocks, V, B, c, lam: float, h: float, rows: int):
     """Yield (offset, block) once for each offset of
-    ``_stencil_offsets(d, pairs)``, ``pairs`` being ``_cross_pairs(A)``.
+    ``_stencil_offsets(d, _cross_pairs(A))``.
 
     Coefficients are laid out as ``_shifted`` expects.  Each block is a fresh
     array (*rows, m, m) whose [..., a, b] entry couples u^b(x + offset) into
     row (x, a).  The entries are those of ``principal_part_apply`` plus,
     unless ``V``, ``B``, ``c`` are None (all three or none), the centered
-    lower-order terms -D(V u) + B Du + (c + lam) u.
+    lower-order terms -D(V u) + B Du + (c + lam) u.  Without them an entry
+    that couples two components through a zero a_ii^{ab} is -0.0 where the
+    added zero terms made it +0.0; no product sees the sign, as every one
+    adds into zeros.
     """
-    d, m = A.shape[-3], A.shape[-1]
+    d, m = len(A.diag), A.diag[0].shape[-1]
     h2 = h * h
     lower = V is not None
 
@@ -359,8 +404,9 @@ def _flux_stencil(A, V, B, c, lam: float, h: float, rows: int,
         return _shifted(arr, s, rows)
 
     def block(arr, *idx):
-        # a contiguous copy keeps the (m, m) axes and the last grid axis in
-        # one inner loop of every slice operation below
+        # a contiguous block keeps the (m, m) axes and the last grid axis in
+        # one inner loop of every slice operation below; the blocks of a
+        # box sample are contiguous already and are not copied
         return np.ascontiguousarray(arr[(Ellipsis,) + idx + (slice(None),) * 2])
 
     zero = (0,) * d
@@ -370,7 +416,7 @@ def _flux_stencil(A, V, B, c, lam: float, h: float, rows: int,
         mi = tuple(-k for k in ei)
         # a_ii at x +- e_i / 2, over h^2; built in place to keep few
         # row-sized temporaries alive
-        aii = block(A, i, i)
+        aii = block(A.diag[i])
         plus = at(aii, zero) + at(aii, ei)
         plus *= 0.5 / h2
         minus = at(aii, mi) + at(aii, zero)
@@ -395,8 +441,8 @@ def _flux_stencil(A, V, B, c, lam: float, h: float, rows: int,
             minus -= bi
         yield mi, minus
         del minus
-    for i, j in pairs:
-        aij, aji = block(A, i, j), block(A, j, i)
+    for i, j in _cross_pairs(A):
+        aij, aji = block(A.cross[i, j]), block(A.cross[j, i])
         for si in (1, -1):
             for sj in (1, -1):
                 ti = tuple(si * int(k == i) for k in range(d))
@@ -538,7 +584,7 @@ class TorusStencil:
         return out.reshape(-1)
 
 
-def assemble_torus(A: np.ndarray, grid: TorusGrid) -> TorusStencil:
+def assemble_torus(A: PrincipalBlocks, grid: TorusGrid) -> TorusStencil:
     """-div(A grad .) on the torus (``principal_part_apply``) as a
     ``TorusStencil``.
 
@@ -547,26 +593,26 @@ def assemble_torus(A: np.ndarray, grid: TorusGrid) -> TorusStencil:
     no two of them reach the same point, so every row couples to exactly
     m * (1 + 2d + 4 * len(_cross_pairs(A))) unknowns.
     """
-    d, n, m = grid.d, grid.n, A.shape[-1]
-    pairs = _cross_pairs(A)
-    offsets = _stencil_offsets(d, pairs)
+    d, n, m = grid.d, grid.n, A.diag[0].shape[-1]
+    offsets = _stencil_offsets(d, _cross_pairs(A))
     slot = {s: k for k, s in enumerate(offsets)}
-    wrap = [(1, 1)] * d
-    A = np.pad(A, wrap + [(0, 0)] * 4, mode="wrap")
+    wrap = [(1, 1)] * d + [(0, 0)] * 2
+    A = A.map(lambda b: np.pad(b, wrap, mode="wrap"))
     blocks = np.zeros((m, len(offsets), m) + (n + 2,) * d)
     inner = (slice(1, -1),) * d
-    for s, blk in _flux_stencil(A, None, None, None, 0.0, grid.h, n, pairs):
+    for s, blk in _flux_stencil(A, None, None, None, 0.0, grid.h, n):
         # blk[..., a, b] is blocks[b, k, a] at the grid points
         blocks[(slice(None), slot[s], slice(None)) + inner] = np.moveaxis(blk, (-1, -2), (0, 1))
     return TorusStencil(blocks, offsets)
 
 
-def assemble_box(A: np.ndarray, V: np.ndarray, B: np.ndarray, c: np.ndarray,
-                 lam: float, grid: BoxGrid):
+def assemble_box(A: PrincipalBlocks, V: np.ndarray | None, B: np.ndarray | None,
+                 c: np.ndarray | None, lam: float, grid: BoxGrid):
     """The full operator on a box, split as (K_ii, K_ib).
 
-    Coefficients are sampled on all of ``grid`` with trailing axes
-    (d, d, m, m), (d, m, m), (d, m, m), (m, m).  K_ii couples interior
+    Coefficients are sampled on all of ``grid``: the blocks of A, and V, B,
+    c with trailing axes (d, m, m), (d, m, m), (m, m), or all three None
+    for a set without lower-order terms.  K_ii couples interior
     unknowns (interior points in C order, components fastest) and is stored
     index-free by diagonals (``Diagonals``), holding the offsets
     ``_stencil_offsets(d, _cross_pairs(A))``: an entry whose neighbour is a
@@ -576,15 +622,14 @@ def assemble_box(A: np.ndarray, V: np.ndarray, B: np.ndarray, c: np.ndarray,
     face have entries.  For a full field u, the interior rows of L u are
     K_ii u_int + K_ib u_b.
     """
-    d, n, m = grid.d, grid.n, A.shape[-1]
+    d, n, m = grid.d, grid.n, A.diag[0].shape[-1]
     npts = (n - 1) ** d
     strides = [(n - 1) ** (d - 1 - k) for k in range(d)]
 
     def flat(s):
         return sum(k * st for k, st in zip(s, strides))
 
-    pairs = _cross_pairs(A)
-    diagonals = sorted({flat(s) * m + b - a for s in _stencil_offsets(d, pairs)
+    diagonals = sorted({flat(s) * m + b - a for s in _stencil_offsets(d, _cross_pairs(A))
                         for a in range(m) for b in range(m)})
     row_of = {k: r for r, k in enumerate(diagonals)}
     data = np.zeros((len(diagonals), npts * m))
@@ -594,7 +639,7 @@ def assemble_box(A: np.ndarray, V: np.ndarray, B: np.ndarray, c: np.ndarray,
     bnum[bmask] = np.arange(nb, dtype=np.int32)
     comp = np.arange(m)
     ib_rows, ib_cols, ib_vals = [], [], []
-    for s, blk in _flux_stencil(A, V, B, c, lam, grid.h, n - 1, pairs):
+    for s, blk in _flux_stencil(A, V, B, c, lam, grid.h, n - 1):
         blk = blk.reshape(npts, m, m)
         nbr = _shifted(bnum, s, n - 1).ravel()
         edge = np.flatnonzero(nbr >= 0)

@@ -377,37 +377,42 @@ def _apply_inverse(r: np.ndarray, inv: np.ndarray, grid: TorusGrid | BoxGrid,
                    kern: str, work: dict | None = None) -> np.ndarray:
     """The transform ``kern`` over the grid axes of ``r``, times ``inv``
     (``_inverse_symbol``, broadcast over any trailing component axes), and
-    the transform back, in the precision of ``r``.  The dense and split
-    products take the components of a 2D or 3D grid one at a time;
-    ``work`` keeps the split kernel's work arrays from one call to the
-    next."""
-    nd, axes = grid.d, tuple(range(grid.d))
+    the transform back, computed in the precision of ``inv`` and returned in
+    that of ``r``.  The dense products take the components of a 2D or 3D
+    grid one at a time: each is cast straight into a contiguous copy and its
+    result straight into the output.  ``work`` keeps the split kernel's work
+    arrays from one call to the next."""
+    nd, axes, dtype = grid.d, tuple(range(grid.d)), inv.dtype
+    if kern in ("sine", "hartley") and nd > 1 and r.size != inv.size:
+        # several components on a 2D or 3D grid: one at a time, so that the
+        # product along every axis is a GEMM on contiguous rows
+        S = _dense_matrix(kern, grid.n, dtype)
+        out = np.empty(r.shape, r.dtype)
+        inv = inv.reshape(inv.shape[:nd])
+        for c in np.ndindex(r.shape[nd:]):
+            rhat = _dense_products(np.ascontiguousarray(r[(...,) + c], dtype), S, nd)
+            rhat *= inv
+            out[(...,) + c] = _dense_products(rhat, S, nd)
+        return out
+    x = r.astype(dtype, copy=False)
     if kern == "rfftn":
         fft = scipy_fft()
-        zhat = fft.rfftn(r, axes=axes)
-        zhat *= inv
-        return fft.irfftn(zhat, s=grid.shape, axes=axes, overwrite_x=True)
-    if kern == "dstn":
+        xhat = fft.rfftn(x, axes=axes)
+        xhat *= inv
+        z = fft.irfftn(xhat, s=grid.shape, axes=axes, overwrite_x=True)
+    elif kern == "dstn":
         fft = scipy_fft()
-        rhat = fft.dstn(r, type=1, axes=axes)
-        rhat *= inv
-        return fft.dstn(rhat, type=1, axes=axes, overwrite_x=True)
-    if kern == "sine-split":
-        return _split_products(r, inv, _split_plan(grid.n, r.dtype), {} if work is None else work)
-    S = _dense_matrix(kern, grid.n, r.dtype)
-    if nd == 1 or r.size == inv.size:
-        rhat = _dense_products(r, S, nd)
-        rhat *= inv
-        return _dense_products(rhat, S, nd)
-    # several components on a 2D or 3D grid: one at a time, so that the
-    # product along every axis is a GEMM on contiguous rows
-    out = np.empty(r.shape, r.dtype)
-    inv = inv.reshape(inv.shape[:nd])
-    for c in np.ndindex(r.shape[nd:]):
-        rhat = _dense_products(np.ascontiguousarray(r[(...,) + c]), S, nd)
-        rhat *= inv
-        out[(...,) + c] = _dense_products(rhat, S, nd)
-    return out
+        xhat = fft.dstn(x, type=1, axes=axes)
+        xhat *= inv
+        z = fft.dstn(xhat, type=1, axes=axes, overwrite_x=True)
+    elif kern == "sine-split":
+        z = _split_products(x, inv, _split_plan(grid.n, dtype), {} if work is None else work)
+    else:
+        S = _dense_matrix(kern, grid.n, dtype)
+        xhat = _dense_products(x, S, nd)
+        xhat *= inv
+        z = _dense_products(xhat, S, nd)
+    return z.astype(r.dtype, copy=False)
 
 
 def poisson_periodic(rhs: np.ndarray, grid: TorusGrid) -> np.ndarray:
@@ -428,13 +433,17 @@ def cg(A, b, *, rtol, atol, maxiter, M, callback=None):
     loop of ``scipy.sparse.linalg.cg`` (scipy 1.17) from x0 = 0, operation
     for operation, so its iterates match scipy's bit for bit.  ``A`` and
     ``M`` provide ``matvec``; returns (x, info) with info 0 on convergence,
-    ||r|| < max(atol, rtol ||b||), and ``maxiter`` when the loop ran out."""
+    ||r|| < max(atol, rtol ||b||), and ``maxiter`` when the loop ran out.
+    The products alpha p and alpha q go through one work vector ``w`` kept
+    for the solve, which rounds as scipy's fresh ``alpha * p`` does, and
+    the results of the applies are freed once read."""
     bnrm2 = np.linalg.norm(b)
     atol = max(float(atol), float(rtol) * float(bnrm2))
     if bnrm2 == 0:
         return b, 0
     x = np.zeros_like(b)
     r = b.copy()
+    w = np.empty_like(b)
     for iteration in range(maxiter):
         if np.linalg.norm(r) < atol:
             return x, 0
@@ -445,10 +454,14 @@ def cg(A, b, *, rtol, atol, maxiter, M, callback=None):
             p += z
         else:
             p = z.copy()
+        # each apply's result is dropped once read, so that it is freed
+        # before the next apply allocates its own (peak memory)
+        del z
         q = A.matvec(p)
         alpha = rho_cur / np.dot(p, q)
-        x += alpha * p
-        r -= alpha * q
+        x += np.multiply(alpha, p, out=w)
+        r -= np.multiply(alpha, q, out=w)
+        del q
         rho_prev = rho_cur
         if callback:
             callback(x)
@@ -460,7 +473,8 @@ def bicgstab(A, b, *, rtol, atol, maxiter, M, callback=None):
     1992): the loop of ``scipy.sparse.linalg.bicgstab`` (scipy 1.17) from
     x0 = 0, the same arithmetic in the same order, with the calling
     convention and return values of ``cg``.  info -10 and -11 report a rho
-    and an omega breakdown below scipy's thresholds (eps^2, absolute)."""
+    and an omega breakdown below scipy's thresholds (eps^2, absolute).  The
+    scalar-times-vector products go through one work vector, as in ``cg``."""
     bnrm2 = np.linalg.norm(b)
     atol = max(float(atol), float(rtol) * float(bnrm2))
     if bnrm2 == 0:
@@ -469,6 +483,7 @@ def bicgstab(A, b, *, rtol, atol, maxiter, M, callback=None):
     x = np.zeros_like(b)
     r = b.copy()
     rtilde = r.copy()
+    w = np.empty_like(b)
     for iteration in range(maxiter):
         if np.linalg.norm(r) < atol:
             return x, 0
@@ -479,7 +494,7 @@ def bicgstab(A, b, *, rtol, atol, maxiter, M, callback=None):
             if np.abs(omega) < breaktol:
                 return x, -11
             beta = (rho / rho_prev) * (alpha / omega)
-            p -= omega * v
+            p -= np.multiply(omega, v, out=w)
             p *= beta
             p += r
         else:
@@ -490,16 +505,18 @@ def bicgstab(A, b, *, rtol, atol, maxiter, M, callback=None):
         if rv == 0:
             return x, -11
         alpha = rho / rv
-        r -= alpha * v   # scipy copies r into s here; r is used in its place
+        # scipy copies r into s here; r is used in its place
+        r -= np.multiply(alpha, v, out=w)
         if np.linalg.norm(r) < atol:
-            x += alpha * phat
+            x += np.multiply(alpha, phat, out=w)
             return x, 0
         shat = M.matvec(r)
         t = A.matvec(shat)
         omega = np.dot(t, r) / np.dot(t, t)
-        x += alpha * phat
-        x += omega * shat
-        r -= omega * t
+        x += np.multiply(alpha, phat, out=w)
+        x += np.multiply(omega, shat, out=w)
+        r -= np.multiply(omega, t, out=w)
+        del phat, shat, t   # as in ``cg``; v is read by the next iteration
         rho_prev = rho
         if callback:
             callback(x)
@@ -542,7 +559,8 @@ def _krylov(matvec, precond, rhs: np.ndarray, *, self_adjoint: bool, tol: float,
     if bmax == 0.0:
         return np.zeros(rhs.shape), 0.0
     exponent = int(np.frexp(bmax)[1])
-    b = np.ldexp(rhs.ravel(), -exponent)
+    b = np.empty(size)   # one pass, also for a strided rhs
+    np.ldexp(rhs, -exponent, out=b.reshape(rhs.shape))
     bnorm = np.linalg.norm(b)
     krylov = cg if self_adjoint else bicgstab
     x, _ = krylov(A, b, rtol=tol, atol=0.0, maxiter=maxiter, M=M)
@@ -563,7 +581,7 @@ def _spectral_solve(apply_op, rhs: np.ndarray, grid: TorusGrid | BoxGrid, kern: 
     the residual is cast down, transformed by ``kern``, multiplied by the
     float32 copy of the reciprocal symbol ``inv`` (``_inverse_symbol``,
     broadcast over the component axes) and transformed back, and the result
-    is cast back."""
+    is cast back, all by ``_apply_inverse``."""
     shape, nd = rhs.shape, grid.d
     inv = inv.astype(np.float32).reshape(inv.shape + (1,) * (len(shape) - nd))
 
@@ -573,8 +591,7 @@ def _spectral_solve(apply_op, rhs: np.ndarray, grid: TorusGrid | BoxGrid, kern: 
     work = {}
 
     def precond(r):
-        z = _apply_inverse(r.reshape(shape).astype(np.float32), inv, grid, kern, work)
-        return z.astype(np.float64).ravel()
+        return _apply_inverse(r.reshape(shape), inv, grid, kern, work).ravel()
 
     return _krylov(matvec, precond, rhs, **krylov)
 

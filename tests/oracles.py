@@ -24,7 +24,8 @@ was a CSR array.
 the preconditioner scale as they were when a box sample held the full
 d x d x m x m tensor A and V, B, c arrays (zero for a set without
 lower-order terms); ``flux_stencil_full`` and ``cross_pairs_full`` are the
-stencil and the pair rule they read.
+stencil and the pair rule they read.  ``sample_arrays`` rebuilds those
+full arrays from a box sample's blocks.
 """
 
 from __future__ import annotations
@@ -204,6 +205,22 @@ def assemble_box_full(A: np.ndarray, V: np.ndarray, B: np.ndarray, c: np.ndarray
     K_ib = Triplets(np.concatenate(ib_rows), np.concatenate(ib_cols),
                     np.concatenate(ib_vals), (npts * m, nb * m))
     return Diagonals(data, diagonals), K_ib
+
+
+def sample_arrays(s):
+    """(A, V, B, c) of the box sample ``s`` as full arrays: A (*shape, d, d,
+    m, m) from its blocks, zero where it holds no cross block, and V, B, c
+    zero for a sample without lower-order terms."""
+    blocks, shape, m = s.A, s.grid.shape, s.m
+    d = len(blocks.diag)
+    A = np.zeros(shape + (d, d, m, m))
+    for i, b in enumerate(blocks.diag):
+        A[..., i, i, :, :] = b
+    for (i, j), b in blocks.cross.items():
+        A[..., i, j, :, :] = b
+    if s.V is None:
+        return A, np.zeros(shape + (d, m, m)), np.zeros(shape + (d, m, m)), np.zeros(shape + (m, m))
+    return A, s.V, s.B, s.c
 
 
 def precond_scale_full(A: np.ndarray, grid) -> float:

@@ -11,12 +11,12 @@ import pytest
 from homogkit.bvp import CoefficientSamples, default_lambda, sample_coefficients
 from homogkit.cell import _poisson_components
 from homogkit.coefficients import builtin_family
-from homogkit.grid import (BoxGrid, TorusGrid, assemble_torus, precond_scale,
-                           principal_part_apply)
+from homogkit.grid import (BoxGrid, TorusGrid, assemble_torus, coefficient_blocks,
+                           precond_scale, principal_part_apply)
 from homogkit.solvers import (_apply_inverse, _inverse_symbol, _krylov, _mean_zero,
                               kernel, solve_periodic)
-from oracles import (box_precond_float64, scipy_boundary, scipy_interior, torus_csr,
-                     torus_csr_array, torus_precond_float64)
+from oracles import (box_precond_float64, sample_arrays, scipy_boundary, scipy_interior,
+                     torus_csr, torus_csr_array, torus_precond_float64)
 
 REL = 1e-13
 
@@ -53,7 +53,7 @@ def box_samples(name, params, lam=0.7, n=None) -> CoefficientSamples:
     m = params["m"]
     rng = np.random.Generator(np.random.PCG64(5))
     return CoefficientSamples(
-        grid=g, A=rng.standard_normal(g.shape + (d, d, m, m)),
+        grid=g, A=coefficient_blocks(rng.standard_normal(g.shape + (d, d, m, m))),
         V=rng.standard_normal(g.shape + (d, m, m)),
         B=rng.standard_normal(g.shape + (d, m, m)),
         c=rng.standard_normal(g.shape + (m, m)), lam=lam, m=m,
@@ -63,13 +63,14 @@ def box_samples(name, params, lam=0.7, n=None) -> CoefficientSamples:
 def roll_apply_full(s: CoefficientSamples, u: np.ndarray) -> np.ndarray:
     """The operator from the coefficient arrays by rolls: valid on interior rows."""
     h = s.grid.h
-    out = principal_part_apply(s.A, u, s.grid)
+    A, V, B, c = sample_arrays(s)
+    out = principal_part_apply(A, u, s.grid)
     for i in range(s.grid.d):
-        vu = np.einsum("...ab,...b->...a", s.V[..., i, :, :], u)
+        vu = np.einsum("...ab,...b->...a", V[..., i, :, :], u)
         out -= (np.roll(vu, -1, axis=i) - np.roll(vu, 1, axis=i)) / (2.0 * h)
         dcu = (np.roll(u, -1, axis=i) - np.roll(u, 1, axis=i)) / (2.0 * h)
-        out += np.einsum("...ab,...b->...a", s.B[..., i, :, :], dcu)
-    return out + np.einsum("...ab,...b->...a", s.c, u) + s.lam * u
+        out += np.einsum("...ab,...b->...a", B[..., i, :, :], dcu)
+    return out + np.einsum("...ab,...b->...a", c, u) + s.lam * u
 
 
 def rel_err(got, want):
@@ -91,7 +92,7 @@ def test_torus_matrix_matches_stencil(name, params):
     g = TorusGrid(d, SIZES[d])
     rng = np.random.Generator(np.random.PCG64(7))
     A = torus_coefficients(name, params, g, rng)
-    K = assemble_torus(A, g)
+    K = assemble_torus(coefficient_blocks(A), g)
     u = rng.standard_normal(g.shape + (A.shape[-1],))
     got = (K @ u.ravel()).reshape(u.shape)
     assert rel_err(got, principal_part_apply(A, u, g)) <= REL
@@ -106,7 +107,7 @@ def test_torus_operator_contract(name, params):
     rng = np.random.Generator(np.random.PCG64(11))
     A = torus_coefficients(name, params, g, rng)
     m = A.shape[-1]
-    K = assemble_torus(A, g)
+    K = assemble_torus(coefficient_blocks(A), g)
     constants = np.tile(np.eye(m), (g.npoints, 1))   # column b: 1 in component b
     K_constants = np.stack([K @ c for c in constants.T], axis=1)
     assert np.abs(K_constants).max() <= 1e-9 * np.abs(torus_csr(K).data).max()
@@ -156,9 +157,10 @@ def test_periodic_solve_matches_projected_matvec(name, params):
     g = TorusGrid(d, SIZES[d])
     rng = np.random.Generator(np.random.PCG64(12))
     A, self_adjoint = elliptic_cell_problem(name, params, g, rng)
-    K = assemble_torus(A, g)
+    K = assemble_torus(coefficient_blocks(A), g)
     op = lambda u: (K @ u.ravel()).reshape(u.shape)   # noqa: E731
-    kw = dict(tol=1e-10, precond_scale=precond_scale(A, g), self_adjoint=self_adjoint)
+    kw = dict(tol=1e-10, precond_scale=precond_scale(coefficient_blocks(A), g),
+              self_adjoint=self_adjoint)
     rhs = rng.standard_normal(g.shape + (A.shape[-1],))
     got, res = solve_periodic(op, rhs, g, **kw)
     want, want_res = projected_solve(op, rhs, g, **kw)
@@ -239,9 +241,9 @@ def test_periodic_solve_matches_float64_preconditioner(monkeypatch, name, params
     A, self_adjoint = elliptic_cell_problem(name, {k: v for k, v in params.items() if k != "n"},
                                             g, np.random.Generator(np.random.PCG64(12)))
     rng = np.random.Generator(np.random.PCG64(14))
-    K = assemble_torus(A, g)
+    K = assemble_torus(coefficient_blocks(A), g)
     op = lambda u: (K @ u.ravel()).reshape(u.shape)   # noqa: E731
-    scale = precond_scale(A, g)
+    scale = precond_scale(coefficient_blocks(A), g)
     kw = dict(tol=EQUIV_TOL, precond_scale=scale, self_adjoint=self_adjoint)
     rhs = rng.standard_normal(g.shape + (A.shape[-1],))
     applies = counted_krylov(monkeypatch)
@@ -272,7 +274,7 @@ def test_box_solve_matches_float64_preconditioner(monkeypatch, name, params):
     applies64 = counted_krylov(
         monkeypatch, lambda shape: box_precond_float64(shape, g, scale, s.lam))
     want = s.solve(rhs, EQUIV_TOL)
-    kappa = kappa_est(s.A, np.pi * np.arange(1, g.n) / g.n, g.h)
+    kappa = kappa_est(sample_arrays(s)[0], np.pi * np.arange(1, g.n) / g.n, g.h)
     assert_equivalent(got, want, kappa, applies, applies64)
 
 
@@ -325,7 +327,7 @@ def test_torus_product_matches_csr(d, n, m, full):
         A = rng.standard_normal(g.shape + (d, d, m, m))
     else:
         A = builtin_family("trig", d=d, m=m).A(g.points())
-    K, W = assemble_torus(A, g), torus_csr_array(A, g)
+    K, W = assemble_torus(coefficient_blocks(A), g), torus_csr_array(A, g)
     u = rng.standard_normal(K.shape[1])
     u[::7], u[1::7] = 0.0, -0.0
     zeros = np.copysign(0.0, rng.standard_normal(K.shape[1]))
@@ -384,7 +386,7 @@ def test_box_diagonals_store_no_indices():
     nonzero (none for trig, all three for a full tensor, one for a_12)."""
     trig = sample_coefficients(builtin_family("trig", d=3), BoxGrid(3, 8), 1 / 2, 1.0)
     full = box_samples("random", dict(d=3, m=1))
-    partial = replace(full, A=a12_only(full.A))
+    partial = replace(full, A=coefficient_blocks(a12_only(sample_arrays(full)[0])))
     for s, ndiag in ((trig, 7), (full, 19), (partial, 11)):
         g = s.grid
         K_ii, K_ib = s.matrices
@@ -402,7 +404,7 @@ def test_torus_rows_store_coupled_offsets_only():
     trig = builtin_family("trig", d=3).A(g.points())
     full = rng.standard_normal(g.shape + (3, 3, 2, 2))
     for A, pairs in ((trig, 0), (full, 3), (a12_only(full), 1)):
-        K = torus_csr(assemble_torus(A, g))
+        K = torus_csr(assemble_torus(coefficient_blocks(A), g))
         assert np.all(np.diff(K.indptr) == A.shape[-1] * (1 + 2 * 3 + 4 * pairs))
 
 

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from homogkit.bvp import CoefficientSamples
-from homogkit.grid import BoxGrid, TorusGrid, assemble_torus
-from oracles import scipy_boundary, scipy_interior, torus_csr
+from homogkit.grid import BoxGrid, TorusGrid, assemble_torus, coefficient_blocks
+from oracles import sample_arrays, scipy_boundary, scipy_interior, torus_csr
 
 from test_assembly import CASES, IDS, SIZES, box_samples, torus_coefficients
 
@@ -183,7 +183,7 @@ def partial_box_samples(entry, m, lam=0.7) -> CoefficientSamples:
     g = BoxGrid(3, SIZES[3])
     rng = np.random.Generator(np.random.PCG64(6))
     return CoefficientSamples(
-        grid=g, A=partial_tensor(g.shape, m, entry, rng),
+        grid=g, A=coefficient_blocks(partial_tensor(g.shape, m, entry, rng)),
         V=rng.standard_normal(g.shape + (3, m, m)),
         B=rng.standard_normal(g.shape + (3, m, m)),
         c=rng.standard_normal(g.shape + (m, m)), lam=lam, m=m, self_adjoint=False)
@@ -197,7 +197,7 @@ def check_box(s: CoefficientSamples):
     rng = np.random.Generator(np.random.PCG64(21))
     for t in (s, s.adjoint()):
         K_ii, K_ib = t.matrices
-        W_ii, W_ib = assemble_box_all(t.A, t.V, t.B, t.c, t.lam, t.grid)
+        W_ii, W_ib = assemble_box_all(*sample_arrays(t), t.lam, t.grid)
         u = rng.standard_normal(K_ii.shape[1])
         g = rng.standard_normal(K_ib.shape[1])
         assert same_bits(K_ii @ u, W_ii @ u)
@@ -208,7 +208,7 @@ def check_box(s: CoefficientSamples):
 
 def check_torus(A: np.ndarray, g: TorusGrid):
     rng = np.random.Generator(np.random.PCG64(22))
-    K, W = assemble_torus(A, g), assemble_torus_all(A, g)
+    K, W = assemble_torus(coefficient_blocks(A), g), assemble_torus_all(A, g)
     u = rng.standard_normal(K.shape[1])
     assert same_bits(K @ u, W @ u)
     assert np.array_equal(torus_csr(K).toarray(), W.toarray())

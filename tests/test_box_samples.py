@@ -128,3 +128,48 @@ def test_box_operator_matches_full_tensor_assembly(monkeypatch, case, planes):
     assert_same_matrices(adj.matrices, assemble_box_full(
         At, transpose_m(B), transpose_m(V), transpose_m(c), LAM, grid))
     assert precond_scale(adj.A, grid) == precond_scale_full(At, grid)
+
+
+def test_box_sample_and_assembly_memory():
+    """Sampling and assembling the 3D scalar trig box of n = 64 holds the
+    blocks the stencil reads, the operator and one slab's evaluation, and
+    never calls V, B or c of a set without lower-order terms.
+
+    The bound on the traced peak, in float64 words, with P = 65^3 points,
+    N = 63^3 interior points and s the points of one slab (7 planes of
+    65^2), d = 3 and m = 1:
+
+    - the diagonal blocks a_ii: d P;
+    - K_ii, one diagonal per offset of the 7-point stencil: 7 N;
+    - the stencil's row-sized arrays alive at once (the centre block, the
+      two blocks of one axis and one temporary): 4 N;
+    - the boundary numbering, masks and neighbour indices (int32 and bool):
+      P + N;
+    - K_ib, 6 (n - 1)^2 boundary couplings, each a row, a column, a value
+      and a sort index, held twice while sorted: 48 (n - 1)^2;
+    - one slab's evaluation: its points (d), the full tensor A (d^2 m^2) and
+      16 words a point for the family's temporaries: s (d + d^2 + 16).
+
+    The terms of sampling and assembly are added, although the two phases
+    do not overlap.  A sample of the full tensor with V, B and c held 16 P
+    words before the assembly began."""
+    import tracemalloc
+
+    cs = builtin_family("trig", d=3)
+    called = []
+    for name in ("V", "B", "c"):
+        setattr(cs, name, lambda y, name=name: called.append(name))
+    grid = BoxGrid(3, 64)
+    n, d = grid.n, grid.d
+    P, N = (n + 1) ** 3, (n - 1) ** 3
+    s = (bvp._SLAB_POINTS // (n + 1) ** 2) * (n + 1) ** 2
+    bound = 8 * (d * P + 7 * N + 4 * N + P + N + 48 * (n - 1) ** 2 + s * (d + d * d + 16))
+    tracemalloc.start()
+    try:
+        samples = sample_coefficients(cs, grid, 1 / 4, 0.0)
+        samples.matrices
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert called == []
+    assert peak < bound, (peak, bound)

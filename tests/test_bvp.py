@@ -10,8 +10,9 @@ from homogkit.bvp import (CoefficientSamples, DirichletProblem, ProblemError,
                           default_lambda, estimate_lambda0, pullback,
                           sample_coefficients, solve)
 from homogkit.coefficients import builtin_family
-from homogkit.grid import BoxGrid, precond_scale
+from homogkit.grid import BoxGrid, coefficient_blocks, precond_scale
 from homogkit.solvers import solve_box_dirichlet
+from oracles import sample_arrays
 
 
 class TestLambdaBookkeeping:
@@ -201,8 +202,7 @@ class TestSymmetryCheck:
         assert cs.self_adjoint is want
         for n, eps in cls.SIZES:
             samples = sample_coefficients(cs, BoxGrid(cs.d, n), eps, 1.0)
-            assert _full_array_rule(samples.A, samples.V, samples.B,
-                                    samples.c) is want, (cs.name, n, eps)
+            assert _full_array_rule(*sample_arrays(samples)) is want, (cs.name, n, eps)
             assert samples.is_symmetric is want, (cs.name, n, eps)
             assert samples.adjoint().is_symmetric is want, (cs.name, n, eps)
         return want
@@ -407,8 +407,8 @@ def _oracle_samples(cs, grid, eps, lam, principal_only=False):
 
 def _oracle_samples_of(grid, A, V, B, c, lam, m):
     """Samples of the given arrays, self-adjoint by the full-array rule."""
-    return CoefficientSamples(grid=grid, A=A, V=V, B=B, c=c, lam=float(lam), m=m,
-                              self_adjoint=_full_array_rule(A, V, B, c))
+    return CoefficientSamples(grid=grid, A=coefficient_blocks(A), V=V, B=B, c=c,
+                              lam=float(lam), m=m, self_adjoint=_full_array_rule(A, V, B, c))
 
 
 def _oracle_solve(samples, m, F, g_vals, tol):
@@ -478,8 +478,8 @@ class TestOperatorEquivalence:
                  _oracle_homogenized_samples(hats, grid, lam, cs.m)),
                 (_principal_samples(cs, grid, 1 / 4),
                  _oracle_samples(cs, grid, 1 / 4, 0.0, principal_only=True))):
-            for field in ("A", "V", "B", "c"):
-                assert _same_bits(getattr(got, field), getattr(want, field)), field
+            for field, g, w in zip("AVBc", sample_arrays(got), sample_arrays(want)):
+                assert _same_bits(g, w), field
             assert got.lam == want.lam and got.m == want.m and got.grid == want.grid
 
     def test_homogenized_set_keeps_lambda_threshold(self):

@@ -5,7 +5,8 @@ import pytest
 
 from homogkit.cell import _source_k, build_flux_correctors, homogenize, solve_correctors
 from homogkit.coefficients import CoefficientSet, builtin_family
-from homogkit.grid import GridFunction, TorusGrid, assemble_torus, divergence, precond_scale
+from homogkit.grid import (GridFunction, TorusGrid, assemble_torus, coefficient_blocks,
+                           divergence, precond_scale)
 from homogkit.solvers import solve_periodic
 from oracles import divergence_centered as oracle_divergence
 
@@ -76,12 +77,12 @@ class TestCorrectors:
         cor = solve_correctors(cs, g, tol=tol)
         y = g.points()
         A, V = cs.A(y), cs.V(y)
-        K = assemble_torus(A, g)
+        K = assemble_torus(coefficient_blocks(A), g)
 
         def op(u):
             return (K @ u.ravel()).reshape(u.shape)
 
-        kw = {"tol": tol, "precond_scale": precond_scale(A, g),
+        kw = {"tol": tol, "precond_scale": precond_scale(coefficient_blocks(A), g),
               "self_adjoint": replace(cs, V=None, B=None, c=None).self_adjoint}
         residuals = {}
         for k, got in enumerate([cor.chi0, *cor.chi]):

@@ -529,14 +529,16 @@ def test_precond_scale_matches_block_copies(family, params, d, n):
     # coefficients and their adjoint (a strided view)
     from homogkit.bvp import sample_coefficients
     from homogkit.coefficients import transpose_a
+    from homogkit.grid import coefficient_blocks
 
     g = BoxGrid(d, n)
-    A = sample_coefficients(builtin_family(family, d=d, **params), g, 0.25, 0.0).A
+    A = oracles.sample_arrays(
+        sample_coefficients(builtin_family(family, d=d, **params), g, 0.25, 0.0))[0]
     for a in (A, transpose_a(A)):
         m = a.shape[-1]
         want = sum(sum(float(grid_mod._coef_block(a, d, i, i)[..., b, b].mean())
                        for b in range(m)) / m for i in range(d)) / d
-        assert precond_scale(a, g) == want
+        assert precond_scale(coefficient_blocks(a), g) == want
 
 
 def _loop_write_csv(u: GridFunction, path) -> None:
