@@ -190,7 +190,7 @@ class DirichletProblem:
 def pullback(grid: BoxGrid, eps: float, planes: slice = slice(None)) -> np.ndarray:
     """The cell coordinates y = x/eps mod 1 of the box lattice points in the
     lattice planes ``planes`` of the first axis (all of them by default),
-    shaped (*planes, d).  Each axis is pulled back once and broadcast.  The
+    shaped (planes, n + 1, ..., d).  Each axis is pulled back once and broadcast.  The
     points are >= 0, so subtracting the floor is exact and equals ``np.mod``
     bit for bit."""
     t = grid.axis() / eps
@@ -241,7 +241,7 @@ def sample_coefficients(cs: CoefficientSet, grid: BoxGrid, eps: float,
             if key not in cross:
                 cross[key] = np.zeros(shape + (m, m))
             cross[key][planes] = part
-        del a
+        del a   # the slab's full tensor goes before V, B and c are evaluated
         for whole, f in zip(lower or (), (cs.V, cs.B, cs.c)):
             whole[planes] = f(y)
     V, B, c = lower or (None, None, None)

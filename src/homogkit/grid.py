@@ -310,11 +310,6 @@ class PrincipalBlocks:
     diag: tuple[np.ndarray, ...]
     cross: dict[tuple[int, int], np.ndarray]
 
-    def map(self, f) -> "PrincipalBlocks":
-        """``f`` applied to every block."""
-        return PrincipalBlocks(tuple(map(f, self.diag)),
-                               {key: f(b) for key, b in self.cross.items()})
-
     def transposed(self) -> "PrincipalBlocks":
         """The blocks of a_ij^{ab} -> a_ji^{ba} (the principal part of the
         adjoint), as views."""
@@ -392,9 +387,8 @@ def _flux_stencil(A: PrincipalBlocks, V, B, c, lam: float, h: float, rows: int):
     row (x, a).  The entries are those of ``principal_part_apply`` plus,
     unless ``V``, ``B``, ``c`` are None (all three or none), the centered
     lower-order terms -D(V u) + B Du + (c + lam) u.  Without them an entry
-    that couples two components through a zero a_ii^{ab} is -0.0 where the
-    added zero terms made it +0.0; no product sees the sign, as every one
-    adds into zeros.
+    that couples two components through a zero a_ii^{ab} is -0.0; every
+    product adds into zeros, so the sign never reaches a result.
     """
     d, m = len(A.diag), A.diag[0].shape[-1]
     h2 = h * h
@@ -596,8 +590,8 @@ def assemble_torus(A: PrincipalBlocks, grid: TorusGrid) -> TorusStencil:
     d, n, m = grid.d, grid.n, A.diag[0].shape[-1]
     offsets = _stencil_offsets(d, _cross_pairs(A))
     slot = {s: k for k, s in enumerate(offsets)}
-    wrap = [(1, 1)] * d + [(0, 0)] * 2
-    A = A.map(lambda b: np.pad(b, wrap, mode="wrap"))
+    pad = functools.partial(np.pad, pad_width=[(1, 1)] * d + [(0, 0)] * 2, mode="wrap")
+    A = PrincipalBlocks(tuple(map(pad, A.diag)), {k: pad(b) for k, b in A.cross.items()})
     blocks = np.zeros((m, len(offsets), m) + (n + 2,) * d)
     inner = (slice(1, -1),) * d
     for s, blk in _flux_stencil(A, None, None, None, 0.0, grid.h, n):

@@ -91,6 +91,21 @@ class TestAdjoint:
         assert np.allclose(cs.B(y), cs2.B(y))
         assert np.allclose(cs.c(y), cs2.c(y))
 
+    @pytest.mark.parametrize("name,params,lower", [
+        ("trig", {}, False), ("trig", {"lower": 0.4}, True), ("constant", {}, False),
+        ("constant", {"c0": 0.5}, True), ("oscillating-potential", {}, True),
+        ("nonsymmetric-system", {}, False)])
+    def test_lower_order_flag_survives(self, name, params, lower):
+        # recorded at construction: the adjoint keeps it, the principal part
+        # drops it, and rebinding a callable on the instance leaves it
+        cs = builtin_family(name, **params)
+        assert cs.lower_order is lower
+        assert cs.adjoint().lower_order is lower
+        assert cs.adjoint().adjoint().lower_order is lower
+        assert cs.principal_part.lower_order is False
+        cs.V = lambda y: np.zeros(y.shape[:-1] + (cs.d, cs.m, cs.m))
+        assert cs.lower_order is lower
+
     def test_swaps_drift_terms(self):
         cs = builtin_family("trig", d=2, alpha=2.0, beta=0.5, lower=0.4)
         adj = cs.adjoint()
