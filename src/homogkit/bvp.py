@@ -190,9 +190,9 @@ class DirichletProblem:
 def pullback(grid: BoxGrid, eps: float, planes: slice = slice(None)) -> np.ndarray:
     """The cell coordinates y = x/eps mod 1 of the box lattice points in the
     lattice planes ``planes`` of the first axis (all of them by default),
-    shaped (planes, n + 1, ..., d).  Each axis is pulled back once and broadcast.  The
-    points are >= 0, so subtracting the floor is exact and equals ``np.mod``
-    bit for bit."""
+    shaped (planes, n + 1, ..., d).  Each axis is pulled back once and
+    broadcast.  The points are >= 0, so subtracting the floor is exact and
+    equals ``np.mod`` bit for bit."""
     t = grid.axis() / eps
     t -= np.floor(t)
     d = grid.d

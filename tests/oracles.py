@@ -219,7 +219,8 @@ def sample_arrays(s):
     for (i, j), b in blocks.cross.items():
         A[..., i, j, :, :] = b
     if s.V is None:
-        return A, np.zeros(shape + (d, m, m)), np.zeros(shape + (d, m, m)), np.zeros(shape + (m, m))
+        zero = np.zeros(shape + (d, m, m))
+        return A, zero, zero.copy(), np.zeros(shape + (m, m))
     return A, s.V, s.B, s.c
 
 
