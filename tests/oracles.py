@@ -36,9 +36,8 @@ from scipy import sparse
 
 from homogkit.bvp import sample_coefficients
 from homogkit.coefficients import CoefficientError, CoefficientSet, ellipticity_margin
-from homogkit.grid import (BoxGrid, Diagonals, GridError, TorusGrid, Triplets,
-                           _centered_box, _centered_periodic, _coef_block,
-                           _component_matvec, _shifted, _stencil_offsets)
+from homogkit.grid import (BoxGrid, GridError, TorusGrid, _centered_box, _centered_periodic,
+                           _coef_block, _component_matvec, _shifted, _stencil_offsets)
 from homogkit.green import GreenError, GreenSample, point_boundary_distance
 from homogkit.rates import ConvergenceReport
 
@@ -164,9 +163,13 @@ def flux_stencil_full(A, V, B, c, lam: float, h: float, rows: int,
 
 def assemble_box_full(A: np.ndarray, V: np.ndarray, B: np.ndarray, c: np.ndarray,
                       lam: float, grid: BoxGrid):
-    """(K_ii, K_ib) of ``grid.assemble_box`` from coefficients sampled on all
-    of ``grid`` with trailing axes (d, d, m, m), (d, m, m), (d, m, m), (m, m),
-    as it assembled them from the full arrays."""
+    """(K_ii, K_ib) of the box operator as the split assembly built them from
+    coefficients sampled on all of ``grid`` with trailing axes (d, d, m, m),
+    (d, m, m), (d, m, m), (m, m): K_ii as the ``dia_array`` of the stencil's
+    diagonals (entries whose neighbour is a boundary point zeroed), K_ib as
+    the ``csr_array`` coupling interior rows to the boundary values ordered
+    as ``boundary_indices``.  Their products add each row's terms in column
+    order."""
     d, n, m = grid.d, grid.n, A.shape[-1]
     npts = (n - 1) ** d
     strides = [(n - 1) ** (d - 1 - k) for k in range(d)]
@@ -202,9 +205,12 @@ def assemble_box_full(A: np.ndarray, V: np.ndarray, B: np.ndarray, c: np.ndarray
             for b in range(m):
                 dst = data[row_of[off * m + b - a]].reshape(npts, m)[:, b]
                 dst[lo + off:hi + off] = blk[lo:hi, a, b]
-    K_ib = Triplets(np.concatenate(ib_rows), np.concatenate(ib_cols),
-                    np.concatenate(ib_vals), (npts * m, nb * m))
-    return Diagonals(data, diagonals), K_ib
+    K_ii = sparse.dia_array((data, diagonals), shape=(npts * m, npts * m))
+    # csr_array sorts each row's triplets by column
+    K_ib = sparse.csr_array((np.concatenate(ib_vals),
+                             (np.concatenate(ib_rows), np.concatenate(ib_cols))),
+                            shape=(npts * m, nb * m))
+    return K_ii, K_ib
 
 
 def sample_arrays(s):

@@ -1,43 +1,44 @@
-"""The box operator's products against scipy's sparse products on the same
-stored arrays, bit for bit, signs of zeros included: K_ii @ x against
-``scipy.sparse.dia_array((data, offsets))`` and K_ib @ u_b against a
-``csr_array`` built from the (row, column, value) triplets
-(``oracles.scipy_interior``, ``oracles.scipy_boundary``)."""
+"""The box operator's products against the split assembly held as scipy
+arrays (``oracles.assemble_box_full``), bit for bit, signs of zeros
+included: ``apply_interior`` against K_ii as a ``dia_array`` and ``lift``
+against K_ib as a ``csr_array`` on the boundary values."""
 
 import numpy as np
 import pytest
 
 from homogkit.bvp import CoefficientSamples
 from homogkit.grid import _ROW_BLOCK
-from oracles import scipy_boundary, scipy_interior
+from oracles import assemble_box_full, sample_arrays
 
 from test_assembly import CASES, IDS, box_samples
 from test_assembly_offsets import PARTIAL_CASES, PARTIAL_IDS, partial_box_samples, same_bits
 
 
-def draw(rng, size: int) -> np.ndarray:
+def draw(rng, shape) -> np.ndarray:
     """Standard normal values with some exact +0.0 and -0.0 among them."""
-    x = rng.standard_normal(size)
+    x = rng.standard_normal(shape).ravel()
     x[::7] = 0.0
     x[3::11] = -0.0
-    return x
+    return x.reshape(shape)
 
 
 def check_products(s: CoefficientSamples):
     rng = np.random.Generator(np.random.PCG64(23))
+    g = s.grid
+    inner, bmask = (g.n - 1,) * g.d + (s.m,), g.boundary_mask()
     for t in (s, s.adjoint()):
-        K_ii, K_ib = t.matrices
-        dia, csr = scipy_interior(K_ii), scipy_boundary(K_ib)
-        # stored in CSR order: by row, then by column within the row
-        assert np.array_equal(np.lexsort((K_ib.cols, K_ib.rows)), np.arange(K_ib.rows.size))
+        K_ii, K_ib = assemble_box_full(*sample_arrays(t), t.lam, g)
         for _ in range(2):
-            x = draw(rng, K_ii.shape[1])
-            assert same_bits(K_ii @ x, dia @ x)
-            ub = draw(rng, K_ib.shape[1])
-            assert same_bits(K_ib @ ub, csr @ ub)
+            x = draw(rng, inner)
+            assert same_bits(t.apply_interior(x).ravel(), K_ii @ x.ravel())
+            # the lifting reads the boundary values of a full field only
+            u = draw(rng, g.shape + (s.m,))
+            assert same_bits(t.lift(u).ravel(), K_ib @ u[bmask].ravel())
         # rows without boundary neighbours and zero data give +0.0, as in scipy
-        zero = -np.zeros(K_ib.shape[1])
-        assert same_bits(K_ib @ zero, csr @ zero)
+        zero = -np.zeros(g.shape + (s.m,))
+        assert same_bits(t.lift(zero).ravel(), K_ib @ zero[bmask].ravel())
+        assert same_bits(t.apply_interior(zero[g.interior]).ravel(),
+                         K_ii @ zero[g.interior].ravel())
 
 
 @pytest.mark.parametrize("n", [None, 13], ids=["sizes", "n13"])
@@ -51,8 +52,8 @@ def test_partially_coupled_box_products_match_scipy(entry, m):
     check_products(partial_box_samples(entry, m))
 
 
-# grids with more rows than one block of the K_ii product, so that its
-# block seams are crossed: 199^2, 129^2 x 2 and 33^3 x 1 rows
+# grids with more rows than one block of the box product, so that its block
+# seams are crossed: 199^2, 129^2 x 2 and 33^3 x 1 rows
 LARGE = [("trig", dict(d=2), 200), ("nonsymmetric-system", dict(d=2, delta=0.3), 130),
          ("random", dict(d=3, m=1), 34)]
 
@@ -60,5 +61,5 @@ LARGE = [("trig", dict(d=2), 200), ("nonsymmetric-system", dict(d=2, delta=0.3),
 @pytest.mark.parametrize("name,params,n", LARGE, ids=[f"{c[0]}-d{c[1]['d']}" for c in LARGE])
 def test_box_products_match_scipy_across_row_blocks(name, params, n):
     s = box_samples(name, params, n=n)
-    assert s.matrices[0].shape[0] > _ROW_BLOCK
+    assert s.m * (n - 1) ** s.grid.d > _ROW_BLOCK
     check_products(s)

@@ -105,9 +105,9 @@ def assert_same_matrices(got, want):
     assert np.array_equal(K_ii.offsets, W_ii.offsets)
     assert np.array_equal(K_ii.data, W_ii.data, equal_nan=True)
     assert K_ii.shape == W_ii.shape and K_ib.shape == W_ib.shape
-    assert np.array_equal(K_ib.rows, W_ib.rows)
-    assert np.array_equal(K_ib.cols, W_ib.cols)
-    assert np.array_equal(K_ib.vals, W_ib.vals, equal_nan=True)
+    assert np.array_equal(K_ib.rows, np.repeat(np.arange(W_ib.shape[0]), np.diff(W_ib.indptr)))
+    assert np.array_equal(K_ib.cols, W_ib.indices)
+    assert np.array_equal(K_ib.vals, W_ib.data, equal_nan=True)
 
 
 @pytest.mark.parametrize("planes", [None, 1, 4], ids=["default", "one-plane", "four-planes"])

@@ -43,6 +43,17 @@ class TestDistanceFields:
                 assert np.array_equal(got_r, r) and np.array_equal(got_adm, adm)
                 assert np.array_equal(_ball_mask(g, y, rho), r <= rho + 1e-12)
 
+    def test_shell_starts_four_spacings_out(self):
+        """With a small rho only the grid-scale bound r >= 4h cuts the shell
+        near y: a point 3h away on an axis is out, one 5h away is in."""
+        g = BoxGrid(3, 48)
+        c = g.n // 2
+        _, adm = decay_shell(g, np.full(3, c * g.h), 0.1 * g.h)
+        for ax in range(3):
+            near, far = [c] * 3, [c] * 3
+            near[ax], far[ax] = c + 3, c - 5
+            assert not adm[tuple(near)] and adm[tuple(far)]
+
 
 class TestGuards:
     def test_boundary_source_rejected(self):
