@@ -29,8 +29,8 @@ from functools import cached_property
 import numpy as np
 
 from .coefficients import CoefficientSet, transpose_m
-from .grid import (BoxGrid, GridFunction, PrincipalBlocks, assemble_box, coefficient_blocks,
-                   divergence, precond_scale)
+from .grid import (BoxGrid, GridFunction, PrincipalBlocks, Stencil, assemble,
+                   coefficient_blocks, divergence, precond_scale)
 from .solvers import solve_box_dirichlet
 
 
@@ -85,7 +85,11 @@ def check_lambda(cs: CoefficientSet, lam: float | None, override: bool = False) 
 class CoefficientSamples:
     """Coefficients frozen on a box grid at x/eps, as the blocks the flux
     stencil reads; V, B and c are all None for a set without lower-order
-    terms."""
+    terms.  ``stencil`` assembles the operator from them once
+    (``grid.assemble``), on the box lattice with the boundary layer as its
+    padding: ``apply_interior`` is its product with zero boundary values
+    (K_ii), ``lift`` its product with a field's boundary values alone
+    (K_ib)."""
 
     grid: BoxGrid
     A: PrincipalBlocks       # blocks (*shape, m, m)
@@ -103,20 +107,18 @@ class CoefficientSamples:
         return replace(self, A=self.A.transposed(), **lower)
 
     @cached_property
-    def matrices(self):
-        """(K_ii, K_ib) of ``grid.assemble_box``, assembled on first use."""
-        return assemble_box(self.A, self.V, self.B, self.c, self.lam, self.grid)
+    def stencil(self) -> Stencil:
+        """The operator of ``grid.assemble``, assembled on first use."""
+        return assemble(self.A, self.grid, self.V, self.B, self.c, self.lam)
 
     def apply_interior(self, u_int: np.ndarray) -> np.ndarray:
         """K_ii u for interior values (*(n-1,)*d, m), zero boundary values."""
-        return (self.matrices[0] @ u_int.ravel()).reshape(u_int.shape)
+        return (self.stencil @ u_int.ravel()).reshape(u_int.shape)
 
     def lift(self, u: np.ndarray) -> np.ndarray:
         """K_ib u_b: the interior rows of L applied to the boundary values of
         the full field ``u`` (*shape, m); its interior values are not read."""
-        g = self.grid
-        ub = u[g.boundary_mask()]
-        return (self.matrices[1] @ ub.ravel()).reshape((g.n - 1,) * g.d + (self.m,))
+        return self.stencil.lift(u)
 
     def apply_full(self, u: np.ndarray) -> np.ndarray:
         """Operator action on a full-grid field (*shape, m): the interior rows
@@ -139,8 +141,8 @@ class CoefficientSamples:
         preconditioner scale of a box solve are chosen here and nowhere
         else; the Krylov method follows ``self_adjoint``."""
         scale = precond_scale(self.A, self.grid)
-        # K_ii exists before the Krylov work vectors are allocated (peak memory)
-        self.matrices
+        # the stencil exists before the Krylov work vectors are allocated (peak memory)
+        self.stencil
         return solve_box_dirichlet(self.apply_interior, rhs_int, self.grid,
                                    lam=self.lam, tol=tol, precond_scale=scale,
                                    self_adjoint=self.is_symmetric)

@@ -22,8 +22,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .coefficients import CoefficientSet, ellipticity_margin
-from .grid import (Grid, GridFunction, TorusGrid, _centered_periodic, _coef_block,
-                   assemble_torus, coefficient_blocks, divergence, gradient, precond_scale)
+from .grid import (Grid, GridFunction, TorusGrid, _centered_periodic, _coef_block, assemble,
+                   coefficient_blocks, divergence, gradient, precond_scale)
 from .solvers import _mean_zero, poisson_periodic, solve_periodic
 
 MEAN_TOL = 1e-10
@@ -132,7 +132,7 @@ def solve_correctors(cs: CoefficientSet, grid: TorusGrid, tol: float = 1e-10) ->
     y = grid.points()
     A, V = cs.A(y), cs.V(y)
     blocks = coefficient_blocks(A)
-    K = assemble_torus(blocks, grid)
+    K = assemble(blocks, grid)
 
     def op(u):
         return (K @ u.ravel()).reshape(u.shape)

@@ -12,17 +12,19 @@ trailing component axes.
 
 All difference operators are second order.  The divergence-form operator is
 discretized in flux-conservative form so that discrete summation by parts
-holds exactly.  Solvers use it assembled once (``assemble_torus``,
-``assemble_box``); ``principal_part_apply`` evaluates the same stencil from
-the coefficient arrays and serves as the reference the assembled operators
-are tested against.  The assemblers read A as ``PrincipalBlocks``, the
-blocks a_ij (*grid shape, m, m) the stencil uses: cut from a full tensor by
+holds exactly.  Solvers use it assembled once, by ``assemble``;
+``principal_part_apply`` evaluates the same stencil from the coefficient
+arrays and serves as the reference the assembled operators are tested
+against.  ``assemble`` reads A as ``PrincipalBlocks``, the blocks a_ij
+(*grid shape, m, m) the stencil uses: cut from a full tensor by
 ``coefficient_blocks`` on the torus, sampled block by block on a box
-(``bvp.sample_coefficients``).  Both assembled operators are held in numpy
-arrays and applied with numpy, so no operator needs ``scipy.sparse``: the
-torus operator as one block of entries per stencil offset and component
-(``TorusStencil``), the box operator by diagonals (``Diagonals``) with its
-boundary coupling as ``Triplets``.
+(``bvp.sample_coefficients``).  On either grid it stores the operator as
+one block of entries per component and stencil offset on the lattice
+padded by one layer (``Stencil``), and applies it with numpy, so no
+operator needs ``scipy.sparse``.  The torus wraps the padding layer; a
+box's padding layer is its boundary, so one stencil gives both the
+interior block K_ii (zero boundary values) and the boundary coupling K_ib
+(``Stencil.lift``).
 """
 
 from __future__ import annotations
@@ -270,8 +272,8 @@ def principal_part_apply(A: np.ndarray, u: np.ndarray, grid: Grid) -> np.ndarray
     interior rows of the result are meaningful; wrap-around touches boundary
     rows only.
 
-    This is the reference evaluation of the stencil that ``assemble_torus``
-    and ``assemble_box`` store as a matrix.
+    This is the reference evaluation of the stencil that ``assemble``
+    stores.
     """
     d = grid.d
     h = grid.h
@@ -388,7 +390,8 @@ def _flux_stencil(A: PrincipalBlocks, V, B, c, lam: float, h: float, rows: int):
     unless ``V``, ``B``, ``c`` are None (all three or none), the centered
     lower-order terms -D(V u) + B Du + (c + lam) u.  Without them an entry
     that couples two components through a zero a_ii^{ab} is -0.0; every
-    product adds into zeros, so the sign never reaches a result.
+    product ends by adding 0.0 (``Stencil``), so the sign never reaches a
+    result.
     """
     d, m = len(A.diag), A.diag[0].shape[-1]
     h2 = h * h
@@ -450,209 +453,153 @@ def _flux_stencil(A: PrincipalBlocks, V, B, c, lam: float, h: float, rows: int):
     yield zero, diag
 
 
-# Rows of a ``Diagonals`` product handled at once: the block of the result
+# Unknowns of a stencil product handled at once: the block of the result
 # and the product temporary (256 KiB each) stay in cache while the stored
-# diagonals stream through.
+# entries stream through.
 _ROW_BLOCK = 1 << 15
 
 
-class Diagonals:
-    """A square matrix stored by diagonals in scipy's DIA layout:
-    ``data[k, j]`` is the entry in column j of row j - offsets[k]; entries
-    whose row lies outside the matrix are never read.
+class Stencil:
+    """An operator on a lattice as one block of entries per (component b,
+    stencil offset k): ``blocks[b, k, a]`` holds, on the lattice padded by
+    one layer per axis, the entry coupling u^b(x + offsets[k]) into row
+    (x, a) at every lattice point x, and zero on the padding layer.
 
-    ``K @ x`` adds the products of the diagonals, in stored order, into a
-    zeroed vector, one block of ``_ROW_BLOCK`` rows at a time; the slices
-    of each diagonal are cut once, here.  Every entry of the result is thus
-    the sum 0 + p_1 + p_2 + ... of its row's products in the order
-    ``scipy.sparse.dia_array((data, offsets)) @ x`` adds them, so the two
-    agree bit for bit, the sign of a zero included.
+    ``K @ x`` copies x, one component at a time, into a padded array and
+    fills its padding layer by ``wraps``, (padding face, lattice face)
+    index pairs copied in order: the torus's wrap.  A box has none, so
+    there the padding layer is its boundary layer, zero for ``@`` (K_ii)
+    and the boundary values of a field for ``lift`` (K_ib).  In that layout
+    the neighbours x + s of all lattice points are one contiguous slice,
+    moved by the flat offset of s, so the product is one multiply and one
+    add per step (b, k), over the flat range from the first to the last
+    lattice point; the padding points inside it are computed and dropped.
+    The range is cut into blocks of whole planes of the first axis, about
+    ``_ROW_BLOCK`` unknowns each, and each block runs every step and writes
+    out its lattice rows before the next begins.
+
+    The steps run in ``order``, a list of (b, k), starting from the first
+    product, and 0.0 is added last, as the rows are written out with the
+    components fastest.  Each entry is thus (((p_1 + p_2) + ...) + 0.0).
+    Its partial sums differ from those of 0 + p_1 + p_2 + ... only by a
+    zero's sign, which the last addition clears, so the product agrees bit
+    for bit with that of a ``scipy.sparse.csr_array`` holding each row's
+    entries in ``order``, the sign of a zero included.  On the torus a NaN
+    or an infinity in x reaches the same entries as there.  On a box, a
+    finite entry times the zero padding is a signed zero, which changes no
+    sum.
+
+    The padded x, the block of the result and the product temporary are
+    kept from one call to the next; the vector a product returns is fresh.
     """
 
-    def __init__(self, data: np.ndarray, offsets: list[int]):
-        n = data.shape[1]
-        self.data, self.offsets, self.shape = data, np.array(offsets), (n, n)
-        self._steps = []   # (diagonal slice, its columns, its rows)
-        for r0 in range(0, n, _ROW_BLOCK):
-            r1 = min(n, r0 + _ROW_BLOCK)
-            for k, off in enumerate(offsets):
-                lo, hi = max(r0, -off), min(r1, n - off)
-                if lo < hi:
-                    self._steps.append((data[k, lo + off:hi + off],
-                                        slice(lo + off, hi + off), slice(lo, hi)))
-
-    def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        y = np.zeros(self.shape[0])
-        tmp = np.empty(min(self.shape[0], _ROW_BLOCK))
-        for diag, cols, rows in self._steps:
-            t = tmp[:diag.size]
-            np.multiply(diag, x[cols], t)
-            yr = y[rows]
-            np.add(yr, t, yr)
-        return y
-
-
-class Triplets:
-    """A sparse matrix as (row, column, value) triplets in CSR order: sorted
-    once by row, then by column within the row.
-
-    ``K @ x`` sums the products of each row with ``np.bincount``, which adds
-    them in stored order into a zeroed vector: the order in which
-    ``scipy.sparse.csr_array`` adds them, so the two agree bit for bit.
-    """
-
-    def __init__(self, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray,
-                 shape: tuple[int, int]):
-        order = np.lexsort((cols, rows))
-        self.rows = rows[order].astype(np.intp, copy=False)
-        self.cols = cols[order].astype(np.intp, copy=False)
-        self.vals, self.shape = vals[order], shape
-
-    def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        return np.bincount(self.rows, weights=self.vals * x[self.cols],
-                           minlength=self.shape[0])
-
-
-class TorusStencil:
-    """The torus operator as one block of entries per (component b, stencil
-    offset k): ``blocks[b, k, a]`` holds, on the lattice padded by one layer
-    per axis ((n + 2)^d points), the entry coupling u^b(x + offsets[k]) into
-    row (x, a) at every grid point x, and zero on the padding layer.
-
-    ``K @ x`` copies x, one component at a time, into a padded array whose
-    padding layer wraps the opposite faces.  In that layout the neighbours
-    x + s of all grid points are one contiguous slice, moved by the flat
-    offset of s, so the product is one multiply and one add per (b, k),
-    over the flat range from the first to the last grid point (the padding
-    points inside it are computed and dropped).  The products are added in
-    the order b first, then k, starting from the first, and 0.0 is added
-    last, as the rows are written out with the components fastest.  Each
-    entry is thus (((p_1 + p_2) + ...) + 0.0).  Its partial sums differ from
-    those of 0 + p_1 + p_2 + ... only by a zero's sign, which the last
-    addition clears, so the product agrees bit for bit with that of a
-    ``scipy.sparse.csr_array`` holding the same rows in this order, the sign
-    of a zero included, and a NaN or an infinity in x reaches the same
-    entries.
-
-    The product's work arrays are kept from one call to the next; the
-    vector it returns is fresh.
-    """
-
-    def __init__(self, blocks: np.ndarray, offsets: list[tuple[int, ...]]):
-        m, d, n = blocks.shape[0], blocks.ndim - 3, blocks.shape[-1] - 2
-        self.blocks, self.offsets = blocks, offsets
-        self.shape = (m * n ** d,) * 2
-        self._field = (n,) * d + (m,)
+    def __init__(self, blocks: np.ndarray, offsets: list[tuple[int, ...]],
+                 order: list[tuple[int, int]], wraps=()):
+        m, d, side = blocks.shape[0], blocks.ndim - 3, blocks.shape[-1]
+        self.blocks, self.offsets, self.order = blocks, offsets, order
+        self.shape = (m * (side - 2) ** d,) * 2
+        self._field = (side - 2,) * d + (m,)
         self._comp_first = (d,) + tuple(range(d))   # field axes, components first
-        padded = (m,) + (n + 2,) * d
-        strides = [(n + 2) ** (d - 1 - ax) for ax in range(d)]
-        lo = sum(strides)              # the flat index of the first grid point
-        hi = (n + 2) ** d - lo         # one past the last
-        self._x, y = np.empty(padded), np.empty(padded)
-        inner = (slice(None),) + (slice(1, -1),) * d
-        self._x_inner, self._y_inner = self._x[inner], y[inner]
-        self._wraps = []               # (padding face, the opposite grid face)
-        for ax in range(1, d + 1):
-            lead = (slice(None),) * ax
-            self._wraps += [(self._x[lead + (0,)], self._x[lead + (n,)]),
-                            (self._x[lead + (n + 1,)], self._x[lead + (1,)])]
-        flat = blocks.reshape(m, len(offsets), m, -1)
-        xf = self._x.reshape(m, -1)
-        self._y, self._t = y.reshape(m, -1)[:, lo:hi], np.empty((m, hi - lo))
-        shift = [sum(sk * st for sk, st in zip(s, strides)) for s in offsets]
-        self._steps = [(flat[b, k, :, lo:hi], xf[b, lo + off:hi + off])
-                       for b in range(m) for k, off in enumerate(shift)]
+        self._x = np.zeros((m,) + (side,) * d)
+        self._x_inner = self._x[(slice(None),) + (slice(1, -1),) * d]
+        self._wraps = [(self._x[face], self._x[src]) for face, src in wraps]
+        strides = [side ** (d - 1 - ax) for ax in range(d)]
+        self._shift = [sum(sk * st for sk, st in zip(s, strides)) for s in offsets]
+        lo = sum(strides)                   # the flat index of the first lattice point
+        hi = side ** d - lo                 # one past the last
+        plane, nplanes = strides[0], side - 2
+        nblocks = -(-nplanes * plane * m // _ROW_BLOCK)
+        per = -(-nplanes // nblocks)        # planes per block
+        y = np.empty((m, per) + (side,) * (d - 1))
+        t = np.empty((m, per * plane))
+        self._blocks = []   # (first plane, planes, flat range, y and t there, y's lattice rows)
+        for p in range(1, side - 1, per):
+            q = min(per, side - 1 - p)
+            r0, r1 = max(lo, p * plane), min(hi, (p + q) * plane)
+            window = slice(r0 - p * plane, r1 - p * plane)
+            self._blocks.append((p, q, r0, r1, y.reshape(m, -1)[:, window], t[:, :r1 - r0],
+                                 y[(slice(None), slice(q)) + (slice(1, -1),) * (d - 1)]))
+        self._steps = self._bind(self._x)
+
+    def _bind(self, x: np.ndarray) -> list:
+        """For every block, the steps of a product with the padded array
+        ``x``: (entries, x at the neighbours) in ``order``."""
+        m = x.shape[0]
+        entries = self.blocks.reshape(m, len(self.offsets), m, -1)
+        xf = x.reshape(m, -1)
+        return [[(entries[b, k, :, r0:r1], xf[b, r0 + self._shift[k]:r1 + self._shift[k]])
+                 for b, k in self.order] for _, _, r0, r1, *_ in self._blocks]
+
+    def _product(self, steps: list) -> np.ndarray:
+        out = np.empty(self._field)
+        by_comp = out.transpose(self._comp_first)
+        for (p, q, _, _, y, t, rows), ((blk, xs), *rest) in zip(self._blocks, steps):
+            np.multiply(blk, xs, out=y)
+            for blk, xs in rest:
+                np.multiply(blk, xs, out=t)
+                y += t
+            np.add(rows, 0.0, out=by_comp[:, p - 1:p - 1 + q])
+        return out
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         self._x_inner[...] = x.reshape(self._field).transpose(self._comp_first)
-        for face, opposite in self._wraps:
-            face[...] = opposite
-        y, t = self._y, self._t
-        (blk, xs), *rest = self._steps
-        np.multiply(blk, xs, out=y)
-        for blk, xs in rest:
-            np.multiply(blk, xs, out=t)
-            y += t
-        out = np.empty(self._field)
-        np.add(self._y_inner, 0.0, out=out.transpose(self._comp_first))
-        return out.reshape(-1)
+        for face, src in self._wraps:
+            face[...] = src
+        return self._product(self._steps).reshape(-1)
+
+    def lift(self, u: np.ndarray) -> np.ndarray:
+        """The product with zero at every lattice point and the padding
+        layer of ``u`` (*padded shape, m), whose lattice values are not read:
+        on a box, K_ib u_b.  Returns (*lattice shape, m)."""
+        x = np.zeros(self._x.shape)
+        for ax in range(1, x.ndim):
+            for i in (0, -1):
+                face = (slice(None),) * ax + (i,)
+                x[face] = np.moveaxis(u[face[1:]], -1, 0)
+        return self._product(self._bind(x))
 
 
-def assemble_torus(A: PrincipalBlocks, grid: TorusGrid) -> TorusStencil:
-    """-div(A grad .) on the torus (``principal_part_apply``) as a
-    ``TorusStencil``.
+def assemble(A: PrincipalBlocks, grid: Grid, V: np.ndarray | None = None,
+             B: np.ndarray | None = None, c: np.ndarray | None = None,
+             lam: float = 0.0) -> Stencil:
+    """-div(A grad u + V u) + B grad u + (c + lam) u on ``grid`` as a
+    ``Stencil``; V, B, c are all None (the default) for -div(A grad u) +
+    lam u (``principal_part_apply`` at lam = 0).
 
-    Unknowns are the points in C order with the m components fastest.  The
-    offsets are ``_stencil_offsets(d, _cross_pairs(A))``, and with n >= 4
-    no two of them reach the same point, so every row couples to exactly
-    m * (1 + 2d + 4 * len(_cross_pairs(A))) unknowns.
+    Unknowns are the lattice points in C order with the m components
+    fastest: every point of a torus, the interior points of a box.  On the
+    torus, A is given on the grid and wrapped into the padding layer.  On a
+    box, the blocks of A and V, B, c (trailing axes (d, m, m), (d, m, m),
+    (m, m)) are sampled on all of ``grid``, whose boundary layer is the
+    padding.  The offsets are ``_stencil_offsets(d, _cross_pairs(A))``, and
+    with n >= 4 no two of them reach the same point, so every row couples
+    to exactly m * (1 + 2d + 4 * len(_cross_pairs(A))) unknowns.  The steps
+    run b first, then k, on the torus (the order of the CSR array that once
+    held it), and on a box by (offset, b): the column order of every row,
+    in which the products of K_ii by diagonals and of K_ib by triplets
+    added their terms.
     """
-    d, n, m = grid.d, grid.n, A.diag[0].shape[-1]
+    d, m = grid.d, A.diag[0].shape[-1]
     offsets = _stencil_offsets(d, _cross_pairs(A))
+    order = [(b, k) for b in range(m) for k in range(len(offsets))]
+    wraps = []
+    if isinstance(grid, TorusGrid):
+        n = grid.n
+        pad = functools.partial(np.pad, pad_width=[(1, 1)] * d + [(0, 0)] * 2, mode="wrap")
+        A = PrincipalBlocks(tuple(map(pad, A.diag)), {k: pad(b) for k, b in A.cross.items()})
+        wraps = [((slice(None),) * ax + (i,), (slice(None),) * ax + (j,))
+                 for ax in range(1, d + 1) for i, j in ((0, n), (n + 1, 1))]
+    else:
+        # offsets in lexicographic order are in the order of their flat offsets
+        order.sort(key=lambda bk: (offsets[bk[1]], bk[0]))
+    padded = A.diag[0].shape[:-2]
+    blocks = np.zeros((m, len(offsets), m) + padded)
     slot = {s: k for k, s in enumerate(offsets)}
-    pad = functools.partial(np.pad, pad_width=[(1, 1)] * d + [(0, 0)] * 2, mode="wrap")
-    A = PrincipalBlocks(tuple(map(pad, A.diag)), {k: pad(b) for k, b in A.cross.items()})
-    blocks = np.zeros((m, len(offsets), m) + (n + 2,) * d)
     inner = (slice(1, -1),) * d
-    for s, blk in _flux_stencil(A, None, None, None, 0.0, grid.h, n):
-        # blk[..., a, b] is blocks[b, k, a] at the grid points
+    for s, blk in _flux_stencil(A, V, B, c, lam, grid.h, padded[0] - 2):
+        # blk[..., a, b] is blocks[b, k, a] at the lattice points
         blocks[(slice(None), slot[s], slice(None)) + inner] = np.moveaxis(blk, (-1, -2), (0, 1))
-    return TorusStencil(blocks, offsets)
-
-
-def assemble_box(A: PrincipalBlocks, V: np.ndarray | None, B: np.ndarray | None,
-                 c: np.ndarray | None, lam: float, grid: BoxGrid):
-    """The full operator on a box, split as (K_ii, K_ib).
-
-    Coefficients are sampled on all of ``grid``: the blocks of A, and V, B,
-    c with trailing axes (d, m, m), (d, m, m), (m, m), or all three None
-    for a set without lower-order terms.  K_ii couples interior
-    unknowns (interior points in C order, components fastest) and is stored
-    index-free by diagonals (``Diagonals``), holding the offsets
-    ``_stencil_offsets(d, _cross_pairs(A))``: an entry whose neighbour is a
-    boundary point is zero there, so diagonals that wrap across a lattice
-    row carry nothing.  K_ib (``Triplets``) couples interior rows to the
-    boundary values ordered as ``boundary_indices``; only rows next to a
-    face have entries.  For a full field u, the interior rows of L u are
-    K_ii u_int + K_ib u_b.
-    """
-    d, n, m = grid.d, grid.n, A.diag[0].shape[-1]
-    npts = (n - 1) ** d
-    strides = [(n - 1) ** (d - 1 - k) for k in range(d)]
-
-    def flat(s):
-        return sum(k * st for k, st in zip(s, strides))
-
-    diagonals = sorted({flat(s) * m + b - a for s in _stencil_offsets(d, _cross_pairs(A))
-                        for a in range(m) for b in range(m)})
-    row_of = {k: r for r, k in enumerate(diagonals)}
-    data = np.zeros((len(diagonals), npts * m))
-    bmask = grid.boundary_mask()
-    nb = int(bmask.sum())
-    bnum = np.full(grid.shape, -1, dtype=np.int32)
-    bnum[bmask] = np.arange(nb, dtype=np.int32)
-    comp = np.arange(m)
-    ib_rows, ib_cols, ib_vals = [], [], []
-    for s, blk in _flux_stencil(A, V, B, c, lam, grid.h, n - 1):
-        blk = blk.reshape(npts, m, m)
-        nbr = _shifted(bnum, s, n - 1).ravel()
-        edge = np.flatnonzero(nbr >= 0)
-        if edge.size:
-            ib_rows.append(np.broadcast_to((edge * m)[:, None, None] + comp[:, None],
-                                           (edge.size, m, m)).ravel())
-            ib_cols.append(np.broadcast_to((nbr[edge] * m)[:, None, None] + comp,
-                                           (edge.size, m, m)).ravel())
-            ib_vals.append(blk[edge].ravel())
-            blk[edge] = 0.0
-        off = flat(s)
-        lo, hi = max(0, -off), min(npts, npts - off)
-        for a in range(m):
-            for b in range(m):
-                dst = data[row_of[off * m + b - a]].reshape(npts, m)[:, b]
-                dst[lo + off:hi + off] = blk[lo:hi, a, b]
-    K_ib = Triplets(np.concatenate(ib_rows), np.concatenate(ib_cols),
-                    np.concatenate(ib_vals), (npts * m, nb * m))
-    return Diagonals(data, diagonals), K_ib
+    return Stencil(blocks, offsets, order, wraps)
 
 
 # ---------------------------------------------------------------------------

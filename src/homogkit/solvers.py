@@ -61,7 +61,7 @@ thread on a 2-vCPU Xeon VM, medians of alternated runs; ms):
     box 256^2        sine 1.374  split 1.123   dstn 13.69
     box 319^2                    split 1.983   dstn 2.538
     box 320^2                    split 2.293   dstn 9.409
-    box 511^2                    split 6.2-9.3 dstn 3.9-6.6
+    box 511^2                    split 4.5-5.8 dstn 4.5-6.1
     box 63^2 x 2     sine 0.123  split 0.373   dstn 0.240
     box 107^2 x 2    sine 0.500  split 0.548   dstn 0.524
     box 108^2 x 2    sine 0.320  split 0.244   dstn 1.569
@@ -75,8 +75,9 @@ systems' and the laminates' shapes load no scipy: the import costs about
 0.2 s a process, the time of about a thousand applies there.  Above 255
 points a 2D box takes ``dstn`` only when its FFT length 2n has no prime
 factor above 7: at N = 256 (2n = 2 * 257) and 320 (2n = 2 * 3 * 107)
-scipy's transform is 4–12 times slower than the split, at N = 511
-(2n = 1024) it is faster.  2D systems at N = 127 and 255 stay on the split
+scipy's transform is 4–12 times slower than the split; at N = 511
+(2n = 1024) the two are level within the host's drift (the row above is
+the spread of the medians of three runs of 11 alternated rounds).  2D systems at N = 127 and 255 stay on the split
 although ``dstn``, on a power-of-two FFT there, is faster, and N = 319
 takes ``dstn`` although the split measured faster; no workload solves on
 these.  The float32 apply agrees with the float64 transforms to
@@ -88,7 +89,7 @@ by ``scipy_fft``: only ``"rfftn"`` and ``"dstn"`` call it.
 ``kernel`` sends there, so the import lands in the set-up of the runs that
 need it.  Every other run loads no scipy module at all: this module imports
 none, and the operators it solves with are numpy arrays
-(``grid.assemble_torus``, ``grid.assemble_box``).
+(``grid.Stencil``).
 """
 
 from __future__ import annotations
@@ -611,7 +612,7 @@ def solve_periodic(apply_op, rhs: np.ndarray, grid: TorusGrid, *,
     ``apply_op`` maps full-shape arrays (grid.shape + comp) to same-shape
     arrays.  It must annihilate constants and have a mean-zero range per
     component, as the periodic divergence-form operator
-    (``grid.assemble_torus``) does up to round-off; the Krylov iteration
+    (``grid.assemble`` on a torus) does up to round-off; the Krylov iteration
     therefore applies it unprojected.  The rhs is projected onto mean-zero
     once; the solution comes back mean-zero per component, with the relative
     residual of the unprojected operator against the projected rhs.

@@ -14,18 +14,21 @@ checks test a coefficient set's declared structure constants, and
 ``grid.principal_part_apply`` is tested; no run calls them.
 ``poisson_kernel_boundary_rep`` is the discrete Poisson kernel, which checks
 the adjoint Green columns against solves with boundary data.
-``scipy_interior`` and ``scipy_boundary`` rebuild the box operator's blocks
-as ``scipy.sparse`` arrays from their stored arrays, and ``torus_csr`` the
-torus operator from its blocks: the products they are tested against, and
-the transposes and dense forms the assembly tests read.
+``torus_csr`` and ``box_csr`` rebuild an operator's stencil (``grid.Stencil``)
+as ``scipy.sparse`` CSR arrays of its entries, the box's split into the
+interior block K_ii and the boundary coupling K_ib: the products they are
+tested against, and the transposes and dense forms the assembly tests read.
 ``torus_csr_array`` is the torus assembly as it was when the torus operator
 was a CSR array.
-``assemble_box_full`` and ``precond_scale_full`` are the box assembly and
-the preconditioner scale as they were when a box sample held the full
-d x d x m x m tensor A and V, B, c arrays (zero for a set without
-lower-order terms); ``flux_stencil_full`` and ``cross_pairs_full`` are the
-stencil and the pair rule they read.  ``sample_arrays`` rebuilds those
-full arrays from a box sample's blocks.
+``assemble_box_full`` is the box assembly as it was when a box sample held
+the full d x d x m x m tensor A and V, B, c arrays (zero for a set without
+lower-order terms) and K_ii and K_ib were stored apart, by diagonals and by
+triplets; it returns them as the ``scipy.sparse`` arrays whose products
+they matched bit for bit.  ``box_stencil_full`` and ``precond_scale_full``
+are the box stencil's entries and the preconditioner scale from the same
+full arrays; ``flux_stencil_full`` and ``cross_pairs_full`` are the stencil
+and the pair rule they read.  ``sample_arrays`` rebuilds those full arrays
+from a box sample's blocks.
 """
 
 from __future__ import annotations
@@ -42,36 +45,52 @@ from homogkit.green import GreenError, GreenSample, point_boundary_distance
 from homogkit.rates import ConvergenceReport
 
 
-def scipy_interior(K_ii) -> sparse.dia_array:
-    """K_ii (``grid.Diagonals``) as the DIA array of its data and offsets."""
-    return sparse.dia_array((K_ii.data, K_ii.offsets), shape=K_ii.shape)
-
-
-def scipy_boundary(K_ib) -> sparse.csr_array:
-    """K_ib (``grid.Triplets``) as the CSR array of its triplets."""
-    return sparse.csr_array((K_ib.vals, (K_ib.rows, K_ib.cols)), shape=K_ib.shape)
-
-
 def torus_csr(K) -> sparse.csr_array:
-    """A torus operator (``grid.TorusStencil``) as the CSR array of its
-    entries: row (p, a) holds the columns (p + offsets[k], b), ordered by b,
-    then k, as the product adds them."""
+    """A torus operator (``grid.Stencil``) as the CSR array of its entries:
+    row (p, a) holds the columns (p + offsets[k], b) in ``K.order``, the
+    order in which the product adds them."""
     m, nk = K.blocks.shape[:2]
     d, n = K.blocks.ndim - 3, K.blocks.shape[-1] - 2
     npts = n ** d
     entries = K.blocks[(slice(None),) * 3 + (slice(1, -1),) * d].reshape(m, nk, m, npts)
-    data = np.ascontiguousarray(entries.transpose(3, 2, 0, 1))   # [p, a, b, k]
+    b, k = np.array(K.order).T
+    data = np.ascontiguousarray(entries[b, k].transpose(2, 1, 0))   # [p, a, step]
     point = np.arange(npts, dtype=np.int32).reshape((n,) * d)
-    nbr = np.stack([np.roll(point, [-k for k in s], axis=tuple(range(d))).ravel()
+    nbr = np.stack([np.roll(point, [-x for x in s], axis=tuple(range(d))).ravel()
                     for s in K.offsets], axis=1)
-    comp = np.arange(m, dtype=np.int32)[:, None]
-    indices = np.broadcast_to(m * nbr[:, None, None, :] + comp, data.shape)
+    indices = np.broadcast_to((m * nbr[:, k] + b)[:, None, :], data.shape)
     indptr = np.arange(0, data.size + 1, m * nk, dtype=np.int32)
     return sparse.csr_array((data.ravel(), indices.ravel(), indptr), shape=K.shape)
 
 
+def box_csr(K) -> tuple[sparse.csr_array, sparse.csr_array]:
+    """(K_ii, K_ib) of a box operator (``grid.Stencil``) as CSR arrays of
+    its entries: row (p, a) couples to (p + offsets[k], b), an interior
+    unknown (K_ii) or a boundary value ordered as ``boundary_indices``
+    (K_ib), each row's columns in increasing order."""
+    m, d, side = K.blocks.shape[0], K.blocks.ndim - 3, K.blocks.shape[-1]
+    rows = side - 2
+    bmask = np.ones((side,) * d, dtype=bool)
+    bmask[(slice(1, -1),) * d] = False
+    number = np.empty(bmask.shape, dtype=np.int64)
+    number[~bmask], number[bmask] = np.arange(rows ** d), np.arange(bmask.sum())
+    point = np.arange(rows ** d)
+    r, c, v, edge = [], [], [], []
+    for b, k in K.order:
+        nbr = _shifted(number, K.offsets[k], rows).ravel()
+        for a in range(m):
+            r.append(m * point + a)
+            c.append(m * nbr + b)
+            v.append(_shifted(K.blocks[b, k, a], (0,) * d, rows).ravel())
+            edge.append(_shifted(bmask, K.offsets[k], rows).ravel())
+    r, c, v, edge = map(np.concatenate, (r, c, v, edge))
+    shape = (m * rows ** d, m * rows ** d), (m * rows ** d, m * int(bmask.sum()))
+    return tuple(sparse.csr_array((v[sel], (r[sel], c[sel])), shape=sh)
+                 for sel, sh in zip((~edge, edge), shape))
+
+
 def torus_csr_array(A: np.ndarray, grid: TorusGrid) -> sparse.csr_array:
-    """The CSR array that ``grid.assemble_torus`` built for every torus:
+    """The CSR array that the torus assembly built when it held a CSR array:
     row (p, a) holds the columns (nbr[p, k], b), ordered by b, then k."""
     d, n, m = grid.d, grid.n, A.shape[-1]
     npts = grid.npoints
@@ -211,6 +230,23 @@ def assemble_box_full(A: np.ndarray, V: np.ndarray, B: np.ndarray, c: np.ndarray
                              (np.concatenate(ib_rows), np.concatenate(ib_cols))),
                             shape=(npts * m, nb * m))
     return K_ii, K_ib
+
+
+def box_stencil_full(A: np.ndarray, V: np.ndarray, B: np.ndarray, c: np.ndarray,
+                     lam: float, grid: BoxGrid):
+    """(blocks, offsets) of the box ``grid.Stencil`` from coefficients
+    sampled on all of ``grid`` with trailing axes (d, d, m, m), (d, m, m),
+    (d, m, m), (m, m): ``blocks[b, k, a]`` on the box lattice, zero on its
+    boundary layer."""
+    d, m = grid.d, A.shape[-1]
+    pairs = cross_pairs_full(A)
+    offsets = _stencil_offsets(d, pairs)
+    slot = {s: k for k, s in enumerate(offsets)}
+    blocks = np.zeros((m, len(offsets), m) + grid.shape)
+    for s, blk in flux_stencil_full(A, V, B, c, lam, grid.h, grid.n - 1, pairs):
+        blocks[(slice(None), slot[s], slice(None)) + grid.interior] = np.moveaxis(
+            blk, (-1, -2), (0, 1))
+    return blocks, offsets
 
 
 def sample_arrays(s):

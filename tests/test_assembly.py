@@ -11,12 +11,12 @@ import pytest
 from homogkit.bvp import CoefficientSamples, default_lambda, sample_coefficients
 from homogkit.cell import _poisson_components
 from homogkit.coefficients import builtin_family
-from homogkit.grid import (BoxGrid, TorusGrid, assemble_torus, coefficient_blocks,
-                           precond_scale, principal_part_apply)
+from homogkit.grid import (BoxGrid, TorusGrid, assemble, coefficient_blocks, precond_scale,
+                           principal_part_apply)
 from homogkit.solvers import (_apply_inverse, _inverse_symbol, _krylov, _mean_zero,
                               kernel, solve_periodic)
-from oracles import (box_precond_float64, sample_arrays, scipy_boundary, scipy_interior,
-                     torus_csr, torus_csr_array, torus_precond_float64)
+from oracles import (box_csr, box_precond_float64, sample_arrays, torus_csr, torus_csr_array,
+                     torus_precond_float64)
 
 REL = 1e-13
 
@@ -92,7 +92,7 @@ def test_torus_matrix_matches_stencil(name, params):
     g = TorusGrid(d, SIZES[d])
     rng = np.random.Generator(np.random.PCG64(7))
     A = torus_coefficients(name, params, g, rng)
-    K = assemble_torus(coefficient_blocks(A), g)
+    K = assemble(coefficient_blocks(A), g)
     u = rng.standard_normal(g.shape + (A.shape[-1],))
     got = (K @ u.ravel()).reshape(u.shape)
     assert rel_err(got, principal_part_apply(A, u, g)) <= REL
@@ -107,7 +107,7 @@ def test_torus_operator_contract(name, params):
     rng = np.random.Generator(np.random.PCG64(11))
     A = torus_coefficients(name, params, g, rng)
     m = A.shape[-1]
-    K = assemble_torus(coefficient_blocks(A), g)
+    K = assemble(coefficient_blocks(A), g)
     constants = np.tile(np.eye(m), (g.npoints, 1))   # column b: 1 in component b
     K_constants = np.stack([K @ c for c in constants.T], axis=1)
     assert np.abs(K_constants).max() <= 1e-9 * np.abs(torus_csr(K).data).max()
@@ -157,7 +157,7 @@ def test_periodic_solve_matches_projected_matvec(name, params):
     g = TorusGrid(d, SIZES[d])
     rng = np.random.Generator(np.random.PCG64(12))
     A, self_adjoint = elliptic_cell_problem(name, params, g, rng)
-    K = assemble_torus(coefficient_blocks(A), g)
+    K = assemble(coefficient_blocks(A), g)
     op = lambda u: (K @ u.ravel()).reshape(u.shape)   # noqa: E731
     kw = dict(tol=1e-10, precond_scale=precond_scale(coefficient_blocks(A), g),
               self_adjoint=self_adjoint)
@@ -241,7 +241,7 @@ def test_periodic_solve_matches_float64_preconditioner(monkeypatch, name, params
     A, self_adjoint = elliptic_cell_problem(name, {k: v for k, v in params.items() if k != "n"},
                                             g, np.random.Generator(np.random.PCG64(12)))
     rng = np.random.Generator(np.random.PCG64(14))
-    K = assemble_torus(coefficient_blocks(A), g)
+    K = assemble(coefficient_blocks(A), g)
     op = lambda u: (K @ u.ravel()).reshape(u.shape)   # noqa: E731
     scale = precond_scale(coefficient_blocks(A), g)
     kw = dict(tol=EQUIV_TOL, precond_scale=scale, self_adjoint=self_adjoint)
@@ -315,7 +315,7 @@ PRODUCT_CASES = [(d, n, m) for d in (1, 2, 3) for n in (4, 5, 17, 64, 96)
 @pytest.mark.parametrize("d,n,m", PRODUCT_CASES)
 @pytest.mark.parametrize("full", [False, True], ids=["trig", "full"])
 def test_torus_product_matches_csr(d, n, m, full):
-    """The product of ``assemble_torus`` is that of the CSR array it built
+    """The product of the torus stencil is that of the CSR array built
     for every torus before (``torus_csr_array``), bit for bit, and that of
     the CSR array of its own entries (``torus_csr``): on a vector with
     signed zeros, on one of zeros alone (every product a signed zero, so
@@ -327,7 +327,7 @@ def test_torus_product_matches_csr(d, n, m, full):
         A = rng.standard_normal(g.shape + (d, d, m, m))
     else:
         A = builtin_family("trig", d=d, m=m).A(g.points())
-    K, W = assemble_torus(coefficient_blocks(A), g), torus_csr_array(A, g)
+    K, W = assemble(coefficient_blocks(A), g), torus_csr_array(A, g)
     u = rng.standard_normal(K.shape[1])
     u[::7], u[1::7] = 0.0, -0.0
     zeros = np.copysign(0.0, rng.standard_normal(K.shape[1]))
@@ -364,7 +364,7 @@ def test_adjoint_assembly_is_transpose(name, d):
     params = dict(d=d, delta=0.3) if name == "nonsymmetric-system" else \
         dict(d=d, m=2, **dict(FAMILIES).get(name, {}))
     s = box_samples(name, params)
-    K, Ka = (scipy_interior(t.matrices[0]) for t in (s, s.adjoint()))
+    K, Ka = (box_csr(t.stencil)[0] for t in (s, s.adjoint()))
     diff = abs(Ka.tocsr() - K.T.tocsr()).max()
     assert diff <= REL * abs(K.tocsr()).max()
 
@@ -380,19 +380,21 @@ def a12_only(A: np.ndarray) -> np.ndarray:
     return A
 
 
-def test_box_diagonals_store_no_indices():
-    """K_ii (m = 1) stores one diagonal per stencil offset: the centre and
-    +-e_i always, +-e_i +-e_j only for the axis pairs with a_ij or a_ji
-    nonzero (none for trig, all three for a full tensor, one for a_12)."""
+def test_box_stencil_stores_no_indices():
+    """The box stencil (m = 1) stores one block of entries per stencil
+    offset on the box lattice, and no index array: the centre and +-e_i
+    always, +-e_i +-e_j only for the axis pairs with a_ij or a_ji nonzero
+    (none for trig, all three for a full tensor, one for a_12)."""
     trig = sample_coefficients(builtin_family("trig", d=3), BoxGrid(3, 8), 1 / 2, 1.0)
     full = box_samples("random", dict(d=3, m=1))
     partial = replace(full, A=coefficient_blocks(a12_only(sample_arrays(full)[0])))
-    for s, ndiag in ((trig, 7), (full, 19), (partial, 11)):
-        g = s.grid
-        K_ii, K_ib = s.matrices
-        assert K_ii.data.shape == (ndiag, K_ii.shape[0])
+    for s, noff in ((trig, 7), (full, 19), (partial, 11)):
+        g, K = s.grid, s.stencil
+        assert K.blocks.shape == (1, noff, 1) + g.shape
+        assert not any(isinstance(v, np.ndarray) and v.dtype.kind in "iu"
+                       for v in vars(K).values())
         # only rows next to a face couple to the boundary
-        rows = np.unique(scipy_boundary(K_ib).nonzero()[0])
+        rows = np.unique(box_csr(K)[1].nonzero()[0])
         assert rows.size == (g.n - 1) ** 3 - (g.n - 3) ** 3
 
 
@@ -404,7 +406,7 @@ def test_torus_rows_store_coupled_offsets_only():
     trig = builtin_family("trig", d=3).A(g.points())
     full = rng.standard_normal(g.shape + (3, 3, 2, 2))
     for A, pairs in ((trig, 0), (full, 3), (a12_only(full), 1)):
-        K = torus_csr(assemble_torus(coefficient_blocks(A), g))
+        K = torus_csr(assemble(coefficient_blocks(A), g))
         assert np.all(np.diff(K.indptr) == A.shape[-1] * (1 + 2 * 3 + 4 * pairs))
 
 

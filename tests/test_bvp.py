@@ -155,7 +155,7 @@ class TestSamplesSolve:
         assert res <= 1e-9
 
     def test_solve_assembles_once_after_symmetry_check(self, monkeypatch):
-        # peak memory: K_ii is assembled once, before the first Krylov matvec
+        # peak memory: the stencil is assembled once, before the first Krylov matvec
         import homogkit.bvp as bvp
         import homogkit.solvers as solvers
 
@@ -163,7 +163,7 @@ class TestSamplesSolve:
         g = BoxGrid(2, 16)
         samples = sample_coefficients(cs, g, 1 / 2, default_lambda(cs))
         events = []
-        assemble = bvp.assemble_box
+        assemble = bvp.assemble
 
         def recording_assemble(*args):
             events.append("assemble")
@@ -177,7 +177,7 @@ class TestSamplesSolve:
                 return matvec(x)
             return krylov(first_matvec, precond, rhs, **kw)
 
-        monkeypatch.setattr(bvp, "assemble_box", recording_assemble)
+        monkeypatch.setattr(bvp, "assemble", recording_assemble)
         monkeypatch.setattr(solvers, "_krylov", recording_krylov)
         rhs = np.random.Generator(np.random.PCG64(6)).standard_normal((15, 15, 1))
         samples.solve(rhs, 1e-10)

@@ -5,7 +5,7 @@ import pytest
 
 from homogkit.cell import _source_k, build_flux_correctors, homogenize, solve_correctors
 from homogkit.coefficients import CoefficientSet, builtin_family
-from homogkit.grid import (GridFunction, TorusGrid, assemble_torus, coefficient_blocks,
+from homogkit.grid import (GridFunction, TorusGrid, assemble, coefficient_blocks,
                            divergence, precond_scale)
 from homogkit.solvers import solve_periodic
 from oracles import divergence_centered as oracle_divergence
@@ -77,7 +77,7 @@ class TestCorrectors:
         cor = solve_correctors(cs, g, tol=tol)
         y = g.points()
         A, V = cs.A(y), cs.V(y)
-        K = assemble_torus(coefficient_blocks(A), g)
+        K = assemble(coefficient_blocks(A), g)
 
         def op(u):
             return (K @ u.ravel()).reshape(u.shape)

@@ -513,7 +513,7 @@ def _trig_operators():
     "torus-fft"."""
     from homogkit.bvp import sample_coefficients
     from homogkit.coefficients import builtin_family
-    from homogkit.grid import assemble_torus, coefficient_blocks, precond_scale
+    from homogkit.grid import assemble, coefficient_blocks, precond_scale
 
     cs = builtin_family("trig", d=2).principal_part
     out = {}
@@ -526,7 +526,7 @@ def _trig_operators():
         if tn:
             tg = TorusGrid(2, tn)
             A = cs.A(tg.points())
-            K = assemble_torus(coefficient_blocks(A), tg)
+            K = assemble(coefficient_blocks(A), tg)
             out["torus" + name] = (lambda u, K=K: (K @ u.ravel()).reshape(u.shape), tg,
                                    dict(precond_scale=precond_scale(coefficient_blocks(A), tg)))
     return out
@@ -772,12 +772,12 @@ class TestSolveEquivalence:
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_torus(self, d, comp):
         from homogkit.coefficients import builtin_family
-        from homogkit.grid import assemble_torus, coefficient_blocks, precond_scale
+        from homogkit.grid import assemble, coefficient_blocks, precond_scale
 
         g = TorusGrid(d, _EQUIV_N[d])
         m = comp[0] if comp else 1
         A = builtin_family("trig", d=d, m=m).A(g.points())
-        K = assemble_torus(coefficient_blocks(A), g)
+        K = assemble(coefficient_blocks(A), g)
 
         def op(u):
             return (K @ u.ravel()).reshape(u.shape)
