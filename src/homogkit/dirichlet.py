@@ -78,7 +78,9 @@ def solve_dirichlet_correctors(cs: CoefficientSet, eps: float, grid: BoxGrid,
                                tol: float = 1e-10) -> DirichletCorrectorSet:
     """Phi_{eps,0} and Phi_{eps,1..d}, all from one sampled and assembled
     principal-part operator (``cs.principal_part``).  For constant A the
-    k >= 1 right sides vanish identically and Phi_k = P_k I exactly."""
+    k >= 1 right sides vanish identically and Phi_k = P_k I exactly.  A set
+    without lower-order terms has V = 0, so Phi_0 = P_0 I with no solve and
+    V is never evaluated."""
     resolution_guard(grid, eps)
     samples = sample_coefficients(cs.principal_part, grid, eps, 0.0)
     m = cs.m
@@ -89,9 +91,11 @@ def solve_dirichlet_correctors(cs: CoefficientSet, eps: float, grid: BoxGrid,
         phi = np.empty(grid.shape + (m, m))
         P = affine_data(grid, k, m)
         phi[...] = P
-        if k == 0:   # div(V_eps e_beta), as column views; V_eps is freed here
+        if k == 0 and not cs.lower_order:
+            sources = []   # V = 0: no source, and Phi_0 = P_0 I exactly
+        elif k == 0:   # div(V_eps e_beta), as column views; V_eps is freed here
             sources = np.moveaxis(_source_0(cs.V(pullback(grid, eps)), grid), -1, 0)
-        else:        # -L_0(P_k e_beta)
+        else:          # -L_0(P_k e_beta)
             sources = [-samples.apply_full(P[..., :, beta]) for beta in range(m)]
         residuals = []
         for beta, rhs in enumerate(sources):
@@ -99,7 +103,8 @@ def solve_dirichlet_correctors(cs: CoefficientSet, eps: float, grid: BoxGrid,
             residuals.append(r)
             phi[grid.interior + (slice(None), beta)] += w
         phis.append(phi)
-        res[f"phi{k}"] = max(residuals)
+        # a zero right-hand side is solved by zero with residual 0.0 (solvers._krylov)
+        res[f"phi{k}"] = max(residuals, default=0.0)
     return DirichletCorrectorSet(grid=grid, eps=eps, phi0=phis[0], phi=phis[1:],
                                  residuals=res)
 

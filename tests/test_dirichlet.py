@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from homogkit import dirichlet
-from homogkit.bvp import sample_coefficients
+from homogkit.bvp import CoefficientSamples, sample_coefficients
 from homogkit.cell import solve_correctors
 from homogkit.coefficients import builtin_family
 from homogkit.dirichlet import (CommensurabilityError, psi_diagnostics,
@@ -93,6 +93,25 @@ class TestSharedOperator:
             assert np.array_equal(a, b)
         assert got.residuals == res
         assert max(res.values()) <= 10 * tol
+
+    def test_no_lower_order_terms_skip_the_phi0_solves(self, monkeypatch):
+        """A set without lower-order terms has V = 0: V is never called, and
+        Phi_0 is P_0 I exactly, with no solve and residual 0.0."""
+        cs = builtin_family("nonsymmetric-system", d=2)
+        assert not cs.lower_order
+        called = []
+        for name in ("V", "B", "c"):
+            setattr(cs, name, lambda y, name=name: called.append(name))
+        solves = []
+        solve = CoefficientSamples.solve
+        monkeypatch.setattr(CoefficientSamples, "solve",
+                            lambda self, *a: solves.append(1) or solve(self, *a))
+        g = BoxGrid(2, 32)
+        got = solve_dirichlet_correctors(cs, 1 / 2, g, 1e-10)
+        assert called == []
+        assert len(solves) == cs.d * cs.m
+        assert np.array_equal(got.phi0, dirichlet.affine_data(g, 0, cs.m))
+        assert got.residuals["phi0"] == 0.0
 
 
 class TestPrincipalPart:
