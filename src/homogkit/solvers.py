@@ -77,11 +77,12 @@ points a 2D box takes ``dstn`` only when its FFT length 2n has no prime
 factor above 7: at N = 256 (2n = 2 * 257) and 320 (2n = 2 * 3 * 107)
 scipy's transform is 4–12 times slower than the split; at N = 511
 (2n = 1024) the two are level within the host's drift (the row above is
-the spread of the medians of three runs of 11 alternated rounds).  2D systems at N = 127 and 255 stay on the split
-although ``dstn``, on a power-of-two FFT there, is faster, and N = 319
-takes ``dstn`` although the split measured faster; no workload solves on
-these.  The float32 apply agrees with the float64 transforms to
-about 1.5e-6 relative on the dense paths and 2–4e-7 on scipy's.
+the spread of the medians of three runs of 11 alternated rounds).  2D
+systems at N = 127 and 255 stay on the split although ``dstn``, on a
+power-of-two FFT there, is faster, and N = 319 takes ``dstn`` although the
+split measured faster; no workload solves on these.  The float32 apply
+agrees with the float64 transforms to about 1.5e-6 relative on the dense
+paths and 2–4e-7 on scipy's.
 
 ``scipy.fft`` (which also loads ``scipy.special``) is imported on first use,
 by ``scipy_fft``: only ``"rfftn"`` and ``"dstn"`` call it.
