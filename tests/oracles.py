@@ -78,11 +78,12 @@ def box_csr(K) -> tuple[sparse.csr_array, sparse.csr_array]:
     r, c, v, edge = [], [], [], []
     for b, k in K.order:
         nbr = _shifted(number, K.offsets[k], rows).ravel()
+        at_face = _shifted(bmask, K.offsets[k], rows).ravel()
         for a in range(m):
             r.append(m * point + a)
             c.append(m * nbr + b)
-            v.append(_shifted(K.blocks[b, k, a], (0,) * d, rows).ravel())
-            edge.append(_shifted(bmask, K.offsets[k], rows).ravel())
+            v.append(K.blocks[(b, k, a) + (slice(1, -1),) * d].ravel())
+            edge.append(at_face)
     r, c, v, edge = map(np.concatenate, (r, c, v, edge))
     shape = (m * rows ** d, m * rows ** d), (m * rows ** d, m * int(bmask.sum()))
     return tuple(sparse.csr_array((v[sel], (r[sel], c[sel])), shape=sh)
