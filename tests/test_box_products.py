@@ -26,6 +26,11 @@ def check_products(s: CoefficientSamples):
     g = s.grid
     inner, bmask = (g.n - 1,) * g.d + (s.m,), g.boundary_mask()
     for t in (s, s.adjoint()):
+        # the steps run in column order, the order of a CSR row's entries
+        K = t.stencil
+        cols = [s.m * sum(sk * (g.n + 1) ** (g.d - 1 - ax) for ax, sk in enumerate(K.offsets[k]))
+                + b for b, k in K.order]
+        assert cols == sorted(cols)
         K_ii, K_ib = assemble_box_full(*sample_arrays(t), t.lam, g)
         for _ in range(2):
             x = draw(rng, inner)
