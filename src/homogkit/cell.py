@@ -204,11 +204,18 @@ def _centred(remainder: np.ndarray, grid: TorusGrid) -> tuple[np.ndarray, float]
     return _mean_zero(remainder, grid.d), float(np.abs(_cell_mean(remainder, grid)).max())
 
 
-def _curl(dp: np.ndarray, nd: int) -> np.ndarray:
-    """out[..., l, i, ...] = d_l p_i - d_i p_l from the gradient
-    dp[..., i, ..., l] of a potential p."""
-    p = np.moveaxis(dp, -1, nd)
-    return np.subtract(p, np.swapaxes(p, nd, nd + 1), out=np.empty(p.shape))
+def _curl(p: np.ndarray, grid: TorusGrid) -> np.ndarray:
+    """out[..., l, i, ...] = d_l p_i - d_i p_l for a potential p[..., i, ...],
+    with the differences of ``gradient``, one pair (l, i) at a time, so that
+    the full gradient of p is never held."""
+    nd, h = grid.d, grid.h
+    at = (slice(None),) * nd
+    out = np.empty(p.shape[:nd] + (nd,) + p.shape[nd:])
+    for l in range(nd):
+        for i in range(nd):
+            np.subtract(_centered_periodic(p[at + (i,)], l, h),
+                        _centered_periodic(p[at + (l,)], i, h), out=out[at + (l, i)])
+    return out
 
 
 def build_flux_correctors(cs: CoefficientSet, correctors: CorrectorSet) -> FluxCorrectorSet:
@@ -230,9 +237,9 @@ def build_flux_correctors(cs: CoefficientSet, correctors: CorrectorSet) -> FluxC
                                 zip((hats.A_hat, hats.V_hat, hats.B_hat, hats.c_hat), fluxes)))
     # release the coefficient samples before the potentials, to keep peak RSS down
     del fluxes
-    E = _curl(gradient(GridFunction(grid, _poisson_components(b, grid))).values, grid.d)
+    E = _curl(_poisson_components(b, grid), grid)
     theta = _poisson_components(U, grid)
-    F = _curl(gradient(GridFunction(grid, theta)).values, grid.d)
+    F = _curl(theta, grid)
     return FluxCorrectorSet(grid=grid, hats=hats, remainder_mean=max(means),
                             b=b, E=E, U=U, theta=theta, F=F,
                             W=W, vartheta=_poisson_components(W, grid), Z=Z,

@@ -42,7 +42,6 @@ from .green import (MIN_FIT_PAIRS, GreenError, _snap_interior, approx_green,
                     maximal_function_probe, point_boundary_distance)
 from .rates import (PROBE_KINDS, SweepConfig, SweepError, load_field, run_sweep,
                     uniform_constant_probe)
-from .solvers import kernel, scipy_fft
 
 
 class ConfigError(ValueError):
@@ -145,40 +144,9 @@ def _sweep_config(cfg: ExperimentConfig) -> SweepConfig:
 
 
 def parse_config(text: str) -> ExperimentConfig:
-    """Parse and validate a YAML config (``check_config``), then import
-    ``scipy.fft`` when a solve of the run transforms with it (by
-    ``solvers.kernel``), so that the import counts in set-up and never
-    inside the run."""
-    cfg = check_config(text)
-    if _solve_kernels(cfg) & {"rfftn", "dstn"}:
-        scipy_fft()
-    return cfg
-
-
-def _solve_kernels(cfg: ExperimentConfig) -> set[str]:
-    """The ``solvers.kernel`` of every solve of a valid ``cfg``: on the torus
-    of its cell correctors and the boxes of its Dirichlet solves, all with
-    the family's m; none for ``validate``."""
-    sub = cfg.subcommand
-    if sub == "validate":
-        return set()
-    cs = builtin_family(cfg.family, **cfg.params)
-    d = cs.d
-    if sub == "rates":
-        sweep = _sweep_config(cfg)
-        grids = [TorusGrid(d, cfg["n_cell"])] + [sweep.grid_for(e) for e in sweep.eps_list]
-    elif sub in ("cell", "homogenize"):
-        grids = [TorusGrid(d, cfg["n"])]
-    elif sub == "correctors":
-        grids = [TorusGrid(d, cfg["n_cell"]), BoxGrid(d, cfg["n"])]
-    else:
-        grids = [BoxGrid(d, cfg["n"])]   # solve, and green with or without the battery
-    return {kernel(g, cs.m) for g in grids}
-
-
-def check_config(text: str) -> ExperimentConfig:
-    """Parse and validate a YAML config, reporting every violation at once;
-    imports nothing a run would need."""
+    """Parse and validate a YAML config, reporting every violation at once.
+    It imports nothing: every module a run needs, ``numpy.fft`` among them,
+    is loaded with ``homogkit.cli``."""
     violations = []
     try:
         raw = yaml.safe_load(text)
@@ -516,13 +484,13 @@ def _write_loglog_svg(report, path):
 
 def _run_validate(cfg: ExperimentConfig, out_dir: str):
     """Re-check a list of config files, collecting violations per file; it
-    runs none of them, so it loads no transform library for them."""
+    runs none of them."""
     results = {}
     ok = True
     for path in cfg["configs"]:
         try:
             with open(path) as fh:
-                check_config(fh.read())
+                parse_config(fh.read())
             results[path] = "ok"
         except (ConfigError, OSError) as exc:
             results[path] = str(exc)

@@ -22,75 +22,84 @@ Krylov vectors, the GMRES fallback and the residual check stay float64.
 of the data.  ``poisson_periodic`` is an exact solve, not a preconditioner,
 and stays float64.
 
-Every preconditioner transform is picked by one rule, ``kernel``, from the
-shape of the solve alone: the geometry, d, n and the m components per point.
-There are five kernels.  On the torus, ``"rfftn"`` (``scipy.fft``) and
-``"hartley"``, products with the dense Hartley matrix
+Every preconditioner transform is picked by one rule, ``kernel``, from d, n
+and the m components per point alone.  There are five kernels.  On the
+torus, ``"hartley"``, products with the dense Hartley matrix
 H[j, k] = cos(2 pi j k / n) + sin(2 pi j k / n), which is symmetric, squares
-to n I and diagonalises the periodic -Laplacian as the Fourier basis does.
-On the box, ``"dstn"`` (``scipy.fft``), ``"sine"``, products with the dense
-DST-I matrix S[j, k] = 2 sin(pi j k / n), which squares to 2n I, and
-``"sine-split"``, the same products with each GEMM split by
-S[n - j, k] = (-1)^(k+1) S[j, k] into two of half size after the input is
-folded (x_j + x_{n-j}, x_j - x_{n-j}), and once more when 4 divides n: the
-first radix-2 steps of the fast sine transform (Van Loan, *Computational
-Frameworks for the Fast Fourier Transform*, SIAM 1992).  The dense kernels
-share one per-axis GEMM loop (``_dense_products``), run on one component
-at a time for the systems on 2D and 3D grids, and their matrices are
-built once per size and dtype and shared read-only.  A dense product costs
-O(N^(d+1)) against the FFT's O(N^d log N), but scipy's transforms carry a
-fixed cost of about 0.03 ms a call.  The rule rests on these per-apply
-timings (float32 unless marked, two transforms and the multiply, one BLAS
-thread on a 2-vCPU Xeon VM, medians of alternated runs; ms):
+to n I and diagonalises the periodic -Laplacian as the Fourier basis does,
+and ``"rfftn"``, ``numpy.fft.rfftn`` over the half spectrum and ``irfftn``
+back.  On the box, ``"sine"``, products with the dense DST-I matrix
+S[j, k] = 2 sin(pi j k / n), which squares to 2n I; ``"sine-split"``, the
+same products with each GEMM split by S[n - j, k] = (-1)^(k+1) S[j, k] into
+two of half size after the input is folded (x_j + x_{n-j}, x_j - x_{n-j}),
+and once more when 4 divides n: the first radix-2 steps of the fast sine
+transform (Van Loan, *Computational Frameworks for the Fast Fourier
+Transform*, SIAM 1992); and ``"dst-rfft"`` in 1D, the DST-I as the real
+FFT of the odd extension (0, x, 0, -x reversed).  The dense kernels share
+one per-axis GEMM loop (``_dense_products``), run on one component at a
+time for the systems on 2D and 3D grids, and their matrices are built once
+per size and dtype and shared read-only.  A dense product costs
+O(N^(d+1)) against the FFT's O(N^d log N), but on these sizes BLAS wins.
+The rule rests on these per-apply timings (float32, two transforms and the
+multiply, one BLAS thread on a 2-vCPU Xeon VM, medians of alternated runs;
+ms):
 
-    torus 64^2             hartley 0.039  rfftn 0.085
-    torus 65^2             hartley 0.032  rfftn 0.079
-    torus 64^2 x 2         hartley 0.096  rfftn 0.138
-    torus 96^2 x 2         hartley 0.219  rfftn 0.277
-    torus 96^2, float64    hartley 0.176  rfftn 0.198
-    torus 16^3             hartley 0.027  rfftn 0.072
-    torus 20^3 x 2         hartley 0.178  rfftn 0.304
-    torus 512              hartley 0.051  rfftn 0.044
-    torus 512, float64     hartley 0.139  rfftn 0.059
-    box 255          sine 0.024                dstn 0.045
-    box 47^3         sine 1.043                dstn 2.970
-    box 95^2         sine 0.099  split 0.253   dstn 0.191
-    box 127^2        sine 0.207  split 0.261   dstn 0.265
-    box 128^2        sine 0.235  split 0.252   dstn 0.762
-    box 255^2        sine 1.227  split 0.899   dstn 0.919
-    box 256^2        sine 1.374  split 1.123   dstn 13.69
-    box 319^2                    split 1.983   dstn 2.538
-    box 320^2                    split 2.293   dstn 9.409
-    box 511^2                    split 4.5-5.8 dstn 4.5-6.1
-    box 63^2 x 2     sine 0.123  split 0.373   dstn 0.240
-    box 107^2 x 2    sine 0.500  split 0.548   dstn 0.524
-    box 108^2 x 2    sine 0.320  split 0.244   dstn 1.569
-    box 255^2 x 2    sine 3.786  split 2.393   dstn 1.713
+    torus 64^2             hartley 0.039
+    torus 64^2 x 2         hartley 0.096
+    torus 96^2 x 2         hartley 0.219
+    torus 16^3             hartley 0.027
+    torus 20^3 x 2         hartley 0.178
+    torus 512              hartley 0.051
+    torus 128^2            hartley 0.22   rfftn 0.29
+    torus 192^2            hartley 0.65   rfftn 0.82
+    torus 224^2            hartley 1.03   rfftn 1.30
+    torus 256^2            hartley 1.48   rfftn 1.46
+    torus 384^2            hartley 4.60   rfftn 4.42
+    torus 512^2            hartley 12.9   rfftn 7.5
+    torus 48^3             hartley 1.18   rfftn 3.43
+    torus 64^3             hartley 3.51   rfftn 8.55
+    torus 80^3             hartley 7.66   rfftn 15.6
+    torus 128^3            hartley 42.7   rfftn 76.2
+    torus 4096                            rfftn 0.066
+    box 255          sine 0.024
+    box 511                               dst-rfft 0.031
+    box 1023                              dst-rfft 0.043
+    box 47^3         sine 1.043
+    box 127^3        sine 34.3
+    box 159^3        sine 88.0
+    box 95^2         sine 0.099  split 0.253
+    box 127^2        sine 0.207  split 0.261
+    box 128^2        sine 0.235  split 0.252
+    box 255^2        sine 1.227  split 0.899
+    box 256^2        sine 1.374  split 1.123
+    box 319^2                    split 1.26
+    box 511^2                    split 3.96
+    box 1023^2                   split 23.9
+    box 63^2 x 2     sine 0.123  split 0.373
+    box 107^2 x 2    sine 0.500  split 0.548
+    box 108^2 x 2    sine 0.320  split 0.244
+    box 255^2 x 2    sine 3.786  split 2.393
 
-Single cells drift by 10–30% from run to run with the host.  The 255^2
-box takes the split, level with ``dstn``, and the 1D torus of 512 points
-takes the Hartley products, level with ``rfftn`` in float32 and twice as
-slow in float64 (``poisson_periodic``), so that runs on the sweep's, the
-systems' and the laminates' shapes load no scipy: the import costs about
-0.2 s a process, the time of about a thousand applies there.  Above 255
-points a 2D box takes ``dstn`` only when its FFT length 2n has no prime
-factor above 7: at N = 256 (2n = 2 * 257) and 320 (2n = 2 * 3 * 107)
-scipy's transform is 4–12 times slower than the split; at N = 511
-(2n = 1024) the two are level within the host's drift (the row above is
-the spread of the medians of three runs of 11 alternated rounds).  2D
-systems at N = 127 and 255 stay on the split although ``dstn``, on a
-power-of-two FFT there, is faster, and N = 319 takes ``dstn`` although the
-split measured faster; no workload solves on these.  The float32 apply
-agrees with the float64 transforms to about 1.5e-6 relative on the dense
-paths and 2–4e-7 on scipy's.
+Single cells drift by 10–30% from run to run with the host.  The 3D cap of
+80 points per axis is below the crossing: the Hartley products were faster
+up to 160 (92 against 166 ms), and the cap keeps the test of the shape
+above it cheap; no workload or config solves on a 3D torus above 20.
+Above the caps ``numpy.fft`` is slow on lengths with a large prime factor
+(257^2: 7.0 ms against 1.8 for the Hartley products; 97^3: 131 against 19),
+a cost the rule takes so as to read n alone; no workload or config solves
+there.  Against the ``scipy.fft`` transforms these kernels replaced, on
+the shapes that changed kernel: 2D tori from 128^2 are 1.2–3 times slower
+(256^2 1.8 against 0.56, 384^2 3.6 against 1.2), 3D tori from 64^3 to 80^3
+level and above the cap 1.6 times slower (96^3 21 against 13), 2D boxes
+from 511^2, 3D boxes from 127^3 and 1D boxes from 511 points 1.0–1.2 times,
+the 319^2 box level, and 3D tori up to 48^3 1.4–2 times faster.  The float32
+apply agrees with the float64 transforms to about 1.5e-6 relative on the
+dense paths, 6e-8 on the 1D box FFT and about 2e-7 on the torus one.
 
-``scipy.fft`` (which also loads ``scipy.special``) is imported on first use,
-by ``scipy_fft``: only ``"rfftn"`` and ``"dstn"`` call it.
-``cli.parse_config`` calls ``scipy_fft`` for a run one of whose solves
-``kernel`` sends there, so the import lands in the set-up of the runs that
-need it.  Every other run loads no scipy module at all: this module imports
-none, and the operators it solves with are numpy arrays
-(``grid.Stencil``).
+This module imports ``numpy.fft`` with numpy, so no transform loads a
+module during a run, and no transform needs scipy; only the GMRES fallback
+imports ``scipy.sparse.linalg``, on its first call.  The operators it
+solves with are numpy arrays (``grid.Stencil``).
 """
 
 from __future__ import annotations
@@ -99,52 +108,34 @@ import functools
 from types import SimpleNamespace
 
 import numpy as np
+from numpy import fft
 
 from .grid import BoxGrid, TorusGrid, _read_only
 
 
-def _smooth(k: int) -> bool:
-    """Whether ``k`` has no prime factor above 7, so that an FFT of length k
-    runs in scipy's fast radices."""
-    for p in (2, 3, 5, 7):
-        while k % p == 0:
-            k //= p
-    return k == 1
+# The largest n per axis of a torus that takes the Hartley products, by d.
+_HARTLEY_MAX = {1: 512, 2: 256, 3: 80}
 
 
 def kernel(grid: TorusGrid | BoxGrid, m: int = 1) -> str:
     """The preconditioner transform of a solve on ``grid`` with ``m``
-    components per point, by the shape alone (the module docstring gives the
-    timings it rests on):
+    components per point, by d, n and m alone (the module docstring gives
+    the timings it rests on):
 
-    - torus: ``"hartley"`` with at most 96^2 points in all and at most 96
-      per axis (512 in 1D), ``"rfftn"`` otherwise;
-    - box with N = n - 1 interior points per axis: ``"dstn"`` for N > 255
-      in 1D, N > 127 in 3D, and N > 255 in 2D when 2n, the length of its
-      FFT, has no prime factor above 7; ``"sine-split"`` for the other 2D
-      boxes from N = 128 (108 when m > 1); ``"sine"`` otherwise.
-
-    ``"rfftn"`` and ``"dstn"`` are ``scipy.fft``'s.  No kernel moves to
-    scipy as m falls, so a scalar solve needs scipy on a grid only if a
-    system solve there does.
+    - torus: ``"hartley"`` up to n = 512 in 1D, 256 in 2D and 80 in 3D,
+      ``"rfftn"`` above;
+    - box with N = n - 1 interior points per axis: ``"sine-split"`` for a 2D
+      box from N = 128 (108 when m > 1), ``"dst-rfft"`` for a 1D box above
+      N = 255, ``"sine"`` otherwise.
     """
     if isinstance(grid, TorusGrid):
-        most = 512 if grid.d == 1 else 96
-        return "hartley" if grid.n <= most and grid.npoints <= 96 ** 2 else "rfftn"
+        return "hartley" if grid.n <= _HARTLEY_MAX[grid.d] else "rfftn"
     d, N = grid.d, grid.n - 1
-    if (d == 1 and N > 255) or (d == 3 and N > 127) or (
-            d == 2 and N > 255 and _smooth(2 * grid.n)):
-        return "dstn"
+    if d == 1 and N > 255:
+        return "dst-rfft"
     if d == 2 and N >= (128 if m == 1 else 108):
         return "sine-split"
     return "sine"
-
-
-def scipy_fft():
-    """The ``scipy.fft`` module, imported on the first call."""
-    import scipy.fft
-
-    return scipy.fft
 
 
 class SolverError(RuntimeError):
@@ -207,7 +198,7 @@ def _dense_matrix(kern: str, n: int, dtype: np.dtype) -> np.ndarray:
     kept for the last 8 (kern, n, dtype), at most 2 MiB each (the Hartley
     matrix of a 512-point torus in float64):
 
-    - ``"sine"``: the DST-I of ``scipy.fft.dst(type=1)``,
+    - ``"sine"``: the unnormalised DST-I,
       S[j, k] = 2 sin(pi j k / n) for j, k = 1..n-1 (j k reduced mod 2n);
     - ``"hartley"``: H[j, k] = cos(2 pi j k / n) + sin(2 pi j k / n) for
       j, k = 0..n-1 (j k reduced mod n), which diagonalises every symmetric
@@ -375,6 +366,17 @@ def _split_products(r: np.ndarray, inv: np.ndarray, plan, work: dict) -> np.ndar
     return out
 
 
+def _dst_rfft(x: np.ndarray) -> np.ndarray:
+    """The DST-I along the first axis of ``x``, 2 sum_j x_j sin(pi j k / n)
+    for j, k = 1..n-1: minus the imaginary part of the real FFT of the odd
+    extension (0, x, 0, -x reversed), of length 2n."""
+    N = x.shape[0]
+    y = np.zeros((2 * N + 2,) + x.shape[1:], x.dtype)
+    y[1:N + 1] = x
+    y[N + 2:] = -x[::-1]
+    return -fft.rfft(y, axis=0)[1:N + 1].imag
+
+
 def _apply_inverse(r: np.ndarray, inv: np.ndarray, grid: TorusGrid | BoxGrid,
                    kern: str, work: dict | None = None) -> np.ndarray:
     """The transform ``kern`` over the grid axes of ``r``, times ``inv``
@@ -398,15 +400,13 @@ def _apply_inverse(r: np.ndarray, inv: np.ndarray, grid: TorusGrid | BoxGrid,
         return out
     x = r.astype(dtype, copy=False)
     if kern == "rfftn":
-        fft = scipy_fft()
         xhat = fft.rfftn(x, axes=axes)
         xhat *= inv
-        z = fft.irfftn(xhat, s=grid.shape, axes=axes, overwrite_x=True)
-    elif kern == "dstn":
-        fft = scipy_fft()
-        xhat = fft.dstn(x, type=1, axes=axes)
+        z = fft.irfftn(xhat, s=grid.shape, axes=axes)
+    elif kern == "dst-rfft":
+        xhat = _dst_rfft(x)
         xhat *= inv
-        z = fft.dstn(xhat, type=1, axes=axes, overwrite_x=True)
+        z = _dst_rfft(xhat)
     elif kern == "sine-split":
         z = _split_products(x, inv, _split_plan(grid.n, dtype), {} if work is None else work)
     else:

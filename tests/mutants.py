@@ -58,6 +58,15 @@ MUTANTS = [
      "r0, r1 = max(lo, p * plane),", "r0, r1 = max(lo, p * plane + 1),"),
     ("block-seam-one-plane-late", "src/homogkit/grid.py",
      "r0, r1 = max(lo, p * plane),", "r0, r1 = max(lo, (p + (p > 1)) * plane),"),
+    # the preconditioner transforms
+    ("odd-extension-unsigned", "src/homogkit/solvers.py",
+     "y[N + 2:] = -x[::-1]", "y[N + 2:] = x[::-1]"),
+    ("hartley-cap-1d-up-one", "src/homogkit/solvers.py",
+     "_HARTLEY_MAX = {1: 512,", "_HARTLEY_MAX = {1: 513,"),
+    ("hartley-cap-2d-up-one", "src/homogkit/solvers.py", " 2: 256, ", " 2: 257, "),
+    ("hartley-cap-3d-up-one", "src/homogkit/solvers.py", " 3: 80}", " 3: 81}"),
+    ("irfftn-without-s", "src/homogkit/solvers.py",
+     "fft.irfftn(xhat, s=grid.shape, axes=axes)", "fft.irfftn(xhat, axes=axes)"),
 ]
 
 

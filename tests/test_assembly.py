@@ -220,7 +220,7 @@ def assert_equivalent(got, want, kappa, applies, applies64):
 
 # The sizes at the boundaries of ``solvers.kernel``, beside the cases of
 # ``SIZES``: the sweep's 64^2 cell torus and one point less and more, the
-# largest Hartley torus (96^2) and the smallest rfftn one (97^2), and boxes
+# tori of 96^2 and 97^2 (the Hartley cap of an earlier rule), and boxes
 # with n - 1 = 128 and 255 (the split DST-I, without and with its second
 # level); 2D scalar trig, as in the sweep.
 TORUS_EDGES = [("trig", dict(FAMILIES)["trig"] | dict(d=2, m=1, n=n))
@@ -280,14 +280,15 @@ def test_box_solve_matches_float64_preconditioner(monkeypatch, name, params):
 
 def test_box_solve_on_the_fft_path_matches_float64_preconditioner(monkeypatch):
     """The cases above apply the DST-I as a sine-matrix product or its split;
-    at n - 1 = 319 the solve's preconditioner takes the scipy.fft.dstn path.
-    It agrees with the float64-preconditioned solve to the 4e-13 relative
-    the README states, in as many applies."""
-    cs = builtin_family("trig", **dict(FAMILIES)["trig"], d=2)
-    g = BoxGrid(2, 320)
-    assert kernel(g, 1) == "dstn"
+    on a 1D box of n - 1 = 319 points the solve's preconditioner takes the
+    FFT path, a real FFT of the odd extension.  It agrees with the
+    float64-preconditioned solve to the 4e-13 relative the README states,
+    in as many applies."""
+    cs = builtin_family("trig", **dict(FAMILIES)["trig"], d=1)
+    g = BoxGrid(1, 320)
+    assert kernel(g, 1) == "dst-rfft"
     s = sample_coefficients(cs, g, 1 / 4, default_lambda(cs))
-    rhs = np.random.Generator(np.random.PCG64(16)).standard_normal((g.n - 1,) * 2 + (1,))
+    rhs = np.random.Generator(np.random.PCG64(16)).standard_normal((g.n - 1,) + (1,))
     applies = counted_krylov(monkeypatch)
     x, res = s.solve(rhs, EQUIV_TOL)
     applies64 = counted_krylov(

@@ -26,10 +26,9 @@ A fifth rule keeps three scipy modules off the import of ``homogkit``: no
 source file imports ``scipy.fft``, ``scipy.sparse`` or ``scipy.sparse.linalg``
 outside a function body (``solvers`` imports the two it uses on first use).
 
-It also checks which modules a CLI process loads, and at which stage: the
-parse loads ``scipy.fft`` exactly for the runs that transform with it, no
-run loads ``scipy.sparse`` at any stage, and no run loads any module at
-all.
+It also checks which modules a CLI process loads, and at which stage: no
+stage of any run loads ``scipy.fft``, ``scipy.special`` or ``scipy.sparse``,
+and no run loads any module at all.
 """
 
 import ast
@@ -253,8 +252,8 @@ def test_detector_flags_an_unread_dataclass_field():
     assert unread_dataclass_fields(source, elsewhere | looped) == ["Result.written"]
 
 
-# Imported by ``homogkit.solvers`` and ``homogkit.grid`` on first use, never
-# with the package.
+# Never imported with the package: ``solvers.gmres`` imports
+# ``scipy.sparse.linalg`` on its first call, and no module imports the others.
 LAZY_MODULES = ("scipy.fft", "scipy.sparse", "scipy.sparse.linalg")
 
 
@@ -358,7 +357,8 @@ print(json.dumps(stages))
 
 # Configs beside configs/*.yaml: the maximal battery on the 96^2 box of the
 # benchmark's maximal workload; solves on the smallest box of the split
-# DST-I (128 interior points per axis) and on a box of scipy.fft.dstn (319);
+# DST-I (128 interior points per axis) and on a split box that took
+# ``scipy.fft.dstn`` before every transform was numpy's (319);
 # a rates sweep with the benchmark sweep's shapes (the 64^2 cell torus,
 # boxes of 127^2 and 255^2 interior points); and the benchmark systems'
 # pair (the 96^2 x 2 torus with flux correctors; the 64^2 x 2 torus and the
@@ -377,10 +377,6 @@ _EXTRA_CONFIGS = {
                           "params: {d: 2, delta: 0.3}\nn: 64\neps: 0.25\nn_cell: 64\n"
                           "seed: 5\n",
 }
-# The runs that transform with scipy.fft (``solvers.kernel`` is "rfftn" or
-# "dstn" for one of their solves): the boxes of 319^2 and 511^2 interior
-# points, whose FFT lengths 640 and 1024 have no prime factor above 7.
-_TRANSFORMING = {"rates_trig2d", "solve_320"}
 _STAGE_CASES = sorted(p.stem for p in (ROOT / "configs").glob("*.yaml")) + sorted(
     _EXTRA_CONFIGS)
 
@@ -411,16 +407,14 @@ def import_stages(tmp_path_factory):
 
 @pytest.mark.parametrize("name", _STAGE_CASES)
 def test_scipy_fft_is_loaded_at_parse_time_or_never(import_stages, name):
-    """``import homogkit.cli`` loads none of the three scipy modules, and
-    the parse loads ``scipy.fft`` (and with it ``scipy.special``) exactly
-    for the runs that transform with it (``test_run_loads_no_module``
-    checks that no run loads it later).  ``validate`` only checks its
-    configs, so it loads nothing for the torus ones."""
+    """Neither ``import homogkit.cli`` nor the parse loads any of the three
+    scipy modules, and ``test_run_loads_no_module`` checks that no run
+    loads one later: every transform is ``numpy.fft``'s or a BLAS product.
+    (The name is that of the rule this replaced, which loaded ``scipy.fft``
+    at parse for the runs that transformed with it.)"""
     stages = import_stages[name]
     assert stages["ok"]
-    assert stages["imported"] == []
-    assert [m in stages["parsed"] for m in ("scipy.fft", "scipy.special")] == [
-        name in _TRANSFORMING] * 2
+    assert stages["imported"] == stages["parsed"] == []
 
 
 @pytest.mark.parametrize("name", _STAGE_CASES)
@@ -443,8 +437,7 @@ def test_run_loads_no_module(import_stages, name):
 
 @pytest.mark.parametrize("name", _STAGE_CASES)
 def test_runs_without_scipy_kernels_load_no_scipy(import_stages, name):
-    """A run none of whose solves ``solvers.kernel`` sends to scipy ends
-    with no scipy module loaded at all, the sweep-shaped ``rates_255`` and
-    the systems-shaped pair among them; the others load scipy."""
-    scipy_free = name not in _TRANSFORMING
-    assert (import_stages[name]["scipy"] == []) is scipy_free
+    """Every run ends with no scipy module loaded at all, the 511^2 box of
+    ``rates_trig2d`` and the 319^2 box of ``solve_320`` among them: no
+    transform needs scipy, and the GMRES fallback fires in none of them."""
+    assert import_stages[name]["scipy"] == []

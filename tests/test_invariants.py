@@ -123,3 +123,30 @@ def test_adjoint_homogenizes_to_transpose(cs):
     hat = homogenize(cs, solve_correctors(cs, torus, TOL)).A_hat
     hat_adj = homogenize(adj, solve_correctors(adj, torus, TOL)).A_hat
     assert np.abs(hat_adj - transpose_a(hat)).max() <= 100 * TOL * np.abs(hat).max()
+
+
+def _translated(cs: CoefficientSet, s: np.ndarray) -> CoefficientSet:
+    """(A, V, B, c)(. + s)."""
+    A, V, B, c = cs.A, cs.V, cs.B, cs.c
+    return replace(cs, A=lambda y: A(y + s), V=lambda y: V(y + s),
+                   B=lambda y: B(y + s), c=lambda y: c(y + s))
+
+
+@given(cs=elliptic_sets())
+@settings(max_examples=24, deadline=None, derandomize=True, database=None)
+def test_lattice_translation_keeps_the_hats(cs):
+    """Shifting every coefficient by a vector s of the cell lattice, here
+    (3, 5, 7) steps h in its first d axes, permutes the samples of the cell
+    problem cyclically, so the discrete hats are those of the unshifted set
+    up to the solves (homogenized coefficients do not depend on where the
+    cell starts; Bensoussan, Lions and Papanicolaou, 1978, ch. 1).  The
+    bound is the adjoint property's: each side's hats carry errors of order
+    10 TOL relative, and every hat is compared against 100 TOL of
+    max |A_hat|."""
+    torus = TorusGrid(cs.d, 8 if cs.d == 3 else 16)
+    shifted = _translated(cs, np.array([3, 5, 7][:cs.d]) * torus.h)
+    hats = homogenize(cs, solve_correctors(cs, torus, TOL))
+    hats_s = homogenize(shifted, solve_correctors(shifted, torus, TOL))
+    bound = 100 * TOL * np.abs(hats.A_hat).max()
+    for name in ("A_hat", "V_hat", "B_hat", "c_hat"):
+        assert np.abs(getattr(hats_s, name) - getattr(hats, name)).max() <= bound, name

@@ -320,7 +320,8 @@ def _kernel_used(monkeypatch, solve, *args, **kwargs):
 
 
 TORUS_KERNELS = ("hartley", "rfftn")
-BOX_KERNELS = ("sine", "sine-split", "dstn")
+# by d: the split plan folds 2D grids, the odd-extension DST runs along one axis
+BOX_KERNELS = {1: ("sine", "dst-rfft"), 2: ("sine", "sine-split"), 3: ("sine",)}
 
 
 class TestPreconditionerEquivalence:
@@ -334,11 +335,12 @@ class TestPreconditionerEquivalence:
     the split plans without the butterfly); the box sizes straddle every
     boundary of the rule."""
 
-    # 96^2 is the largest Hartley torus, 97^2 the smallest rfftn one in 2D,
-    # and 512 / 513 the same pair in 1D
+    # 512 / 513 are the largest Hartley torus and the smallest rfftn one in
+    # 1D, 256 / 257 the same pair in 2D and 80 / 81 in 3D
     @pytest.mark.parametrize("d,n", [(1, 16), (1, 15), (2, 12), (2, 9),
                                      (3, 8), (3, 7), (2, 64), (2, 63), (2, 65),
-                                     (2, 96), (2, 97), (1, 512), (1, 513)])
+                                     (2, 96), (2, 97), (1, 512), (1, 513),
+                                     (2, 256), (2, 257), (3, 80), (3, 81)])
     @pytest.mark.parametrize("m", [1, 2])
     def test_torus(self, monkeypatch, d, n, m):
         g = TorusGrid(d, n)
@@ -357,15 +359,15 @@ class TestPreconditionerEquivalence:
             assert _close32(precond(r.ravel()).reshape(shape), want)
             assert used == [kernel(g, m)]
 
-    # n - 1 = 127 / 128 straddle the sine product and the split, 255 / 256
-    # the split's second level and dstn in 1D (in 2D 2n = 514 has the prime
-    # factor 257, so 256 stays on the split); 107 / 108 the split of a
-    # system in 2D
+    # n - 1 = 127 / 128 straddle the sine product and the split in 2D, 255 /
+    # 256 the split's second level in 2D and the sine product and the
+    # odd-extension DST in 1D, which 1023 / 1024 take on even and odd 2n;
+    # 107 / 108 the split of a system in 2D
     @pytest.mark.parametrize("d,n", [(1, 16), (1, 15), (2, 12), (2, 9),
                                      (3, 8), (3, 7), (3, 48),
                                      (1, 128), (1, 129), (2, 128), (2, 129),
                                      (2, 108), (2, 109), (1, 256), (1, 257),
-                                     (2, 256), (2, 257)])
+                                     (2, 256), (2, 257), (1, 1024), (1, 1025)])
     @pytest.mark.parametrize("m", [1, 2])
     def test_box(self, monkeypatch, d, n, m):
         g = BoxGrid(d, n)
@@ -373,7 +375,7 @@ class TestPreconditionerEquivalence:
         shape = (n - 1,) * d + ((m,) if m > 1 else ())
         rhs = rng.standard_normal(shape)
         # the largest boxes check the path and the plan's order, with one
-        # scale and shift (scipy's dstn of 256 points per axis is slow)
+        # scale and shift (the oracle's DST of 256 points per axis is slow)
         combos = ((1.0, 0.0), (2.7, 0.0), (0.6, 3.5)) if n < 200 else ((0.6, 3.5),)
         for scale, lam in combos:
             precond, used = _kernel_used(monkeypatch, solve_box_dirichlet,
@@ -381,7 +383,7 @@ class TestPreconditionerEquivalence:
                                          precond_scale=scale)
             r = rng.standard_normal(shape)
             want = _box_precond_oracle(r, g, scale, lam)
-            for kern in BOX_KERNELS if d == 2 else ("sine", "dstn"):
+            for kern in BOX_KERNELS[d]:
                 inv = _inverse_symbol(g, kern, scale, lam)
                 inv = inv.reshape(inv.shape + (1,) * (r.ndim - d))
                 assert _close(_apply_inverse(r, inv, g, kern), want)
@@ -399,47 +401,45 @@ class TestPreconditionerEquivalence:
 
 
 class TestTransformPath:
-    """``kernel`` is the one rule for the transforms, and through them for
-    scipy: a solve needs ``scipy.fft`` exactly on ``rfftn`` and ``dstn``.
-    Each row holds (grid, m, kernel) and whether the solve loads scipy; the
-    rows cover every boundary of the rule: 96 points per axis and 96^2 in
-    all on the torus (512 in 1D), for m = 1, 2 and d = 1, 2, 3; n - 1 =
-    107, 108, 127, 128, 255 and 256 on the box, and in 2D above 255 a 2n
-    with (320, 512) and without (257, 321) a prime factor above 7.  The
-    first 32 rows keep the second column of the 64^2 rule's table: where a
-    shape left scipy, its row moved to the tail and a shape that still
-    loads scipy took its place."""
+    """``kernel`` is the one rule for the transforms.  Each row holds (grid,
+    m, kernel) and whether the kernel is one of ``numpy.fft``'s; the rows
+    cover every boundary of the rule: 512, 256 and 80 points per axis on
+    the torus in 1D, 2D and 3D, for m = 1, 2; n - 1 = 107, 108, 127, 128,
+    255 and 256 on the box, and 2D and 3D boxes that took
+    ``scipy.fft.dstn`` before the rule was drawn from d, n and m alone.
+    The second column keeps the pattern of the rule that column replaced,
+    whether the solve loaded ``scipy.fft``, and so does the test's name,
+    so that the ids stay: where a shape left the FFT, its row moved to a
+    row of the other kind, and an FFT shape took its place."""
 
     @pytest.mark.parametrize("grid,needs", [
-        ((TorusGrid(2, 97), 1, "rfftn"), True), ((TorusGrid(2, 97), 2, "rfftn"), True),
+        ((TorusGrid(2, 257), 1, "rfftn"), True), ((TorusGrid(2, 257), 2, "rfftn"), True),
         ((BoxGrid(2, 128), 1, "sine"), False), ((BoxGrid(3, 48), 1, "sine"), False),
-        ((BoxGrid(2, 320), 1, "dstn"), True), ((BoxGrid(3, 129), 1, "dstn"), True),
+        ((TorusGrid(3, 81), 1, "rfftn"), True), ((TorusGrid(3, 81), 2, "rfftn"), True),
         ((TorusGrid(1, 8), 1, "hartley"), False), ((TorusGrid(1, 64), 1, "hartley"), False),
         ((TorusGrid(1, 513), 1, "rfftn"), True), ((TorusGrid(2, 63), 1, "hartley"), False),
-        ((TorusGrid(2, 64), 1, "hartley"), False), ((TorusGrid(3, 21), 1, "rfftn"), True),
-        ((TorusGrid(3, 16), 1, "hartley"), False), ((TorusGrid(1, 513), 2, "rfftn"), True),
-        ((TorusGrid(3, 21), 2, "rfftn"), True), ((BoxGrid(2, 512), 1, "dstn"), True),
+        ((TorusGrid(2, 64), 1, "hartley"), False), ((BoxGrid(1, 1024), 1, "dst-rfft"), True),
+        ((BoxGrid(3, 129), 1, "sine"), False), ((TorusGrid(1, 513), 2, "rfftn"), True),
+        ((BoxGrid(1, 1025), 2, "dst-rfft"), True), ((TorusGrid(2, 512), 1, "rfftn"), True),
         ((BoxGrid(1, 128), 2, "sine"), False), ((BoxGrid(1, 129), 1, "sine"), False),
-        ((BoxGrid(1, 256), 2, "sine"), False), ((BoxGrid(1, 257), 1, "dstn"), True),
+        ((BoxGrid(1, 256), 2, "sine"), False), ((BoxGrid(1, 257), 1, "dst-rfft"), True),
         ((BoxGrid(2, 129), 1, "sine-split"), False), ((BoxGrid(2, 200), 1, "sine-split"), False),
-        ((BoxGrid(2, 256), 1, "sine-split"), False), ((BoxGrid(2, 320), 2, "dstn"), True),
-        ((BoxGrid(2, 64), 2, "sine"), False), ((BoxGrid(2, 96), 1, "sine"), False),
+        ((BoxGrid(2, 256), 1, "sine-split"), False), ((BoxGrid(1, 257), 2, "dst-rfft"), True),
+        ((BoxGrid(2, 64), 2, "sine"), False), ((BoxGrid(2, 512), 1, "sine-split"), False),
         ((BoxGrid(2, 108), 2, "sine"), False), ((BoxGrid(2, 109), 2, "sine-split"), False),
         ((BoxGrid(2, 128), 2, "sine-split"), False), ((BoxGrid(2, 129), 2, "sine-split"), False),
-        ((BoxGrid(3, 128), 2, "sine"), False), ((BoxGrid(3, 129), 2, "dstn"), True),
-        ((TorusGrid(2, 65), 1, "hartley"), False), ((TorusGrid(2, 64), 2, "hartley"), False),
+        ((BoxGrid(3, 129), 2, "sine"), False), ((TorusGrid(3, 128), 1, "rfftn"), True),
+        ((TorusGrid(3, 21), 1, "hartley"), False), ((TorusGrid(2, 97), 1, "hartley"), False),
         ((BoxGrid(2, 257), 1, "sine-split"), False), ((TorusGrid(1, 65), 1, "hartley"), False),
-        ((TorusGrid(2, 96), 2, "hartley"), False), ((TorusGrid(3, 17), 1, "hartley"), False),
-        ((TorusGrid(3, 16), 2, "hartley"), False), ((TorusGrid(1, 512), 1, "hartley"), False),
-        ((BoxGrid(2, 257), 2, "sine-split"), False), ((TorusGrid(2, 96), 1, "hartley"), False),
-        ((TorusGrid(1, 512), 2, "hartley"), False), ((TorusGrid(3, 20), 2, "hartley"), False),
+        ((TorusGrid(2, 256), 2, "hartley"), False), ((TorusGrid(3, 80), 1, "hartley"), False),
+        ((BoxGrid(2, 320), 1, "sine-split"), False), ((TorusGrid(1, 512), 1, "hartley"), False),
+        ((BoxGrid(2, 257), 2, "sine-split"), False), ((TorusGrid(2, 256), 1, "hartley"), False),
+        ((TorusGrid(1, 512), 2, "hartley"), False), ((TorusGrid(3, 80), 2, "hartley"), False),
         ((BoxGrid(2, 321), 1, "sine-split"), False)])
     def test_needs_scipy_fft(self, grid, needs):
         g, m, kern = grid
         assert kernel(g, m) == kern
-        assert (kern in ("rfftn", "dstn")) is needs
-        # no kernel moves to scipy as m falls (cli.parse_config relies on it)
-        assert kernel(g, 1) not in ("rfftn", "dstn") or needs
+        assert (kern in ("rfftn", "dst-rfft")) is needs
 
     def test_sine_matrix_is_shared_and_read_only(self):
         S = _dense_matrix("sine", 16, np.dtype(np.float32))
@@ -509,7 +509,7 @@ class TestNoDtypeProbe:
 def _trig_operators():
     """Self-adjoint box interior operators and torus operators (trig, d = 2):
     on the sine-matrix box and the Hartley torus, and on the split box
-    (n - 1 = 128) and the rfftn torus (n = 97) as "box-split" and
+    (n - 1 = 128) and the rfftn torus (n = 257) as "box-split" and
     "torus-fft"."""
     from homogkit.bvp import sample_coefficients
     from homogkit.coefficients import builtin_family
@@ -517,7 +517,7 @@ def _trig_operators():
 
     cs = builtin_family("trig", d=2).principal_part
     out = {}
-    for name, bn, tn in (("", 16, 16), ("-split", 129, None), ("-fft", None, 97)):
+    for name, bn, tn in (("", 16, 16), ("-split", 129, None), ("-fft", None, 257)):
         if bn:
             bg = BoxGrid(2, bn)
             s = sample_coefficients(cs, bg, 1 / 4, 0.7)
@@ -558,11 +558,11 @@ class TestPreconditionerContract:
     """Each preconditioner closure leaves its argument alone and returns a
     flat float64 array of rhs.size: the Krylov vectors stay float64, and
     the benchmark tracer wraps M with ``dtype=M.dtype``.  The shapes reach
-    every kernel: the Hartley and rfftn tori, the sine, split and dstn
-    boxes."""
+    every kernel: the Hartley and rfftn tori, the sine, split and
+    odd-extension DST boxes."""
 
     @pytest.mark.parametrize("d,n", [(1, 15), (2, 12), (3, 7), (2, 65), (2, 129), (1, 300),
-                                     (2, 97)])
+                                     (2, 97), (2, 257)])
     @pytest.mark.parametrize("m", [1, 2])
     @pytest.mark.parametrize("geometry", ["box", "torus"])
     def test_closure(self, monkeypatch, geometry, d, n, m):
@@ -814,7 +814,8 @@ class TestSolveEquivalence:
     def test_box(self, d, m, lam, self_adjoint):
         self._box(d, _EQUIV_N[d], m, lam, self_adjoint, 60 + 10 * d + m)
 
-    # n - 1 = 127 runs the sine-matrix product, 128 the split one and 319 dstn
+    # n - 1 = 127 runs the sine-matrix product and 128 the split one on a 2D
+    # box, 319 the odd-extension DST on a 1D box
     @pytest.mark.parametrize("n", [128, 129, 320])
     def test_box_dst_paths(self, n):
-        self._box(2, n, 1, 0.0, True, 70 + n)
+        self._box(1 if n == 320 else 2, n, 1, 0.0, True, 70 + n)
