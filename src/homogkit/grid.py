@@ -20,11 +20,11 @@ against.  ``assemble`` reads A as ``PrincipalBlocks``, the blocks a_ij
 ``coefficient_blocks`` on the torus, sampled block by block on a box
 (``bvp.sample_coefficients``).  On either grid it stores the operator as
 one block of entries per component and stencil offset on the lattice
-padded by one layer (``Stencil``), and applies it with numpy, so no
-operator needs ``scipy.sparse``.  The torus wraps the padding layer; a
-box's padding layer is its boundary, so one stencil gives both the
-interior block K_ii (zero boundary values) and the boundary coupling K_ib
-(``Stencil.lift``).
+padded by one layer (``Stencil``), a self-adjoint one only one block per
+pair of opposite offsets, and applies it with numpy, so no operator needs
+``scipy.sparse``.  The torus wraps the padding layer; a box's padding
+layer is its boundary, so one stencil gives both the interior block K_ii
+(zero boundary values) and the boundary coupling K_ib (``Stencil.lift``).
 """
 
 from __future__ import annotations
@@ -460,10 +460,17 @@ _ROW_BLOCK = 1 << 15
 
 
 class Stencil:
-    """An operator on a lattice as one block of entries per (component b,
-    stencil offset k): ``blocks[b, k, a]`` holds, on the lattice padded by
-    one layer per axis, the entry coupling u^b(x + offsets[k]) into row
-    (x, a) at every lattice point x, and zero on the padding layer.
+    """An operator on a lattice as blocks of entries on the lattice padded
+    by one layer per axis: ``blocks[b, j, a]`` holds, at every lattice
+    point x, the entry coupling u^b(x + stored[j]) into row (x, a).
+
+    ``stored`` is ``offsets`` unless the operator is self-adjoint
+    (``assemble``); then it is the centre and the first member s of each
+    pair +-s of ``offsets``.  The step of -s reads the entry coupling
+    u^b(x - s) into row (x, a) as ``blocks[a, j, b]`` at x - s, j the slot
+    of s: the coupling of u^a(x) into row (x - s, b), equal to it by
+    symmetry.  The padding layer is zero but where such a mirrored step
+    reads it from a lattice row x, which holds that row's entry.
 
     ``K @ x`` copies x, one component at a time, into a padded array and
     fills its padding layer by ``wraps``, (padding face, lattice face)
@@ -471,12 +478,13 @@ class Stencil:
     there the padding layer is its boundary layer, zero for ``@`` (K_ii)
     and the boundary values of a field for ``lift`` (K_ib).  In that layout
     the neighbours x + s of all lattice points are one contiguous slice,
-    moved by the flat offset of s, so the product is one multiply and one
-    add per step (b, k), over the flat range from the first to the last
-    lattice point; the padding points inside it are computed and dropped.
-    The range is cut into blocks of whole planes of the first axis, about
-    ``_ROW_BLOCK`` unknowns each, and each block runs every step and writes
-    out its lattice rows before the next begins.
+    moved by the flat offset of s, and so are a mirrored step's entries at
+    x + s, so the product is one multiply and one add per step (b, k), over
+    the flat range from the first to the last lattice point; the padding
+    points inside it are computed and dropped.  The range is cut into
+    blocks of whole planes of the first axis, about ``_ROW_BLOCK`` unknowns
+    each, and each block runs every step and writes out its lattice rows
+    before the next begins.
 
     The steps run in ``order``, a list of (b, k), starting from the first
     product, and 0.0 is added last, as the rows are written out with the
@@ -494,9 +502,9 @@ class Stencil:
     """
 
     def __init__(self, blocks: np.ndarray, offsets: list[tuple[int, ...]],
-                 order: list[tuple[int, int]], wraps=()):
+                 stored: list[tuple[int, ...]], order: list[tuple[int, int]], wraps=()):
         m, d, side = blocks.shape[0], blocks.ndim - 3, blocks.shape[-1]
-        self.blocks, self.offsets, self.order = blocks, offsets, order
+        self.blocks, self.offsets, self.stored, self.order = blocks, offsets, stored, order
         self.shape = (m * (side - 2) ** d,) * 2
         self._field = (side - 2,) * d + (m,)
         self._comp_first = (d,) + tuple(range(d))   # field axes, components first
@@ -505,6 +513,12 @@ class Stencil:
         self._wraps = [(self._x[face], self._x[src]) for face, src in wraps]
         strides = [side ** (d - 1 - ax) for ax in range(d)]
         self._shift = [sum(sk * st for sk, st in zip(s, strides)) for s in offsets]
+        # per offset: whether the components swap, the slot read and the
+        # flat shift of the read (a mirrored step reads at x + s)
+        slot = {s: j for j, s in enumerate(stored)}
+        self._reads = [(False, slot[s], 0) if s in slot
+                       else (True, slot[tuple(-k for k in s)], sh)
+                       for s, sh in zip(offsets, self._shift)]
         lo = sum(strides)                   # the flat index of the first lattice point
         hi = side ** d - lo                 # one past the last
         plane, nplanes = strides[0], side - 2
@@ -521,14 +535,29 @@ class Stencil:
                                  y[(slice(None), slice(q)) + (slice(1, -1),) * (d - 1)]))
         self._steps = self._bind(self._x)
 
+    def entries(self, b: int, k: int) -> np.ndarray:
+        """The entries of step (b, k) at the lattice points, (m, *lattice
+        shape): [a] couples u^b(x + offsets[k]) into row (x, a)."""
+        swap, j, _ = self._reads[k]
+        d, side = self.blocks.ndim - 3, self.blocks.shape[-1]
+        if swap:
+            return self.blocks[(slice(None), j, b) + tuple(
+                slice(1 + sk, side - 1 + sk) for sk in self.offsets[k])]
+        return self.blocks[(b, j, slice(None)) + (slice(1, -1),) * d]
+
     def _bind(self, x: np.ndarray) -> list:
         """For every block, the steps of a product with the padded array
         ``x``: (entries, x at the neighbours) in ``order``."""
         m = x.shape[0]
-        entries = self.blocks.reshape(m, len(self.offsets), m, -1)
+        flat = self.blocks.reshape(m, len(self.stored), m, -1)
+        views = (flat, flat.transpose(2, 1, 0, 3))   # [b, j, a] and, swapped, [a, j, b]
         xf = x.reshape(m, -1)
-        return [[(entries[b, k, :, r0:r1], xf[b, r0 + self._shift[k]:r1 + self._shift[k]])
-                 for b, k in self.order] for _, _, r0, r1, *_ in self._blocks]
+
+        def step(b, k, r0, r1):
+            swap, j, e = self._reads[k]
+            sh = self._shift[k]
+            return views[swap][b, j, :, r0 + e:r1 + e], xf[b, r0 + sh:r1 + sh]
+        return [[step(b, k, r0, r1) for b, k in self.order] for _, _, r0, r1, *_ in self._blocks]
 
     def _product(self, steps: list) -> np.ndarray:
         out = np.empty(self._field)
@@ -559,6 +588,17 @@ class Stencil:
         return self._product(self._bind(x))
 
 
+def _self_adjoint(A: PrincipalBlocks) -> bool:
+    """Whether a_ii^{ab} = a_ii^{ba} and a_ij^{ab} = a_ji^{ba} hold exactly
+    (a NaN fails).  Then, without lower-order terms, the flux stencil's
+    entry coupling u^b(x + s) into row (x, a) equals the one coupling
+    u^a(x) into row (x + s, b) bit for bit: each is the same sum of the same
+    values, with the terms of a cross entry in the other order."""
+    At = A.transposed()
+    return (all(map(np.array_equal, A.diag, At.diag))
+            and all(np.array_equal(A.cross[p], At.cross[p]) for p in _cross_pairs(A)))
+
+
 def assemble(A: PrincipalBlocks, grid: Grid, V: np.ndarray | None = None,
              B: np.ndarray | None = None, c: np.ndarray | None = None,
              lam: float = 0.0) -> Stencil:
@@ -573,14 +613,20 @@ def assemble(A: PrincipalBlocks, grid: Grid, V: np.ndarray | None = None,
     (m, m)) are sampled on all of ``grid``, whose boundary layer is the
     padding.  The offsets are ``_stencil_offsets(d, _cross_pairs(A))``, and
     with n >= 4 no two of them reach the same point, so every row couples
-    to exactly m * (1 + 2d + 4 * len(_cross_pairs(A))) unknowns.  The steps
-    run b first, then k, on the torus (the order of the CSR array that once
-    held it), and on a box by (offset, b): the column order of every row,
-    in which the products of K_ii by diagonals and of K_ib by triplets
-    added their terms.
+    to exactly m * (1 + 2d + 4 * len(_cross_pairs(A))) unknowns.  Without
+    V, B, c and with blocks that pass ``_self_adjoint``, the stencil stores
+    the centre and the first member of each pair +-s only (``Stencil``),
+    the one of the two whose first nonzero coordinate is positive.  The
+    steps run b first, then k, on the torus (the order of the CSR array
+    that once held it), and on a box by (offset, b): the column order of
+    every row, in which the products of K_ii by diagonals and of K_ib by
+    triplets added their terms.
     """
     d, m = grid.d, A.diag[0].shape[-1]
     offsets = _stencil_offsets(d, _cross_pairs(A))
+    stored = offsets
+    if V is None and _self_adjoint(A):
+        stored = [s for s in offsets if s >= tuple(-k for k in s)]
     order = [(b, k) for b in range(m) for k in range(len(offsets))]
     wraps = []
     if isinstance(grid, TorusGrid):
@@ -593,13 +639,21 @@ def assemble(A: PrincipalBlocks, grid: Grid, V: np.ndarray | None = None,
         # offsets in lexicographic order are in the order of their flat offsets
         order.sort(key=lambda bk: (offsets[bk[1]], bk[0]))
     padded = A.diag[0].shape[:-2]
-    blocks = np.zeros((m, len(offsets), m) + padded)
-    slot = {s: k for k, s in enumerate(offsets)}
-    inner = (slice(1, -1),) * d
+    blocks = np.zeros((m, len(stored), m) + padded)
+    slot = {s: k for k, s in enumerate(stored)}
     for s, blk in _flux_stencil(A, V, B, c, lam, grid.h, padded[0] - 2):
-        # blk[..., a, b] is blocks[b, k, a] at the lattice points
-        blocks[(slice(None), slot[s], slice(None)) + inner] = np.moveaxis(blk, (-1, -2), (0, 1))
-    return Stencil(blocks, offsets, order, wraps)
+        if s in slot:
+            # blk[..., a, b] is blocks[b, k, a] at the lattice points
+            at = (slice(None), slot[s], slice(None)) + (slice(1, -1),) * d
+            blocks[at] = np.moveaxis(blk, (-1, -2), (0, 1))
+        else:
+            # the step of s reads blk[..., a, b] as blocks[a, j, b] at x + s,
+            # j the slot of -s: on the lattice the same bits as stored there
+            # already, on the padding layer the entries only this step reads
+            at = (slice(None), slot[tuple(-k for k in s)], slice(None)) + tuple(
+                slice(1 + k, padded[0] - 1 + k) for k in s)
+            blocks[at] = np.moveaxis(blk, (-2, -1), (0, 1))
+    return Stencil(blocks, offsets, stored, order, wraps)
 
 
 # ---------------------------------------------------------------------------

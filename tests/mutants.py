@@ -67,6 +67,13 @@ MUTANTS = [
     ("hartley-cap-3d-up-one", "src/homogkit/solvers.py", " 3: 80}", " 3: 81}"),
     ("irfftn-without-s", "src/homogkit/solvers.py",
      "fft.irfftn(xhat, s=grid.shape, axes=axes)", "fft.irfftn(xhat, axes=axes)"),
+    # mirrored storage of self-adjoint stencils
+    ("mirror-read-unshifted", "src/homogkit/grid.py",
+     "else (True, slot[tuple(-k for k in s)], sh)", "else (True, slot[tuple(-k for k in s)], 0)"),
+    ("mirror-roles-unswapped", "src/homogkit/grid.py",
+     "views = (flat, flat.transpose(2, 1, 0, 3))", "views = (flat, flat)"),
+    ("mirror-padding-fill-skipped", "src/homogkit/grid.py",
+     "            blocks[at] = np.moveaxis(blk, (-2, -1), (0, 1))", "            pass"),
 ]
 
 

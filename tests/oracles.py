@@ -15,9 +15,10 @@ checks test a coefficient set's declared structure constants, and
 ``poisson_kernel_boundary_rep`` is the discrete Poisson kernel, which checks
 the adjoint Green columns against solves with boundary data.
 ``torus_csr`` and ``box_csr`` rebuild an operator's stencil (``grid.Stencil``)
-as ``scipy.sparse`` CSR arrays of its entries, the box's split into the
-interior block K_ii and the boundary coupling K_ib: the products they are
-tested against, and the transposes and dense forms the assembly tests read.
+as ``scipy.sparse`` CSR arrays of the entries its steps read, the box's
+split into the interior block K_ii and the boundary coupling K_ib: the
+products they are tested against, and the transposes and dense forms the
+assembly tests read.
 ``torus_csr_array`` is the torus assembly as it was when the torus operator
 was a CSR array.
 ``assemble_box_full`` is the box assembly as it was when a box sample held
@@ -48,13 +49,13 @@ from homogkit.rates import ConvergenceReport
 def torus_csr(K) -> sparse.csr_array:
     """A torus operator (``grid.Stencil``) as the CSR array of its entries:
     row (p, a) holds the columns (p + offsets[k], b) in ``K.order``, the
-    order in which the product adds them."""
-    m, nk = K.blocks.shape[:2]
+    order in which the product adds them, read through ``K.entries``."""
+    m, nk = K.blocks.shape[0], len(K.offsets)
     d, n = K.blocks.ndim - 3, K.blocks.shape[-1] - 2
     npts = n ** d
-    entries = K.blocks[(slice(None),) * 3 + (slice(1, -1),) * d].reshape(m, nk, m, npts)
     b, k = np.array(K.order).T
-    data = np.ascontiguousarray(entries[b, k].transpose(2, 1, 0))   # [p, a, step]
+    steps = np.stack([K.entries(*bk).reshape(m, npts) for bk in K.order])
+    data = np.ascontiguousarray(steps.transpose(2, 1, 0))   # [p, a, step]
     point = np.arange(npts, dtype=np.int32).reshape((n,) * d)
     nbr = np.stack([np.roll(point, [-x for x in s], axis=tuple(range(d))).ravel()
                     for s in K.offsets], axis=1)
@@ -67,7 +68,8 @@ def box_csr(K) -> tuple[sparse.csr_array, sparse.csr_array]:
     """(K_ii, K_ib) of a box operator (``grid.Stencil``) as CSR arrays of
     its entries: row (p, a) couples to (p + offsets[k], b), an interior
     unknown (K_ii) or a boundary value ordered as ``boundary_indices``
-    (K_ib), each row's columns in increasing order."""
+    (K_ib), each row's columns in increasing order, read through
+    ``K.entries``."""
     m, d, side = K.blocks.shape[0], K.blocks.ndim - 3, K.blocks.shape[-1]
     rows = side - 2
     bmask = np.ones((side,) * d, dtype=bool)
@@ -82,7 +84,7 @@ def box_csr(K) -> tuple[sparse.csr_array, sparse.csr_array]:
         for a in range(m):
             r.append(m * point + a)
             c.append(m * nbr + b)
-            v.append(K.blocks[(b, k, a) + (slice(1, -1),) * d].ravel())
+            v.append(K.entries(b, k)[a].ravel())
             edge.append(at_face)
     r, c, v, edge = map(np.concatenate, (r, c, v, edge))
     shape = (m * rows ** d, m * rows ** d), (m * rows ** d, m * int(bmask.sum()))

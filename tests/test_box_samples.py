@@ -4,8 +4,8 @@ the coefficients evaluated on the whole point array at once, and the box
 stencil built from the full d x d x m x m tensor and V, B, c arrays, zero
 for a set without lower-order terms.
 
-The stored entries and their offsets, the preconditioner scale and the
-adjoint's stencil must be equal, whatever the number of lattice planes the
+The entries each step reads and their offsets, the preconditioner scale
+and the adjoint's stencil must be equal, whatever the number of lattice planes the
 sampler evaluates at once: the default, one plane, and four, which divides
 none of the plane counts here (33, 17, 9).  The entries are compared, not
 products: the ``nan`` cases hold a NaN in the entries that couple to the
@@ -103,10 +103,20 @@ def full_arrays(cs, grid, eps):
 
 
 def assert_same_stencil(K, want):
+    """The entries each step (b, k) reads at the lattice points equal the
+    oracle's, which stores every offset and is zero on the boundary layer;
+    a stencil that stores every offset too holds exactly its blocks."""
     blocks, offsets = want
     assert K.offsets == offsets
-    assert K.blocks.shape == blocks.shape
-    assert np.array_equal(K.blocks, blocks, equal_nan=True)
+    m, d = blocks.shape[0], blocks.ndim - 3
+    assert K.blocks.shape == (m, len(K.stored), m) + blocks.shape[3:]
+    for b in range(m):
+        for k in range(len(offsets)):
+            assert np.array_equal(K.entries(b, k),
+                                  blocks[(b, k, slice(None)) + (slice(1, -1),) * d],
+                                  equal_nan=True)
+    if K.stored == offsets:
+        assert np.array_equal(K.blocks, blocks, equal_nan=True)
 
 
 @pytest.mark.parametrize("planes", [None, 1, 4], ids=["default", "one-plane", "four-planes"])
@@ -139,8 +149,9 @@ def test_box_sample_and_assembly_memory():
     65^2), d = 3 and m = 1:
 
     - the diagonal blocks a_ii: d P;
-    - the stencil's entries, one block per offset of the 7-point stencil on
-      the padded lattice, which is the box's: 7 P;
+    - the stencil's entries on the padded lattice, which is the box's: the
+      self-adjoint 7-point stencil stores one block for the centre and one
+      for each +e_i, 4 P;
     - the product's padded copy of x: P;
     - the stencil's row-sized arrays alive at once (the centre block, the
       two blocks of one axis and one temporary): 4 N;
@@ -149,11 +160,12 @@ def test_box_sample_and_assembly_memory():
 
     The stencil holds no boundary numbering, index array or separate
     boundary coupling.  The terms of sampling and assembly are added,
-    although the two phases do not overlap.  The bound, about 4.85 M words,
+    although the two phases do not overlap.  The bound, about 4.03 M words,
     is below the 5.12 M of the split assembly's (diagonals 7 N, the boundary
     numbering P + N and 48 (n - 1)^2 words of boundary triplets in place of
-    the 8 P above).  A sample of the full tensor with V, B and c held 16 P
-    words before the assembly began."""
+    the 5 P above) and the 4.85 M of a stencil storing all 7 offsets.  A
+    sample of the full tensor with V, B and c held 16 P words before the
+    assembly began."""
     import tracemalloc
 
     cs = builtin_family("trig", d=3)
@@ -164,7 +176,7 @@ def test_box_sample_and_assembly_memory():
     n, d = grid.n, grid.d
     P, N = (n + 1) ** 3, (n - 1) ** 3
     s = (bvp._SLAB_POINTS // (n + 1) ** 2) * (n + 1) ** 2
-    bound = 8 * (d * P + 7 * P + P + 4 * N + s * (d + d * d + 16))
+    bound = 8 * (d * P + 4 * P + P + 4 * N + s * (d + d * d + 16))
     tracemalloc.start()
     try:
         samples = sample_coefficients(cs, grid, 1 / 4, 0.0)
