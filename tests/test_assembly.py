@@ -382,7 +382,7 @@ def a12_only(A: np.ndarray) -> np.ndarray:
 
 
 def test_box_stencil_stores_no_indices():
-    """The box stencil (m = 1) stores one block of entries per stencil
+    """The box stencil (m = 1) stores one block of entries per stored
     offset on the box lattice, and no index array: the centre and +-e_i
     always, +-e_i +-e_j only for the axis pairs with a_ij or a_ji nonzero
     (none for trig, all three for a full tensor, one for a_12).  The

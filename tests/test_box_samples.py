@@ -5,9 +5,9 @@ stencil built from the full d x d x m x m tensor and V, B, c arrays, zero
 for a set without lower-order terms.
 
 The entries each step reads and their offsets, the preconditioner scale
-and the adjoint's stencil must be equal, whatever the number of lattice planes the
-sampler evaluates at once: the default, one plane, and four, which divides
-none of the plane counts here (33, 17, 9).  The entries are compared, not
+and the adjoint's stencil must be equal, whatever the number of lattice
+planes the sampler evaluates at once: the default, one plane, and four,
+which divides none of the plane counts here (33, 17, 9).  The entries are compared, not
 products: the ``nan`` cases hold a NaN in the entries that couple to the
 x_0 = 0 face."""
 
