@@ -362,12 +362,14 @@ class TestPreconditionerEquivalence:
     # n - 1 = 127 / 128 straddle the sine product and the split in 2D, 255 /
     # 256 the split's second level in 2D and the sine product and the
     # odd-extension DST in 1D, which 1023 / 1024 take on even and odd 2n;
-    # 107 / 108 the split of a system in 2D
+    # 107 / 108 the split of a system in 2D; 129 and 131 a split plan of one
+    # fold and one that folds again, small enough for every scale and shift
     @pytest.mark.parametrize("d,n", [(1, 16), (1, 15), (2, 12), (2, 9),
                                      (3, 8), (3, 7), (3, 48),
                                      (1, 128), (1, 129), (2, 128), (2, 129),
                                      (2, 108), (2, 109), (1, 256), (1, 257),
-                                     (2, 256), (2, 257), (1, 1024), (1, 1025)])
+                                     (2, 256), (2, 257), (1, 1024), (1, 1025),
+                                     (2, 130), (2, 132)])
     @pytest.mark.parametrize("m", [1, 2])
     def test_box(self, monkeypatch, d, n, m):
         g = BoxGrid(d, n)
@@ -389,6 +391,30 @@ class TestPreconditionerEquivalence:
                 assert _close(_apply_inverse(r, inv, g, kern), want)
             assert _close32(precond(r.ravel()).reshape(shape), want)
             assert used == [kernel(g, m)]
+
+    # every kernel of a 2D or 3D grid, on a torus or box small enough to take
+    # any of them; the box's 10 and 12 give split plans of one and two folds
+    @pytest.mark.parametrize("grid,kern", [
+        (TorusGrid(2, 12), "hartley"), (TorusGrid(3, 8), "hartley"),
+        (TorusGrid(2, 9), "rfftn"), (TorusGrid(3, 8), "rfftn"),
+        (BoxGrid(2, 12), "sine"), (BoxGrid(3, 8), "sine"),
+        (BoxGrid(2, 10), "sine-split"), (BoxGrid(2, 12), "sine-split")],
+        ids=lambda p: p if isinstance(p, str) else f"{type(p).__name__}{p.d}d{p.n}")
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_components_one_at_a_time(self, grid, kern, dtype):
+        """An m = 3 field gives the three applies of its components bit for
+        bit.  Not in 1D: there the dense products keep the components as a
+        trailing axis, the columns of one GEMM, whose sums BLAS may order
+        differently from those of a single column."""
+        box = isinstance(grid, BoxGrid)
+        points = (grid.n - 1,) * grid.d if box else grid.shape
+        rng = np.random.Generator(np.random.PCG64(40 + grid.d + grid.n))
+        r = rng.standard_normal(points + (3,))
+        inv = (_inverse_symbol(grid, kern, 1.3, 0.4) if box
+               else _inverse_symbol(grid, kern, 1.3)).astype(dtype)
+        z = _apply_inverse(r, inv[..., None], grid, kern)
+        for c in range(3):
+            assert np.array_equal(z[..., c], _apply_inverse(r[..., c], inv, grid, kern))
 
     @pytest.mark.parametrize("d,n", [(1, 15), (2, 12), (2, 9), (3, 7)])
     def test_poisson_periodic(self, d, n):
