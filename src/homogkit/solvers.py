@@ -14,8 +14,9 @@ so that a run loads neither ``scipy.sparse.linalg`` nor the LAPACK of
 A preconditioner only has to be approximate, so its transforms run in
 float32: the residual is cast down, transformed, multiplied by a float32
 copy of the reciprocal symbol, transformed back and cast back.
-``_spectral_solve`` holds this contract for both geometries; the two solves
-pass it only their kernel, symbol and right-hand side.  The operator, the
+``_spectral_solve`` holds this contract for both geometries and picks the
+kernel and builds the symbol itself; the two solves pass it only their
+right-hand side, preconditioner scale and shift.  The operator, the
 Krylov vectors, the GMRES fallback and the residual check stay float64.
 ``_krylov`` scales the right-hand side by an exact power of two (max |b| in
 [0.5, 1)) and the solution back, so the float32 range never sees the scale
@@ -32,12 +33,13 @@ back.  On the box, ``"sine"``, products with the dense DST-I matrix
 S[j, k] = 2 sin(pi j k / n), which squares to 2n I; ``"sine-split"``, the
 same products with each GEMM split by S[n - j, k] = (-1)^(k+1) S[j, k] into
 two of half size after the input is folded (x_j + x_{n-j}, x_j - x_{n-j}),
-and once more when 4 divides n: the first radix-2 steps of the fast sine
-transform (Van Loan, *Computational Frameworks for the Fast Fourier
-Transform*, SIAM 1992); and ``"dst-rfft"`` in 1D, the DST-I as the real
-FFT of the odd extension (0, x, 0, -x reversed).  The dense kernels share
-one per-axis GEMM loop (``_dense_products``), run on one component at a
-time for the systems on 2D and 3D grids, and their matrices are built once
+and the even half, a DST-I on n/2, folded once more when 4 divides n: the
+first radix-2 steps of the fast sine transform (Van Loan, *Computational
+Frameworks for the Fast Fourier Transform*, SIAM 1992); and ``"dst-rfft"``
+in 1D, the DST-I as the real FFT of the odd extension (0, x, 0, -x
+reversed).  Every kernel takes the components of a system on a 2D or 3D
+grid one at a time (``_apply_inverse``); the dense kernels share one
+per-axis GEMM loop (``_dense_products``), and their matrices are built once
 per size and dtype and shared read-only.  A dense product costs
 O(N^(d+1)) against the FFT's O(N^d log N), but on these sizes BLAS wins.
 The rule rests on these per-apply timings (float32, two transforms and the
@@ -105,6 +107,7 @@ solves with are numpy arrays (``grid.Stencil``).
 from __future__ import annotations
 
 import functools
+import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -218,7 +221,7 @@ def _dense_products(x: np.ndarray, S: np.ndarray, nd: int) -> np.ndarray:
     """The symmetric matrix ``S`` applied along each of the first ``nd`` axes
     of ``x`` as one GEMM per axis (a batched one for the middle axis of a 3D
     grid); a trailing component axis stays in place inside the products,
-    which ``_apply_inverse`` only lets through in 1D or at length 1."""
+    which ``_apply_inverse`` only lets through in 1D."""
     N, shape = S.shape[0], x.shape
     for ax in range(nd):
         lead = N ** ax
@@ -298,37 +301,12 @@ class _Fold:
         np.subtract(q[:h], q[L:], out=out[::-1][:h])
 
 
-class _Butterfly:
-    """S[j, n - k] = (-1)^(j+1) S[j, k] for odd k when 4 divides n: the
-    rows k and n - k of the odd half share the products E of the odd and O
-    of the even columns j, as E + O and E - O."""
-
-    def __init__(self, cols_odd: _Product, cols_even: _Product, order: np.ndarray):
-        self.e, self.o, self.order = cols_odd, cols_even, order
-
-    def forward(self, u, out, t, work):
-        half = u.shape[0] // 2
-        shape = (u.shape[1], half) if t else (half, u.shape[1])
-        E, O = (_scratch(work, self, name, shape, u.dtype) for name in "EO")
-        self.e.forward(u[0::2], E, t, work)
-        self.o.forward(u[1::2], O, t, work)
-        np.add(E, O, out=_rows(out, 0, half, t))
-        np.subtract(E, O, out=_rows(out, half, None, t))
-
-    def backward(self, y, out, t, work):
-        half = out.shape[0] // 2
-        top, bottom = _rows(y, 0, half, t), _rows(y, half, None, t)
-        S, D = (_scratch(work, self, name, top.shape, y.dtype) for name in "SD")
-        self.e.backward(np.add(top, bottom, out=S), out[0::2], t, work)
-        self.o.backward(np.subtract(top, bottom, out=D), out[1::2], t, work)
-
-
 @functools.lru_cache(maxsize=4)
-def _split_plan(n: int, dtype: np.dtype):
-    """The DST-I on N = n - 1 points as a ``_Fold`` of two half-size
-    products; when 4 divides n, the odd half is a ``_Butterfly`` of two
-    quarter-size products and the even half, a DST-I on n/2, is folded
-    again.  ``order`` lists the k of each output row."""
+def _split_plan(n: int, dtype: np.dtype) -> _Fold:
+    """The DST-I on N = n - 1 points as a ``_Fold`` of the odd rows, one
+    half-size product, and the even rows: a DST-I on n/2, folded again when
+    4 divides n, one product otherwise.  ``order`` lists the k of each
+    output row."""
     N = n - 1
 
     def product(k, j):
@@ -339,30 +317,25 @@ def _split_plan(n: int, dtype: np.dtype):
     k_odd, k_even = 2 * np.arange(L) + 1, 2 * np.arange(1, h + 1)
     j = np.arange(1, L + 1)
     if n % 4:
-        return _Fold(product(k_odd, j), product(k_even, j[:h]), N)
-    top = k_odd[: L // 2]
-    odd = _Butterfly(product(top, j[0::2]), product(top, j[1::2]),
-                     np.concatenate([top, n - top]))
-    L2, h2 = h - h // 2, h // 2
-    even = _Fold(product(2 * k_odd[:L2], j[:L2]), product(2 * k_even[:h2], j[:h2]), h)
-    return _Fold(odd, even, N)
+        even = product(k_even, j[:h])
+    else:
+        L2, h2 = h - h // 2, h // 2
+        even = _Fold(product(2 * k_odd[:L2], j[:L2]), product(2 * k_even[:h2], j[:h2]), h)
+    return _Fold(product(k_odd, j), even, N)
 
 
-def _split_products(r: np.ndarray, inv: np.ndarray, plan, work: dict) -> np.ndarray:
-    """DST-I over both grid axes of ``r`` (N, N, comp...), times ``inv``
-    (in the plan's row order on both axes) and DST-I again, one component
-    at a time.  The spectrum is held transposed: it only meets ``inv``,
-    which is symmetric."""
-    out = np.empty(r.shape, r.dtype)
-    inv2 = inv.reshape(inv.shape[:2])
-    spec, tmp = (_scratch(work, plan, name, inv2.shape, r.dtype) for name in ("spec", "tmp"))
-    for c in np.ndindex(r.shape[2:]):
-        x = np.ascontiguousarray(r[(...,) + c])
-        plan.forward(x, tmp, True, work)
-        plan.forward(tmp, spec, False, work)
-        spec *= inv2
-        plan.backward(spec, tmp, False, work)
-        plan.backward(tmp, out[(...,) + c], True, work)
+def _split_products(x: np.ndarray, inv: np.ndarray, plan: _Fold, work: dict) -> np.ndarray:
+    """DST-I over both axes of the contiguous (N, N) field ``x``, times
+    ``inv`` (in the plan's row order on both axes) and DST-I again.  The
+    spectrum is held transposed: it only meets ``inv``, which is
+    symmetric."""
+    out = np.empty(x.shape, x.dtype)
+    spec, tmp = (_scratch(work, plan, name, inv.shape, x.dtype) for name in ("spec", "tmp"))
+    plan.forward(x, tmp, True, work)
+    plan.forward(tmp, spec, False, work)
+    spec *= inv
+    plan.backward(spec, tmp, False, work)
+    plan.backward(tmp, out, True, work)
     return out
 
 
@@ -382,39 +355,42 @@ def _apply_inverse(r: np.ndarray, inv: np.ndarray, grid: TorusGrid | BoxGrid,
     """The transform ``kern`` over the grid axes of ``r``, times ``inv``
     (``_inverse_symbol``, broadcast over any trailing component axes), and
     the transform back, computed in the precision of ``inv`` and returned in
-    that of ``r``.  The dense products take the components of a 2D or 3D
-    grid one at a time: each is cast straight into a contiguous copy and its
-    result straight into the output.  ``work`` keeps the split kernel's work
-    arrays from one call to the next."""
-    nd, axes, dtype = grid.d, tuple(range(grid.d)), inv.dtype
-    if kern in ("sine", "hartley") and nd > 1 and r.size != inv.size:
-        # several components on a 2D or 3D grid: one at a time, so that the
-        # product along every axis is a GEMM on contiguous rows
-        S = _dense_matrix(kern, grid.n, dtype)
-        out = np.empty(r.shape, r.dtype)
-        inv = inv.reshape(inv.shape[:nd])
-        for c in np.ndindex(r.shape[nd:]):
-            rhat = _dense_products(np.ascontiguousarray(r[(...,) + c], dtype), S, nd)
-            rhat *= inv
-            out[(...,) + c] = _dense_products(rhat, S, nd)
-        return out
-    x = r.astype(dtype, copy=False)
+    that of ``r``.  Every kernel takes the components of a 2D or 3D grid one
+    at a time, so that each product reads contiguous rows: each component
+    is cast straight into a contiguous copy and its result written straight
+    into the output.  In 1D the components stay a trailing axis.  ``work``
+    keeps the split kernel's work arrays from one call to the next."""
+    nd, work = grid.d, {} if work is None else work
+    if nd == 1:
+        return _inverse_field(r, inv, grid, kern, work).astype(r.dtype, copy=False)
+    out = np.empty(r.shape, r.dtype)
+    inv = inv.reshape(inv.shape[:nd])
+    for c in np.ndindex(r.shape[nd:]):
+        out[(...,) + c] = _inverse_field(r[(...,) + c], inv, grid, kern, work)
+    return out
+
+
+def _inverse_field(x: np.ndarray, inv: np.ndarray, grid: TorusGrid | BoxGrid,
+                   kern: str, work: dict) -> np.ndarray:
+    """``_apply_inverse`` of one field ``x`` (in 1D, with its components),
+    cast to a contiguous copy in the dtype of ``inv``; returned in that
+    dtype."""
+    x, nd = np.ascontiguousarray(x, inv.dtype), grid.d
+    if kern == "sine-split":
+        return _split_products(x, inv, _split_plan(grid.n, inv.dtype), work)
     if kern == "rfftn":
+        axes = tuple(range(nd))
         xhat = fft.rfftn(x, axes=axes)
         xhat *= inv
-        z = fft.irfftn(xhat, s=grid.shape, axes=axes)
-    elif kern == "dst-rfft":
+        return fft.irfftn(xhat, s=grid.shape, axes=axes)
+    if kern == "dst-rfft":
         xhat = _dst_rfft(x)
         xhat *= inv
-        z = _dst_rfft(xhat)
-    elif kern == "sine-split":
-        z = _split_products(x, inv, _split_plan(grid.n, dtype), {} if work is None else work)
-    else:
-        S = _dense_matrix(kern, grid.n, dtype)
-        xhat = _dense_products(x, S, nd)
-        xhat *= inv
-        z = _dense_products(xhat, S, nd)
-    return z.astype(r.dtype, copy=False)
+        return _dst_rfft(xhat)
+    S = _dense_matrix(kern, grid.n, inv.dtype)
+    xhat = _dense_products(x, S, nd)
+    xhat *= inv
+    return _dense_products(xhat, S, nd)
 
 
 def poisson_periodic(rhs: np.ndarray, grid: TorusGrid) -> np.ndarray:
@@ -577,15 +553,19 @@ def _krylov(matvec, precond, rhs: np.ndarray, *, self_adjoint: bool, tol: float,
     return np.ldexp(x, exponent).reshape(rhs.shape), float(res)
 
 
-def _spectral_solve(apply_op, rhs: np.ndarray, grid: TorusGrid | BoxGrid, kern: str,
-                    inv: np.ndarray, **krylov) -> tuple[np.ndarray, float]:
-    """``_krylov`` on apply_op(x) = rhs with a float32 spectral preconditioner:
-    the residual is cast down, transformed by ``kern``, multiplied by the
-    float32 copy of the reciprocal symbol ``inv`` (``_inverse_symbol``,
-    broadcast over the component axes) and transformed back, and the result
-    is cast back, all by ``_apply_inverse``."""
+def _spectral_solve(apply_op, rhs: np.ndarray, grid: TorusGrid | BoxGrid, scale: float,
+                    lam: float, **krylov) -> tuple[np.ndarray, float]:
+    """``_krylov`` on apply_op(x) = rhs, for ``rhs`` shaped grid points +
+    components, with a float32 spectral preconditioner: the residual is cast
+    down, transformed by the kernel ``kernel`` picks for the grid and the
+    components, multiplied by a float32 copy of the reciprocal symbol
+    (``_inverse_symbol`` of ``scale`` and ``lam``, broadcast over the
+    component axes) and transformed back, and the result is cast back, all
+    by ``_apply_inverse``."""
     shape, nd = rhs.shape, grid.d
-    inv = inv.astype(np.float32).reshape(inv.shape + (1,) * (len(shape) - nd))
+    kern = kernel(grid, math.prod(shape[nd:]))
+    inv = _inverse_symbol(grid, kern, scale, lam).astype(np.float32)
+    inv = inv.reshape(inv.shape + (1,) * (len(shape) - nd))
 
     def matvec(x):
         return apply_op(x.reshape(shape)).ravel()
@@ -596,12 +576,6 @@ def _spectral_solve(apply_op, rhs: np.ndarray, grid: TorusGrid | BoxGrid, kern: 
         return _apply_inverse(r.reshape(shape), inv, grid, kern, work).ravel()
 
     return _krylov(matvec, precond, rhs, **krylov)
-
-
-def _kernel_of(grid: TorusGrid | BoxGrid, rhs: np.ndarray) -> str:
-    """``kernel`` for a right-hand side shaped grid points + components."""
-    points = grid.npoints if isinstance(grid, TorusGrid) else (grid.n - 1) ** grid.d
-    return kernel(grid, rhs.size // points)
 
 
 def solve_periodic(apply_op, rhs: np.ndarray, grid: TorusGrid, *,
@@ -621,9 +595,7 @@ def solve_periodic(apply_op, rhs: np.ndarray, grid: TorusGrid, *,
     nd = grid.d
     if maxiter is None:
         maxiter = max(200, int(20 * grid.n ** (grid.d / 2)))
-    kern = _kernel_of(grid, rhs)
-    x, res = _spectral_solve(apply_op, _mean_zero(rhs, nd), grid, kern,
-                             _inverse_symbol(grid, kern, precond_scale),
+    x, res = _spectral_solve(apply_op, _mean_zero(rhs, nd), grid, precond_scale, 0.0,
                              self_adjoint=self_adjoint, tol=tol, maxiter=maxiter,
                              what="periodic cell solve")
     return _mean_zero(x, nd), res
@@ -649,8 +621,6 @@ def solve_box_dirichlet(apply_interior, rhs_interior: np.ndarray, grid: BoxGrid,
     """
     if maxiter is None:
         maxiter = max(200, 50 * grid.n)
-    kern = _kernel_of(grid, rhs_interior)
-    return _spectral_solve(apply_interior, rhs_interior, grid, kern,
-                           _inverse_symbol(grid, kern, precond_scale, lam),
+    return _spectral_solve(apply_interior, rhs_interior, grid, precond_scale, lam,
                            self_adjoint=self_adjoint, tol=tol, maxiter=maxiter,
                            what="box Dirichlet solve")
