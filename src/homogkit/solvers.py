@@ -69,18 +69,18 @@ ms):
     box 47^3         sine 1.043
     box 127^3        sine 34.3
     box 159^3        sine 88.0
-    box 95^2         sine 0.099  split 0.253
-    box 127^2        sine 0.207  split 0.261
+    box 95^2         sine 0.099  split 0.127
+    box 127^2        sine 0.207  split 0.220
     box 128^2        sine 0.235  split 0.252
-    box 255^2        sine 1.227  split 0.899
+    box 255^2        sine 1.227  split 0.81
     box 256^2        sine 1.374  split 1.123
-    box 319^2                    split 1.26
-    box 511^2                    split 3.96
-    box 1023^2                   split 23.9
-    box 63^2 x 2     sine 0.123  split 0.373
-    box 107^2 x 2    sine 0.500  split 0.548
+    box 319^2                    split 1.56
+    box 511^2                    split 4.83
+    box 1023^2                   split 31.7
+    box 63^2 x 2     sine 0.123  split 0.204
+    box 107^2 x 2    sine 0.500  split 0.312
     box 108^2 x 2    sine 0.320  split 0.244
-    box 255^2 x 2    sine 3.786  split 2.393
+    box 255^2 x 2    sine 3.786  split 1.79
 
 Single cells drift by 10–30% from run to run with the host.  The 3D cap of
 80 points per axis is below the crossing: the Hartley products were faster
@@ -93,8 +93,9 @@ there.  Against the ``scipy.fft`` transforms these kernels replaced, on
 the shapes that changed kernel: 2D tori from 128^2 are 1.2–3 times slower
 (256^2 1.8 against 0.56, 384^2 3.6 against 1.2), 3D tori from 64^3 to 80^3
 level and above the cap 1.6 times slower (96^3 21 against 13), 2D boxes
-from 511^2, 3D boxes from 127^3 and 1D boxes from 511 points 1.0–1.2 times,
-the 319^2 box level, and 3D tori up to 48^3 1.4–2 times faster.  The float32
+from 511^2 1.2–1.5 times (1023^2 31.7 against 20.8), 3D boxes from 127^3
+and 1D boxes from 511 points 1.0–1.2 times, the 319^2 box 1.3 times, and
+3D tori up to 48^3 1.4–2 times faster.  The float32
 apply agrees with the float64 transforms to about 1.5e-6 relative on the
 dense paths, 6e-8 on the 1D box FFT and about 2e-7 on the torus one.
 
@@ -556,12 +557,10 @@ def _krylov(matvec, precond, rhs: np.ndarray, *, self_adjoint: bool, tol: float,
 def _spectral_solve(apply_op, rhs: np.ndarray, grid: TorusGrid | BoxGrid, scale: float,
                     lam: float, **krylov) -> tuple[np.ndarray, float]:
     """``_krylov`` on apply_op(x) = rhs, for ``rhs`` shaped grid points +
-    components, with a float32 spectral preconditioner: the residual is cast
-    down, transformed by the kernel ``kernel`` picks for the grid and the
-    components, multiplied by a float32 copy of the reciprocal symbol
-    (``_inverse_symbol`` of ``scale`` and ``lam``, broadcast over the
-    component axes) and transformed back, and the result is cast back, all
-    by ``_apply_inverse``."""
+    components, preconditioned in float32 by ``_apply_inverse`` with the
+    kernel ``kernel`` picks for the grid and the components and a float32
+    copy of the reciprocal symbol of ``scale`` and ``lam``
+    (``_inverse_symbol``), broadcast over the component axes."""
     shape, nd = rhs.shape, grid.d
     kern = kernel(grid, math.prod(shape[nd:]))
     inv = _inverse_symbol(grid, kern, scale, lam).astype(np.float32)

@@ -67,6 +67,13 @@ MUTANTS = [
     ("hartley-cap-3d-up-one", "src/homogkit/solvers.py", " 3: 80}", " 3: 81}"),
     ("irfftn-without-s", "src/homogkit/solvers.py",
      "fft.irfftn(xhat, s=grid.shape, axes=axes)", "fft.irfftn(xhat, axes=axes)"),
+    ("fold-middle-row-dropped", "src/homogkit/solvers.py",
+     "        u[h:L] = x[h:L]", "        pass"),
+    ("second-fold-rows-at-k", "src/homogkit/solvers.py",
+     "product(2 * k_odd[:L2], j[:L2]), product(2 * k_even[:h2], j[:h2])",
+     "product(k_odd[:L2], j[:L2]), product(k_even[:h2], j[:h2])"),
+    ("component-loop-first-only", "src/homogkit/solvers.py",
+     "for c in np.ndindex(r.shape[nd:]):", "for c in list(np.ndindex(r.shape[nd:]))[:1]:"),
     # mirrored storage of self-adjoint stencils
     ("mirror-read-unshifted", "src/homogkit/grid.py",
      "else (True, slot[tuple(-k for k in s)], sh)", "else (True, slot[tuple(-k for k in s)], 0)"),

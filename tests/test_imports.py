@@ -24,7 +24,8 @@ No linter ships with the toolchain, so this stands in for four rules:
 
 A fifth rule keeps three scipy modules off the import of ``homogkit``: no
 source file imports ``scipy.fft``, ``scipy.sparse`` or ``scipy.sparse.linalg``
-outside a function body (``solvers`` imports the two it uses on first use).
+outside a function body (``solvers.gmres`` imports ``scipy.sparse.linalg``,
+the one it uses, on its first call).
 
 It also checks which modules a CLI process loads, and at which stage: no
 stage of any run loads ``scipy.fft``, ``scipy.special`` or ``scipy.sparse``,
@@ -319,7 +320,10 @@ print(json.dumps(loaded))
 
 
 def _subprocess_env() -> dict:
-    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+    """The environment of a CLI run: this tree's ``src`` first on the path,
+    and BLAS on one thread, because the stage fixture runs two processes at
+    a time; which modules a run loads does not depend on the thread count."""
+    return dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
         filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")])))
 
 

@@ -150,3 +150,50 @@ def test_lattice_translation_keeps_the_hats(cs):
     bound = 100 * TOL * np.abs(hats.A_hat).max()
     for name in ("A_hat", "V_hat", "B_hat", "c_hat"):
         assert np.abs(getattr(hats_s, name) - getattr(hats, name)).max() <= bound, name
+
+
+def _scalar_self_adjoint(cs: CoefficientSet) -> CoefficientSet:
+    """The block a_ij^{11} of A made symmetric in (i, j), without V, B and
+    c: a self-adjoint scalar set, elliptic with the same mu (a principal
+    block of an elliptic A is elliptic, and so is its symmetric part)."""
+    A = cs.A
+
+    def A1(y):
+        a = A(y)[..., :1, :1]
+        return 0.5 * (a + transpose_a(a))
+
+    return CoefficientSet(d=cs.d, m=1, A=A1, mu=cs.mu)
+
+
+@given(cs=elliptic_sets())
+@settings(max_examples=24, deadline=None, derandomize=True, database=None)
+def test_voigt_reuss_bounds(cs):
+    """For self-adjoint scalar A the harmonic mean <A^-1>^-1 is at most
+    A_hat and A_hat is at most the arithmetic mean <A>, as quadratic forms
+    (Jikov, Kozlov and Oleinik, *Homogenization of Differential Operators
+    and Integral Functionals*, 1994, section 1.6); both means are lattice
+    means of the samples.
+
+    Allowances, fixed before the first run.  The discrete A_hat is the
+    homogenized matrix of the operator's own energy Q (the cell means of
+    a_ij + a_ik d_k chi_j, with the centred d_k, equal those of the
+    half-point diagonal fluxes and centred cross fluxes the stencil uses),
+    so A_hat xi . xi = <A> xi . xi - Q(chi_xi): the upper bound holds for
+    it exactly, and is allowed only the solves' 100 TOL of max |A_hat|, as
+    in the properties above.  The lower bound is proved from a pointwise
+    dual, which the centred cross differences do not have (for a diagonal
+    A the half-point fluxes give it exactly), so it is allowed besides the
+    consistency error of the centred difference on the set's modes,
+    (theta h)^2 / 6 with theta = 2 pi sqrt(d) the largest mode frequency,
+    times the width of the bracket, max eig(<A> - <A^-1>^-1)."""
+    ca = _scalar_self_adjoint(cs)
+    torus = TorusGrid(ca.d, 8 if ca.d == 3 else 16)
+    hat = homogenize(ca, solve_correctors(ca, torus, TOL)).A_hat[..., 0, 0]
+    a = ca.A(torus.points())[..., 0, 0].reshape(-1, ca.d, ca.d)
+    arithmetic = a.mean(axis=0)
+    harmonic = np.linalg.inv(np.linalg.inv(a).mean(axis=0))
+    solves = 100 * TOL * np.abs(hat).max()
+    width = np.linalg.eigvalsh(arithmetic - harmonic).max()
+    discrete = (2.0 * np.pi * np.sqrt(ca.d) * torus.h) ** 2 / 6 * width
+    assert np.linalg.eigvalsh(arithmetic - hat).min() >= -solves
+    assert np.linalg.eigvalsh(hat - harmonic).min() >= -(solves + discrete)
