@@ -73,7 +73,7 @@ MUTANTS = [
      "product(2 * k_odd[:L2], j[:L2]), product(2 * k_even[:h2], j[:h2])",
      "product(k_odd[:L2], j[:L2]), product(k_even[:h2], j[:h2])"),
     ("component-loop-first-only", "src/homogkit/solvers.py",
-     "for c in np.ndindex(r.shape[nd:]):", "for c in list(np.ndindex(r.shape[nd:]))[:1]:"),
+     "for c in np.ndindex(r.shape[nd:])]", "for c in list(np.ndindex(r.shape[nd:]))[:1]]"),
     # mirrored storage of self-adjoint stencils
     ("mirror-read-unshifted", "src/homogkit/grid.py",
      "else (True, slot[tuple(-k for k in s)], sh)", "else (True, slot[tuple(-k for k in s)], 0)"),
