@@ -360,7 +360,7 @@ def _apply_inverse(r: np.ndarray, inv: np.ndarray, grid: TorusGrid | BoxGrid,
     at a time, each cast straight into a contiguous copy, so that each
     product reads contiguous rows; in 1D they stay a trailing axis.  The
     results are cast into the output in one pass, allocated last: allocated
-    before the transforms, it made green3d's one solve about 8% slower.
+    before the transforms, it cost green3d's Krylov loop 6-12% more time.
     ``work`` keeps the split kernel's work arrays from one call to the next."""
     nd, work = grid.d, {} if work is None else work
     if nd == 1:
