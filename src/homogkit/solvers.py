@@ -359,8 +359,7 @@ def _apply_inverse(r: np.ndarray, inv: np.ndarray, grid: TorusGrid | BoxGrid,
     that of ``r``.  Every kernel takes the components of a 2D or 3D grid one
     at a time, each cast straight into a contiguous copy, so that each
     product reads contiguous rows; in 1D they stay a trailing axis.  The
-    results are cast into the output in one pass, allocated last: allocated
-    before the transforms, it cost green3d's Krylov loop 6-12% more time.
+    results are cast into the output in one pass, after the transforms.
     ``work`` keeps the split kernel's work arrays from one call to the next."""
     nd, work = grid.d, {} if work is None else work
     if nd == 1:
