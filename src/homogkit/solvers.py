@@ -23,9 +23,9 @@ Krylov vectors, the GMRES fallback and the residual check stay float64.
 of the data.  ``poisson_periodic`` is an exact solve, not a preconditioner,
 and stays float64.
 
-Every preconditioner transform is picked by one rule, ``kernel``, from d, n
-and the m components per point alone.  There are five kernels.  On the
-torus, ``"hartley"``, products with the dense Hartley matrix
+Every preconditioner transform is picked by one rule, ``kernel``, from d
+and n alone.  There are five kernels.  On the torus, ``"hartley"``,
+products with the dense Hartley matrix
 H[j, k] = cos(2 pi j k / n) + sin(2 pi j k / n), which is symmetric, squares
 to n I and diagonalises the periodic -Laplacian as the Fourier basis does,
 and ``"rfftn"``, ``numpy.fft.rfftn`` over the half spectrum and ``irfftn``
@@ -37,10 +37,11 @@ and the even half, a DST-I on n/2, folded once more when 4 divides n: the
 first radix-2 steps of the fast sine transform (Van Loan, *Computational
 Frameworks for the Fast Fourier Transform*, SIAM 1992); and ``"dst-rfft"``
 in 1D, the DST-I as the real FFT of the odd extension (0, x, 0, -x
-reversed).  Every kernel takes the components of a system on a 2D or 3D
-grid one at a time (``_apply_inverse``); the dense kernels share one
-per-axis GEMM loop (``_dense_products``), and their matrices are built once
-per size and dtype and shared read-only.  A dense product costs
+reversed).  Every kernel takes the components of a system one at a time
+(``_apply_inverse``), so that each transform reads one contiguous grid
+field; the dense kernels share one per-axis GEMM loop
+(``_dense_products``), and their matrices are built once per size and
+dtype and shared read-only.  A dense product costs
 O(N^(d+1)) against the FFT's O(N^d log N), but on these sizes BLAS wins.
 The rule rests on these per-apply timings (float32, two transforms and the
 multiply, one BLAS thread on a 2-vCPU Xeon VM, medians of alternated runs;
@@ -78,8 +79,6 @@ ms):
     box 511^2                    split 4.83
     box 1023^2                   split 31.7
     box 63^2 x 2     sine 0.123  split 0.204
-    box 107^2 x 2    sine 0.500  split 0.312
-    box 108^2 x 2    sine 0.320  split 0.244
     box 255^2 x 2    sine 3.786  split 1.79
 
 Single cells drift by 10–30% from run to run with the host.  The 3D cap of
@@ -89,15 +88,9 @@ above it cheap; no workload or config solves on a 3D torus above 20.
 Above the caps ``numpy.fft`` is slow on lengths with a large prime factor
 (257^2: 7.0 ms against 1.8 for the Hartley products; 97^3: 131 against 19),
 a cost the rule takes so as to read n alone; no workload or config solves
-there.  Against the ``scipy.fft`` transforms these kernels replaced, on
-the shapes that changed kernel: 2D tori from 128^2 are 1.2–3 times slower
-(256^2 1.8 against 0.56, 384^2 3.6 against 1.2), 3D tori from 64^3 to 80^3
-level and above the cap 1.6 times slower (96^3 21 against 13), 2D boxes
-from 511^2 1.2–1.5 times (1023^2 31.7 against 20.8), 3D boxes from 127^3
-and 1D boxes from 511 points 1.0–1.2 times, the 319^2 box 1.3 times, and
-3D tori up to 48^3 1.4–2 times faster.  The float32
-apply agrees with the float64 transforms to about 1.5e-6 relative on the
-dense paths, 6e-8 on the 1D box FFT and about 2e-7 on the torus one.
+there.  The float32 apply agrees with the float64 transforms to about
+1.5e-6 relative on the dense paths, 6e-8 on the 1D box FFT and about 2e-7
+on the torus one.
 
 This module imports ``numpy.fft`` with numpy, so no transform loads a
 module during a run, and no transform needs scipy; only the GMRES fallback
@@ -108,7 +101,6 @@ solves with are numpy arrays (``grid.Stencil``).
 from __future__ import annotations
 
 import functools
-import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -121,23 +113,22 @@ from .grid import BoxGrid, TorusGrid, _read_only
 _HARTLEY_MAX = {1: 512, 2: 256, 3: 80}
 
 
-def kernel(grid: TorusGrid | BoxGrid, m: int = 1) -> str:
-    """The preconditioner transform of a solve on ``grid`` with ``m``
-    components per point, by d, n and m alone (the module docstring gives
-    the timings it rests on):
+def kernel(grid: TorusGrid | BoxGrid) -> str:
+    """The preconditioner transform of a solve on ``grid``, by d and n alone
+    (the module docstring gives the timings it rests on):
 
     - torus: ``"hartley"`` up to n = 512 in 1D, 256 in 2D and 80 in 3D,
       ``"rfftn"`` above;
     - box with N = n - 1 interior points per axis: ``"sine-split"`` for a 2D
-      box from N = 128 (108 when m > 1), ``"dst-rfft"`` for a 1D box above
-      N = 255, ``"sine"`` otherwise.
+      box from N = 128, ``"dst-rfft"`` for a 1D box above N = 255,
+      ``"sine"`` otherwise.
     """
     if isinstance(grid, TorusGrid):
         return "hartley" if grid.n <= _HARTLEY_MAX[grid.d] else "rfftn"
     d, N = grid.d, grid.n - 1
     if d == 1 and N > 255:
         return "dst-rfft"
-    if d == 2 and N >= (128 if m == 1 else 108):
+    if d == 2 and N >= 128:
         return "sine-split"
     return "sine"
 
@@ -219,19 +210,17 @@ def _dense_matrix(kern: str, n: int, dtype: np.dtype) -> np.ndarray:
 
 
 def _dense_products(x: np.ndarray, S: np.ndarray, nd: int) -> np.ndarray:
-    """The symmetric matrix ``S`` applied along each of the first ``nd`` axes
-    of ``x`` as one GEMM per axis (a batched one for the middle axis of a 3D
-    grid); a trailing component axis stays in place inside the products,
-    which ``_apply_inverse`` only lets through in 1D."""
+    """The symmetric matrix ``S`` applied along each axis of the ``nd``-axis
+    grid field ``x`` as one GEMM per axis (a batched one for the middle axis
+    of a 3D grid)."""
     N, shape = S.shape[0], x.shape
     for ax in range(nd):
-        lead = N ** ax
         if ax == 0:
             x = S @ x.reshape(N, -1)
-        elif x.size == lead * N:   # the last grid axis, no component axis after it
+        elif ax == nd - 1:
             x = x.reshape(-1, N) @ S   # S is symmetric
         else:
-            x = np.matmul(S, x.reshape(lead, N, -1))
+            x = np.matmul(S, x.reshape(N ** ax, N, -1))
     return x.reshape(shape)
 
 
@@ -341,30 +330,27 @@ def _split_products(x: np.ndarray, inv: np.ndarray, plan: _Fold, work: dict) -> 
 
 
 def _dst_rfft(x: np.ndarray) -> np.ndarray:
-    """The DST-I along the first axis of ``x``, 2 sum_j x_j sin(pi j k / n)
-    for j, k = 1..n-1: minus the imaginary part of the real FFT of the odd
+    """The DST-I of the 1D field ``x``, 2 sum_j x_j sin(pi j k / n) for
+    j, k = 1..n-1: minus the imaginary part of the real FFT of the odd
     extension (0, x, 0, -x reversed), of length 2n."""
-    N = x.shape[0]
-    y = np.zeros((2 * N + 2,) + x.shape[1:], x.dtype)
+    N = x.size
+    y = np.zeros(2 * N + 2, x.dtype)
     y[1:N + 1] = x
     y[N + 2:] = -x[::-1]
-    return -fft.rfft(y, axis=0)[1:N + 1].imag
+    return -fft.rfft(y)[1:N + 1].imag
 
 
 def _apply_inverse(r: np.ndarray, inv: np.ndarray, grid: TorusGrid | BoxGrid,
                    kern: str, work: dict | None = None) -> np.ndarray:
     """The transform ``kern`` over the grid axes of ``r``, times ``inv``
-    (``_inverse_symbol``, broadcast over any trailing component axes), and
+    (``_inverse_symbol``, shaped like the spectrum of one grid field), and
     the transform back, computed in the precision of ``inv`` and returned in
-    that of ``r``.  Every kernel takes the components of a 2D or 3D grid one
-    at a time, each cast straight into a contiguous copy, so that each
-    product reads contiguous rows; in 1D they stay a trailing axis.  The
-    results are cast into the output in one pass, after the transforms.
-    ``work`` keeps the split kernel's work arrays from one call to the next."""
+    that of ``r``.  Every kernel takes the components one at a time, each
+    cast straight into a contiguous copy, so that each transform reads one
+    contiguous grid field.  The results are cast into the output in one
+    pass, after the transforms.  ``work`` keeps the split kernel's work
+    arrays from one call to the next."""
     nd, work = grid.d, {} if work is None else work
-    if nd == 1:
-        return _inverse_field(r, inv, grid, kern, work).astype(r.dtype, copy=False)
-    inv = inv.reshape(inv.shape[:nd])
     fields = [_inverse_field(r[(...,) + c], inv, grid, kern, work)
               for c in np.ndindex(r.shape[nd:])]
     return np.stack(fields, axis=-1, dtype=r.dtype).reshape(r.shape)
@@ -372,8 +358,8 @@ def _apply_inverse(r: np.ndarray, inv: np.ndarray, grid: TorusGrid | BoxGrid,
 
 def _inverse_field(x: np.ndarray, inv: np.ndarray, grid: TorusGrid | BoxGrid,
                    kern: str, work: dict) -> np.ndarray:
-    """``_apply_inverse`` of one field ``x`` (in 1D, with its components),
-    cast to a contiguous copy in the dtype of ``inv``; returned in that dtype."""
+    """``_apply_inverse`` of one grid field ``x``, cast to a contiguous copy
+    in the dtype of ``inv``; returned in that dtype."""
     x, nd = np.ascontiguousarray(x, inv.dtype), grid.d
     if kern == "sine-split":
         return _split_products(x, inv, _split_plan(grid.n, inv.dtype), work)
@@ -394,7 +380,7 @@ def _inverse_field(x: np.ndarray, inv: np.ndarray, grid: TorusGrid | BoxGrid,
 
 def poisson_periodic(rhs: np.ndarray, grid: TorusGrid) -> np.ndarray:
     """Mean-zero x with -Laplace_h x = rhs - mean(rhs) on the torus, by the
-    transform ``kernel`` picks for a scalar field.
+    transform ``kernel`` picks for the grid.
 
     Laplace_h is the compact flux Laplacian (the operator of identity
     coefficients); its symbol is inverted exactly, in float64, by
@@ -556,13 +542,10 @@ def _spectral_solve(apply_op, rhs: np.ndarray, grid: TorusGrid | BoxGrid, scale:
                     lam: float, **krylov) -> tuple[np.ndarray, float]:
     """``_krylov`` on apply_op(x) = rhs, for ``rhs`` shaped grid points +
     components, preconditioned in float32 by ``_apply_inverse`` with the
-    kernel ``kernel`` picks for the grid and the components and a float32
-    copy of the reciprocal symbol of ``scale`` and ``lam``
-    (``_inverse_symbol``), broadcast over the component axes."""
-    shape, nd = rhs.shape, grid.d
-    kern = kernel(grid, math.prod(shape[nd:]))
+    kernel ``kernel`` picks for the grid and a float32 copy of the
+    reciprocal symbol of ``scale`` and ``lam`` (``_inverse_symbol``)."""
+    shape, kern = rhs.shape, kernel(grid)
     inv = _inverse_symbol(grid, kern, scale, lam).astype(np.float32)
-    inv = inv.reshape(inv.shape + (1,) * (len(shape) - nd))
 
     def matvec(x):
         return apply_op(x.reshape(shape)).ravel()

@@ -121,9 +121,8 @@ def projected_solve(apply_op, rhs, grid, *, tol, precond_scale, self_adjoint):
     """The periodic solve with a mean-zero projection before and after every
     operator apply, as ``solve_periodic`` once ran it."""
     shape, nd = rhs.shape, grid.d
-    kern = kernel(grid, rhs.size // grid.npoints)
+    kern = kernel(grid)
     inv = _inverse_symbol(grid, kern, precond_scale)
-    inv = inv.reshape(inv.shape + (1,) * (len(shape) - nd))
 
     def matvec(x):
         return _mean_zero(apply_op(_mean_zero(x.reshape(shape), nd)), nd).ravel()
@@ -286,7 +285,7 @@ def test_box_solve_on_the_fft_path_matches_float64_preconditioner(monkeypatch):
     in as many applies."""
     cs = builtin_family("trig", **dict(FAMILIES)["trig"], d=1)
     g = BoxGrid(1, 320)
-    assert kernel(g, 1) == "dst-rfft"
+    assert kernel(g) == "dst-rfft"
     s = sample_coefficients(cs, g, 1 / 4, default_lambda(cs))
     rhs = np.random.Generator(np.random.PCG64(16)).standard_normal((g.n - 1,) + (1,))
     applies = counted_krylov(monkeypatch)

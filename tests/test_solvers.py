@@ -354,15 +354,14 @@ class TestPreconditionerEquivalence:
             want = _torus_precond_oracle(r, g, scale)
             for kern in TORUS_KERNELS:
                 inv = _inverse_symbol(g, kern, scale)
-                inv = inv.reshape(inv.shape + (1,) * (r.ndim - d))
                 assert _close(_apply_inverse(r, inv, g, kern), want)
             assert _close32(precond(r.ravel()).reshape(shape), want)
-            assert used == [kernel(g, m)]
+            assert used == [kernel(g)]
 
     # n - 1 = 127 / 128 straddle the sine product and the split in 2D, 255 /
     # 256 the split's second level in 2D and the sine product and the
     # odd-extension DST in 1D, which 1023 / 1024 take on even and odd 2n;
-    # 107 / 108 the split of a system in 2D; 129 and 131 a split plan of one
+    # 107 / 108 where a 2D system once took the split; 129 and 131 a split plan of one
     # fold and one that folds again, small enough for every scale and shift
     @pytest.mark.parametrize("d,n", [(1, 16), (1, 15), (2, 12), (2, 9),
                                      (3, 8), (3, 7), (3, 48),
@@ -387,32 +386,31 @@ class TestPreconditionerEquivalence:
             want = _box_precond_oracle(r, g, scale, lam)
             for kern in BOX_KERNELS[d]:
                 inv = _inverse_symbol(g, kern, scale, lam)
-                inv = inv.reshape(inv.shape + (1,) * (r.ndim - d))
                 assert _close(_apply_inverse(r, inv, g, kern), want)
             assert _close32(precond(r.ravel()).reshape(shape), want)
-            assert used == [kernel(g, m)]
+            assert used == [kernel(g)]
 
-    # every kernel of a 2D or 3D grid, on a torus or box small enough to take
+    # every kernel of every dimension, on a torus or box small enough to take
     # any of them; the box's 10 and 12 give split plans of one and two folds
     @pytest.mark.parametrize("grid,kern", [
         (TorusGrid(2, 12), "hartley"), (TorusGrid(3, 8), "hartley"),
         (TorusGrid(2, 9), "rfftn"), (TorusGrid(3, 8), "rfftn"),
         (BoxGrid(2, 12), "sine"), (BoxGrid(3, 8), "sine"),
-        (BoxGrid(2, 10), "sine-split"), (BoxGrid(2, 12), "sine-split")],
+        (BoxGrid(2, 10), "sine-split"), (BoxGrid(2, 12), "sine-split"),
+        (TorusGrid(1, 16), "hartley"), (TorusGrid(1, 15), "rfftn"),
+        (BoxGrid(1, 16), "sine"), (BoxGrid(1, 16), "dst-rfft")],
         ids=lambda p: p if isinstance(p, str) else f"{type(p).__name__}{p.d}d{p.n}")
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_components_one_at_a_time(self, grid, kern, dtype):
         """An m = 3 field gives the three applies of its components bit for
-        bit.  Not in 1D: there the dense products keep the components as a
-        trailing axis, the columns of one GEMM, whose sums BLAS may order
-        differently from those of a single column."""
+        bit."""
         box = isinstance(grid, BoxGrid)
         points = (grid.n - 1,) * grid.d if box else grid.shape
         rng = np.random.Generator(np.random.PCG64(40 + grid.d + grid.n))
         r = rng.standard_normal(points + (3,))
         inv = (_inverse_symbol(grid, kern, 1.3, 0.4) if box
                else _inverse_symbol(grid, kern, 1.3)).astype(dtype)
-        z = _apply_inverse(r, inv[..., None], grid, kern)
+        z = _apply_inverse(r, inv, grid, kern)
         for c in range(3):
             assert np.array_equal(z[..., c], _apply_inverse(r[..., c], inv, grid, kern))
 
@@ -430,9 +428,11 @@ class TestTransformPath:
     """``kernel`` is the one rule for the transforms.  Each row holds (grid,
     m, kernel) and whether the kernel is one of ``numpy.fft``'s; the rows
     cover every boundary of the rule: 512, 256 and 80 points per axis on
-    the torus in 1D, 2D and 3D, for m = 1, 2; n - 1 = 107, 108, 127, 128,
-    255 and 256 on the box, and 2D and 3D boxes that took
-    ``scipy.fft.dstn`` before the rule was drawn from d, n and m alone.
+    the torus in 1D, 2D and 3D, for m = 1, 2; n - 1 = 127, 128, 255 and 256
+    on the box, and 2D and 3D boxes that took ``scipy.fft.dstn`` before the
+    rule was drawn from d and n alone.  The rule does not read m, so a row
+    of m = 2 expects the kernel of its scalar grid; on 2D boxes of
+    n - 1 = 108 to 127 it once took the split.
     The second column keeps the pattern of the rule that column replaced,
     whether the solve loaded ``scipy.fft``, and so does the test's name,
     so that the ids stay: where a shape left the FFT, its row moved to a
@@ -452,8 +452,8 @@ class TestTransformPath:
         ((BoxGrid(2, 129), 1, "sine-split"), False), ((BoxGrid(2, 200), 1, "sine-split"), False),
         ((BoxGrid(2, 256), 1, "sine-split"), False), ((BoxGrid(1, 257), 2, "dst-rfft"), True),
         ((BoxGrid(2, 64), 2, "sine"), False), ((BoxGrid(2, 512), 1, "sine-split"), False),
-        ((BoxGrid(2, 108), 2, "sine"), False), ((BoxGrid(2, 109), 2, "sine-split"), False),
-        ((BoxGrid(2, 128), 2, "sine-split"), False), ((BoxGrid(2, 129), 2, "sine-split"), False),
+        ((BoxGrid(2, 108), 2, "sine"), False), ((BoxGrid(2, 109), 2, "sine"), False),
+        ((BoxGrid(2, 128), 2, "sine"), False), ((BoxGrid(2, 129), 2, "sine-split"), False),
         ((BoxGrid(3, 129), 2, "sine"), False), ((TorusGrid(3, 128), 1, "rfftn"), True),
         ((TorusGrid(3, 21), 1, "hartley"), False), ((TorusGrid(2, 97), 1, "hartley"), False),
         ((BoxGrid(2, 257), 1, "sine-split"), False), ((TorusGrid(1, 65), 1, "hartley"), False),
@@ -463,8 +463,8 @@ class TestTransformPath:
         ((TorusGrid(1, 512), 2, "hartley"), False), ((TorusGrid(3, 80), 2, "hartley"), False),
         ((BoxGrid(2, 321), 1, "sine-split"), False)])
     def test_needs_scipy_fft(self, grid, needs):
-        g, m, kern = grid
-        assert kernel(g, m) == kern
+        g, _m, kern = grid
+        assert kernel(g) == kern
         assert (kern in ("rfftn", "dst-rfft")) is needs
 
     def test_sine_matrix_is_shared_and_read_only(self):
@@ -744,9 +744,8 @@ def _oracle_periodic(apply_op, rhs, grid, *, precond_scale, self_adjoint, tol=1e
 
     shape = rhs.shape
     nd = grid.d
-    kern = kernel(grid, rhs.size // grid.npoints)
+    kern = kernel(grid)
     inv = _inverse_symbol(grid, kern, precond_scale).astype(np.float32)
-    inv = inv.reshape(inv.shape + (1,) * (len(shape) - nd))
 
     def matvec(x):
         return apply_op(x.reshape(shape)).ravel()
@@ -768,10 +767,8 @@ def _oracle_box(apply_interior, rhs_interior, grid, *, lam, precond_scale,
     from homogkit.solvers import _krylov
 
     shape = rhs_interior.shape
-    nd = grid.d
-    kern = kernel(grid, rhs_interior.size // (grid.n - 1) ** nd)
+    kern = kernel(grid)
     inv = _inverse_symbol(grid, kern, precond_scale, lam).astype(np.float32)
-    inv = inv.reshape(inv.shape + (1,) * (len(shape) - nd))
 
     def matvec(x):
         return apply_interior(x.reshape(shape)).ravel()
