@@ -5,11 +5,14 @@
 Copies the working tree (without ``.git``) to a scratch directory, runs
 tier-1 there once unmutated, then applies each mutant of ``MUTANTS`` in
 turn, runs tier-1 with the unmutated run's failures deselected and stops at
-the first new failure, and restores the file.  A run that takes more than
-``SLOWDOWN`` times the unmutated one (a wrong operator can leave every
-Krylov solve running to its cap) is stopped and counts as a failure.  A
-mutant whose run passes *survives*: no test pins the behaviour it changes.
-The last line printed lists the survivors.  Naming mutants runs only those.
+the first new failure, and restores the file.  The tests of the mutated
+module, ``tests/test_<module>.py`` when that file exists, run first and the
+rest of tier-1 after them: they fail fastest, where the rest may first reach
+solves that a wrong preconditioner leaves running to their cap.  A mutant
+whose runs take more than ``SLOWDOWN`` times the unmutated one is stopped
+and counts as a failure.  A mutant whose runs pass *survives*: no test pins
+the behaviour it changes.  The last line printed lists the survivors.
+Naming mutants runs only those.
 
 Each mutant is (name, file, old, new): the text ``old`` must occur exactly
 once in ``file``.  pytest does not collect this file (its name does not
@@ -74,6 +77,12 @@ MUTANTS = [
      "product(k_odd[:L2], j[:L2]), product(k_even[:h2], j[:h2])"),
     ("component-loop-first-only", "src/homogkit/solvers.py",
      "for c in np.ndindex(r.shape[nd:])]", "for c in list(np.ndindex(r.shape[nd:]))[:1]]"),
+    ("split-from-127", "src/homogkit/solvers.py",
+     "if d == 2 and N >= 128:", "if d == 2 and N >= 127:"),
+    ("dst-rfft-from-255", "src/homogkit/solvers.py",
+     "if d == 1 and N > 255:", "if d == 1 and N >= 255:"),
+    ("dense-last-axis-at-1", "src/homogkit/solvers.py",
+     "elif ax == nd - 1:", "elif ax == 1:"),
     # mirrored storage of self-adjoint stencils
     ("mirror-read-unshifted", "src/homogkit/grid.py",
      "else (True, slot[tuple(-k for k in s)], sh)", "else (True, slot[tuple(-k for k in s)], 0)"),
@@ -85,11 +94,12 @@ MUTANTS = [
 
 
 def tier1(tree: str, deselect: list[str], first_failure: bool,
-          timeout: float | None = None) -> tuple[int, list[str]]:
-    """Exit code and failed test ids of tier-1 run in ``tree``; a run
-    stopped after ``timeout`` seconds reads as exit code -1."""
+          timeout: float | None = None, args: list[str] = ()) -> tuple[int, list[str]]:
+    """Exit code and failed test ids of tier-1 run in ``tree``, narrowed by
+    the pytest ``args``; a run stopped after ``timeout`` seconds reads as
+    exit code -1."""
     env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"), OPENBLAS_NUM_THREADS="1")
-    cmd = TIER1 + (["-x"] if first_failure else [])
+    cmd = TIER1 + list(args) + (["-x"] if first_failure else [])
     for test in deselect:
         cmd += ["--deselect", test]
     try:
@@ -126,9 +136,16 @@ def main(argv=None) -> int:
                 continue
             with open(target, "w") as fh:
                 fh.write(text.replace(old, new))
+            first = f"tests/test_{os.path.splitext(os.path.basename(path))[0]}.py"
+            runs = ([[first], ["--ignore", first]] if os.path.exists(os.path.join(tree, first))
+                    else [[]])
             t0 = time.perf_counter()
             try:
-                code, failed = tier1(tree, known, first_failure=True, timeout=limit)
+                for args in runs:
+                    code, failed = tier1(tree, known, first_failure=True, args=args,
+                                         timeout=limit - (time.perf_counter() - t0))
+                    if code != 0:
+                        break
             finally:
                 with open(target, "w") as fh:
                     fh.write(text)
