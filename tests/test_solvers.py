@@ -361,8 +361,9 @@ class TestPreconditionerEquivalence:
     # n - 1 = 127 / 128 straddle the sine product and the split in 2D, 255 /
     # 256 the split's second level in 2D and the sine product and the
     # odd-extension DST in 1D, which 1023 / 1024 take on even and odd 2n;
-    # 107 / 108 where a 2D system once took the split; 129 and 131 a split plan of one
-    # fold and one that folds again, small enough for every scale and shift
+    # 107 / 108 where a 2D system once took the split; 129 and 131 a split
+    # plan of one fold and one that folds again, small enough for every
+    # scale and shift
     @pytest.mark.parametrize("d,n", [(1, 16), (1, 15), (2, 12), (2, 9),
                                      (3, 8), (3, 7), (3, 48),
                                      (1, 128), (1, 129), (2, 128), (2, 129),
@@ -432,7 +433,7 @@ class TestTransformPath:
     on the box, and 2D and 3D boxes that took ``scipy.fft.dstn`` before the
     rule was drawn from d and n alone.  The rule does not read m, so a row
     of m = 2 expects the kernel of its scalar grid; on 2D boxes of
-    n - 1 = 108 to 127 it once took the split.
+    n - 1 = 108 to 127 a system once took the split.
     The second column keeps the pattern of the rule that column replaced,
     whether the solve loaded ``scipy.fft``, and so does the test's name,
     so that the ids stay: where a shape left the FFT, its row moved to a
