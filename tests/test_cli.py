@@ -126,8 +126,15 @@ class TestRun:
         assert not manifest["ok"]
         lines = (tmp_path / "manifest.jsonl").read_text().splitlines()
         assert len(lines) == 2
-        rec = json.loads(lines[1])
+        good, rec = map(json.loads, lines)
+        # one schema on both paths: the same top-level keys and a total time;
+        # checks are bools, or on failure run_completed false and the error
+        assert set(good) == set(rec)
+        assert "total" in good["wall_times"] and "total" in rec["wall_times"]
+        assert all(isinstance(v, bool) for v in good["checks"].values())
+        assert set(rec["checks"]) == {"run_completed", "error"}
         assert rec["checks"]["run_completed"] is False
+        assert isinstance(rec["checks"]["error"], str)
         assert "resolution" in rec["checks"]["error"]
 
     def test_solver_failure_reaches_the_manifest_with_its_residual(self, tmp_path,
