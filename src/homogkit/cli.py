@@ -52,26 +52,6 @@ class ConfigError(ValueError):
         self.violations = violations
 
 
-# Each key a subcommand accepts, with its default, on top of the common ones.
-# A default of None leaves the choice to the run: lam is bvp.default_lambda,
-# rho the 2h floor, probes the box centre, out the --out fallback.
-_COMMON_KEYS = {"subcommand": None, "family": "constant", "params": {}, "seed": 0,
-                "tol": 1e-10, "out": None}
-_KEYS = {
-    "cell": {"n": 64},
-    "homogenize": {"n": 64, "flux": False},
-    "solve": {"n": 64, "eps": 1.0, "lam": None, "data": "one",
-              "lambda_override": False},
-    "correctors": {"n": 64, "eps": 0.25, "n_cell": 64},
-    "green": {"n": 48, "eps": 1.0, "lam": None, "probes": None, "rho": None,
-              "lambda_override": False, "battery": False, "p": 2.0},
-    "rates": {"eps": [1 / 8, 1 / 16, 1 / 32], "divisor": 16, "data": "one",
-              "n_cell": 64, "lam": None, "probe_kinds": []},
-    "validate": {"configs": []},
-}
-SUBCOMMANDS = tuple(_KEYS)
-
-
 @dataclass
 class ExperimentConfig:
     subcommand: str
@@ -83,8 +63,8 @@ class ExperimentConfig:
     extra: dict = field(default_factory=dict)   # subcommand keys as written
 
     def __getitem__(self, key):
-        """A subcommand key as written, else its default from ``_KEYS``."""
-        return self.extra.get(key, _KEYS[self.subcommand][key])
+        """A subcommand key as written, else its default from ``_SUBCOMMANDS``."""
+        return self.extra.get(key, _SUBCOMMANDS[self.subcommand][1][key])
 
 
 def _is_int(value, low: int) -> bool:
@@ -161,7 +141,8 @@ def parse_config(text: str) -> ExperimentConfig:
     if sub not in SUBCOMMANDS:
         raise ConfigError([f"subcommand must be one of {SUBCOMMANDS}, got {sub!r}"])
 
-    defaults = _COMMON_KEYS | _KEYS[sub]
+    keys = _SUBCOMMANDS[sub][1]
+    defaults = _COMMON_KEYS | keys
     for key in sorted(set(raw) - set(defaults)):
         violations.append(f"unknown key {key!r} for subcommand {sub!r}")
     value = {key: raw.get(key, default) for key, default in defaults.items()}
@@ -178,7 +159,7 @@ def parse_config(text: str) -> ExperimentConfig:
     cfg = ExperimentConfig(subcommand=sub, family=value["family"],
                            params=value["params"] or {}, seed=value["seed"],
                            tol=_real(value["tol"]), out=value["out"],
-                           extra={k: v for k, v in raw.items() if k in _KEYS[sub]})
+                           extra={k: v for k, v in raw.items() if k in keys})
     cs = None   # built here only to check the parameters; each run builds its own
     if sub != "validate" and ok("family", "params"):
         try:
@@ -210,24 +191,19 @@ def parse_config(text: str) -> ExperimentConfig:
                 if box.d == 3 and ok("rho") and decay_shell(box, y, rho)[1].sum() < MIN_FIT_PAIRS:
                     violations.append(f"n = {box.n} leaves fewer than {MIN_FIT_PAIRS} decay-fit "
                                       f"shell points around probe {probe!r} at rho = {rho:.4g}")
-    # solve's and the battery's box solves apply the resolution guard
-    # (DirichletProblem exempts eps >= 1, the box side)
-    if box is not None and ok("eps", "battery") and (
-            sub == "solve" or sub == "green" and cfg["battery"]):
+    if sub == "correctors" and box is not None and ok("eps", "n_cell"):
+        try:
+            lattice_step(box, _real(cfg["eps"]), cfg["n_cell"])
+        except CommensurabilityError as exc:
+            violations.append(f"n_cell = {cfg['n_cell']} does not fit the box lattice: {exc}")
+    # the resolution guard, where a box solve applies it: the correctors' always,
+    # solve's and the battery's below eps = 1 (DirichletProblem exempts the box side)
+    if box is not None and ok("eps", "n_cell", "battery") and (
+            sub in ("solve", "correctors") or sub == "green" and cfg["battery"]):
         eps = _real(cfg["eps"])
         try:
-            if eps < 1.0:
+            if eps < 1.0 or sub == "correctors":
                 resolution_guard(box, eps)
-        except ProblemError as exc:
-            violations.append(f"eps = {eps:g} is not resolved by n = {cfg['n']}: {exc}")
-    if sub == "correctors" and box is not None and ok("eps", "n_cell"):
-        eps, n_cell = float(cfg["eps"]), cfg["n_cell"]
-        try:
-            lattice_step(box, eps, n_cell)
-        except CommensurabilityError as exc:
-            violations.append(f"n_cell = {n_cell} does not fit the box lattice: {exc}")
-        try:
-            resolution_guard(box, eps)
         except ProblemError as exc:
             violations.append(f"eps = {eps:g} is not resolved by n = {cfg['n']}: {exc}")
     if sub == "rates" and ok("eps", "divisor", "n_cell"):
@@ -499,30 +475,37 @@ def _run_validate(cfg: ExperimentConfig, out_dir: str):
     return {"all_configs_valid": ok}, {}
 
 
-_RUNNERS = {
-    "cell": _run_cell,
-    "homogenize": _run_homogenize,
-    "solve": _run_solve,
-    "correctors": _run_correctors,
-    "green": _run_green,
-    "rates": _run_rates,
-    "validate": _run_validate,
+# Each subcommand's runner, and each key it accepts with its default, on top
+# of the common ones.  A default of None leaves the choice to the run: lam is
+# bvp.default_lambda, rho the 2h floor, probes the box centre, out the --out
+# fallback.
+_COMMON_KEYS = {"subcommand": None, "family": "constant", "params": {}, "seed": 0,
+                "tol": 1e-10, "out": None}
+_SUBCOMMANDS = {
+    "cell": (_run_cell, {"n": 64}),
+    "homogenize": (_run_homogenize, {"n": 64, "flux": False}),
+    "solve": (_run_solve, {"n": 64, "eps": 1.0, "lam": None, "data": "one",
+                           "lambda_override": False}),
+    "correctors": (_run_correctors, {"n": 64, "eps": 0.25, "n_cell": 64}),
+    "green": (_run_green, {"n": 48, "eps": 1.0, "lam": None, "probes": None, "rho": None,
+                           "lambda_override": False, "battery": False, "p": 2.0}),
+    "rates": (_run_rates, {"eps": [1 / 8, 1 / 16, 1 / 32], "divisor": 16, "data": "one",
+                           "n_cell": 64, "lam": None, "probe_kinds": []}),
+    "validate": (_run_validate, {"configs": []}),
 }
+SUBCOMMANDS = tuple(_SUBCOMMANDS)
 
 
 def run(cfg: ExperimentConfig, out_dir: str) -> dict:
     os.makedirs(out_dir, exist_ok=True)
     t0 = time.perf_counter()
     try:
-        checks, wall = _RUNNERS[cfg.subcommand](cfg, out_dir)
+        checks, wall = _SUBCOMMANDS[cfg.subcommand][0](cfg, out_dir)
     except Exception as exc:  # noqa: BLE001 - manifests record failures too
-        wall = {"total": time.perf_counter() - t0}
-        manifest = write_manifest(out_dir, cfg, wall,
-                                  {"run_completed": False, "error": str(exc)})
-        manifest["ok"] = False
-        return manifest
+        checks, wall = {"run_completed": False, "error": str(exc)}, {}
+    else:
+        checks = {"run_completed": True} | {k: bool(v) for k, v in checks.items()}
     wall["total"] = time.perf_counter() - t0
-    checks = {"run_completed": True} | {k: bool(v) for k, v in checks.items()}
     manifest = write_manifest(out_dir, cfg, wall, checks)
     manifest["ok"] = all(checks.values())
     return manifest

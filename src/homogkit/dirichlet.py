@@ -148,7 +148,7 @@ def psi_diagnostics(phis: DirichletCorrectorSet, correctors: CorrectorSet) -> Ps
     dist = grid.boundary_distance()
     psis = [dev - eps * sample_periodic_field(chi, cell, grid, eps)
             for dev, chi in zip(phis.deviations, [correctors.chi0, *correctors.chi])]
-    grad_mags = [_pointwise_abs(gradient(GridFunction(grid, psi)).values, grid)
+    grad_mags = [_pointwise_abs(gradient(GridFunction(grid, psi)).values, grid.d)
                  for psi in psis]
     sup_norms = [float(np.abs(psi).max()) for psi in psis]
     grad_sups = [float(g.max()) for g in grad_mags]

@@ -114,7 +114,7 @@ def approx_green(cs: CoefficientSet, eps: float, lam: float, grid: BoxGrid,
     h = grid.h
     if rho is None:
         rho = 2.0 * h
-    if rho < 2.0 * h - 1e-12:
+    if not rho >= 2.0 * h - 1e-12:   # NaN fails too: its ball would be empty
         raise GreenError(f"mollification radius {rho} below the 2h = {2 * h} floor")
     y_pt = _snap_interior(grid, y)
     mask = _ball_mask(grid, y_pt, rho)

@@ -660,10 +660,10 @@ def assemble(A: PrincipalBlocks, grid: Grid, V: np.ndarray | None = None,
 # norms
 # ---------------------------------------------------------------------------
 
-def _pointwise_abs(values: np.ndarray, grid: Grid) -> np.ndarray:
-    """Euclidean magnitude over component axes."""
-    nd = len(grid.shape)
-    comp_axes = tuple(range(nd, values.ndim))
+def _pointwise_abs(values: np.ndarray, lead: int) -> np.ndarray:
+    """Euclidean magnitude over the component axes, those after the first
+    ``lead`` axes."""
+    comp_axes = tuple(range(lead, values.ndim))
     if not comp_axes:
         return np.abs(values)
     return np.sqrt(np.sum(values ** 2, axis=comp_axes))
@@ -671,12 +671,12 @@ def _pointwise_abs(values: np.ndarray, grid: Grid) -> np.ndarray:
 
 def lp_norm(u: GridFunction, p: float) -> float:
     """Riemann sum over the grid's cells: one value per cell [ih, (i+1)h)."""
-    mag = _pointwise_abs(u.values, u.grid)[u.grid.cells]
+    mag = _pointwise_abs(u.values, u.grid.d)[u.grid.cells]
     return float((np.sum(mag ** p) * u.grid.cell_volume) ** (1.0 / p))
 
 
 def linf_norm(u: GridFunction) -> float:
-    return float(_pointwise_abs(u.values, u.grid).max())
+    return float(_pointwise_abs(u.values, u.grid.d).max())
 
 
 _HOLDER_POINTS = 100   # points of the pair sample: 10^4 pairs
@@ -698,9 +698,7 @@ def holder_seminorm(u: GridFunction, sigma: float) -> float:
     sub_vals = mag[idx]
     diff = sub_pts[:, None, :] - sub_pts[None, :, :]
     dist = np.sqrt(np.sum(diff ** 2, axis=-1))
-    vdiff = sub_vals[:, None] - sub_vals[None, :]
-    comp_axes = tuple(range(2, vdiff.ndim))
-    vmag = np.sqrt(np.sum(vdiff ** 2, axis=comp_axes)) if comp_axes else np.abs(vdiff)
+    vmag = _pointwise_abs(sub_vals[:, None] - sub_vals[None, :], 2)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(dist > 0, vmag / np.where(dist > 0, dist, 1.0) ** sigma, 0.0)
     return float(ratio.max())
@@ -727,9 +725,7 @@ def boundary_measure(grid: BoxGrid) -> float:
 
 def boundary_lp_norm(values_on_boundary: np.ndarray, grid: BoxGrid, p: float) -> float:
     """L^p norm over boundary points with the face quadrature weight h^(d-1)."""
-    mag = np.abs(values_on_boundary)
-    if mag.ndim > 1:
-        mag = np.sqrt(np.sum(values_on_boundary ** 2, axis=tuple(range(1, mag.ndim))))
+    mag = _pointwise_abs(values_on_boundary, 1)
     if p == math.inf:
         return float(mag.max())
     return float((np.sum(mag ** p) * boundary_measure(grid)) ** (1.0 / p))
@@ -861,7 +857,7 @@ def nontangential_max(u: GridFunction, N0: float) -> np.ndarray:
     if N0 <= 1.0:
         raise GridError("need aperture N0 > 1")
     cols, reach, bpts, batches, nearest = _cone_geometry(g, N0, _NTMAX_PAIRS)
-    mag = _pointwise_abs(u.values, g)[g.interior].ravel()
+    mag = _pointwise_abs(u.values, g.d)[g.interior].ravel()
     order = np.argsort(-mag)
     s_mag, s_reach = mag[order], reach[order]
     s_bound = s_reach * (1.0 + 1e-12)

@@ -325,7 +325,7 @@ def uniform_constant_probe(kind: str, config: SweepConfig) -> ProbeResult:
             per_eps[eps] = holder_seminorm(u, HOLDER_SIGMA) / lp_norm(Ff, PROBE_P)
         else:  # Lipschitz, away from corners
             mask = grid.boundary_distance() >= CORNER_MARGIN
-            gmag = _pointwise_abs(gu.values, grid)
+            gmag = _pointwise_abs(gu.values, grid.d)
             per_eps[eps] = float(gmag[mask].max()) / linf_norm(Ff)
     vals = list(per_eps.values())
     disp = max(vals) / min(vals) if min(vals) > 0 else math.inf

@@ -83,6 +83,15 @@ MUTANTS = [
      "if d == 1 and N > 255:", "if d == 1 and N >= 255:"),
     ("dense-last-axis-at-1", "src/homogkit/solvers.py",
      "elif ax == nd - 1:", "elif ax == 1:"),
+    # each CLI rule, stated once
+    ("correctors-guard-exempts-eps-1", "src/homogkit/cli.py",
+     'if eps < 1.0 or sub == "correctors":', "if eps < 1.0:"),
+    ("failed-run-completed", "src/homogkit/cli.py",
+     '{"run_completed": False, "error": str(exc)}',
+     '{"run_completed": True, "error": str(exc)}'),
+    # the one pointwise magnitude
+    ("boundary-norm-lead-2", "src/homogkit/grid.py",
+     "_pointwise_abs(values_on_boundary, 1)", "_pointwise_abs(values_on_boundary, 2)"),
     # mirrored storage of self-adjoint stencils
     ("mirror-read-unshifted", "src/homogkit/grid.py",
      "else (True, slot[tuple(-k for k in s)], sh)", "else (True, slot[tuple(-k for k in s)], 0)"),

@@ -73,8 +73,8 @@ class TestParse:
         assert "0.1" in exc.value.violations[0]
 
     def test_defaults_are_read_not_written(self):
-        # unwritten keys resolve to their _KEYS default, but only the keys as
-        # written are serialized, so the config hash does not see defaults
+        # unwritten keys resolve to their _SUBCOMMANDS default, but only the
+        # keys as written are serialized, so the config hash does not see defaults
         cfg = parse_config("subcommand: green\nfamily: trig\neps: 0.5\n")
         assert (cfg["n"], cfg["eps"], cfg["probes"]) == (48, 0.5, None)
         assert cfg.extra == {"eps": 0.5}
@@ -664,5 +664,6 @@ def test_readme_key_table_matches_keys():
     rows, listed = _readme_key_table(), {}
     for sub, key, default in rows:
         listed.setdefault(sub, {})[key] = default
-    assert listed == {"all": cli._COMMON_KEYS, **cli._KEYS}
-    assert len(rows) == len(cli._COMMON_KEYS) + sum(map(len, cli._KEYS.values()))
+    keys = {sub: keys for sub, (_, keys) in cli._SUBCOMMANDS.items()}
+    assert listed == {"all": cli._COMMON_KEYS, **keys}
+    assert len(rows) == len(cli._COMMON_KEYS) + sum(map(len, keys.values()))

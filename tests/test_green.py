@@ -65,8 +65,9 @@ class TestGuards:
     def test_rho_floor(self):
         cs = builtin_family("constant", d=2, a0=1.0)
         g = BoxGrid(2, 16)
-        with pytest.raises(GreenError, match="floor"):
-            approx_green(cs, 0.5, 0.0, g, y=[0.5, 0.5], rho=g.h)
+        for rho in (g.h, math.nan):
+            with pytest.raises(GreenError, match="floor"):
+                approx_green(cs, 0.5, 0.0, g, y=[0.5, 0.5], rho=rho)
 
     def test_decay_fit_needs_3d(self):
         cs = builtin_family("constant", d=2, a0=1.0)

@@ -159,7 +159,7 @@ class TestLatticeEquivalence:
         rng = np.random.default_rng(g.d * 100 + g.n)
         for comp in ((), (2,)):
             u = GridFunction(g, rng.standard_normal(g.shape + comp))
-            mag = _pointwise_abs(u.values, g)[_oracle_cells(g)]
+            mag = _pointwise_abs(u.values, g.d)[_oracle_cells(g)]
             for p in (1.0, 2.0, 3.5):
                 want = float((np.sum(mag ** p) * g.cell_volume) ** (1.0 / p))
                 assert lp_norm(u, p) == want
@@ -323,6 +323,11 @@ class TestNorms:
         vals = np.ones(nb)
         # perimeter 4 of the unit square, sampled with weight h
         assert boundary_lp_norm(vals, g, 2.0) == pytest.approx(2.0, rel=0.1)
+        # a system's values (3, 4) have magnitude 5 at every point
+        pairs = np.tile([3.0, 4.0], (nb, 1))
+        for p in (1.0, 3.0, math.inf):
+            want = 5.0 if p == math.inf else 5.0 * (nb * g.h) ** (1 / p)
+            assert boundary_lp_norm(pairs, g, p) == pytest.approx(want, rel=1e-12)
 
 
 class TestNontangentialMax:
@@ -361,7 +366,7 @@ def nontangential_max_brute(u, N0):
     """The all-pairs nontangential maximal function: every boundary point is
     tested against every interior point.  Oracle for the pruned kernel."""
     g = u.grid
-    mag = _pointwise_abs(u.values, g)
+    mag = _pointwise_abs(u.values, g.d)
     dist = g.boundary_distance()
     interior = ~g.boundary_mask()
     pts = g.points()
