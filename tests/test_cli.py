@@ -664,6 +664,6 @@ def test_readme_key_table_matches_keys():
     rows, listed = _readme_key_table(), {}
     for sub, key, default in rows:
         listed.setdefault(sub, {})[key] = default
-    keys = {sub: keys for sub, (_, keys) in cli._SUBCOMMANDS.items()}
+    keys = {sub: own for sub, (_, own) in cli._SUBCOMMANDS.items()}
     assert listed == {"all": cli._COMMON_KEYS, **keys}
     assert len(rows) == len(cli._COMMON_KEYS) + sum(map(len, keys.values()))
